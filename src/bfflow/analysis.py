@@ -15,6 +15,7 @@ from . import dynamics as dyn
 from . import grid as gr
 from . import physics as ph
 from .grid import Grid, ScalarField, VectorField
+# unused here since assembly solves directly; the benchmark tracer rebinds it
 from .krylov import conjugate_gradient
 from .physics import MediumMatrix, NonlinearityParams
 from .rng import SplitMix64
@@ -134,10 +135,11 @@ def _mean_zero_basis(N: int) -> np.ndarray:
     return H[:, 1:]
 
 
-def assemble_operator(grid: Grid, D: MediumMatrix, cg_tol: float = 1e-13) -> AssembledOperator:
+def assemble_operator(grid: Grid, D: MediumMatrix) -> AssembledOperator:
     """Column-by-column dense assembly of p -> -div(D (-lap)^-1 grad p),
-    restricted to the mean-zero subspace; spectrum from the symmetric
-    eigensolver after the symmetry-defect check."""
+    restricted to the mean-zero subspace, with (-lap)^-1 applied directly in
+    the sine basis; spectrum from the symmetric eigensolver after the
+    symmetry-defect check."""
     N = grid.num_nodes
     if N > _SIZE_GUARD:
         raise ValueError(f"dense assembly guarded to {_SIZE_GUARD} nodes, got {N}")
@@ -146,9 +148,7 @@ def assemble_operator(grid: Grid, D: MediumMatrix, cg_tol: float = 1e-13) -> Ass
     cols = np.empty((N, m))
     for j in range(m):
         pj = Q[:, j].reshape(grid.shape)
-        w = conjugate_gradient(
-            lambda x: -gr.lap_array(x, grid.h, grid.dim),
-            gr.grad_array(pj, grid.h, grid.dim), rtol=cg_tol)
+        w = gr.poisson_solve_array(gr.grad_array(pj, grid.h, grid.dim), grid)
         cols[:, j] = -gr.div_array(D.apply_array(w), grid.h, grid.dim).ravel()
     A = Q.T @ cols
     normA = float(np.linalg.norm(A))

@@ -111,7 +111,10 @@ class ScenarioConfig:
         return self.values[pair[0]][pair[1]]
 
     def grid(self) -> Grid:
-        return Grid(self["grid", "dim"], self["grid", "n"])
+        try:
+            return Grid(self["grid", "dim"], self["grid", "n"])
+        except ValueError as e:
+            raise ConfigError(f"grid: {e}")
 
     def medium(self) -> MediumMatrix:
         dim = self["grid", "dim"]
@@ -145,16 +148,19 @@ class ScenarioConfig:
     def solver(self, grid: Grid, D: MediumMatrix) -> dyn.SolverConfig:
         dt = self["solver", "dt"]
         safety = self["solver", "cfl_safety"]
-        probe = dyn.SolverConfig(dt=1.0, scheme=self["solver", "scheme"],
-                                 cfl_safety=safety)
-        if dt <= 0.0:
-            dt = safety * probe.cfl_limit(grid, D)
-        cfg = dyn.SolverConfig(dt=dt, scheme=self["solver", "scheme"],
-                               newton_tol=self["solver", "newton_tol"],
-                               newton_max=self["solver", "newton_max"],
-                               cg_tol=self["solver", "cg_tol"],
-                               cfl_safety=safety)
-        cfg.validate(grid, D)
+        try:
+            probe = dyn.SolverConfig(dt=1.0, scheme=self["solver", "scheme"],
+                                     cfl_safety=safety)
+            if dt <= 0.0:
+                dt = safety * probe.cfl_limit(grid, D)
+            cfg = dyn.SolverConfig(dt=dt, scheme=self["solver", "scheme"],
+                                   newton_tol=self["solver", "newton_tol"],
+                                   newton_max=self["solver", "newton_max"],
+                                   cg_tol=self["solver", "cg_tol"],
+                                   cfl_safety=safety)
+            cfg.validate(grid, D)
+        except ValueError as e:
+            raise ConfigError(f"solver: {e}")
         return cfg
 
     def forcing(self, grid: Grid) -> Forcing:
@@ -199,9 +205,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     cfg = ScenarioConfig(values)
     # semantic re-checks at parse time
-    l = cfg["nonlinearity", "l"]
-    if not 0.0 < l <= 2.0:
-        raise ConfigError(f"nonlinearity: growth exponent l must lie in (0, 2], got {l}")
+    cfg.nonlinearity()
     cfg.medium()
     cfg.grid()
     return cfg
@@ -281,8 +285,10 @@ def make_forcing(grid: Grid, kind: str, seed: int, amplitude: float,
         scale = gr.norm_l2(g)
         return Forcing(VectorField(grid, g.values * (amplitude / scale)))
     if kind == "file":
-        arr = np.load(path)
-        return Forcing(VectorField(grid, np.asarray(arr, dtype=float)))
+        try:
+            return Forcing(VectorField(grid, np.asarray(np.load(path), dtype=float)))
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"forcing file {path!r}: {e}")
     raise ConfigError(f"unknown forcing kind {kind!r}")
 
 
@@ -765,6 +771,9 @@ def run_scenario(config: ScenarioConfig, subcommand: str, out_dir: str | Path = 
     """Execute a subcommand; emits CSVs plus summary.txt, returns the exit code."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    if subcommand in ("simulate", "audit") and config["solver", "scheme"] == "semi_implicit":
+        raise ConfigError(f"{subcommand} needs the work integrals that only "
+                          f"scheme = rk4 collects, got scheme = semi_implicit")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:

@@ -388,9 +388,13 @@ def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
 
     Solves -lap u + f(u) + shift*u + a(x) u + grad p = g_t. Requires the
     shifted drag to be monotone on the range in play (the Jacobian is then
-    positive definite). The carried params.shift is applied here.
+    positive definite). The carried params.shift is applied here. The CG is
+    preconditioned by (-lap + alpha + shift)^-1, the Jacobian at u = 0
+    without a(x), applied in the sine basis; with beta = gamma = 0 and
+    a = None it is the exact inverse.
     """
     w = grid.cell_volume
+    lin_shift = params.alpha + params.shift
     u = np.zeros_like(g_t) if u0 is None else u0.copy()
 
     def rnorm(r):
@@ -413,7 +417,9 @@ def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
             return out
 
         rtol = min(1e-2, max(res, cg_floor))
-        delta = conjugate_gradient(apply_jac, -r, rtol=max(rtol, cg_floor))
+        delta = conjugate_gradient(
+            apply_jac, -r, rtol=max(rtol, cg_floor),
+            precondition=lambda x: gr.poisson_solve_array(x, grid, lin_shift))
         lam = 1.0
         while lam > 1e-8:
             u_try = u + lam * delta

@@ -28,8 +28,8 @@ __all__ = [
     "grad", "div", "laplacian", "weighted_inner", "sobolev_norm",
     "project_mean_zero", "inner", "vector_inner", "norm_l2",
     "sine_coefficients", "sine_synthesis", "spectral_norm",
-    "vector_spectral_norm", "laplacian_eigenvalues", "zeros_scalar",
-    "zeros_vector", "sine_mode", "coordinates",
+    "vector_spectral_norm", "laplacian_eigenvalues", "poisson_solve_array",
+    "zeros_scalar", "zeros_vector", "sine_mode", "coordinates",
 ]
 
 
@@ -290,6 +290,17 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
         shape[a] = grid.n
         lam = lam + lam1.reshape(shape)
     return lam
+
+
+def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0) -> np.ndarray:
+    """Solve (-laplacian + shift) x = b over the trailing grid axes.
+
+    The compact Dirichlet Laplacian is diagonal in the sine basis, so its
+    shifted inverse is one transform pair (the FFT Poisson solver); leading
+    component and batch axes pass through. Needs shift > -lambda_min.
+    """
+    c = sine_coefficients_array(b, grid)
+    return sine_synthesis_array(c / (laplacian_eigenvalues(grid) + shift), grid)
 
 
 def spectral_norm(f: ScalarField, exponent: float) -> float:

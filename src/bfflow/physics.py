@@ -256,52 +256,24 @@ def fprime_eigenvalues(z: np.ndarray, params: NonlinearityParams) -> tuple[np.nd
 
 
 def monotone_shift(params: NonlinearityParams, u_max: float) -> float:
-    """Smallest L (1% bracketing) with eig(f'(v)) + L >= 0 for all |v| <= u_max.
+    """Smallest L with eig(f'(v)) + L >= 0 for all |v| <= u_max.
 
     Scans the closed-form eigenvalue branches on a 1000-point log grid in
-    z = |v|^2 plus z = 0, then refines around the worst sample. For the
-    nonnegative-coefficient phi family both branches take their minimum
-    alpha >= 0 at z = 0, so the certified shift is zero; the scan is kept as
-    the certificate.
+    z = |v|^2 plus z = 0. For the nonnegative-coefficient phi family both
+    branches are >= alpha >= 0, so the certified shift is zero; the scan is
+    kept as the certificate.
     """
     if u_max <= 0:
         raise ValueError("u_max must be positive")
     zmax = u_max * u_max
     zs = np.concatenate([[0.0], np.geomspace(zmax * 1e-12, zmax, 1000)])
     e1, e2 = fprime_eigenvalues(zs, params)
-    worst = np.minimum(e1, e2)
-    m = float(worst.min())
-    if m >= 0.0:
-        return 0.0
-    # refine the bracket around the worst sample to 1% in L
-    j = int(np.argmin(worst))
-    lo = zs[max(j - 1, 0)]
-    hi = zs[min(j + 1, len(zs) - 1)]
-    for _ in range(200):
-        if hi - lo <= 0.0:
-            break
-        z1 = lo + (hi - lo) / 3.0
-        z2 = hi - (hi - lo) / 3.0
-        g1 = float(np.minimum(*fprime_eigenvalues(np.array([z1]), params)))
-        g2 = float(np.minimum(*fprime_eigenvalues(np.array([z2]), params)))
-        if g1 < g2:
-            hi = z2
-        else:
-            lo = z1
-        if abs(min(g1, g2)) > 0 and (hi - lo) < 1e-6 * zmax:
-            break
-        m = min(m, g1, g2)
-    return -m * 1.005
+    return max(0.0, -float(np.minimum(e1, e2).min()))
 
 
 # ---------------------------------------------------------------------------
 # divergence right-inverse
 # ---------------------------------------------------------------------------
-
-def _neg_lap_solve(b: np.ndarray, grid: Grid, rtol: float) -> np.ndarray:
-    return conjugate_gradient(
-        lambda x: -gr.lap_array(x, grid.h, grid.dim), b, rtol=rtol)
-
 
 def _a0_symbol_preconditioner(grid: Grid):
     """Approximate inverse of G^T (-lap)^-1 G in the sine basis.
@@ -327,14 +299,14 @@ def _a0_symbol_preconditioner(grid: Grid):
     return apply
 
 
-def bogovski(p: ScalarField, rtol: float = 1e-10, inner_rtol: float = 1e-12) -> VectorField:
+def bogovski(p: ScalarField, rtol: float = 1e-10) -> VectorField:
     """Minimum-H1-seminorm right inverse of the divergence on mean-zero fields.
 
-    Solves (G^T M G) s = -p with M the inverse Dirichlet vector Laplacian and
-    returns w = M G s, so that div w = p to the conjugate-gradient tolerance
-    and w carries the zero extension by construction. The outer CG is
-    symbol-preconditioned; its residual is still measured against the true
-    operator.
+    Solves (G^T M G) s = -p with M the inverse Dirichlet vector Laplacian
+    (applied directly in the sine basis) and returns w = M G s, so that
+    div w = p to the conjugate-gradient tolerance and w carries the zero
+    extension by construction. The CG is symbol-preconditioned; its residual
+    is still measured against the true operator.
     """
     grid = p.grid
     pv = p.values
@@ -347,12 +319,12 @@ def bogovski(p: ScalarField, rtol: float = 1e-10, inner_rtol: float = 1e-12) -> 
         return gr.zeros_vector(grid)
 
     def apply_a0(s: np.ndarray) -> np.ndarray:
-        w = _neg_lap_solve(gr.grad_array(s, grid.h, grid.dim), grid, inner_rtol)
+        w = gr.poisson_solve_array(gr.grad_array(s, grid.h, grid.dim), grid)
         return -gr.div_array(w, grid.h, grid.dim)
 
     s = conjugate_gradient(apply_a0, -p0, rtol=rtol,
                            precondition=_a0_symbol_preconditioner(grid))
-    w = _neg_lap_solve(gr.grad_array(s, grid.h, grid.dim), grid, inner_rtol)
+    w = gr.poisson_solve_array(gr.grad_array(s, grid.h, grid.dim), grid)
     return VectorField(grid, w)
 
 

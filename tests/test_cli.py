@@ -247,6 +247,31 @@ snapshot_stride = 0.5
             cli.run_scenario(sc, "simulatee", tmp_path)
 
 
+_BAD_INPUTS = {
+    "odd_n": ("simulate", "[grid]\nn = 15\n"),
+    "missing_forcing_file": ("simulate", "[grid]\nn = 8\n[forcing]\nkind = file\n"
+                             "path = {tmp}/no-such-forcing.npy\n"),
+    "simulate_semi_implicit": ("simulate", "[grid]\nn = 8\n[solver]\n"
+                               "scheme = semi_implicit\ndt = 0.01\n"),
+    "audit_semi_implicit": ("audit", "[grid]\nn = 8\n[solver]\n"
+                            "scheme = semi_implicit\ndt = 0.01\n"),
+    "unknown_scheme": ("lipschitz", "[grid]\nn = 8\n[solver]\nscheme = euler\n"),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+    def test_bad_input_exits_3_without_traceback(self, tmp_path, capsys, case):
+        subcommand, text = _BAD_INPUTS[case]
+        config = tmp_path / "bad.cfg"
+        config.write_text(text.format(tmp=tmp_path))
+        code = cli.main([subcommand, "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("config error:") and "Traceback" not in err
+
+
 class TestFileFormats:
     def test_csv_lf_endings_and_decimal_points(self, tmp_path):
         path = tmp_path / "t.csv"

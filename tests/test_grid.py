@@ -276,3 +276,22 @@ class TestStencilProperties:
         lam = -(4.0 / g.h ** 2) * sum(np.sin(k * np.pi * g.h / 2) ** 2
                                       for k in (1, 2, 1))
         assert np.abs(gr.laplacian(W).values[0] - lam * mode).max() <= 1e-11 * abs(lam)
+
+
+class TestPoissonSolve:
+    @pytest.mark.parametrize("dim,n", [(2, 4), (2, 8), (2, 16), (2, 32),
+                                       (3, 4), (3, 6), (3, 8)])
+    @pytest.mark.parametrize("shift", [0.0, 1.5])
+    def test_residual_and_batching(self, dim, n, shift):
+        g = Grid(dim, n)
+        rng = SplitMix64(1000 * dim + n)
+        b = rng.normal((3, dim) + g.shape)
+        x = gr.poisson_solve_array(b, g, shift)
+        res = -gr.lap_array(x, g.h, dim) + shift * x - b
+        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(b)
+        for m in range(3):
+            one = gr.poisson_solve_array(b[m], g, shift)
+            assert np.abs(x[m] - one).max() <= 1e-14 * np.abs(one).max()
+            for a in range(dim):
+                comp = gr.poisson_solve_array(b[m, a], g, shift)
+                assert np.abs(x[m, a] - comp).max() <= 1e-14 * np.abs(comp).max()

@@ -104,3 +104,12 @@ def test_truncated_step_and_split(setup3d):
     split = dyn.run_split(reference, cfg, D, QUINTIC, L=0.0)
     assert split.recombination_p <= 1e-8
     assert split.recombination_u <= 1e-8
+
+
+def test_bogovski_div_residual_direct_solves():
+    g = Grid(3, 6)
+    rng = SplitMix64(817)
+    p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
+    w = ph.bogovski(p)
+    res = gr.norm_l2(ScalarField(g, gr.div(w).values - p.values))
+    assert res / gr.norm_l2(p) <= 1e-10
