@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -378,6 +377,18 @@ def _snapshot_every(cfg: dyn.SolverConfig, stride: float) -> int:
     return max(1, int(round(stride / cfg.dt)))
 
 
+def _fitted_snapshot_every(sc: ScenarioConfig, cfg: dyn.SolverConfig) -> int:
+    """Snapshot cadence of a run whose series feeds `fit_decay`, checked to
+    give the fit its 5 points (initial state plus one per stride)."""
+    t_max, stride = sc["run", "t_max"], sc["run", "snapshot_stride"]
+    every = _snapshot_every(cfg, stride)
+    count = 1 + -(-int(round(t_max / cfg.dt)) // every)
+    if count < 5:
+        raise ConfigError(f"t_max = {t_max} with snapshot_stride = {stride} "
+                          f"gives {count} snapshots; the decay fit needs 5")
+    return every
+
+
 def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     grid = sc.grid()
     D = sc.medium()
@@ -513,7 +524,7 @@ def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     forcing = sc.forcing(grid)
     p0 = gr.project_mean_zero(sc.initial(grid).p)
     t_max = sc["run", "t_max"]
-    every = _snapshot_every(cfg, sc["run", "snapshot_stride"])
+    every = _fitted_snapshot_every(sc, cfg)
     delta = sc["scenario", "delta_exponent"]
     reference = dyn.run_truncated(p0, forcing, cfg, D, params, t_max,
                                   snapshot_every=every)
@@ -565,7 +576,7 @@ def _cmd_expsplit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     other = dyn.SimState(
         VectorField(grid, base.u.values + scale * pert.u.values),
         ScalarField(grid, base.p.values + scale * pert.p.values), 0.0)
-    every = _snapshot_every(cfg, sc["run", "snapshot_stride"])
+    every = _fitted_snapshot_every(sc, cfg)
     t_max = sc["run", "t_max"]
     tr1 = dyn.simulate(base, cfg, forcing, D, params, t_max, snapshot_every=every)
     tr2 = dyn.simulate(other, cfg, forcing, D, params, t_max, snapshot_every=every)
@@ -627,7 +638,7 @@ def _cmd_smoothing(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     return entries
 
 
-def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool, threads: int,
+def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool,
                    seed: int | None) -> dict:
     grid = sc.grid()
     D = sc.medium()
@@ -641,19 +652,8 @@ def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool, threads: int,
               for i, a in enumerate(amps)]
     t_max = sc["run", "t_max"]
     every = _snapshot_every(cfg, sc["run", "snapshot_stride"])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda s: an.evolve_ensemble([s], cfg, forcing, D, params,
-                                             t_max, every), states))
-        snap_times = results[0][0]
-        snaps = [(np.concatenate([r[1][i][0] for r in results]),
-                  np.concatenate([r[1][i][1] for r in results]))
-                 for i in range(len(snap_times))]
-        report = an.ensemble_report_from_snaps(grid, snap_times, snaps, run_seed)
-    else:
-        report = an.ensemble_study(states, cfg, forcing, D, params, t_max,
-                                   snapshot_every=every, seed=run_seed)
+    report = an.ensemble_study(states, cfg, forcing, D, params, t_max,
+                               snapshot_every=every, seed=run_seed)
     write_csv(out / "attractor.csv",
               ["t [time]", "diameter [field]", "dist_to_ball [field]"],
               [(t, d, x) for (t, d), (_, x) in
@@ -766,8 +766,7 @@ def _cmd_oracle(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 
 def run_scenario(config: ScenarioConfig, subcommand: str, out_dir: str | Path = ".",
-                 svg: bool = False, threads: int = 1,
-                 seed: int | None = None) -> int:
+                 svg: bool = False, seed: int | None = None) -> int:
     """Execute a subcommand; emits CSVs plus summary.txt, returns the exit code."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -790,7 +789,7 @@ def run_scenario(config: ScenarioConfig, subcommand: str, out_dir: str | Path = 
         elif subcommand == "smoothing":
             entries = _cmd_smoothing(config, out, svg)
         elif subcommand == "attractor":
-            entries = _cmd_attractor(config, out, svg, threads, seed)
+            entries = _cmd_attractor(config, out, svg, seed)
         elif subcommand == "audit":
             entries = _cmd_audit(config, out, svg)
         else:
@@ -818,7 +817,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="scenario config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--svg", action="store_true", help="emit SVG line plots")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None,
                         help="override the run seed")
     try:
@@ -834,7 +832,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     try:
         return run_scenario(config, args.subcommand, args.out, svg=args.svg,
-                            threads=args.threads, seed=args.seed)
+                            seed=args.seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 3

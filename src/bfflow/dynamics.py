@@ -207,9 +207,10 @@ def _rk4_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray, dt: floa
 def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray,
                         dt: float, cg_tol: float):
     """Implicit Euler on the linear part (CG in the D-weighted metric),
-    explicit drag and convection. The CG is preconditioned by the diagonal
-    heat symbol 1/(1 + dt lambda_k) in the sine basis (SPD in the weighted
-    metric as well, since it acts componentwise)."""
+    explicit drag and convection. The CG is preconditioned by the inverse of
+    the heat part, (1 - dt lap)^-1 = (-lap + 1/dt)^-1 / dt, one sine
+    transform pair (SPD in the weighted metric as well, since it acts
+    componentwise)."""
     g = sys.grid
     expl = sys.forcing.at_array(t) - ph.f_apply_array(u, sys.params, g.dim)
     if sys.convective_on:
@@ -224,14 +225,9 @@ def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray
     def d_inner(a, b):
         return float(np.vdot(a, sys.D.apply_array(b)))
 
-    symbol = 1.0 / (1.0 + dt * gr.laplacian_eigenvalues(g))
-
-    def precondition(r):
-        c = gr.sine_coefficients_array(r, g)
-        return gr.sine_synthesis_array(symbol * c, g)
-
-    u_new = conjugate_gradient(apply_op, rhs, x0=u.copy(), rtol=cg_tol,
-                               inner=d_inner, precondition=precondition)
+    u_new = conjugate_gradient(
+        apply_op, rhs, x0=u.copy(), rtol=cg_tol, inner=d_inner,
+        precondition=lambda r: gr.poisson_solve_array(r, g, 1.0 / dt) / dt)
     p_new = p - dt * gr.mean_project_array(
         gr.div_array(sys.D.apply_array(u_new), g.h, g.dim), g.dim)
     return u_new, p_new

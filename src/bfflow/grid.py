@@ -19,6 +19,7 @@ leading axes (field components, ensemble members) go through unchanged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,20 +244,22 @@ def mean_project_array(p: np.ndarray, dim: int) -> np.ndarray:
 # sine eigenbasis: transforms, eigenvalues, fractional norms
 # ---------------------------------------------------------------------------
 
-def _dst1_axis(a: np.ndarray, axis: int) -> np.ndarray:
-    """2 * sum_j a_j sin(pi k j/(n+1)) along `axis`, via an odd FFT extension."""
-    a = np.moveaxis(a, axis, -1)
-    n = a.shape[-1]
-    buf = np.zeros(a.shape[:-1] + (2 * n + 2,))
-    buf[..., 1:n + 1] = a
-    buf[..., n + 2:] = -a[..., ::-1]
-    out = -np.fft.rfft(buf, axis=-1).imag[..., 1:n + 1]
-    return np.moveaxis(out, -1, axis)
+@functools.lru_cache(maxsize=None)
+def _dst1_matrix(n: int) -> np.ndarray:
+    """Read-only DST-I matrix S[k, j] = 2 sin(pi k j/(n+1)), S @ S = 2(n+1) I;
+    k j is reduced mod 2(n+1) first, so S is exactly symmetric."""
+    k = np.arange(1, n + 1)
+    S = 2.0 * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1))) / (n + 1))
+    S.flags.writeable = False
+    return S
 
 
 def _dst_all_axes(a: np.ndarray, dim: int) -> np.ndarray:
-    for axis in range(a.ndim - dim, a.ndim):
-        a = _dst1_axis(a, axis)
+    """DST-I over the trailing `dim` axes: each grid axis in turn is rotated
+    to the end and multiplied by S; leading axes pass through."""
+    S, lead = _dst1_matrix(a.shape[-1]), a.ndim - dim
+    for _ in range(dim):
+        a = (np.moveaxis(a, lead, -1).reshape(-1, len(S)) @ S).reshape(a.shape)
     return a
 
 
@@ -279,16 +282,15 @@ def sine_synthesis_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return scale * _dst_all_axes(coeffs, grid.dim)
 
 
+@functools.lru_cache(maxsize=None)
 def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
-    """Eigenvalues of -laplacian on the sine modes, indexed like a field array."""
+    """Eigenvalues of -laplacian on the sine modes, indexed like a field array
+    (cached per grid, read-only)."""
     h = grid.h
     k = np.arange(1, grid.n + 1)
     lam1 = (4.0 / (h * h)) * np.sin(k * np.pi * h / 2.0) ** 2
-    lam = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[a] = grid.n
-        lam = lam + lam1.reshape(shape)
+    lam = sum(np.ix_(*[lam1] * grid.dim))
+    lam.flags.writeable = False
     return lam
 
 
@@ -296,7 +298,7 @@ def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0) -> np.nda
     """Solve (-laplacian + shift) x = b over the trailing grid axes.
 
     The compact Dirichlet Laplacian is diagonal in the sine basis, so its
-    shifted inverse is one transform pair (the FFT Poisson solver); leading
+    shifted inverse is one transform pair (the fast Poisson solver); leading
     component and batch axes pass through. Needs shift > -lambda_min.
     """
     c = sine_coefficients_array(b, grid)

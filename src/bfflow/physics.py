@@ -104,9 +104,8 @@ class MediumMatrix:
     def apply_array(self, u: np.ndarray) -> np.ndarray:
         """Matrix-vector product over the component axis preceding the grid
         axes (batch axes may precede it)."""
-        comp_ax = u.ndim - self.dim - 1
-        out = np.tensordot(self.entries, u, axes=([1], [comp_ax]))
-        return np.moveaxis(out, 0, comp_ax)
+        lead = u.shape[:u.ndim - self.dim - 1]
+        return (self.entries @ u.reshape(lead + (self.dim, -1))).reshape(u.shape)
 
     def matvec(self, U: VectorField) -> VectorField:
         return VectorField(U.grid, self.apply_array(U.values))

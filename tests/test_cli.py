@@ -216,31 +216,6 @@ convective = on
         assert c1 == c2
         assert (tmp_path / "y" / "energies.svg").exists()
 
-    def test_attractor_threads_match_serial(self, tmp_path):
-        text = """
-[grid]
-n = 8
-[nonlinearity]
-alpha = 1
-beta = 1
-l = 2
-[forcing]
-kind = band_random
-seed = 5
-[scenario]
-ensemble_size = 4
-[run]
-t_max = 2.0
-snapshot_stride = 0.5
-"""
-        sc = parse_config(text)
-        c1 = cli.run_scenario(sc, "attractor", tmp_path / "serial", threads=1)
-        c2 = cli.run_scenario(sc, "attractor", tmp_path / "par", threads=2)
-        assert c1 == c2
-        s = (tmp_path / "serial" / "attractor.csv").read_text()
-        p = (tmp_path / "par" / "attractor.csv").read_text()
-        assert s == p
-
     def test_unknown_subcommand(self, tmp_path):
         sc = parse_config(MINIMAL)
         with pytest.raises(ConfigError):
@@ -256,6 +231,8 @@ _BAD_INPUTS = {
     "audit_semi_implicit": ("audit", "[grid]\nn = 8\n[solver]\n"
                             "scheme = semi_implicit\ndt = 0.01\n"),
     "unknown_scheme": ("lipschitz", "[grid]\nn = 8\n[solver]\nscheme = euler\n"),
+    "split_too_few_snapshots": ("split", "[grid]\nn = 8\n[run]\nt_max = 0.002\n"
+                                "snapshot_stride = 0.001\n"),
 }
 
 
@@ -270,6 +247,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_removed_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "ok.cfg"
+        config.write_text(MINIMAL)
+        code = cli.main(["attractor", "--config", str(config), "--threads", "2",
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "--threads" in err and "Traceback" not in err
 
 
 class TestFileFormats:

@@ -295,3 +295,60 @@ class TestPoissonSolve:
             for a in range(dim):
                 comp = gr.poisson_solve_array(b[m, a], g, shift)
                 assert np.abs(x[m, a] - comp).max() <= 1e-14 * np.abs(comp).max()
+
+
+def _dst_by_definition(a, dim):
+    """out_k = 2 sum_j a_j sin(pi k j/(n+1)) along each trailing grid axis,
+    summed in extended precision with unreduced arguments."""
+    n = a.shape[-1]
+    k = np.arange(1, n + 1, dtype=np.longdouble)
+    pi = np.arccos(np.longdouble(-1.0))
+    S = 2 * np.sin(pi * np.outer(k, k) / (n + 1))
+    out = a.astype(np.longdouble)
+    for axis in range(a.ndim - dim, a.ndim):
+        out = np.moveaxis(np.tensordot(out, S, axes=([axis], [1])), -1, axis)
+    return out
+
+
+class TestSineTransform:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_matches_defining_sum(self, dim, n):
+        rng = SplitMix64(2000 * dim + n)
+        a = rng.normal((2, 3) + (n,) * dim)
+        ref = _dst_by_definition(a, dim)
+        got = gr._dst_all_axes(a, dim)
+        assert got.shape == a.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dim,n", [(2, 4), (2, 32), (2, 64), (3, 4), (3, 16)])
+    def test_synthesis_inverts_coefficients(self, dim, n):
+        g = Grid(dim, n)
+        x = SplitMix64(3000 * dim + n).normal((2,) + g.shape)
+        back = gr.sine_synthesis_array(gr.sine_coefficients_array(x, g), g)
+        assert np.abs(back - x).max() <= 1e-13 * np.abs(x).max()
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 32), (3, 8)])
+    def test_batched_equals_sliced(self, dim, n):
+        g = Grid(dim, n)
+        x = SplitMix64(4000 * dim + n).normal((4, dim) + g.shape)
+        c = gr.sine_coefficients_array(x, g)
+        for m in range(4):
+            for a in range(dim):
+                one = gr.sine_coefficients_array(x[m, a], g)
+                assert np.abs(c[m, a] - one).max() <= 1e-14 * np.abs(one).max()
+
+    @pytest.mark.parametrize("n", [4, 30, 64])
+    def test_matrix_symmetric_and_involutive(self, n):
+        S = gr._dst1_matrix(n)
+        assert np.array_equal(S, S.T)
+        assert np.abs(S @ S - 2 * (n + 1) * np.eye(n)).max() <= 1e-12 * n
+        with pytest.raises(ValueError):
+            S[0, 0] = 0.0
+
+    def test_eigenvalues_cached_read_only(self):
+        g = Grid(2, 8)
+        lam = gr.laplacian_eigenvalues(g)
+        assert gr.laplacian_eigenvalues(Grid(2, 8)) is lam
+        with pytest.raises(ValueError):
+            lam[0, 0] = 0.0

@@ -45,6 +45,17 @@ class TestMedium:
         D = MediumMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
         assert 0 < D.eigmin < D.eigmax
 
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_apply_array_matches_einsum(self, lead):
+        D = MediumMatrix(np.array([[2.0, 0.5, -0.3], [0.5, 1.5, 0.2],
+                                   [-0.3, 0.2, 1.0]]))
+        g = Grid(3, 6)
+        u = SplitMix64(59 + len(lead)).normal(lead + (3,) + g.shape)
+        ref = np.einsum("ab,...bxyz->...axyz", D.entries, u)
+        got = D.apply_array(u)
+        assert got.shape == u.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
 
 class TestPhi:
     def test_boundary_value(self):
