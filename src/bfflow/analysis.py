@@ -53,46 +53,58 @@ def _spectral_weights(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return w_e, w_e1
 
 
-def _state_coefficients(u: VectorField, p: ScalarField) -> np.ndarray:
-    grid = u.grid
-    cs = [gr.sine_coefficients_array(u.values[a], grid).ravel()
-          for a in range(grid.dim)]
-    cs.append(gr.sine_coefficients_array(p.values, grid).ravel())
-    return np.concatenate(cs)
+def _state_coefficients(U: np.ndarray, P: np.ndarray, grid: Grid) -> np.ndarray:
+    """Sine coefficients of (u components, p), concatenated along the last
+    axis; leading member axes pass through, one transform per field."""
+    lead = P.shape[:P.ndim - grid.dim]
+    return np.concatenate(
+        [gr.sine_coefficients_array(U, grid).reshape(lead + (-1,)),
+         gr.sine_coefficients_array(P, grid).reshape(lead + (-1,))], axis=-1)
+
+
+def _ball_distances(c: np.ndarray, w: np.ndarray, v: np.ndarray,
+                    radius: float) -> np.ndarray:
+    """Distance of each coefficient row of c (R, L) to the ball
+    sum(v c^2) <= radius^2, in the norm sum(w c^2); 0 for rows inside.
+
+    Both norms are diagonal, so the nearest ball point of a row outside
+    solves a scalar Lagrange condition in its multiplier mu. One vectorised
+    bisection runs over all outside rows: hi grows by 4 until the constraint
+    is met (or passes 1e18), then 200 halvings.
+    """
+    r2 = radius * radius
+    out = np.zeros(len(c))
+    far = np.sum(v * c * c, axis=-1) > r2
+    c = c[far]
+    if not len(c):
+        return out
+
+    def constraint(mu: np.ndarray) -> np.ndarray:
+        y = c * w / (w + mu[:, None] * v)
+        return np.sum(v * y * y, axis=-1) - r2
+
+    lo, hi = np.zeros(len(c)), np.ones(len(c))
+    grow = constraint(hi) > 0.0
+    while grow.any():
+        hi[grow] *= 4.0
+        grow &= (hi <= 1e18) & (constraint(hi) > 0.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = constraint(mid) > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    mu = (0.5 * (lo + hi))[:, None]
+    gap = c * (mu * v) / (w + mu * v)
+    out[far] = np.sqrt(np.sum(w * gap * gap, axis=-1))
+    return out
 
 
 def dist_to_higher_ball(u: VectorField, p: ScalarField, radius: float) -> float:
     """Phase-space distance from (u, p) to the ball of `radius` in the
-    higher-energy norm, computed exactly in the shared sine eigenbasis.
-
-    Both norms are diagonal there, so the nearest ball point solves a scalar
-    Lagrange condition, found by bisection on the multiplier.
-    """
-    grid = u.grid
-    w, v = _spectral_weights(grid)
-    c = _state_coefficients(u, p)
-    r2 = radius * radius
-    if float(np.sum(v * c * c)) <= r2:
-        return 0.0
-
-    def constraint(mu: float) -> float:
-        y = c * w / (w + mu * v)
-        return float(np.sum(v * y * y)) - r2
-
-    lo, hi = 0.0, 1.0
-    while constraint(hi) > 0.0:
-        hi *= 4.0
-        if hi > 1e18:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
-    gap = c * (mu * v) / (w + mu * v)
-    return float(np.sqrt(np.sum(w * gap * gap)))
+    higher-energy norm, computed exactly in the shared sine eigenbasis."""
+    c = _state_coefficients(u.values, p.values, u.grid)
+    w, v = _spectral_weights(u.grid)
+    return float(_ball_distances(c[None], w, v, radius)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -408,55 +420,42 @@ def ensemble_report_from_snaps(grid: Grid, snap_times, snaps,
     the largest higher-energy norm of member 0 over the last quarter of the
     run), and box counts of the (|u|_H1, |p|_L2) projection."""
     B = snaps[0][0].shape[0]
-    lam = gr.laplacian_eigenvalues(grid).ravel()
     w_e, w_e1 = _spectral_weights(grid)
-
-    def coeffs(Um, Pm):
-        cs = [gr.sine_coefficients_array(Um[a], grid).ravel()
-              for a in range(grid.dim)]
-        cs.append(gr.sine_coefficients_array(Pm, grid).ravel())
-        return np.concatenate(cs)
-
-    all_coeffs = []      # per snapshot: (B, len)
-    for Us, Ps in snaps:
-        all_coeffs.append(np.stack([coeffs(Us[m], Ps[m]) for m in range(B)]))
+    coeffs = [_state_coefficients(Us, Ps, grid) for Us, Ps in snaps]  # (B, L) each
+    e1_sq = np.array([np.sum(w_e1 * c * c, axis=-1) for c in coeffs])  # (S, B)
 
     # ball radius from member 0 over the last quarter
     q0 = len(snap_times) - max(1, len(snap_times) // 4)
-    e1_member0 = [np.sqrt(np.sum(w_e1 * c[0] * c[0])) for c in all_coeffs[q0:]]
-    r_ball = 2.0 * float(max(e1_member0))
+    r_ball = 2.0 * float(np.sqrt(e1_sq[q0:, 0]).max())
 
+    # sup over members of the distance to the ball: one bisection over every
+    # (snapshot, member) row outside it
+    far = e1_sq > r_ball * r_ball
+    far_rows = np.concatenate([c[f] for c, f in zip(coeffs, far)])
+    far_dist = np.zeros(len(coeffs))
+    np.maximum.at(far_dist, np.nonzero(far)[0],
+                  _ball_distances(far_rows, w_e, w_e1, r_ball))
+
+    # diameter over member pairs
+    i, j = np.triu_indices(B, 1)
     diam = []
-    dist = []
-    for c, t in zip(all_coeffs, snap_times):
-        worst = 0.0
-        for i in range(B):
-            for j in range(i + 1, B):
-                d = c[i] - c[j]
-                worst = max(worst, float(np.sqrt(np.sum(w_e * d * d))))
-        diam.append((t, worst))
-        far = 0.0
-        for i in range(B):
-            if float(np.sum(w_e1 * c[i] * c[i])) <= r_ball ** 2:
-                continue
-            snap_idx = snap_times.index(t)
-            Us, Ps = snaps[snap_idx]
-            far = max(far, dist_to_higher_ball(
-                VectorField(grid, Us[i]), ScalarField(grid, Ps[i]), r_ball))
-        dist.append((t, far))
+    for c in coeffs:
+        d = c[i] - c[j]
+        diam.append(float(np.sqrt(np.sum(w_e * d * d, axis=-1)).max(initial=0.0)))
 
-    # box counting over the last half of the run
+    # box counting of the (|u|_H1, |p|_L2) projection over the last half
     half = len(snap_times) // 2
-    pts = []
-    for c in all_coeffs[half:]:
-        for i in range(B):
-            cu2 = np.sum(w_e[:grid.dim * lam.size] * c[i, :grid.dim * lam.size] ** 2)
-            cp2 = np.sum(c[i, grid.dim * lam.size:] ** 2)
-            pts.append((np.sqrt(cu2), np.sqrt(cp2)))
-    boxes = box_counts(np.array(pts))
+    k = grid.dim * grid.num_nodes
+    pts = [np.stack([np.sqrt(np.sum(w_e[:k] * c[:, :k] ** 2, axis=-1)),
+                     np.sqrt(np.sum(c[:, k:] ** 2, axis=-1))], axis=-1)
+           for c in coeffs[half:]]
+    boxes = box_counts(np.concatenate(pts))
 
-    return AttractorReport(ensemble_size=B, diam_series=np.array(diam),
-                           dist_to_ball_series=np.array(dist), r_ball=r_ball,
+    times = np.asarray(snap_times, dtype=float)
+    diam_series = np.column_stack([times, diam])
+    dist_series = np.column_stack([times, far_dist])
+    return AttractorReport(ensemble_size=B, diam_series=diam_series,
+                           dist_to_ball_series=dist_series, r_ball=r_ball,
                            box_counts=boxes, seed=seed)
 
 

@@ -107,6 +107,12 @@ class SolverConfig:
                     f"{limit:.3e} (cfl_safety = {self.cfl_safety})")
 
 
+def _check_finite(arrays, step_count: int, t: float):
+    """Raise BlowUpError naming the step if any of `arrays` is not finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise BlowUpError(step_count, t)
+
+
 def rk4_step_generic(y: tuple, t: float, dt: float, rhs) -> tuple:
     """One classical RK4 step on a tuple-of-arrays state."""
     k1 = rhs(t, y)
@@ -519,8 +525,7 @@ def run_truncated(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
         t = start_time + k * cfg.dt
         (p,) = rk4_step_generic((p,), t, cfg.dt, lambda tt, y: (sys.rhs(tt, y[0]),))
         p = gr.mean_project_array(p, grid.dim)
-        if not np.all(np.isfinite(p)):
-            raise BlowUpError(k + 1, t + cfg.dt)
+        _check_finite((p,), k + 1, t + cfg.dt)
         if (k + 1) % snapshot_every == 0 or k + 1 == n_steps:
             t_new = start_time + (k + 1) * cfg.dt
             if times[-1] != t_new:
@@ -611,6 +616,7 @@ def run_split(reference: TruncatedTrajectory, cfg: SolverConfig, D: MediumMatrix
         q = gr.mean_project_array(q, grid.dim)
         r = gr.mean_project_array(r, grid.dim)
         t_new = t0 + (k + 1) * cfg.dt
+        _check_finite((p, q, r), k + 1, t_new)
         if round(t_new, 9) in ref_times:
             i = int(np.argmin(np.abs(reference.times - t_new)))
             u_ref = reference.us[i]
@@ -679,6 +685,7 @@ def run_bootstrap_split(reference: TruncatedTrajectory, cfg: SolverConfig,
         p1 = gr.mean_project_array(p1, grid.dim)
         p2 = gr.mean_project_array(p2, grid.dim)
         t_new = t0 + (k + 1) * cfg.dt
+        _check_finite((p, p1, p2), k + 1, t_new)
         if round(t_new, 9) in ref_times:
             i = int(np.argmin(np.abs(reference.times - t_new)))
             u_ref = reference.us[i]
@@ -784,6 +791,7 @@ def run_exp_split(traj1: Trajectory, traj2: Trajectory, cfg: SolverConfig,
         pt = gr.mean_project_array(pt, grid.dim)
         y = (u1, p1, u2, p2, uh, phat, ut, pt)
         t_new = t0 + (k + 1) * cfg.dt
+        _check_finite(y, k + 1, t_new)
         if round(t_new, 9) in ref_times:
             stored.append(t_new)
             hat.append((VectorField(grid, uh.copy()), ScalarField(grid, phat.copy())))

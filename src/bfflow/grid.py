@@ -20,6 +20,7 @@ leading axes (field components, ensemble members) go through unchanged.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,22 +131,29 @@ def _same_grid(a, b):
 # stencils (array level, trailing-axes convention)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _window(dim: int, axis: int, offset: int, component: int | None = None) -> tuple:
+    """Ellipsis-led index of the interior-sized window of a padded array,
+    shifted by `offset` in {-1, 0, 1} nodes along grid axis `axis`; with a
+    `component`, it also picks that entry of the axis before the grid axes."""
+    grid_axes = tuple(slice(1 + offset, -1 + offset or None) if a == axis
+                      else slice(1, -1) for a in range(dim))
+    lead = () if component is None else (component,)
+    return (Ellipsis,) + lead + grid_axes
+
+
+@functools.lru_cache(maxsize=None)
+def _component(dim: int, a: int) -> tuple:
+    """Ellipsis-led index of component `a` of the axis before the grid axes."""
+    return (Ellipsis, a) + (slice(None),) * dim
+
+
 def _padded(a: np.ndarray, dim: int) -> np.ndarray:
     """Copy of `a` with one zero ghost node around each trailing grid axis."""
     shape = a.shape[:-dim] + tuple(s + 2 for s in a.shape[-dim:])
     b = np.zeros(shape, dtype=a.dtype)
-    idx = (slice(None),) * (a.ndim - dim) + (slice(1, -1),) * dim
-    b[idx] = a
+    b[_window(dim, 0, 0)] = a
     return b
-
-
-def _view(b: np.ndarray, dim: int, offsets: dict[int, int]) -> np.ndarray:
-    """Interior-sized view of a padded array, shifted by `offsets[axis]`."""
-    idx = [slice(None)] * (b.ndim - dim)
-    for axis in range(dim):
-        off = offsets.get(axis, 0)
-        idx.append(slice(1 + off, b.shape[b.ndim - dim + axis] - 1 + off))
-    return b[tuple(idx)]
 
 
 def _shifted(a: np.ndarray, dim: int, axis: int, offset: int) -> np.ndarray:
@@ -153,28 +161,28 @@ def _shifted(a: np.ndarray, dim: int, axis: int, offset: int) -> np.ndarray:
 
     out[..., i, ...] = a[..., i - offset, ...] with zero extension.
     """
-    return _view(_padded(a, dim), dim, {axis: -offset}).copy()
+    return _padded(a, dim)[_window(dim, axis, -offset)].copy()
 
 
 def grad_array(p: np.ndarray, h: float, dim: int) -> np.ndarray:
     """Central gradient; output gains a component axis before the grid axes."""
     b = _padded(p, dim)
-    scale = 1.0 / (2.0 * h)
-    comps = [scale * (_view(b, dim, {a: 1}) - _view(b, dim, {a: -1}))
-             for a in range(dim)]
-    return np.stack(comps, axis=p.ndim - dim)
+    out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
+    for a in range(dim):
+        np.subtract(b[_window(dim, a, 1)], b[_window(dim, a, -1)],
+                    out=out[_component(dim, a)])
+    out *= 1.0 / (2.0 * h)
+    return out
 
 
 def div_array(U: np.ndarray, h: float, dim: int) -> np.ndarray:
     """Central divergence; consumes the component axis preceding the grid axes."""
-    comp_ax = U.ndim - dim - 1
     b = _padded(U, dim)
-    out = None
-    for a in range(dim):
-        ba = np.take(b, a, axis=comp_ax)
-        term = _view(ba, dim, {a: 1}) - _view(ba, dim, {a: -1})
-        out = term if out is None else out + term
-    return out * (1.0 / (2.0 * h))
+    out = b[_window(dim, 0, 1, 0)] - b[_window(dim, 0, -1, 0)]
+    for a in range(1, dim):
+        out += b[_window(dim, a, 1, a)] - b[_window(dim, a, -1, a)]
+    out *= 1.0 / (2.0 * h)
+    return out
 
 
 def lap_array(x: np.ndarray, h: float, dim: int) -> np.ndarray:
@@ -182,8 +190,10 @@ def lap_array(x: np.ndarray, h: float, dim: int) -> np.ndarray:
     b = _padded(x, dim)
     out = -2.0 * dim * x
     for a in range(dim):
-        out = out + _view(b, dim, {a: 1}) + _view(b, dim, {a: -1})
-    return out * (1.0 / (h * h))
+        out += b[_window(dim, a, 1)]
+        out += b[_window(dim, a, -1)]
+    out *= 1.0 / (h * h)
+    return out
 
 
 def grad(p: ScalarField) -> VectorField:
@@ -236,8 +246,10 @@ def project_mean_zero(p: ScalarField) -> ScalarField:
 
 def mean_project_array(p: np.ndarray, dim: int) -> np.ndarray:
     """Subtract the grid mean over the trailing `dim` axes (batch-safe)."""
-    axes = tuple(range(p.ndim - dim, p.ndim))
-    return p - p.mean(axis=axes, keepdims=True)
+    # the sum-then-divide of ndarray.mean, without its Python wrapper
+    axes = (-3, -2, -1)[-dim:]
+    count = math.prod(p.shape[-dim:])
+    return p - np.add.reduce(p, axis=axes, keepdims=True) / count
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,66 @@ class TestDistToBall:
         assert got == pytest.approx(exact, rel=1e-8)
 
 
+def _seeded_snaps(g, B, S, seed, scales):
+    """S snapshots of B random members; member m is scaled by scales[m]."""
+    rng = SplitMix64(seed)
+    scale = np.reshape(scales, (B,) + (1,) * g.dim)
+    snaps = []
+    for _ in range(S):
+        U = rng.normal((B, g.dim) + g.shape) * scale[:, None]
+        P = rng.normal((B,) + g.shape) * scale
+        snaps.append((U, gr.mean_project_array(P, g.dim)))
+    return [0.1 * k for k in range(S)], snaps
+
+
+class TestEnsembleReport:
+    """The batched report against per-member and per-pair evaluation."""
+
+    def _check(self, g, snap_times, snaps):
+        rep = an.ensemble_report_from_snaps(g, snap_times, snaps, seed=7)
+        B = snaps[0][0].shape[0]
+        q0 = len(snaps) - max(1, len(snaps) // 4)
+        r_ball = 2.0 * max(an.higher_energy_norm(VectorField(g, U[0]),
+                                                 ScalarField(g, P[0]))
+                           for U, P in snaps[q0:])
+        assert rep.r_ball == pytest.approx(r_ball, rel=1e-12)
+        assert np.array_equal(rep.dist_to_ball_series[:, 0], snap_times)
+        assert np.array_equal(rep.diam_series[:, 0], snap_times)
+        for k, (U, P) in enumerate(snaps):
+            dists = [an.dist_to_higher_ball(VectorField(g, U[m]),
+                                            ScalarField(g, P[m]), rep.r_ball)
+                     for m in range(B)]
+            assert rep.dist_to_ball_series[k, 1] == max(dists)
+            pairs = [an.energy_norm(VectorField(g, U[i] - U[j]),
+                                    ScalarField(g, P[i] - P[j]))
+                     for i in range(B) for j in range(i + 1, B)]
+            assert rep.diam_series[k, 1] == pytest.approx(max(pairs, default=0.0),
+                                                          rel=1e-12)
+        return rep
+
+    def test_members_outside_the_ball(self):
+        g = Grid(2, 8)
+        times, snaps = _seeded_snaps(g, 5, 12, 801, [1.0, 3.0, 0.5, 2.5, 1.0])
+        rep = self._check(g, times, snaps)
+        assert np.count_nonzero(rep.dist_to_ball_series[:, 1]) >= 6
+
+    def test_all_inside_the_ball(self):
+        g = Grid(2, 8)
+        times, snaps = _seeded_snaps(g, 4, 8, 803, [1.0, 0.1, 0.1, 0.1])
+        member0 = snaps[-1][0][0], snaps[-1][1][0]
+        for U, P in snaps:  # member 0 fixed, so the ball holds it at every time
+            U[0], P[0] = member0
+        rep = self._check(g, times, snaps)
+        assert np.all(rep.dist_to_ball_series[:, 1] == 0.0)
+
+    def test_single_member_has_zero_diameter(self):
+        g = Grid(3, 4)
+        times, snaps = _seeded_snaps(g, 1, 6, 805, [1.0])
+        rep = self._check(g, times, snaps)
+        assert rep.ensemble_size == 1
+        assert np.all(rep.diam_series[:, 1] == 0.0)
+
+
 class TestEnsemble:
     def test_identical_members_zero_diameter(self):
         g = Grid(2, 8)

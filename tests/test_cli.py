@@ -233,6 +233,8 @@ _BAD_INPUTS = {
     "unknown_scheme": ("lipschitz", "[grid]\nn = 8\n[solver]\nscheme = euler\n"),
     "split_too_few_snapshots": ("split", "[grid]\nn = 8\n[run]\nt_max = 0.002\n"
                                 "snapshot_stride = 0.001\n"),
+    "split_zero_pressure": ("split", "[grid]\nn = 8\n[run]\nt_max = 0.05\n"
+                            "snapshot_stride = 0.005\n"),
 }
 
 

@@ -1,5 +1,7 @@
 """Steppers, the Newton elliptic solver, the truncated system, splittings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,24 @@ class TestExpSplit:
         for (uh, phat), (ut, pt) in zip(es.hat, es.tilde):
             assert np.abs(uh.values).max() <= 1e-13
             assert np.abs(ut.values).max() <= 1e-13
+
+    def test_overflowing_initial_difference_raises_blowup_at_step_1(self):
+        # a finite initial difference whose quintic drag overflows, so the
+        # state turns NaN within the first step
+        g, D = small_setup()
+        state = make_initial_state(g, "smooth", 1.0, seed=75)
+        cfg = dyn.SolverConfig(dt=1e-3)
+        tr = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, 0.02,
+                          snapshot_every=5)
+        u_bad = tr.states[0][0].copy()
+        u_bad[0, 3, 3] = 1e100
+        other = dataclasses.replace(tr, states=[(u_bad, tr.states[0][1])]
+                                    + tr.states[1:])
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(dyn.BlowUpError) as err:
+                dyn.run_exp_split(tr, other, cfg, D, QUINTIC)
+        assert err.value.step_count == 1
+        assert "step 1 " in str(err.value)
 
     def test_hat_decays_tilde_smooth(self):
         g, D = small_setup()

@@ -278,6 +278,73 @@ class TestStencilProperties:
         assert np.abs(gr.laplacian(W).values[0] - lam * mode).max() <= 1e-11 * abs(lam)
 
 
+def _pad_reference(x, dim):
+    return np.pad(x, [(0, 0)] * (x.ndim - dim) + [(1, 1)] * dim)
+
+
+def _window_reference(b, dim, axis, offset):
+    """Interior-sized window of a padded array, shifted by `offset` along
+    grid axis `axis`."""
+    lead = b.ndim - dim
+    idx = [slice(None)] * lead + [slice(1, s - 1) for s in b.shape[lead:]]
+    size = b.shape[lead + axis]
+    idx[lead + axis] = slice(1 + offset, size - 1 + offset)
+    return b[tuple(idx)]
+
+
+_STENCIL_CASES = [(dim, lead, n) for dim in (2, 3) for lead in ((), (3,), (2, 3))
+                  for n in (4, 6, 8, 16)]
+
+
+class TestStencilsAgainstPaddedReference:
+    """Seeded inputs in 2D and 3D with 0, 1 and 2 leading axes; the stencils
+    must equal an np.pad reference in the same operation order exactly."""
+
+    @pytest.mark.parametrize("dim,lead,n", _STENCIL_CASES)
+    def test_lap_grad_div_shifted_exact(self, dim, lead, n):
+        h = 1.0 / (n + 1)
+        rng = SplitMix64(5000 + 100 * dim + 10 * len(lead) + n)
+        x = rng.normal(lead + (n,) * dim)
+        U = rng.normal(lead + (dim,) + (n,) * dim)
+        b = _pad_reference(x, dim)
+        lap = -2.0 * dim * x
+        for a in range(dim):
+            lap = lap + _window_reference(b, dim, a, 1) + _window_reference(b, dim, a, -1)
+        assert np.array_equal(gr.lap_array(x, h, dim), lap * (1.0 / (h * h)))
+        grad = np.stack([(1.0 / (2.0 * h)) * (_window_reference(b, dim, a, 1)
+                                              - _window_reference(b, dim, a, -1))
+                         for a in range(dim)], axis=len(lead))
+        assert np.array_equal(gr.grad_array(x, h, dim), grad)
+        bU = _pad_reference(U, dim)
+        div = 0.0
+        for a in range(dim):
+            comp = bU[(Ellipsis, a) + (slice(None),) * dim]
+            div = div + (_window_reference(comp, dim, a, 1)
+                         - _window_reference(comp, dim, a, -1))
+        assert np.array_equal(gr.div_array(U, h, dim), div * (1.0 / (2.0 * h)))
+        for a in range(dim):
+            for offset in (-1, 1):
+                assert np.array_equal(gr._shifted(x, dim, a, offset),
+                                      _window_reference(b, dim, a, -offset))
+
+    @pytest.mark.parametrize("dim,lead,n", _STENCIL_CASES)
+    def test_mean_projection_exact(self, dim, lead, n):
+        p = SplitMix64(6000 + 100 * dim + 10 * len(lead) + n).normal(lead + (n,) * dim)
+        axes = tuple(range(len(lead), p.ndim))
+        assert np.array_equal(gr.mean_project_array(p, dim),
+                              p - p.mean(axes, keepdims=True))
+
+    @pytest.mark.parametrize("dim,lead,n", _STENCIL_CASES)
+    def test_grad_div_negative_adjoint(self, dim, lead, n):
+        h = 1.0 / (n + 1)
+        rng = SplitMix64(7000 + 100 * dim + 10 * len(lead) + n)
+        p = rng.normal(lead + (n,) * dim)
+        U = rng.normal(lead + (dim,) + (n,) * dim)
+        lhs = np.vdot(gr.grad_array(p, h, dim), U)
+        rhs = -np.vdot(p, gr.div_array(U, h, dim))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+
 class TestPoissonSolve:
     @pytest.mark.parametrize("dim,n", [(2, 4), (2, 8), (2, 16), (2, 32),
                                        (3, 4), (3, 6), (3, 8)])
