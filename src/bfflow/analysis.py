@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _SIZE_GUARD = 4096
+_BISECT_BLOCK = 1 << 15  # coefficients per block of the ensemble's bisection
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,9 @@ def _ball_distances(c: np.ndarray, w: np.ndarray, v: np.ndarray,
     Both norms are diagonal, so the nearest ball point of a row outside
     solves a scalar Lagrange condition in its multiplier mu. One vectorised
     bisection runs over all outside rows: hi grows by 4 until the constraint
-    is met (or passes 1e18), then 200 halvings.
+    is met (or passes 1e18), then 200 halvings. Rows do not interact, so a
+    row's distance does not depend on the rows beside it; its temporaries
+    are a few copies of c.
     """
     r2 = radius * radius
     out = np.zeros(len(c))
@@ -421,20 +424,25 @@ def ensemble_report_from_snaps(grid: Grid, snap_times, snaps,
     run), and box counts of the (|u|_H1, |p|_L2) projection."""
     B = snaps[0][0].shape[0]
     w_e, w_e1 = _spectral_weights(grid)
-    coeffs = [_state_coefficients(Us, Ps, grid) for Us, Ps in snaps]  # (B, L) each
+    L = w_e.size
+    coeffs = np.empty((len(snaps), B, L))
+    for c, (Us, Ps) in zip(coeffs, snaps):
+        c[...] = _state_coefficients(Us, Ps, grid)
     e1_sq = np.array([np.sum(w_e1 * c * c, axis=-1) for c in coeffs])  # (S, B)
 
     # ball radius from member 0 over the last quarter
     q0 = len(snap_times) - max(1, len(snap_times) // 4)
     r_ball = 2.0 * float(np.sqrt(e1_sq[q0:, 0]).max())
 
-    # sup over members of the distance to the ball: one bisection over every
-    # (snapshot, member) row outside it
-    far = e1_sq > r_ball * r_ball
-    far_rows = np.concatenate([c[f] for c, f in zip(coeffs, far)])
+    # sup over members of the distance to the ball: one bisection over the
+    # (snapshot, member) rows outside it, taken in blocks of about
+    # _BISECT_BLOCK coefficients so its temporaries stay small at any size
+    far = np.argwhere(e1_sq > r_ball * r_ball)
     far_dist = np.zeros(len(coeffs))
-    np.maximum.at(far_dist, np.nonzero(far)[0],
-                  _ball_distances(far_rows, w_e, w_e1, r_ball))
+    rows = max(1, _BISECT_BLOCK // L)
+    for start in range(0, len(far), rows):
+        s, m = far[start:start + rows].T
+        np.maximum.at(far_dist, s, _ball_distances(coeffs[s, m], w_e, w_e1, r_ball))
 
     # diameter over member pairs
     i, j = np.triu_indices(B, 1)

@@ -523,12 +523,12 @@ def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     cfg = sc.solver(grid, D)
     forcing = sc.forcing(grid)
     p0 = gr.project_mean_zero(sc.initial(grid).p)
+    t_max = sc["run", "t_max"]
+    every = _fitted_snapshot_every(sc, cfg)
     if not np.any(p0.values):
         raise ConfigError(
             f"split needs a nonzero mean-zero initial pressure to fit the "
             f"decay of q; initial.kind = {sc['initial', 'kind']!r} gives p = 0")
-    t_max = sc["run", "t_max"]
-    every = _fitted_snapshot_every(sc, cfg)
     delta = sc["scenario", "delta_exponent"]
     reference = dyn.run_truncated(p0, forcing, cfg, D, params, t_max,
                                   snapshot_every=every)

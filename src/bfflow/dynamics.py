@@ -249,8 +249,7 @@ def step(state: SimState, cfg: SolverConfig, g, D: MediumMatrix,
     else:
         u, p = _semi_implicit_full(sys, state.t, state.u.values, state.p.values,
                                    cfg.dt, cfg.cg_tol)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
-        raise BlowUpError(1, state.t + cfg.dt)
+    _check_finite((u, p), 1, state.t + cfg.dt)
     p = gr.mean_project_array(p, state.grid.dim)
     return SimState(VectorField(state.grid, u), ScalarField(state.grid, p),
                     state.t + cfg.dt)
@@ -333,8 +332,7 @@ def simulate(state0: SimState, cfg: SolverConfig, forcing, D: MediumMatrix,
             raise RuntimeError(
                 f"pressure mean drifted to {mean_before:.3e} at step {k + 1}")
         if (k + 1) % check_every == 0 or k + 1 == n_steps:
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
-                raise BlowUpError(k + 1, t_new)
+            _check_finite((u, p), k + 1, t_new)
         if collect_work:
             step_times.append(t_new)
             energy.append(sys.energy_plain(u, p))

@@ -261,11 +261,19 @@ class TestEnsembleReport:
         assert rep.r_ball == pytest.approx(r_ball, rel=1e-12)
         assert np.array_equal(rep.dist_to_ball_series[:, 0], snap_times)
         assert np.array_equal(rep.diam_series[:, 0], snap_times)
+        w_e, w_e1 = an._spectral_weights(g)
         for k, (U, P) in enumerate(snaps):
+            # the batched bisection gives each row what it gives that row alone
+            c = an._state_coefficients(U, P, g)
+            batched = an._ball_distances(c, w_e, w_e1, rep.r_ball)
+            alone = [an._ball_distances(c[m:m + 1], w_e, w_e1, rep.r_ball)[0]
+                     for m in range(B)]
+            assert np.array_equal(batched, alone)
             dists = [an.dist_to_higher_ball(VectorField(g, U[m]),
                                             ScalarField(g, P[m]), rep.r_ball)
                      for m in range(B)]
-            assert rep.dist_to_ball_series[k, 1] == max(dists)
+            assert rep.dist_to_ball_series[k, 1] == pytest.approx(max(dists),
+                                                                  rel=1e-12)
             pairs = [an.energy_norm(VectorField(g, U[i] - U[j]),
                                     ScalarField(g, P[i] - P[j]))
                      for i in range(B) for j in range(i + 1, B)]
@@ -278,6 +286,15 @@ class TestEnsembleReport:
         times, snaps = _seeded_snaps(g, 5, 12, 801, [1.0, 3.0, 0.5, 2.5, 1.0])
         rep = self._check(g, times, snaps)
         assert np.count_nonzero(rep.dist_to_ball_series[:, 1]) >= 6
+
+    def test_blocked_bisection_matches_one_block(self, monkeypatch):
+        g = Grid(2, 8)
+        times, snaps = _seeded_snaps(g, 5, 12, 801, [1.0, 3.0, 0.5, 2.5, 1.0])
+        whole = an.ensemble_report_from_snaps(g, times, snaps)
+        monkeypatch.setattr(an, "_BISECT_BLOCK", 3 * 192)  # 3 rows a block
+        blocked = an.ensemble_report_from_snaps(g, times, snaps)
+        assert np.array_equal(blocked.dist_to_ball_series,
+                              whole.dist_to_ball_series)
 
     def test_all_inside_the_ball(self):
         g = Grid(2, 8)

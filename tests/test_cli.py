@@ -222,26 +222,34 @@ convective = on
             cli.run_scenario(sc, "simulatee", tmp_path)
 
 
+# case -> (subcommand, config text, phrase the error message must name), so
+# that one config error cannot stand in for another.
 _BAD_INPUTS = {
-    "odd_n": ("simulate", "[grid]\nn = 15\n"),
+    "odd_n": ("simulate", "[grid]\nn = 15\n", "n must be even"),
     "missing_forcing_file": ("simulate", "[grid]\nn = 8\n[forcing]\nkind = file\n"
-                             "path = {tmp}/no-such-forcing.npy\n"),
+                             "path = {tmp}/no-such-forcing.npy\n",
+                             "no-such-forcing.npy"),
     "simulate_semi_implicit": ("simulate", "[grid]\nn = 8\n[solver]\n"
-                               "scheme = semi_implicit\ndt = 0.01\n"),
+                               "scheme = semi_implicit\ndt = 0.01\n",
+                               "only scheme = rk4 collects"),
     "audit_semi_implicit": ("audit", "[grid]\nn = 8\n[solver]\n"
-                            "scheme = semi_implicit\ndt = 0.01\n"),
-    "unknown_scheme": ("lipschitz", "[grid]\nn = 8\n[solver]\nscheme = euler\n"),
+                            "scheme = semi_implicit\ndt = 0.01\n",
+                            "only scheme = rk4 collects"),
+    "unknown_scheme": ("lipschitz", "[grid]\nn = 8\n[solver]\nscheme = euler\n",
+                       "unknown scheme 'euler'"),
     "split_too_few_snapshots": ("split", "[grid]\nn = 8\n[run]\nt_max = 0.002\n"
-                                "snapshot_stride = 0.001\n"),
+                                "snapshot_stride = 0.001\n",
+                                "snapshot_stride = 0.001 gives 2 snapshots"),
     "split_zero_pressure": ("split", "[grid]\nn = 8\n[run]\nt_max = 0.05\n"
-                            "snapshot_stride = 0.005\n"),
+                            "snapshot_stride = 0.005\n",
+                            "nonzero mean-zero initial pressure"),
 }
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
     def test_bad_input_exits_3_without_traceback(self, tmp_path, capsys, case):
-        subcommand, text = _BAD_INPUTS[case]
+        subcommand, text, phrase = _BAD_INPUTS[case]
         config = tmp_path / "bad.cfg"
         config.write_text(text.format(tmp=tmp_path))
         code = cli.main([subcommand, "--config", str(config),
@@ -249,6 +257,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("config error:") and "Traceback" not in err
+        assert phrase in err
 
     def test_removed_threads_flag_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "ok.cfg"
