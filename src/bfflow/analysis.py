@@ -388,32 +388,15 @@ def evolve_ensemble(initial_states: list[dyn.SimState], cfg: dyn.SolverConfig,
     forcing = dyn._as_forcing(g, grid)
     cfg.validate(grid, D)
     sys = dyn._FullSystem(grid, D, params, forcing, convective_on)
-    B = len(initial_states)
     U = np.stack([s.u.values for s in initial_states])
     P = np.stack([gr.mean_project_array(s.p.values, grid.dim)
                   for s in initial_states])
     n_steps = int(round(t_max / cfg.dt))
-
-    def check_members(step_idx: int):
-        for m in range(B):
-            if not (np.all(np.isfinite(U[m])) and np.all(np.isfinite(P[m]))):
-                err = dyn.BlowUpError(step_idx, step_idx * cfg.dt)
-                err.args = (f"ensemble member {m}: {err.args[0]}",)
-                err.member = m
-                raise err
-
-    snap_times = [0.0]
-    snaps = [(U.copy(), P.copy())]
-    for k in range(n_steps):
-        t = k * cfg.dt
-        U, P, _ = dyn._rk4_full(sys, t, U, P, cfg.dt, False)
-        P = gr.mean_project_array(P, grid.dim)
-        if (k + 1) % 64 == 0 or k + 1 == n_steps:
-            check_members(k + 1)
-        if (k + 1) % snapshot_every == 0 or k + 1 == n_steps:
-            snap_times.append((k + 1) * cfg.dt)
-            snaps.append((U.copy(), P.copy()))
-    return snap_times, snaps
+    return dyn.integrate(
+        (U, P), 0.0, cfg.dt, n_steps, lambda t, y: dyn._rk4_full(sys, t, y, cfg.dt),
+        grid.dim, project=(1,),
+        snapshots=dyn.snapshot_steps(n_steps, 0.0, cfg.dt, every=snapshot_every),
+        members=True)
 
 
 def ensemble_report_from_snaps(grid: Grid, snap_times, snaps,

@@ -1,5 +1,17 @@
 """Time integration of the full, truncated, and split systems.
 
+Every run steps through one loop, `integrate`, on a tuple-of-arrays state.
+The caller supplies `advance(t, y)` (an RK4 step of `rk4_step_generic`, or a
+semi-implicit step), the components to re-project to mean zero, and the
+steps to store, which `snapshot_steps` derives before the loop: every m steps
+plus the last, the nearest step end to each target time, or the steps at
+which a reference run stored. The loop owns t = t0 + k dt and one finiteness
+check, on the initial state and after every step; `BlowUpError` names the
+step and, in a batched ensemble, the member. The drivers (`simulate`,
+`run_truncated`, the splittings and `analysis.evolve_ensemble`) supply only a
+right-hand side and what to store; each splitting also checks that its parts
+recombine to its reference.
+
 The full system evolves (u, p) by
 
     du/dt = lap u - grad p - f(u) - [B(u,u)] + g,
@@ -11,9 +23,10 @@ stencil), and projecting the pressure rate keeps the evolution on the
 mean-zero manifold without disturbing the energy identity, because p itself
 is mean-zero.
 
-The classical RK4 stepper can accumulate work integrals (dissipation, drag
-work, forcing work, convective work) with its own stage weights; those
-integrals are 5th-order accurate per step and feed the energy audit.
+`simulate` accumulates the work integrals (dissipation, drag work, forcing
+work, convective work) over the RK4 stages, through the step's per-stage
+callback, with the RK4 weights; they are 5th-order accurate per step and feed
+the energy audit.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ __all__ = [
     "SplitTrajectory", "ExpSplitTrajectory", "BlowUpError", "NewtonError",
     "rhs_full", "step", "simulate", "solve_elliptic_u", "step_truncated",
     "run_truncated", "run_split", "run_exp_split", "run_bootstrap_split",
-    "rk4_step_generic",
+    "rk4_step_generic", "snapshot_steps", "integrate",
 ]
 
 RK4_NODES = (0.0, 0.5, 0.5, 1.0)
@@ -41,10 +54,14 @@ RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 
 
 class BlowUpError(RuntimeError):
-    def __init__(self, step_count: int, t: float):
-        super().__init__(f"solution lost finiteness at step {step_count} (t = {t:.6g})")
+    def __init__(self, step_count: int, t: float, member: int | None = None):
+        message = f"solution lost finiteness at step {step_count} (t = {t:.6g})"
+        if member is not None:
+            message = f"ensemble member {member}: {message}"
+        super().__init__(message)
         self.step_count = step_count
         self.t = t
+        self.member = member
 
 
 class NewtonError(RuntimeError):
@@ -72,9 +89,6 @@ class SimState:
     @classmethod
     def zero(cls, grid: Grid, t: float = 0.0) -> "SimState":
         return cls(gr.zeros_vector(grid), gr.zeros_scalar(grid), t)
-
-    def mean_defect(self) -> float:
-        return float(abs(self.p.values.mean()))
 
 
 @dataclass
@@ -107,25 +121,114 @@ class SolverConfig:
                     f"{limit:.3e} (cfl_safety = {self.cfl_safety})")
 
 
-def _check_finite(arrays, step_count: int, t: float):
-    """Raise BlowUpError naming the step if any of `arrays` is not finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise BlowUpError(step_count, t)
+# ---------------------------------------------------------------------------
+# the one time-stepping loop
+# ---------------------------------------------------------------------------
+
+def rk4_step_generic(y: tuple, t: float, dt: float, rhs, stage=None) -> tuple:
+    """One classical RK4 step on a tuple-of-arrays state.
+
+    `stage(i, t_i, y_i)`, if given, runs after the i-th right-hand side
+    evaluation with that stage's time and state.
+    """
+    acc = None
+    ts, ys = t, y
+    for i in range(4):
+        k = rhs(ts, ys)
+        if stage is not None:
+            stage(i, ts, ys)
+        if acc is None:
+            acc = [b.copy() for b in k]
+        else:
+            for a, b in zip(acc, k):
+                a += b if i == 3 else 2.0 * b
+        if i < 3:
+            c = RK4_NODES[i + 1] * dt
+            ts, ys = t + c, tuple(a + c * b for a, b in zip(y, k))
+    return tuple(a + (dt / 6.0) * s for a, s in zip(y, acc))
 
 
-def rk4_step_generic(y: tuple, t: float, dt: float, rhs) -> tuple:
-    """One classical RK4 step on a tuple-of-arrays state."""
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
-    k3 = rhs(t + 0.5 * dt, tuple(a + 0.5 * dt * b for a, b in zip(y, k2)))
-    k4 = rhs(t + dt, tuple(a + dt * b for a, b in zip(y, k3)))
-    return tuple(a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+def _check_finite(arrays, step_count: int, t: float, members: bool = False):
+    """Raise BlowUpError naming the step (and, when the leading axis indexes
+    ensemble members, the first member) if any of `arrays` is not finite."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return
+    member = None
+    if members:
+        member = next(m for m in range(len(arrays[0]))
+                      if not all(np.isfinite(a[m]).all() for a in arrays))
+    raise BlowUpError(step_count, t, member)
+
+
+def snapshot_steps(n_steps: int, t0: float, dt: float, every: int = 1,
+                   targets=None, stored=None) -> frozenset[int]:
+    """Indices of the steps after which a run of `n_steps` steps from t0
+    stores its state; step k ends at t0 + k dt, and 0 (the initial state) is
+    always one of them. The first rule that is given applies:
+
+    - `stored`: the steps at which a run on the same step grid stored at
+      these times; each must be exactly one of this run's step ends;
+    - `targets`: for each target time, the first step ending no earlier than
+      half a step before it (the nearest step end), plus the last step;
+    - otherwise every `every`-th step, plus the last.
+    """
+    if stored is not None:
+        stored = np.asarray(stored, dtype=float)
+        k = np.rint((stored - t0) / dt).astype(np.int64)
+        if (not np.array_equal(t0 + k * dt, stored)
+                or np.any(k < 0) or np.any(k > n_steps)):
+            raise ValueError("stored times are not step ends of this run")
+        return frozenset(k.tolist())
+    if targets is not None:
+        bounds = t0 + np.arange(1, n_steps + 1) * dt + 0.5 * dt
+        idx = np.searchsorted(bounds, sorted(float(s) for s in targets))
+        steps = set((idx[idx < n_steps] + 1).tolist())
+    else:
+        steps = set(range(every, n_steps + 1, every))
+    return frozenset(steps | {0, n_steps})
+
+
+def integrate(y0: tuple, t0: float, dt: float, n_steps: int, advance, dim: int,
+              project: tuple[int, ...] = (), snapshots=frozenset(), record=None,
+              on_step=None, members: bool = False) -> tuple[list[float], list]:
+    """Take `n_steps` steps y <- advance(t0 + k dt, y) from y0.
+
+    After each step, the components whose indices are in `project` are
+    re-projected to mean zero over the trailing `dim` axes. At every step
+    end t = t0 + k dt, k = 0 (the initial state) included, the state is
+    checked for finiteness and `on_step(k, t, y)` runs; at the steps in
+    `snapshots` the loop keeps t and `record(k, t, y)`, by default a copy of
+    y, and it returns both lists. With `members`, the leading axis of every
+    component indexes ensemble members, and a blow-up names the first member
+    that lost finiteness.
+    """
+    record = record or (lambda k, t, y: tuple(a.copy() for a in y))
+    times, records = [], []
+    y = tuple(y0)
+    for k in range(n_steps + 1):
+        if k:
+            y = advance(t0 + (k - 1) * dt, y)
+            y = tuple(gr.mean_project_array(a, dim) if i in project else a
+                      for i, a in enumerate(y))
+        t = t0 + k * dt
+        _check_finite(y, k, t, members)
+        if on_step is not None:
+            on_step(k, t, y)
+        if k in snapshots:
+            times.append(t)
+            records.append(record(k, t, y))
+    return times, records
 
 
 # ---------------------------------------------------------------------------
 # full system
 # ---------------------------------------------------------------------------
+
+def _pressure_rate(u: np.ndarray, D: MediumMatrix, grid: Grid) -> np.ndarray:
+    """dp/dt = -P0 div(D u)."""
+    return -gr.mean_project_array(
+        gr.div_array(D.apply_array(u), grid.h, grid.dim), grid.dim)
+
 
 class _FullSystem:
     """Array-level right-hand side bundle; batch-safe over leading axes."""
@@ -146,9 +249,7 @@ class _FullSystem:
         if self.convective_on:
             du -= ph.convective_array(u, u, g.h, g.dim)
         du += self.forcing.at_array(t)
-        dp = -gr.mean_project_array(
-            gr.div_array(self.D.apply_array(u), g.h, g.dim), g.dim)
-        return du, dp
+        return du, _pressure_rate(u, self.D, g)
 
     def work_terms(self, t: float, u: np.ndarray, p: np.ndarray) -> tuple[float, float, float, float]:
         """(dissipation, drag work, forcing work, convective work) at one state."""
@@ -183,31 +284,10 @@ def rhs_full(state: SimState, g, D: MediumMatrix, params: NonlinearityParams,
     return VectorField(state.grid, du), ScalarField(state.grid, dp)
 
 
-def _rk4_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray, dt: float,
-              collect_work: bool):
-    work = np.zeros(4) if collect_work else None
-    ku, kp = sys.rhs(t, u, p)
-    if collect_work:
-        work += RK4_WEIGHTS[0] * np.array(sys.work_terms(t, u, p))
-    acc_u = ku.copy(); acc_p = kp.copy()
-    su, sp = u + 0.5 * dt * ku, p + 0.5 * dt * kp
-    ku, kp = sys.rhs(t + 0.5 * dt, su, sp)
-    if collect_work:
-        work += RK4_WEIGHTS[1] * np.array(sys.work_terms(t + 0.5 * dt, su, sp))
-    acc_u += 2.0 * ku; acc_p += 2.0 * kp
-    su, sp = u + 0.5 * dt * ku, p + 0.5 * dt * kp
-    ku, kp = sys.rhs(t + 0.5 * dt, su, sp)
-    if collect_work:
-        work += RK4_WEIGHTS[2] * np.array(sys.work_terms(t + 0.5 * dt, su, sp))
-    acc_u += 2.0 * ku; acc_p += 2.0 * kp
-    su, sp = u + dt * ku, p + dt * kp
-    ku, kp = sys.rhs(t + dt, su, sp)
-    if collect_work:
-        work += RK4_WEIGHTS[3] * np.array(sys.work_terms(t + dt, su, sp))
-    acc_u += ku; acc_p += kp
-    u_new = u + (dt / 6.0) * acc_u
-    p_new = p + (dt / 6.0) * acc_p
-    return u_new, p_new, (dt * work if collect_work else None)
+def _rk4_full(sys: _FullSystem, t: float, y: tuple, dt: float, stage=None) -> tuple:
+    # One full-system RK4 step under its own name: the benchmark's span
+    # tracer (perfbench/tracing.BOUNDARIES) wraps this name.
+    return rk4_step_generic(y, t, dt, lambda ts, ys: sys.rhs(ts, *ys), stage)
 
 
 def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray,
@@ -224,9 +304,8 @@ def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray
     rhs = u + dt * expl - dt * gr.grad_array(p, g.h, g.dim)
 
     def apply_op(x):
-        coupling = gr.grad_array(gr.mean_project_array(
-            gr.div_array(sys.D.apply_array(x), g.h, g.dim), g.dim), g.h, g.dim)
-        return x - dt * gr.lap_array(x, g.h, g.dim) + dt * dt * coupling
+        return (x - dt * gr.lap_array(x, g.h, g.dim)
+                - dt * dt * gr.grad_array(_pressure_rate(x, sys.D, g), g.h, g.dim))
 
     def d_inner(a, b):
         return float(np.vdot(a, sys.D.apply_array(b)))
@@ -234,9 +313,14 @@ def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray
     u_new = conjugate_gradient(
         apply_op, rhs, x0=u.copy(), rtol=cg_tol, inner=d_inner,
         precondition=lambda r: gr.poisson_solve_array(r, g, 1.0 / dt) / dt)
-    p_new = p - dt * gr.mean_project_array(
-        gr.div_array(sys.D.apply_array(u_new), g.h, g.dim), g.dim)
-    return u_new, p_new
+    return u_new, p + dt * _pressure_rate(u_new, sys.D, g)
+
+
+def _full_advance(sys: _FullSystem, cfg: SolverConfig, stage=None):
+    """advance(t, (u, p)) of the configured scheme; `stage` reaches RK4 only."""
+    if cfg.scheme == "rk4":
+        return lambda t, y: _rk4_full(sys, t, y, cfg.dt, stage)
+    return lambda t, y: _semi_implicit_full(sys, t, *y, cfg.dt, cfg.cg_tol)
 
 
 def step(state: SimState, cfg: SolverConfig, g, D: MediumMatrix,
@@ -244,13 +328,9 @@ def step(state: SimState, cfg: SolverConfig, g, D: MediumMatrix,
     """Advance one step; re-projects p to mean zero."""
     sys = _FullSystem(state.grid, D, params, _as_forcing(g, state.grid), convective_on)
     cfg.validate(state.grid, D)
-    if cfg.scheme == "rk4":
-        u, p, _ = _rk4_full(sys, state.t, state.u.values, state.p.values, cfg.dt, False)
-    else:
-        u, p = _semi_implicit_full(sys, state.t, state.u.values, state.p.values,
-                                   cfg.dt, cfg.cg_tol)
-    _check_finite((u, p), 1, state.t + cfg.dt)
-    p = gr.mean_project_array(p, state.grid.dim)
+    _, [(u, p)] = integrate((state.u.values, state.p.values), state.t, cfg.dt, 1,
+                            _full_advance(sys, cfg), state.grid.dim,
+                            project=(1,), snapshots={1})
     return SimState(VectorField(state.grid, u), ScalarField(state.grid, p),
                     state.t + cfg.dt)
 
@@ -277,20 +357,11 @@ class Trajectory:
         return SimState(VectorField(self.grid, u.copy()),
                         ScalarField(self.grid, p.copy()), float(self.times[i]))
 
-    @property
-    def initial(self) -> SimState:
-        return self.state_at(0)
-
-    @property
-    def final(self) -> SimState:
-        return self.state_at(len(self.states) - 1)
-
 
 def simulate(state0: SimState, cfg: SolverConfig, forcing, D: MediumMatrix,
              params: NonlinearityParams, t_max: float,
              snapshot_every: int = 1, snapshot_times=None,
-             convective_on: bool = False, collect_work: bool = False,
-             check_every: int = 16) -> Trajectory:
+             convective_on: bool = False, collect_work: bool = False) -> Trajectory:
     """Integrate to t_max, storing snapshots and (optionally) audit series.
 
     `snapshot_times` overrides `snapshot_every` with explicit targets; each
@@ -301,63 +372,44 @@ def simulate(state0: SimState, cfg: SolverConfig, forcing, D: MediumMatrix,
     cfg.validate(grid, D)
     sys = _FullSystem(grid, D, params, forcing, convective_on)
     n_steps = max(1, int(round(t_max / cfg.dt)))
-
-    u = state0.u.values.copy()
-    p = gr.mean_project_array(state0.p.values.copy(), grid.dim)
     t0 = state0.t
+    y0 = (state0.u.values, gr.mean_project_array(state0.p.values, grid.dim))
 
-    targets = None
-    if snapshot_times is not None:
-        targets = sorted(float(s) for s in snapshot_times)
-        next_target = 0
+    step_times, energy, endpoint, work = [], [], [], []
+    drift = [0.0]
 
-    times = [t0]
-    states = [(u.copy(), p.copy())]
-    step_times = [t0]
-    work_rows = []
-    energy = [sys.energy_plain(u, p)] if collect_work else None
-    endpoint = [sys.work_terms(t0, u, p)] if collect_work else None
+    def stage(i, t, y):
+        if i == 0:
+            work.append(np.zeros(4))
+        work[-1] += RK4_WEIGHTS[i] * np.array(sys.work_terms(t, *y))
 
-    for k in range(n_steps):
-        t = t0 + k * cfg.dt
-        if cfg.scheme == "rk4":
-            u, p, wrow = _rk4_full(sys, t, u, p, cfg.dt, collect_work)
-        else:
-            u, p = _semi_implicit_full(sys, t, u, p, cfg.dt, cfg.cg_tol)
-            wrow = None
-        mean_before = abs(float(p.mean()))
-        p = gr.mean_project_array(p, grid.dim)
-        t_new = t0 + (k + 1) * cfg.dt
-        if mean_before > 1e-12 * (1.0 + float(np.abs(p).max())):
-            raise RuntimeError(
-                f"pressure mean drifted to {mean_before:.3e} at step {k + 1}")
-        if (k + 1) % check_every == 0 or k + 1 == n_steps:
-            _check_finite((u, p), k + 1, t_new)
+    scheme = _full_advance(sys, cfg, stage if collect_work else None)
+
+    def advance(t, y):
+        y = scheme(t, y)
+        drift[0] = abs(float(y[1].mean()))
+        return y
+
+    def on_step(k, t, y):
+        if drift[0] > 1e-12 * (1.0 + float(np.abs(y[1]).max())):
+            raise RuntimeError(f"pressure mean drifted to {drift[0]:.3e} at step {k}")
         if collect_work:
-            step_times.append(t_new)
-            energy.append(sys.energy_plain(u, p))
-            endpoint.append(sys.work_terms(t_new, u, p))
-            if wrow is not None:
-                work_rows.append(wrow)
-        take = False
-        if targets is not None:
-            while next_target < len(targets) and targets[next_target] <= t_new + 0.5 * cfg.dt:
-                take = True
-                next_target += 1
-        else:
-            take = (k + 1) % snapshot_every == 0
-        if take or k + 1 == n_steps:
-            if times[-1] != t_new:
-                times.append(t_new)
-                states.append((u.copy(), p.copy()))
+            step_times.append(t)
+            energy.append(sys.energy_plain(*y))
+            endpoint.append(sys.work_terms(t, *y))
 
+    times, states = integrate(
+        y0, t0, cfg.dt, n_steps, advance, grid.dim, project=(1,),
+        snapshots=snapshot_steps(n_steps, t0, cfg.dt, every=snapshot_every,
+                                 targets=snapshot_times),
+        on_step=on_step)
     return Trajectory(
         grid=grid, cfg=cfg, D=D, params=params, forcing=forcing,
         convective_on=convective_on, times=np.array(times), states=states,
         step_times=np.array(step_times) if collect_work else None,
         energy_series=np.array(energy) if collect_work else None,
         endpoint_terms=np.array(endpoint) if collect_work else None,
-        work_increments=np.array(work_rows) if work_rows else None,
+        work_increments=cfg.dt * np.array(work) if work else None,
     )
 
 
@@ -464,19 +516,18 @@ class _TruncatedSystem:
         self.cfg = cfg
         self._warm: np.ndarray | None = None
 
-    def solve_u(self, t: float, p: np.ndarray) -> np.ndarray:
+    def solve_u(self, t: float, p: np.ndarray, load: np.ndarray | None = None) -> np.ndarray:
+        """u(p) at time t, Newton warm-started from the previous solve; the
+        load defaults to the forcing at t."""
         u, _ = solve_elliptic_arrays(
-            p, self.forcing.at_array(t), self.params, self.grid,
+            p, self.forcing.at_array(t) if load is None else load, self.params, self.grid,
             newton_tol=self.cfg.newton_tol, newton_max=self.cfg.newton_max,
             cg_floor=self.cfg.cg_tol, u0=self._warm)
         self._warm = u.copy()
         return u
 
     def rhs(self, t: float, p: np.ndarray) -> np.ndarray:
-        u = self.solve_u(t, p)
-        return -gr.mean_project_array(
-            gr.div_array(self.D.apply_array(u), self.grid.h, self.grid.dim),
-            self.grid.dim)
+        return _pressure_rate(self.solve_u(t, p), self.D, self.grid)
 
 
 def step_truncated(p: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
@@ -501,12 +552,6 @@ class TruncatedTrajectory:
     ps: list[np.ndarray]
     us: list[np.ndarray]
 
-    def pressure_at(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.ps[i].copy())
-
-    def velocity_at(self, i: int) -> VectorField:
-        return VectorField(self.grid, self.us[i].copy())
-
 
 def run_truncated(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
                   params: NonlinearityParams, t_max: float,
@@ -515,23 +560,14 @@ def run_truncated(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
     forcing = _as_forcing(forcing, grid)
     sys = _TruncatedSystem(grid, D, params, forcing, cfg)
     n_steps = int(round(t_max / cfg.dt))
-    p = gr.mean_project_array(p0.values.copy(), grid.dim)
-    times = [start_time]
-    ps = [p.copy()]
-    us = [sys.solve_u(start_time, p)]
-    for k in range(n_steps):
-        t = start_time + k * cfg.dt
-        (p,) = rk4_step_generic((p,), t, cfg.dt, lambda tt, y: (sys.rhs(tt, y[0]),))
-        p = gr.mean_project_array(p, grid.dim)
-        _check_finite((p,), k + 1, t + cfg.dt)
-        if (k + 1) % snapshot_every == 0 or k + 1 == n_steps:
-            t_new = start_time + (k + 1) * cfg.dt
-            if times[-1] != t_new:
-                times.append(t_new)
-                ps.append(p.copy())
-                us.append(sys.solve_u(t_new, p))
-    return TruncatedTrajectory(grid, cfg, D, params, forcing,
-                               np.array(times), ps, us)
+    times, stored = integrate(
+        (gr.mean_project_array(p0.values, grid.dim),), start_time, cfg.dt, n_steps,
+        lambda t, y: rk4_step_generic(y, t, cfg.dt, lambda ts, ys: (sys.rhs(ts, ys[0]),)),
+        grid.dim, project=(0,),
+        snapshots=snapshot_steps(n_steps, start_time, cfg.dt, every=snapshot_every),
+        record=lambda k, t, y: (y[0].copy(), sys.solve_u(t, y[0])))
+    return TruncatedTrajectory(grid, cfg, D, params, forcing, np.array(times),
+                               [p for p, _ in stored], [u for _, u in stored])
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +591,38 @@ class SplitTrajectory:
                 f"{self.recombination_p:.3e}, {self.recombination_u:.3e}")
 
 
+def _split_against(reference: TruncatedTrajectory, cfg: SolverConfig,
+                   y0: tuple, rhs, parts) -> SplitTrajectory:
+    """RK4 on (p, q, r) from y0, storing at the reference's times q and r
+    with their velocities `parts(k, t, y) -> (v, w)`. After the initial
+    state, q + r is checked against the reference's p and v + w against its
+    u at every stored time."""
+    grid = reference.grid
+    t0 = float(reference.times[0])
+    n_steps = int(round((float(reference.times[-1]) - t0) / cfg.dt))
+
+    def record(k, t, y):
+        _, q, r = y
+        v, w = parts(k, t, y)
+        return ((ScalarField(grid, q.copy()), VectorField(grid, v.copy())),
+                (ScalarField(grid, r.copy()), VectorField(grid, w.copy())))
+
+    times, stored = integrate(
+        y0, t0, cfg.dt, n_steps, lambda t, y: rk4_step_generic(y, t, cfg.dt, rhs),
+        grid.dim, project=(0, 1, 2),
+        snapshots=snapshot_steps(n_steps, t0, cfg.dt, stored=reference.times),
+        record=record)
+    scale = max(float(np.abs(v).max()) for v in reference.ps) or 1.0
+    later = list(zip(stored, reference.ps, reference.us))[1:]
+    defect_p = max([float(np.abs(q.values + r.values - p).max()) / scale
+                    for ((q, _), (r, _)), p, _ in later], default=0.0)
+    defect_u = max([float(np.abs(v.values + w.values - u).max())
+                    / max(float(np.abs(u).max()), 1e-30)
+                    for ((_, v), (_, w)), _, u in later], default=0.0)
+    return SplitTrajectory(np.array(times), [a for a, _ in stored],
+                           [b for _, b in stored], defect_p, defect_u)
+
+
 def run_split(reference: TruncatedTrajectory, cfg: SolverConfig, D: MediumMatrix,
               params: NonlinearityParams, L: float) -> SplitTrajectory:
     """Contracting/compact splitting of the truncated system.
@@ -566,69 +634,28 @@ def run_split(reference: TruncatedTrajectory, cfg: SolverConfig, D: MediumMatrix
     """
     grid = reference.grid
     forcing = reference.forcing
-    shifted = params.with_shift(L)
     sys_p = _TruncatedSystem(grid, D, params, forcing, cfg)
-    sys_v = _TruncatedSystem(grid, D, shifted, Forcing.zero(grid), cfg)
-    w_warm: dict[str, np.ndarray | None] = {"w": None}
+    sys_v = _TruncatedSystem(grid, D, params.with_shift(L), Forcing.zero(grid), cfg)
+    sys_w = _TruncatedSystem(grid, D, NonlinearityParams(0.0, 0.0), forcing, cfg)
 
     def solve_w(t, r, u, v):
-        load = (forcing.at_array(t) + L * v
-                - ph.f_apply_array(u, params, grid.dim)
-                + ph.f_apply_array(v, params, grid.dim))
-        w, _ = solve_elliptic_arrays(
-            r, load, NonlinearityParams(0.0, 0.0), grid,
-            newton_tol=cfg.newton_tol, newton_max=cfg.newton_max,
-            cg_floor=cfg.cg_tol, u0=w_warm["w"])
-        w_warm["w"] = w.copy()
-        return w
+        return sys_w.solve_u(t, r, forcing.at_array(t) + L * v
+                             - ph.f_apply_array(u, params, grid.dim)
+                             + ph.f_apply_array(v, params, grid.dim))
 
     def rhs(t, y):
         p, q, r = y
         u = sys_p.solve_u(t, p)
         v = sys_v.solve_u(t, q)
-        w = solve_w(t, r, u, v)
-        proj = lambda x: gr.mean_project_array(
-            gr.div_array(D.apply_array(x), grid.h, grid.dim), grid.dim)
-        return (-proj(u), -proj(v), -proj(w))
+        return tuple(_pressure_rate(x, D, grid) for x in (u, v, solve_w(t, r, u, v)))
 
-    p = reference.ps[0].copy()
-    q = p.copy()
-    r = np.zeros_like(p)
-    t0 = float(reference.times[0])
-    t_end = float(reference.times[-1])
-    n_steps = int(round((t_end - t0) / cfg.dt))
-    stored_times = [t0]
-    qv = [(ScalarField(grid, q.copy()),
-           VectorField(grid, sys_v.solve_u(t0, q)))]
-    rw = [(ScalarField(grid, r.copy()),
-           VectorField(grid, solve_w(t0, r, sys_p.solve_u(t0, p), qv[0][1].values)))]
-    ref_times = set(np.round(reference.times, 9).tolist())
-    defect_p = 0.0
-    defect_u = 0.0
-    scale = max(float(np.abs(v).max()) for v in reference.ps) or 1.0
+    def parts(k, t, y):
+        p, q, r = y
+        v = sys_v.solve_u(t, q)
+        return v, solve_w(t, r, sys_p.solve_u(t, p), v)
 
-    for k in range(n_steps):
-        t = t0 + k * cfg.dt
-        p, q, r = rk4_step_generic((p, q, r), t, cfg.dt, rhs)
-        p = gr.mean_project_array(p, grid.dim)
-        q = gr.mean_project_array(q, grid.dim)
-        r = gr.mean_project_array(r, grid.dim)
-        t_new = t0 + (k + 1) * cfg.dt
-        _check_finite((p, q, r), k + 1, t_new)
-        if round(t_new, 9) in ref_times:
-            i = int(np.argmin(np.abs(reference.times - t_new)))
-            u_ref = reference.us[i]
-            v = sys_v.solve_u(t_new, q)
-            w = solve_w(t_new, r, sys_p.solve_u(t_new, p), v)
-            stored_times.append(t_new)
-            qv.append((ScalarField(grid, q.copy()), VectorField(grid, v.copy())))
-            rw.append((ScalarField(grid, r.copy()), VectorField(grid, w.copy())))
-            defect_p = max(defect_p,
-                           float(np.abs(q + r - reference.ps[i]).max()) / scale)
-            u_scale = max(float(np.abs(u_ref).max()), 1e-30)
-            defect_u = max(defect_u,
-                           float(np.abs(v + w - u_ref).max()) / u_scale)
-    return SplitTrajectory(np.array(stored_times), qv, rw, defect_p, defect_u)
+    p0 = reference.ps[0]
+    return _split_against(reference, cfg, (p0, p0, np.zeros_like(p0)), rhs, parts)
 
 
 def run_bootstrap_split(reference: TruncatedTrajectory, cfg: SolverConfig,
@@ -652,53 +679,24 @@ def run_bootstrap_split(reference: TruncatedTrajectory, cfg: SolverConfig,
                                      cg_floor=cfg.cg_tol)
         return u
 
+    def solve_part2(t, p2, u):
+        return solve_lin(p2, forcing.at_array(t) - ph.f_apply_array(u, params, grid.dim))
+
     def rhs(t, y):
         p, p1, p2 = y
         u = sys_p.solve_u(t, p)
         u1 = solve_lin(p1, zero_load)
-        u2 = solve_lin(p2, forcing.at_array(t)
-                       - ph.f_apply_array(u, params, grid.dim))
-        proj = lambda x: gr.mean_project_array(
-            gr.div_array(D.apply_array(x), grid.h, grid.dim), grid.dim)
-        return (-proj(u), -proj(u1), -proj(u2))
+        return tuple(_pressure_rate(x, D, grid) for x in (u, u1, solve_part2(t, p2, u)))
 
-    p = reference.ps[0].copy()
-    p1 = p.copy()
-    p2 = np.zeros_like(p)
-    t0 = float(reference.times[0])
-    t_end = float(reference.times[-1])
-    n_steps = int(round((t_end - t0) / cfg.dt))
-    ref_times = set(np.round(reference.times, 9).tolist())
-    stored_times = [t0]
-    qv = [(ScalarField(grid, p1.copy()), VectorField(grid, solve_lin(p1, zero_load)))]
-    rw = [(ScalarField(grid, p2.copy()), VectorField(grid, np.zeros_like(qv[0][1].values)))]
-    defect_p = 0.0
-    defect_u = 0.0
-    scale = max(float(np.abs(v).max()) for v in reference.ps) or 1.0
+    def parts(k, t, y):
+        p, p1, p2 = y
+        u1 = solve_lin(p1, zero_load)
+        if not k:  # p2(t0) = 0, and its velocity is stored as zero there too
+            return u1, np.zeros_like(u1)
+        return u1, solve_part2(t, p2, sys_p.solve_u(t, p))
 
-    for k in range(n_steps):
-        t = t0 + k * cfg.dt
-        p, p1, p2 = rk4_step_generic((p, p1, p2), t, cfg.dt, rhs)
-        p = gr.mean_project_array(p, grid.dim)
-        p1 = gr.mean_project_array(p1, grid.dim)
-        p2 = gr.mean_project_array(p2, grid.dim)
-        t_new = t0 + (k + 1) * cfg.dt
-        _check_finite((p, p1, p2), k + 1, t_new)
-        if round(t_new, 9) in ref_times:
-            i = int(np.argmin(np.abs(reference.times - t_new)))
-            u_ref = reference.us[i]
-            u1 = solve_lin(p1, zero_load)
-            u2 = solve_lin(p2, forcing.at_array(t_new)
-                           - ph.f_apply_array(sys_p.solve_u(t_new, p), params, grid.dim))
-            stored_times.append(t_new)
-            qv.append((ScalarField(grid, p1.copy()), VectorField(grid, u1)))
-            rw.append((ScalarField(grid, p2.copy()), VectorField(grid, u2)))
-            defect_p = max(defect_p,
-                           float(np.abs(p1 + p2 - reference.ps[i]).max()) / scale)
-            u_scale = max(float(np.abs(u_ref).max()), 1e-30)
-            defect_u = max(defect_u,
-                           float(np.abs(u1 + u2 - u_ref).max()) / u_scale)
-    return SplitTrajectory(np.array(stored_times), qv, rw, defect_p, defect_u)
+    p0 = reference.ps[0]
+    return _split_against(reference, cfg, (p0, p0, np.zeros_like(p0)), rhs, parts)
 
 
 @dataclass
@@ -746,55 +744,36 @@ def run_exp_split(traj1: Trajectory, traj2: Trajectory, cfg: SolverConfig,
     if not np.allclose(traj1.times, traj2.times):
         raise ValueError("trajectories must share snapshot times")
     grid = traj1.grid
-    forcing = traj1.forcing
-    sys = _FullSystem(grid, D, params, forcing, traj1.convective_on)
+    sys = _FullSystem(grid, D, params, traj1.forcing, traj1.convective_on)
 
     def rhs(t, y):
         u1, p1, u2, p2, uh, phat, ut, pt = y
         du1, dp1 = sys.rhs(t, u1, p1)
         du2, dp2 = sys.rhs(t, u2, p2)
-        proj = lambda x: gr.mean_project_array(
-            gr.div_array(D.apply_array(x), grid.h, grid.dim), grid.dim)
         duh = gr.lap_array(uh, grid.h, grid.dim) - gr.grad_array(phat, grid.h, grid.dim)
-        dph = -proj(uh)
+        dph = _pressure_rate(uh, D, grid)
         load = averaged_jacobian_apply(u1, u2, u1 - u2, params, grid.dim)
         dut = (gr.lap_array(ut, grid.h, grid.dim)
                - gr.grad_array(pt, grid.h, grid.dim) - load)
-        dpt = -proj(ut)
-        return du1, dp1, du2, dp2, duh, dph, dut, dpt
+        return du1, dp1, du2, dp2, duh, dph, dut, _pressure_rate(ut, D, grid)
 
-    u1, p1 = (a.copy() for a in traj1.states[0])
-    u2, p2 = (a.copy() for a in traj2.states[0])
-    uh, phat = u1 - u2, p1 - p2
-    ut = np.zeros_like(u1)
-    pt = np.zeros_like(p1)
-    t0 = float(traj1.times[0])
-    t_end = float(traj1.times[-1])
-    n_steps = int(round((t_end - t0) / cfg.dt))
-    ref_times = set(np.round(traj1.times, 9).tolist())
-    stored = [t0]
-    hat = [(VectorField(grid, uh.copy()), ScalarField(grid, phat.copy()))]
-    tilde = [(VectorField(grid, ut.copy()), ScalarField(grid, pt.copy()))]
-    defect = 0.0
-    scale = max(float(np.abs(uh).max()), float(np.abs(phat).max()), 1e-30)
+    (u1, p1), (u2, p2) = traj1.states[0], traj2.states[0]
+    y0 = (u1, p1, u2, p2, u1 - u2, p1 - p2, np.zeros_like(u1), np.zeros_like(p1))
+    scale = max(float(np.abs(y0[4]).max()), float(np.abs(y0[5]).max()), 1e-30)
 
-    y = (u1, p1, u2, p2, uh, phat, ut, pt)
-    for k in range(n_steps):
-        t = t0 + k * cfg.dt
-        y = rk4_step_generic(y, t, cfg.dt, rhs)
+    def record(k, t, y):
         u1, p1, u2, p2, uh, phat, ut, pt = y
-        p1 = gr.mean_project_array(p1, grid.dim)
-        p2 = gr.mean_project_array(p2, grid.dim)
-        phat = gr.mean_project_array(phat, grid.dim)
-        pt = gr.mean_project_array(pt, grid.dim)
-        y = (u1, p1, u2, p2, uh, phat, ut, pt)
-        t_new = t0 + (k + 1) * cfg.dt
-        _check_finite(y, k + 1, t_new)
-        if round(t_new, 9) in ref_times:
-            stored.append(t_new)
-            hat.append((VectorField(grid, uh.copy()), ScalarField(grid, phat.copy())))
-            tilde.append((VectorField(grid, ut.copy()), ScalarField(grid, pt.copy())))
-            defect = max(defect,
-                         float(np.abs(uh + ut - (u1 - u2)).max()) / scale,
-                         float(np.abs(phat + pt - (p1 - p2)).max()) / scale)
-    return ExpSplitTrajectory(np.array(stored), hat, tilde, defect)
+        defect = max(float(np.abs(uh + ut - (u1 - u2)).max()),
+                     float(np.abs(phat + pt - (p1 - p2)).max())) / scale
+        return ((VectorField(grid, uh.copy()), ScalarField(grid, phat.copy())),
+                (VectorField(grid, ut.copy()), ScalarField(grid, pt.copy())), defect)
+
+    t0 = float(traj1.times[0])
+    n_steps = int(round((float(traj1.times[-1]) - t0) / cfg.dt))
+    times, stored = integrate(
+        y0, t0, cfg.dt, n_steps, lambda t, y: rk4_step_generic(y, t, cfg.dt, rhs),
+        grid.dim, project=(1, 3, 5, 7),
+        snapshots=snapshot_steps(n_steps, t0, cfg.dt, stored=traj1.times),
+        record=record)
+    return ExpSplitTrajectory(np.array(times), [h for h, _, _ in stored],
+                              [d for _, d, _ in stored], max(d for _, _, d in stored))

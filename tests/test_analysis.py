@@ -362,6 +362,8 @@ class TestEnsemble:
                                   gr.zeros_vector(g), D, QUINTIC, t_max=1.0,
                                   snapshot_every=50)
         assert "member 1" in str(err.value)
+        assert err.value.member == 1
+        assert err.value.step_count == 1
 
     def test_reproducible_bitwise(self):
         g = Grid(2, 8)

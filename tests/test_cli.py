@@ -15,6 +15,12 @@ n = 16
 kind = zero
 """
 
+# n = 8 scenario pieces for the rerun tests
+_QUINTIC8 = "[grid]\nn = 8\n[nonlinearity]\nalpha = 1\nbeta = 1\nl = 2\n"
+_SMOOTH = "[forcing]\nkind = fixed_random\nseed = 9\n[initial]\nkind = smooth\n"
+_WHITE_P = ("[forcing]\nkind = band_random\nseed = 3\n[initial]\nkind = white_pressure\n"
+            "seed = 4\n[run]\nt_max = 0.01\nsnapshot_stride = 0.002\n")
+
 
 class TestParser:
     def test_minimal_with_defaults(self):
@@ -159,28 +165,25 @@ t_max = 0.5
         assert cli.main(["simulate"]) == 3  # missing --config
         capsys.readouterr()
 
-    def test_bit_identical_reruns(self, tmp_path):
-        text = """
-[grid]
-n = 8
-[nonlinearity]
-alpha = 1
-beta = 1
-l = 2
-[forcing]
-kind = fixed_random
-seed = 9
-[initial]
-kind = smooth
-[run]
-t_max = 0.1
-snapshot_stride = 0.02
-"""
+    @pytest.mark.parametrize("subcommand,text", [
+        ("simulate", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.1\nsnapshot_stride = 0.02\n"),
+        ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nsplit_kind = trunc\n"),
+        ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nsplit_kind = bootstrap\n"),
+        ("expsplit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.5\nsnapshot_stride = 0.05\n"),
+        ("attractor", _QUINTIC8 + "[medium]\ndiag = 4, 4\n[forcing]\nkind = fixed_random\n"
+                      "seed = 5\namplitude = 2\n[scenario]\nensemble_size = 3\n"
+                      "[run]\nt_max = 3\nsnapshot_stride = 0.1\nseed = 3\n"),
+    ], ids=["simulate", "split_trunc", "split_bootstrap", "expsplit", "attractor"])
+    def test_bit_identical_reruns(self, tmp_path, subcommand, text):
         sc = parse_config(text)
         a, b = tmp_path / "a", tmp_path / "b"
-        assert cli.run_scenario(sc, "simulate", a) == 0
-        assert cli.run_scenario(sc, "simulate", b) == 0
-        assert (a / "energies.csv").read_bytes() == (b / "energies.csv").read_bytes()
+        assert cli.run_scenario(sc, subcommand, a) == 0
+        assert cli.run_scenario(sc, subcommand, b) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert "summary.txt" in names and any(n.endswith(".csv") for n in names)
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_simulate_with_convection(self, tmp_path):
         sc = parse_config("""

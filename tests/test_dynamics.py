@@ -129,9 +129,13 @@ class TestStep:
         hot = dyn.SimState(VectorField(g, 60.0 * state.u.values), state.p, 0.0)
         cfg = dyn.SolverConfig(dt=2e-3)
         with np.errstate(over="ignore", invalid="ignore"):
+            # the first step is still finite (|u| ~ 4e192); the second overflows
+            first = dyn.step(hot, cfg, gr.zeros_vector(g), D, QUINTIC)
+            assert np.isfinite(first.u.values).all()
             with pytest.raises(dyn.BlowUpError) as err:
                 dyn.simulate(hot, cfg, gr.zeros_vector(g), D, QUINTIC, t_max=1.0)
-        assert err.value.step_count >= 1
+        assert err.value.step_count == 2
+        assert "step 2 " in str(err.value)
 
     def test_mean_preserved_along_run(self):
         g, D = small_setup()
@@ -347,6 +351,21 @@ class TestExpSplit:
         assert err.value.step_count == 1
         assert "step 1 " in str(err.value)
 
+    def test_nonfinite_initial_state_raises_blowup_at_step_0(self):
+        g, D = small_setup()
+        state = make_initial_state(g, "smooth", 1.0, seed=76)
+        cfg = dyn.SolverConfig(dt=1e-3)
+        tr = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, 0.02,
+                          snapshot_every=5)
+        u_bad = tr.states[0][0].copy()
+        u_bad[1, 2, 5] = np.nan
+        other = dataclasses.replace(tr, states=[(u_bad, tr.states[0][1])]
+                                    + tr.states[1:])
+        with pytest.raises(dyn.BlowUpError) as err:
+            dyn.run_exp_split(tr, other, cfg, D, QUINTIC)
+        assert err.value.step_count == 0
+        assert "step 0 " in str(err.value)
+
     def test_hat_decays_tilde_smooth(self):
         g, D = small_setup()
         base = make_initial_state(g, "smooth", 1.0, seed=73)
@@ -372,3 +391,93 @@ class TestExpSplit:
                             ScalarField(g, tr1.states[0][1] - tr2.states[0][1]))
         C, K = an.fit_envelope(es.times[1:], np.array(tilde_h1[1:]) / d0)
         assert np.isfinite(K)
+
+
+class TestSnapshotPolicy:
+    """Every driver stores exactly the step ends its rule names, swept over
+    seeded step sizes, horizons, strides and target times on a 4x4 grid."""
+
+    @staticmethod
+    def _draws(seed, count=5):
+        rng = SplitMix64(seed)
+        for _ in range(count):
+            dt = 1e-3 + 8e-3 * rng.uniform()  # the rk4 CFL bound here is 9e-3
+            t_max = 0.01 + 0.09 * rng.uniform()
+            yield dt, t_max, rng.integers(1, 8), rng
+
+    @staticmethod
+    def _every(t0, dt, n, every):
+        # every `every`-th step end plus the last, each once
+        return [t0 + k * dt for k in range(n + 1) if k % every == 0 or k == n]
+
+    @staticmethod
+    def _nearest(t0, dt, n, targets):
+        # each target goes to the first step ending at most half a step
+        # before it; targets past the last step end are dropped
+        ks = {0, n}
+        for s in targets:
+            ks.add(next((k for k in range(1, n + 1) if s <= t0 + k * dt + 0.5 * dt), 0))
+        return [t0 + k * dt for k in sorted(ks)]
+
+    def test_simulate_every_and_targets(self):
+        g = Grid(2, 4)
+        D = MediumMatrix.identity(2)
+        for dt, t_max, every, rng in self._draws(701):
+            t0 = 0.3 * rng.uniform()
+            state = make_initial_state(g, "smooth", 1.0, seed=702)
+            state = dyn.SimState(state.u, state.p, t0)
+            cfg = dyn.SolverConfig(dt=dt)
+            n = max(1, int(round(t_max / dt)))
+            traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, t_max,
+                                snapshot_every=every)
+            assert traj.times.tolist() == self._every(t0, dt, n, every)
+            targets = t0 - 0.01 + (t_max + 0.03) * rng.uniform(6)
+            targets = np.append(targets, targets[0] + 0.2 * dt)  # shares a step
+            traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, t_max,
+                                snapshot_times=targets)
+            assert traj.times.tolist() == self._nearest(t0, dt, n, targets)
+            assert len(traj.states) == len(traj.times)
+
+    def test_truncated_and_ensemble_every(self):
+        g = Grid(2, 4)
+        D = MediumMatrix.identity(2)
+        for dt, t_max, every, rng in self._draws(711):
+            cfg = dyn.SolverConfig(dt=dt)
+            n = int(round(t_max / dt))
+            p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
+            t0 = 0.3 * rng.uniform()
+            tr = dyn.run_truncated(p0, Forcing.zero(g), cfg, D, LINEAR, t_max,
+                                   snapshot_every=every, start_time=t0)
+            assert tr.times.tolist() == self._every(t0, dt, n, every)
+            assert len(tr.ps) == len(tr.us) == len(tr.times)
+            states = [make_initial_state(g, "smooth", a, seed=712) for a in (0.5, 1.0)]
+            times, snaps = an.evolve_ensemble(states, cfg, gr.zeros_vector(g), D,
+                                              QUINTIC, t_max, snapshot_every=every)
+            assert times == self._every(0.0, dt, n, every)
+            assert len(snaps) == len(times)
+
+    def test_splits_store_their_reference_times(self):
+        g = Grid(2, 4)
+        D = MediumMatrix.diagonal((1.0, 2.0))
+        for dt, t_max, every, rng in self._draws(721, count=3):
+            cfg = dyn.SolverConfig(dt=dt)
+            p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
+            gf = VectorField(g, 0.5 * rng.normal((2,) + g.shape))
+            reference = dyn.run_truncated(p0, gf, cfg, D, QUINTIC, t_max,
+                                          snapshot_every=every)
+            for split in (dyn.run_split(reference, cfg, D, QUINTIC, 0.0),
+                          dyn.run_bootstrap_split(reference, cfg, D, QUINTIC)):
+                assert np.array_equal(split.times, reference.times)
+                assert len(split.qv) == len(split.rw) == len(reference.times)
+            base = make_initial_state(g, "smooth", 1.0, seed=722)
+            other = make_initial_state(g, "smooth", 1.1, seed=722)
+            tr1, tr2 = (dyn.simulate(s, cfg, gf, D, QUINTIC, t_max, snapshot_every=every)
+                        for s in (base, other))
+            es = dyn.run_exp_split(tr1, tr2, cfg, D, QUINTIC)
+            assert np.array_equal(es.times, tr1.times)
+            assert len(es.hat) == len(es.tilde) == len(tr1.times)
+
+    def test_reference_times_off_the_step_grid_rejected(self):
+        assert dyn.snapshot_steps(4, 0.0, 0.1, stored=[0.0, 0.1, 0.4]) == {0, 1, 4}
+        with pytest.raises(ValueError, match="step ends"):
+            dyn.snapshot_steps(4, 0.0, 0.1, stored=[0.0, 0.15])
