@@ -374,31 +374,6 @@ def box_counts(points: np.ndarray, n_scales: int = 6) -> list[tuple[float, int]]
     return out
 
 
-def evolve_ensemble(initial_states: list[dyn.SimState], cfg: dyn.SolverConfig,
-                    g, D: MediumMatrix, params: NonlinearityParams,
-                    t_max: float, snapshot_every: int = 50,
-                    convective_on: bool = False):
-    """Batched member evolution; returns (snap_times, [(U, P) snapshots]).
-
-    A member losing finiteness aborts the run with its index in the message.
-    """
-    if not initial_states:
-        raise ValueError("empty ensemble")
-    grid = initial_states[0].grid
-    forcing = dyn._as_forcing(g, grid)
-    cfg.validate(grid, D)
-    sys = dyn._FullSystem(grid, D, params, forcing, convective_on)
-    U = np.stack([s.u.values for s in initial_states])
-    P = np.stack([gr.mean_project_array(s.p.values, grid.dim)
-                  for s in initial_states])
-    n_steps = int(round(t_max / cfg.dt))
-    return dyn.integrate(
-        (U, P), 0.0, cfg.dt, n_steps, lambda t, y: dyn._rk4_full(sys, t, y, cfg.dt),
-        grid.dim, project=(1,),
-        snapshots=dyn.snapshot_steps(n_steps, 0.0, cfg.dt, every=snapshot_every),
-        members=True)
-
-
 def ensemble_report_from_snaps(grid: Grid, snap_times, snaps,
                                seed: int | None = None) -> AttractorReport:
     """Diagnostics over stored ensemble snapshots: phase-space diameter,
@@ -460,10 +435,11 @@ def ensemble_study(initial_states: list[dyn.SimState], cfg: dyn.SolverConfig,
     Evolution is deterministic given the initial states; `seed` is recorded
     so reports can name the generator seed that produced them.
     """
-    grid = initial_states[0].grid
-    snap_times, snaps = evolve_ensemble(initial_states, cfg, g, D, params,
-                                        t_max, snapshot_every, convective_on)
-    return ensemble_report_from_snaps(grid, snap_times, snaps, seed)
+    trajs = dyn.simulate(initial_states, cfg, g, D, params, t_max,
+                         snapshot_every=snapshot_every, convective_on=convective_on)
+    snaps = [tuple(map(np.stack, zip(*members)))  # (U, P), members first
+             for members in zip(*(tr.states for tr in trajs))]
+    return ensemble_report_from_snaps(trajs[0].grid, trajs[0].times, snaps, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +167,13 @@ class ScenarioConfig:
                             self["forcing", "seed"],
                             self["forcing", "amplitude"],
                             self["forcing", "path"])
+
+    def system(self) -> tuple[Grid, MediumMatrix, NonlinearityParams,
+                              dyn.SolverConfig, Forcing]:
+        """Grid, medium, nonlinearity, solver config and forcing, built in
+        that order."""
+        grid, D = self.grid(), self.medium()
+        return grid, D, self.nonlinearity(), self.solver(grid, D), self.forcing(grid)
 
     def initial(self, grid: Grid) -> dyn.SimState:
         return make_initial_state(grid, self["initial", "kind"],
@@ -389,12 +396,18 @@ def _fitted_snapshot_every(sc: ScenarioConfig, cfg: dyn.SolverConfig) -> int:
     return every
 
 
+def _perturbed_pair(sc: ScenarioConfig, grid: Grid, seed_offset: int) -> list[dyn.SimState]:
+    """The initial state, and it moved by `perturbation` in the phase-space
+    norm along a smooth direction drawn from the initial seed + offset."""
+    base = sc.initial(grid)
+    pert = make_initial_state(grid, "smooth", 1.0, sc["initial", "seed"] + seed_offset)
+    scale = sc["scenario", "perturbation"] / an.energy_norm(pert.u, pert.p)
+    return [base, dyn.SimState(VectorField(grid, base.u.values + scale * pert.u.values),
+                               ScalarField(grid, base.p.values + scale * pert.p.values))]
+
+
 def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
-    grid = sc.grid()
-    D = sc.medium()
-    params = sc.nonlinearity()
-    cfg = sc.solver(grid, D)
-    forcing = sc.forcing(grid)
+    grid, D, params, cfg, forcing = sc.system()
     state0 = sc.initial(grid)
     eps = sc["scenario", "eps"]
     conv = sc["scenario", "convective"]
@@ -403,15 +416,11 @@ def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
                         convective_on=conv, collect_work=True)
     audit = an.energy_audit(traj, eps=eps)
     # residual accumulated over the steps inside each snapshot interval
-    res_col = []
-    j = 0
-    for i, t in enumerate(traj.times):
-        if i == 0:
-            res_col.append(0.0)
-            continue
-        j2 = int(np.searchsorted(traj.step_times, t + 1e-12))
-        res_col.append(float(np.abs(audit.residual_stage[j:j2 - 1]).sum()))
-        j = j2 - 1
+    res_col, j = [0.0], 0
+    for t in traj.times[1:]:
+        j2 = int(np.searchsorted(traj.step_times, t + 1e-12)) - 1
+        res_col.append(float(np.abs(audit.residual_stage[j:j2]).sum()))
+        j = j2
     rows = []
     for i, t in enumerate(traj.times):
         s = traj.state_at(i)
@@ -471,40 +480,19 @@ def _cmd_spectrum(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 
 def _cmd_lipschitz(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
-    grid = sc.grid()
-    D = sc.medium()
-    params = sc.nonlinearity()
-    cfg = sc.solver(grid, D)
-    forcing = sc.forcing(grid)
-    base = sc.initial(grid)
-    eps0 = sc["scenario", "perturbation"]
-    pert = make_initial_state(grid, "smooth", 1.0, sc["initial", "seed"] + 77)
-    scale = eps0 / an.energy_norm(pert.u, pert.p)
-    state2 = dyn.SimState(
-        VectorField(grid, base.u.values + scale * pert.u.values),
-        ScalarField(grid, base.p.values + scale * pert.p.values), 0.0)
+    grid, D, params, cfg, forcing = sc.system()
     every = _snapshot_every(cfg, sc["run", "snapshot_stride"])
     t_max = sc["run", "t_max"]
     conv = sc["scenario", "convective"]
-    tr1 = dyn.simulate(base, cfg, forcing, D, params, t_max, snapshot_every=every,
-                       convective_on=conv)
-    tr2 = dyn.simulate(state2, cfg, forcing, D, params, t_max, snapshot_every=every,
-                       convective_on=conv)
-    d0 = None
-    rows = []
-    for i, t in enumerate(tr1.times):
-        u1, p1 = tr1.states[i]
-        u2, p2 = tr2.states[i]
-        d = an.energy_norm(VectorField(grid, u1 - u2), ScalarField(grid, p1 - p2))
-        if d0 is None:
-            d0 = d
-        rows.append((t, d / d0))
-    times = np.array([r[0] for r in rows])
-    ratios = np.array([r[1] for r in rows])
+    tr1, tr2 = dyn.simulate(_perturbed_pair(sc, grid, 77), cfg, forcing, D, params,
+                            t_max, snapshot_every=every, convective_on=conv)
+    dists = np.array([an.energy_norm(VectorField(grid, u1 - u2), ScalarField(grid, p1 - p2))
+                      for (u1, p1), (u2, p2) in zip(tr1.states, tr2.states)])
+    times, ratios = tr1.times, dists / dists[0]
     C, K = an.fit_envelope(times, ratios)
     env = C * np.exp(K * times)
     write_csv(out / "pairs.csv", ["t [time]", "ratio [-]", "envelope [-]"],
-              [(t, r, e) for (t, r), e in zip(rows, env)])
+              list(zip(times, ratios, env)))
     if svg:
         write_svg(out / "pairs.svg", "difference growth", times,
                   {"ratio": ratios, "envelope": env}, logy=True)
@@ -517,11 +505,7 @@ def _cmd_lipschitz(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 
 def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
-    grid = sc.grid()
-    D = sc.medium()
-    params = sc.nonlinearity()
-    cfg = sc.solver(grid, D)
-    forcing = sc.forcing(grid)
+    grid, D, params, cfg, forcing = sc.system()
     p0 = gr.project_mean_zero(sc.initial(grid).p)
     t_max = sc["run", "t_max"]
     every = _fitted_snapshot_every(sc, cfg)
@@ -569,30 +553,16 @@ def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 
 def _cmd_expsplit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
-    grid = sc.grid()
-    D = sc.medium()
-    params = sc.nonlinearity()
-    cfg = sc.solver(grid, D)
-    forcing = sc.forcing(grid)
-    base = sc.initial(grid)
-    pert = make_initial_state(grid, "smooth", 1.0, sc["initial", "seed"] + 101)
-    scale = sc["scenario", "perturbation"] / an.energy_norm(pert.u, pert.p)
-    other = dyn.SimState(
-        VectorField(grid, base.u.values + scale * pert.u.values),
-        ScalarField(grid, base.p.values + scale * pert.p.values), 0.0)
+    grid, D, params, cfg, forcing = sc.system()
     every = _fitted_snapshot_every(sc, cfg)
     t_max = sc["run", "t_max"]
-    tr1 = dyn.simulate(base, cfg, forcing, D, params, t_max, snapshot_every=every)
-    tr2 = dyn.simulate(other, cfg, forcing, D, params, t_max, snapshot_every=every)
+    tr1, tr2 = dyn.simulate(_perturbed_pair(sc, grid, 101), cfg, forcing, D, params,
+                            t_max, snapshot_every=every)
     es = dyn.run_exp_split(tr1, tr2, cfg, D, params)
     d0 = an.energy_norm(VectorField(grid, tr1.states[0][0] - tr2.states[0][0]),
                         ScalarField(grid, tr1.states[0][1] - tr2.states[0][1]))
-    rows = []
-    for i, t in enumerate(es.times):
-        uh, phat = es.hat[i]
-        ut, pt = es.tilde[i]
-        rows.append((t, an.energy_norm(uh, phat),
-                     gr.spectral_norm(gr.project_mean_zero(pt), 1.0)))
+    rows = [(t, an.energy_norm(uh, phat), gr.spectral_norm(gr.project_mean_zero(pt), 1.0))
+            for t, (uh, phat), (_, pt) in zip(es.times, es.hat, es.tilde)]
     write_csv(out / "expsplit.csv",
               ["t [time]", "hat_norm [field]", "tilde_h1 [field]"], rows)
     arr = np.array(rows)
@@ -614,11 +584,7 @@ def _cmd_expsplit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 
 def _cmd_smoothing(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
-    grid = sc.grid()
-    D = sc.medium()
-    params = sc.nonlinearity()
-    cfg = sc.solver(grid, D)
-    forcing = sc.forcing(grid)
+    grid, D, params, cfg, forcing = sc.system()
     state0 = sc.initial(grid)
     conv = sc["scenario", "convective"]
     targets = [2.0 ** -k for k in range(10, -1, -1)]
@@ -644,11 +610,7 @@ def _cmd_smoothing(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool,
                    seed: int | None) -> dict:
-    grid = sc.grid()
-    D = sc.medium()
-    params = sc.nonlinearity()
-    cfg = sc.solver(grid, D)
-    forcing = sc.forcing(grid)
+    grid, D, params, cfg, forcing = sc.system()
     run_seed = sc["run", "seed"] if seed is None else seed
     size = sc["scenario", "ensemble_size"]
     amps = np.geomspace(0.1, 10.0, size)
@@ -699,11 +661,7 @@ def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool,
 
 
 def _cmd_audit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
-    grid = sc.grid()
-    D = sc.medium()
-    params = sc.nonlinearity()
-    cfg = sc.solver(grid, D)
-    forcing = sc.forcing(grid)
+    grid, D, params, cfg, forcing = sc.system()
     state0 = sc.initial(grid)
     conv = sc["scenario", "convective"]
     eps = sc["scenario", "eps"]
@@ -711,9 +669,7 @@ def _cmd_audit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     rows = []
     totals = []
     for level, dt in enumerate([cfg.dt, cfg.dt / 2.0]):
-        c = dyn.SolverConfig(dt=dt, scheme=cfg.scheme, newton_tol=cfg.newton_tol,
-                             newton_max=cfg.newton_max, cg_tol=cfg.cg_tol,
-                             cfl_safety=cfg.cfl_safety)
+        c = replace(cfg, dt=dt)
         traj = dyn.simulate(state0, c, forcing, D, params, t_max,
                             snapshot_every=max(1, int(round(t_max / dt / 8))),
                             convective_on=conv, collect_work=True)

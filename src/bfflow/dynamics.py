@@ -7,10 +7,10 @@ steps to store, which `snapshot_steps` derives before the loop: every m steps
 plus the last, the nearest step end to each target time, or the steps at
 which a reference run stored. The loop owns t = t0 + k dt and one finiteness
 check, on the initial state and after every step; `BlowUpError` names the
-step and, in a batched ensemble, the member. The drivers (`simulate`,
-`run_truncated`, the splittings and `analysis.evolve_ensemble`) supply only a
-right-hand side and what to store; each splitting also checks that its parts
-recombine to its reference.
+step and, in a batch of members, the member. The drivers (`simulate`, which
+also steps a list of states as one batch, `run_truncated` and the
+splittings) supply only a right-hand side and what to store; each splitting
+also checks that its parts recombine to its reference.
 
 The full system evolves (u, p) by
 
@@ -44,6 +44,7 @@ from .physics import Forcing, MediumMatrix, NonlinearityParams
 __all__ = [
     "SimState", "SolverConfig", "Trajectory", "TruncatedTrajectory",
     "SplitTrajectory", "ExpSplitTrajectory", "BlowUpError", "NewtonError",
+    "RecombinationError",
     "rhs_full", "step", "simulate", "solve_elliptic_u", "step_truncated",
     "run_truncated", "run_split", "run_exp_split", "run_bootstrap_split",
     "rk4_step_generic", "snapshot_steps", "integrate",
@@ -70,6 +71,10 @@ class NewtonError(RuntimeError):
             f"Newton iteration did not converge after {len(history) - 1} steps; "
             f"residual history {['%.3e' % r for r in history]}")
         self.history = history
+
+
+class RecombinationError(RuntimeError):
+    """The parts of a splitting do not add up to the run they split."""
 
 
 @dataclass
@@ -308,7 +313,10 @@ def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray
                 - dt * dt * gr.grad_array(_pressure_rate(x, sys.D, g), g.h, g.dim))
 
     def d_inner(a, b):
-        return float(np.vdot(a, sys.D.apply_array(b)))
+        Db = sys.D.apply_array(b)
+        if a.ndim > g.dim + 1:  # members: each its own product, so its own CG
+            return np.array([np.vdot(am, bm) for am, bm in zip(a, Db)])
+        return float(np.vdot(a, Db))
 
     u_new = conjugate_gradient(
         apply_op, rhs, x0=u.copy(), rtol=cg_tol, inner=d_inner,
@@ -358,25 +366,38 @@ class Trajectory:
                         ScalarField(self.grid, p.copy()), float(self.times[i]))
 
 
-def simulate(state0: SimState, cfg: SolverConfig, forcing, D: MediumMatrix,
-             params: NonlinearityParams, t_max: float,
+def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
+             D: MediumMatrix, params: NonlinearityParams, t_max: float,
              snapshot_every: int = 1, snapshot_times=None,
-             convective_on: bool = False, collect_work: bool = False) -> Trajectory:
+             convective_on: bool = False,
+             collect_work: bool = False) -> Trajectory | list[Trajectory]:
     """Integrate to t_max, storing snapshots and (optionally) audit series.
 
     `snapshot_times` overrides `snapshot_every` with explicit targets; each
     target is matched to the closest step endpoint.
+
+    A list of states (one grid, one start time) steps as one batch along a
+    leading member axis and gives one Trajectory per member, equal to its
+    run alone; a blow-up or pressure drift names the member, and
+    `collect_work` needs a single state.
     """
-    grid = state0.grid
+    batch = isinstance(state0, (list, tuple))
+    states = list(state0) if batch else [state0]
+    if not states or any(s.grid != states[0].grid or s.t != states[0].t for s in states):
+        raise ValueError("simulate needs one or more states on one grid at one start time")
+    grid, t0 = states[0].grid, states[0].t
+    if batch and collect_work:
+        raise ValueError("collect_work needs a single state, not a member list")
     forcing = _as_forcing(forcing, grid)
     cfg.validate(grid, D)
     sys = _FullSystem(grid, D, params, forcing, convective_on)
     n_steps = max(1, int(round(t_max / cfg.dt)))
-    t0 = state0.t
-    y0 = (state0.u.values, gr.mean_project_array(state0.p.values, grid.dim))
+    y0 = [(s.u.values, gr.mean_project_array(s.p.values, grid.dim)) for s in states]
+    y0 = tuple(map(np.stack, zip(*y0))) if batch else y0[0]
+    axes = tuple(range(-grid.dim, 0))
 
     step_times, energy, endpoint, work = [], [], [], []
-    drift = [0.0]
+    drift = [np.float64(0.0)]  # |mean p| after the step, one per member
 
     def stage(i, t, y):
         if i == 0:
@@ -387,30 +408,37 @@ def simulate(state0: SimState, cfg: SolverConfig, forcing, D: MediumMatrix,
 
     def advance(t, y):
         y = scheme(t, y)
-        drift[0] = abs(float(y[1].mean()))
+        drift[0] = np.abs(np.add.reduce(y[1], axis=axes)) / grid.num_nodes
         return y
 
     def on_step(k, t, y):
-        if drift[0] > 1e-12 * (1.0 + float(np.abs(y[1]).max())):
-            raise RuntimeError(f"pressure mean drifted to {drift[0]:.3e} at step {k}")
+        # a drift within 1e-12 is within the bound, whatever max |p| is
+        if drift[0].max() > 1e-12:
+            over = np.flatnonzero(drift[0] > 1e-12 * (1.0 + np.abs(y[1]).max(axis=axes)))
+            if over.size:
+                who = f"ensemble member {over[0]}: " if batch else ""
+                raise RuntimeError(f"{who}pressure mean drifted to "
+                                   f"{np.ravel(drift[0])[over[0]]:.3e} at step {k}")
         if collect_work:
             step_times.append(t)
             energy.append(sys.energy_plain(*y))
             endpoint.append(sys.work_terms(t, *y))
 
-    times, states = integrate(
+    times, stored = integrate(
         y0, t0, cfg.dt, n_steps, advance, grid.dim, project=(1,),
         snapshots=snapshot_steps(n_steps, t0, cfg.dt, every=snapshot_every,
                                  targets=snapshot_times),
-        on_step=on_step)
-    return Trajectory(
+        on_step=on_step, members=batch)
+    trajectories = [Trajectory(
         grid=grid, cfg=cfg, D=D, params=params, forcing=forcing,
-        convective_on=convective_on, times=np.array(times), states=states,
+        convective_on=convective_on, times=np.array(times),
+        states=[(u[m], p[m]) for u, p in stored] if batch else stored,
         step_times=np.array(step_times) if collect_work else None,
         energy_series=np.array(energy) if collect_work else None,
         endpoint_terms=np.array(endpoint) if collect_work else None,
         work_increments=cfg.dt * np.array(work) if work else None,
-    )
+    ) for m in range(len(states))]
+    return trajectories if batch else trajectories[0]
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +614,7 @@ class SplitTrajectory:
 
     def __post_init__(self):
         if max(self.recombination_p, self.recombination_u) > 1e-6:
-            raise ValueError(
+            raise RecombinationError(
                 f"splitting failed to recombine: defects "
                 f"{self.recombination_p:.3e}, {self.recombination_u:.3e}")
 
@@ -710,7 +738,7 @@ class ExpSplitTrajectory:
 
     def __post_init__(self):
         if self.recombination > 1e-6:
-            raise ValueError(
+            raise RecombinationError(
                 f"hat + tilde failed to recombine to the difference "
                 f"(defect {self.recombination:.3e})")
 

@@ -267,12 +267,14 @@ def _dst1_matrix(n: int) -> np.ndarray:
 
 
 def _dst_all_axes(a: np.ndarray, dim: int) -> np.ndarray:
-    """DST-I over the trailing `dim` axes: each grid axis in turn is rotated
-    to the end and multiplied by S; leading axes pass through."""
-    S, lead = _dst1_matrix(a.shape[-1]), a.ndim - dim
-    for _ in range(dim):
-        a = (np.moveaxis(a, lead, -1).reshape(-1, len(S)) @ S).reshape(a.shape)
-    return a
+    """DST-I over the trailing `dim` axes by stacked matrix products, with no
+    axis moved: S @ a transforms the second-to-last axis, a @ S the last (S
+    is symmetric), and in 3D the first grid axis goes first, as the rows of
+    an (n, n*n) view. Each leading index gets its own products."""
+    S = _dst1_matrix(a.shape[-1])
+    if dim == 3:
+        a = (S @ a.reshape(a.shape[:-3] + (len(S), -1))).reshape(a.shape)
+    return (S @ a) @ S
 
 
 def sine_coefficients(f: ScalarField) -> np.ndarray:

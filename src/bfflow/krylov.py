@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
 
 
 class CGError(RuntimeError):
-    """CG failed to reach tolerance; carries the last relative residual."""
+    """CG failed; carries the last relative residual and the failed member."""
 
-    def __init__(self, message: str, residual: float, iterations: int):
+    def __init__(self, message: str, residual: float, iterations: int,
+                 member: int | None = None):
+        if member is not None:
+            message = f"member {member}: {message}"
         super().__init__(f"{message} (rel residual {residual:.3e} after {iterations} iterations)")
         self.residual = residual
         self.iterations = iterations
+        self.member = member
 
 
 def conjugate_gradient(
@@ -22,7 +27,7 @@ def conjugate_gradient(
     x0: np.ndarray | None = None,
     rtol: float = 1e-12,
     max_iter: int | None = None,
-    inner: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    inner: Callable[[np.ndarray, np.ndarray], float | np.ndarray] | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Solve A x = b for A self-adjoint positive definite in `inner`.
@@ -32,18 +37,31 @@ def conjugate_gradient(
     given, applies an SPD approximate inverse of A (standard preconditioned
     CG). Convergence is ||r|| <= rtol * ||b|| in `inner`'s norm, measured on
     the true residual either way.
+
+    If `inner` returns one value per index of b's leading axis, that axis
+    holds members that `apply_op` and `precondition` treat separately, and
+    each member runs its own CG (step lengths, stop test, definiteness check,
+    `max_iter` from its own size); a stopped member's x and r are never
+    touched again, so each member gets the solution it gets alone.
     """
     dot = inner if inner is not None else lambda u, v: float(np.vdot(u, v))
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b - apply_op(x) if x0 is not None else b.copy()
     bnorm = np.sqrt(dot(b, b))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
+    batched = np.ndim(bnorm) == 1
     if max_iter is None:
-        max_iter = 40 * int(np.sqrt(b.size)) + 200
+        max_iter = 40 * int(np.sqrt(b[0].size if batched else b.size)) + 200
+    # per-member scalars in numpy for a batch (col: one per member, as a
+    # column), in plain Python for one system, whose loop costs what it did
+    per = (-1,) + (1,) * (b.ndim - 1)
+    some, every, not_, col = ((np.any, np.all, np.logical_not, lambda s: s.reshape(per))
+                              if batched else (bool, bool, operator.not_, lambda s: s))
+    x[bnorm == 0.0] = 0.0  # b = 0 solves to zero, whatever x0 is
     tol2 = (rtol * bnorm) ** 2
-    rs_plain = dot(r, r)
-    if rs_plain <= tol2:
+    rs = dot(r, r)
+    # "not rs <= tol2", so that a NaN residual runs on to a CGError
+    live = not_((bnorm == 0.0) | (rs <= tol2))
+    if not some(live):
         return x
     z = precondition(r) if precondition is not None else r
     p = z.copy()
@@ -51,18 +69,35 @@ def conjugate_gradient(
     for it in range(max_iter):
         Ap = apply_op(p)
         pAp = dot(p, Ap)
-        if pAp <= 0.0:
-            raise CGError("operator not positive definite on Krylov direction",
-                          float(np.sqrt(rs_plain) / bnorm), it)
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rs_plain = dot(r, r)
-        if rs_plain <= tol2:
+        if some(live & (pAp <= 0.0)):
+            raise _failure("operator not positive definite on Krylov direction",
+                           live & (pAp <= 0.0), rs, bnorm, it)
+        if every(live):
+            alpha = col(rz / pAp)
+            x += alpha * p
+            r -= alpha * Ap
+        else:
+            i = live.nonzero()[0]
+            alpha = col(rz[i] / pAp[i])
+            x[i] += alpha * p[i]
+            r[i] -= alpha * Ap[i]
+        rs = dot(r, r)
+        live = live & not_(rs <= tol2)
+        if not some(live):
             return x
         z = precondition(r) if precondition is not None else r
         rz_new = dot(r, z)
-        p = z + (rz_new / rz) * p
+        if every(live):
+            p = z + col(rz_new / rz) * p
+        else:
+            i = live.nonzero()[0]
+            p[i] = z[i] + col(rz_new[i] / rz[i]) * p[i]
         rz = rz_new
-    raise CGError("conjugate gradients did not converge",
-                  float(np.sqrt(rs_plain) / bnorm), max_iter)
+    raise _failure("conjugate gradients did not converge", live, rs, bnorm, max_iter)
+
+
+def _failure(message: str, members, rs, bnorm, iterations: int) -> CGError:
+    """CGError for the first of `members`, with its relative residual."""
+    m = int(np.flatnonzero(members)[0])
+    return CGError(message, float(np.ravel(np.sqrt(rs) / bnorm)[m]), iterations,
+                   m if np.ndim(bnorm) else None)

@@ -194,8 +194,8 @@ def test_c06_lipschitz_envelope():
                          ScalarField(g, base.p.values + scale * pert.p.values))
     cfg = dyn.SolverConfig(dt=5e-4)
     every = int(round(0.05 / cfg.dt))
-    tr1 = dyn.simulate(base, cfg, forcing, D, QUINTIC, 2.0, snapshot_every=every)
-    tr2 = dyn.simulate(other, cfg, forcing, D, QUINTIC, 2.0, snapshot_every=every)
+    tr1, tr2 = dyn.simulate([base, other], cfg, forcing, D, QUINTIC, 2.0,
+                            snapshot_every=every)
     ratios = []
     for (u1, p1), (u2, p2) in zip(tr1.states, tr2.states):
         ratios.append(an.energy_norm(VectorField(g, u1 - u2),
@@ -220,8 +220,8 @@ def test_c07_exponential_attractor_split():
                          ScalarField(g, base.p.values + scale * pert.p.values))
     cfg = dyn.SolverConfig(dt=5e-4)
     every = int(round(0.05 / cfg.dt))
-    tr1 = dyn.simulate(base, cfg, forcing, D, QUINTIC, 2.0, snapshot_every=every)
-    tr2 = dyn.simulate(other, cfg, forcing, D, QUINTIC, 2.0, snapshot_every=every)
+    tr1, tr2 = dyn.simulate([base, other], cfg, forcing, D, QUINTIC, 2.0,
+                            snapshot_every=every)
     es = dyn.run_exp_split(tr1, tr2, cfg, D, QUINTIC)
     hat2 = np.array([an.energy_norm(u, p) ** 2 for u, p in es.hat])
     fit = an.fit_decay(es.times, hat2)

@@ -1,11 +1,14 @@
 """Config grammar, file emission, exit codes, reproducibility."""
 
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bfflow import cli
+from bfflow import dynamics as dyn
 from bfflow.cli import ConfigError, parse_config
 
 MINIMAL = """
@@ -261,6 +264,41 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("config error:") and "Traceback" not in err
         assert phrase in err
+
+    def test_attractor_semi_implicit_honours_the_scheme(self, tmp_path):
+        # the ensemble steps semi-implicitly, above the RK4 CFL bound, cleanly
+        text = (Path(__file__).parents[1] / "configs" / "attractor8.cfg").read_text()
+        config = tmp_path / "semi.cfg"
+        config.write_text(text.replace("t_max = 30", "t_max = 2")
+                          + "\n[solver]\nscheme = semi_implicit\ndt = 0.01\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["attractor", "--config", str(config),
+                             "--out", str(tmp_path / "out")])
+        assert code in (0, 1)
+        assert "status = RUNTIME_ERROR" not in (tmp_path / "out" / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("subcommand,driver,text", [
+        ("split", "run_split", _QUINTIC8 + _WHITE_P + "[scenario]\nsplit_kind = trunc\n"),
+        ("expsplit", "run_exp_split",
+         _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\nsnapshot_stride = 0.01\n"),
+    ], ids=["split", "expsplit"])
+    def test_recombination_failure_exits_2(self, tmp_path, monkeypatch, capsys,
+                                           subcommand, driver, text):
+        def unrecombined(*args):
+            if driver == "run_split":
+                return dyn.SplitTrajectory(np.zeros(1), [], [], 1e-3, 0.0)
+            return dyn.ExpSplitTrajectory(np.zeros(1), [], [], 1e-3)
+
+        monkeypatch.setattr(dyn, driver, unrecombined)
+        config = tmp_path / "ok.cfg"
+        config.write_text(text)
+        code = cli.main([subcommand, "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert code == 2
+        assert "RUNTIME_ERROR" in summary and "failed to recombine" in summary
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_removed_threads_flag_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "ok.cfg"

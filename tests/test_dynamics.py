@@ -10,9 +10,9 @@ from bfflow import dynamics as dyn
 from bfflow import grid as gr
 from bfflow import physics as ph
 from bfflow import reference as ref
-from bfflow.cli import make_initial_state
+from bfflow.cli import make_forcing, make_initial_state
 from bfflow.grid import Grid, ScalarField, VectorField
-from bfflow.krylov import conjugate_gradient
+from bfflow.krylov import CGError, conjugate_gradient
 from bfflow.physics import Forcing, MediumMatrix, NonlinearityParams
 from bfflow.rng import SplitMix64
 
@@ -170,6 +170,150 @@ class TestLipschitz:
         assert np.max(ratios / (C * np.exp(K * tr1.times))) <= 1.05
 
 
+def _member_dots(u, v):
+    return np.array([np.vdot(a, b) for a, b in zip(u, v)])
+
+
+class TestBatchedCG:
+    """A leading member axis with one inner product per member: every member
+    gets exactly the solution it gets alone."""
+
+    @pytest.mark.parametrize("with_x0", [False, True])
+    def test_batched_equals_per_member(self, with_x0):
+        # -lap + a(x) on four members, a per-member weight whose spread sets
+        # the member's iteration count
+        g = Grid(2, 8)
+        rng = SplitMix64(811)
+        a = np.stack([np.zeros(g.shape), 0.5 + rng.uniform(g.shape),
+                      400.0 * rng.uniform(g.shape) ** 4,
+                      50.0 * rng.uniform(g.shape)])[:, None]
+        b = rng.normal((4, 2) + g.shape)
+        b[0] = 0.0                       # member 0: b = 0 gives zeros
+
+        def op(weight, calls):
+            def apply_op(x):
+                calls.append(1)
+                return -gr.lap_array(x, g.h, g.dim) + weight * x
+            return apply_op
+
+        def prec(r):
+            return gr.poisson_solve_array(r, g)
+
+        x0 = SplitMix64(812).normal(b.shape) if with_x0 else None
+        if with_x0:                      # member 1 starts at its solution
+            x0[1] = conjugate_gradient(op(a[1], []), b[1], rtol=1e-15)
+        got = conjugate_gradient(op(a, []), b, x0, rtol=1e-10, inner=_member_dots,
+                                 precondition=prec)
+        iters = []
+        for m in range(4):
+            calls = []
+            one = conjugate_gradient(op(a[m], calls), b[m],
+                                     None if x0 is None else x0[m],
+                                     rtol=1e-10, precondition=prec)
+            iters.append(len(calls))
+            assert np.array_equal(got[m], one), m
+        assert not got[0].any()
+        assert len(set(iters[2:])) == 2  # members 2 and 3 stop at different steps
+        if with_x0:
+            assert iters[1] == 1 and np.array_equal(got[1], x0[1])
+
+    def test_indefinite_member_named(self):
+        d = np.ones((3, 6))
+        d[2, 4] = -5.0
+        b = np.ones((3, 6))
+        with pytest.raises(CGError) as err:
+            conjugate_gradient(lambda x: d * x, b, inner=_member_dots)
+        assert err.value.member == 2 and "member 2" in str(err.value)
+
+    def test_nan_load_runs_to_an_error(self):
+        b = np.ones((2, 6))
+        b[1, 3] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(CGError) as err:
+                conjugate_gradient(lambda x: 2.0 * x, b, inner=_member_dots)
+            assert err.value.member == 1
+            with pytest.raises(CGError):
+                conjugate_gradient(lambda x: 2.0 * x, b[1])
+
+    def test_slow_member_named_at_max_iter(self):
+        d = np.stack([np.ones(6), np.arange(1.0, 7.0)])
+        b = np.ones((2, 6))
+        with pytest.raises(CGError) as err:
+            conjugate_gradient(lambda x: d * x, b, inner=_member_dots, max_iter=3)
+        assert err.value.member == 1 and err.value.iterations == 3
+
+
+class TestBatchedSimulate:
+    @pytest.mark.parametrize("dim,scheme", [(2, "rk4"), (2, "semi_implicit"),
+                                            (3, "rk4"), (3, "semi_implicit")])
+    def test_members_equal_single_runs(self, dim, scheme):
+        g = Grid(dim, 8 if dim == 2 else 4)
+        D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
+        forcing = make_forcing(g, "fixed_random", seed=91, amplitude=1.0)
+        states = [make_initial_state(g, "smooth", amp, seed=92 + i)
+                  for i, amp in enumerate((0.3, 1.0, 4.0))]
+        cfg = dyn.SolverConfig(dt=1e-3 if scheme == "rk4" else 1e-2, scheme=scheme)
+        kw = dict(snapshot_every=3, convective_on=dim == 3)
+        batch = dyn.simulate(states, cfg, forcing, D, QUINTIC, 0.06, **kw)
+        assert len(batch) == len(states)
+        for s, tr in zip(states, batch):
+            one = dyn.simulate(s, cfg, forcing, D, QUINTIC, 0.06, **kw)
+            assert np.array_equal(tr.times, one.times)
+            assert len(tr.states) == len(one.times) > 2
+            for (u, p), (u1, p1) in zip(tr.states, one.states):
+                assert np.array_equal(u, u1) and np.array_equal(p, p1)
+
+    @pytest.mark.parametrize("scheme,error", [("rk4", dyn.BlowUpError),
+                                              ("semi_implicit", CGError)])
+    def test_member_blowup_named(self, scheme, error):
+        # explicit drag overflows in member 2: RK4 loses finiteness, and the
+        # semi-implicit step hands that member's CG a NaN load
+        g, D = small_setup()
+        ok = make_initial_state(g, "smooth", 1.0, seed=95)
+        hot = dyn.SimState(VectorField(g, 80.0 * ok.u.values), ok.p)
+        cfg = dyn.SolverConfig(dt=2e-3 if scheme == "rk4" else 0.05, scheme=scheme)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error) as err:
+                dyn.simulate([ok, ok, hot], cfg, gr.zeros_vector(g), D, QUINTIC, 1.0)
+        assert err.value.member == 2 and "member 2:" in str(err.value)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_pressure_drift_names_the_member(self, monkeypatch, batch):
+        # a step that moves member 1's pressure mean trips the drift guard
+        real = dyn._full_advance
+
+        def drifting(sys, cfg, stage=None):
+            step = real(sys, cfg, stage)
+
+            def advance(t, y):
+                u, p = step(t, y)
+                p = p.copy()
+                p[1 if batch else ...] += 1e-9
+                return u, p
+            return advance
+
+        monkeypatch.setattr(dyn, "_full_advance", drifting)
+        g, D = small_setup()
+        s = make_initial_state(g, "smooth", 1.0, seed=97)
+        who = "ensemble member 1: " if batch else ""
+        with pytest.raises(RuntimeError, match=f"^{who}pressure mean drifted to 1.000e-09 at step 1$"):
+            dyn.simulate([s, s, s] if batch else s, dyn.SolverConfig(dt=1e-3),
+                         gr.zeros_vector(g), D, QUINTIC, 0.01)
+
+    def test_member_list_rejects_work_integrals_and_mixed_starts(self):
+        g, D = small_setup()
+        s = make_initial_state(g, "smooth", 1.0, seed=96)
+        cfg = dyn.SolverConfig(dt=1e-3)
+        with pytest.raises(ValueError, match="collect_work"):
+            dyn.simulate([s, s], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01,
+                         collect_work=True)
+        later = dyn.SimState(s.u, s.p, 0.5)
+        with pytest.raises(ValueError, match="start time"):
+            dyn.simulate([s, later], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01)
+        with pytest.raises(ValueError, match="one or more"):
+            dyn.simulate([], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01)
+
+
 class TestEllipticSolver:
     def test_zero_data(self):
         g, _ = small_setup()
@@ -321,6 +465,16 @@ class TestSplits:
             assert np.abs(r.values).max() <= 1e-12
 
 
+class TestRecombination:
+    def test_defects_raise_a_runtime_error(self):
+        # a RuntimeError, so that the command line maps it to exit code 2
+        with pytest.raises(dyn.RecombinationError, match="failed to recombine"):
+            dyn.SplitTrajectory(np.zeros(1), [], [], 0.0, 1e-3)
+        with pytest.raises(dyn.RecombinationError, match="failed to recombine"):
+            dyn.ExpSplitTrajectory(np.zeros(1), [], [], 1e-3)
+        assert issubclass(dyn.RecombinationError, RuntimeError)
+
+
 class TestExpSplit:
     def test_identical_trajectories_give_zero(self):
         g, D = small_setup()
@@ -451,10 +605,10 @@ class TestSnapshotPolicy:
             assert tr.times.tolist() == self._every(t0, dt, n, every)
             assert len(tr.ps) == len(tr.us) == len(tr.times)
             states = [make_initial_state(g, "smooth", a, seed=712) for a in (0.5, 1.0)]
-            times, snaps = an.evolve_ensemble(states, cfg, gr.zeros_vector(g), D,
-                                              QUINTIC, t_max, snapshot_every=every)
-            assert times == self._every(0.0, dt, n, every)
-            assert len(snaps) == len(times)
+            for traj in dyn.simulate(states, cfg, gr.zeros_vector(g), D,
+                                     QUINTIC, t_max, snapshot_every=every):
+                assert traj.times.tolist() == self._every(0.0, dt, n, every)
+                assert len(traj.states) == len(traj.times)
 
     def test_splits_store_their_reference_times(self):
         g = Grid(2, 4)

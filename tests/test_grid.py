@@ -388,6 +388,20 @@ class TestSineTransform:
         assert got.shape == a.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("dim,n", [(2, 4), (2, 6), (2, 8), (2, 16), (2, 32),
+                                       (3, 4), (3, 6), (3, 8), (3, 16)])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_equals_axis_rotation_bitwise(self, dim, n, lead):
+        # oracle: each grid axis in turn rotated to the end, as rows @ S
+        def rotated(a):
+            S, first = gr._dst1_matrix(n), a.ndim - dim
+            for _ in range(dim):
+                a = (np.moveaxis(a, first, -1).reshape(-1, n) @ S).reshape(a.shape)
+            return a
+
+        a = SplitMix64(5000 * dim + 10 * n + len(lead)).normal(lead + (n,) * dim)
+        assert np.array_equal(gr._dst_all_axes(a, dim), rotated(a))
+
     @pytest.mark.parametrize("dim,n", [(2, 4), (2, 32), (2, 64), (3, 4), (3, 16)])
     def test_synthesis_inverts_coefficients(self, dim, n):
         g = Grid(dim, n)
