@@ -250,48 +250,38 @@ class AuditReport:
 
     step_times: np.ndarray
     residual_trap: np.ndarray
-    residual_stage: np.ndarray | None
+    residual_stage: np.ndarray
     snapshot_times: np.ndarray
     e_eps_series: np.ndarray
     gp_violation: np.ndarray
     eps: float
 
 
-def energy_audit(traj: dyn.Trajectory, g=None, D: MediumMatrix | None = None,
-                 params: NonlinearityParams | None = None,
-                 eps: float = 0.0) -> AuditReport:
+def energy_audit(traj: dyn.Trajectory, eps: float = 0.0) -> AuditReport:
     if traj.energy_series is None:
         raise ValueError("trajectory was not run with collect_work=True")
-    D = D or traj.D
-    params = params or traj.params
-    forcing = traj.forcing if g is None else dyn._as_forcing(g, traj.grid)
 
     E = traj.energy_series
     terms = traj.endpoint_terms  # columns diss, fw, gw, bw
     phi = terms[:, 0] + terms[:, 1] + terms[:, 3] - terms[:, 2]
     dts = np.diff(traj.step_times)
     residual_trap = 0.5 * np.diff(E) + 0.5 * dts * (phi[:-1] + phi[1:])
-    residual_stage = None
-    if traj.work_increments is not None:
-        W = traj.work_increments
-        residual_stage = 0.5 * np.diff(E) + (W[:, 0] + W[:, 1] + W[:, 3] - W[:, 2])
+    W = traj.work_increments
+    residual_stage = 0.5 * np.diff(E) + (W[:, 0] + W[:, 1] + W[:, 3] - W[:, 2])
 
     # decay surrogate on snapshots, with the minus-coupled functional
-    e_eps = []
-    e_dec = []
+    e_eps, e_dec = [], []
     for i in range(len(traj.times)):
         s = traj.state_at(i)
-        e_plain = gr.weighted_inner(D, s.u, s.u) + gr.inner(s.p, s.p)
+        e_plain = gr.weighted_inner(traj.D, s.u, s.u) + gr.inner(s.p, s.p)
         coupling = (2.0 * eps * gr.vector_inner(s.u, ph.bogovski(s.p))
                     if eps > 0 else 0.0)
         e_eps.append(e_plain + coupling)
         e_dec.append(e_plain - coupling)
-    e_eps = np.array(e_eps)
-    e_dec = np.array(e_dec)
+    e_eps, e_dec = np.array(e_eps), np.array(e_dec)
     viol = np.zeros(max(len(e_dec) - 1, 0))
     if len(e_dec) > 1:
-        dts_snap = np.diff(traj.times)
-        rate = np.diff(e_dec) / dts_snap
+        rate = np.diff(e_dec) / np.diff(traj.times)
         viol = np.maximum(rate + eps * 0.5 * (e_dec[:-1] + e_dec[1:]), 0.0)
     return AuditReport(
         step_times=traj.step_times, residual_trap=residual_trap,

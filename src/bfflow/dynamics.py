@@ -23,10 +23,10 @@ stencil), and projecting the pressure rate keeps the evolution on the
 mean-zero manifold without disturbing the energy identity, because p itself
 is mean-zero.
 
-`simulate` accumulates the work integrals (dissipation, drag work, forcing
-work, convective work) over the RK4 stages, through the step's per-stage
-callback, with the RK4 weights; they are 5th-order accurate per step and feed
-the energy audit.
+`simulate` takes the work integrals (dissipation, drag work, forcing work,
+convective work) from each RK4 stage's own right-hand side, which records
+them, and sums them with the RK4 weights (5th-order accurate per step) for
+the energy audit; a step end's terms are those of the next step's stage 1.
 """
 
 from __future__ import annotations
@@ -130,18 +130,12 @@ class SolverConfig:
 # the one time-stepping loop
 # ---------------------------------------------------------------------------
 
-def rk4_step_generic(y: tuple, t: float, dt: float, rhs, stage=None) -> tuple:
-    """One classical RK4 step on a tuple-of-arrays state.
-
-    `stage(i, t_i, y_i)`, if given, runs after the i-th right-hand side
-    evaluation with that stage's time and state.
-    """
+def rk4_step_generic(y: tuple, t: float, dt: float, rhs) -> tuple:
+    """One classical RK4 step on a tuple-of-arrays state."""
     acc = None
     ts, ys = t, y
     for i in range(4):
         k = rhs(ts, ys)
-        if stage is not None:
-            stage(i, ts, ys)
         if acc is None:
             acc = [b.copy() for b in k]
         else:
@@ -239,35 +233,42 @@ class _FullSystem:
     """Array-level right-hand side bundle; batch-safe over leading axes."""
 
     def __init__(self, grid: Grid, D: MediumMatrix, params: NonlinearityParams,
-                 forcing: Forcing, convective_on: bool):
+                 forcing: Forcing, convective_on: bool, work_rows: int = 0):
         self.grid = grid
         self.D = D
         self.params = params
         self.forcing = forcing
         self.convective_on = convective_on
+        self.work = np.empty((work_rows, 4)) if work_rows else None
+        self._row = 0
+
+    def parts(self, t: float, u: np.ndarray):
+        """lap u, f(u), B(u,u) (f and B None where they vanish), g(t), D u;
+        with `work` rows, the next row gets (dissipation, drag work, forcing
+        work, convective work) at this single state."""
+        g = self.grid
+        lap = gr.lap_array(u, g.h, g.dim)
+        fu = None if self.params.is_zero() else ph.f_apply_array(u, self.params, g.dim)
+        bu = ph.convective_array(u, u, g.h, g.dim) if self.convective_on else None
+        gt, Du = self.forcing.at_array(t), self.D.apply_array(u)
+        if self.work is not None:
+            w = g.cell_volume
+            self.work[self._row] = [0.0 if a is None else s * float(np.vdot(a, Du))
+                                    for s, a in ((-w, lap), (w, fu), (w, gt), (w, bu))]
+            self._row += 1
+        return lap, fu, bu, gt, Du
 
     def rhs(self, t: float, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g = self.grid
-        du = gr.lap_array(u, g.h, g.dim) - gr.grad_array(p, g.h, g.dim)
-        if not self.params.is_zero():
-            du -= ph.f_apply_array(u, self.params, g.dim)
-        if self.convective_on:
-            du -= ph.convective_array(u, u, g.h, g.dim)
-        du += self.forcing.at_array(t)
-        return du, _pressure_rate(u, self.D, g)
-
-    def work_terms(self, t: float, u: np.ndarray, p: np.ndarray) -> tuple[float, float, float, float]:
-        """(dissipation, drag work, forcing work, convective work) at one state."""
-        g = self.grid
-        w = g.cell_volume
-        Du = self.D.apply_array(u)
-        diss = -w * float(np.vdot(gr.lap_array(u, g.h, g.dim), Du))
-        fw = w * float(np.vdot(ph.f_apply_array(u, self.params, g.dim), Du))
-        gw = w * float(np.vdot(self.forcing.at_array(t), Du))
-        bw = 0.0
-        if self.convective_on:
-            bw = w * float(np.vdot(ph.convective_array(u, u, g.h, g.dim), Du))
-        return diss, fw, gw, bw
+        lap, fu, bu, gt, Du = self.parts(t, u)
+        du = lap - gr.grad_array(p, g.h, g.dim)
+        if fu is not None:
+            du -= fu
+        if bu is not None:
+            du -= bu
+        du += gt
+        # _pressure_rate on the D u already computed
+        return du, -gr.mean_project_array(gr.div_array(Du, g.h, g.dim), g.dim)
 
     def energy_plain(self, u: np.ndarray, p: np.ndarray) -> float:
         w = self.grid.cell_volume
@@ -289,10 +290,10 @@ def rhs_full(state: SimState, g, D: MediumMatrix, params: NonlinearityParams,
     return VectorField(state.grid, du), ScalarField(state.grid, dp)
 
 
-def _rk4_full(sys: _FullSystem, t: float, y: tuple, dt: float, stage=None) -> tuple:
+def _rk4_full(sys: _FullSystem, t: float, y: tuple, dt: float) -> tuple:
     # One full-system RK4 step under its own name: the benchmark's span
     # tracer (perfbench/tracing.BOUNDARIES) wraps this name.
-    return rk4_step_generic(y, t, dt, lambda ts, ys: sys.rhs(ts, *ys), stage)
+    return rk4_step_generic(y, t, dt, lambda ts, ys: sys.rhs(ts, *ys))
 
 
 def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray,
@@ -324,10 +325,10 @@ def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray
     return u_new, p + dt * _pressure_rate(u_new, sys.D, g)
 
 
-def _full_advance(sys: _FullSystem, cfg: SolverConfig, stage=None):
-    """advance(t, (u, p)) of the configured scheme; `stage` reaches RK4 only."""
+def _full_advance(sys: _FullSystem, cfg: SolverConfig):
+    """advance(t, (u, p)) of the configured scheme."""
     if cfg.scheme == "rk4":
-        return lambda t, y: _rk4_full(sys, t, y, cfg.dt, stage)
+        return lambda t, y: _rk4_full(sys, t, y, cfg.dt)
     return lambda t, y: _semi_implicit_full(sys, t, *y, cfg.dt, cfg.cg_tol)
 
 
@@ -379,32 +380,28 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
     A list of states (one grid, one start time) steps as one batch along a
     leading member axis and gives one Trajectory per member, equal to its
     run alone; a blow-up or pressure drift names the member, and
-    `collect_work` needs a single state.
+    `collect_work` needs a single state and the RK4 scheme.
     """
     batch = isinstance(state0, (list, tuple))
     states = list(state0) if batch else [state0]
     if not states or any(s.grid != states[0].grid or s.t != states[0].t for s in states):
         raise ValueError("simulate needs one or more states on one grid at one start time")
     grid, t0 = states[0].grid, states[0].t
-    if batch and collect_work:
-        raise ValueError("collect_work needs a single state, not a member list")
+    if collect_work and (batch or cfg.scheme != "rk4"):
+        raise ValueError("collect_work needs a single state and scheme = rk4")
     forcing = _as_forcing(forcing, grid)
     cfg.validate(grid, D)
-    sys = _FullSystem(grid, D, params, forcing, convective_on)
     n_steps = max(1, int(round(t_max / cfg.dt)))
+    # work rows: the four stages of each step in turn, then the last step end
+    sys = _FullSystem(grid, D, params, forcing, convective_on,
+                      work_rows=4 * n_steps + 1 if collect_work else 0)
     y0 = [(s.u.values, gr.mean_project_array(s.p.values, grid.dim)) for s in states]
     y0 = tuple(map(np.stack, zip(*y0))) if batch else y0[0]
     axes, count = tuple(range(-grid.dim, 0)), grid.num_nodes
 
-    step_times, energy, endpoint, work = [], [], [], []
+    energy = []
     drift = [np.float64(0.0)]  # |mean p| after the step, one per member
-
-    def stage(i, t, y):
-        if i == 0:
-            work.append(np.zeros(4))
-        work[-1] += RK4_WEIGHTS[i] * np.array(sys.work_terms(t, *y))
-
-    scheme = _full_advance(sys, cfg, stage if collect_work else None)
+    scheme = _full_advance(sys, cfg)
 
     def advance(t, y):
         # p's re-projection to mean zero (gr.mean_project_array's arithmetic)
@@ -425,23 +422,28 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
                 raise RuntimeError(f"{who}pressure mean drifted to "
                                    f"{np.ravel(drift[0])[over[0]]:.3e} at step {k}")
         if collect_work:
-            step_times.append(t)
             energy.append(sys.energy_plain(*y))
-            endpoint.append(sys.work_terms(t, *y))
+            if k == n_steps:  # the one step end no later stage records
+                sys.parts(t, y[0])
 
     times, stored = integrate(
         y0, t0, cfg.dt, n_steps, advance, grid.dim,
         snapshots=snapshot_steps(n_steps, t0, cfg.dt, every=snapshot_every,
                                  targets=snapshot_times),
         on_step=on_step, members=batch)
+    series = {}
+    if collect_work:
+        stages = sys.work[:-1].reshape(n_steps, 4, 4)  # step, stage, term
+        work = np.zeros((n_steps, 4))
+        for i, weight in enumerate(RK4_WEIGHTS):
+            work += weight * stages[:, i]
+        series = dict(step_times=t0 + np.arange(n_steps + 1) * cfg.dt,
+                      energy_series=np.array(energy), endpoint_terms=sys.work[::4].copy(),
+                      work_increments=cfg.dt * work)
     trajectories = [Trajectory(
         grid=grid, cfg=cfg, D=D, params=params, forcing=forcing,
         convective_on=convective_on, times=np.array(times),
-        states=[(u[m], p[m]) for u, p in stored] if batch else stored,
-        step_times=np.array(step_times) if collect_work else None,
-        energy_series=np.array(energy) if collect_work else None,
-        endpoint_terms=np.array(endpoint) if collect_work else None,
-        work_increments=cfg.dt * np.array(work) if work else None,
+        states=[(u[m], p[m]) for u, p in stored] if batch else stored, **series,
     ) for m in range(len(states))]
     return trajectories if batch else trajectories[0]
 

@@ -43,6 +43,7 @@ def conjugate_gradient(
     each member runs its own CG (step lengths, stop test, definiteness check,
     `max_iter` from its own size); a stopped member's x and r are never
     touched again, so each member gets the solution it gets alone.
+    A non-finite load or residual raises CGError within two iterations.
     """
     dot = inner if inner is not None else lambda u, v: float(np.vdot(u, v))
     x = np.zeros_like(b) if x0 is None else x0.copy()
@@ -59,8 +60,8 @@ def conjugate_gradient(
     x[bnorm == 0.0] = 0.0  # b = 0 solves to zero, whatever x0 is
     tol2 = (rtol * bnorm) ** 2
     rs = dot(r, r)
-    # "not rs <= tol2", so that a NaN residual runs on to a CGError
-    live = not_((bnorm == 0.0) | (rs <= tol2))
+    # a NaN residual stays live and an infinite one never converges
+    live = not_((bnorm == 0.0) | (rs <= tol2) & (rs < np.inf))
     if not some(live):
         return x
     z = precondition(r) if precondition is not None else r
@@ -69,9 +70,9 @@ def conjugate_gradient(
     for it in range(max_iter):
         Ap = apply_op(p)
         pAp = dot(p, Ap)
-        if some(live & (pAp <= 0.0)):
-            raise _failure("operator not positive definite on Krylov direction",
-                           live & (pAp <= 0.0), rs, bnorm, it)
+        bad = live & not_(pAp > 0.0)  # "not pAp > 0" also holds for NaN
+        if some(bad):
+            raise _failure(bad, rs, bnorm, it, pAp)
         if every(live):
             alpha = col(rz / pAp)
             x += alpha * p
@@ -93,11 +94,17 @@ def conjugate_gradient(
             i = live.nonzero()[0]
             p[i] = z[i] + col(rz_new[i] / rz[i]) * p[i]
         rz = rz_new
-    raise _failure("conjugate gradients did not converge", live, rs, bnorm, max_iter)
+    raise _failure(live, rs, bnorm, max_iter)
 
 
-def _failure(message: str, members, rs, bnorm, iterations: int) -> CGError:
-    """CGError for the first of `members`, with its relative residual."""
+def _failure(members, rs, bnorm, iterations: int, pAp=None) -> CGError:
+    """CGError for the first of `members`, with its relative residual; given
+    `pAp`, a non-finite residual or a non-positive Krylov direction."""
     m = int(np.flatnonzero(members)[0])
-    return CGError(message, float(np.ravel(np.sqrt(rs) / bnorm)[m]), iterations,
-                   m if np.ndim(bnorm) else None)
+    residual = float(np.ravel(np.sqrt(rs) / bnorm)[m])
+    message = "conjugate gradients did not converge"
+    if pAp is not None:
+        finite = np.isfinite(residual) and np.isfinite(np.ravel(pAp)[m])
+        message = ("operator not positive definite on Krylov direction" if finite
+                   else "residual is non-finite")
+    return CGError(message, residual, iterations, m if np.ndim(bnorm) else None)

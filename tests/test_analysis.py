@@ -149,6 +149,29 @@ class TestEnergyAudit:
         m2 = np.abs(a2.residual_trap).max()
         assert 5.0 <= m1 / m2 <= 12.0
 
+    def test_stage_residual_order_sweep(self):
+        # seeded even sizes and seeds, 2D and 3D, convection off and on: at
+        # an eighth of the CFL bound, halving dt shrinks the integrated stage
+        # residual by >= 8 (about 32)
+        rng = SplitMix64(2718)
+        for dim in (2, 3):
+            for conv in (False, True):
+                for _ in range(3):
+                    n = 2 * int(rng.integers(3, 7) if dim == 2 else rng.integers(2, 4))
+                    g = Grid(dim, n)
+                    seed = int(rng.integers(1, 1 << 30))
+                    D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
+                    forcing = make_forcing(g, "fixed_random", seed=seed, amplitude=1.0)
+                    state = make_initial_state(g, "smooth", 1.0, seed=seed + 1)
+                    dt = 0.125 * dyn.SolverConfig(dt=1.0).cfl_limit(g, D)
+                    tots = []
+                    for d in (dt, dt / 2.0):
+                        traj = dyn.simulate(state, dyn.SolverConfig(dt=d), forcing, D,
+                                            QUINTIC, 32 * dt, snapshot_every=10 ** 9,
+                                            convective_on=conv, collect_work=True)
+                        tots.append(np.abs(an.energy_audit(traj).residual_stage).sum() * d)
+                    assert tots[0] / tots[1] >= 8.0, (dim, conv, g.n, seed, tots)
+
     def test_convective_work_negligible_with_identity_medium(self):
         _, audit, traj = self._run(4e-4, conv=True, D=MediumMatrix.identity(2))
         bw = np.abs(traj.endpoint_terms[:, 3]).max()

@@ -107,6 +107,14 @@ class TestStep:
         assert cs[0] > 0
         assert max(cs) <= 1.6 * min(cs)  # constant stable under halving
 
+    def test_work_integrals_need_rk4(self):
+        g, D = small_setup()
+        s = make_initial_state(g, "smooth", 1.0, seed=14)
+        cfg = dyn.SolverConfig(dt=1e-2, scheme="semi_implicit")
+        with pytest.raises(ValueError, match="scheme = rk4"):
+            dyn.simulate(s, cfg, gr.zeros_vector(g), D, QUINTIC, 0.05,
+                         collect_work=True)
+
     def test_semi_implicit_consistent_with_rk4(self):
         g, D = small_setup()
         state = make_initial_state(g, "smooth", 1.0, seed=19)
@@ -235,12 +243,88 @@ class TestBatchedCG:
             with pytest.raises(CGError):
                 conjugate_gradient(lambda x: 2.0 * x, b[1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_nonfinite_member_stops_at_once(self, bad, batched):
+        # a non-finite load stops within two iterations, not after max_iter
+        b = np.ones((3, 36))
+        b[1, 7] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(CGError, match="residual is non-finite") as err:
+                if batched:
+                    conjugate_gradient(lambda x: 2.0 * x, b, inner=_member_dots)
+                else:
+                    conjugate_gradient(lambda x: 2.0 * x, b[1])
+        assert err.value.iterations <= 2
+        assert err.value.member == (1 if batched else None)
+
     def test_slow_member_named_at_max_iter(self):
         d = np.stack([np.ones(6), np.arange(1.0, 7.0)])
         b = np.ones((2, 6))
         with pytest.raises(CGError) as err:
             conjugate_gradient(lambda x: d * x, b, inner=_member_dots, max_iter=3)
         assert err.value.member == 1 and err.value.iterations == 3
+
+
+class TestWorkIntegrals:
+    """simulate's work integrals equal, bit for bit, those of the formula
+    they replaced: each term computed afresh at each RK4 stage's state and
+    summed with the RK4 weights, and again at each step end."""
+
+    @staticmethod
+    def _terms(sys, t, u):
+        g = sys.grid
+        w = g.cell_volume
+        Du = sys.D.apply_array(u)
+        diss = -w * float(np.vdot(gr.lap_array(u, g.h, g.dim), Du))
+        fw = w * float(np.vdot(ph.f_apply_array(u, sys.params, g.dim), Du))
+        gw = w * float(np.vdot(sys.forcing.at_array(t), Du))
+        bw = 0.0
+        if sys.convective_on:
+            bw = w * float(np.vdot(ph.convective_array(u, u, g.h, g.dim), Du))
+        return diss, fw, gw, bw
+
+    @pytest.mark.parametrize("params", [QUINTIC, LINEAR], ids=["quintic", "zero"])
+    @pytest.mark.parametrize("conv", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equal_the_per_stage_formula(self, dim, conv, params):
+        g = Grid(dim, 8 if dim == 2 else 4)
+        D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
+        ramp = make_forcing(g, "fixed_random", seed=302, amplitude=2.0).base
+        forcing = Forcing(make_forcing(g, "fixed_random", seed=301, amplitude=1.0).base,
+                          [(0.0, gr.zeros_vector(g)), (0.02, ramp)])
+        state = make_initial_state(g, "smooth", 1.0, seed=303)
+        cfg, n_steps = dyn.SolverConfig(dt=1e-3), 25
+        traj = dyn.simulate(state, cfg, forcing, D, params, n_steps * cfg.dt,
+                            convective_on=conv, collect_work=True)
+
+        sys = dyn._FullSystem(g, D, params, forcing, conv)
+        axes = tuple(range(-dim, 0))
+        y = (state.u.values, gr.mean_project_array(state.p.values, dim))
+        energy, endpoint, work = [], [], []
+        for k in range(n_steps + 1):
+            t = k * cfg.dt
+            energy.append(sys.energy_plain(*y))
+            endpoint.append(self._terms(sys, t, y[0]))
+            if k == n_steps:
+                break
+            work.append(np.zeros(4))
+            weights = iter(dyn.RK4_WEIGHTS)
+
+            def rhs(ts, ys):
+                work[-1] += next(weights) * np.array(self._terms(sys, ts, ys[0]))
+                return sys.rhs(ts, *ys)
+
+            u, p = dyn.rk4_step_generic(y, t, cfg.dt, rhs)
+            y = (u, p - np.add.reduce(p, axis=axes, keepdims=True) / g.num_nodes)
+
+        assert np.array_equal(traj.states[-1][0], y[0])
+        assert np.array_equal(traj.energy_series, energy)
+        assert np.array_equal(traj.endpoint_terms, endpoint)
+        assert np.array_equal(traj.work_increments, cfg.dt * np.array(work))
+        assert np.array_equal(traj.step_times, [k * cfg.dt for k in range(n_steps + 1)])
+        if not conv:
+            assert not traj.endpoint_terms[:, 3].any()
 
 
 class TestBatchedSimulate:
@@ -282,8 +366,8 @@ class TestBatchedSimulate:
         # a step that moves member 1's pressure mean trips the drift guard
         real = dyn._full_advance
 
-        def drifting(sys, cfg, stage=None):
-            step = real(sys, cfg, stage)
+        def drifting(sys, cfg):
+            step = real(sys, cfg)
 
             def advance(t, y):
                 u, p = step(t, y)
