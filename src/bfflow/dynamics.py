@@ -239,13 +239,13 @@ class _FullSystem:
         self.params = params
         self.forcing = forcing
         self.convective_on = convective_on
-        self.work = np.empty((work_rows, 4)) if work_rows else None
+        self.work = np.empty((work_rows, 5)) if work_rows else None
         self._row = 0
 
     def parts(self, t: float, u: np.ndarray):
         """lap u, f(u), B(u,u) (f and B None where they vanish), g(t), D u;
         with `work` rows, the next row gets (dissipation, drag work, forcing
-        work, convective work) at this single state."""
+        work, convective work, (D u, u)) at this single state."""
         g = self.grid
         lap = gr.lap_array(u, g.h, g.dim)
         fu = None if self.params.is_zero() else ph.f_apply_array(u, self.params, g.dim)
@@ -253,8 +253,9 @@ class _FullSystem:
         gt, Du = self.forcing.at_array(t), self.D.apply_array(u)
         if self.work is not None:
             w = g.cell_volume
-            self.work[self._row] = [0.0 if a is None else s * float(np.vdot(a, Du))
-                                    for s, a in ((-w, lap), (w, fu), (w, gt), (w, bu))]
+            terms = [0.0 if a is None else s * float(np.vdot(a, Du))
+                     for s, a in ((-w, lap), (w, fu), (w, gt), (w, bu))]
+            self.work[self._row] = terms + [np.vdot(Du, u)]
             self._row += 1
         return lap, fu, bu, gt, Du
 
@@ -269,10 +270,6 @@ class _FullSystem:
         du += gt
         # _pressure_rate on the D u already computed
         return du, -gr.mean_project_array(gr.div_array(Du, g.h, g.dim), g.dim)
-
-    def energy_plain(self, u: np.ndarray, p: np.ndarray) -> float:
-        w = self.grid.cell_volume
-        return w * float(np.vdot(self.D.apply_array(u), u) + np.vdot(p, p))
 
 
 def _as_forcing(g, grid: Grid) -> Forcing:
@@ -297,12 +294,12 @@ def _rk4_full(sys: _FullSystem, t: float, y: tuple, dt: float) -> tuple:
 
 
 def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray,
-                        dt: float, cg_tol: float):
-    """Implicit Euler on the linear part (CG in the D-weighted metric),
-    explicit drag and convection. The CG is preconditioned by the inverse of
-    the heat part, (1 - dt lap)^-1 = (-lap + 1/dt)^-1 / dt, one sine
-    transform pair (SPD in the weighted metric as well, since it acts
-    componentwise)."""
+                        dt: float, cg_tol: float, x0: np.ndarray | None = None):
+    """Implicit Euler on the linear part (CG in the D-weighted metric, from
+    x0, by default u), explicit drag and convection. The CG is preconditioned
+    by the inverse of the heat part, (1 - dt lap)^-1 = (-lap + 1/dt)^-1 / dt,
+    one sine transform pair (SPD in the weighted metric as well, since it
+    acts componentwise)."""
     g = sys.grid
     expl = sys.forcing.at_array(t) - ph.f_apply_array(u, sys.params, g.dim)
     if sys.convective_on:
@@ -320,16 +317,34 @@ def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray
         return float(np.vdot(a, Db))
 
     u_new = conjugate_gradient(
-        apply_op, rhs, x0=u.copy(), rtol=cg_tol, inner=d_inner,
+        apply_op, rhs, x0=u if x0 is None else x0, rtol=cg_tol, inner=d_inner,
         precondition=lambda r: gr.poisson_solve_array(r, g, 1.0 / dt) / dt)
     return u_new, p + dt * _pressure_rate(u_new, sys.D, g)
 
 
+# x0 = sum_j c_j u_{n-j}: the polynomial through the last 1-4 step-end
+# velocities, evaluated one step ahead (constant, linear, quadratic, cubic)
+_EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
+
+
 def _full_advance(sys: _FullSystem, cfg: SolverConfig):
-    """advance(t, (u, p)) of the configured scheme."""
+    """advance(t, (u, p)) of the configured scheme, for one run: the
+    semi-implicit step starts its CG from the cubic extrapolation of the
+    run's last four step-end velocities (fewer at the start), which it keeps
+    by reference, so successive calls must be successive steps."""
     if cfg.scheme == "rk4":
         return lambda t, y: _rk4_full(sys, t, y, cfg.dt)
-    return lambda t, y: _semi_implicit_full(sys, t, *y, cfg.dt, cfg.cg_tol)
+    history = []  # u_n, u_{n-1}, u_{n-2}, u_{n-3}, newest first
+
+    def advance(t, y):
+        history.insert(0, y[0])
+        del history[4:]
+        c0, *cs = _EXTRAPOLATION[len(history) - 1]
+        x0 = c0 * history[0]
+        for c, v in zip(cs, history[1:]):
+            x0 += c * v
+        return _semi_implicit_full(sys, t, *y, cfg.dt, cfg.cg_tol, x0)
+    return advance
 
 
 def step(state: SimState, cfg: SolverConfig, g, D: MediumMatrix,
@@ -399,7 +414,7 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
     y0 = tuple(map(np.stack, zip(*y0))) if batch else y0[0]
     axes, count = tuple(range(-grid.dim, 0)), grid.num_nodes
 
-    energy = []
+    p_squares = []  # (p, p) at each step end; (D u, u) is in its work row
     drift = [np.float64(0.0)]  # |mean p| after the step, one per member
     scheme = _full_advance(sys, cfg)
 
@@ -422,7 +437,7 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
                 raise RuntimeError(f"{who}pressure mean drifted to "
                                    f"{np.ravel(drift[0])[over[0]]:.3e} at step {k}")
         if collect_work:
-            energy.append(sys.energy_plain(*y))
+            p_squares.append(np.vdot(y[1], y[1]))
             if k == n_steps:  # the one step end no later stage records
                 sys.parts(t, y[0])
 
@@ -433,13 +448,14 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
         on_step=on_step, members=batch)
     series = {}
     if collect_work:
-        stages = sys.work[:-1].reshape(n_steps, 4, 4)  # step, stage, term
+        stages = sys.work[:-1, :4].reshape(n_steps, 4, 4)  # step, stage, term
         work = np.zeros((n_steps, 4))
         for i, weight in enumerate(RK4_WEIGHTS):
             work += weight * stages[:, i]
+        ends = sys.work[::4]
         series = dict(step_times=t0 + np.arange(n_steps + 1) * cfg.dt,
-                      energy_series=np.array(energy), endpoint_terms=sys.work[::4].copy(),
-                      work_increments=cfg.dt * work)
+                      energy_series=grid.cell_volume * (ends[:, 4] + p_squares),
+                      endpoint_terms=ends[:, :4].copy(), work_increments=cfg.dt * work)
     trajectories = [Trajectory(
         grid=grid, cfg=cfg, D=D, params=params, forcing=forcing,
         convective_on=convective_on, times=np.array(times),
@@ -726,9 +742,10 @@ def run_bootstrap_split(reference: TruncatedTrajectory, cfg: SolverConfig,
     def parts(k, t, y):
         p, p1, p2 = y
         u1 = solve_lin(p1, zero_load)
-        if not k:  # p2(t0) = 0, and its velocity is stored as zero there too
-            return u1, np.zeros_like(u1)
-        return u1, solve_part2(t, p2, sys_p.solve_u(t, p))
+        # w(t0) carries the load of the reference's stored u(t0); a solve
+        # through sys_p here would move the Newton warm starts of later solves
+        u = sys_p.solve_u(t, p) if k else reference.us[0]
+        return u1, solve_part2(t, p2, u)
 
     p0 = reference.ps[0]
     return _split_against(reference, cfg, (p0, p0, np.zeros_like(p0)), rhs, parts)

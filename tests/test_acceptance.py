@@ -144,26 +144,15 @@ def test_c05_dissipative_absorbing_ball():
     # runs; the linear part is unconditionally damped, the explicit drag is
     # stable here (dt * sup f' well below the explicit bound)
     cfg = dyn.SolverConfig(dt=0.01, scheme="semi_implicit", cg_tol=1e-11)
-    U = np.stack([s.u.values for s in states])
-    P = np.stack([s.p.values for s in states])
-    sys = dyn._FullSystem(g, D, QUINTIC, forcing, False)
-    stride = int(round(0.5 / cfg.dt))
-    n_steps = int(round(40.0 / cfg.dt))
-    times = [0.0]
-    snaps = [(U.copy(), P.copy())]
-    for k in range(n_steps):
-        U, P = dyn._semi_implicit_full(sys, k * cfg.dt, U, P, cfg.dt, cfg.cg_tol)
-        P = gr.mean_project_array(P, g.dim)
-        if (k + 1) % stride == 0:
-            times.append((k + 1) * cfg.dt)
-            snaps.append((U.copy(), P.copy()))
-    assert np.all(np.isfinite(U))
-    times = np.array(times)
+    runs = dyn.simulate(states, cfg, forcing, D, QUINTIC, 40.0,
+                        snapshot_every=int(round(0.5 / cfg.dt)))
+    times = runs[0].times
     e_eps = np.zeros((3, len(times)))
-    for j, (Us, Ps) in enumerate(snaps):
-        for m in range(3):
-            u = VectorField(g, Us[m])
-            p = ScalarField(g, Ps[m] - Ps[m].mean())
+    for m, run in enumerate(runs):
+        for j, (us, ps) in enumerate(run.states):
+            assert np.isfinite(us).all() and np.isfinite(ps).all()
+            u = VectorField(g, us)
+            p = ScalarField(g, ps - ps.mean())
             plain = gr.weighted_inner(D, u, u) + gr.inner(p, p)
             e_eps[m, j] = plain + 2.0 * eps * gr.vector_inner(u, ph.bogovski(p))
     late = times >= 20.0

@@ -176,7 +176,11 @@ t_max = 0.5
         ("attractor", _QUINTIC8 + "[medium]\ndiag = 4, 4\n[forcing]\nkind = fixed_random\n"
                       "seed = 5\namplitude = 2\n[scenario]\nensemble_size = 3\n"
                       "[run]\nt_max = 3\nsnapshot_stride = 0.1\nseed = 3\n"),
-    ], ids=["simulate", "split_trunc", "split_bootstrap", "expsplit", "attractor"])
+        # the only semi-implicit row: its CG warm start keeps per-run history
+        ("lipschitz", _QUINTIC8 + _SMOOTH + "[solver]\nscheme = semi_implicit\ndt = 0.01\n"
+                      "[run]\nt_max = 0.5\nsnapshot_stride = 0.05\n"),
+    ], ids=["simulate", "split_trunc", "split_bootstrap", "expsplit", "attractor",
+            "lipschitz_semi_implicit"])
     def test_bit_identical_reruns(self, tmp_path, subcommand, text):
         sc = parse_config(text)
         a, b = tmp_path / "a", tmp_path / "b"

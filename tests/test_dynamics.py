@@ -304,7 +304,8 @@ class TestWorkIntegrals:
         energy, endpoint, work = [], [], []
         for k in range(n_steps + 1):
             t = k * cfg.dt
-            energy.append(sys.energy_plain(*y))
+            energy.append(g.cell_volume * float(np.vdot(D.apply_array(y[0]), y[0])
+                                                + np.vdot(y[1], y[1])))
             endpoint.append(self._terms(sys, t, y[0]))
             if k == n_steps:
                 break
@@ -396,6 +397,100 @@ class TestBatchedSimulate:
             dyn.simulate([s, later], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01)
         with pytest.raises(ValueError, match="one or more"):
             dyn.simulate([], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01)
+
+
+def _count_cg_iterations(monkeypatch) -> list[int]:
+    """Route dyn.conjugate_gradient through a counter of operator
+    applications; each solve appends its iterations (its applications less
+    the one that forms the initial residual from x0)."""
+    real, iters = dyn.conjugate_gradient, []
+
+    def counted(apply_op, b, *args, **kwargs):
+        calls = []
+
+        def op(x):
+            calls.append(1)
+            return apply_op(x)
+        x = real(op, b, *args, **kwargs)
+        iters.append(len(calls) - 1)
+        return x
+
+    monkeypatch.setattr(dyn, "conjugate_gradient", counted)
+    return iters
+
+
+class TestWarmStart:
+    """simulate's semi-implicit CG starts from the cubic extrapolation of the
+    run's last step-end velocities; dyn.step, one step with no history,
+    starts from u_n. The two agree to the CG tolerance, and the warm start
+    saves iterations."""
+
+    @staticmethod
+    def _cold_run(state, cfg, forcing, D, n_steps):
+        g = state.grid
+        s = dyn.SimState(state.u, ScalarField(g, gr.mean_project_array(state.p.values, g.dim)))
+        run = [s]
+        for _ in range(n_steps):
+            run.append(dyn.step(run[-1], cfg, forcing, D, QUINTIC))
+        return run
+
+    def test_sweep_agrees_with_cold_steps(self):
+        rng = SplitMix64(4242)
+        cfg = dyn.SolverConfig(dt=0.01, scheme="semi_implicit")
+        n_steps = 12
+        for dim in (2, 3):
+            for batched in (False, True):
+                for kind in ("smooth", "white_pressure"):
+                    n = 2 * int(rng.integers(3, 7) if dim == 2 else rng.integers(2, 4))
+                    g = Grid(dim, n)
+                    seed = int(rng.integers(1, 1 << 30))
+                    every = int(rng.integers(1, 4))
+                    D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
+                    forcing = make_forcing(g, "fixed_random", seed=seed, amplitude=1.0)
+                    states = [make_initial_state(g, kind, amp, seed=seed + 1 + i)
+                              for i, amp in enumerate((1.0, 3.0) if batched else (2.0,))]
+                    warm = dyn.simulate(states if batched else states[0], cfg, forcing, D,
+                                        QUINTIC, n_steps * cfg.dt, snapshot_every=every)
+                    for s, tr in zip(states, warm if batched else [warm]):
+                        cold = self._cold_run(s, cfg, forcing, D, n_steps)
+                        # step 1 has no history: it is the cold step, bit for bit
+                        first = dyn.simulate(s, cfg, forcing, D, QUINTIC, cfg.dt)
+                        assert np.array_equal(first.states[1][0], cold[1].u.values)
+                        assert len(tr.times) > 2
+                        for t, (u, p) in zip(tr.times, tr.states):
+                            ref = cold[int(round(t / cfg.dt))]
+                            scale = max(np.abs(ref.u.values).max(), np.abs(ref.p.values).max())
+                            err = max(np.abs(u - ref.u.values).max(),
+                                      np.abs(p - ref.p.values).max())
+                            assert err <= 1e-10 * scale, (dim, batched, kind, n, seed, t)
+
+    @pytest.mark.parametrize("kind", ["white_pressure", "smooth", "white_u"])
+    def test_fewer_iterations_than_cold_steps(self, monkeypatch, kind):
+        # 60 steps at 32^2 with dt = 0.01 (cold: 5 per solve). The warm start
+        # never needs more in total, and from the 41st step on it needs at
+        # most 0.7x (3 against 5). Over all 60 steps white-noise pressure
+        # needs 0.62x; smooth data 0.70x and white-noise velocities 0.74x,
+        # whose start-up steps cost up to one iteration more than cold
+        g = Grid(2, 32)
+        D = MediumMatrix.diagonal((1.0, 2.0))
+        forcing = make_forcing(g, "fixed_random", seed=71, amplitude=1.0)
+        if kind == "white_u":
+            state = dyn.SimState(VectorField(g, SplitMix64(73).normal((2,) + g.shape)),
+                                 gr.zeros_scalar(g))
+        else:
+            state = make_initial_state(g, kind, 1.0, seed=72)
+        cfg = dyn.SolverConfig(dt=0.01, scheme="semi_implicit")
+        iters = _count_cg_iterations(monkeypatch)
+        dyn.simulate(state, cfg, forcing, D, QUINTIC, 60 * cfg.dt, snapshot_every=60)
+        warm = iters.copy()
+        iters.clear()
+        self._cold_run(state, cfg, forcing, D, 60)
+        cold = iters
+        assert len(warm) == len(cold) == 60
+        assert sum(warm) <= sum(cold)
+        assert sum(warm[40:]) <= 0.7 * sum(cold[40:]), (warm, cold)
+        if kind == "white_pressure":
+            assert sum(warm) <= 0.7 * sum(cold), (sum(warm), sum(cold))
 
 
 class TestEllipticSolver:
@@ -537,6 +632,17 @@ class TestSplits:
         assert fit.rate < 0.0
         h1 = [gr.spectral_norm(gr.project_mean_zero(r), 1.0) for r, _ in split.rw]
         assert np.isfinite(h1).all()
+
+    def test_bootstrap_velocity_at_t0(self):
+        # w(t0) carries the part-2 load at the reference's u(t0), so v + w
+        # is u(t0) there as at every later stored time
+        g, D = small_setup(n=8)
+        reference, cfg, _ = self._reference(g, D, QUINTIC, seed=67)
+        split = dyn.run_bootstrap_split(reference, cfg, D, QUINTIC)
+        (_, v), (_, w) = split.qv[0], split.rw[0]
+        assert gr.vector_spectral_norm(w, 1.0) > 0.0
+        u0 = reference.us[0]
+        assert np.abs(v.values + w.values - u0).max() <= 1e-8 * np.abs(u0).max()
 
     def test_bootstrap_zero_reference(self):
         g, D = small_setup()
