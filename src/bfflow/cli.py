@@ -17,7 +17,6 @@ import numpy as np
 from . import analysis as an
 from . import dynamics as dyn
 from . import grid as gr
-from . import physics as ph
 from . import reference as ref
 from .grid import Grid, ScalarField, VectorField
 from .physics import Forcing, MediumMatrix, NonlinearityParams
@@ -57,7 +56,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "amplitudes": ("floats", [0.1, 1.0, 10.0]),
         "convective": ("bool", False),
         "split_kind": ("str", "trunc"),
-        "shift_u_max": ("float", 10.0),
         "delta_exponent": ("float", 0.25),
         "perturbation": ("float", 1e-3),
         "rate_max": ("float", 0.0),     # fitted decay rates must be below this
@@ -448,12 +446,14 @@ def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 
 def _cmd_spectrum(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
+    deltas = sc["scenario", "deltas"]
+    if not all(0.0 <= d <= 1.0 for d in deltas):
+        raise ConfigError(f"scenario: deltas must lie in [0, 1], got {deltas}")
     grid = sc.grid()
     D = sc.medium()
     op = an.assemble_operator(grid, D)
     write_csv(out / "spectrum.csv", ["index [-]", "eigenvalue [1/time]"],
               list(enumerate(op.spectrum)))
-    deltas = sc["scenario", "deltas"]
     t_max = 4.0 / op.eigmin
     fits = [(d, an.semigroup_decay(op, d, t_max=t_max)) for d in deltas]
     write_csv(out / "decay.csv", ["delta [-]", "fitted_rate [1/time]"],
@@ -505,6 +505,9 @@ def _cmd_lipschitz(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 
 def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
+    kind = sc["scenario", "split_kind"]
+    if kind not in ("trunc", "bootstrap"):
+        raise ConfigError(f"scenario: split_kind must be trunc or bootstrap, got {kind!r}")
     grid, D, params, cfg, forcing = sc.system()
     p0 = gr.project_mean_zero(sc.initial(grid).p)
     t_max = sc["run", "t_max"]
@@ -516,11 +519,10 @@ def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     delta = sc["scenario", "delta_exponent"]
     reference = dyn.run_truncated(p0, forcing, cfg, D, params, t_max,
                                   snapshot_every=every)
-    if sc["scenario", "split_kind"] == "bootstrap":
+    if kind == "bootstrap":
         split = dyn.run_bootstrap_split(reference, cfg, D, params)
     else:
-        L = ph.monotone_shift(params, sc["scenario", "shift_u_max"])
-        split = dyn.run_split(reference, cfg, D, params, L)
+        split = dyn.run_split(reference, cfg, D, params)
     rows = []
     for i, t in enumerate(split.times):
         q, v = split.qv[i]
@@ -610,9 +612,11 @@ def _cmd_smoothing(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool,
                    seed: int | None) -> dict:
+    size = sc["scenario", "ensemble_size"]
+    if size < 1:
+        raise ConfigError(f"scenario: ensemble_size must be at least 1, got {size}")
     grid, D, params, cfg, forcing = sc.system()
     run_seed = sc["run", "seed"] if seed is None else seed
-    size = sc["scenario", "ensemble_size"]
     amps = np.geomspace(0.1, 10.0, size)
     states = [make_initial_state(grid, "smooth", a, run_seed + 1000 + i)
               for i, a in enumerate(amps)]
@@ -694,17 +698,21 @@ def _cmd_audit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 
 def _cmd_oracle(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
+    dts = (4e-4, 2e-4, 1e-4)
+    horizon = sc["scenario", "horizon"]
+    coarse_steps = horizon / dts[0]
+    if not (1 <= coarse_steps < np.inf and np.isclose(coarse_steps, round(coarse_steps))):
+        raise ConfigError(f"scenario: horizon = {horizon} must be a positive multiple of {dts[0]}")
     dim = sc["grid", "dim"]
     grid = Grid(dim, min(sc["grid", "n"], ref._SIZE_GUARD_PER_AXIS[dim]))
     D = sc.medium()
     prop = ref.build_propagator(grid, D)
     state0 = make_initial_state(grid, "smooth", 1.0, sc["initial", "seed"])
-    horizon = sc["scenario", "horizon"]
     lin = NonlinearityParams(0.0, 0.0)
     forcing = Forcing.zero(grid)
     u_ref, p_ref = prop.apply(state0.u, state0.p, horizon)
     errors = []
-    for dt in (4e-4, 2e-4, 1e-4):
+    for dt in dts:
         c = dyn.SolverConfig(dt=dt)
         steps = int(round(horizon / dt))
         traj = dyn.simulate(state0, c, forcing, D, lin, horizon,

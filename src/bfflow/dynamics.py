@@ -469,41 +469,31 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
 # ---------------------------------------------------------------------------
 
 def _elliptic_residual(u: np.ndarray, p: np.ndarray, g_t: np.ndarray,
-                       params: NonlinearityParams, a: np.ndarray | None,
-                       grid: Grid) -> np.ndarray:
-    r = (-gr.lap_array(u, grid.h, grid.dim)
-         + ph.f_apply_array(u, params, grid.dim)
-         + gr.grad_array(p, grid.h, grid.dim) - g_t)
-    if params.shift:
-        r += params.shift * u
-    if a is not None:
-        r += a * u
-    return r
+                       params: NonlinearityParams, grid: Grid) -> np.ndarray:
+    return (-gr.lap_array(u, grid.h, grid.dim)
+            + ph.f_apply_array(u, params, grid.dim)
+            + gr.grad_array(p, grid.h, grid.dim) - g_t)
 
 
 def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
                           params: NonlinearityParams, grid: Grid,
-                          a: np.ndarray | None = None,
                           newton_tol: float = 1e-10, newton_max: int = 30,
                           cg_floor: float = 1e-13,
                           u0: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
     """Newton with exact Jacobian (CG inner solves) and halving line search.
 
-    Solves -lap u + f(u) + shift*u + a(x) u + grad p = g_t. Requires the
-    shifted drag to be monotone on the range in play (the Jacobian is then
-    positive definite). The carried params.shift is applied here. The CG is
-    preconditioned by (-lap + alpha + shift)^-1, the Jacobian at u = 0
-    without a(x), applied in the sine basis; with beta = gamma = 0 and
-    a = None it is the exact inverse.
+    Solves -lap u + f(u) + grad p = g_t; f is monotone, so the Jacobian is
+    positive definite with no shift. The CG is preconditioned by
+    (-lap + alpha)^-1, the Jacobian at u = 0, applied in the sine basis;
+    with beta = gamma = 0 it is the exact inverse.
     """
     w = grid.cell_volume
-    lin_shift = params.alpha + params.shift
     u = np.zeros_like(g_t) if u0 is None else u0.copy()
 
     def rnorm(r):
         return float(np.sqrt(w * np.vdot(r, r)))
 
-    r = _elliptic_residual(u, p, g_t, params, a, grid)
+    r = _elliptic_residual(u, p, g_t, params, grid)
     res = rnorm(r)
     history = [res]
     for _ in range(newton_max):
@@ -511,22 +501,17 @@ def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
             return u, history
 
         def apply_jac(v, u_lin=u):
-            out = -gr.lap_array(v, grid.h, grid.dim)
-            out += ph.fprime_apply_array(u_lin, v, params, grid.dim)
-            if params.shift:
-                out += params.shift * v
-            if a is not None:
-                out += a * v
-            return out
+            return (-gr.lap_array(v, grid.h, grid.dim)
+                    + ph.fprime_apply_array(u_lin, v, params, grid.dim))
 
         rtol = min(1e-2, max(res, cg_floor))
         delta = conjugate_gradient(
             apply_jac, -r, rtol=max(rtol, cg_floor),
-            precondition=lambda x: gr.poisson_solve_array(x, grid, lin_shift))
+            precondition=lambda x: gr.poisson_solve_array(x, grid, params.alpha))
         lam = 1.0
         while lam > 1e-8:
             u_try = u + lam * delta
-            r_try = _elliptic_residual(u_try, p, g_t, params, a, grid)
+            r_try = _elliptic_residual(u_try, p, g_t, params, grid)
             res_try = rnorm(r_try)
             if res_try < res * (1.0 - 1e-4 * lam) or res_try <= newton_tol:
                 break
@@ -539,17 +524,11 @@ def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
 
 
 def solve_elliptic_u(p: ScalarField, g_t: VectorField, params: NonlinearityParams,
-                     extra_linear: ScalarField | None = None,
                      newton_tol: float = 1e-10, newton_max: int = 30,
                      cg_floor: float = 1e-13) -> VectorField:
     if p.grid != g_t.grid:
         raise ValueError("fields live on different grids")
-    a = None
-    if extra_linear is not None:
-        if np.any(extra_linear.values < 0):
-            raise ValueError("extra_linear weight must be nonnegative")
-        a = extra_linear.values
-    u, _ = solve_elliptic_arrays(p.values, g_t.values, params, p.grid, a=a,
+    u, _ = solve_elliptic_arrays(p.values, g_t.values, params, p.grid,
                                  newton_tol=newton_tol, newton_max=newton_max,
                                  cg_floor=cg_floor)
     return VectorField(p.grid, u)
@@ -675,22 +654,22 @@ def _split_against(reference: TruncatedTrajectory, cfg: SolverConfig,
 
 
 def run_split(reference: TruncatedTrajectory, cfg: SolverConfig, D: MediumMatrix,
-              params: NonlinearityParams, L: float) -> SplitTrajectory:
+              params: NonlinearityParams) -> SplitTrajectory:
     """Contracting/compact splitting of the truncated system.
 
-    q evolves with the L-shifted drag and q(0) = p(0); r evolves with the
-    drag difference f(u) - f(v) and the transferred load L v + g(t), r(0)=0.
-    p is re-integrated jointly so that every RK stage sees consistent data;
+    q evolves with the unshifted (monotone) drag and q(0) = p(0); r evolves
+    with the drag difference f(u) - f(v) and the load g(t), r(0) = 0. p is
+    re-integrated jointly so that every RK stage sees consistent data;
     q + r = p is checked against the reference snapshots, never enforced.
     """
     grid = reference.grid
     forcing = reference.forcing
     sys_p = _TruncatedSystem(grid, D, params, forcing, cfg)
-    sys_v = _TruncatedSystem(grid, D, params.with_shift(L), Forcing.zero(grid), cfg)
+    sys_v = _TruncatedSystem(grid, D, params, Forcing.zero(grid), cfg)
     sys_w = _TruncatedSystem(grid, D, NonlinearityParams(0.0, 0.0), forcing, cfg)
 
     def solve_w(t, r, u, v):
-        return sys_w.solve_u(t, r, forcing.at_array(t) + L * v
+        return sys_w.solve_u(t, r, forcing.at_array(t)
                              - ph.f_apply_array(u, params, grid.dim)
                              + ph.f_apply_array(v, params, grid.dim))
 

@@ -4,6 +4,9 @@ Nonlinear drag f(u) = phi(|u|^2) u with phi(z) = alpha + beta z^l + gamma sqrt(z
 its potential and Jacobian, the constant symmetric positive definite medium
 matrix D, forcings, the divergence right-inverse (minimum-seminorm realization),
 energy functionals, and the energy-preserving convective term.
+
+For every admissible parameter set phi is nonnegative and nondecreasing, so f
+is monotone; the elliptic solves rely on this and add no shift.
 """
 
 from __future__ import annotations
@@ -19,33 +22,25 @@ from .krylov import conjugate_gradient
 
 __all__ = [
     "NonlinearityParams", "MediumMatrix", "Forcing", "EnergyReport",
-    "eval_phi", "eval_f", "eval_potential", "apply_fprime", "monotone_shift",
-    "bogovski", "energy_report", "convective", "certify_eps",
-    "dissipation_form",
+    "eval_phi", "eval_f", "eval_potential", "apply_fprime", "bogovski",
+    "energy_report", "convective", "certify_eps", "dissipation_form",
 ]
 
 
 @dataclass(frozen=True)
 class NonlinearityParams:
-    """Coefficients of phi(z) = alpha + beta z^l + gamma sqrt(z), z = |u|^2.
-
-    `shift` caches a certified monotone shift L (see `monotone_shift`); it is
-    carried, not applied: solvers that need f + L id add it explicitly.
-    """
+    """Coefficients of phi(z) = alpha + beta z^l + gamma sqrt(z), z = |u|^2."""
 
     alpha: float
     beta: float
     gamma: float = 0.0
     l: float = 1.0
-    shift: float = 0.0
 
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("alpha, beta, gamma must be nonnegative")
         if not 0.0 < self.l <= 2.0:
             raise ValueError(f"growth exponent l must lie in (0, 2], got {self.l}")
-        if self.shift < 0:
-            raise ValueError("shift must be nonnegative")
 
     def dissipative(self) -> bool:
         """Coefficient condition the drag-dissipativity scenarios rely on."""
@@ -54,9 +49,6 @@ class NonlinearityParams:
         if self.l > 0.5:
             return self.beta > 0
         return True
-
-    def with_shift(self, shift: float) -> "NonlinearityParams":
-        return NonlinearityParams(self.alpha, self.beta, self.gamma, self.l, shift)
 
     def is_zero(self) -> bool:
         return self.alpha == 0.0 and self.beta == 0.0 and self.gamma == 0.0
@@ -241,33 +233,6 @@ def apply_fprime(u: VectorField, v: VectorField, params: NonlinearityParams) -> 
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     return VectorField(u.grid, fprime_apply_array(u.values, v.values, params, u.grid.dim))
-
-
-def fprime_eigenvalues(z: np.ndarray, params: NonlinearityParams) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of f'(v) at z = |v|^2: phi(z) across v, phi(z) + 2 z phi'(z) along v."""
-    e1 = _phi_array(z, params)
-    along = e1.copy()
-    if params.beta:
-        along = along + 2.0 * params.beta * params.l * z ** params.l
-    if params.gamma:
-        along = along + params.gamma * np.sqrt(z)
-    return e1, along
-
-
-def monotone_shift(params: NonlinearityParams, u_max: float) -> float:
-    """Smallest L with eig(f'(v)) + L >= 0 for all |v| <= u_max.
-
-    Scans the closed-form eigenvalue branches on a 1000-point log grid in
-    z = |v|^2 plus z = 0. For the nonnegative-coefficient phi family both
-    branches are >= alpha >= 0, so the certified shift is zero; the scan is
-    kept as the certificate.
-    """
-    if u_max <= 0:
-        raise ValueError("u_max must be positive")
-    zmax = u_max * u_max
-    zs = np.concatenate([[0.0], np.geomspace(zmax * 1e-12, zmax, 1000)])
-    e1, e2 = fprime_eigenvalues(zs, params)
-    return max(0.0, -float(np.minimum(e1, e2).min()))
 
 
 # ---------------------------------------------------------------------------

@@ -289,13 +289,11 @@ def periodic_linear_run(u0: np.ndarray, p0: np.ndarray, n: int, dt: float,
         dp = -_pdiv(u, h, dim)
         return du, dp
 
-    u, p = u0.copy(), p0.copy()
     steps = int(round(t_max / dt))
-    t = 0.0
-    for _ in range(steps):
-        u, p = dyn.rk4_step_generic((u, p), t, dt, rhs)
-        t += dt
-    return u, p
+    _, (state,) = dyn.integrate(
+        (u0, p0), 0.0, dt, steps, lambda t, y: dyn.rk4_step_generic(y, t, dt, rhs),
+        dim, snapshots={steps})
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +320,6 @@ def residual_check(state: dyn.SimState, g, D: MediumMatrix,
         return float(np.sqrt(w * (np.vdot(du, du) + np.vdot(dp, dp))))
     if system in ("truncated", "linear"):
         use = params if system == "truncated" else NonlinearityParams(0.0, 0.0)
-        r = dyn._elliptic_residual(u, p, gval, use, None, grid)
+        r = dyn._elliptic_residual(u, p, gval, use, grid)
         return float(np.sqrt(w * np.vdot(r, r)))
     raise ValueError(f"unknown system {system!r}")

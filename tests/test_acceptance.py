@@ -239,8 +239,7 @@ def test_c08_truncated_splitting():
     cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12, cg_tol=1e-13)
     reference = dyn.run_truncated(p0, forcing, cfg, D, QUINTIC, 50.0,
                                   snapshot_every=20)
-    L = ph.monotone_shift(QUINTIC, 10.0)
-    split = dyn.run_split(reference, cfg, D, QUINTIC, L)
+    split = dyn.run_split(reference, cfg, D, QUINTIC)
     qn = np.array([gr.norm_l2(q) ** 2 for q, _ in split.qv])
     pos = qn > 1e-28
     fit = an.fit_decay(split.times[pos], qn[pos])

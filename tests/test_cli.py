@@ -253,6 +253,16 @@ _BAD_INPUTS = {
     "split_zero_pressure": ("split", "[grid]\nn = 8\n[run]\nt_max = 0.05\n"
                             "snapshot_stride = 0.005\n",
                             "nonzero mean-zero initial pressure"),
+    "split_unknown_kind": ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nsplit_kind = bogus\n",
+                           "split_kind must be trunc or bootstrap, got 'bogus'"),
+    "spectrum_delta_above_1": ("spectrum", _QUINTIC8 + "[scenario]\ndeltas = 0.5, 2\n",
+                               "deltas must lie in [0, 1]"),
+    "attractor_empty_ensemble": ("attractor", _QUINTIC8 + "[scenario]\nensemble_size = 0\n",
+                                 "ensemble_size must be at least 1, got 0"),
+    "oracle_zero_horizon": ("oracle", _QUINTIC8 + "[scenario]\nhorizon = 0\n",
+                            "horizon = 0.0 must be a positive multiple"),
+    "removed_shift_key": ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nshift_u_max = 10\n",
+                          "unknown key 'shift_u_max'"),
 }
 
 

@@ -525,20 +525,6 @@ class TestEllipticSolver:
         rates = [b / a for a, b in zip(tail, tail[1:])]
         assert all(r2 < r1 for r1, r2 in zip(rates, rates[1:])) or len(rates) <= 1
 
-    def test_weighted_problem_accepts_nonnegative_weight(self):
-        g, _ = small_setup()
-        rng = SplitMix64(43)
-        a = ScalarField(g, rng.uniform(g.shape) * 5.0)
-        p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-        gt = VectorField(g, rng.normal((2,) + g.shape))
-        u = dyn.solve_elliptic_u(p, gt, LINEAR, extra_linear=a, newton_tol=1e-11)
-        res = (-gr.lap_array(u.values, g.h, g.dim) + a.values * u.values
-               + gr.grad(p).values - gt.values)
-        assert np.sqrt(g.cell_volume * np.sum(res ** 2)) <= 1e-11
-        bad = ScalarField(g, -np.ones(g.shape))
-        with pytest.raises(ValueError):
-            dyn.solve_elliptic_u(p, gt, LINEAR, extra_linear=bad)
-
     def test_nonconvergence_reports_history(self):
         g, _ = small_setup()
         rng = SplitMix64(47)
@@ -606,7 +592,7 @@ class TestSplits:
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
         refr = dyn.run_truncated(gr.zeros_scalar(g), Forcing.zero(g), cfg, D,
                                  QUINTIC, t_max=0.5)
-        split = dyn.run_split(refr, cfg, D, QUINTIC, L=0.0)
+        split = dyn.run_split(refr, cfg, D, QUINTIC)
         for (q, v), (r, w) in zip(split.qv, split.rw):
             assert np.abs(q.values).max() <= 1e-12
             assert np.abs(r.values).max() <= 1e-12
@@ -614,8 +600,7 @@ class TestSplits:
     def test_recombination_and_contraction(self):
         g, D = small_setup(n=8)
         reference, cfg, _ = self._reference(g, D, QUINTIC)
-        L = ph.monotone_shift(QUINTIC, 10.0)
-        split = dyn.run_split(reference, cfg, D, QUINTIC, L)
+        split = dyn.run_split(reference, cfg, D, QUINTIC)
         assert split.recombination_p <= 1e-8
         assert split.recombination_u <= 1e-8
         qn = np.array([gr.norm_l2(q) ** 2 for q, _ in split.qv])
@@ -809,7 +794,7 @@ class TestSnapshotPolicy:
             gf = VectorField(g, 0.5 * rng.normal((2,) + g.shape))
             reference = dyn.run_truncated(p0, gf, cfg, D, QUINTIC, t_max,
                                           snapshot_every=every)
-            for split in (dyn.run_split(reference, cfg, D, QUINTIC, 0.0),
+            for split in (dyn.run_split(reference, cfg, D, QUINTIC),
                           dyn.run_bootstrap_split(reference, cfg, D, QUINTIC)):
                 assert np.array_equal(split.times, reference.times)
                 assert len(split.qv) == len(split.rw) == len(reference.times)

@@ -159,36 +159,37 @@ class TestFPrime:
         assert gr.vector_inner(ph.apply_fprime(u, v, QUINTIC), v) >= 0.0
 
 
-class TestMonotoneShift:
-    def test_monotone_cubic_needs_no_shift(self):
-        assert ph.monotone_shift(CUBIC, 10.0) == 0.0
+class TestMonotoneDrag:
+    """f is monotone for every admissible parameter set, with no shift: the
+    elliptic solves rely on it."""
 
-    def test_sqrt_drag_needs_no_shift(self):
-        assert ph.monotone_shift(SQRT, 10.0) == 0.0
+    @staticmethod
+    def _points(rng, comps, count):
+        """Random directions with |u| log-uniform from 1e-6 to 10."""
+        x = rng.normal((comps, count))
+        radius = 10.0 ** (-6.0 + 7.0 * rng.uniform(count))
+        return x * (radius / np.linalg.norm(x, axis=0))
 
-    def test_certificate_brute_force(self):
-        for params in (QUINTIC, SQRT):
-            L = ph.monotone_shift(params, 5.0)
-            rng = SplitMix64(89)
-            v = rng.normal((100000, 3))
-            v *= (5.0 * rng.uniform((100000, 1))) / np.maximum(
-                np.linalg.norm(v, axis=1, keepdims=True), 1e-30)
-            e1, e2 = ph.fprime_eigenvalues(np.sum(v * v, axis=1), params)
-            assert float(np.minimum(e1, e2).min()) + L >= -1e-9
-
-    def test_pointwise_monotonicity_with_shift(self):
-        params = QUINTIC
-        L = ph.monotone_shift(params, 4.0)
-        rng = SplitMix64(97)
-        a = rng.normal((100000, 3))
-        b = rng.normal((100000, 3))
-        for arr in (a, b):
-            arr *= (4.0 * rng.uniform((arr.shape[0], 1))) / np.maximum(
-                np.linalg.norm(arr, axis=1, keepdims=True), 1e-30)
-        fa = ph._phi_array(np.sum(a * a, axis=1), params)[:, None] * a
-        fb = ph._phi_array(np.sum(b * b, axis=1), params)[:, None] * b
-        gap = np.sum((fa - fb + L * (a - b)) * (a - b), axis=1)
-        assert gap.min() >= -1e-12
+    @pytest.mark.parametrize("gamma_on", [True, False], ids=["gamma", "no_gamma"])
+    @pytest.mark.parametrize("l_range", [(0.0, 0.5), (0.5, 0.5), (0.5, 1.0), (1.0, 2.0)],
+                             ids=["l_below_half", "l_half", "l_half_to_1", "l_1_to_2"])
+    def test_sweep(self, l_range, gamma_on):
+        rng = SplitMix64(int(1000 * sum(l_range)) + gamma_on)
+        lo, hi = l_range
+        for draw in range(6):
+            alpha, beta, gamma = 2.0 * rng.uniform(3)
+            l = hi - (hi - lo) * float(rng.uniform())    # in (lo, hi]
+            params = NonlinearityParams(alpha if draw % 3 else 0.0, beta,
+                                        gamma if gamma_on else 0.0, l)
+            comps = 2 + draw % 2
+            a, b, v = (self._points(rng, comps, 20000) for _ in range(3))
+            fa = ph.f_apply_array(a, params, 1)
+            fb = ph.f_apply_array(b, params, 1)
+            gap = np.sum((fa - fb) * (a - b), axis=0)
+            scale = np.linalg.norm(fa - fb, axis=0) * np.linalg.norm(a - b, axis=0)
+            assert np.all(gap >= -1e-12 * scale), params
+            jac = np.sum(ph.fprime_apply_array(a, v, params, 1) * v, axis=0)
+            assert np.all(jac >= 0.0), params
 
 
 class TestBogovski:
