@@ -7,6 +7,7 @@ diagnostics, and ensemble studies of the attraction to the higher-energy ball.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ __all__ = [
     "AuditReport", "assemble_operator", "semigroup_decay", "fit_decay",
     "energy_audit", "smoothing_report", "ensemble_study", "energy_norm",
     "higher_energy_norm", "dist_to_higher_ball", "fit_envelope", "box_counts",
+    "LipschitzStudy", "ExpSplitStudy", "SplitStudy", "lipschitz_study",
+    "exp_split_study", "split_study",
 ]
 
 _SIZE_GUARD = 4096
@@ -346,7 +349,6 @@ class AttractorReport:
     dist_to_ball_series: np.ndarray  # (k, 2): t, sup over members of dist
     r_ball: float
     box_counts: list[tuple[float, int]]
-    seed: int | None = None
 
 
 def box_counts(points: np.ndarray, n_scales: int = 6) -> list[tuple[float, int]]:
@@ -364,8 +366,7 @@ def box_counts(points: np.ndarray, n_scales: int = 6) -> list[tuple[float, int]]
     return out
 
 
-def ensemble_report_from_snaps(grid: Grid, snap_times, snaps,
-                               seed: int | None = None) -> AttractorReport:
+def ensemble_report_from_snaps(grid: Grid, snap_times, snaps) -> AttractorReport:
     """Diagnostics over stored ensemble snapshots: phase-space diameter,
     distance to the operationally defined higher-energy ball (radius = twice
     the largest higher-energy norm of member 0 over the last quarter of the
@@ -412,24 +413,19 @@ def ensemble_report_from_snaps(grid: Grid, snap_times, snaps,
     dist_series = np.column_stack([times, far_dist])
     return AttractorReport(ensemble_size=B, diam_series=diam_series,
                            dist_to_ball_series=dist_series, r_ball=r_ball,
-                           box_counts=boxes, seed=seed)
+                           box_counts=boxes)
 
 
 def ensemble_study(initial_states: list[dyn.SimState], cfg: dyn.SolverConfig,
                    g, D: MediumMatrix, params: NonlinearityParams,
                    t_max: float, snapshot_every: int = 50,
-                   seed: int | None = None,
                    convective_on: bool = False) -> AttractorReport:
-    """Evolve the ensemble and reduce the attractor diagnostics.
-
-    Evolution is deterministic given the initial states; `seed` is recorded
-    so reports can name the generator seed that produced them.
-    """
+    """Evolve the ensemble and reduce the attractor diagnostics."""
     trajs = dyn.simulate(initial_states, cfg, g, D, params, t_max,
                          snapshot_every=snapshot_every, convective_on=convective_on)
     snaps = [tuple(map(np.stack, zip(*members)))  # (U, P), members first
              for members in zip(*(tr.states for tr in trajs))]
-    return ensemble_report_from_snaps(trajs[0].grid, trajs[0].times, snaps, seed)
+    return ensemble_report_from_snaps(trajs[0].grid, trajs[0].times, snaps)
 
 
 # ---------------------------------------------------------------------------
@@ -446,3 +442,60 @@ def fit_envelope(times, ratios) -> tuple[float, float]:
     K = float(np.polyfit(t, np.log(v), 1)[0])
     C = float(np.max(v * np.exp(-K * t)))
     return C, K
+
+
+# ---------------------------------------------------------------------------
+# criterion measurements, shared by the command line and the acceptance gate;
+# each caller applies its own gates to them
+# ---------------------------------------------------------------------------
+
+LipschitzStudy = namedtuple("LipschitzStudy", "times ratios envelope C K excess")
+ExpSplitStudy = namedtuple("ExpSplitStudy", "split hat hat_fit tilde_h1 C K")
+SplitStudy = namedtuple("SplitStudy", "rows q_fit r_at r_sup")
+
+
+def lipschitz_study(pair, cfg: dyn.SolverConfig, g, D: MediumMatrix,
+                    params: NonlinearityParams, t_max: float, snapshot_every: int,
+                    convective_on: bool = False) -> LipschitzStudy:
+    """Phase-space distance of the runs from the two states of `pair`,
+    stepped as one batch: its `ratios` to the initial distance at `times`,
+    their `envelope` C e^{K t}, and the largest ratio / envelope."""
+    tr1, tr2 = dyn.simulate(list(pair), cfg, g, D, params, t_max,
+                            snapshot_every=snapshot_every, convective_on=convective_on)
+    grid, times = tr1.grid, tr1.times
+    dists = np.array([energy_norm(VectorField(grid, u1 - u2), ScalarField(grid, p1 - p2))
+                      for (u1, p1), (u2, p2) in zip(tr1.states, tr2.states)])
+    ratios = dists / dists[0]
+    C, K = fit_envelope(times, ratios)
+    envelope = C * np.exp(K * times)
+    return LipschitzStudy(times, ratios, envelope, C, K, float(np.max(ratios / envelope)))
+
+
+def exp_split_study(pair, cfg: dyn.SolverConfig, g, D: MediumMatrix,
+                    params: NonlinearityParams, t_max: float,
+                    snapshot_every: int) -> ExpSplitStudy:
+    """`dyn.run_exp_split` from `pair`; the phase-space norm of its hat part
+    (`hat[0]` is the initial distance d0) with the decay fit of hat^2; the H1
+    norm of its tilde pressure with the envelope C e^{K t} of tilde_h1 / d0
+    after the start."""
+    es = dyn.run_exp_split(pair, g, cfg, D, params, t_max, snapshot_every)
+    hat = np.array([energy_norm(u, p) for u, p in es.hat])
+    tilde = np.array([gr.spectral_norm(gr.project_mean_zero(p), 1.0) for _, p in es.tilde])
+    C, K = fit_envelope(es.times[1:], np.maximum(tilde[1:] / hat[0], 1e-300))
+    return ExpSplitStudy(es, hat, fit_decay(es.times, np.maximum(hat ** 2, 1e-300)),
+                         tilde, C, K)
+
+
+def split_study(split: dyn.SplitTrajectory, delta: float, t_max: float) -> SplitStudy:
+    """Rows of t, |q|, |v|_H1, |r|_H^delta and |w|_H^(1+delta) per stored
+    time of a truncated-system splitting; the decay fit of |q|^2 where it
+    exceeds 1e-28; |r|_H^delta at the first time >= t_max/5 and its sup from
+    there on."""
+    rows = np.array([(t, gr.norm_l2(q), gr.vector_spectral_norm(v, 1.0),
+                      gr.spectral_norm(gr.project_mean_zero(r), delta),
+                      gr.vector_spectral_norm(w, 1.0 + delta))
+                     for t, (q, v), (r, w) in zip(split.times, split.qv, split.rw)])
+    qsq = rows[:, 1] ** 2
+    late = rows[:, 0] >= t_max / 5.0
+    return SplitStudy(rows, fit_decay(rows[qsq > 1e-28, 0], qsq[qsq > 1e-28]),
+                      float(rows[np.argmax(late), 3]), float(rows[late, 3].max()))

@@ -23,7 +23,8 @@ from .physics import Forcing, MediumMatrix, NonlinearityParams
 from .rng import SplitMix64
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "run_scenario",
-           "main", "make_initial_state", "make_forcing", "DEFAULT_CONFIG"]
+           "main", "make_initial_state", "make_forcing", "perturbed_pair",
+           "ensemble_states", "DEFAULT_CONFIG"]
 
 
 class ConfigError(ValueError):
@@ -53,7 +54,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "eps": ("float", 0.05),
         "deltas": ("floats", [0.0, 0.25, 0.5, 0.75, 1.0]),
         "ensemble_size": ("int", 16),
-        "amplitudes": ("floats", [0.1, 1.0, 10.0]),
         "convective": ("bool", False),
         "split_kind": ("str", "trunc"),
         "delta_exponent": ("float", 0.25),
@@ -68,9 +68,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "horizon": ("float", 0.02),     # oracle order-measurement horizon
     },
 }
-
-SUBCOMMANDS = ("simulate", "spectrum", "lipschitz", "split", "expsplit",
-               "smoothing", "attractor", "audit", "oracle")
 
 DEFAULT_CONFIG = "\n".join(
     ["# bfflow scenario defaults"] +
@@ -394,14 +391,21 @@ def _fitted_snapshot_every(sc: ScenarioConfig, cfg: dyn.SolverConfig) -> int:
     return every
 
 
-def _perturbed_pair(sc: ScenarioConfig, grid: Grid, seed_offset: int) -> list[dyn.SimState]:
-    """The initial state, and it moved by `perturbation` in the phase-space
-    norm along a smooth direction drawn from the initial seed + offset."""
-    base = sc.initial(grid)
-    pert = make_initial_state(grid, "smooth", 1.0, sc["initial", "seed"] + seed_offset)
-    scale = sc["scenario", "perturbation"] / an.energy_norm(pert.u, pert.p)
+def perturbed_pair(base: dyn.SimState, seed: int, size: float) -> list[dyn.SimState]:
+    """`base`, and `base` moved by `size` in the phase-space norm along a
+    smooth direction drawn from `seed`."""
+    grid = base.grid
+    pert = make_initial_state(grid, "smooth", 1.0, seed)
+    scale = size / an.energy_norm(pert.u, pert.p)
     return [base, dyn.SimState(VectorField(grid, base.u.values + scale * pert.u.values),
                                ScalarField(grid, base.p.values + scale * pert.p.values))]
+
+
+def ensemble_states(grid: Grid, size: int, seed: int) -> list[dyn.SimState]:
+    """`size` smooth states with amplitudes spread geometrically over
+    [0.1, 10]; member i is drawn from seed + 1000 + i."""
+    return [make_initial_state(grid, "smooth", a, seed + 1000 + i)
+            for i, a in enumerate(np.geomspace(0.1, 10.0, size))]
 
 
 def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
@@ -481,26 +485,20 @@ def _cmd_spectrum(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 def _cmd_lipschitz(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     grid, D, params, cfg, forcing = sc.system()
-    every = _snapshot_every(cfg, sc["run", "snapshot_stride"])
-    t_max = sc["run", "t_max"]
-    conv = sc["scenario", "convective"]
-    tr1, tr2 = dyn.simulate(_perturbed_pair(sc, grid, 77), cfg, forcing, D, params,
-                            t_max, snapshot_every=every, convective_on=conv)
-    dists = np.array([an.energy_norm(VectorField(grid, u1 - u2), ScalarField(grid, p1 - p2))
-                      for (u1, p1), (u2, p2) in zip(tr1.states, tr2.states)])
-    times, ratios = tr1.times, dists / dists[0]
-    C, K = an.fit_envelope(times, ratios)
-    env = C * np.exp(K * times)
+    pair = perturbed_pair(sc.initial(grid), sc["initial", "seed"] + 77,
+                          sc["scenario", "perturbation"])
+    st = an.lipschitz_study(pair, cfg, forcing, D, params, sc["run", "t_max"],
+                            _snapshot_every(cfg, sc["run", "snapshot_stride"]),
+                            convective_on=sc["scenario", "convective"])
     write_csv(out / "pairs.csv", ["t [time]", "ratio [-]", "envelope [-]"],
-              list(zip(times, ratios, env)))
+              list(zip(st.times, st.ratios, st.envelope)))
     if svg:
-        write_svg(out / "pairs.svg", "difference growth", times,
-                  {"ratio": ratios, "envelope": env}, logy=True)
-    excess = float(np.max(ratios / env))
+        write_svg(out / "pairs.svg", "difference growth", st.times,
+                  {"ratio": st.ratios, "envelope": st.envelope}, logy=True)
     return {
-        "envelope_C": C, "envelope_K": K, "max_excess": excess,
-        "pass_envelope": bool(np.isfinite(K)
-                              and excess <= sc["scenario", "envelope_slack"]),
+        "envelope_C": st.C, "envelope_K": st.K, "max_excess": st.excess,
+        "pass_envelope": bool(np.isfinite(st.K)
+                              and st.excess <= sc["scenario", "envelope_slack"]),
     }
 
 
@@ -516,72 +514,49 @@ def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         raise ConfigError(
             f"split needs a nonzero mean-zero initial pressure to fit the "
             f"decay of q; initial.kind = {sc['initial', 'kind']!r} gives p = 0")
-    delta = sc["scenario", "delta_exponent"]
     reference = dyn.run_truncated(p0, forcing, cfg, D, params, t_max,
                                   snapshot_every=every)
-    if kind == "bootstrap":
-        split = dyn.run_bootstrap_split(reference, cfg, D, params)
-    else:
-        split = dyn.run_split(reference, cfg, D, params)
-    rows = []
-    for i, t in enumerate(split.times):
-        q, v = split.qv[i]
-        r, w = split.rw[i]
-        rows.append((t, gr.norm_l2(q), gr.vector_spectral_norm(v, 1.0),
-                     gr.spectral_norm(gr.project_mean_zero(r), delta),
-                     gr.vector_spectral_norm(w, 1.0 + delta)))
+    run = dyn.run_bootstrap_split if kind == "bootstrap" else dyn.run_split
+    split = run(reference, cfg, D, params)
+    st = an.split_study(split, sc["scenario", "delta_exponent"], t_max)
     write_csv(out / "split.csv",
               ["t [time]", "norm_q [field]", "norm_v [field]",
-               "norm_r_hdelta [field]", "norm_w_h1delta [field]"], rows)
-    arr = np.array(rows)
+               "norm_r_hdelta [field]", "norm_w_h1delta [field]"], st.rows)
     if svg:
-        write_svg(out / "split.svg", "splitting norms", arr[:, 0],
-                  {"norm_q": arr[:, 1], "norm_r_hdelta": arr[:, 3]}, logy=True)
-    qsq = arr[:, 1] ** 2
-    pos = qsq > 1e-28
-    fit = an.fit_decay(arr[pos, 0], qsq[pos])
-    t10 = t_max / 5.0
-    late = arr[:, 0] >= t10
-    r_at = arr[np.argmax(late), 3]
-    r_sup = float(arr[late, 3].max())
+        write_svg(out / "split.svg", "splitting norms", st.rows[:, 0],
+                  {"norm_q": st.rows[:, 1], "norm_r_hdelta": st.rows[:, 3]}, logy=True)
     return {
         "recombination_p": split.recombination_p,
         "recombination_u": split.recombination_u,
-        "q_rate": fit.rate, "q_r2": fit.r_squared,
-        "r_sup_late": r_sup, "r_at_window_start": r_at,
-        "pass_contracting": fit.rate < sc["scenario", "rate_max"],
-        "pass_bounded": r_sup <= sc["scenario", "bound_factor"] * max(r_at, 1e-30),
+        "q_rate": st.q_fit.rate, "q_r2": st.q_fit.r_squared,
+        "r_sup_late": st.r_sup, "r_at_window_start": st.r_at,
+        "pass_contracting": st.q_fit.rate < sc["scenario", "rate_max"],
+        "pass_bounded": st.r_sup <= sc["scenario", "bound_factor"] * max(st.r_at, 1e-30),
     }
 
 
 def _cmd_expsplit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
+    if sc["scenario", "convective"]:
+        raise ConfigError("expsplit: the hat and tilde parts carry no convective "
+                          "term, so they cannot recombine with convective = on")
     grid, D, params, cfg, forcing = sc.system()
-    every = _fitted_snapshot_every(sc, cfg)
-    t_max = sc["run", "t_max"]
-    tr1, tr2 = dyn.simulate(_perturbed_pair(sc, grid, 101), cfg, forcing, D, params,
-                            t_max, snapshot_every=every)
-    es = dyn.run_exp_split(tr1, tr2, cfg, D, params)
-    d0 = an.energy_norm(VectorField(grid, tr1.states[0][0] - tr2.states[0][0]),
-                        ScalarField(grid, tr1.states[0][1] - tr2.states[0][1]))
-    rows = [(t, an.energy_norm(uh, phat), gr.spectral_norm(gr.project_mean_zero(pt), 1.0))
-            for t, (uh, phat), (_, pt) in zip(es.times, es.hat, es.tilde)]
-    write_csv(out / "expsplit.csv",
-              ["t [time]", "hat_norm [field]", "tilde_h1 [field]"], rows)
-    arr = np.array(rows)
+    pair = perturbed_pair(sc.initial(grid), sc["initial", "seed"] + 101,
+                          sc["scenario", "perturbation"])
+    st = an.exp_split_study(pair, cfg, forcing, D, params, sc["run", "t_max"],
+                            _fitted_snapshot_every(sc, cfg))
+    times = st.split.times
+    write_csv(out / "expsplit.csv", ["t [time]", "hat_norm [field]", "tilde_h1 [field]"],
+              list(zip(times, st.hat, st.tilde_h1)))
     if svg:
-        write_svg(out / "expsplit.svg", "difference splitting", arr[:, 0],
-                  {"hat_norm": arr[:, 1], "tilde_h1": arr[:, 2]}, logy=True)
-    hat_sq = arr[:, 1] ** 2
-    fit = an.fit_decay(arr[:, 0], np.maximum(hat_sq, 1e-300))
-    tilde_ratio = arr[1:, 2] / d0
-    C, K = an.fit_envelope(arr[1:, 0], np.maximum(tilde_ratio, 1e-300))
+        write_svg(out / "expsplit.svg", "difference splitting", times,
+                  {"hat_norm": st.hat, "tilde_h1": st.tilde_h1}, logy=True)
     return {
-        "recombination": es.recombination,
-        "hat_rate": fit.rate, "hat_r2": fit.r_squared,
-        "tilde_envelope_C": C, "tilde_envelope_K": K,
-        "pass_hat_decay": fit.rate < sc["scenario", "rate_max"]
-                          and fit.r_squared >= sc["scenario", "r2_min"],
-        "pass_tilde_bounded": bool(np.isfinite(arr[:, 2]).all() and np.isfinite(K)),
+        "recombination": st.split.recombination,
+        "hat_rate": st.hat_fit.rate, "hat_r2": st.hat_fit.r_squared,
+        "tilde_envelope_C": st.C, "tilde_envelope_K": st.K,
+        "pass_hat_decay": st.hat_fit.rate < sc["scenario", "rate_max"]
+                          and st.hat_fit.r_squared >= sc["scenario", "r2_min"],
+        "pass_tilde_bounded": bool(np.isfinite(st.tilde_h1).all() and np.isfinite(st.K)),
     }
 
 
@@ -610,20 +585,15 @@ def _cmd_smoothing(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     return entries
 
 
-def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool,
-                   seed: int | None) -> dict:
+def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     size = sc["scenario", "ensemble_size"]
     if size < 1:
         raise ConfigError(f"scenario: ensemble_size must be at least 1, got {size}")
     grid, D, params, cfg, forcing = sc.system()
-    run_seed = sc["run", "seed"] if seed is None else seed
-    amps = np.geomspace(0.1, 10.0, size)
-    states = [make_initial_state(grid, "smooth", a, run_seed + 1000 + i)
-              for i, a in enumerate(amps)]
-    t_max = sc["run", "t_max"]
     every = _snapshot_every(cfg, sc["run", "snapshot_stride"])
-    report = an.ensemble_study(states, cfg, forcing, D, params, t_max,
-                               snapshot_every=every, seed=run_seed)
+    report = an.ensemble_study(ensemble_states(grid, size, sc["run", "seed"]), cfg, forcing,
+                               D, params, sc["run", "t_max"], snapshot_every=every,
+                               convective_on=sc["scenario", "convective"])
     write_csv(out / "attractor.csv",
               ["t [time]", "diameter [field]", "dist_to_ball [field]"],
               [(t, d, x) for (t, d), (_, x) in
@@ -640,19 +610,14 @@ def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool,
         write_svg(out / "boxcount.svg", "box counts vs scale", scales,
                   {"count": counts})
     dist = report.dist_to_ball_series
-    pos = dist[:, 1] > 0
-    early = dist[pos][:1]
+    pos = dist[:, 1] > 0  # members outside the ball: something to drop and fit
     final = dist[-1, 1]
-    drop_ok = True
-    rate_ok = True
-    fit_rate = 0.0
-    fit_r2 = 1.0
+    drop_ok = not pos.any() or final <= sc["scenario", "dist_drop"] * dist[pos][0, 1]
+    rate_ok, fit_rate, fit_r2 = True, 0.0, 1.0
     if pos.sum() >= 5:
         fit = an.fit_decay(dist[pos, 0], dist[pos, 1])
         fit_rate, fit_r2 = fit.rate, fit.r_squared
         rate_ok = fit.rate < 0 and fit.r_squared >= 0.8
-    if early.size:
-        drop_ok = final <= sc["scenario", "dist_drop"] * early[0, 1]
     by_scale = sorted(report.box_counts)  # counts must not grow with scale
     return {
         "r_ball": report.r_ball, "dist_final": final,
@@ -668,7 +633,6 @@ def _cmd_audit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     grid, D, params, cfg, forcing = sc.system()
     state0 = sc.initial(grid)
     conv = sc["scenario", "convective"]
-    eps = sc["scenario", "eps"]
     t_max = sc["run", "t_max"]
     rows = []
     totals = []
@@ -677,7 +641,7 @@ def _cmd_audit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         traj = dyn.simulate(state0, c, forcing, D, params, t_max,
                             snapshot_every=max(1, int(round(t_max / dt / 8))),
                             convective_on=conv, collect_work=True)
-        audit = an.energy_audit(traj, eps=eps)
+        audit = an.energy_audit(traj)
         totals.append(float(np.abs(audit.residual_stage).sum() * dt))
         for t, rs, rt in zip(audit.step_times[1:], audit.residual_stage,
                              audit.residual_trap):
@@ -705,63 +669,41 @@ def _cmd_oracle(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         raise ConfigError(f"scenario: horizon = {horizon} must be a positive multiple of {dts[0]}")
     dim = sc["grid", "dim"]
     grid = Grid(dim, min(sc["grid", "n"], ref._SIZE_GUARD_PER_AXIS[dim]))
-    D = sc.medium()
-    prop = ref.build_propagator(grid, D)
     state0 = make_initial_state(grid, "smooth", 1.0, sc["initial", "seed"])
-    lin = NonlinearityParams(0.0, 0.0)
-    forcing = Forcing.zero(grid)
-    u_ref, p_ref = prop.apply(state0.u, state0.p, horizon)
-    errors = []
-    for dt in dts:
-        c = dyn.SolverConfig(dt=dt)
-        steps = int(round(horizon / dt))
-        traj = dyn.simulate(state0, c, forcing, D, lin, horizon,
-                            snapshot_every=steps)
-        u, p = traj.states[-1]
-        num = np.sqrt(np.sum((u - u_ref.values) ** 2) + np.sum((p - p_ref.values) ** 2))
-        den = np.sqrt(np.sum(u_ref.values ** 2) + np.sum(p_ref.values ** 2))
-        errors.append((dt, float(num / den)))
-    write_csv(out / "oracle.csv", ["dt [time]", "error [-]"], errors)
+    errors = ref.convergence_errors(state0, sc.medium(), horizon, dts)
+    write_csv(out / "oracle.csv", ["dt [time]", "error [-]"], list(zip(dts, errors)))
     if svg:
-        arr = np.array(errors)
-        write_svg(out / "oracle.svg", "convergence to dense propagator",
-                  arr[:, 0], {"error": arr[:, 1]}, logy=True)
-    ratios = [errors[i][1] / errors[i + 1][1] for i in range(len(errors) - 1)]
+        write_svg(out / "oracle.svg", "convergence to dense propagator", dts,
+                  {"error": errors}, logy=True)
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
     return {
         "ratios": " ".join(f"{r:.2f}" for r in ratios),
         "pass_order": all(r >= 12.0 for r in ratios),
     }
 
 
+_COMMANDS = {"simulate": _cmd_simulate, "spectrum": _cmd_spectrum,
+             "lipschitz": _cmd_lipschitz, "split": _cmd_split,
+             "expsplit": _cmd_expsplit, "smoothing": _cmd_smoothing,
+             "attractor": _cmd_attractor, "audit": _cmd_audit, "oracle": _cmd_oracle}
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
 def run_scenario(config: ScenarioConfig, subcommand: str, out_dir: str | Path = ".",
                  svg: bool = False, seed: int | None = None) -> int:
-    """Execute a subcommand; emits CSVs plus summary.txt, returns the exit code."""
+    """Execute a subcommand; emits CSVs plus summary.txt, returns the exit
+    code. A `seed` overrides the config's [run] seed."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if subcommand in ("simulate", "audit") and config["solver", "scheme"] == "semi_implicit":
         raise ConfigError(f"{subcommand} needs the work integrals that only "
                           f"scheme = rk4 collects, got scheme = semi_implicit")
+    if seed is not None:
+        config = ScenarioConfig({**config.values, "run": {**config.values["run"], "seed": seed}})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if subcommand == "simulate":
-            entries = _cmd_simulate(config, out, svg)
-        elif subcommand == "spectrum":
-            entries = _cmd_spectrum(config, out, svg)
-        elif subcommand == "lipschitz":
-            entries = _cmd_lipschitz(config, out, svg)
-        elif subcommand == "split":
-            entries = _cmd_split(config, out, svg)
-        elif subcommand == "expsplit":
-            entries = _cmd_expsplit(config, out, svg)
-        elif subcommand == "smoothing":
-            entries = _cmd_smoothing(config, out, svg)
-        elif subcommand == "attractor":
-            entries = _cmd_attractor(config, out, svg, seed)
-        elif subcommand == "audit":
-            entries = _cmd_audit(config, out, svg)
-        else:
-            entries = _cmd_oracle(config, out, svg)
+        entries = _COMMANDS[subcommand](config, out, svg)
     except RuntimeError as err:
         # blow-up, Newton/CG non-convergence, invariant drift
         write_summary(out / "summary.txt",

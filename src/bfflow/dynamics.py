@@ -761,21 +761,22 @@ def averaged_jacobian_apply(u1: np.ndarray, u2: np.ndarray, v: np.ndarray,
     return out
 
 
-def run_exp_split(traj1: Trajectory, traj2: Trajectory, cfg: SolverConfig,
-                  D: MediumMatrix, params: NonlinearityParams) -> ExpSplitTrajectory:
+def run_exp_split(pair, forcing, cfg: SolverConfig, D: MediumMatrix,
+                  params: NonlinearityParams, t_max: float,
+                  snapshot_every: int = 1) -> ExpSplitTrajectory:
     """Difference splitting behind the exponential-attractor construction.
 
     The hat part solves the homogeneous linear system from the initial
     difference; the tilde part absorbs the averaged-Jacobian load -l(t) ubar
-    with zero initial data. Both reference solutions are re-integrated
-    jointly so every RK stage sees consistent states.
+    with zero initial data. They are integrated jointly, without convection,
+    with the runs from the two states of `pair`, stored as `simulate` would.
     """
-    if traj1.grid != traj2.grid:
-        raise ValueError("trajectories live on different grids")
-    if not np.allclose(traj1.times, traj2.times):
-        raise ValueError("trajectories must share snapshot times")
-    grid = traj1.grid
-    sys = _FullSystem(grid, D, params, traj1.forcing, traj1.convective_on)
+    s1, s2 = pair
+    if s1.grid != s2.grid or s1.t != s2.t:
+        raise ValueError("run_exp_split needs two states on one grid at one start time")
+    grid, t0 = s1.grid, s1.t
+    cfg.validate(grid, D)
+    sys = _FullSystem(grid, D, params, _as_forcing(forcing, grid), False)
 
     def rhs(t, y):
         u1, p1, u2, p2, uh, phat, ut, pt = y
@@ -788,7 +789,8 @@ def run_exp_split(traj1: Trajectory, traj2: Trajectory, cfg: SolverConfig,
                - gr.grad_array(pt, grid.h, grid.dim) - load)
         return du1, dp1, du2, dp2, duh, dph, dut, _pressure_rate(ut, D, grid)
 
-    (u1, p1), (u2, p2) = traj1.states[0], traj2.states[0]
+    u1, u2 = s1.u.values, s2.u.values
+    p1, p2 = (gr.mean_project_array(s.p.values, grid.dim) for s in pair)
     y0 = (u1, p1, u2, p2, u1 - u2, p1 - p2, np.zeros_like(u1), np.zeros_like(p1))
     scale = max(float(np.abs(y0[4]).max()), float(np.abs(y0[5]).max()), 1e-30)
 
@@ -799,12 +801,11 @@ def run_exp_split(traj1: Trajectory, traj2: Trajectory, cfg: SolverConfig,
         return ((VectorField(grid, uh.copy()), ScalarField(grid, phat.copy())),
                 (VectorField(grid, ut.copy()), ScalarField(grid, pt.copy())), defect)
 
-    t0 = float(traj1.times[0])
-    n_steps = int(round((float(traj1.times[-1]) - t0) / cfg.dt))
+    n_steps = max(1, int(round(t_max / cfg.dt)))
     times, stored = integrate(
         y0, t0, cfg.dt, n_steps, lambda t, y: rk4_step_generic(y, t, cfg.dt, rhs),
         grid.dim, project=(1, 3, 5, 7),
-        snapshots=snapshot_steps(n_steps, t0, cfg.dt, stored=traj1.times),
+        snapshots=snapshot_steps(n_steps, t0, cfg.dt, every=snapshot_every),
         record=record)
     return ExpSplitTrajectory(np.array(times), [h for h, _, _ in stored],
                               [d for _, d, _ in stored], max(d for _, _, d in stored))

@@ -19,12 +19,12 @@ from . import dynamics as dyn
 from . import grid as gr
 from . import physics as ph
 from .grid import Grid, ScalarField, VectorField
-from .physics import MediumMatrix, NonlinearityParams
+from .physics import Forcing, MediumMatrix, NonlinearityParams
 
 __all__ = [
     "DensePropagator", "ModeSolution", "build_propagator",
     "periodic_mode_solution", "residual_check", "periodic_linear_run",
-    "periodic_mode_fields",
+    "periodic_mode_fields", "convergence_errors",
 ]
 
 _SIZE_GUARD_PER_AXIS = {2: 8, 3: 6}
@@ -157,6 +157,24 @@ def build_propagator(grid: Grid, D: MediumMatrix,
     return DensePropagator(grid=grid, D=D, generator=A, basis=Q,
                            eigenvalues=vals, _eigvecs=vecs,
                            _eigvecs_inv=vecs_inv, used_fallback=used_fallback)
+
+
+def convergence_errors(state: dyn.SimState, D: MediumMatrix, horizon: float,
+                       dts) -> list[float]:
+    """Relative phase-space error at `horizon` of the unforced linear RK4 run
+    from `state`, one per step size in `dts`, against the dense propagator."""
+    grid = state.grid
+    u_ref, p_ref = build_propagator(grid, D).apply(state.u, state.p, horizon)
+    den = np.sqrt(np.sum(u_ref.values ** 2) + np.sum(p_ref.values ** 2))
+    errors = []
+    for dt in dts:
+        traj = dyn.simulate(state, dyn.SolverConfig(dt=dt), Forcing.zero(grid), D,
+                            NonlinearityParams(0.0, 0.0), horizon,
+                            snapshot_every=int(round(horizon / dt)))
+        u, p = traj.states[-1]
+        num = np.sqrt(np.sum((u - u_ref.values) ** 2) + np.sum((p - p_ref.values) ** 2))
+        errors.append(float(num / den))
+    return errors
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ class TestEnsembleReport:
     """The batched report against per-member and per-pair evaluation."""
 
     def _check(self, g, snap_times, snaps):
-        rep = an.ensemble_report_from_snaps(g, snap_times, snaps, seed=7)
+        rep = an.ensemble_report_from_snaps(g, snap_times, snaps)
         B = snaps[0][0].shape[0]
         q0 = len(snaps) - max(1, len(snaps) // 4)
         r_ball = 2.0 * max(an.higher_energy_norm(VectorField(g, U[0]),
@@ -353,7 +353,7 @@ class TestEnsemble:
                   for i, a in enumerate((0.5, 1.0, 2.0, 4.0))]
         rep = an.ensemble_study(states, dyn.SolverConfig(dt=2e-3),
                                 gr.zeros_vector(g), D, LINEAR, t_max=4.0,
-                                snapshot_every=100, seed=610)
+                                snapshot_every=100)
         diam = rep.diam_series
         fit = an.fit_decay(diam[:, 0], diam[:, 1])
         assert fit.rate < 0.0

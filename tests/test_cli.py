@@ -1,6 +1,8 @@
 """Config grammar, file emission, exit codes, reproducibility."""
 
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -23,6 +25,13 @@ _QUINTIC8 = "[grid]\nn = 8\n[nonlinearity]\nalpha = 1\nbeta = 1\nl = 2\n"
 _SMOOTH = "[forcing]\nkind = fixed_random\nseed = 9\n[initial]\nkind = smooth\n"
 _WHITE_P = ("[forcing]\nkind = band_random\nseed = 3\n[initial]\nkind = white_pressure\n"
             "seed = 4\n[run]\nt_max = 0.01\nsnapshot_stride = 0.002\n")
+_ATTRACTOR8 = (_QUINTIC8 + "[medium]\ndiag = 4, 4\n[forcing]\nkind = fixed_random\n"
+               "seed = 5\namplitude = 2\n[scenario]\nensemble_size = 3\n"
+               "[run]\nt_max = 3\nsnapshot_stride = 0.1\nseed = 3\n")
+
+
+def _outputs(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 class TestParser:
@@ -173,9 +182,7 @@ t_max = 0.5
         ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nsplit_kind = trunc\n"),
         ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nsplit_kind = bootstrap\n"),
         ("expsplit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.5\nsnapshot_stride = 0.05\n"),
-        ("attractor", _QUINTIC8 + "[medium]\ndiag = 4, 4\n[forcing]\nkind = fixed_random\n"
-                      "seed = 5\namplitude = 2\n[scenario]\nensemble_size = 3\n"
-                      "[run]\nt_max = 3\nsnapshot_stride = 0.1\nseed = 3\n"),
+        ("attractor", _ATTRACTOR8),
         # the only semi-implicit row: its CG warm start keeps per-run history
         ("lipschitz", _QUINTIC8 + _SMOOTH + "[solver]\nscheme = semi_implicit\ndt = 0.01\n"
                       "[run]\nt_max = 0.5\nsnapshot_stride = 0.05\n"),
@@ -191,6 +198,32 @@ t_max = 0.5
         assert names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_seed_overrides_the_run_seed(self, tmp_path):
+        sc = parse_config(_ATTRACTOR8)
+        assert cli.run_scenario(sc, "attractor", tmp_path / "flag", seed=5) == 0
+        assert cli.run_scenario(parse_config(_ATTRACTOR8 + "[run]\nseed = 5\n"),
+                                "attractor", tmp_path / "key") == 0
+        assert cli.run_scenario(sc, "attractor", tmp_path / "seed3") == 0
+        flag = _outputs(tmp_path / "flag")
+        assert flag == _outputs(tmp_path / "key")
+        assert flag["attractor.csv"] != _outputs(tmp_path / "seed3")["attractor.csv"]
+
+    def test_attractor_honours_convective(self, tmp_path):
+        csv = {}
+        for key in ("off", "on"):
+            sc = parse_config(_ATTRACTOR8 + f"[scenario]\nconvective = {key}\n")
+            assert cli.run_scenario(sc, "attractor", tmp_path / key) in (0, 1)
+            csv[key] = (tmp_path / key / "attractor.csv").read_bytes()
+        assert csv["on"] != csv["off"]
+
+    def test_module_run_warns_nothing(self):
+        # running bfflow.cli as a module must not find it imported already
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                              "bfflow.cli", "--help"], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
     def test_simulate_with_convection(self, tmp_path):
         sc = parse_config("""
@@ -263,6 +296,11 @@ _BAD_INPUTS = {
                             "horizon = 0.0 must be a positive multiple"),
     "removed_shift_key": ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nshift_u_max = 10\n",
                           "unknown key 'shift_u_max'"),
+    "removed_amplitudes_key": ("attractor", _ATTRACTOR8 + "[scenario]\namplitudes = 0.1, 1\n",
+                               "unknown key 'amplitudes'"),
+    "expsplit_convective": ("expsplit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n"
+                            "snapshot_stride = 0.01\n[scenario]\nconvective = on\n",
+                            "cannot recombine with convective = on"),
 }
 
 

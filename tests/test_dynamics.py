@@ -1,7 +1,5 @@
 """Steppers, the Newton elliptic solver, the truncated system, splittings."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from bfflow import dynamics as dyn
 from bfflow import grid as gr
 from bfflow import physics as ph
 from bfflow import reference as ref
-from bfflow.cli import make_forcing, make_initial_state
+from bfflow.cli import make_forcing, make_initial_state, perturbed_pair
 from bfflow.grid import Grid, ScalarField, VectorField
 from bfflow.krylov import CGError, conjugate_gradient
 from bfflow.physics import Forcing, MediumMatrix, NonlinearityParams
@@ -157,25 +155,11 @@ class TestStep:
 class TestLipschitz:
     def test_difference_admits_exponential_envelope(self):
         g, D = small_setup()
-        base = make_initial_state(g, "smooth", 1.0, seed=31)
-        pert = make_initial_state(g, "smooth", 1.0, seed=32)
-        scale = 1e-3 / an.energy_norm(pert.u, pert.p)
-        other = dyn.SimState(
-            VectorField(g, base.u.values + scale * pert.u.values),
-            ScalarField(g, base.p.values + scale * pert.p.values))
-        cfg = dyn.SolverConfig(dt=1e-3)
-        tr1 = dyn.simulate(base, cfg, gr.zeros_vector(g), D, QUINTIC, 2.0,
-                           snapshot_every=100)
-        tr2 = dyn.simulate(other, cfg, gr.zeros_vector(g), D, QUINTIC, 2.0,
-                           snapshot_every=100)
-        ratios = []
-        for (u1, p1), (u2, p2) in zip(tr1.states, tr2.states):
-            ratios.append(an.energy_norm(VectorField(g, u1 - u2),
-                                         ScalarField(g, p1 - p2)))
-        ratios = np.array(ratios) / ratios[0]
-        C, K = an.fit_envelope(tr1.times, ratios)
-        assert np.isfinite(K)
-        assert np.max(ratios / (C * np.exp(K * tr1.times))) <= 1.05
+        pair = perturbed_pair(make_initial_state(g, "smooth", 1.0, seed=31), 32, 1e-3)
+        st = an.lipschitz_study(pair, dyn.SolverConfig(dt=1e-3), gr.zeros_vector(g),
+                                D, QUINTIC, 2.0, 100)
+        assert np.isfinite(st.K)
+        assert st.excess <= 1.05
 
 
 def _member_dots(u, v):
@@ -603,20 +587,16 @@ class TestSplits:
         split = dyn.run_split(reference, cfg, D, QUINTIC)
         assert split.recombination_p <= 1e-8
         assert split.recombination_u <= 1e-8
-        qn = np.array([gr.norm_l2(q) ** 2 for q, _ in split.qv])
-        fit = an.fit_decay(split.times[qn > 1e-28], qn[qn > 1e-28])
-        assert fit.rate < 0.0
+        assert an.split_study(split, 0.25, 2.0).q_fit.rate < 0.0
 
     def test_bootstrap_parts(self):
         g, D = small_setup(n=8)
         reference, cfg, _ = self._reference(g, D, QUINTIC, seed=67)
         split = dyn.run_bootstrap_split(reference, cfg, D, QUINTIC)
         assert split.recombination_p <= 1e-8
-        p1 = np.array([gr.norm_l2(q) ** 2 for q, _ in split.qv])
-        fit = an.fit_decay(split.times[p1 > 1e-28], p1[p1 > 1e-28])
-        assert fit.rate < 0.0
-        h1 = [gr.spectral_norm(gr.project_mean_zero(r), 1.0) for r, _ in split.rw]
-        assert np.isfinite(h1).all()
+        st = an.split_study(split, 1.0, 2.0)  # the p2 part in H1
+        assert st.q_fit.rate < 0.0
+        assert np.isfinite(st.rows).all()
 
     def test_bootstrap_velocity_at_t0(self):
         # w(t0) carries the part-2 load at the reference's u(t0), so v + w
@@ -655,9 +635,8 @@ class TestExpSplit:
         g, D = small_setup()
         state = make_initial_state(g, "smooth", 1.0, seed=71)
         cfg = dyn.SolverConfig(dt=1e-3)
-        tr = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, 0.2,
-                          snapshot_every=50)
-        es = dyn.run_exp_split(tr, tr, cfg, D, QUINTIC)
+        es = dyn.run_exp_split((state, state), gr.zeros_vector(g), cfg, D, QUINTIC,
+                               0.2, snapshot_every=50)
         for (uh, phat), (ut, pt) in zip(es.hat, es.tilde):
             assert np.abs(uh.values).max() <= 1e-13
             assert np.abs(ut.values).max() <= 1e-13
@@ -667,59 +646,38 @@ class TestExpSplit:
         # state turns NaN within the first step
         g, D = small_setup()
         state = make_initial_state(g, "smooth", 1.0, seed=75)
-        cfg = dyn.SolverConfig(dt=1e-3)
-        tr = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, 0.02,
-                          snapshot_every=5)
-        u_bad = tr.states[0][0].copy()
+        u_bad = state.u.values.copy()
         u_bad[0, 3, 3] = 1e100
-        other = dataclasses.replace(tr, states=[(u_bad, tr.states[0][1])]
-                                    + tr.states[1:])
+        other = dyn.SimState(VectorField(g, u_bad), state.p)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(dyn.BlowUpError) as err:
-                dyn.run_exp_split(tr, other, cfg, D, QUINTIC)
+                dyn.run_exp_split((state, other), gr.zeros_vector(g),
+                                  dyn.SolverConfig(dt=1e-3), D, QUINTIC, 0.02,
+                                  snapshot_every=5)
         assert err.value.step_count == 1
         assert "step 1 " in str(err.value)
 
     def test_nonfinite_initial_state_raises_blowup_at_step_0(self):
         g, D = small_setup()
         state = make_initial_state(g, "smooth", 1.0, seed=76)
-        cfg = dyn.SolverConfig(dt=1e-3)
-        tr = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, 0.02,
-                          snapshot_every=5)
-        u_bad = tr.states[0][0].copy()
-        u_bad[1, 2, 5] = np.nan
-        other = dataclasses.replace(tr, states=[(u_bad, tr.states[0][1])]
-                                    + tr.states[1:])
+        other = dyn.SimState(state.u.copy(), state.p)
+        other.u.values[1, 2, 5] = np.nan  # after the field's own finiteness check
         with pytest.raises(dyn.BlowUpError) as err:
-            dyn.run_exp_split(tr, other, cfg, D, QUINTIC)
+            dyn.run_exp_split((state, other), gr.zeros_vector(g),
+                              dyn.SolverConfig(dt=1e-3), D, QUINTIC, 0.02,
+                              snapshot_every=5)
         assert err.value.step_count == 0
         assert "step 0 " in str(err.value)
 
     def test_hat_decays_tilde_smooth(self):
         g, D = small_setup()
-        base = make_initial_state(g, "smooth", 1.0, seed=73)
-        pert = make_initial_state(g, "smooth", 1.0, seed=74)
-        scale = 1e-3 / an.energy_norm(pert.u, pert.p)
-        other = dyn.SimState(
-            VectorField(g, base.u.values + scale * pert.u.values),
-            ScalarField(g, base.p.values + scale * pert.p.values))
-        cfg = dyn.SolverConfig(dt=1e-3)
-        tr1 = dyn.simulate(base, cfg, gr.zeros_vector(g), D, QUINTIC, 2.0,
-                           snapshot_every=100)
-        tr2 = dyn.simulate(other, cfg, gr.zeros_vector(g), D, QUINTIC, 2.0,
-                           snapshot_every=100)
-        es = dyn.run_exp_split(tr1, tr2, cfg, D, QUINTIC)
-        assert es.recombination <= 1e-8
-        hat2 = np.array([an.energy_norm(u, p) ** 2 for u, p in es.hat])
-        fit = an.fit_decay(es.times, hat2)
-        assert fit.rate < 0.0
-        tilde_h1 = [gr.spectral_norm(gr.project_mean_zero(p), 1.0)
-                    for _, p in es.tilde]
-        assert np.isfinite(tilde_h1).all()
-        d0 = an.energy_norm(VectorField(g, tr1.states[0][0] - tr2.states[0][0]),
-                            ScalarField(g, tr1.states[0][1] - tr2.states[0][1]))
-        C, K = an.fit_envelope(es.times[1:], np.array(tilde_h1[1:]) / d0)
-        assert np.isfinite(K)
+        pair = perturbed_pair(make_initial_state(g, "smooth", 1.0, seed=73), 74, 1e-3)
+        st = an.exp_split_study(pair, dyn.SolverConfig(dt=1e-3), gr.zeros_vector(g),
+                                D, QUINTIC, 2.0, 100)
+        assert st.split.recombination <= 1e-8
+        assert st.hat_fit.rate < 0.0
+        assert np.isfinite(st.tilde_h1).all()
+        assert np.isfinite(st.K)
 
 
 class TestSnapshotPolicy:
@@ -798,13 +756,13 @@ class TestSnapshotPolicy:
                           dyn.run_bootstrap_split(reference, cfg, D, QUINTIC)):
                 assert np.array_equal(split.times, reference.times)
                 assert len(split.qv) == len(split.rw) == len(reference.times)
-            base = make_initial_state(g, "smooth", 1.0, seed=722)
-            other = make_initial_state(g, "smooth", 1.1, seed=722)
-            tr1, tr2 = (dyn.simulate(s, cfg, gf, D, QUINTIC, t_max, snapshot_every=every)
-                        for s in (base, other))
-            es = dyn.run_exp_split(tr1, tr2, cfg, D, QUINTIC)
-            assert np.array_equal(es.times, tr1.times)
-            assert len(es.hat) == len(es.tilde) == len(tr1.times)
+            # the difference splitting has no reference run: it stores as
+            # simulate does
+            pair = [make_initial_state(g, "smooth", a, seed=722) for a in (1.0, 1.1)]
+            es = dyn.run_exp_split(pair, gf, cfg, D, QUINTIC, t_max, snapshot_every=every)
+            n = max(1, int(round(t_max / dt)))
+            assert es.times.tolist() == self._every(0.0, dt, n, every)
+            assert len(es.hat) == len(es.tilde) == len(es.times)
 
     def test_reference_times_off_the_step_grid_rejected(self):
         assert dyn.snapshot_steps(4, 0.0, 0.1, stored=[0.0, 0.1, 0.4]) == {0, 1, 4}
