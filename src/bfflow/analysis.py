@@ -25,7 +25,7 @@ __all__ = [
     "AssembledOperator", "DecayFit", "SmoothingReport", "AttractorReport",
     "AuditReport", "assemble_operator", "semigroup_decay", "fit_decay",
     "energy_audit", "smoothing_report", "ensemble_study", "energy_norm",
-    "higher_energy_norm", "dist_to_higher_ball", "fit_envelope", "box_counts",
+    "fit_envelope", "box_counts",
     "LipschitzStudy", "ExpSplitStudy", "SplitStudy", "lipschitz_study",
     "exp_split_study", "split_study",
 ]
@@ -41,12 +41,6 @@ _BISECT_BLOCK = 1 << 15  # coefficients per block of the ensemble's bisection
 def energy_norm(u: VectorField, p: ScalarField) -> float:
     """Phase-space norm: H1 seminorm of u plus L2 norm of p, in quadrature."""
     return float(np.sqrt(gr.vector_spectral_norm(u, 1.0) ** 2 + gr.norm_l2(p) ** 2))
-
-
-def higher_energy_norm(u: VectorField, p: ScalarField) -> float:
-    """Higher-order norm: spectral H2 of u plus H1 of p."""
-    return float(np.sqrt(gr.vector_spectral_norm(u, 2.0) ** 2
-                         + gr.spectral_norm(p, 1.0) ** 2))
 
 
 def _spectral_weights(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -105,14 +99,6 @@ def _ball_distances(c: np.ndarray, w: np.ndarray, v: np.ndarray,
     return out
 
 
-def dist_to_higher_ball(u: VectorField, p: ScalarField, radius: float) -> float:
-    """Phase-space distance from (u, p) to the ball of `radius` in the
-    higher-energy norm, computed exactly in the shared sine eigenbasis."""
-    c = _state_coefficients(u.values, p.values, u.grid)
-    w, v = _spectral_weights(u.grid)
-    return float(_ball_distances(c[None], w, v, radius)[0])
-
-
 # ---------------------------------------------------------------------------
 # pressure operator: assembly and semigroup decay
 # ---------------------------------------------------------------------------
@@ -139,9 +125,6 @@ class AssembledOperator:
 
     def to_field(self, c: np.ndarray) -> ScalarField:
         return ScalarField(self.grid, (self.basis @ c).reshape(self.grid.shape))
-
-    def reduce(self, p: ScalarField) -> np.ndarray:
-        return self.basis.T @ p.values.ravel()
 
 
 def _mean_zero_basis(N: int) -> np.ndarray:
@@ -186,21 +169,11 @@ class DecayFit:
     window: tuple[float, float]
 
 
-def fit_decay(times, values=None, window: tuple[float, float] | None = None) -> DecayFit:
-    """Least squares on (t, log value): c = exp(intercept), rate = slope.
-
-    Accepts separate time/value arrays or a single (N, 2) series of pairs.
-    """
+def fit_decay(times, values) -> DecayFit:
+    """Least squares on (t, log value): c = exp(intercept), rate = slope;
+    `window` is the span of the fitted times."""
     t = np.asarray(times, dtype=float)
-    if values is None:
-        t, v = t[:, 0], t[:, 1]
-    else:
-        v = np.asarray(values, dtype=float)
-    if window is not None:
-        mask = (t >= window[0]) & (t <= window[1])
-        t, v = t[mask], v[mask]
-    else:
-        window = (float(t[0]), float(t[-1])) if len(t) else (0.0, 0.0)
+    v = np.asarray(values, dtype=float)
     if len(t) < 5:
         raise ValueError(f"need at least 5 points in the fit window, got {len(t)}")
     if np.any(v <= 0.0):

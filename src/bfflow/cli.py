@@ -82,19 +82,23 @@ def _parse_value(tag: str, raw: str, lineno: int, key: str):
         if tag == "int":
             return int(raw)
         if tag == "float":
-            return float(raw)
-        if tag == "bool":
+            value = float(raw)
+        elif tag == "floats":
+            value = [float(x) for x in raw.replace(";", ",").split(",") if x.strip()]
+        elif tag == "bool":
             low = raw.strip().lower()
             if low in ("on", "true", "1", "yes"):
                 return True
             if low in ("off", "false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if tag == "floats":
-            return [float(x) for x in raw.replace(";", ",").split(",") if x.strip()]
-        return raw.strip()
+        else:
+            return raw.strip()
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse {key!r} value {raw!r} as {tag}")
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"line {lineno}: {key!r} must be finite, got {raw!r}")
+    return value
 
 
 @dataclass
@@ -117,8 +121,13 @@ class ScenarioConfig:
         if diag is not None and rows is not None:
             raise ConfigError("medium: give either diag or rows, not both")
         if rows is not None:
-            mat = np.array([[float(x) for x in row.split()]
-                            for row in rows.split(";")])
+            try:
+                mat = np.array([[float(x) for x in row.split()]
+                                for row in rows.split(";")])
+            except ValueError:
+                raise ConfigError(f"medium: rows {rows!r} is not a matrix of floats")
+            if not np.isfinite(mat).all():
+                raise ConfigError(f"medium: 'rows' must be finite, got {rows!r}")
         elif diag is not None:
             mat = np.diag(diag)
         else:
@@ -394,6 +403,9 @@ def _fitted_snapshot_every(sc: ScenarioConfig, cfg: dyn.SolverConfig) -> int:
 def perturbed_pair(base: dyn.SimState, seed: int, size: float) -> list[dyn.SimState]:
     """`base`, and `base` moved by `size` in the phase-space norm along a
     smooth direction drawn from `seed`."""
+    if size == 0.0:
+        raise ConfigError("scenario: perturbation must be nonzero; a zero initial "
+                          "distance has no growth ratio")
     grid = base.grid
     pert = make_initial_state(grid, "smooth", 1.0, seed)
     scale = size / an.energy_norm(pert.u, pert.p)
@@ -454,6 +466,9 @@ def _cmd_spectrum(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     if not all(0.0 <= d <= 1.0 for d in deltas):
         raise ConfigError(f"scenario: deltas must lie in [0, 1], got {deltas}")
     grid = sc.grid()
+    if grid.num_nodes > an._SIZE_GUARD:
+        raise ConfigError(f"spectrum: dense assembly is guarded to {an._SIZE_GUARD} "
+                          f"nodes, got {grid.num_nodes} ({grid.n}^{grid.dim})")
     D = sc.medium()
     op = an.assemble_operator(grid, D)
     write_csv(out / "spectrum.csv", ["index [-]", "eigenvalue [1/time]"],
@@ -506,6 +521,9 @@ def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     kind = sc["scenario", "split_kind"]
     if kind not in ("trunc", "bootstrap"):
         raise ConfigError(f"scenario: split_kind must be trunc or bootstrap, got {kind!r}")
+    if sc["scenario", "convective"]:
+        raise ConfigError("split: the truncated system and its parts carry no convective "
+                          "term, so they cannot honour convective = on")
     grid, D, params, cfg, forcing = sc.system()
     p0 = gr.project_mean_zero(sc.initial(grid).p)
     t_max = sc["run", "t_max"]
@@ -692,9 +710,13 @@ SUBCOMMANDS = tuple(_COMMANDS)
 def run_scenario(config: ScenarioConfig, subcommand: str, out_dir: str | Path = ".",
                  svg: bool = False, seed: int | None = None) -> int:
     """Execute a subcommand; emits CSVs plus summary.txt, returns the exit
-    code. A `seed` overrides the config's [run] seed."""
+    code. A `seed` overrides the config's [run] seed, which only attractor
+    reads."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    if seed is not None and subcommand != "attractor":
+        raise ConfigError(f"--seed overrides [run] seed, which only attractor reads; "
+                          f"{subcommand} reads none")
     if subcommand in ("simulate", "audit") and config["solver", "scheme"] == "semi_implicit":
         raise ConfigError(f"{subcommand} needs the work integrals that only "
                           f"scheme = rk4 collects, got scheme = semi_implicit")
@@ -728,7 +750,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--svg", action="store_true", help="emit SVG line plots")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the run seed")
+                        help="override the run seed (attractor only)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

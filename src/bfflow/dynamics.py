@@ -45,8 +45,7 @@ __all__ = [
     "SimState", "SolverConfig", "Trajectory", "TruncatedTrajectory",
     "SplitTrajectory", "ExpSplitTrajectory", "BlowUpError", "NewtonError",
     "RecombinationError",
-    "rhs_full", "step", "simulate", "solve_elliptic_u", "step_truncated",
-    "run_truncated", "run_split", "run_exp_split", "run_bootstrap_split",
+    "simulate", "run_truncated", "run_split", "run_exp_split", "run_bootstrap_split",
     "rk4_step_generic", "snapshot_steps", "integrate",
 ]
 
@@ -242,15 +241,15 @@ class _FullSystem:
         self.work = np.empty((work_rows, 5)) if work_rows else None
         self._row = 0
 
-    def parts(self, t: float, u: np.ndarray):
-        """lap u, f(u), B(u,u) (f and B None where they vanish), g(t), D u;
+    def parts(self, u: np.ndarray):
+        """lap u, f(u), B(u,u) (f and B None where they vanish), g, D u;
         with `work` rows, the next row gets (dissipation, drag work, forcing
         work, convective work, (D u, u)) at this single state."""
         g = self.grid
         lap = gr.lap_array(u, g.h, g.dim)
         fu = None if self.params.is_zero() else ph.f_apply_array(u, self.params, g.dim)
         bu = ph.convective_array(u, u, g.h, g.dim) if self.convective_on else None
-        gt, Du = self.forcing.at_array(t), self.D.apply_array(u)
+        gt, Du = self.forcing.at_array(), self.D.apply_array(u)
         if self.work is not None:
             w = g.cell_volume
             terms = [0.0 if a is None else s * float(np.vdot(a, Du))
@@ -261,7 +260,7 @@ class _FullSystem:
 
     def rhs(self, t: float, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g = self.grid
-        lap, fu, bu, gt, Du = self.parts(t, u)
+        lap, fu, bu, gt, Du = self.parts(u)
         du = lap - gr.grad_array(p, g.h, g.dim)
         if fu is not None:
             du -= fu
@@ -280,20 +279,13 @@ def _as_forcing(g, grid: Grid) -> Forcing:
     raise TypeError("forcing must be a Forcing or a VectorField")
 
 
-def rhs_full(state: SimState, g, D: MediumMatrix, params: NonlinearityParams,
-             convective_on: bool = False) -> tuple[VectorField, ScalarField]:
-    sys = _FullSystem(state.grid, D, params, _as_forcing(g, state.grid), convective_on)
-    du, dp = sys.rhs(state.t, state.u.values, state.p.values)
-    return VectorField(state.grid, du), ScalarField(state.grid, dp)
-
-
 def _rk4_full(sys: _FullSystem, t: float, y: tuple, dt: float) -> tuple:
     # One full-system RK4 step under its own name: the benchmark's span
     # tracer (perfbench/tracing.BOUNDARIES) wraps this name.
     return rk4_step_generic(y, t, dt, lambda ts, ys: sys.rhs(ts, *ys))
 
 
-def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray,
+def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
                         dt: float, cg_tol: float, x0: np.ndarray | None = None):
     """Implicit Euler on the linear part (CG in the D-weighted metric, from
     x0, by default u), explicit drag and convection. The CG is preconditioned
@@ -301,7 +293,7 @@ def _semi_implicit_full(sys: _FullSystem, t: float, u: np.ndarray, p: np.ndarray
     one sine transform pair (SPD in the weighted metric as well, since it
     acts componentwise)."""
     g = sys.grid
-    expl = sys.forcing.at_array(t) - ph.f_apply_array(u, sys.params, g.dim)
+    expl = sys.forcing.at_array() - ph.f_apply_array(u, sys.params, g.dim)
     if sys.convective_on:
         expl -= ph.convective_array(u, u, g.h, g.dim)
     rhs = u + dt * expl - dt * gr.grad_array(p, g.h, g.dim)
@@ -343,20 +335,8 @@ def _full_advance(sys: _FullSystem, cfg: SolverConfig):
         x0 = c0 * history[0]
         for c, v in zip(cs, history[1:]):
             x0 += c * v
-        return _semi_implicit_full(sys, t, *y, cfg.dt, cfg.cg_tol, x0)
+        return _semi_implicit_full(sys, *y, cfg.dt, cfg.cg_tol, x0)
     return advance
-
-
-def step(state: SimState, cfg: SolverConfig, g, D: MediumMatrix,
-         params: NonlinearityParams, convective_on: bool = False) -> SimState:
-    """Advance one step; re-projects p to mean zero."""
-    sys = _FullSystem(state.grid, D, params, _as_forcing(g, state.grid), convective_on)
-    cfg.validate(state.grid, D)
-    _, [(u, p)] = integrate((state.u.values, state.p.values), state.t, cfg.dt, 1,
-                            _full_advance(sys, cfg), state.grid.dim,
-                            project=(1,), snapshots={1})
-    return SimState(VectorField(state.grid, u), ScalarField(state.grid, p),
-                    state.t + cfg.dt)
 
 
 @dataclass
@@ -439,7 +419,7 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
         if collect_work:
             p_squares.append(np.vdot(y[1], y[1]))
             if k == n_steps:  # the one step end no later stage records
-                sys.parts(t, y[0])
+                sys.parts(y[0])
 
     times, stored = integrate(
         y0, t0, cfg.dt, n_steps, advance, grid.dim,
@@ -523,19 +503,8 @@ def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
     raise NewtonError(history)
 
 
-def solve_elliptic_u(p: ScalarField, g_t: VectorField, params: NonlinearityParams,
-                     newton_tol: float = 1e-10, newton_max: int = 30,
-                     cg_floor: float = 1e-13) -> VectorField:
-    if p.grid != g_t.grid:
-        raise ValueError("fields live on different grids")
-    u, _ = solve_elliptic_arrays(p.values, g_t.values, params, p.grid,
-                                 newton_tol=newton_tol, newton_max=newton_max,
-                                 cg_floor=cg_floor)
-    return VectorField(p.grid, u)
-
-
 class _TruncatedSystem:
-    """dp/dt = -P0 div(D u(p, t)), with u re-solved at every evaluation."""
+    """dp/dt = -P0 div(D u(p)), with u re-solved at every evaluation."""
 
     def __init__(self, grid: Grid, D: MediumMatrix, params: NonlinearityParams,
                  forcing: Forcing, cfg: SolverConfig):
@@ -546,29 +515,18 @@ class _TruncatedSystem:
         self.cfg = cfg
         self._warm: np.ndarray | None = None
 
-    def solve_u(self, t: float, p: np.ndarray, load: np.ndarray | None = None) -> np.ndarray:
-        """u(p) at time t, Newton warm-started from the previous solve; the
-        load defaults to the forcing at t."""
+    def solve_u(self, p: np.ndarray, load: np.ndarray | None = None) -> np.ndarray:
+        """u(p), Newton warm-started from the previous solve; the load
+        defaults to the forcing."""
         u, _ = solve_elliptic_arrays(
-            p, self.forcing.at_array(t) if load is None else load, self.params, self.grid,
+            p, self.forcing.at_array() if load is None else load, self.params, self.grid,
             newton_tol=self.cfg.newton_tol, newton_max=self.cfg.newton_max,
             cg_floor=self.cfg.cg_tol, u0=self._warm)
         self._warm = u.copy()
         return u
 
     def rhs(self, t: float, p: np.ndarray) -> np.ndarray:
-        return _pressure_rate(self.solve_u(t, p), self.D, self.grid)
-
-
-def step_truncated(p: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
-                   params: NonlinearityParams) -> ScalarField:
-    """One RK4 step of the truncated pressure equation; mean is preserved."""
-    grid = p.grid
-    sys = _TruncatedSystem(grid, D, params, _as_forcing(forcing, grid), cfg)
-    (p_new,) = rk4_step_generic((gr.mean_project_array(p.values, grid.dim),),
-                                0.0, cfg.dt,
-                                lambda t, y: (sys.rhs(t, y[0]),))
-    return ScalarField(grid, gr.mean_project_array(p_new, grid.dim))
+        return _pressure_rate(self.solve_u(p), self.D, self.grid)
 
 
 @dataclass
@@ -595,7 +553,7 @@ def run_truncated(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
         lambda t, y: rk4_step_generic(y, t, cfg.dt, lambda ts, ys: (sys.rhs(ts, ys[0]),)),
         grid.dim, project=(0,),
         snapshots=snapshot_steps(n_steps, start_time, cfg.dt, every=snapshot_every),
-        record=lambda k, t, y: (y[0].copy(), sys.solve_u(t, y[0])))
+        record=lambda k, t, y: (y[0].copy(), sys.solve_u(y[0])))
     return TruncatedTrajectory(grid, cfg, D, params, forcing, np.array(times),
                                [p for p, _ in stored], [u for _, u in stored])
 
@@ -658,7 +616,7 @@ def run_split(reference: TruncatedTrajectory, cfg: SolverConfig, D: MediumMatrix
     """Contracting/compact splitting of the truncated system.
 
     q evolves with the unshifted (monotone) drag and q(0) = p(0); r evolves
-    with the drag difference f(u) - f(v) and the load g(t), r(0) = 0. p is
+    with the drag difference f(u) - f(v) and the load g, r(0) = 0. p is
     re-integrated jointly so that every RK stage sees consistent data;
     q + r = p is checked against the reference snapshots, never enforced.
     """
@@ -668,21 +626,21 @@ def run_split(reference: TruncatedTrajectory, cfg: SolverConfig, D: MediumMatrix
     sys_v = _TruncatedSystem(grid, D, params, Forcing.zero(grid), cfg)
     sys_w = _TruncatedSystem(grid, D, NonlinearityParams(0.0, 0.0), forcing, cfg)
 
-    def solve_w(t, r, u, v):
-        return sys_w.solve_u(t, r, forcing.at_array(t)
+    def solve_w(r, u, v):
+        return sys_w.solve_u(r, forcing.at_array()
                              - ph.f_apply_array(u, params, grid.dim)
                              + ph.f_apply_array(v, params, grid.dim))
 
     def rhs(t, y):
         p, q, r = y
-        u = sys_p.solve_u(t, p)
-        v = sys_v.solve_u(t, q)
-        return tuple(_pressure_rate(x, D, grid) for x in (u, v, solve_w(t, r, u, v)))
+        u = sys_p.solve_u(p)
+        v = sys_v.solve_u(q)
+        return tuple(_pressure_rate(x, D, grid) for x in (u, v, solve_w(r, u, v)))
 
     def parts(k, t, y):
         p, q, r = y
-        v = sys_v.solve_u(t, q)
-        return v, solve_w(t, r, sys_p.solve_u(t, p), v)
+        v = sys_v.solve_u(q)
+        return v, solve_w(r, sys_p.solve_u(p), v)
 
     p0 = reference.ps[0]
     return _split_against(reference, cfg, (p0, p0, np.zeros_like(p0)), rhs, parts)
@@ -693,7 +651,7 @@ def run_bootstrap_split(reference: TruncatedTrajectory, cfg: SolverConfig,
     """Linear decaying part plus forced smooth part of a truncated run.
 
     Part 1 solves the force-free linear system from p(0); part 2 carries
-    g(t) - f(u(t)) with zero initial data. Their velocities come from plain
+    g - f(u(t)) with zero initial data. Their velocities come from plain
     Poisson solves; recombination against the reference is checked.
     """
     grid = reference.grid
@@ -709,22 +667,22 @@ def run_bootstrap_split(reference: TruncatedTrajectory, cfg: SolverConfig,
                                      cg_floor=cfg.cg_tol)
         return u
 
-    def solve_part2(t, p2, u):
-        return solve_lin(p2, forcing.at_array(t) - ph.f_apply_array(u, params, grid.dim))
+    def solve_part2(p2, u):
+        return solve_lin(p2, forcing.at_array() - ph.f_apply_array(u, params, grid.dim))
 
     def rhs(t, y):
         p, p1, p2 = y
-        u = sys_p.solve_u(t, p)
+        u = sys_p.solve_u(p)
         u1 = solve_lin(p1, zero_load)
-        return tuple(_pressure_rate(x, D, grid) for x in (u, u1, solve_part2(t, p2, u)))
+        return tuple(_pressure_rate(x, D, grid) for x in (u, u1, solve_part2(p2, u)))
 
     def parts(k, t, y):
         p, p1, p2 = y
         u1 = solve_lin(p1, zero_load)
         # w(t0) carries the load of the reference's stored u(t0); a solve
         # through sys_p here would move the Newton warm starts of later solves
-        u = sys_p.solve_u(t, p) if k else reference.us[0]
-        return u1, solve_part2(t, p2, u)
+        u = sys_p.solve_u(p) if k else reference.us[0]
+        return u1, solve_part2(p2, u)
 
     p0 = reference.ps[0]
     return _split_against(reference, cfg, (p0, p0, np.zeros_like(p0)), rhs, parts)

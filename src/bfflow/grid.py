@@ -6,7 +6,7 @@ Conventions:
     (homogeneous Dirichlet for velocities, plain zero extension otherwise).
   * grad/div are central second-order differences and are exact negative
     adjoints of each other under the h^d-weighted inner product.
-  * laplacian is the compact 5-point (2D) / 7-point (3D) stencil, whose
+  * the Laplacian is the compact 5-point (2D) / 7-point (3D) stencil, whose
     eigenvectors are exactly the sampled sine modes; all fractional norms
     are defined spectrally through that sine eigenbasis.
   * n must be even: for odd n the central-difference gradient has a
@@ -27,9 +27,9 @@ import numpy as np
 
 __all__ = [
     "Grid", "ScalarField", "VectorField",
-    "grad", "div", "laplacian", "weighted_inner", "sobolev_norm",
+    "grad", "div", "weighted_inner",
     "project_mean_zero", "inner", "vector_inner", "norm_l2",
-    "sine_coefficients", "sine_synthesis", "spectral_norm",
+    "sine_coefficients", "spectral_norm",
     "vector_spectral_norm", "laplacian_eigenvalues", "poisson_solve_array",
     "zeros_scalar", "zeros_vector", "sine_mode", "coordinates",
 ]
@@ -204,10 +204,6 @@ def div(U: VectorField) -> ScalarField:
     return ScalarField(U.grid, div_array(U.values, U.grid.h, U.grid.dim))
 
 
-def laplacian(U: VectorField) -> VectorField:
-    return VectorField(U.grid, lap_array(U.values, U.grid.h, U.grid.dim))
-
-
 # ---------------------------------------------------------------------------
 # inner products and means
 # ---------------------------------------------------------------------------
@@ -287,10 +283,6 @@ def sine_coefficients_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     return scale * _dst_all_axes(values, grid.dim)
 
 
-def sine_synthesis(coeffs: np.ndarray, grid: Grid) -> ScalarField:
-    return ScalarField(grid, sine_synthesis_array(coeffs, grid))
-
-
 def sine_synthesis_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     scale = (1.0 / np.sqrt(2.0)) ** grid.dim
     return scale * _dst_all_axes(coeffs, grid.dim)
@@ -298,7 +290,7 @@ def sine_synthesis_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
-    """Eigenvalues of -laplacian on the sine modes, indexed like a field array
+    """Eigenvalues of -lap on the sine modes, indexed like a field array
     (cached per grid, read-only)."""
     h = grid.h
     k = np.arange(1, grid.n + 1)
@@ -309,7 +301,7 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
 
 
 def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0) -> np.ndarray:
-    """Solve (-laplacian + shift) x = b over the trailing grid axes.
+    """Solve (-lap + shift) x = b over the trailing grid axes.
 
     The compact Dirichlet Laplacian is diagonal in the sine basis, so its
     shifted inverse is one transform pair (the fast Poisson solver); leading
@@ -322,18 +314,12 @@ def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0) -> np.nda
 def spectral_norm(f: ScalarField, exponent: float) -> float:
     """sqrt(sum_k lambda_k^exponent c_k^2); exponent 0 is the plain L2 norm.
 
-    Exponents outside [0, 1] are legitimate here (H^{1+delta}, H^2
-    diagnostics); `sobolev_norm` is the contract-checked [0, 1] entry point.
+    Any real exponent is accepted: the fractional H^delta norms, delta in
+    [0, 1], and the H^{1+delta} diagnostics alike.
     """
     c = sine_coefficients(f)
     lam = laplacian_eigenvalues(f.grid)
     return float(np.sqrt(np.sum(lam ** exponent * c * c)))
-
-
-def sobolev_norm(f: ScalarField, delta: float) -> float:
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    return spectral_norm(f, delta)
 
 
 def vector_spectral_norm(U: VectorField, exponent: float) -> float:

@@ -1,9 +1,10 @@
 """Constitutive content of the model.
 
-Nonlinear drag f(u) = phi(|u|^2) u with phi(z) = alpha + beta z^l + gamma sqrt(z),
-its potential and Jacobian, the constant symmetric positive definite medium
-matrix D, forcings, the divergence right-inverse (minimum-seminorm realization),
-energy functionals, and the energy-preserving convective term.
+Nonlinear drag f(u) = phi(|u|^2) u with phi(z) = alpha + beta z^l + gamma sqrt(z)
+and its Jacobian, the constant symmetric positive definite medium matrix D, the
+time-independent forcing g, the divergence right-inverse (minimum-seminorm
+realization) with the sampled certificate of the perturbed energy functional,
+and the energy-preserving convective term.
 
 For every admissible parameter set phi is nonnegative and nondecreasing, so f
 is monotone; the elliptic solves rely on this and add no shift.
@@ -21,9 +22,8 @@ from .grid import Grid, ScalarField, VectorField
 from .krylov import conjugate_gradient
 
 __all__ = [
-    "NonlinearityParams", "MediumMatrix", "Forcing", "EnergyReport",
-    "eval_phi", "eval_f", "eval_potential", "apply_fprime", "bogovski",
-    "energy_report", "convective", "certify_eps", "dissipation_form",
+    "NonlinearityParams", "MediumMatrix", "Forcing", "bogovski", "convective",
+    "certify_eps",
 ]
 
 
@@ -41,14 +41,6 @@ class NonlinearityParams:
             raise ValueError("alpha, beta, gamma must be nonnegative")
         if not 0.0 < self.l <= 2.0:
             raise ValueError(f"growth exponent l must lie in (0, 2], got {self.l}")
-
-    def dissipative(self) -> bool:
-        """Coefficient condition the drag-dissipativity scenarios rely on."""
-        if self.l == 0.5:
-            return self.beta + self.gamma > 0
-        if self.l > 0.5:
-            return self.beta > 0
-        return True
 
     def is_zero(self) -> bool:
         return self.alpha == 0.0 and self.beta == 0.0 and self.gamma == 0.0
@@ -99,68 +91,19 @@ class MediumMatrix:
         lead = u.shape[:u.ndim - self.dim - 1]
         return (self.entries @ u.reshape(lead + (self.dim, -1))).reshape(u.shape)
 
-    def matvec(self, U: VectorField) -> VectorField:
-        return VectorField(U.grid, self.apply_array(U.values))
-
 
 @dataclass
 class Forcing:
-    """Time-independent base plus an optional sampled time series.
-
-    The series is interpolated linearly in t and clamped outside its range;
-    `at(t)` always includes the base term.
-    """
+    """The forcing g: one fixed field, so the system is autonomous."""
 
     base: VectorField
-    time_series: list[tuple[float, VectorField]] | None = None
-
-    def __post_init__(self):
-        if self.time_series:
-            times = [t for t, _ in self.time_series]
-            if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-                raise ValueError("time_series must be strictly increasing in t")
-            for _, f in self.time_series:
-                if f.grid != self.base.grid:
-                    raise ValueError("time_series fields must share the base grid")
 
     @classmethod
     def zero(cls, grid: Grid) -> "Forcing":
         return cls(gr.zeros_vector(grid))
 
-    @classmethod
-    def constant(cls, g: VectorField) -> "Forcing":
-        return cls(g)
-
-    @property
-    def grid(self) -> Grid:
-        return self.base.grid
-
-    def at_array(self, t: float) -> np.ndarray:
-        if not self.time_series:
-            return self.base.values
-        times = np.array([s for s, _ in self.time_series])
-        if t <= times[0]:
-            return self.base.values + self.time_series[0][1].values
-        if t >= times[-1]:
-            return self.base.values + self.time_series[-1][1].values
-        j = int(np.searchsorted(times, t, side="right"))
-        t0, f0 = self.time_series[j - 1]
-        t1, f1 = self.time_series[j]
-        w = (t - t0) / (t1 - t0)
-        return self.base.values + (1.0 - w) * f0.values + w * f1.values
-
-    def at(self, t: float) -> VectorField:
-        return VectorField(self.grid, self.at_array(t).copy())
-
-
-@dataclass
-class EnergyReport:
-    e_plain: float       # |u|^2_{L2_D} + |p|^2
-    e_eps: float         # perturbed functional with the divergence right-inverse
-    eps: float
-    dissipation: float   # |grad u|^2_{L2_D} realized as -<lap u, D u>
-    f_work: float        # (f(u), D u)
-    g_work: float        # (g, D u)
+    def at_array(self) -> np.ndarray:
+        return self.base.values
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +119,6 @@ def _phi_array(z: np.ndarray, p: NonlinearityParams) -> np.ndarray:
     return out
 
 
-def eval_phi(z: float, params: NonlinearityParams) -> float:
-    if z < 0:
-        raise ValueError(f"phi is defined for z >= 0, got {z}")
-    return float(_phi_array(np.asarray(z, dtype=float), params))
-
-
 def f_apply_array(u: np.ndarray, params: NonlinearityParams, dim: int) -> np.ndarray:
     """phi(|u|^2) u, batch-safe over leading axes."""
     if params.is_zero():
@@ -189,19 +126,6 @@ def f_apply_array(u: np.ndarray, params: NonlinearityParams, dim: int) -> np.nda
     comp_ax = u.ndim - dim - 1
     z = np.sum(u * u, axis=comp_ax, keepdims=True)
     return _phi_array(z, params) * u
-
-
-def eval_f(u: VectorField, params: NonlinearityParams) -> VectorField:
-    return VectorField(u.grid, f_apply_array(u.values, params, u.grid.dim))
-
-
-def eval_potential(u: VectorField, params: NonlinearityParams) -> float:
-    """h^d * sum of F(u), F the radial antiderivative: dF(su)/ds|_{s=1} = f(u).u."""
-    z = np.sum(u.values * u.values, axis=0)
-    F = 0.5 * (params.alpha * z
-               + params.beta * z ** (params.l + 1.0) / (params.l + 1.0)
-               + (2.0 / 3.0) * params.gamma * z ** 1.5)
-    return float(u.grid.cell_volume * F.sum())
 
 
 def fprime_apply_array(u: np.ndarray, v: np.ndarray,
@@ -227,12 +151,6 @@ def fprime_apply_array(u: np.ndarray, v: np.ndarray,
     dphi = np.where(z > 0.0, dphi, 0.0)
     s = np.sum(u * v, axis=comp_ax, keepdims=True)
     return out + 2.0 * dphi * s * u
-
-
-def apply_fprime(u: VectorField, v: VectorField, params: NonlinearityParams) -> VectorField:
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-    return VectorField(u.grid, fprime_apply_array(u.values, v.values, params, u.grid.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -293,34 +211,8 @@ def bogovski(p: ScalarField, rtol: float = 1e-10) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# energy functionals
+# perturbed energy functional
 # ---------------------------------------------------------------------------
-
-def dissipation_form(D: MediumMatrix, u: VectorField) -> float:
-    """|grad u|^2_{L2_D} in the summation-by-parts form -<lap u, D u>.
-
-    This is the exact quantity produced by the semi-discrete energy identity;
-    it coincides with the D-weighted forward-difference gradient energy.
-    """
-    return -gr.vector_inner(gr.laplacian(u), D.matvec(u))
-
-
-def energy_report(u: VectorField, p: ScalarField, g: VectorField,
-                  D: MediumMatrix, params: NonlinearityParams,
-                  eps: float) -> EnergyReport:
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    e_plain = gr.weighted_inner(D, u, u) + gr.inner(p, p)
-    coupling = 2.0 * eps * gr.vector_inner(u, bogovski(p)) if eps > 0 else 0.0
-    return EnergyReport(
-        e_plain=e_plain,
-        e_eps=e_plain + coupling,
-        eps=eps,
-        dissipation=dissipation_form(D, u),
-        f_work=gr.vector_inner(eval_f(u, params), D.matvec(u)),
-        g_work=gr.vector_inner(g, D.matvec(u)),
-    )
-
 
 def certify_eps(grid: Grid, D: MediumMatrix, n_samples: int = 50,
                 seed: int = 2024) -> float:

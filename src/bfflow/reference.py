@@ -16,14 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn
-from . import grid as gr
-from . import physics as ph
 from .grid import Grid, ScalarField, VectorField
 from .physics import Forcing, MediumMatrix, NonlinearityParams
 
 __all__ = [
     "DensePropagator", "ModeSolution", "build_propagator",
-    "periodic_mode_solution", "residual_check", "periodic_linear_run",
+    "periodic_mode_solution", "periodic_linear_run",
     "periodic_mode_fields", "convergence_errors",
 ]
 
@@ -103,11 +101,6 @@ class DensePropagator:
     _eigvecs: np.ndarray | None
     _eigvecs_inv: np.ndarray | None
     used_fallback: bool
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The stacked linear generator over the (u, mean-zero p) unknowns."""
-        return self.generator
 
     def matrix_exp(self, t: float) -> np.ndarray:
         if self._eigvecs is not None:
@@ -313,31 +306,3 @@ def periodic_linear_run(u0: np.ndarray, p0: np.ndarray, n: int, dt: float,
         dim, snapshots={steps})
     return state
 
-
-# ---------------------------------------------------------------------------
-# residual checkers
-# ---------------------------------------------------------------------------
-
-def residual_check(state: dyn.SimState, g, D: MediumMatrix,
-                   params: NonlinearityParams, system: str = "full") -> float:
-    """Discrete residual norm of the selected system at the given state.
-
-    full: steady-state defect of both equations; truncated: elliptic defect
-    of the momentum equation with drag; linear: same with the drag off.
-    """
-    grid = state.grid
-    forcing = dyn._as_forcing(g, grid)
-    gval = forcing.at_array(state.t)
-    w = grid.cell_volume
-    u, p = state.u.values, state.p.values
-    if system == "full":
-        du = (gr.lap_array(u, grid.h, grid.dim) - gr.grad_array(p, grid.h, grid.dim)
-              - ph.f_apply_array(u, params, grid.dim) + gval)
-        dp = -gr.mean_project_array(
-            gr.div_array(D.apply_array(u), grid.h, grid.dim), grid.dim)
-        return float(np.sqrt(w * (np.vdot(du, du) + np.vdot(dp, dp))))
-    if system in ("truncated", "linear"):
-        use = params if system == "truncated" else NonlinearityParams(0.0, 0.0)
-        r = dyn._elliptic_residual(u, p, gval, use, grid)
-        return float(np.sqrt(w * np.vdot(r, r)))
-    raise ValueError(f"unknown system {system!r}")

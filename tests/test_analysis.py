@@ -6,7 +6,6 @@ import pytest
 from bfflow import analysis as an
 from bfflow import dynamics as dyn
 from bfflow import grid as gr
-from bfflow import physics as ph
 from bfflow import reference as ref
 from bfflow.cli import make_forcing, make_initial_state
 from bfflow.grid import Grid, ScalarField, VectorField
@@ -107,9 +106,11 @@ class TestFitDecay:
             an.fit_decay([0, 1], [1.0, 1.0])
 
     def test_window_selects_points(self):
+        # the fit's window is the span of the times it was given
         t = np.linspace(0.0, 10.0, 50)
-        v = np.exp(-t)
-        fit = an.fit_decay(t, v, window=(2.0, 8.0))
+        inside = (t >= 2.0) & (t <= 8.0)
+        fit = an.fit_decay(t[inside], np.exp(-t[inside]))
+        assert fit.window == (t[inside][0], t[inside][-1])
         assert fit.window[0] >= 2.0 and fit.window[1] <= 8.0
         assert fit.rate == pytest.approx(-1.0, abs=1e-10)
 
@@ -226,8 +227,9 @@ class TestSmoothing:
         traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, 1.0,
                             snapshot_times=targets)
         rep = an.smoothing_report(traj)
-        du0, _ = dyn.rhs_full(state, gr.zeros_vector(g), D, QUINTIC)
-        unweighted = gr.norm_l2(du0) ** 2
+        sys = dyn._FullSystem(g, D, QUINTIC, Forcing.zero(g), False)
+        du0, _ = sys.rhs(0.0, state.u.values, state.p.values)
+        unweighted = g.cell_volume * np.vdot(du0, du0)
         assert rep.weighted_sups["t^2|du_dt|^2"] <= 2.0 * unweighted
 
     def test_rough_pressure_sup_stable_under_refinement(self):
@@ -240,21 +242,27 @@ class TestSmoothing:
         assert np.isfinite(rep.weighted_sups["t^(8/3)|du_dt|^2"])
 
 
+def _dist_to_ball(u, p, g, radius):
+    """Distance of one state (u, p) to the higher-energy ball of `radius`."""
+    c = an._state_coefficients(u, p, g)
+    return an._ball_distances(c[None], *an._spectral_weights(g), radius)[0]
+
+
 class TestDistToBall:
     def test_inside_ball_zero(self):
         g = Grid(2, 8)
         state = make_initial_state(g, "smooth", 0.1, seed=501)
-        assert an.dist_to_higher_ball(state.u, state.p, 1e6) == 0.0
+        assert _dist_to_ball(state.u.values, state.p.values, g, 1e6) == 0.0
 
     def test_single_mode_exact_distance(self):
         # one sine coefficient: the nearest ball point is radial clipping
         g = Grid(2, 8)
         mode = gr.sine_mode(g, (1, 1))
-        u = VectorField(g, np.stack([mode.values, np.zeros(g.shape)]))
-        p = gr.zeros_scalar(g)
+        u = np.stack([mode.values, np.zeros(g.shape)])
+        p = np.zeros(g.shape)
         lam = 2.0 * (4.0 / g.h ** 2) * np.sin(np.pi * g.h / 2.0) ** 2
         radius = 0.25 * lam  # quarter of the mode's higher-energy norm
-        got = an.dist_to_higher_ball(u, p, radius)
+        got = _dist_to_ball(u, p, g, radius)
         exact = np.sqrt(lam) * (1.0 - 0.25)
         assert got == pytest.approx(exact, rel=1e-8)
 
@@ -278,8 +286,9 @@ class TestEnsembleReport:
         rep = an.ensemble_report_from_snaps(g, snap_times, snaps)
         B = snaps[0][0].shape[0]
         q0 = len(snaps) - max(1, len(snaps) // 4)
-        r_ball = 2.0 * max(an.higher_energy_norm(VectorField(g, U[0]),
-                                                 ScalarField(g, P[0]))
+        # the higher-energy norm, spectral H2 of u and H1 of p, field by field
+        r_ball = 2.0 * max(np.sqrt(gr.vector_spectral_norm(VectorField(g, U[0]), 2.0) ** 2
+                                   + gr.spectral_norm(ScalarField(g, P[0]), 1.0) ** 2)
                            for U, P in snaps[q0:])
         assert rep.r_ball == pytest.approx(r_ball, rel=1e-12)
         assert np.array_equal(rep.dist_to_ball_series[:, 0], snap_times)
@@ -292,9 +301,7 @@ class TestEnsembleReport:
             alone = [an._ball_distances(c[m:m + 1], w_e, w_e1, rep.r_ball)[0]
                      for m in range(B)]
             assert np.array_equal(batched, alone)
-            dists = [an.dist_to_higher_ball(VectorField(g, U[m]),
-                                            ScalarField(g, P[m]), rep.r_ball)
-                     for m in range(B)]
+            dists = [_dist_to_ball(U[m], P[m], g, rep.r_ball) for m in range(B)]
             assert rep.dist_to_ball_series[k, 1] == pytest.approx(max(dists),
                                                                   rel=1e-12)
             pairs = [an.energy_norm(VectorField(g, U[i] - U[j]),

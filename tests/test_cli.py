@@ -265,8 +265,8 @@ convective = on
             cli.run_scenario(sc, "simulatee", tmp_path)
 
 
-# case -> (subcommand, config text, phrase the error message must name), so
-# that one config error cannot stand in for another.
+# case -> (subcommand and any flags, config text, phrase the error message
+# must name), so that one config error cannot stand in for another.
 _BAD_INPUTS = {
     "odd_n": ("simulate", "[grid]\nn = 15\n", "n must be even"),
     "missing_forcing_file": ("simulate", "[grid]\nn = 8\n[forcing]\nkind = file\n"
@@ -301,6 +301,21 @@ _BAD_INPUTS = {
     "expsplit_convective": ("expsplit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n"
                             "snapshot_stride = 0.01\n[scenario]\nconvective = on\n",
                             "cannot recombine with convective = on"),
+    "split_convective": ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nconvective = on\n",
+                         "cannot honour convective = on"),
+    "seed_without_run_seed": ("lipschitz --seed 9", _QUINTIC8 + _SMOOTH,
+                              "only attractor reads; lipschitz reads none"),
+    "spectrum_above_dense_guard": ("spectrum", "[grid]\ndim = 3\nn = 18\n",
+                                   "guarded to 4096 nodes, got 5832"),
+    "nan_amplitude": ("simulate", "[grid]\nn = 8\n[initial]\nkind = smooth\n"
+                      "amplitude = nan\n", "'amplitude' must be finite, got 'nan'"),
+    "nan_medium_rows": ("simulate", "[grid]\nn = 8\n[medium]\nrows = 1 nan; nan 1\n",
+                        "'rows' must be finite"),
+    "ragged_medium_rows": ("simulate", "[grid]\nn = 8\n[medium]\nrows = 1 0; 0\n",
+                           "is not a matrix of floats"),
+    "zero_perturbation": ("lipschitz", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n"
+                          "snapshot_stride = 0.01\n[scenario]\nperturbation = 0\n",
+                          "perturbation must be nonzero"),
 }
 
 
@@ -310,7 +325,7 @@ class TestExitCodes:
         subcommand, text, phrase = _BAD_INPUTS[case]
         config = tmp_path / "bad.cfg"
         config.write_text(text.format(tmp=tmp_path))
-        code = cli.main([subcommand, "--config", str(config),
+        code = cli.main([*subcommand.split(), "--config", str(config),
                          "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3

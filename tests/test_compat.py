@@ -1,7 +1,12 @@
-"""The package must compile under the oldest Python that pyproject.toml
-admits (requires-python >= 3.10); newer grammar such as `a[..., *idx]`
-(3.11+) would otherwise only fail on users' machines."""
+"""Faults that would otherwise show only on users' machines.
 
+The package must compile under the oldest Python that pyproject.toml admits
+(requires-python >= 3.10); newer grammar such as `a[..., *idx]` (3.11+)
+would otherwise fail there. And every `__all__` must name only what its
+module defines, or `from bfflow.x import *` fails.
+"""
+
+import importlib
 import os
 import shutil
 import subprocess
@@ -53,3 +58,11 @@ def test_sources_compile_under_python_3_10():
     run = subprocess.run([exe, "-c", _COMPILE_ALL, *files],
                          capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("module", ["bfflow"] + [f"bfflow.{p.stem}" for p in sorted(SRC.glob("*.py"))
+                                                 if p.stem != "__init__"])
+def test_all_lists_only_defined_names(module):
+    namespace = {}
+    exec(f"from {module} import *", namespace)  # a stale entry raises here
+    assert set(getattr(importlib.import_module(module), "__all__", ())) <= set(namespace)

@@ -39,38 +39,48 @@ class TestSolverConfig:
             dyn.SolverConfig(dt=0.1, scheme="leapfrog")
 
 
+def _full_system(g, D, params, g_field):
+    return dyn._FullSystem(g, D, params, Forcing(g_field), False)
+
+
+def _one_step(state, cfg, g_field, D, params):
+    """The state after one step of `simulate`."""
+    traj = dyn.simulate(state, cfg, g_field, D, params, cfg.dt)
+    return traj.state_at(-1)
+
+
 class TestRhsFull:
     def test_zero_state_zero_forcing(self):
         g, D = small_setup()
-        du, dp = dyn.rhs_full(dyn.SimState.zero(g), gr.zeros_vector(g), D, QUINTIC)
-        assert np.all(du.values == 0.0) and np.all(dp.values == 0.0)
+        zero = np.zeros((2,) + g.shape)
+        du, dp = _full_system(g, D, QUINTIC, gr.zeros_vector(g)).rhs(0.0, zero, zero[0])
+        assert np.all(du == 0.0) and np.all(dp == 0.0)
 
     def test_definition_unrolls_for_pressure_mode(self):
         g, D = small_setup()
         p = gr.project_mean_zero(gr.sine_mode(g, (1, 1)))
-        state = dyn.SimState(gr.zeros_vector(g), p)
         rng = SplitMix64(3)
         gf = VectorField(g, rng.normal((2,) + g.shape))
-        du, _ = dyn.rhs_full(state, gf, D, QUINTIC)
+        du, _ = _full_system(g, D, QUINTIC, gf).rhs(0.0, np.zeros((2,) + g.shape), p.values)
         expected = -gr.grad(p).values + gf.values
-        assert np.abs(du.values - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.abs(du - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_pressure_rate_is_mean_zero(self):
         g, D = small_setup()
+        sys = _full_system(g, D, QUINTIC, gr.zeros_vector(g))
         rng = SplitMix64(5)
         for _ in range(20):
-            state = dyn.SimState(
-                VectorField(g, rng.normal((2,) + g.shape)),
-                gr.project_mean_zero(ScalarField(g, rng.normal(g.shape))))
-            _, dp = dyn.rhs_full(state, gr.zeros_vector(g), D, QUINTIC)
-            assert abs(dp.values.mean()) <= 1e-13
+            u = rng.normal((2,) + g.shape)
+            p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
+            _, dp = sys.rhs(0.0, u, p.values)
+            assert abs(dp.mean()) <= 1e-13
 
 
 class TestStep:
     def test_zero_fixed_point(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=1e-3)
-        out = dyn.step(dyn.SimState.zero(g), cfg, gr.zeros_vector(g), D, QUINTIC)
+        out = _one_step(dyn.SimState.zero(g), cfg, gr.zeros_vector(g), D, QUINTIC)
         assert np.all(out.u.values == 0.0) and np.all(out.p.values == 0.0)
         assert out.t == pytest.approx(1e-3)
 
@@ -82,7 +92,7 @@ class TestStep:
         errs = []
         for dt in (4e-4, 2e-4):
             cfg = dyn.SolverConfig(dt=dt)
-            out = dyn.step(state, cfg, gr.zeros_vector(g), D, LINEAR)
+            out = _one_step(state, cfg, gr.zeros_vector(g), D, LINEAR)
             ue, pe = prop.apply(state.u, state.p, dt)
             errs.append(np.sqrt(np.sum((out.u.values - ue.values) ** 2)
                                 + np.sum((out.p.values - pe.values) ** 2)))
@@ -136,7 +146,7 @@ class TestStep:
         cfg = dyn.SolverConfig(dt=2e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             # the first step is still finite (|u| ~ 4e192); the second overflows
-            first = dyn.step(hot, cfg, gr.zeros_vector(g), D, QUINTIC)
+            first = _one_step(hot, cfg, gr.zeros_vector(g), D, QUINTIC)
             assert np.isfinite(first.u.values).all()
             with pytest.raises(dyn.BlowUpError) as err:
                 dyn.simulate(hot, cfg, gr.zeros_vector(g), D, QUINTIC, t_max=1.0)
@@ -250,19 +260,43 @@ class TestBatchedCG:
         assert err.value.member == 1 and err.value.iterations == 3
 
 
+class TestPreconditionedCG:
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_true_residual_within_rtol(self, batched):
+        # the stop test is on the true residual (r, r), not on (r, M r): with
+        # M = (-lap)^-1 at 16^2, (r, M r) lies between (r, r)/2300 and (r, r)/20
+        g = Grid(2, 16)
+        rng = SplitMix64(821)
+        a = 10.0 * rng.uniform((2, 1) + g.shape)
+        b = rng.normal((2, 2) + g.shape)
+        if not batched:
+            a, b = a[0], b[0]
+
+        def apply_op(x):
+            return -gr.lap_array(x, g.h, g.dim) + a * x
+
+        rtol = 1e-8
+        x = conjugate_gradient(apply_op, b, rtol=rtol,
+                               inner=_member_dots if batched else None,
+                               precondition=lambda r: gr.poisson_solve_array(r, g))
+        r = b - apply_op(x)
+        for bm, rm in zip(b, r) if batched else [(b, r)]:
+            assert np.linalg.norm(rm) <= rtol * np.linalg.norm(bm)
+
+
 class TestWorkIntegrals:
     """simulate's work integrals equal, bit for bit, those of the formula
     they replaced: each term computed afresh at each RK4 stage's state and
     summed with the RK4 weights, and again at each step end."""
 
     @staticmethod
-    def _terms(sys, t, u):
+    def _terms(sys, u):
         g = sys.grid
         w = g.cell_volume
         Du = sys.D.apply_array(u)
         diss = -w * float(np.vdot(gr.lap_array(u, g.h, g.dim), Du))
         fw = w * float(np.vdot(ph.f_apply_array(u, sys.params, g.dim), Du))
-        gw = w * float(np.vdot(sys.forcing.at_array(t), Du))
+        gw = w * float(np.vdot(sys.forcing.at_array(), Du))
         bw = 0.0
         if sys.convective_on:
             bw = w * float(np.vdot(ph.convective_array(u, u, g.h, g.dim), Du))
@@ -274,9 +308,7 @@ class TestWorkIntegrals:
     def test_equal_the_per_stage_formula(self, dim, conv, params):
         g = Grid(dim, 8 if dim == 2 else 4)
         D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
-        ramp = make_forcing(g, "fixed_random", seed=302, amplitude=2.0).base
-        forcing = Forcing(make_forcing(g, "fixed_random", seed=301, amplitude=1.0).base,
-                          [(0.0, gr.zeros_vector(g)), (0.02, ramp)])
+        forcing = make_forcing(g, "fixed_random", seed=301, amplitude=1.0)
         state = make_initial_state(g, "smooth", 1.0, seed=303)
         cfg, n_steps = dyn.SolverConfig(dt=1e-3), 25
         traj = dyn.simulate(state, cfg, forcing, D, params, n_steps * cfg.dt,
@@ -290,14 +322,14 @@ class TestWorkIntegrals:
             t = k * cfg.dt
             energy.append(g.cell_volume * float(np.vdot(D.apply_array(y[0]), y[0])
                                                 + np.vdot(y[1], y[1])))
-            endpoint.append(self._terms(sys, t, y[0]))
+            endpoint.append(self._terms(sys, y[0]))
             if k == n_steps:
                 break
             work.append(np.zeros(4))
             weights = iter(dyn.RK4_WEIGHTS)
 
             def rhs(ts, ys):
-                work[-1] += next(weights) * np.array(self._terms(sys, ts, ys[0]))
+                work[-1] += next(weights) * np.array(self._terms(sys, ys[0]))
                 return sys.rhs(ts, *ys)
 
             u, p = dyn.rk4_step_generic(y, t, cfg.dt, rhs)
@@ -405,17 +437,19 @@ def _count_cg_iterations(monkeypatch) -> list[int]:
 
 class TestWarmStart:
     """simulate's semi-implicit CG starts from the cubic extrapolation of the
-    run's last step-end velocities; dyn.step, one step with no history,
-    starts from u_n. The two agree to the CG tolerance, and the warm start
-    saves iterations."""
+    run's last step-end velocities; a cold step, with no history, starts
+    from u_n. The two agree to the CG tolerance, and the warm start saves
+    iterations."""
 
     @staticmethod
     def _cold_run(state, cfg, forcing, D, n_steps):
+        """(u, p) at each step end of cold semi-implicit steps from `state`."""
         g = state.grid
-        s = dyn.SimState(state.u, ScalarField(g, gr.mean_project_array(state.p.values, g.dim)))
-        run = [s]
+        sys = dyn._FullSystem(g, D, QUINTIC, forcing, False)
+        run = [(state.u.values, gr.mean_project_array(state.p.values, g.dim))]
         for _ in range(n_steps):
-            run.append(dyn.step(run[-1], cfg, forcing, D, QUINTIC))
+            u, p = dyn._semi_implicit_full(sys, *run[-1], cfg.dt, cfg.cg_tol)
+            run.append((u, gr.mean_project_array(p, g.dim)))
         return run
 
     def test_sweep_agrees_with_cold_steps(self):
@@ -439,13 +473,12 @@ class TestWarmStart:
                         cold = self._cold_run(s, cfg, forcing, D, n_steps)
                         # step 1 has no history: it is the cold step, bit for bit
                         first = dyn.simulate(s, cfg, forcing, D, QUINTIC, cfg.dt)
-                        assert np.array_equal(first.states[1][0], cold[1].u.values)
+                        assert np.array_equal(first.states[1][0], cold[1][0])
                         assert len(tr.times) > 2
                         for t, (u, p) in zip(tr.times, tr.states):
-                            ref = cold[int(round(t / cfg.dt))]
-                            scale = max(np.abs(ref.u.values).max(), np.abs(ref.p.values).max())
-                            err = max(np.abs(u - ref.u.values).max(),
-                                      np.abs(p - ref.p.values).max())
+                            ref_u, ref_p = cold[int(round(t / cfg.dt))]
+                            scale = max(np.abs(ref_u).max(), np.abs(ref_p).max())
+                            err = max(np.abs(u - ref_u).max(), np.abs(p - ref_p).max())
                             assert err <= 1e-10 * scale, (dim, batched, kind, n, seed, t)
 
     @pytest.mark.parametrize("kind", ["white_pressure", "smooth", "white_u"])
@@ -471,6 +504,9 @@ class TestWarmStart:
         self._cold_run(state, cfg, forcing, D, 60)
         cold = iters
         assert len(warm) == len(cold) == 60
+        # the cubic extrapolation's count, pinned: a lower-order start meets
+        # the ratios below but needs more iterations
+        assert sum(warm) == {"white_pressure": 186, "smooth": 211, "white_u": 226}[kind]
         assert sum(warm) <= sum(cold)
         assert sum(warm[40:]) <= 0.7 * sum(cold[40:]), (warm, cold)
         if kind == "white_pressure":
@@ -480,19 +516,20 @@ class TestWarmStart:
 class TestEllipticSolver:
     def test_zero_data(self):
         g, _ = small_setup()
-        u = dyn.solve_elliptic_u(gr.zeros_scalar(g), gr.zeros_vector(g), QUINTIC)
-        assert np.all(u.values == 0.0)
+        zero = np.zeros((2,) + g.shape)
+        u, _ = dyn.solve_elliptic_arrays(zero[0], zero, QUINTIC, g)
+        assert np.all(u == 0.0)
 
     def test_linear_matches_direct_cg(self):
         g, _ = small_setup()
         rng = SplitMix64(37)
         p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
         gt = VectorField(g, rng.normal((2,) + g.shape))
-        u = dyn.solve_elliptic_u(p, gt, LINEAR, newton_tol=1e-12)
+        u, _ = dyn.solve_elliptic_arrays(p.values, gt.values, LINEAR, g, newton_tol=1e-12)
         rhs = gt.values - gr.grad(p).values
         direct = conjugate_gradient(
             lambda x: -gr.lap_array(x, g.h, g.dim), rhs, rtol=1e-13)
-        assert np.abs(u.values - direct).max() <= 1e-10
+        assert np.abs(u - direct).max() <= 1e-10
 
     @pytest.mark.parametrize("amp", [1.0, 10.0])
     def test_quintic_converges_with_quadratic_tail(self, amp):
@@ -509,6 +546,25 @@ class TestEllipticSolver:
         rates = [b / a for a, b in zip(tail, tail[1:])]
         assert all(r2 < r1 for r1, r2 in zip(rates, rates[1:])) or len(rates) <= 1
 
+    def test_line_search_halves_a_full_step_that_fails(self):
+        # a cold solve at 16^2 with quintic drag and forcing amplitude 100:
+        # the full first Newton step (-lap + alpha)^-1 g raises the residual,
+        # so the line search must halve; the history still falls strictly
+        # and reaches the tolerance
+        g = Grid(2, 16)
+        p = np.zeros(g.shape)
+        gt = make_forcing(g, "fixed_random", seed=5, amplitude=100.0).base.values
+
+        def rnorm(u):
+            r = dyn._elliptic_residual(u, p, gt, QUINTIC, g)
+            return np.sqrt(g.cell_volume * np.vdot(r, r))
+
+        full_step = gr.poisson_solve_array(gt, g, QUINTIC.alpha)
+        assert rnorm(full_step) >= rnorm(np.zeros_like(gt))
+        u, hist = dyn.solve_elliptic_arrays(p, gt, QUINTIC, g, newton_tol=1e-10)
+        assert hist[-1] <= 1e-10 and rnorm(u) == hist[-1]
+        assert all(b < a for a, b in zip(hist, hist[1:])), hist
+
     def test_nonconvergence_reports_history(self):
         g, _ = small_setup()
         rng = SplitMix64(47)
@@ -524,8 +580,9 @@ class TestTruncated:
     def test_zero_fixed_point(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=0.05)
-        out = dyn.step_truncated(gr.zeros_scalar(g), Forcing.zero(g), cfg, D, QUINTIC)
-        assert np.all(out.values == 0.0)
+        traj = dyn.run_truncated(gr.zeros_scalar(g), Forcing.zero(g), cfg, D, QUINTIC,
+                                 cfg.dt)
+        assert len(traj.ps) == 2 and not traj.ps[-1].any() and not traj.us[-1].any()
 
     def test_linear_matches_operator_exponential(self):
         # oracle: dense assembled pressure operator, exponential + Duhamel

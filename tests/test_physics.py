@@ -4,15 +4,32 @@
 import numpy as np
 import pytest
 
+from bfflow import analysis as an
+from bfflow import dynamics as dyn
 from bfflow import grid as gr
 from bfflow import physics as ph
 from bfflow.grid import Grid, ScalarField, VectorField
-from bfflow.physics import MediumMatrix, NonlinearityParams
+from bfflow.physics import Forcing, MediumMatrix, NonlinearityParams
 from bfflow.rng import SplitMix64
 
 QUINTIC = NonlinearityParams(alpha=1.0, beta=1.0, gamma=0.0, l=2.0)
 CUBIC = NonlinearityParams(alpha=1.0, beta=1.0, gamma=0.0, l=1.0)
 SQRT = NonlinearityParams(alpha=0.0, beta=0.0, gamma=3.0, l=1.0)
+
+
+def _dot(g, a, b):
+    """The h^d-weighted inner product of two field arrays."""
+    return g.cell_volume * float(np.vdot(a, b))
+
+
+def _potential(u, params, g):
+    """Oracle for the drag: h^d * sum of F(u), F the radial antiderivative of
+    f, so that dF(su)/ds at s = 1 is f(u).u."""
+    z = np.sum(u * u, axis=0)
+    F = 0.5 * (params.alpha * z
+               + params.beta * z ** (params.l + 1.0) / (params.l + 1.0)
+               + (2.0 / 3.0) * params.gamma * z ** 1.5)
+    return float(g.cell_volume * F.sum())
 
 
 class TestParams:
@@ -25,11 +42,6 @@ class TestParams:
     def test_negative_coeff_rejected(self):
         with pytest.raises(ValueError):
             NonlinearityParams(-1.0, 0.0)
-
-    def test_dissipativity_flags(self):
-        assert QUINTIC.dissipative()
-        assert not NonlinearityParams(1.0, 0.0, 0.0, l=2.0).dissipative()
-        assert NonlinearityParams(0.0, 0.0, 1.0, l=0.5).dissipative()
 
 
 class TestMedium:
@@ -59,26 +71,22 @@ class TestMedium:
 
 class TestPhi:
     def test_boundary_value(self):
-        assert ph.eval_phi(0.0, QUINTIC) == 1.0
+        assert ph._phi_array(np.zeros(1), QUINTIC)[0] == 1.0
 
     def test_direct_evaluations(self):
-        assert ph.eval_phi(2.0, QUINTIC) == pytest.approx(5.0, rel=1e-15)
-        assert ph.eval_phi(4.0, SQRT) == pytest.approx(6.0, rel=1e-15)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ph.eval_phi(-1.0, QUINTIC)
+        assert ph._phi_array(np.array([2.0]), QUINTIC)[0] == pytest.approx(5.0, rel=1e-15)
+        assert ph._phi_array(np.array([4.0]), SQRT)[0] == pytest.approx(6.0, rel=1e-15)
 
 
 class TestF:
     def test_zero(self):
         g = Grid(2, 8)
-        assert np.all(ph.eval_f(gr.zeros_vector(g), QUINTIC).values == 0.0)
+        assert np.all(ph.f_apply_array(np.zeros((2,) + g.shape), QUINTIC, g.dim) == 0.0)
 
     def test_unit_field_cubic(self):
         g = Grid(2, 8)
-        u = VectorField(g, np.stack([np.ones(g.shape), np.zeros(g.shape)]))
-        out = ph.eval_f(u, CUBIC).values
+        u = np.stack([np.ones(g.shape), np.zeros(g.shape)])
+        out = ph.f_apply_array(u, CUBIC, g.dim)
         assert np.abs(out[0] - 2.0).max() <= 1e-15
         assert np.all(out[1] == 0.0)
 
@@ -93,29 +101,28 @@ class TestF:
 
 
 class TestPotential:
+    """The drag is the gradient of a potential written here, independently."""
+
     def test_zero(self):
         g = Grid(2, 8)
-        assert ph.eval_potential(gr.zeros_vector(g), QUINTIC) == 0.0
+        assert _potential(np.zeros((2,) + g.shape), QUINTIC, g) == 0.0
 
     def test_single_node_closed_form(self):
         g = Grid(2, 8)
         vals = np.zeros((2,) + g.shape)
         vals[0, 3, 4] = 1.0
-        u = VectorField(g, vals)
         params = NonlinearityParams(alpha=2.0, beta=0.0, gamma=0.0, l=1.0)
-        assert ph.eval_potential(u, params) == pytest.approx(g.h ** 2, rel=1e-15)
+        assert _potential(vals, params, g) == pytest.approx(g.h ** 2, rel=1e-15)
 
     @pytest.mark.parametrize("params", [QUINTIC, SQRT])
     def test_directional_derivative(self, params):
         # finite-difference oracle: d/ds of the potential at s=1 is (f(u), u)
         g = Grid(2, 8)
         rng = SplitMix64(67)
-        u = VectorField(g, rng.normal((2,) + g.shape) + 0.5)
+        u = rng.normal((2,) + g.shape) + 0.5
         s = 1e-5
-        up = VectorField(g, (1 + s) * u.values)
-        um = VectorField(g, (1 - s) * u.values)
-        fd = (ph.eval_potential(up, params) - ph.eval_potential(um, params)) / (2 * s)
-        exact = gr.vector_inner(ph.eval_f(u, params), u)
+        fd = (_potential((1 + s) * u, params, g) - _potential((1 - s) * u, params, g)) / (2 * s)
+        exact = _dot(g, ph.f_apply_array(u, params, g.dim), u)
         assert fd == pytest.approx(exact, rel=1e-6)
 
 
@@ -123,40 +130,37 @@ class TestFPrime:
     def test_zero_direction(self):
         g = Grid(2, 8)
         rng = SplitMix64(71)
-        u = VectorField(g, rng.normal((2,) + g.shape))
-        out = ph.apply_fprime(u, gr.zeros_vector(g), QUINTIC)
-        assert np.all(out.values == 0.0)
+        u = rng.normal((2,) + g.shape)
+        out = ph.fprime_apply_array(u, np.zeros_like(u), QUINTIC, g.dim)
+        assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("params", [QUINTIC, CUBIC, SQRT])
     def test_matches_central_difference(self, params):
         g = Grid(2, 8)
         rng = SplitMix64(73)
         # keep |u| away from 0: the sqrt branch is not differentiable there
-        u = VectorField(g, rng.normal((2,) + g.shape) + 2.0)
-        v = VectorField(g, rng.normal((2,) + g.shape))
+        u = rng.normal((2,) + g.shape) + 2.0
+        v = rng.normal((2,) + g.shape)
         s = 1e-5
-        up = VectorField(g, u.values + s * v.values)
-        um = VectorField(g, u.values - s * v.values)
-        fd = (ph.eval_f(up, params).values - ph.eval_f(um, params).values) / (2 * s)
-        got = ph.apply_fprime(u, v, params).values
+        fd = (ph.f_apply_array(u + s * v, params, g.dim)
+              - ph.f_apply_array(u - s * v, params, g.dim)) / (2 * s)
+        got = ph.fprime_apply_array(u, v, params, g.dim)
         assert np.abs(got - fd).max() <= 1e-8 * max(1.0, np.abs(fd).max())
 
     def test_symmetric_bilinear_form(self):
         g = Grid(2, 8)
         rng = SplitMix64(79)
-        u = VectorField(g, rng.normal((2,) + g.shape))
-        v = VectorField(g, rng.normal((2,) + g.shape))
-        w = VectorField(g, rng.normal((2,) + g.shape))
-        a = gr.vector_inner(ph.apply_fprime(u, v, QUINTIC), w)
-        b = gr.vector_inner(v, ph.apply_fprime(u, w, QUINTIC))
+        u, v, w = (rng.normal((2,) + g.shape) for _ in range(3))
+        a = _dot(g, ph.fprime_apply_array(u, v, QUINTIC, g.dim), w)
+        b = _dot(g, v, ph.fprime_apply_array(u, w, QUINTIC, g.dim))
         assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
 
     def test_monotone_quadratic_form(self):
         g = Grid(2, 8)
         rng = SplitMix64(83)
-        u = VectorField(g, rng.normal((2,) + g.shape) + 3.0)
-        v = VectorField(g, rng.normal((2,) + g.shape))
-        assert gr.vector_inner(ph.apply_fprime(u, v, QUINTIC), v) >= 0.0
+        u = rng.normal((2,) + g.shape) + 3.0
+        v = rng.normal((2,) + g.shape)
+        assert _dot(g, ph.fprime_apply_array(u, v, QUINTIC, g.dim), v) >= 0.0
 
 
 class TestMonotoneDrag:
@@ -227,13 +231,20 @@ class TestBogovski:
 
 
 class TestEnergyReport:
+    """The energy functionals as the energy audit and the run's work rows
+    compute them."""
+
+    @staticmethod
+    def _audit(state, D, eps):
+        traj = dyn.simulate(state, dyn.SolverConfig(dt=1e-3), Forcing.zero(state.grid),
+                            D, QUINTIC, 1e-3, collect_work=True)
+        return traj, an.energy_audit(traj, eps)
+
     def test_all_zero(self):
         g = Grid(2, 8)
-        D = MediumMatrix.identity(2)
-        rep = ph.energy_report(gr.zeros_vector(g), gr.zeros_scalar(g),
-                               gr.zeros_vector(g), D, QUINTIC, eps=0.1)
-        assert rep.e_plain == rep.e_eps == rep.dissipation == 0.0
-        assert rep.f_work == rep.g_work == 0.0
+        traj, audit = self._audit(dyn.SimState.zero(g), MediumMatrix.identity(2), 0.1)
+        assert not traj.energy_series.any() and not traj.endpoint_terms.any()
+        assert not traj.work_increments.any() and not audit.e_eps_series.any()
 
     def test_eps_zero_decouples(self):
         g = Grid(2, 8)
@@ -241,15 +252,10 @@ class TestEnergyReport:
         rng = SplitMix64(109)
         u = VectorField(g, rng.normal((2,) + g.shape))
         p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-        rep = ph.energy_report(u, p, gr.zeros_vector(g), D, QUINTIC, eps=0.0)
-        assert rep.e_eps == rep.e_plain
-
-    def test_negative_eps_rejected(self):
-        g = Grid(2, 8)
-        with pytest.raises(ValueError):
-            ph.energy_report(gr.zeros_vector(g), gr.zeros_scalar(g),
-                             gr.zeros_vector(g), MediumMatrix.identity(2),
-                             QUINTIC, eps=-0.1)
+        traj, audit = self._audit(dyn.SimState(u, p), D, 0.0)
+        for i, e_eps in enumerate(audit.e_eps_series):
+            s = traj.state_at(i)
+            assert e_eps == gr.weighted_inner(D, s.u, s.u) + gr.inner(s.p, s.p)
 
     def test_certified_equivalence_window(self):
         g = Grid(2, 8)
@@ -261,15 +267,27 @@ class TestEnergyReport:
         for _ in range(50):
             u = VectorField(g, rng.normal((2,) + g.shape))
             p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-            rep = ph.energy_report(u, p, gr.zeros_vector(g), D, QUINTIC, eps)
-            assert 0.5 * rep.e_plain <= rep.e_eps <= 1.5 * rep.e_plain
+            e_plain = gr.weighted_inner(D, u, u) + gr.inner(p, p)
+            e_eps = e_plain + 2.0 * eps * gr.vector_inner(u, ph.bogovski(p))
+            assert 0.5 * e_plain <= e_eps <= 1.5 * e_plain
 
     def test_dissipation_is_weighted_gradient_energy(self):
+        # the work row's -<lap u, D u> against the D-weighted forward-difference
+        # gradient energy (D diagonal: one weight per component)
         g = Grid(2, 8)
         D = MediumMatrix.diagonal([1.0, 2.0])
         rng = SplitMix64(113)
-        u = VectorField(g, rng.normal((2,) + g.shape))
-        assert ph.dissipation_form(D, u) > 0.0
+        u = rng.normal((2,) + g.shape)
+        sys = dyn._FullSystem(g, D, QUINTIC, Forcing.zero(g), False, work_rows=1)
+        sys.parts(u)
+        energy = 0.0
+        for comp, weight in enumerate((1.0, 2.0)):
+            padded = np.pad(u[comp], 1)
+            for ax in range(g.dim):
+                dif = np.diff(padded, axis=ax)
+                energy += weight * g.cell_volume / g.h ** 2 * np.sum(dif * dif)
+        assert sys.work[0, 0] > 0.0
+        assert sys.work[0, 0] == pytest.approx(energy, rel=1e-12)
 
 
 class TestConvective:
@@ -314,22 +332,5 @@ class TestGridMismatch:
         with pytest.raises(ValueError):
             gr.weighted_inner(np.eye(2), u8, u16)
         with pytest.raises(ValueError):
-            ph.apply_fprime(u8, u16, QUINTIC)
-        with pytest.raises(ValueError):
             ph.convective(u8, u16)
 
-
-class TestForcing:
-    def test_nonincreasing_times_rejected(self):
-        g = Grid(2, 8)
-        z = gr.zeros_vector(g)
-        with pytest.raises(ValueError):
-            ph.Forcing(z, [(0.0, z), (0.0, z)])
-
-    def test_interpolation(self):
-        g = Grid(2, 8)
-        ones = VectorField(g, np.ones((2,) + g.shape))
-        twos = VectorField(g, 2.0 * np.ones((2,) + g.shape))
-        f = ph.Forcing(gr.zeros_vector(g), [(0.0, ones), (1.0, twos)])
-        assert f.at_array(0.5)[0, 0, 0] == pytest.approx(1.5)
-        assert f.at_array(2.0)[0, 0, 0] == pytest.approx(2.0)

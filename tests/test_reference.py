@@ -1,4 +1,4 @@
-"""Dense propagator, periodic mode oracle, residual checkers."""
+"""Dense propagator, periodic mode oracle, residuals of the equations."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from bfflow import dynamics as dyn
 from bfflow import grid as gr
 from bfflow import reference as ref
 from bfflow.cli import make_initial_state
-from bfflow.grid import Grid, ScalarField, VectorField
-from bfflow.physics import MediumMatrix, NonlinearityParams
+from bfflow.grid import Grid, ScalarField
+from bfflow.physics import Forcing, MediumMatrix, NonlinearityParams
 from bfflow.rng import SplitMix64
 
 LINEAR = NonlinearityParams(0.0, 0.0)
@@ -173,36 +173,34 @@ class TestPeriodicStepper:
 
 
 class TestResidualCheck:
+    """The full system's right-hand side and the elliptic residual vanish
+    where the equations hold and only there."""
+
+    @staticmethod
+    def _norm(g, *arrays):
+        return float(np.sqrt(g.cell_volume * sum(np.vdot(a, a) for a in arrays)))
+
     def test_zero_state(self):
         g = Grid(2, 8)
         D = MediumMatrix.identity(2)
-        state = dyn.SimState.zero(g)
-        for system in ("full", "truncated", "linear"):
-            assert ref.residual_check(state, gr.zeros_vector(g), D, QUINTIC,
-                                      system) == 0.0
+        u, p = np.zeros((2,) + g.shape), np.zeros(g.shape)
+        sys = dyn._FullSystem(g, D, QUINTIC, Forcing.zero(g), False)
+        assert self._norm(g, *sys.rhs(0.0, u, p)) == 0.0
+        for params in (QUINTIC, LINEAR):
+            assert self._norm(g, dyn._elliptic_residual(u, p, u, params, g)) == 0.0
 
     def test_elliptic_solution_closes(self):
         g = Grid(2, 8)
-        D = MediumMatrix.identity(2)
         rng = SplitMix64(709)
-        p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-        gt = VectorField(g, rng.normal((2,) + g.shape))
-        u = dyn.solve_elliptic_u(p, gt, QUINTIC, newton_tol=1e-11)
-        state = dyn.SimState(u, p)
-        assert ref.residual_check(state, gt, D, QUINTIC, "truncated") <= 1e-11
+        p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape))).values
+        gt = rng.normal((2,) + g.shape)
+        u, _ = dyn.solve_elliptic_arrays(p, gt, QUINTIC, g, newton_tol=1e-11)
+        assert self._norm(g, dyn._elliptic_residual(u, p, gt, QUINTIC, g)) <= 1e-11
 
     def test_random_state_fails_check(self):
         g = Grid(2, 8)
-        D = MediumMatrix.identity(2)
         rng = SplitMix64(711)
-        state = dyn.SimState(
-            VectorField(g, rng.normal((2,) + g.shape)),
-            gr.project_mean_zero(ScalarField(g, rng.normal(g.shape))))
-        assert ref.residual_check(state, gr.zeros_vector(g), D, QUINTIC,
-                                  "truncated") > 1e-3
-
-    def test_unknown_system_rejected(self):
-        g = Grid(2, 8)
-        with pytest.raises(ValueError):
-            ref.residual_check(dyn.SimState.zero(g), gr.zeros_vector(g),
-                               MediumMatrix.identity(2), QUINTIC, "spectral")
+        u = rng.normal((2,) + g.shape)
+        p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape))).values
+        r = dyn._elliptic_residual(u, p, np.zeros_like(u), QUINTIC, g)
+        assert self._norm(g, r) > 1e-3

@@ -29,8 +29,8 @@ def test_sobolev_and_parseval(setup3d):
     f = ScalarField(g, rng.normal(g.shape))
     c = gr.sine_coefficients(f)
     assert np.sum(c * c) == pytest.approx(gr.norm_l2(f) ** 2, rel=1e-12)
-    assert gr.sobolev_norm(f, 0.0) == pytest.approx(gr.norm_l2(f), rel=1e-12)
-    norms = [gr.sobolev_norm(f, d) for d in (0.0, 0.5, 1.0)]
+    assert gr.spectral_norm(f, 0.0) == pytest.approx(gr.norm_l2(f), rel=1e-12)
+    norms = [gr.spectral_norm(f, d) for d in (0.0, 0.5, 1.0)]
     assert norms[0] <= norms[1] <= norms[2]
 
 
