@@ -421,9 +421,11 @@ def ensemble_states(grid: Grid, size: int, seed: int) -> list[dyn.SimState]:
 
 
 def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
+    eps = sc["scenario", "eps"]
+    if eps < 0.0:
+        raise ConfigError(f"scenario: eps must be nonnegative, got {eps}")
     grid, D, params, cfg, forcing = sc.system()
     state0 = sc.initial(grid)
-    eps = sc["scenario", "eps"]
     conv = sc["scenario", "convective"]
     traj = dyn.simulate(state0, cfg, forcing, D, params, sc["run", "t_max"],
                         snapshot_every=_snapshot_every(cfg, sc["run", "snapshot_stride"]),
@@ -535,7 +537,7 @@ def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     reference = dyn.run_truncated(p0, forcing, cfg, D, params, t_max,
                                   snapshot_every=every)
     run = dyn.run_bootstrap_split if kind == "bootstrap" else dyn.run_split
-    split = run(reference, cfg, D, params)
+    split = run(reference)
     st = an.split_study(split, sc["scenario", "delta_exponent"], t_max)
     write_csv(out / "split.csv",
               ["t [time]", "norm_q [field]", "norm_v [field]",

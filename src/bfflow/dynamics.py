@@ -515,11 +515,10 @@ class _TruncatedSystem:
         self.cfg = cfg
         self._warm: np.ndarray | None = None
 
-    def solve_u(self, p: np.ndarray, load: np.ndarray | None = None) -> np.ndarray:
-        """u(p), Newton warm-started from the previous solve; the load
-        defaults to the forcing."""
+    def solve_u(self, p: np.ndarray) -> np.ndarray:
+        """u(p), Newton warm-started from the previous solve."""
         u, _ = solve_elliptic_arrays(
-            p, self.forcing.at_array() if load is None else load, self.params, self.grid,
+            p, self.forcing.at_array(), self.params, self.grid,
             newton_tol=self.cfg.newton_tol, newton_max=self.cfg.newton_max,
             cg_floor=self.cfg.cg_tol, u0=self._warm)
         self._warm = u.copy()
@@ -579,15 +578,19 @@ class SplitTrajectory:
                 f"{self.recombination_p:.3e}, {self.recombination_u:.3e}")
 
 
-def _split_against(reference: TruncatedTrajectory, cfg: SolverConfig,
-                   y0: tuple, rhs, parts) -> SplitTrajectory:
-    """RK4 on (p, q, r) from y0, storing at the reference's times q and r
-    with their velocities `parts(k, t, y) -> (v, w)`. After the initial
-    state, q + r is checked against the reference's p and v + w against its
-    u at every stored time."""
-    grid = reference.grid
+def _linear_velocity(p: np.ndarray, load: np.ndarray | float, grid: Grid) -> np.ndarray:
+    """u solving -lap u + grad p = load: one sine transform pair."""
+    return gr.poisson_solve_array(load - gr.grad_array(p, grid.h, grid.dim), grid)
+
+
+def _split_against(reference: TruncatedTrajectory, rhs, parts) -> SplitTrajectory:
+    """RK4 on (p, q, r) from (p(0), p(0), 0) with the reference's step,
+    storing at the reference's times q and r with their velocities
+    `parts(k, t, y) -> (v, w)`. After the initial state, q + r is checked
+    against the reference's p and v + w against its u at every stored time."""
+    grid, dt, p0 = reference.grid, reference.cfg.dt, reference.ps[0]
     t0 = float(reference.times[0])
-    n_steps = int(round((float(reference.times[-1]) - t0) / cfg.dt))
+    n_steps = int(round((float(reference.times[-1]) - t0) / dt))
 
     def record(k, t, y):
         _, q, r = y
@@ -596,9 +599,10 @@ def _split_against(reference: TruncatedTrajectory, cfg: SolverConfig,
                 (ScalarField(grid, r.copy()), VectorField(grid, w.copy())))
 
     times, stored = integrate(
-        y0, t0, cfg.dt, n_steps, lambda t, y: rk4_step_generic(y, t, cfg.dt, rhs),
+        (p0, p0, np.zeros_like(p0)), t0, dt, n_steps,
+        lambda t, y: rk4_step_generic(y, t, dt, rhs),
         grid.dim, project=(0, 1, 2),
-        snapshots=snapshot_steps(n_steps, t0, cfg.dt, stored=reference.times),
+        snapshots=snapshot_steps(n_steps, t0, dt, stored=reference.times),
         record=record)
     scale = max(float(np.abs(v).max()) for v in reference.ps) or 1.0
     later = list(zip(stored, reference.ps, reference.us))[1:]
@@ -611,25 +615,23 @@ def _split_against(reference: TruncatedTrajectory, cfg: SolverConfig,
                            [b for _, b in stored], defect_p, defect_u)
 
 
-def run_split(reference: TruncatedTrajectory, cfg: SolverConfig, D: MediumMatrix,
-              params: NonlinearityParams) -> SplitTrajectory:
-    """Contracting/compact splitting of the truncated system.
+def run_split(reference: TruncatedTrajectory) -> SplitTrajectory:
+    """Contracting/compact splitting of a truncated run, with its settings.
 
     q evolves with the unshifted (monotone) drag and q(0) = p(0); r evolves
-    with the drag difference f(u) - f(v) and the load g, r(0) = 0. p is
-    re-integrated jointly so that every RK stage sees consistent data;
-    q + r = p is checked against the reference snapshots, never enforced.
+    with the drag difference f(u) - f(v) and the load g, r(0) = 0, so its
+    velocity w is a direct linear solve. p is re-integrated jointly so that
+    every RK stage sees consistent data; q + r = p is checked against the
+    reference snapshots, never enforced.
     """
-    grid = reference.grid
-    forcing = reference.forcing
-    sys_p = _TruncatedSystem(grid, D, params, forcing, cfg)
-    sys_v = _TruncatedSystem(grid, D, params, Forcing.zero(grid), cfg)
-    sys_w = _TruncatedSystem(grid, D, NonlinearityParams(0.0, 0.0), forcing, cfg)
+    grid, D, params, forcing = reference.grid, reference.D, reference.params, reference.forcing
+    sys_p = _TruncatedSystem(grid, D, params, forcing, reference.cfg)
+    sys_v = _TruncatedSystem(grid, D, params, Forcing.zero(grid), reference.cfg)
 
     def solve_w(r, u, v):
-        return sys_w.solve_u(r, forcing.at_array()
-                             - ph.f_apply_array(u, params, grid.dim)
-                             + ph.f_apply_array(v, params, grid.dim))
+        return _linear_velocity(r, forcing.at_array()
+                                - ph.f_apply_array(u, params, grid.dim)
+                                + ph.f_apply_array(v, params, grid.dim), grid)
 
     def rhs(t, y):
         p, q, r = y
@@ -642,50 +644,38 @@ def run_split(reference: TruncatedTrajectory, cfg: SolverConfig, D: MediumMatrix
         v = sys_v.solve_u(q)
         return v, solve_w(r, sys_p.solve_u(p), v)
 
-    p0 = reference.ps[0]
-    return _split_against(reference, cfg, (p0, p0, np.zeros_like(p0)), rhs, parts)
+    return _split_against(reference, rhs, parts)
 
 
-def run_bootstrap_split(reference: TruncatedTrajectory, cfg: SolverConfig,
-                        D: MediumMatrix, params: NonlinearityParams) -> SplitTrajectory:
-    """Linear decaying part plus forced smooth part of a truncated run.
+def run_bootstrap_split(reference: TruncatedTrajectory) -> SplitTrajectory:
+    """Linear decaying part plus forced smooth part of a truncated run, with
+    its settings.
 
-    Part 1 solves the force-free linear system from p(0); part 2 carries
-    g - f(u(t)) with zero initial data. Their velocities come from plain
-    Poisson solves; recombination against the reference is checked.
+    Part 1 is the force-free linear system from p(0); part 2 carries the load
+    g - f(u(t)) with zero initial data. Both velocities are direct linear
+    solves; recombination against the reference is checked.
     """
-    grid = reference.grid
-    forcing = reference.forcing
-    lin = NonlinearityParams(0.0, 0.0)
-    sys_p = _TruncatedSystem(grid, D, params, forcing, cfg)
-    zero_load = np.zeros((grid.dim,) + grid.shape)
-
-    def solve_lin(pfield, load):
-        u, _ = solve_elliptic_arrays(pfield, load, lin, grid,
-                                     newton_tol=cfg.newton_tol,
-                                     newton_max=cfg.newton_max,
-                                     cg_floor=cfg.cg_tol)
-        return u
+    grid, D, params, forcing = reference.grid, reference.D, reference.params, reference.forcing
+    sys_p = _TruncatedSystem(grid, D, params, forcing, reference.cfg)
 
     def solve_part2(p2, u):
-        return solve_lin(p2, forcing.at_array() - ph.f_apply_array(u, params, grid.dim))
+        return _linear_velocity(
+            p2, forcing.at_array() - ph.f_apply_array(u, params, grid.dim), grid)
 
     def rhs(t, y):
         p, p1, p2 = y
         u = sys_p.solve_u(p)
-        u1 = solve_lin(p1, zero_load)
+        u1 = _linear_velocity(p1, 0.0, grid)
         return tuple(_pressure_rate(x, D, grid) for x in (u, u1, solve_part2(p2, u)))
 
     def parts(k, t, y):
         p, p1, p2 = y
-        u1 = solve_lin(p1, zero_load)
         # w(t0) carries the load of the reference's stored u(t0); a solve
         # through sys_p here would move the Newton warm starts of later solves
         u = sys_p.solve_u(p) if k else reference.us[0]
-        return u1, solve_part2(p2, u)
+        return _linear_velocity(p1, 0.0, grid), solve_part2(p2, u)
 
-    p0 = reference.ps[0]
-    return _split_against(reference, cfg, (p0, p0, np.zeros_like(p0)), rhs, parts)
+    return _split_against(reference, rhs, parts)
 
 
 @dataclass
@@ -711,11 +701,13 @@ _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 def averaged_jacobian_apply(u1: np.ndarray, u2: np.ndarray, v: np.ndarray,
                             params: NonlinearityParams, dim: int) -> np.ndarray:
     """l(t) v with l(t) the tau-averaged Jacobian along the segment [u2, u1],
-    by 3-point Gauss quadrature (exact through quintic drag)."""
+    by 3-point Gauss quadrature (exact through quintic drag); the three
+    nodes go through one batched Jacobian action."""
+    mids = np.stack([tau * u1 + (1.0 - tau) * u2 for tau in _GAUSS3_NODES])
+    jv = ph.fprime_apply_array(mids, np.broadcast_to(v, mids.shape), params, dim)
     out = np.zeros_like(v)
-    for tau, wgt in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
-        mid = tau * u1 + (1.0 - tau) * u2
-        out += wgt * ph.fprime_apply_array(mid, v, params, dim)
+    for wgt, j in zip(_GAUSS3_WEIGHTS, jv):
+        out += wgt * j
     return out
 
 
@@ -726,8 +718,9 @@ def run_exp_split(pair, forcing, cfg: SolverConfig, D: MediumMatrix,
 
     The hat part solves the homogeneous linear system from the initial
     difference; the tilde part absorbs the averaged-Jacobian load -l(t) ubar
-    with zero initial data. They are integrated jointly, without convection,
-    with the runs from the two states of `pair`, stored as `simulate` would.
+    with zero initial data. They step jointly with the runs from the two
+    states of `pair`, without convection, as two two-member batches, the
+    runs (u1, u2) and the parts (hat, tilde), stored as `simulate` would.
     """
     s1, s2 = pair
     if s1.grid != s2.grid or s1.t != s2.t:
@@ -737,32 +730,29 @@ def run_exp_split(pair, forcing, cfg: SolverConfig, D: MediumMatrix,
     sys = _FullSystem(grid, D, params, _as_forcing(forcing, grid), False)
 
     def rhs(t, y):
-        u1, p1, u2, p2, uh, phat, ut, pt = y
-        du1, dp1 = sys.rhs(t, u1, p1)
-        du2, dp2 = sys.rhs(t, u2, p2)
-        duh = gr.lap_array(uh, grid.h, grid.dim) - gr.grad_array(phat, grid.h, grid.dim)
-        dph = _pressure_rate(uh, D, grid)
-        load = averaged_jacobian_apply(u1, u2, u1 - u2, params, grid.dim)
-        dut = (gr.lap_array(ut, grid.h, grid.dim)
-               - gr.grad_array(pt, grid.h, grid.dim) - load)
-        return du1, dp1, du2, dp2, duh, dph, dut, _pressure_rate(ut, D, grid)
+        U, P, V, Q = y  # runs (u1, u2) and parts (hat, tilde), member-stacked
+        dU, dP = sys.rhs(t, U, P)
+        dV = gr.lap_array(V, grid.h, grid.dim) - gr.grad_array(Q, grid.h, grid.dim)
+        dV[1] -= averaged_jacobian_apply(U[0], U[1], U[0] - U[1], params, grid.dim)
+        return dU, dP, dV, _pressure_rate(V, D, grid)
 
-    u1, u2 = s1.u.values, s2.u.values
-    p1, p2 = (gr.mean_project_array(s.p.values, grid.dim) for s in pair)
-    y0 = (u1, p1, u2, p2, u1 - u2, p1 - p2, np.zeros_like(u1), np.zeros_like(p1))
-    scale = max(float(np.abs(y0[4]).max()), float(np.abs(y0[5]).max()), 1e-30)
+    U = np.stack((s1.u.values, s2.u.values))
+    P = gr.mean_project_array(np.stack((s1.p.values, s2.p.values)), grid.dim)
+    y0 = (U, P, np.stack((U[0] - U[1], np.zeros_like(U[0]))),
+          np.stack((P[0] - P[1], np.zeros_like(P[0]))))
+    scale = max(float(np.abs(y0[2][0]).max()), float(np.abs(y0[3][0]).max()), 1e-30)
 
     def record(k, t, y):
-        u1, p1, u2, p2, uh, phat, ut, pt = y
-        defect = max(float(np.abs(uh + ut - (u1 - u2)).max()),
-                     float(np.abs(phat + pt - (p1 - p2)).max())) / scale
-        return ((VectorField(grid, uh.copy()), ScalarField(grid, phat.copy())),
-                (VectorField(grid, ut.copy()), ScalarField(grid, pt.copy())), defect)
+        U, P, V, Q = y
+        defect = max(float(np.abs(V[0] + V[1] - (U[0] - U[1])).max()),
+                     float(np.abs(Q[0] + Q[1] - (P[0] - P[1])).max())) / scale
+        return ((VectorField(grid, V[0].copy()), ScalarField(grid, Q[0].copy())),
+                (VectorField(grid, V[1].copy()), ScalarField(grid, Q[1].copy())), defect)
 
     n_steps = max(1, int(round(t_max / cfg.dt)))
     times, stored = integrate(
         y0, t0, cfg.dt, n_steps, lambda t, y: rk4_step_generic(y, t, cfg.dt, rhs),
-        grid.dim, project=(1, 3, 5, 7),
+        grid.dim, project=(1, 3),
         snapshots=snapshot_steps(n_steps, t0, cfg.dt, every=snapshot_every),
         record=record)
     return ExpSplitTrajectory(np.array(times), [h for h, _, _ in stored],

@@ -57,6 +57,8 @@ class MediumMatrix:
         object.__setattr__(self, "entries", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("medium matrix must be square")
+        if not np.isfinite(mat).all():
+            raise ValueError("medium matrix must have finite entries")
         scale = max(1.0, float(np.abs(mat).max()))
         if np.abs(mat - mat.T).max() > 1e-14 * scale:
             raise ValueError("medium matrix must be symmetric (to 1e-14)")

@@ -313,6 +313,8 @@ _BAD_INPUTS = {
                         "'rows' must be finite"),
     "ragged_medium_rows": ("simulate", "[grid]\nn = 8\n[medium]\nrows = 1 0; 0\n",
                            "is not a matrix of floats"),
+    "negative_eps": ("simulate", "[grid]\nn = 8\n[scenario]\neps = -5\n",
+                     "eps must be nonnegative, got -5.0"),
     "zero_perturbation": ("lipschitz", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n"
                           "snapshot_stride = 0.01\n[scenario]\nperturbation = 0\n",
                           "perturbation must be nonzero"),

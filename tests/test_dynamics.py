@@ -625,31 +625,30 @@ class TestSplits:
         p0 = gr.project_mean_zero(ScalarField(g, amp * rng.normal(g.shape)))
         gf = VectorField(g, 0.5 * rng.normal((2,) + g.shape))
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12, cg_tol=1e-13)
-        return dyn.run_truncated(p0, gf, cfg, D, params, t_max,
-                                 snapshot_every=4), cfg, gf
+        return dyn.run_truncated(p0, gf, cfg, D, params, t_max, snapshot_every=4)
 
     def test_zero_reference_gives_zero_parts(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
         refr = dyn.run_truncated(gr.zeros_scalar(g), Forcing.zero(g), cfg, D,
                                  QUINTIC, t_max=0.5)
-        split = dyn.run_split(refr, cfg, D, QUINTIC)
+        split = dyn.run_split(refr)
         for (q, v), (r, w) in zip(split.qv, split.rw):
             assert np.abs(q.values).max() <= 1e-12
             assert np.abs(r.values).max() <= 1e-12
 
     def test_recombination_and_contraction(self):
         g, D = small_setup(n=8)
-        reference, cfg, _ = self._reference(g, D, QUINTIC)
-        split = dyn.run_split(reference, cfg, D, QUINTIC)
+        reference = self._reference(g, D, QUINTIC)
+        split = dyn.run_split(reference)
         assert split.recombination_p <= 1e-8
         assert split.recombination_u <= 1e-8
         assert an.split_study(split, 0.25, 2.0).q_fit.rate < 0.0
 
     def test_bootstrap_parts(self):
         g, D = small_setup(n=8)
-        reference, cfg, _ = self._reference(g, D, QUINTIC, seed=67)
-        split = dyn.run_bootstrap_split(reference, cfg, D, QUINTIC)
+        reference = self._reference(g, D, QUINTIC, seed=67)
+        split = dyn.run_bootstrap_split(reference)
         assert split.recombination_p <= 1e-8
         st = an.split_study(split, 1.0, 2.0)  # the p2 part in H1
         assert st.q_fit.rate < 0.0
@@ -659,8 +658,8 @@ class TestSplits:
         # w(t0) carries the part-2 load at the reference's u(t0), so v + w
         # is u(t0) there as at every later stored time
         g, D = small_setup(n=8)
-        reference, cfg, _ = self._reference(g, D, QUINTIC, seed=67)
-        split = dyn.run_bootstrap_split(reference, cfg, D, QUINTIC)
+        reference = self._reference(g, D, QUINTIC, seed=67)
+        split = dyn.run_bootstrap_split(reference)
         (_, v), (_, w) = split.qv[0], split.rw[0]
         assert gr.vector_spectral_norm(w, 1.0) > 0.0
         u0 = reference.us[0]
@@ -671,10 +670,27 @@ class TestSplits:
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
         refr = dyn.run_truncated(gr.zeros_scalar(g), Forcing.zero(g), cfg, D,
                                  QUINTIC, t_max=0.5)
-        split = dyn.run_bootstrap_split(refr, cfg, D, QUINTIC)
+        split = dyn.run_bootstrap_split(refr)
         for (q, _), (r, _) in zip(split.qv, split.rw):
             assert np.abs(q.values).max() <= 1e-12
             assert np.abs(r.values).max() <= 1e-12
+
+    def test_newton_solves_only_the_reference_drag(self, monkeypatch):
+        # the linear velocities (w; u1 and u2) are direct sine-basis solves,
+        # so every Newton solve a split makes carries the reference's drag
+        g, D = small_setup(n=8)
+        reference = self._reference(g, D, QUINTIC, t_max=0.5)
+        solve, seen = dyn.solve_elliptic_arrays, []
+
+        def spy(p, g_t, params, grid, **kwargs):
+            seen.append(params)
+            return solve(p, g_t, params, grid, **kwargs)
+
+        monkeypatch.setattr(dyn, "solve_elliptic_arrays", spy)
+        for run in (dyn.run_split, dyn.run_bootstrap_split):
+            seen.clear()
+            run(reference)
+            assert seen and all(params == reference.params for params in seen)
 
 
 class TestRecombination:
@@ -809,8 +825,8 @@ class TestSnapshotPolicy:
             gf = VectorField(g, 0.5 * rng.normal((2,) + g.shape))
             reference = dyn.run_truncated(p0, gf, cfg, D, QUINTIC, t_max,
                                           snapshot_every=every)
-            for split in (dyn.run_split(reference, cfg, D, QUINTIC),
-                          dyn.run_bootstrap_split(reference, cfg, D, QUINTIC)):
+            for split in (dyn.run_split(reference),
+                          dyn.run_bootstrap_split(reference)):
                 assert np.array_equal(split.times, reference.times)
                 assert len(split.qv) == len(split.rw) == len(reference.times)
             # the difference splitting has no reference run: it stores as

@@ -49,6 +49,12 @@ class TestMedium:
         with pytest.raises(ValueError):
             MediumMatrix(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            MediumMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            MediumMatrix(np.diag([1.0, np.inf]))
+
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError):
             MediumMatrix(np.diag([1.0, -2.0]))

@@ -94,7 +94,7 @@ def test_truncated_step_and_split(setup3d):
     gf = VectorField(g, 0.3 * rng.normal((3,) + g.shape))
     cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12, cg_tol=1e-13)
     reference = dyn.run_truncated(p0, gf, cfg, D, QUINTIC, 1.0, snapshot_every=5)
-    split = dyn.run_split(reference, cfg, D, QUINTIC)
+    split = dyn.run_split(reference)
     assert split.recombination_p <= 1e-8
     assert split.recombination_u <= 1e-8
 
