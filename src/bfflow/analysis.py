@@ -221,16 +221,17 @@ class AuditReport:
     integrals (5th order per step); `residual_trap` uses endpoint trapezoid
     (3rd order per step). `gp_violation` is the positive excess of the
     one-sided decay surrogate dE/dt + eps*E <= 0 evaluated with the
-    minus-coupled perturbed functional on the stored snapshots.
+    minus-coupled perturbed functional on the stored snapshots, where
+    `e_plain_series` and `e_eps_series` are the plain and plus-coupled
+    energies.
     """
 
     step_times: np.ndarray
     residual_trap: np.ndarray
     residual_stage: np.ndarray
-    snapshot_times: np.ndarray
+    e_plain_series: np.ndarray
     e_eps_series: np.ndarray
     gp_violation: np.ndarray
-    eps: float
 
 
 def energy_audit(traj: dyn.Trajectory, eps: float = 0.0) -> AuditReport:
@@ -246,14 +247,14 @@ def energy_audit(traj: dyn.Trajectory, eps: float = 0.0) -> AuditReport:
     residual_stage = 0.5 * np.diff(E) + (W[:, 0] + W[:, 1] + W[:, 3] - W[:, 2])
 
     # decay surrogate on snapshots, with the minus-coupled functional
-    e_eps, e_dec = [], []
+    e_plain, e_eps, e_dec = [], [], []
     for i in range(len(traj.times)):
         s = traj.state_at(i)
-        e_plain = gr.weighted_inner(traj.D, s.u, s.u) + gr.inner(s.p, s.p)
+        e_plain.append(gr.weighted_inner(traj.D, s.u, s.u) + gr.inner(s.p, s.p))
         coupling = (2.0 * eps * gr.vector_inner(s.u, ph.bogovski(s.p))
                     if eps > 0 else 0.0)
-        e_eps.append(e_plain + coupling)
-        e_dec.append(e_plain - coupling)
+        e_eps.append(e_plain[-1] + coupling)
+        e_dec.append(e_plain[-1] - coupling)
     e_eps, e_dec = np.array(e_eps), np.array(e_dec)
     viol = np.zeros(max(len(e_dec) - 1, 0))
     if len(e_dec) > 1:
@@ -261,8 +262,8 @@ def energy_audit(traj: dyn.Trajectory, eps: float = 0.0) -> AuditReport:
         viol = np.maximum(rate + eps * 0.5 * (e_dec[:-1] + e_dec[1:]), 0.0)
     return AuditReport(
         step_times=traj.step_times, residual_trap=residual_trap,
-        residual_stage=residual_stage, snapshot_times=traj.times,
-        e_eps_series=e_eps, gp_violation=viol, eps=eps)
+        residual_stage=residual_stage, e_plain_series=np.array(e_plain),
+        e_eps_series=e_eps, gp_violation=viol)
 
 
 # ---------------------------------------------------------------------------

@@ -440,9 +440,8 @@ def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     rows = []
     for i, t in enumerate(traj.times):
         s = traj.state_at(i)
-        rows.append((t, gr.weighted_inner(D, s.u, s.u) + gr.inner(s.p, s.p),
-                     audit.e_eps_series[i], gr.vector_spectral_norm(s.u, 1.0),
-                     gr.norm_l2(s.p), res_col[i]))
+        rows.append((t, audit.e_plain_series[i], audit.e_eps_series[i],
+                     gr.vector_spectral_norm(s.u, 1.0), gr.norm_l2(s.p), res_col[i]))
     write_csv(out / "energies.csv",
               ["t [time]", "e_plain [energy]", "e_eps [energy]",
                "h1_u [field]", "l2_p [field]", "residual [energy]"], rows)
@@ -534,10 +533,8 @@ def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         raise ConfigError(
             f"split needs a nonzero mean-zero initial pressure to fit the "
             f"decay of q; initial.kind = {sc['initial', 'kind']!r} gives p = 0")
-    reference = dyn.run_truncated(p0, forcing, cfg, D, params, t_max,
-                                  snapshot_every=every)
     run = dyn.run_bootstrap_split if kind == "bootstrap" else dyn.run_split
-    split = run(reference)
+    split = run(p0, forcing, cfg, D, params, t_max, snapshot_every=every)
     st = an.split_study(split, sc["scenario", "delta_exponent"], t_max)
     write_csv(out / "split.csv",
               ["t [time]", "norm_q [field]", "norm_v [field]",
@@ -707,6 +704,10 @@ _COMMANDS = {"simulate": _cmd_simulate, "spectrum": _cmd_spectrum,
              "expsplit": _cmd_expsplit, "smoothing": _cmd_smoothing,
              "attractor": _cmd_attractor, "audit": _cmd_audit, "oracle": _cmd_oracle}
 SUBCOMMANDS = tuple(_COMMANDS)
+# the subcommands that need scheme = rk4, and why
+_WORK = "needs the work integrals that only scheme = rk4 collects"
+_STEPS = "steps by explicit RK4 only, so needs scheme = rk4"
+_RK4_ONLY = {"simulate": _WORK, "audit": _WORK, "split": _STEPS, "expsplit": _STEPS}
 
 
 def run_scenario(config: ScenarioConfig, subcommand: str, out_dir: str | Path = ".",
@@ -719,9 +720,9 @@ def run_scenario(config: ScenarioConfig, subcommand: str, out_dir: str | Path = 
     if seed is not None and subcommand != "attractor":
         raise ConfigError(f"--seed overrides [run] seed, which only attractor reads; "
                           f"{subcommand} reads none")
-    if subcommand in ("simulate", "audit") and config["solver", "scheme"] == "semi_implicit":
-        raise ConfigError(f"{subcommand} needs the work integrals that only "
-                          f"scheme = rk4 collects, got scheme = semi_implicit")
+    if subcommand in _RK4_ONLY and config["solver", "scheme"] == "semi_implicit":
+        raise ConfigError(f"{subcommand} {_RK4_ONLY[subcommand]}, "
+                          f"got scheme = semi_implicit")
     if seed is not None:
         config = ScenarioConfig({**config.values, "run": {**config.values["run"], "seed": seed}})
     out = Path(out_dir)

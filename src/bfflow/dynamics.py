@@ -4,13 +4,13 @@ Every run steps through one loop, `integrate`, on a tuple-of-arrays state.
 The caller supplies `advance(t, y)` (an RK4 step of `rk4_step_generic`, or a
 semi-implicit step), the components to re-project to mean zero, and the
 steps to store, which `snapshot_steps` derives before the loop: every m steps
-plus the last, the nearest step end to each target time, or the steps at
-which a reference run stored. The loop owns t = t0 + k dt and one finiteness
-check, on the initial state and after every step; `BlowUpError` names the
-step and, in a batch of members, the member. The drivers (`simulate`, which
-also steps a list of states as one batch, `run_truncated` and the
-splittings) supply only a right-hand side and what to store; each splitting
-also checks that its parts recombine to its reference.
+plus the last, or the nearest step end to each target time. The loop owns
+t = t0 + k dt and one finiteness check, on the initial state and after every
+step; `BlowUpError` names the step and, in a batch of members, the member.
+The drivers (`simulate`, which also steps a list of states as one batch, and
+the splittings) supply only a right-hand side and what to store. A splitting
+is one run: the truncated run from p0 steps jointly with its parts, and the
+parts are checked to recombine to it at every stored time.
 
 The full system evolves (u, p) by
 
@@ -42,10 +42,9 @@ from .krylov import conjugate_gradient
 from .physics import Forcing, MediumMatrix, NonlinearityParams
 
 __all__ = [
-    "SimState", "SolverConfig", "Trajectory", "TruncatedTrajectory",
-    "SplitTrajectory", "ExpSplitTrajectory", "BlowUpError", "NewtonError",
-    "RecombinationError",
-    "simulate", "run_truncated", "run_split", "run_exp_split", "run_bootstrap_split",
+    "SimState", "SolverConfig", "Trajectory", "SplitTrajectory",
+    "ExpSplitTrajectory", "BlowUpError", "NewtonError", "RecombinationError",
+    "simulate", "run_split", "run_exp_split", "run_bootstrap_split",
     "rk4_step_generic", "snapshot_steps", "integrate",
 ]
 
@@ -159,24 +158,13 @@ def _check_finite(arrays, step_count: int, t: float, members: bool = False):
 
 
 def snapshot_steps(n_steps: int, t0: float, dt: float, every: int = 1,
-                   targets=None, stored=None) -> frozenset[int]:
+                   targets=None) -> frozenset[int]:
     """Indices of the steps after which a run of `n_steps` steps from t0
     stores its state; step k ends at t0 + k dt, and 0 (the initial state) is
-    always one of them. The first rule that is given applies:
-
-    - `stored`: the steps at which a run on the same step grid stored at
-      these times; each must be exactly one of this run's step ends;
-    - `targets`: for each target time, the first step ending no earlier than
-      half a step before it (the nearest step end), plus the last step;
-    - otherwise every `every`-th step, plus the last.
+    always one of them. With `targets`, for each target time the first step
+    ending no earlier than half a step before it (the nearest step end), plus
+    the last step; otherwise every `every`-th step, plus the last.
     """
-    if stored is not None:
-        stored = np.asarray(stored, dtype=float)
-        k = np.rint((stored - t0) / dt).astype(np.int64)
-        if (not np.array_equal(t0 + k * dt, stored)
-                or np.any(k < 0) or np.any(k > n_steps)):
-            raise ValueError("stored times are not step ends of this run")
-        return frozenset(k.tolist())
     if targets is not None:
         bounds = t0 + np.arange(1, n_steps + 1) * dt + 0.5 * dt
         idx = np.searchsorted(bounds, sorted(float(s) for s in targets))
@@ -445,7 +433,7 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
 
 
 # ---------------------------------------------------------------------------
-# truncated system: Newton elliptic solve and pressure stepping
+# truncated system: Newton elliptic solve for u(p)
 # ---------------------------------------------------------------------------
 
 def _elliptic_residual(u: np.ndarray, p: np.ndarray, g_t: np.ndarray,
@@ -504,12 +492,12 @@ def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
 
 
 class _TruncatedSystem:
-    """dp/dt = -P0 div(D u(p)), with u re-solved at every evaluation."""
+    """The velocity u(p) of the truncated system dp/dt = -P0 div(D u(p)),
+    re-solved at every evaluation."""
 
-    def __init__(self, grid: Grid, D: MediumMatrix, params: NonlinearityParams,
-                 forcing: Forcing, cfg: SolverConfig):
+    def __init__(self, grid: Grid, params: NonlinearityParams, forcing: Forcing,
+                 cfg: SolverConfig):
         self.grid = grid
-        self.D = D
         self.params = params
         self.forcing = forcing
         self.cfg = cfg
@@ -524,38 +512,6 @@ class _TruncatedSystem:
         self._warm = u.copy()
         return u
 
-    def rhs(self, t: float, p: np.ndarray) -> np.ndarray:
-        return _pressure_rate(self.solve_u(p), self.D, self.grid)
-
-
-@dataclass
-class TruncatedTrajectory:
-    grid: Grid
-    cfg: SolverConfig
-    D: MediumMatrix
-    params: NonlinearityParams
-    forcing: Forcing
-    times: np.ndarray
-    ps: list[np.ndarray]
-    us: list[np.ndarray]
-
-
-def run_truncated(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
-                  params: NonlinearityParams, t_max: float,
-                  snapshot_every: int = 1, start_time: float = 0.0) -> TruncatedTrajectory:
-    grid = p0.grid
-    forcing = _as_forcing(forcing, grid)
-    sys = _TruncatedSystem(grid, D, params, forcing, cfg)
-    n_steps = int(round(t_max / cfg.dt))
-    times, stored = integrate(
-        (gr.mean_project_array(p0.values, grid.dim),), start_time, cfg.dt, n_steps,
-        lambda t, y: rk4_step_generic(y, t, cfg.dt, lambda ts, ys: (sys.rhs(ts, ys[0]),)),
-        grid.dim, project=(0,),
-        snapshots=snapshot_steps(n_steps, start_time, cfg.dt, every=snapshot_every),
-        record=lambda k, t, y: (y[0].copy(), sys.solve_u(y[0])))
-    return TruncatedTrajectory(grid, cfg, D, params, forcing, np.array(times),
-                               [p for p, _ in stored], [u for _, u in stored])
-
 
 # ---------------------------------------------------------------------------
 # splittings
@@ -563,9 +519,13 @@ def run_truncated(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
 
 @dataclass
 class SplitTrajectory:
-    """Two-part splitting of a truncated run; q+r must recombine to p."""
+    """Two-part splitting p = q + r of a truncated run, stepped with the run:
+    p and u(p) at every stored time, the parts (q, v) and (r, w) beside them;
+    q + r must recombine to p and v + w to u."""
 
     times: np.ndarray
+    ps: list[np.ndarray]
+    us: list[np.ndarray]
     qv: list[tuple[ScalarField, VectorField]]
     rw: list[tuple[ScalarField, VectorField]]
     recombination_p: float   # max over stored times of |q+r-p| / max(|p|, tiny)
@@ -583,99 +543,91 @@ def _linear_velocity(p: np.ndarray, load: np.ndarray | float, grid: Grid) -> np.
     return gr.poisson_solve_array(load - gr.grad_array(p, grid.h, grid.dim), grid)
 
 
-def _split_against(reference: TruncatedTrajectory, rhs, parts) -> SplitTrajectory:
-    """RK4 on (p, q, r) from (p(0), p(0), 0) with the reference's step,
-    storing at the reference's times q and r with their velocities
-    `parts(k, t, y) -> (v, w)`. After the initial state, q + r is checked
-    against the reference's p and v + w against its u at every stored time."""
-    grid, dt, p0 = reference.grid, reference.cfg.dt, reference.ps[0]
-    t0 = float(reference.times[0])
-    n_steps = int(round((float(reference.times[-1]) - t0) / dt))
+def _split(p0: ScalarField, forcing: Forcing, cfg: SolverConfig, D: MediumMatrix,
+           params: NonlinearityParams, t_max: float, snapshot_every: int,
+           parts) -> SplitTrajectory:
+    """RK4 on (p, q, r) from (p0, p0, 0), p0 projected to mean zero, where p
+    is the truncated run and `parts(y, u) -> (v, w)` gives the parts'
+    velocities at the state y and the run's u = u(p). At every
+    `snapshot_every`-th step and the last it stores p, u, q, v, r and w; after
+    the initial state, q + r is checked against p and v + w against u."""
+    grid, dt = p0.grid, cfg.dt
+    sys_p = _TruncatedSystem(grid, params, forcing, cfg)
+
+    def velocities(y):
+        u = sys_p.solve_u(y[0])
+        return (u, *parts(y, u))
+
+    def rhs(t, y):
+        return tuple(_pressure_rate(x, D, grid) for x in velocities(y))
 
     def record(k, t, y):
-        _, q, r = y
-        v, w = parts(k, t, y)
-        return ((ScalarField(grid, q.copy()), VectorField(grid, v.copy())),
-                (ScalarField(grid, r.copy()), VectorField(grid, w.copy())))
+        (p, q, r), (u, v, w) = y, velocities(y)
+        return (p.copy(), u, (ScalarField(grid, q.copy()), VectorField(grid, v)),
+                (ScalarField(grid, r.copy()), VectorField(grid, w)))
 
+    n_steps = int(round(t_max / dt))
+    p0 = gr.mean_project_array(p0.values, grid.dim)
     times, stored = integrate(
-        (p0, p0, np.zeros_like(p0)), t0, dt, n_steps,
+        (p0, p0, np.zeros_like(p0)), 0.0, dt, n_steps,
         lambda t, y: rk4_step_generic(y, t, dt, rhs),
         grid.dim, project=(0, 1, 2),
-        snapshots=snapshot_steps(n_steps, t0, dt, stored=reference.times),
-        record=record)
-    scale = max(float(np.abs(v).max()) for v in reference.ps) or 1.0
-    later = list(zip(stored, reference.ps, reference.us))[1:]
+        snapshots=snapshot_steps(n_steps, 0.0, dt, every=snapshot_every), record=record)
+    ps, us, qv, rw = (list(a) for a in zip(*stored))
+    scale = max(float(np.abs(p).max()) for p in ps) or 1.0
+    later = list(zip(ps, us, qv, rw))[1:]
     defect_p = max([float(np.abs(q.values + r.values - p).max()) / scale
-                    for ((q, _), (r, _)), p, _ in later], default=0.0)
+                    for p, _, (q, _), (r, _) in later], default=0.0)
     defect_u = max([float(np.abs(v.values + w.values - u).max())
                     / max(float(np.abs(u).max()), 1e-30)
-                    for ((_, v), (_, w)), _, u in later], default=0.0)
-    return SplitTrajectory(np.array(times), [a for a, _ in stored],
-                           [b for _, b in stored], defect_p, defect_u)
+                    for _, u, (_, v), (_, w) in later], default=0.0)
+    return SplitTrajectory(np.array(times), ps, us, qv, rw, defect_p, defect_u)
 
 
-def run_split(reference: TruncatedTrajectory) -> SplitTrajectory:
-    """Contracting/compact splitting of a truncated run, with its settings.
+def run_split(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
+              params: NonlinearityParams, t_max: float,
+              snapshot_every: int = 1) -> SplitTrajectory:
+    """Contracting/compact splitting of the truncated run from p0.
 
     q evolves with the unshifted (monotone) drag and q(0) = p(0); r evolves
     with the drag difference f(u) - f(v) and the load g, r(0) = 0, so its
-    velocity w is a direct linear solve. p is re-integrated jointly so that
-    every RK stage sees consistent data; q + r = p is checked against the
-    reference snapshots, never enforced.
+    velocity w is a direct linear solve. p steps jointly with the parts, so
+    that every RK stage sees consistent data; q + r = p is checked at the
+    stored times, never enforced.
     """
-    grid, D, params, forcing = reference.grid, reference.D, reference.params, reference.forcing
-    sys_p = _TruncatedSystem(grid, D, params, forcing, reference.cfg)
-    sys_v = _TruncatedSystem(grid, D, params, Forcing.zero(grid), reference.cfg)
+    grid = p0.grid
+    forcing = _as_forcing(forcing, grid)
+    sys_v = _TruncatedSystem(grid, params, Forcing.zero(grid), cfg)
 
-    def solve_w(r, u, v):
-        return _linear_velocity(r, forcing.at_array()
-                                - ph.f_apply_array(u, params, grid.dim)
-                                + ph.f_apply_array(v, params, grid.dim), grid)
-
-    def rhs(t, y):
-        p, q, r = y
-        u = sys_p.solve_u(p)
+    def parts(y, u):
+        _, q, r = y
         v = sys_v.solve_u(q)
-        return tuple(_pressure_rate(x, D, grid) for x in (u, v, solve_w(r, u, v)))
+        return v, _linear_velocity(r, forcing.at_array()
+                                   - ph.f_apply_array(u, params, grid.dim)
+                                   + ph.f_apply_array(v, params, grid.dim), grid)
 
-    def parts(k, t, y):
-        p, q, r = y
-        v = sys_v.solve_u(q)
-        return v, solve_w(r, sys_p.solve_u(p), v)
-
-    return _split_against(reference, rhs, parts)
+    return _split(p0, forcing, cfg, D, params, t_max, snapshot_every, parts)
 
 
-def run_bootstrap_split(reference: TruncatedTrajectory) -> SplitTrajectory:
-    """Linear decaying part plus forced smooth part of a truncated run, with
-    its settings.
+def run_bootstrap_split(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
+                        params: NonlinearityParams, t_max: float,
+                        snapshot_every: int = 1) -> SplitTrajectory:
+    """Linear decaying part plus forced smooth part of the truncated run
+    from p0.
 
     Part 1 is the force-free linear system from p(0); part 2 carries the load
     g - f(u(t)) with zero initial data. Both velocities are direct linear
-    solves; recombination against the reference is checked.
+    solves; recombination with the run is checked.
     """
-    grid, D, params, forcing = reference.grid, reference.D, reference.params, reference.forcing
-    sys_p = _TruncatedSystem(grid, D, params, forcing, reference.cfg)
+    grid = p0.grid
+    forcing = _as_forcing(forcing, grid)
 
-    def solve_part2(p2, u):
-        return _linear_velocity(
-            p2, forcing.at_array() - ph.f_apply_array(u, params, grid.dim), grid)
+    def parts(y, u):
+        _, p1, p2 = y
+        return (_linear_velocity(p1, 0.0, grid), _linear_velocity(
+            p2, forcing.at_array() - ph.f_apply_array(u, params, grid.dim), grid))
 
-    def rhs(t, y):
-        p, p1, p2 = y
-        u = sys_p.solve_u(p)
-        u1 = _linear_velocity(p1, 0.0, grid)
-        return tuple(_pressure_rate(x, D, grid) for x in (u, u1, solve_part2(p2, u)))
-
-    def parts(k, t, y):
-        p, p1, p2 = y
-        # w(t0) carries the load of the reference's stored u(t0); a solve
-        # through sys_p here would move the Newton warm starts of later solves
-        u = sys_p.solve_u(p) if k else reference.us[0]
-        return _linear_velocity(p1, 0.0, grid), solve_part2(p2, u)
-
-    return _split_against(reference, rhs, parts)
+    return _split(p0, forcing, cfg, D, params, t_max, snapshot_every, parts)
 
 
 @dataclass

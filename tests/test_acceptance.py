@@ -193,9 +193,7 @@ def test_c08_truncated_splitting():
     rng = SplitMix64(950)
     p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
     cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12, cg_tol=1e-13)
-    reference = dyn.run_truncated(p0, forcing, cfg, D, QUINTIC, 50.0,
-                                  snapshot_every=20)
-    split = dyn.run_split(reference)
+    split = dyn.run_split(p0, forcing, cfg, D, QUINTIC, 50.0, snapshot_every=20)
     st = an.split_study(split, 0.25, 50.0)  # r window from t = 50/5 = 10
     ok = st.q_fit.rate < 0 and st.r_sup <= 10.0 * st.r_at
     _report(8, ok, t0,

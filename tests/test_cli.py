@@ -278,6 +278,17 @@ _BAD_INPUTS = {
     "audit_semi_implicit": ("audit", "[grid]\nn = 8\n[solver]\n"
                             "scheme = semi_implicit\ndt = 0.01\n",
                             "only scheme = rk4 collects"),
+    # valid but for the scheme: the parent ran split by RK4 anyway (exit 0),
+    # and expsplit blew up at step 2 (exit 2)
+    "split_semi_implicit": ("split", _QUINTIC8 + _WHITE_P + "[solver]\nscheme = semi_implicit\n"
+                            "dt = 0.002\n",
+                            "split steps by explicit RK4 only, so needs scheme = rk4, "
+                            "got scheme = semi_implicit"),
+    "expsplit_semi_implicit": ("expsplit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.5\n"
+                               "snapshot_stride = 0.1\n[solver]\nscheme = semi_implicit\n"
+                               "dt = 0.05\n",
+                               "expsplit steps by explicit RK4 only, so needs "
+                               "scheme = rk4, got scheme = semi_implicit"),
     "unknown_scheme": ("lipschitz", "[grid]\nn = 8\n[solver]\nscheme = euler\n",
                        "unknown scheme 'euler'"),
     "split_too_few_snapshots": ("split", "[grid]\nn = 8\n[run]\nt_max = 0.002\n"
@@ -354,9 +365,9 @@ class TestExitCodes:
     ], ids=["split", "expsplit"])
     def test_recombination_failure_exits_2(self, tmp_path, monkeypatch, capsys,
                                            subcommand, driver, text):
-        def unrecombined(*args):
+        def unrecombined(*args, **kwargs):
             if driver == "run_split":
-                return dyn.SplitTrajectory(np.zeros(1), [], [], 1e-3, 0.0)
+                return dyn.SplitTrajectory(np.zeros(1), [], [], [], [], 1e-3, 0.0)
             return dyn.ExpSplitTrajectory(np.zeros(1), [], [], 1e-3)
 
         monkeypatch.setattr(dyn, driver, unrecombined)

@@ -577,11 +577,13 @@ class TestEllipticSolver:
 
 
 class TestTruncated:
+    """The truncated run p, u(p) as the bootstrap split steps and stores it."""
+
     def test_zero_fixed_point(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=0.05)
-        traj = dyn.run_truncated(gr.zeros_scalar(g), Forcing.zero(g), cfg, D, QUINTIC,
-                                 cfg.dt)
+        traj = dyn.run_bootstrap_split(gr.zeros_scalar(g), Forcing.zero(g), cfg, D,
+                                       QUINTIC, cfg.dt)
         assert len(traj.ps) == 2 and not traj.ps[-1].any() and not traj.us[-1].any()
 
     def test_linear_matches_operator_exponential(self):
@@ -592,8 +594,8 @@ class TestTruncated:
         p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
         gf = VectorField(g, 0.5 * rng.normal((2,) + g.shape))
         cfg = dyn.SolverConfig(dt=0.01, newton_tol=1e-12, cg_tol=1e-13)
-        traj = dyn.run_truncated(p0, gf, cfg, D, LINEAR, t_max=0.5,
-                                 snapshot_every=50)
+        traj = dyn.run_bootstrap_split(p0, gf, cfg, D, LINEAR, t_max=0.5,
+                                       snapshot_every=50)
         # constant source in reduced coordinates
         minv_g = conjugate_gradient(lambda x: -gr.lap_array(x, g.h, g.dim),
                                     gf.values, rtol=1e-13)
@@ -614,72 +616,70 @@ class TestTruncated:
         rng = SplitMix64(59)
         p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
-        traj = dyn.run_truncated(p0, Forcing.zero(g), cfg, D, LINEAR, t_max=1.0)
+        traj = dyn.run_bootstrap_split(p0, Forcing.zero(g), cfg, D, LINEAR, t_max=1.0)
         norms = [np.linalg.norm(p) for p in traj.ps]
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
 class TestSplits:
-    def _reference(self, g, D, params, seed=61, t_max=2.0, amp=1.0):
+    @staticmethod
+    def _run(split, g, D, params, seed=61, t_max=2.0):
         rng = SplitMix64(seed)
-        p0 = gr.project_mean_zero(ScalarField(g, amp * rng.normal(g.shape)))
+        p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
         gf = VectorField(g, 0.5 * rng.normal((2,) + g.shape))
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12, cg_tol=1e-13)
-        return dyn.run_truncated(p0, gf, cfg, D, params, t_max, snapshot_every=4)
+        return split(p0, gf, cfg, D, params, t_max, snapshot_every=4)
 
     def test_zero_reference_gives_zero_parts(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
-        refr = dyn.run_truncated(gr.zeros_scalar(g), Forcing.zero(g), cfg, D,
-                                 QUINTIC, t_max=0.5)
-        split = dyn.run_split(refr)
+        split = dyn.run_split(gr.zeros_scalar(g), Forcing.zero(g), cfg, D, QUINTIC,
+                              t_max=0.5)
         for (q, v), (r, w) in zip(split.qv, split.rw):
             assert np.abs(q.values).max() <= 1e-12
             assert np.abs(r.values).max() <= 1e-12
 
     def test_recombination_and_contraction(self):
         g, D = small_setup(n=8)
-        reference = self._reference(g, D, QUINTIC)
-        split = dyn.run_split(reference)
+        split = self._run(dyn.run_split, g, D, QUINTIC)
         assert split.recombination_p <= 1e-8
         assert split.recombination_u <= 1e-8
         assert an.split_study(split, 0.25, 2.0).q_fit.rate < 0.0
 
     def test_bootstrap_parts(self):
         g, D = small_setup(n=8)
-        reference = self._reference(g, D, QUINTIC, seed=67)
-        split = dyn.run_bootstrap_split(reference)
+        split = self._run(dyn.run_bootstrap_split, g, D, QUINTIC, seed=67)
         assert split.recombination_p <= 1e-8
         st = an.split_study(split, 1.0, 2.0)  # the p2 part in H1
         assert st.q_fit.rate < 0.0
         assert np.isfinite(st.rows).all()
 
     def test_bootstrap_velocity_at_t0(self):
-        # w(t0) carries the part-2 load at the reference's u(t0), so v + w
-        # is u(t0) there as at every later stored time
+        # w(t0) carries the part-2 load at the run's u(t0), so v + w is u(t0)
+        # there as at every later stored time
         g, D = small_setup(n=8)
-        reference = self._reference(g, D, QUINTIC, seed=67)
-        split = dyn.run_bootstrap_split(reference)
+        split = self._run(dyn.run_bootstrap_split, g, D, QUINTIC, seed=67)
         (_, v), (_, w) = split.qv[0], split.rw[0]
         assert gr.vector_spectral_norm(w, 1.0) > 0.0
-        u0 = reference.us[0]
+        u0 = split.us[0]
         assert np.abs(v.values + w.values - u0).max() <= 1e-8 * np.abs(u0).max()
 
     def test_bootstrap_zero_reference(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
-        refr = dyn.run_truncated(gr.zeros_scalar(g), Forcing.zero(g), cfg, D,
-                                 QUINTIC, t_max=0.5)
-        split = dyn.run_bootstrap_split(refr)
+        split = dyn.run_bootstrap_split(gr.zeros_scalar(g), Forcing.zero(g), cfg, D,
+                                        QUINTIC, t_max=0.5)
         for (q, _), (r, _) in zip(split.qv, split.rw):
             assert np.abs(q.values).max() <= 1e-12
             assert np.abs(r.values).max() <= 1e-12
 
     def test_newton_solves_only_the_reference_drag(self, monkeypatch):
         # the linear velocities (w; u1 and u2) are direct sine-basis solves,
-        # so every Newton solve a split makes carries the reference's drag
+        # so every Newton solve a split makes carries the run's drag. Per RK
+        # stage and per stored time, each split solves u(p) once and the
+        # trunc split also v(q): 8N + 2S and 4N + S solves over N steps and S
+        # stored times
         g, D = small_setup(n=8)
-        reference = self._reference(g, D, QUINTIC, t_max=0.5)
         solve, seen = dyn.solve_elliptic_arrays, []
 
         def spy(p, g_t, params, grid, **kwargs):
@@ -687,17 +687,32 @@ class TestSplits:
             return solve(p, g_t, params, grid, **kwargs)
 
         monkeypatch.setattr(dyn, "solve_elliptic_arrays", spy)
-        for run in (dyn.run_split, dyn.run_bootstrap_split):
+        n_steps = 10  # t_max = 0.5 at dt = 0.05, stored at steps 0, 4, 8, 10
+        for run, per_stage in ((dyn.run_split, 2), (dyn.run_bootstrap_split, 1)):
             seen.clear()
-            run(reference)
-            assert seen and all(params == reference.params for params in seen)
+            split = self._run(run, g, D, QUINTIC, t_max=0.5)
+            assert len(split.times) == 4
+            assert len(seen) == per_stage * (4 * n_steps + len(split.times))
+            assert all(params == QUINTIC for params in seen)
+
+    def test_a_wrong_part_fails_to_recombine(self, monkeypatch):
+        # one part's velocity off by 1e-3 relative (w of the trunc split, both
+        # parts of the bootstrap split) moves the parts off the run they step
+        # with, and the split's own check catches it
+        g, D = small_setup(n=8)
+        linear = dyn._linear_velocity
+        monkeypatch.setattr(dyn, "_linear_velocity",
+                            lambda *args: (1.0 + 1e-3) * linear(*args))
+        for run in (dyn.run_split, dyn.run_bootstrap_split):
+            with pytest.raises(dyn.RecombinationError, match="failed to recombine"):
+                self._run(run, g, D, QUINTIC, t_max=0.5)
 
 
 class TestRecombination:
     def test_defects_raise_a_runtime_error(self):
         # a RuntimeError, so that the command line maps it to exit code 2
         with pytest.raises(dyn.RecombinationError, match="failed to recombine"):
-            dyn.SplitTrajectory(np.zeros(1), [], [], 0.0, 1e-3)
+            dyn.SplitTrajectory(np.zeros(1), [], [], [], [], 0.0, 1e-3)
         with pytest.raises(dyn.RecombinationError, match="failed to recombine"):
             dyn.ExpSplitTrajectory(np.zeros(1), [], [], 1e-3)
         assert issubclass(dyn.RecombinationError, RuntimeError)
@@ -805,10 +820,9 @@ class TestSnapshotPolicy:
             cfg = dyn.SolverConfig(dt=dt)
             n = int(round(t_max / dt))
             p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-            t0 = 0.3 * rng.uniform()
-            tr = dyn.run_truncated(p0, Forcing.zero(g), cfg, D, LINEAR, t_max,
-                                   snapshot_every=every, start_time=t0)
-            assert tr.times.tolist() == self._every(t0, dt, n, every)
+            tr = dyn.run_bootstrap_split(p0, Forcing.zero(g), cfg, D, LINEAR, t_max,
+                                         snapshot_every=every)
+            assert tr.times.tolist() == self._every(0.0, dt, n, every)
             assert len(tr.ps) == len(tr.us) == len(tr.times)
             states = [make_initial_state(g, "smooth", a, seed=712) for a in (0.5, 1.0)]
             for traj in dyn.simulate(states, cfg, gr.zeros_vector(g), D,
@@ -816,28 +830,22 @@ class TestSnapshotPolicy:
                 assert traj.times.tolist() == self._every(0.0, dt, n, every)
                 assert len(traj.states) == len(traj.times)
 
-    def test_splits_store_their_reference_times(self):
+    def test_splits_store_every(self):
         g = Grid(2, 4)
         D = MediumMatrix.diagonal((1.0, 2.0))
         for dt, t_max, every, rng in self._draws(721, count=3):
             cfg = dyn.SolverConfig(dt=dt)
             p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
             gf = VectorField(g, 0.5 * rng.normal((2,) + g.shape))
-            reference = dyn.run_truncated(p0, gf, cfg, D, QUINTIC, t_max,
-                                          snapshot_every=every)
-            for split in (dyn.run_split(reference),
-                          dyn.run_bootstrap_split(reference)):
-                assert np.array_equal(split.times, reference.times)
-                assert len(split.qv) == len(split.rw) == len(reference.times)
-            # the difference splitting has no reference run: it stores as
-            # simulate does
+            for run in (dyn.run_split, dyn.run_bootstrap_split):
+                split = run(p0, gf, cfg, D, QUINTIC, t_max, snapshot_every=every)
+                assert split.times.tolist() == self._every(0.0, dt, int(round(t_max / dt)),
+                                                           every)
+                assert (len(split.ps) == len(split.us) == len(split.qv)
+                        == len(split.rw) == len(split.times))
+            # the difference splitting stores as simulate does, at least one step
             pair = [make_initial_state(g, "smooth", a, seed=722) for a in (1.0, 1.1)]
             es = dyn.run_exp_split(pair, gf, cfg, D, QUINTIC, t_max, snapshot_every=every)
             n = max(1, int(round(t_max / dt)))
             assert es.times.tolist() == self._every(0.0, dt, n, every)
             assert len(es.hat) == len(es.tilde) == len(es.times)
-
-    def test_reference_times_off_the_step_grid_rejected(self):
-        assert dyn.snapshot_steps(4, 0.0, 0.1, stored=[0.0, 0.1, 0.4]) == {0, 1, 4}
-        with pytest.raises(ValueError, match="step ends"):
-            dyn.snapshot_steps(4, 0.0, 0.1, stored=[0.0, 0.15])
