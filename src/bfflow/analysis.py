@@ -248,10 +248,10 @@ def energy_audit(traj: dyn.Trajectory, eps: float = 0.0) -> AuditReport:
 
     # decay surrogate on snapshots, with the minus-coupled functional
     e_plain, e_eps, e_dec = [], [], []
-    for i in range(len(traj.times)):
-        s = traj.state_at(i)
-        e_plain.append(gr.weighted_inner(traj.D, s.u, s.u) + gr.inner(s.p, s.p))
-        coupling = (2.0 * eps * gr.vector_inner(s.u, ph.bogovski(s.p))
+    for u, p in zip(traj.u, traj.p):
+        u, p = VectorField(traj.grid, u), ScalarField(traj.grid, p)
+        e_plain.append(gr.weighted_inner(traj.D, u, u) + gr.inner(p, p))
+        coupling = (2.0 * eps * gr.vector_inner(u, ph.bogovski(p))
                     if eps > 0 else 0.0)
         e_eps.append(e_plain[-1] + coupling)
         e_dec.append(e_plain[-1] - coupling)
@@ -292,11 +292,10 @@ def smoothing_report(traj: dyn.Trajectory) -> SmoothingReport:
     w = traj.grid.cell_volume
     rows = {name: [] for name in SMOOTHING_WEIGHTS}
     times = []
-    for i, t in enumerate(traj.times):
+    for t, u, p in zip(traj.times, traj.u, traj.p):
         if t <= 0.0:
             continue
-        u, p = traj.states[i]
-        du, dp = sys.rhs(t, u, p)
+        du, dp = sys.rhs(u, p)
         grad_u2 = -w * float(np.vdot(gr.lap_array(u, traj.grid.h, traj.grid.dim), u))
         du2 = w * float(np.vdot(du, du))
         dp2 = w * float(np.vdot(dp, dp))
@@ -340,16 +339,18 @@ def box_counts(points: np.ndarray, n_scales: int = 6) -> list[tuple[float, int]]
     return out
 
 
-def ensemble_report_from_snaps(grid: Grid, snap_times, snaps) -> AttractorReport:
-    """Diagnostics over stored ensemble snapshots: phase-space diameter,
+def ensemble_report_from_snaps(grid: Grid, snap_times, U: np.ndarray,
+                               P: np.ndarray) -> AttractorReport:
+    """Diagnostics over stored ensemble snapshots U (snapshot, member,
+    component, *grid) and P (snapshot, member, *grid): phase-space diameter,
     distance to the operationally defined higher-energy ball (radius = twice
     the largest higher-energy norm of member 0 over the last quarter of the
     run), and box counts of the (|u|_H1, |p|_L2) projection."""
-    B = snaps[0][0].shape[0]
+    B = U.shape[1]
     w_e, w_e1 = _spectral_weights(grid)
     L = w_e.size
-    coeffs = np.empty((len(snaps), B, L))
-    for c, (Us, Ps) in zip(coeffs, snaps):
+    coeffs = np.empty((len(U), B, L))
+    for c, Us, Ps in zip(coeffs, U, P):  # one snapshot at a time: small temporaries
         c[...] = _state_coefficients(Us, Ps, grid)
     e1_sq = np.array([np.sum(w_e1 * c * c, axis=-1) for c in coeffs])  # (S, B)
 
@@ -395,11 +396,9 @@ def ensemble_study(initial_states: list[dyn.SimState], cfg: dyn.SolverConfig,
                    t_max: float, snapshot_every: int = 50,
                    convective_on: bool = False) -> AttractorReport:
     """Evolve the ensemble and reduce the attractor diagnostics."""
-    trajs = dyn.simulate(initial_states, cfg, g, D, params, t_max,
-                         snapshot_every=snapshot_every, convective_on=convective_on)
-    snaps = [tuple(map(np.stack, zip(*members)))  # (U, P), members first
-             for members in zip(*(tr.states for tr in trajs))]
-    return ensemble_report_from_snaps(trajs[0].grid, trajs[0].times, snaps)
+    tr = dyn.simulate(initial_states, cfg, g, D, params, t_max,
+                      snapshot_every=snapshot_every, convective_on=convective_on)
+    return ensemble_report_from_snaps(tr.grid, tr.times, tr.u, tr.p)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +433,11 @@ def lipschitz_study(pair, cfg: dyn.SolverConfig, g, D: MediumMatrix,
     """Phase-space distance of the runs from the two states of `pair`,
     stepped as one batch: its `ratios` to the initial distance at `times`,
     their `envelope` C e^{K t}, and the largest ratio / envelope."""
-    tr1, tr2 = dyn.simulate(list(pair), cfg, g, D, params, t_max,
-                            snapshot_every=snapshot_every, convective_on=convective_on)
-    grid, times = tr1.grid, tr1.times
-    dists = np.array([energy_norm(VectorField(grid, u1 - u2), ScalarField(grid, p1 - p2))
-                      for (u1, p1), (u2, p2) in zip(tr1.states, tr2.states)])
+    tr = dyn.simulate(list(pair), cfg, g, D, params, t_max,
+                      snapshot_every=snapshot_every, convective_on=convective_on)
+    grid, times = tr.grid, tr.times
+    dists = np.array([energy_norm(VectorField(grid, u[0] - u[1]), ScalarField(grid, p[0] - p[1]))
+                      for u, p in zip(tr.u, tr.p)])
     ratios = dists / dists[0]
     C, K = fit_envelope(times, ratios)
     envelope = C * np.exp(K * times)
@@ -453,8 +452,11 @@ def exp_split_study(pair, cfg: dyn.SolverConfig, g, D: MediumMatrix,
     norm of its tilde pressure with the envelope C e^{K t} of tilde_h1 / d0
     after the start."""
     es = dyn.run_exp_split(pair, g, cfg, D, params, t_max, snapshot_every)
-    hat = np.array([energy_norm(u, p) for u, p in es.hat])
-    tilde = np.array([gr.spectral_norm(gr.project_mean_zero(p), 1.0) for _, p in es.tilde])
+    grid = pair[0].grid
+    hat = np.array([energy_norm(VectorField(grid, v), ScalarField(grid, q))
+                    for v, q in zip(es.V[:, 0], es.Q[:, 0])])
+    tilde = np.array([gr.spectral_norm(gr.project_mean_zero(ScalarField(grid, q)), 1.0)
+                      for q in es.Q[:, 1]])
     C, K = fit_envelope(es.times[1:], np.maximum(tilde[1:] / hat[0], 1e-300))
     return ExpSplitStudy(es, hat, fit_decay(es.times, np.maximum(hat ** 2, 1e-300)),
                          tilde, C, K)
@@ -465,10 +467,12 @@ def split_study(split: dyn.SplitTrajectory, delta: float, t_max: float) -> Split
     time of a truncated-system splitting; the decay fit of |q|^2 where it
     exceeds 1e-28; |r|_H^delta at the first time >= t_max/5 and its sup from
     there on."""
-    rows = np.array([(t, gr.norm_l2(q), gr.vector_spectral_norm(v, 1.0),
-                      gr.spectral_norm(gr.project_mean_zero(r), delta),
-                      gr.vector_spectral_norm(w, 1.0 + delta))
-                     for t, (q, v), (r, w) in zip(split.times, split.qv, split.rw)])
+    grid = split.grid
+    rows = np.array([(t, gr.norm_l2(ScalarField(grid, q)),
+                      gr.vector_spectral_norm(VectorField(grid, v), 1.0),
+                      gr.spectral_norm(gr.project_mean_zero(ScalarField(grid, r)), delta),
+                      gr.vector_spectral_norm(VectorField(grid, w), 1.0 + delta))
+                     for t, q, v, r, w in zip(split.times, split.q, split.v, split.r, split.w)])
     qsq = rows[:, 1] ** 2
     late = rows[:, 0] >= t_max / 5.0
     return SplitStudy(rows, fit_decay(rows[qsq > 1e-28, 0], qsq[qsq > 1e-28]),

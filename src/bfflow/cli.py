@@ -19,7 +19,7 @@ from . import dynamics as dyn
 from . import grid as gr
 from . import reference as ref
 from .grid import Grid, ScalarField, VectorField
-from .physics import Forcing, MediumMatrix, NonlinearityParams
+from .physics import MediumMatrix, NonlinearityParams
 from .rng import SplitMix64
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "run_scenario",
@@ -166,14 +166,14 @@ class ScenarioConfig:
             raise ConfigError(f"solver: {e}")
         return cfg
 
-    def forcing(self, grid: Grid) -> Forcing:
+    def forcing(self, grid: Grid) -> VectorField:
         return make_forcing(grid, self["forcing", "kind"],
                             self["forcing", "seed"],
                             self["forcing", "amplitude"],
                             self["forcing", "path"])
 
     def system(self) -> tuple[Grid, MediumMatrix, NonlinearityParams,
-                              dyn.SolverConfig, Forcing]:
+                              dyn.SolverConfig, VectorField]:
         """Grid, medium, nonlinearity, solver config and forcing, built in
         that order."""
         grid, D = self.grid(), self.medium()
@@ -247,7 +247,7 @@ def make_initial_state(grid: Grid, kind: str, amplitude: float, seed: int,
         p = gr.project_mean_zero(ScalarField(grid, rng.normal(grid.shape)))
         scale = gr.norm_l2(p)
         p = ScalarField(grid, p.values * (amplitude / scale))
-        return dyn.SimState(gr.zeros_vector(grid), p, 0.0)
+        return dyn.SimState(gr.zeros_vector(grid), p)
     if kind == "smooth":
         u = np.stack([_spectral_noise_scalar(grid, rng, 1.5)
                       for _ in range(grid.dim)])
@@ -267,7 +267,7 @@ def make_initial_state(grid: Grid, kind: str, amplitude: float, seed: int,
     p_amp = amplitude * np.sqrt(1.0 - u_share)
     uf = VectorField(grid, uf.values * (u_amp / nu if nu else 0.0))
     pf = ScalarField(grid, pf.values * (p_amp / npn if npn else 0.0))
-    return dyn.SimState(uf, pf, 0.0)
+    return dyn.SimState(uf, pf)
 
 
 def _band_limited_scalar(grid: Grid, rng: SplitMix64, kmax: int = 6) -> np.ndarray:
@@ -281,9 +281,9 @@ def _band_limited_scalar(grid: Grid, rng: SplitMix64, kmax: int = 6) -> np.ndarr
 
 
 def make_forcing(grid: Grid, kind: str, seed: int, amplitude: float,
-                 path: str = "") -> Forcing:
+                 path: str = "") -> VectorField:
     if kind == "zero":
-        return Forcing.zero(grid)
+        return gr.zeros_vector(grid)
     if kind in ("fixed_random", "band_random"):
         rng = SplitMix64(seed)
         if kind == "band_random":
@@ -293,10 +293,10 @@ def make_forcing(grid: Grid, kind: str, seed: int, amplitude: float,
                      for _ in range(grid.dim)]
         g = VectorField(grid, np.stack(comps))
         scale = gr.norm_l2(g)
-        return Forcing(VectorField(grid, g.values * (amplitude / scale)))
+        return VectorField(grid, g.values * (amplitude / scale))
     if kind == "file":
         try:
-            return Forcing(VectorField(grid, np.asarray(np.load(path), dtype=float)))
+            return VectorField(grid, np.asarray(np.load(path), dtype=float))
         except (OSError, ValueError) as e:
             raise ConfigError(f"forcing file {path!r}: {e}")
     raise ConfigError(f"unknown forcing kind {kind!r}")
@@ -402,15 +402,18 @@ def _fitted_snapshot_every(sc: ScenarioConfig, cfg: dyn.SolverConfig) -> int:
 
 def perturbed_pair(base: dyn.SimState, seed: int, size: float) -> list[dyn.SimState]:
     """`base`, and `base` moved by `size` in the phase-space norm along a
-    smooth direction drawn from `seed`."""
-    if size == 0.0:
-        raise ConfigError("scenario: perturbation must be nonzero; a zero initial "
-                          "distance has no growth ratio")
+    smooth direction drawn from `seed`; a size that leaves them at zero
+    distance (0, or one that rounds away) has no growth ratio."""
     grid = base.grid
     pert = make_initial_state(grid, "smooth", 1.0, seed)
     scale = size / an.energy_norm(pert.u, pert.p)
-    return [base, dyn.SimState(VectorField(grid, base.u.values + scale * pert.u.values),
-                               ScalarField(grid, base.p.values + scale * pert.p.values))]
+    moved = dyn.SimState(VectorField(grid, base.u.values + scale * pert.u.values),
+                         ScalarField(grid, base.p.values + scale * pert.p.values))
+    if an.energy_norm(VectorField(grid, base.u.values - moved.u.values),
+                      ScalarField(grid, base.p.values - moved.p.values)) == 0.0:
+        raise ConfigError(f"scenario: perturbation must be nonzero; perturbation = {size:g} "
+                          f"leaves the pair at zero initial distance, which has no growth ratio")
+    return [base, moved]
 
 
 def ensemble_states(grid: Grid, size: int, seed: int) -> list[dyn.SimState]:
@@ -437,11 +440,10 @@ def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         j2 = int(np.searchsorted(traj.step_times, t + 1e-12)) - 1
         res_col.append(float(np.abs(audit.residual_stage[j:j2]).sum()))
         j = j2
-    rows = []
-    for i, t in enumerate(traj.times):
-        s = traj.state_at(i)
-        rows.append((t, audit.e_plain_series[i], audit.e_eps_series[i],
-                     gr.vector_spectral_norm(s.u, 1.0), gr.norm_l2(s.p), res_col[i]))
+    rows = [(t, audit.e_plain_series[i], audit.e_eps_series[i],
+             gr.vector_spectral_norm(VectorField(grid, u), 1.0),
+             gr.norm_l2(ScalarField(grid, p)), res_col[i])
+            for i, (t, u, p) in enumerate(zip(traj.times, traj.u, traj.p))]
     write_csv(out / "energies.csv",
               ["t [time]", "e_plain [energy]", "e_eps [energy]",
                "h1_u [field]", "l2_p [field]", "residual [energy]"], rows)
@@ -449,7 +451,7 @@ def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         arr = np.array(rows)
         write_svg(out / "energies.svg", "energy series", arr[:, 0],
                   {"e_plain": arr[:, 1], "e_eps": arr[:, 2]})
-    mean_defect = max(abs(float(p.mean())) for _, p in traj.states)
+    mean_defect = max(abs(float(p.mean())) for p in traj.p)
     total_res = float(np.abs(audit.residual_stage).sum())
     scale = max(1.0, float(np.array(rows)[:, 1].max()))
     return {
@@ -726,7 +728,10 @@ def run_scenario(config: ScenarioConfig, subcommand: str, out_dir: str | Path = 
     if seed is not None:
         config = ScenarioConfig({**config.values, "run": {**config.values["run"], "seed": seed}})
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create the output directory {str(out)!r}: {err}")
     try:
         entries = _COMMANDS[subcommand](config, out, svg)
     except RuntimeError as err:

@@ -1,16 +1,19 @@
 """Time integration of the full, truncated, and split systems.
 
-Every run steps through one loop, `integrate`, on a tuple-of-arrays state.
-The caller supplies `advance(t, y)` (an RK4 step of `rk4_step_generic`, or a
-semi-implicit step), the components to re-project to mean zero, and the
-steps to store, which `snapshot_steps` derives before the loop: every m steps
-plus the last, or the nearest step end to each target time. The loop owns
-t = t0 + k dt and one finiteness check, on the initial state and after every
-step; `BlowUpError` names the step and, in a batch of members, the member.
-The drivers (`simulate`, which also steps a list of states as one batch, and
-the splittings) supply only a right-hand side and what to store. A splitting
-is one run: the truncated run from p0 steps jointly with its parts, and the
-parts are checked to recombine to it at every stored time.
+The system is autonomous (g is one fixed field): a run starts at t = 0, step
+k ends at k dt, and no right-hand side takes a time argument. Every run steps
+through one loop, `integrate`, on a tuple-of-arrays state. The caller
+supplies `advance(y)` (an RK4 step of `rk4_step_generic`, or a semi-implicit
+step), the components to re-project to mean zero, and the steps to store,
+which `snapshot_steps` derives before the loop: every m steps plus the last,
+or the nearest step end to each target time. The loop checks finiteness
+after every step and at the start (`BlowUpError` names the step and, in a
+batch, the member) and stores each recorded component as one array stacked
+over the stored steps. The drivers (`simulate`, whose list of states is one
+batch along a member axis, and the splittings) supply only a right-hand side
+and what to store. A splitting is one run: the truncated run from p0 steps
+jointly with its parts, which are checked to recombine to it at every stored
+time.
 
 The full system evolves (u, p) by
 
@@ -39,7 +42,7 @@ from . import grid as gr
 from . import physics as ph
 from .grid import Grid, ScalarField, VectorField
 from .krylov import conjugate_gradient
-from .physics import Forcing, MediumMatrix, NonlinearityParams
+from .physics import MediumMatrix, NonlinearityParams
 
 __all__ = [
     "SimState", "SolverConfig", "Trajectory", "SplitTrajectory",
@@ -79,7 +82,6 @@ class RecombinationError(RuntimeError):
 class SimState:
     u: VectorField
     p: ScalarField
-    t: float = 0.0
 
     def __post_init__(self):
         if self.u.grid != self.p.grid:
@@ -90,8 +92,8 @@ class SimState:
         return self.u.grid
 
     @classmethod
-    def zero(cls, grid: Grid, t: float = 0.0) -> "SimState":
-        return cls(gr.zeros_vector(grid), gr.zeros_scalar(grid), t)
+    def zero(cls, grid: Grid) -> "SimState":
+        return cls(gr.zeros_vector(grid), gr.zeros_scalar(grid))
 
 
 @dataclass
@@ -128,12 +130,12 @@ class SolverConfig:
 # the one time-stepping loop
 # ---------------------------------------------------------------------------
 
-def rk4_step_generic(y: tuple, t: float, dt: float, rhs) -> tuple:
-    """One classical RK4 step on a tuple-of-arrays state."""
+def rk4_step_generic(y: tuple, dt: float, rhs) -> tuple:
+    """One classical RK4 step of y' = rhs(y) on a tuple-of-arrays state."""
     acc = None
-    ts, ys = t, y
+    ys = y
     for i in range(4):
-        k = rhs(ts, ys)
+        k = rhs(ys)
         if acc is None:
             acc = [b.copy() for b in k]
         else:
@@ -141,7 +143,7 @@ def rk4_step_generic(y: tuple, t: float, dt: float, rhs) -> tuple:
                 a += b if i == 3 else 2.0 * b
         if i < 3:
             c = RK4_NODES[i + 1] * dt
-            ts, ys = t + c, tuple(a + c * b for a, b in zip(y, k))
+            ys = tuple(a + c * b for a, b in zip(y, k))
     return tuple(a + (dt / 6.0) * s for a, s in zip(y, acc))
 
 
@@ -157,16 +159,16 @@ def _check_finite(arrays, step_count: int, t: float, members: bool = False):
     raise BlowUpError(step_count, t, member)
 
 
-def snapshot_steps(n_steps: int, t0: float, dt: float, every: int = 1,
+def snapshot_steps(n_steps: int, dt: float, every: int = 1,
                    targets=None) -> frozenset[int]:
-    """Indices of the steps after which a run of `n_steps` steps from t0
-    stores its state; step k ends at t0 + k dt, and 0 (the initial state) is
-    always one of them. With `targets`, for each target time the first step
+    """Indices of the steps after which a run of `n_steps` steps stores its
+    state; step k ends at k dt, and 0 (the initial state) is always one of
+    them. With `targets`, for each target time the first step
     ending no earlier than half a step before it (the nearest step end), plus
     the last step; otherwise every `every`-th step, plus the last.
     """
     if targets is not None:
-        bounds = t0 + np.arange(1, n_steps + 1) * dt + 0.5 * dt
+        bounds = np.arange(1, n_steps + 1) * dt + 0.5 * dt
         idx = np.searchsorted(bounds, sorted(float(s) for s in targets))
         steps = set((idx[idx < n_steps] + 1).tolist())
     else:
@@ -174,36 +176,41 @@ def snapshot_steps(n_steps: int, t0: float, dt: float, every: int = 1,
     return frozenset(steps | {0, n_steps})
 
 
-def integrate(y0: tuple, t0: float, dt: float, n_steps: int, advance, dim: int,
+def integrate(y0: tuple, dt: float, n_steps: int, advance, dim: int,
               project: tuple[int, ...] = (), snapshots=frozenset(), record=None,
-              on_step=None, members: bool = False) -> tuple[list[float], list]:
-    """Take `n_steps` steps y <- advance(t0 + k dt, y) from y0.
+              on_step=None, members: bool = False) -> tuple[np.ndarray, tuple]:
+    """Take `n_steps` steps y <- advance(y) from y0.
 
     After each step, the components whose indices are in `project` are
     re-projected to mean zero over the trailing `dim` axes. At every step
-    end t = t0 + k dt, k = 0 (the initial state) included, the state is
-    checked for finiteness and `on_step(k, t, y)` runs; at the steps in
-    `snapshots` the loop keeps t and `record(k, t, y)`, by default a copy of
-    y, and it returns both lists. With `members`, the leading axis of every
-    component indexes ensemble members, and a blow-up names the first member
-    that lost finiteness.
+    end k, the initial state k = 0 included, the state is checked for
+    finiteness and `on_step(k, y)` runs. At the steps in `snapshots` the
+    loop stores `record(y)`, by default y itself. It returns the stored
+    times k dt and one array per recorded component, of shape
+    (stored steps,) + component shape, allocated at the first stored step
+    and filled in place. With `members`, the leading axis of every component
+    indexes ensemble members, and a blow-up names the first member that lost
+    finiteness.
     """
-    record = record or (lambda k, t, y: tuple(a.copy() for a in y))
-    times, records = [], []
+    n_stored = sum(1 for k in snapshots if 0 <= k <= n_steps)
+    times, stored = [], ()
     y = tuple(y0)
     for k in range(n_steps + 1):
         if k:
-            y = advance(t0 + (k - 1) * dt, y)
+            y = advance(y)
             y = tuple(gr.mean_project_array(a, dim) if i in project else a
                       for i, a in enumerate(y))
-        t = t0 + k * dt
-        _check_finite(y, k, t, members)
+        _check_finite(y, k, k * dt, members)
         if on_step is not None:
-            on_step(k, t, y)
+            on_step(k, y)
         if k in snapshots:
-            times.append(t)
-            records.append(record(k, t, y))
-    return times, records
+            rec = y if record is None else record(y)
+            if not stored:
+                stored = tuple(np.empty((n_stored,) + a.shape, a.dtype) for a in rec)
+            for buf, a in zip(stored, rec):
+                buf[len(times)] = a
+            times.append(k * dt)
+    return np.array(times), stored
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +227,7 @@ class _FullSystem:
     """Array-level right-hand side bundle; batch-safe over leading axes."""
 
     def __init__(self, grid: Grid, D: MediumMatrix, params: NonlinearityParams,
-                 forcing: Forcing, convective_on: bool, work_rows: int = 0):
+                 forcing: np.ndarray, convective_on: bool, work_rows: int = 0):
         self.grid = grid
         self.D = D
         self.params = params
@@ -237,7 +244,7 @@ class _FullSystem:
         lap = gr.lap_array(u, g.h, g.dim)
         fu = None if self.params.is_zero() else ph.f_apply_array(u, self.params, g.dim)
         bu = ph.convective_array(u, u, g.h, g.dim) if self.convective_on else None
-        gt, Du = self.forcing.at_array(), self.D.apply_array(u)
+        gt, Du = self.forcing, self.D.apply_array(u)
         if self.work is not None:
             w = g.cell_volume
             terms = [0.0 if a is None else s * float(np.vdot(a, Du))
@@ -246,7 +253,7 @@ class _FullSystem:
             self._row += 1
         return lap, fu, bu, gt, Du
 
-    def rhs(self, t: float, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rhs(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g = self.grid
         lap, fu, bu, gt, Du = self.parts(u)
         du = lap - gr.grad_array(p, g.h, g.dim)
@@ -259,18 +266,19 @@ class _FullSystem:
         return du, -gr.mean_project_array(gr.div_array(Du, g.h, g.dim), g.dim)
 
 
-def _as_forcing(g, grid: Grid) -> Forcing:
-    if isinstance(g, Forcing):
-        return g
-    if isinstance(g, VectorField):
-        return Forcing(g)
-    raise TypeError("forcing must be a Forcing or a VectorField")
+def _as_forcing(g, grid: Grid) -> np.ndarray:
+    """The array of the forcing field g, a VectorField on `grid`."""
+    if not isinstance(g, VectorField):
+        raise TypeError(f"forcing must be a VectorField, got {type(g).__name__}")
+    if g.grid != grid:
+        raise ValueError("forcing lives on a different grid")
+    return g.values
 
 
-def _rk4_full(sys: _FullSystem, t: float, y: tuple, dt: float) -> tuple:
+def _rk4_full(sys: _FullSystem, y: tuple, dt: float) -> tuple:
     # One full-system RK4 step under its own name: the benchmark's span
     # tracer (perfbench/tracing.BOUNDARIES) wraps this name.
-    return rk4_step_generic(y, t, dt, lambda ts, ys: sys.rhs(ts, *ys))
+    return rk4_step_generic(y, dt, lambda ys: sys.rhs(*ys))
 
 
 def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
@@ -281,7 +289,7 @@ def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
     one sine transform pair (SPD in the weighted metric as well, since it
     acts componentwise)."""
     g = sys.grid
-    expl = sys.forcing.at_array() - ph.f_apply_array(u, sys.params, g.dim)
+    expl = sys.forcing - ph.f_apply_array(u, sys.params, g.dim)
     if sys.convective_on:
         expl -= ph.convective_array(u, u, g.h, g.dim)
     rhs = u + dt * expl - dt * gr.grad_array(p, g.h, g.dim)
@@ -308,15 +316,15 @@ _EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
 def _full_advance(sys: _FullSystem, cfg: SolverConfig):
-    """advance(t, (u, p)) of the configured scheme, for one run: the
+    """advance((u, p)) of the configured scheme, for one run: the
     semi-implicit step starts its CG from the cubic extrapolation of the
     run's last four step-end velocities (fewer at the start), which it keeps
     by reference, so successive calls must be successive steps."""
     if cfg.scheme == "rk4":
-        return lambda t, y: _rk4_full(sys, t, y, cfg.dt)
+        return lambda y: _rk4_full(sys, y, cfg.dt)
     history = []  # u_n, u_{n-1}, u_{n-2}, u_{n-3}, newest first
 
-    def advance(t, y):
+    def advance(y):
         history.insert(0, y[0])
         del history[4:]
         c0, *cs = _EXTRAPOLATION[len(history) - 1]
@@ -335,41 +343,38 @@ class Trajectory:
     cfg: SolverConfig
     D: MediumMatrix
     params: NonlinearityParams
-    forcing: Forcing
+    forcing: np.ndarray
     convective_on: bool
     times: np.ndarray                 # snapshot times
-    states: list[tuple[np.ndarray, np.ndarray]]
+    u: np.ndarray                     # (snapshot, [member,] component, *grid)
+    p: np.ndarray                     # (snapshot, [member,] *grid)
     step_times: np.ndarray | None = None
     energy_series: np.ndarray | None = None        # e_plain at step endpoints
     endpoint_terms: np.ndarray | None = None       # (N+1, 4) diss, fw, gw, bw
     work_increments: np.ndarray | None = None      # (N, 4) stage-quadrature integrals
-
-    def state_at(self, i: int) -> SimState:
-        u, p = self.states[i]
-        return SimState(VectorField(self.grid, u.copy()),
-                        ScalarField(self.grid, p.copy()), float(self.times[i]))
 
 
 def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
              D: MediumMatrix, params: NonlinearityParams, t_max: float,
              snapshot_every: int = 1, snapshot_times=None,
              convective_on: bool = False,
-             collect_work: bool = False) -> Trajectory | list[Trajectory]:
-    """Integrate to t_max, storing snapshots and (optionally) audit series.
+             collect_work: bool = False) -> Trajectory:
+    """Integrate from t = 0 to t_max, storing snapshots and (optionally)
+    audit series.
 
     `snapshot_times` overrides `snapshot_every` with explicit targets; each
     target is matched to the closest step endpoint.
 
-    A list of states (one grid, one start time) steps as one batch along a
-    leading member axis and gives one Trajectory per member, equal to its
-    run alone; a blow-up or pressure drift names the member, and
+    A list of states (one grid) steps as one batch along a member axis,
+    axis 1 of the stored snapshots; each member's numbers are those of its
+    run alone. A blow-up or pressure drift names the member, and
     `collect_work` needs a single state and the RK4 scheme.
     """
     batch = isinstance(state0, (list, tuple))
     states = list(state0) if batch else [state0]
-    if not states or any(s.grid != states[0].grid or s.t != states[0].t for s in states):
-        raise ValueError("simulate needs one or more states on one grid at one start time")
-    grid, t0 = states[0].grid, states[0].t
+    if not states or any(s.grid != states[0].grid for s in states):
+        raise ValueError("simulate needs one or more states on one grid")
+    grid = states[0].grid
     if collect_work and (batch or cfg.scheme != "rk4"):
         raise ValueError("collect_work needs a single state and scheme = rk4")
     forcing = _as_forcing(forcing, grid)
@@ -386,16 +391,16 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
     drift = [np.float64(0.0)]  # |mean p| after the step, one per member
     scheme = _full_advance(sys, cfg)
 
-    def advance(t, y):
+    def advance(y):
         # p's re-projection to mean zero (gr.mean_project_array's arithmetic)
         # is done here rather than by integrate, so the mean it removes is
         # computed once and is also the drift the guard reads
-        u, p = scheme(t, y)
+        u, p = scheme(y)
         mean = np.add.reduce(p, axis=axes, keepdims=True) / count
         drift[0] = np.abs(mean)
         return u, p - mean
 
-    def on_step(k, t, y):
+    def on_step(k, y):
         # a drift within 1e-12 is within the bound, whatever max |p| is
         if drift[0].max() > 1e-12:
             bound = 1e-12 * (1.0 + np.abs(y[1]).max(axis=axes, keepdims=True))
@@ -409,9 +414,9 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
             if k == n_steps:  # the one step end no later stage records
                 sys.parts(y[0])
 
-    times, stored = integrate(
-        y0, t0, cfg.dt, n_steps, advance, grid.dim,
-        snapshots=snapshot_steps(n_steps, t0, cfg.dt, every=snapshot_every,
+    times, (u, p) = integrate(
+        y0, cfg.dt, n_steps, advance, grid.dim,
+        snapshots=snapshot_steps(n_steps, cfg.dt, every=snapshot_every,
                                  targets=snapshot_times),
         on_step=on_step, members=batch)
     series = {}
@@ -421,15 +426,11 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
         for i, weight in enumerate(RK4_WEIGHTS):
             work += weight * stages[:, i]
         ends = sys.work[::4]
-        series = dict(step_times=t0 + np.arange(n_steps + 1) * cfg.dt,
+        series = dict(step_times=np.arange(n_steps + 1) * cfg.dt,
                       energy_series=grid.cell_volume * (ends[:, 4] + p_squares),
                       endpoint_terms=ends[:, :4].copy(), work_increments=cfg.dt * work)
-    trajectories = [Trajectory(
-        grid=grid, cfg=cfg, D=D, params=params, forcing=forcing,
-        convective_on=convective_on, times=np.array(times),
-        states=[(u[m], p[m]) for u, p in stored] if batch else stored, **series,
-    ) for m in range(len(states))]
-    return trajectories if batch else trajectories[0]
+    return Trajectory(grid=grid, cfg=cfg, D=D, params=params, forcing=forcing,
+                      convective_on=convective_on, times=times, u=u, p=p, **series)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +496,7 @@ class _TruncatedSystem:
     """The velocity u(p) of the truncated system dp/dt = -P0 div(D u(p)),
     re-solved at every evaluation."""
 
-    def __init__(self, grid: Grid, params: NonlinearityParams, forcing: Forcing,
+    def __init__(self, grid: Grid, params: NonlinearityParams, forcing: np.ndarray,
                  cfg: SolverConfig):
         self.grid = grid
         self.params = params
@@ -506,7 +507,7 @@ class _TruncatedSystem:
     def solve_u(self, p: np.ndarray) -> np.ndarray:
         """u(p), Newton warm-started from the previous solve."""
         u, _ = solve_elliptic_arrays(
-            p, self.forcing.at_array(), self.params, self.grid,
+            p, self.forcing, self.params, self.grid,
             newton_tol=self.cfg.newton_tol, newton_max=self.cfg.newton_max,
             cg_floor=self.cfg.cg_tol, u0=self._warm)
         self._warm = u.copy()
@@ -520,14 +521,18 @@ class _TruncatedSystem:
 @dataclass
 class SplitTrajectory:
     """Two-part splitting p = q + r of a truncated run, stepped with the run:
-    p and u(p) at every stored time, the parts (q, v) and (r, w) beside them;
-    q + r must recombine to p and v + w to u."""
+    p and u(p) at every stored time, the parts (q, v) and (r, w) beside them,
+    each stacked over the stored times; q + r must recombine to p and v + w
+    to u."""
 
+    grid: Grid
     times: np.ndarray
-    ps: list[np.ndarray]
-    us: list[np.ndarray]
-    qv: list[tuple[ScalarField, VectorField]]
-    rw: list[tuple[ScalarField, VectorField]]
+    p: np.ndarray
+    u: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    r: np.ndarray
+    w: np.ndarray
     recombination_p: float   # max over stored times of |q+r-p| / max(|p|, tiny)
     recombination_u: float
 
@@ -543,7 +548,7 @@ def _linear_velocity(p: np.ndarray, load: np.ndarray | float, grid: Grid) -> np.
     return gr.poisson_solve_array(load - gr.grad_array(p, grid.h, grid.dim), grid)
 
 
-def _split(p0: ScalarField, forcing: Forcing, cfg: SolverConfig, D: MediumMatrix,
+def _split(p0: ScalarField, forcing: np.ndarray, cfg: SolverConfig, D: MediumMatrix,
            params: NonlinearityParams, t_max: float, snapshot_every: int,
            parts) -> SplitTrajectory:
     """RK4 on (p, q, r) from (p0, p0, 0), p0 projected to mean zero, where p
@@ -558,30 +563,29 @@ def _split(p0: ScalarField, forcing: Forcing, cfg: SolverConfig, D: MediumMatrix
         u = sys_p.solve_u(y[0])
         return (u, *parts(y, u))
 
-    def rhs(t, y):
+    def rhs(y):
         return tuple(_pressure_rate(x, D, grid) for x in velocities(y))
 
-    def record(k, t, y):
+    def record(y):
         (p, q, r), (u, v, w) = y, velocities(y)
-        return (p.copy(), u, (ScalarField(grid, q.copy()), VectorField(grid, v)),
-                (ScalarField(grid, r.copy()), VectorField(grid, w)))
+        return p, u, q, v, r, w
 
     n_steps = int(round(t_max / dt))
     p0 = gr.mean_project_array(p0.values, grid.dim)
     times, stored = integrate(
-        (p0, p0, np.zeros_like(p0)), 0.0, dt, n_steps,
-        lambda t, y: rk4_step_generic(y, t, dt, rhs),
+        (p0, p0, np.zeros_like(p0)), dt, n_steps,
+        lambda y: rk4_step_generic(y, dt, rhs),
         grid.dim, project=(0, 1, 2),
-        snapshots=snapshot_steps(n_steps, 0.0, dt, every=snapshot_every), record=record)
-    ps, us, qv, rw = (list(a) for a in zip(*stored))
-    scale = max(float(np.abs(p).max()) for p in ps) or 1.0
-    later = list(zip(ps, us, qv, rw))[1:]
-    defect_p = max([float(np.abs(q.values + r.values - p).max()) / scale
-                    for p, _, (q, _), (r, _) in later], default=0.0)
-    defect_u = max([float(np.abs(v.values + w.values - u).max())
-                    / max(float(np.abs(u).max()), 1e-30)
-                    for _, u, (_, v), (_, w) in later], default=0.0)
-    return SplitTrajectory(np.array(times), ps, us, qv, rw, defect_p, defect_u)
+        snapshots=snapshot_steps(n_steps, dt, every=snapshot_every), record=record)
+    p, u, q, v, r, w = stored
+    # after the initial state: |q + r - p| over the largest |p| of the run,
+    # |v + w - u| over the largest |u| at the same time
+    axes = tuple(range(-grid.dim - 1, 0))
+    defect_p = (float(np.abs(q[1:] + r[1:] - p[1:]).max(initial=0.0))
+                / (float(np.abs(p).max()) or 1.0))
+    defect_u = float((np.abs(v[1:] + w[1:] - u[1:]).max(axis=axes)
+                      / np.maximum(np.abs(u[1:]).max(axis=axes), 1e-30)).max(initial=0.0))
+    return SplitTrajectory(grid, times, p, u, q, v, r, w, defect_p, defect_u)
 
 
 def run_split(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
@@ -597,12 +601,12 @@ def run_split(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
     """
     grid = p0.grid
     forcing = _as_forcing(forcing, grid)
-    sys_v = _TruncatedSystem(grid, params, Forcing.zero(grid), cfg)
+    sys_v = _TruncatedSystem(grid, params, np.zeros_like(forcing), cfg)
 
     def parts(y, u):
         _, q, r = y
         v = sys_v.solve_u(q)
-        return v, _linear_velocity(r, forcing.at_array()
+        return v, _linear_velocity(r, forcing
                                    - ph.f_apply_array(u, params, grid.dim)
                                    + ph.f_apply_array(v, params, grid.dim), grid)
 
@@ -625,19 +629,20 @@ def run_bootstrap_split(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMa
     def parts(y, u):
         _, p1, p2 = y
         return (_linear_velocity(p1, 0.0, grid), _linear_velocity(
-            p2, forcing.at_array() - ph.f_apply_array(u, params, grid.dim), grid))
+            p2, forcing - ph.f_apply_array(u, params, grid.dim), grid))
 
     return _split(p0, forcing, cfg, D, params, t_max, snapshot_every, parts)
 
 
 @dataclass
 class ExpSplitTrajectory:
-    """Contracting + smoothing decomposition of the difference of two runs."""
+    """Contracting + smoothing decomposition of the difference of two runs,
+    stacked over the stored times, with the hat and tilde parts on axis 1."""
 
     times: np.ndarray
-    hat: list[tuple[VectorField, ScalarField]]
-    tilde: list[tuple[VectorField, ScalarField]]
-    recombination: float
+    V: np.ndarray    # (snapshot, part, component, *grid)
+    Q: np.ndarray    # (snapshot, part, *grid)
+    recombination: float   # max over stored times of |hat+tilde-diff| / max |diff(0)|
 
     def __post_init__(self):
         if self.recombination > 1e-6:
@@ -672,18 +677,20 @@ def run_exp_split(pair, forcing, cfg: SolverConfig, D: MediumMatrix,
     difference; the tilde part absorbs the averaged-Jacobian load -l(t) ubar
     with zero initial data. They step jointly with the runs from the two
     states of `pair`, without convection, as two two-member batches, the
-    runs (u1, u2) and the parts (hat, tilde), stored as `simulate` would.
+    runs (u1, u2) and the parts (hat, tilde), stored as `simulate` would;
+    the parts are checked to recombine to the difference u1 - u2 after the
+    run.
     """
     s1, s2 = pair
-    if s1.grid != s2.grid or s1.t != s2.t:
-        raise ValueError("run_exp_split needs two states on one grid at one start time")
-    grid, t0 = s1.grid, s1.t
+    if s1.grid != s2.grid:
+        raise ValueError("run_exp_split needs two states on one grid")
+    grid = s1.grid
     cfg.validate(grid, D)
     sys = _FullSystem(grid, D, params, _as_forcing(forcing, grid), False)
 
-    def rhs(t, y):
+    def rhs(y):
         U, P, V, Q = y  # runs (u1, u2) and parts (hat, tilde), member-stacked
-        dU, dP = sys.rhs(t, U, P)
+        dU, dP = sys.rhs(U, P)
         dV = gr.lap_array(V, grid.h, grid.dim) - gr.grad_array(Q, grid.h, grid.dim)
         dV[1] -= averaged_jacobian_apply(U[0], U[1], U[0] - U[1], params, grid.dim)
         return dU, dP, dV, _pressure_rate(V, D, grid)
@@ -693,19 +700,11 @@ def run_exp_split(pair, forcing, cfg: SolverConfig, D: MediumMatrix,
     y0 = (U, P, np.stack((U[0] - U[1], np.zeros_like(U[0]))),
           np.stack((P[0] - P[1], np.zeros_like(P[0]))))
     scale = max(float(np.abs(y0[2][0]).max()), float(np.abs(y0[3][0]).max()), 1e-30)
-
-    def record(k, t, y):
-        U, P, V, Q = y
-        defect = max(float(np.abs(V[0] + V[1] - (U[0] - U[1])).max()),
-                     float(np.abs(Q[0] + Q[1] - (P[0] - P[1])).max())) / scale
-        return ((VectorField(grid, V[0].copy()), ScalarField(grid, Q[0].copy())),
-                (VectorField(grid, V[1].copy()), ScalarField(grid, Q[1].copy())), defect)
-
     n_steps = max(1, int(round(t_max / cfg.dt)))
-    times, stored = integrate(
-        y0, t0, cfg.dt, n_steps, lambda t, y: rk4_step_generic(y, t, cfg.dt, rhs),
+    times, (U, P, V, Q) = integrate(
+        y0, cfg.dt, n_steps, lambda y: rk4_step_generic(y, cfg.dt, rhs),
         grid.dim, project=(1, 3),
-        snapshots=snapshot_steps(n_steps, t0, cfg.dt, every=snapshot_every),
-        record=record)
-    return ExpSplitTrajectory(np.array(times), [h for h, _, _ in stored],
-                              [d for _, d, _ in stored], max(d for _, _, d in stored))
+        snapshots=snapshot_steps(n_steps, cfg.dt, every=snapshot_every))
+    defect = max(float(np.abs(V[:, 0] + V[:, 1] - (U[:, 0] - U[:, 1])).max()),
+                 float(np.abs(Q[:, 0] + Q[:, 1] - (P[:, 0] - P[:, 1])).max()))
+    return ExpSplitTrajectory(times, V, Q, defect / scale)

@@ -2,9 +2,9 @@
 
 Nonlinear drag f(u) = phi(|u|^2) u with phi(z) = alpha + beta z^l + gamma sqrt(z)
 and its Jacobian, the constant symmetric positive definite medium matrix D, the
-time-independent forcing g, the divergence right-inverse (minimum-seminorm
-realization) with the sampled certificate of the perturbed energy functional,
-and the energy-preserving convective term.
+divergence right-inverse (minimum-seminorm realization) with the sampled
+certificate of the perturbed energy functional, and the energy-preserving
+convective term. The forcing g is one fixed VectorField.
 
 For every admissible parameter set phi is nonnegative and nondecreasing, so f
 is monotone; the elliptic solves rely on this and add no shift.
@@ -22,7 +22,7 @@ from .grid import Grid, ScalarField, VectorField
 from .krylov import conjugate_gradient
 
 __all__ = [
-    "NonlinearityParams", "MediumMatrix", "Forcing", "bogovski", "convective",
+    "NonlinearityParams", "MediumMatrix", "bogovski", "convective",
     "certify_eps",
 ]
 
@@ -92,20 +92,6 @@ class MediumMatrix:
         axes (batch axes may precede it)."""
         lead = u.shape[:u.ndim - self.dim - 1]
         return (self.entries @ u.reshape(lead + (self.dim, -1))).reshape(u.shape)
-
-
-@dataclass
-class Forcing:
-    """The forcing g: one fixed field, so the system is autonomous."""
-
-    base: VectorField
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "Forcing":
-        return cls(gr.zeros_vector(grid))
-
-    def at_array(self) -> np.ndarray:
-        return self.base.values
 
 
 # ---------------------------------------------------------------------------

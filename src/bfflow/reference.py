@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn
+from . import grid as gr
 from .grid import Grid, ScalarField, VectorField
-from .physics import Forcing, MediumMatrix, NonlinearityParams
+from .physics import MediumMatrix, NonlinearityParams
 
 __all__ = [
     "DensePropagator", "ModeSolution", "build_propagator",
@@ -161,10 +162,10 @@ def convergence_errors(state: dyn.SimState, D: MediumMatrix, horizon: float,
     den = np.sqrt(np.sum(u_ref.values ** 2) + np.sum(p_ref.values ** 2))
     errors = []
     for dt in dts:
-        traj = dyn.simulate(state, dyn.SolverConfig(dt=dt), Forcing.zero(grid), D,
+        traj = dyn.simulate(state, dyn.SolverConfig(dt=dt), gr.zeros_vector(grid), D,
                             NonlinearityParams(0.0, 0.0), horizon,
                             snapshot_every=int(round(horizon / dt)))
-        u, p = traj.states[-1]
+        u, p = traj.u[-1], traj.p[-1]
         num = np.sqrt(np.sum((u - u_ref.values) ** 2) + np.sum((p - p_ref.values) ** 2))
         errors.append(float(num / den))
     return errors
@@ -294,15 +295,15 @@ def periodic_linear_run(u0: np.ndarray, p0: np.ndarray, n: int, dt: float,
     driven by periodic stencils; exists only for oracle comparisons."""
     h = 1.0 / n
 
-    def rhs(t, y):
+    def rhs(y):
         u, p = y
         du = _plap(u, h, dim) - _pgrad(p, h, dim)
         dp = -_pdiv(u, h, dim)
         return du, dp
 
     steps = int(round(t_max / dt))
-    _, (state,) = dyn.integrate(
-        (u0, p0), 0.0, dt, steps, lambda t, y: dyn.rk4_step_generic(y, t, dt, rhs),
+    _, (u, p) = dyn.integrate(
+        (u0, p0), dt, steps, lambda y: dyn.rk4_step_generic(y, dt, rhs),
         dim, snapshots={steps})
-    return state
+    return u[0], p[0]
 

@@ -126,12 +126,12 @@ def test_c05_dissipative_absorbing_ball():
     # runs; the linear part is unconditionally damped, the explicit drag is
     # stable here (dt * sup f' well below the explicit bound)
     cfg = dyn.SolverConfig(dt=0.01, scheme="semi_implicit", cg_tol=1e-11)
-    runs = dyn.simulate(states, cfg, forcing, D, QUINTIC, 40.0,
-                        snapshot_every=int(round(0.5 / cfg.dt)))
-    times = runs[0].times
+    run = dyn.simulate(states, cfg, forcing, D, QUINTIC, 40.0,
+                       snapshot_every=int(round(0.5 / cfg.dt)))
+    times = run.times
     e_eps = np.zeros((3, len(times)))
-    for m, run in enumerate(runs):
-        for j, (us, ps) in enumerate(run.states):
+    for j, (members_u, members_p) in enumerate(zip(run.u, run.p)):
+        for m, (us, ps) in enumerate(zip(members_u, members_p)):
             assert np.isfinite(us).all() and np.isfinite(ps).all()
             u = VectorField(g, us)
             p = ScalarField(g, ps - ps.mean())

@@ -9,7 +9,7 @@ from bfflow import grid as gr
 from bfflow import reference as ref
 from bfflow.cli import make_forcing, make_initial_state
 from bfflow.grid import Grid, ScalarField, VectorField
-from bfflow.physics import Forcing, MediumMatrix, NonlinearityParams
+from bfflow.physics import MediumMatrix, NonlinearityParams
 from bfflow.rng import SplitMix64
 
 LINEAR = NonlinearityParams(0.0, 0.0)
@@ -227,8 +227,8 @@ class TestSmoothing:
         traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, 1.0,
                             snapshot_times=targets)
         rep = an.smoothing_report(traj)
-        sys = dyn._FullSystem(g, D, QUINTIC, Forcing.zero(g), False)
-        du0, _ = sys.rhs(0.0, state.u.values, state.p.values)
+        sys = dyn._FullSystem(g, D, QUINTIC, np.zeros((2,) + g.shape), False)
+        du0, _ = sys.rhs(state.u.values, state.p.values)
         unweighted = g.cell_volume * np.vdot(du0, du0)
         assert rep.weighted_sups["t^2|du_dt|^2"] <= 2.0 * unweighted
 
@@ -268,33 +268,33 @@ class TestDistToBall:
 
 
 def _seeded_snaps(g, B, S, seed, scales):
-    """S snapshots of B random members; member m is scaled by scales[m]."""
+    """Times and stacked (U, P) of S snapshots of B random members; member
+    m is scaled by scales[m]."""
     rng = SplitMix64(seed)
     scale = np.reshape(scales, (B,) + (1,) * g.dim)
-    snaps = []
-    for _ in range(S):
-        U = rng.normal((B, g.dim) + g.shape) * scale[:, None]
-        P = rng.normal((B,) + g.shape) * scale
-        snaps.append((U, gr.mean_project_array(P, g.dim)))
-    return [0.1 * k for k in range(S)], snaps
+    U, P = np.empty((S, B, g.dim) + g.shape), np.empty((S, B) + g.shape)
+    for k in range(S):
+        U[k] = rng.normal((B, g.dim) + g.shape) * scale[:, None]
+        P[k] = gr.mean_project_array(rng.normal((B,) + g.shape) * scale, g.dim)
+    return [0.1 * k for k in range(S)], U, P
 
 
 class TestEnsembleReport:
     """The batched report against per-member and per-pair evaluation."""
 
-    def _check(self, g, snap_times, snaps):
-        rep = an.ensemble_report_from_snaps(g, snap_times, snaps)
-        B = snaps[0][0].shape[0]
-        q0 = len(snaps) - max(1, len(snaps) // 4)
+    def _check(self, g, snap_times, Us, Ps):
+        rep = an.ensemble_report_from_snaps(g, snap_times, Us, Ps)
+        B = Us.shape[1]
+        q0 = len(Us) - max(1, len(Us) // 4)
         # the higher-energy norm, spectral H2 of u and H1 of p, field by field
         r_ball = 2.0 * max(np.sqrt(gr.vector_spectral_norm(VectorField(g, U[0]), 2.0) ** 2
                                    + gr.spectral_norm(ScalarField(g, P[0]), 1.0) ** 2)
-                           for U, P in snaps[q0:])
+                           for U, P in zip(Us[q0:], Ps[q0:]))
         assert rep.r_ball == pytest.approx(r_ball, rel=1e-12)
         assert np.array_equal(rep.dist_to_ball_series[:, 0], snap_times)
         assert np.array_equal(rep.diam_series[:, 0], snap_times)
         w_e, w_e1 = an._spectral_weights(g)
-        for k, (U, P) in enumerate(snaps):
+        for k, (U, P) in enumerate(zip(Us, Ps)):
             # the batched bisection gives each row what it gives that row alone
             c = an._state_coefficients(U, P, g)
             batched = an._ball_distances(c, w_e, w_e1, rep.r_ball)
@@ -313,32 +313,30 @@ class TestEnsembleReport:
 
     def test_members_outside_the_ball(self):
         g = Grid(2, 8)
-        times, snaps = _seeded_snaps(g, 5, 12, 801, [1.0, 3.0, 0.5, 2.5, 1.0])
-        rep = self._check(g, times, snaps)
+        times, U, P = _seeded_snaps(g, 5, 12, 801, [1.0, 3.0, 0.5, 2.5, 1.0])
+        rep = self._check(g, times, U, P)
         assert np.count_nonzero(rep.dist_to_ball_series[:, 1]) >= 6
 
     def test_blocked_bisection_matches_one_block(self, monkeypatch):
         g = Grid(2, 8)
-        times, snaps = _seeded_snaps(g, 5, 12, 801, [1.0, 3.0, 0.5, 2.5, 1.0])
-        whole = an.ensemble_report_from_snaps(g, times, snaps)
+        times, U, P = _seeded_snaps(g, 5, 12, 801, [1.0, 3.0, 0.5, 2.5, 1.0])
+        whole = an.ensemble_report_from_snaps(g, times, U, P)
         monkeypatch.setattr(an, "_BISECT_BLOCK", 3 * 192)  # 3 rows a block
-        blocked = an.ensemble_report_from_snaps(g, times, snaps)
+        blocked = an.ensemble_report_from_snaps(g, times, U, P)
         assert np.array_equal(blocked.dist_to_ball_series,
                               whole.dist_to_ball_series)
 
     def test_all_inside_the_ball(self):
         g = Grid(2, 8)
-        times, snaps = _seeded_snaps(g, 4, 8, 803, [1.0, 0.1, 0.1, 0.1])
-        member0 = snaps[-1][0][0], snaps[-1][1][0]
-        for U, P in snaps:  # member 0 fixed, so the ball holds it at every time
-            U[0], P[0] = member0
-        rep = self._check(g, times, snaps)
+        times, U, P = _seeded_snaps(g, 4, 8, 803, [1.0, 0.1, 0.1, 0.1])
+        U[:, 0], P[:, 0] = U[-1, 0], P[-1, 0]  # member 0 fixed: always in the ball
+        rep = self._check(g, times, U, P)
         assert np.all(rep.dist_to_ball_series[:, 1] == 0.0)
 
     def test_single_member_has_zero_diameter(self):
         g = Grid(3, 4)
-        times, snaps = _seeded_snaps(g, 1, 6, 805, [1.0])
-        rep = self._check(g, times, snaps)
+        times, U, P = _seeded_snaps(g, 1, 6, 805, [1.0])
+        rep = self._check(g, times, U, P)
         assert rep.ensemble_size == 1
         assert np.all(rep.diam_series[:, 1] == 0.0)
 

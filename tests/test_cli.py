@@ -12,6 +12,7 @@ import pytest
 from bfflow import cli
 from bfflow import dynamics as dyn
 from bfflow.cli import ConfigError, parse_config
+from bfflow.grid import Grid
 
 MINIMAL = """
 [grid]
@@ -250,7 +251,7 @@ convective = on
         path = tmp_path / "g.npy"
         np.save(path, arr)
         f = make_forcing(g, "file", seed=0, amplitude=1.0, path=str(path))
-        assert np.array_equal(f.base.values, arr)
+        assert np.array_equal(f.values, arr)
 
     def test_svg_never_affects_exit(self, tmp_path):
         sc = parse_config("[grid]\nn = 8\n[run]\nt_max = 0.05\n")
@@ -329,6 +330,14 @@ _BAD_INPUTS = {
     "zero_perturbation": ("lipschitz", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n"
                           "snapshot_stride = 0.01\n[scenario]\nperturbation = 0\n",
                           "perturbation must be nonzero"),
+    # a size that rounds away leaves the two states identical, which used to
+    # end in nan envelopes and exit 1
+    "rounded_perturbation_lipschitz": ("lipschitz", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n"
+                                       "snapshot_stride = 0.01\n[scenario]\n"
+                                       "perturbation = 1e-170\n", "perturbation = 1e-170 leaves"),
+    "rounded_perturbation_expsplit": ("expsplit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n"
+                                      "snapshot_stride = 0.01\n[scenario]\n"
+                                      "perturbation = 1e-300\n", "perturbation = 1e-300 leaves"),
 }
 
 
@@ -367,8 +376,8 @@ class TestExitCodes:
                                            subcommand, driver, text):
         def unrecombined(*args, **kwargs):
             if driver == "run_split":
-                return dyn.SplitTrajectory(np.zeros(1), [], [], [], [], 1e-3, 0.0)
-            return dyn.ExpSplitTrajectory(np.zeros(1), [], [], 1e-3)
+                return dyn.SplitTrajectory(Grid(2, 8), *[np.zeros(1)] * 7, 1e-3, 0.0)
+            return dyn.ExpSplitTrajectory(*[np.zeros(1)] * 3, 1e-3)
 
         monkeypatch.setattr(dyn, driver, unrecombined)
         config = tmp_path / "ok.cfg"
@@ -379,6 +388,18 @@ class TestExitCodes:
         assert code == 2
         assert "RUNTIME_ERROR" in summary and "failed to recombine" in summary
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_3(self, tmp_path, capsys):
+        # the output directory's mkdir used to raise FileExistsError
+        config = tmp_path / "ok.cfg"
+        config.write_text(MINIMAL)
+        (tmp_path / "taken").write_text("")
+        code = cli.main(["simulate", "--config", str(config),
+                         "--out", str(tmp_path / "taken")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert "output directory" in err
 
     def test_removed_threads_flag_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "ok.cfg"

@@ -11,7 +11,7 @@ from bfflow import reference as ref
 from bfflow.cli import make_forcing, make_initial_state, perturbed_pair
 from bfflow.grid import Grid, ScalarField, VectorField
 from bfflow.krylov import CGError, conjugate_gradient
-from bfflow.physics import Forcing, MediumMatrix, NonlinearityParams
+from bfflow.physics import MediumMatrix, NonlinearityParams
 from bfflow.rng import SplitMix64
 
 LINEAR = NonlinearityParams(0.0, 0.0)
@@ -40,20 +40,38 @@ class TestSolverConfig:
 
 
 def _full_system(g, D, params, g_field):
-    return dyn._FullSystem(g, D, params, Forcing(g_field), False)
+    return dyn._FullSystem(g, D, params, g_field.values, False)
+
+
+def _seeded_system(seed, dim):
+    """Grid (n drawn from `seed`), medium, forcing and the generator."""
+    rng = SplitMix64(seed)
+    g = Grid(dim, 2 * int(rng.integers(4, 6) if dim == 2 else rng.integers(2, 4)))
+    D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
+    forcing = make_forcing(g, "fixed_random", seed=int(rng.integers(1, 1 << 30)),
+                           amplitude=1.0)
+    return g, D, forcing, rng
+
+
+def _mean_defect(p, dim):
+    """The largest |mean| / (1 + max |p|) over the trailing `dim` axes of a
+    stacked pressure array, in one reduction over the run."""
+    axes = tuple(range(-dim, 0))
+    return float((np.abs(p.mean(axis=axes)) / (1.0 + np.abs(p).max(axis=axes))).max())
 
 
 def _one_step(state, cfg, g_field, D, params):
-    """The state after one step of `simulate`."""
+    """(u, p) after one step of `simulate`, which ends at t = dt."""
     traj = dyn.simulate(state, cfg, g_field, D, params, cfg.dt)
-    return traj.state_at(-1)
+    assert traj.times.tolist() == [0.0, cfg.dt]
+    return traj.u[-1], traj.p[-1]
 
 
 class TestRhsFull:
     def test_zero_state_zero_forcing(self):
         g, D = small_setup()
         zero = np.zeros((2,) + g.shape)
-        du, dp = _full_system(g, D, QUINTIC, gr.zeros_vector(g)).rhs(0.0, zero, zero[0])
+        du, dp = _full_system(g, D, QUINTIC, gr.zeros_vector(g)).rhs(zero, zero[0])
         assert np.all(du == 0.0) and np.all(dp == 0.0)
 
     def test_definition_unrolls_for_pressure_mode(self):
@@ -61,7 +79,7 @@ class TestRhsFull:
         p = gr.project_mean_zero(gr.sine_mode(g, (1, 1)))
         rng = SplitMix64(3)
         gf = VectorField(g, rng.normal((2,) + g.shape))
-        du, _ = _full_system(g, D, QUINTIC, gf).rhs(0.0, np.zeros((2,) + g.shape), p.values)
+        du, _ = _full_system(g, D, QUINTIC, gf).rhs(np.zeros((2,) + g.shape), p.values)
         expected = -gr.grad(p).values + gf.values
         assert np.abs(du - expected).max() <= 1e-14 * np.abs(expected).max()
 
@@ -72,7 +90,7 @@ class TestRhsFull:
         for _ in range(20):
             u = rng.normal((2,) + g.shape)
             p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-            _, dp = sys.rhs(0.0, u, p.values)
+            _, dp = sys.rhs(u, p.values)
             assert abs(dp.mean()) <= 1e-13
 
 
@@ -80,9 +98,8 @@ class TestStep:
     def test_zero_fixed_point(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=1e-3)
-        out = _one_step(dyn.SimState.zero(g), cfg, gr.zeros_vector(g), D, QUINTIC)
-        assert np.all(out.u.values == 0.0) and np.all(out.p.values == 0.0)
-        assert out.t == pytest.approx(1e-3)
+        u, p = _one_step(dyn.SimState.zero(g), cfg, gr.zeros_vector(g), D, QUINTIC)
+        assert np.all(u == 0.0) and np.all(p == 0.0)
 
     def test_local_order_against_dense_exponential(self):
         # linear case: one rk4 step vs the matrix exponential, local order >= 4.5
@@ -92,10 +109,10 @@ class TestStep:
         errs = []
         for dt in (4e-4, 2e-4):
             cfg = dyn.SolverConfig(dt=dt)
-            out = _one_step(state, cfg, gr.zeros_vector(g), D, LINEAR)
+            u, p = _one_step(state, cfg, gr.zeros_vector(g), D, LINEAR)
             ue, pe = prop.apply(state.u, state.p, dt)
-            errs.append(np.sqrt(np.sum((out.u.values - ue.values) ** 2)
-                                + np.sum((out.p.values - pe.values) ** 2)))
+            errs.append(np.sqrt(np.sum((u - ue.values) ** 2)
+                                + np.sum((p - pe.values) ** 2)))
         order = np.log2(errs[0] / errs[1])
         assert order >= 4.5
 
@@ -128,13 +145,13 @@ class TestStep:
         state = make_initial_state(g, "smooth", 1.0, seed=19)
         fine = dyn.simulate(state, dyn.SolverConfig(dt=1e-4), gr.zeros_vector(g),
                             D, QUINTIC, t_max=0.05, snapshot_every=500)
-        u_ref, p_ref = fine.states[-1]
+        u_ref, p_ref = fine.u[-1], fine.p[-1]
         errs = []
         for dt in (5e-3, 2.5e-3):
             cfg = dyn.SolverConfig(dt=dt, scheme="semi_implicit", cg_tol=1e-12)
             traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC,
                                 t_max=0.05, snapshot_every=int(0.05 / dt))
-            u, p = traj.states[-1]
+            u, p = traj.u[-1], traj.p[-1]
             errs.append(np.sqrt(np.sum((u - u_ref) ** 2) + np.sum((p - p_ref) ** 2)))
         assert 1.5 <= errs[0] / errs[1] <= 2.6  # first order in dt
 
@@ -142,24 +159,51 @@ class TestStep:
         g, D = small_setup()
         state = make_initial_state(g, "smooth", 1.0, seed=23)
         # drag-stiff configuration: linear CFL holds, explicit drag does not
-        hot = dyn.SimState(VectorField(g, 60.0 * state.u.values), state.p, 0.0)
+        hot = dyn.SimState(VectorField(g, 60.0 * state.u.values), state.p)
         cfg = dyn.SolverConfig(dt=2e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             # the first step is still finite (|u| ~ 4e192); the second overflows
-            first = _one_step(hot, cfg, gr.zeros_vector(g), D, QUINTIC)
-            assert np.isfinite(first.u.values).all()
+            u, _ = _one_step(hot, cfg, gr.zeros_vector(g), D, QUINTIC)
+            assert np.isfinite(u).all()
             with pytest.raises(dyn.BlowUpError) as err:
                 dyn.simulate(hot, cfg, gr.zeros_vector(g), D, QUINTIC, t_max=1.0)
         assert err.value.step_count == 2
         assert "step 2 " in str(err.value)
 
-    def test_mean_preserved_along_run(self):
-        g, D = small_setup()
-        state = make_initial_state(g, "smooth", 1.0, seed=29)
-        traj = dyn.simulate(state, dyn.SolverConfig(dt=1e-3), gr.zeros_vector(g),
-                            D, QUINTIC, t_max=0.2, snapshot_every=20)
-        worst = max(abs(float(p.mean())) for _, p in traj.states)
-        assert worst <= 1e-12 * 0.2
+    @pytest.mark.parametrize("seed", [29, 31], ids=lambda s: f"seed{s}")
+    @pytest.mark.parametrize("dim", [2, 3], ids=lambda d: f"{d}d")
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("scheme", ["rk4", "semi_implicit"])
+    def test_mean_preserved_along_run(self, scheme, batched, dim, seed):
+        # seeded grid size, forcing, initial data and stride; every stored
+        # pressure, of every member, has |mean| <= 1e-12 (1 + max |p|)
+        g, D, forcing, rng = _seeded_system(seed, dim)
+        states = [make_initial_state(g, kind, 1.0 + 3.0 * rng.uniform(),
+                                     seed=int(rng.integers(1, 1 << 30)))
+                  for kind in ("white_pressure", "smooth")[:2 if batched else 1]]
+        cfg = dyn.SolverConfig(dt=1e-3 if scheme == "rk4" else 1e-2, scheme=scheme)
+        traj = dyn.simulate(states if batched else states[0], cfg, forcing, D, QUINTIC,
+                            40 * cfg.dt, snapshot_every=int(rng.integers(1, 8)))
+        assert traj.p.shape == (len(traj.times),) + (2,) * batched + g.shape
+        assert _mean_defect(traj.p, dim) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [37, 41], ids=lambda s: f"seed{s}")
+    @pytest.mark.parametrize("dim", [2, 3], ids=lambda d: f"{d}d")
+    def test_split_pressures_mean_preserved(self, dim, seed):
+        # p, q, r of both splittings and the hat and tilde pressures Q of the
+        # difference splitting, read off their stacked arrays
+        g, D, forcing, rng = _seeded_system(seed, dim)
+        cfg = dyn.SolverConfig(dt=1e-3)
+        state = make_initial_state(g, "white_pressure", 1.0 + 3.0 * rng.uniform(),
+                                   seed=int(rng.integers(1, 1 << 30)))
+        every = int(rng.integers(1, 8))
+        for run in (dyn.run_split, dyn.run_bootstrap_split):
+            split = run(state.p, forcing, cfg, D, QUINTIC, 20 * cfg.dt, snapshot_every=every)
+            for part in (split.p, split.q, split.r):
+                assert _mean_defect(part, dim) <= 1e-12
+        pair = perturbed_pair(state, int(rng.integers(1, 1 << 30)), 0.1)
+        es = dyn.run_exp_split(pair, forcing, cfg, D, QUINTIC, 20 * cfg.dt, every)
+        assert _mean_defect(es.Q, dim) <= 1e-12
 
 
 class TestLipschitz:
@@ -296,7 +340,7 @@ class TestWorkIntegrals:
         Du = sys.D.apply_array(u)
         diss = -w * float(np.vdot(gr.lap_array(u, g.h, g.dim), Du))
         fw = w * float(np.vdot(ph.f_apply_array(u, sys.params, g.dim), Du))
-        gw = w * float(np.vdot(sys.forcing.at_array(), Du))
+        gw = w * float(np.vdot(sys.forcing, Du))
         bw = 0.0
         if sys.convective_on:
             bw = w * float(np.vdot(ph.convective_array(u, u, g.h, g.dim), Du))
@@ -314,12 +358,11 @@ class TestWorkIntegrals:
         traj = dyn.simulate(state, cfg, forcing, D, params, n_steps * cfg.dt,
                             convective_on=conv, collect_work=True)
 
-        sys = dyn._FullSystem(g, D, params, forcing, conv)
+        sys = dyn._FullSystem(g, D, params, forcing.values, conv)
         axes = tuple(range(-dim, 0))
         y = (state.u.values, gr.mean_project_array(state.p.values, dim))
         energy, endpoint, work = [], [], []
         for k in range(n_steps + 1):
-            t = k * cfg.dt
             energy.append(g.cell_volume * float(np.vdot(D.apply_array(y[0]), y[0])
                                                 + np.vdot(y[1], y[1])))
             endpoint.append(self._terms(sys, y[0]))
@@ -328,14 +371,14 @@ class TestWorkIntegrals:
             work.append(np.zeros(4))
             weights = iter(dyn.RK4_WEIGHTS)
 
-            def rhs(ts, ys):
+            def rhs(ys):
                 work[-1] += next(weights) * np.array(self._terms(sys, ys[0]))
-                return sys.rhs(ts, *ys)
+                return sys.rhs(*ys)
 
-            u, p = dyn.rk4_step_generic(y, t, cfg.dt, rhs)
+            u, p = dyn.rk4_step_generic(y, cfg.dt, rhs)
             y = (u, p - np.add.reduce(p, axis=axes, keepdims=True) / g.num_nodes)
 
-        assert np.array_equal(traj.states[-1][0], y[0])
+        assert np.array_equal(traj.u[-1], y[0])
         assert np.array_equal(traj.energy_series, energy)
         assert np.array_equal(traj.endpoint_terms, endpoint)
         assert np.array_equal(traj.work_increments, cfg.dt * np.array(work))
@@ -356,13 +399,12 @@ class TestBatchedSimulate:
         cfg = dyn.SolverConfig(dt=1e-3 if scheme == "rk4" else 1e-2, scheme=scheme)
         kw = dict(snapshot_every=3, convective_on=dim == 3)
         batch = dyn.simulate(states, cfg, forcing, D, QUINTIC, 0.06, **kw)
-        assert len(batch) == len(states)
-        for s, tr in zip(states, batch):
+        assert batch.u.shape[:2] == batch.p.shape[:2] == (len(batch.times), len(states))
+        for m, s in enumerate(states):
             one = dyn.simulate(s, cfg, forcing, D, QUINTIC, 0.06, **kw)
-            assert np.array_equal(tr.times, one.times)
-            assert len(tr.states) == len(one.times) > 2
-            for (u, p), (u1, p1) in zip(tr.states, one.states):
-                assert np.array_equal(u, u1) and np.array_equal(p, p1)
+            assert np.array_equal(batch.times, one.times) and len(one.times) > 2
+            assert np.array_equal(batch.u[:, m], one.u)
+            assert np.array_equal(batch.p[:, m], one.p)
 
     @pytest.mark.parametrize("scheme,error", [("rk4", dyn.BlowUpError),
                                               ("semi_implicit", CGError)])
@@ -386,8 +428,8 @@ class TestBatchedSimulate:
         def drifting(sys, cfg):
             step = real(sys, cfg)
 
-            def advance(t, y):
-                u, p = step(t, y)
+            def advance(y):
+                u, p = step(y)
                 p = p.copy()
                 p[1 if batch else ...] += 1e-9
                 return u, p
@@ -401,16 +443,16 @@ class TestBatchedSimulate:
             dyn.simulate([s, s, s] if batch else s, dyn.SolverConfig(dt=1e-3),
                          gr.zeros_vector(g), D, QUINTIC, 0.01)
 
-    def test_member_list_rejects_work_integrals_and_mixed_starts(self):
+    def test_member_list_rejects_work_integrals_and_mixed_grids(self):
         g, D = small_setup()
         s = make_initial_state(g, "smooth", 1.0, seed=96)
         cfg = dyn.SolverConfig(dt=1e-3)
         with pytest.raises(ValueError, match="collect_work"):
             dyn.simulate([s, s], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01,
                          collect_work=True)
-        later = dyn.SimState(s.u, s.p, 0.5)
-        with pytest.raises(ValueError, match="start time"):
-            dyn.simulate([s, later], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01)
+        other = dyn.SimState.zero(Grid(2, 6))
+        with pytest.raises(ValueError, match="one grid"):
+            dyn.simulate([s, other], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01)
         with pytest.raises(ValueError, match="one or more"):
             dyn.simulate([], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01)
 
@@ -445,7 +487,7 @@ class TestWarmStart:
     def _cold_run(state, cfg, forcing, D, n_steps):
         """(u, p) at each step end of cold semi-implicit steps from `state`."""
         g = state.grid
-        sys = dyn._FullSystem(g, D, QUINTIC, forcing, False)
+        sys = dyn._FullSystem(g, D, QUINTIC, forcing.values, False)
         run = [(state.u.values, gr.mean_project_array(state.p.values, g.dim))]
         for _ in range(n_steps):
             u, p = dyn._semi_implicit_full(sys, *run[-1], cfg.dt, cfg.cg_tol)
@@ -469,13 +511,14 @@ class TestWarmStart:
                               for i, amp in enumerate((1.0, 3.0) if batched else (2.0,))]
                     warm = dyn.simulate(states if batched else states[0], cfg, forcing, D,
                                         QUINTIC, n_steps * cfg.dt, snapshot_every=every)
-                    for s, tr in zip(states, warm if batched else [warm]):
+                    assert len(warm.times) > 2
+                    for m, s in enumerate(states):
                         cold = self._cold_run(s, cfg, forcing, D, n_steps)
                         # step 1 has no history: it is the cold step, bit for bit
                         first = dyn.simulate(s, cfg, forcing, D, QUINTIC, cfg.dt)
-                        assert np.array_equal(first.states[1][0], cold[1][0])
-                        assert len(tr.times) > 2
-                        for t, (u, p) in zip(tr.times, tr.states):
+                        assert np.array_equal(first.u[1], cold[1][0])
+                        us, ps = (warm.u[:, m], warm.p[:, m]) if batched else (warm.u, warm.p)
+                        for t, u, p in zip(warm.times, us, ps):
                             ref_u, ref_p = cold[int(round(t / cfg.dt))]
                             scale = max(np.abs(ref_u).max(), np.abs(ref_p).max())
                             err = max(np.abs(u - ref_u).max(), np.abs(p - ref_p).max())
@@ -553,7 +596,7 @@ class TestEllipticSolver:
         # and reaches the tolerance
         g = Grid(2, 16)
         p = np.zeros(g.shape)
-        gt = make_forcing(g, "fixed_random", seed=5, amplitude=100.0).base.values
+        gt = make_forcing(g, "fixed_random", seed=5, amplitude=100.0).values
 
         def rnorm(u):
             r = dyn._elliptic_residual(u, p, gt, QUINTIC, g)
@@ -582,9 +625,9 @@ class TestTruncated:
     def test_zero_fixed_point(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=0.05)
-        traj = dyn.run_bootstrap_split(gr.zeros_scalar(g), Forcing.zero(g), cfg, D,
+        traj = dyn.run_bootstrap_split(gr.zeros_scalar(g), gr.zeros_vector(g), cfg, D,
                                        QUINTIC, cfg.dt)
-        assert len(traj.ps) == 2 and not traj.ps[-1].any() and not traj.us[-1].any()
+        assert len(traj.p) == 2 and not traj.p[-1].any() and not traj.u[-1].any()
 
     def test_linear_matches_operator_exponential(self):
         # oracle: dense assembled pressure operator, exponential + Duhamel
@@ -608,7 +651,7 @@ class TestTruncated:
         decay = np.exp(-s * t)
         c_t = V @ (decay * (V.T @ c0)) + V @ ((1.0 - decay) / s * (V.T @ c_r))
         p_exact = (op.basis @ c_t).reshape(g.shape)
-        err = np.linalg.norm(traj.ps[-1] - p_exact) / np.linalg.norm(p_exact)
+        err = np.linalg.norm(traj.p[-1] - p_exact) / np.linalg.norm(p_exact)
         assert err <= 1e-6
 
     def test_unforced_linear_norm_decays(self):
@@ -616,8 +659,8 @@ class TestTruncated:
         rng = SplitMix64(59)
         p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
-        traj = dyn.run_bootstrap_split(p0, Forcing.zero(g), cfg, D, LINEAR, t_max=1.0)
-        norms = [np.linalg.norm(p) for p in traj.ps]
+        traj = dyn.run_bootstrap_split(p0, gr.zeros_vector(g), cfg, D, LINEAR, t_max=1.0)
+        norms = [np.linalg.norm(p) for p in traj.p]
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
@@ -633,11 +676,10 @@ class TestSplits:
     def test_zero_reference_gives_zero_parts(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
-        split = dyn.run_split(gr.zeros_scalar(g), Forcing.zero(g), cfg, D, QUINTIC,
+        split = dyn.run_split(gr.zeros_scalar(g), gr.zeros_vector(g), cfg, D, QUINTIC,
                               t_max=0.5)
-        for (q, v), (r, w) in zip(split.qv, split.rw):
-            assert np.abs(q.values).max() <= 1e-12
-            assert np.abs(r.values).max() <= 1e-12
+        assert np.abs(split.q).max() <= 1e-12
+        assert np.abs(split.r).max() <= 1e-12
 
     def test_recombination_and_contraction(self):
         g, D = small_setup(n=8)
@@ -659,19 +701,17 @@ class TestSplits:
         # there as at every later stored time
         g, D = small_setup(n=8)
         split = self._run(dyn.run_bootstrap_split, g, D, QUINTIC, seed=67)
-        (_, v), (_, w) = split.qv[0], split.rw[0]
-        assert gr.vector_spectral_norm(w, 1.0) > 0.0
-        u0 = split.us[0]
-        assert np.abs(v.values + w.values - u0).max() <= 1e-8 * np.abs(u0).max()
+        v, w, u0 = split.v[0], split.w[0], split.u[0]
+        assert gr.vector_spectral_norm(VectorField(g, w), 1.0) > 0.0
+        assert np.abs(v + w - u0).max() <= 1e-8 * np.abs(u0).max()
 
     def test_bootstrap_zero_reference(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
-        split = dyn.run_bootstrap_split(gr.zeros_scalar(g), Forcing.zero(g), cfg, D,
+        split = dyn.run_bootstrap_split(gr.zeros_scalar(g), gr.zeros_vector(g), cfg, D,
                                         QUINTIC, t_max=0.5)
-        for (q, _), (r, _) in zip(split.qv, split.rw):
-            assert np.abs(q.values).max() <= 1e-12
-            assert np.abs(r.values).max() <= 1e-12
+        assert np.abs(split.q).max() <= 1e-12
+        assert np.abs(split.r).max() <= 1e-12
 
     def test_newton_solves_only_the_reference_drag(self, monkeypatch):
         # the linear velocities (w; u1 and u2) are direct sine-basis solves,
@@ -712,9 +752,9 @@ class TestRecombination:
     def test_defects_raise_a_runtime_error(self):
         # a RuntimeError, so that the command line maps it to exit code 2
         with pytest.raises(dyn.RecombinationError, match="failed to recombine"):
-            dyn.SplitTrajectory(np.zeros(1), [], [], [], [], 0.0, 1e-3)
+            dyn.SplitTrajectory(Grid(2, 4), *[np.zeros(1)] * 7, 0.0, 1e-3)
         with pytest.raises(dyn.RecombinationError, match="failed to recombine"):
-            dyn.ExpSplitTrajectory(np.zeros(1), [], [], 1e-3)
+            dyn.ExpSplitTrajectory(*[np.zeros(1)] * 3, 1e-3)
         assert issubclass(dyn.RecombinationError, RuntimeError)
 
 
@@ -725,9 +765,7 @@ class TestExpSplit:
         cfg = dyn.SolverConfig(dt=1e-3)
         es = dyn.run_exp_split((state, state), gr.zeros_vector(g), cfg, D, QUINTIC,
                                0.2, snapshot_every=50)
-        for (uh, phat), (ut, pt) in zip(es.hat, es.tilde):
-            assert np.abs(uh.values).max() <= 1e-13
-            assert np.abs(ut.values).max() <= 1e-13
+        assert np.abs(es.V).max() <= 1e-13  # hat and tilde
 
     def test_overflowing_initial_difference_raises_blowup_at_step_1(self):
         # a finite initial difference whose quintic drag overflows, so the
@@ -781,37 +819,35 @@ class TestSnapshotPolicy:
             yield dt, t_max, rng.integers(1, 8), rng
 
     @staticmethod
-    def _every(t0, dt, n, every):
+    def _every(dt, n, every):
         # every `every`-th step end plus the last, each once
-        return [t0 + k * dt for k in range(n + 1) if k % every == 0 or k == n]
+        return [k * dt for k in range(n + 1) if k % every == 0 or k == n]
 
     @staticmethod
-    def _nearest(t0, dt, n, targets):
+    def _nearest(dt, n, targets):
         # each target goes to the first step ending at most half a step
         # before it; targets past the last step end are dropped
         ks = {0, n}
         for s in targets:
-            ks.add(next((k for k in range(1, n + 1) if s <= t0 + k * dt + 0.5 * dt), 0))
-        return [t0 + k * dt for k in sorted(ks)]
+            ks.add(next((k for k in range(1, n + 1) if s <= k * dt + 0.5 * dt), 0))
+        return [k * dt for k in sorted(ks)]
 
     def test_simulate_every_and_targets(self):
         g = Grid(2, 4)
         D = MediumMatrix.identity(2)
+        state = make_initial_state(g, "smooth", 1.0, seed=702)
         for dt, t_max, every, rng in self._draws(701):
-            t0 = 0.3 * rng.uniform()
-            state = make_initial_state(g, "smooth", 1.0, seed=702)
-            state = dyn.SimState(state.u, state.p, t0)
             cfg = dyn.SolverConfig(dt=dt)
             n = max(1, int(round(t_max / dt)))
             traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, t_max,
                                 snapshot_every=every)
-            assert traj.times.tolist() == self._every(t0, dt, n, every)
-            targets = t0 - 0.01 + (t_max + 0.03) * rng.uniform(6)
+            assert traj.times.tolist() == self._every(dt, n, every)
+            targets = -0.01 + (t_max + 0.03) * rng.uniform(6)
             targets = np.append(targets, targets[0] + 0.2 * dt)  # shares a step
             traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, t_max,
                                 snapshot_times=targets)
-            assert traj.times.tolist() == self._nearest(t0, dt, n, targets)
-            assert len(traj.states) == len(traj.times)
+            assert traj.times.tolist() == self._nearest(dt, n, targets)
+            assert len(traj.u) == len(traj.p) == len(traj.times)
 
     def test_truncated_and_ensemble_every(self):
         g = Grid(2, 4)
@@ -820,15 +856,15 @@ class TestSnapshotPolicy:
             cfg = dyn.SolverConfig(dt=dt)
             n = int(round(t_max / dt))
             p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-            tr = dyn.run_bootstrap_split(p0, Forcing.zero(g), cfg, D, LINEAR, t_max,
+            tr = dyn.run_bootstrap_split(p0, gr.zeros_vector(g), cfg, D, LINEAR, t_max,
                                          snapshot_every=every)
-            assert tr.times.tolist() == self._every(0.0, dt, n, every)
-            assert len(tr.ps) == len(tr.us) == len(tr.times)
+            assert tr.times.tolist() == self._every(dt, n, every)
+            assert len(tr.p) == len(tr.u) == len(tr.times)
             states = [make_initial_state(g, "smooth", a, seed=712) for a in (0.5, 1.0)]
-            for traj in dyn.simulate(states, cfg, gr.zeros_vector(g), D,
-                                     QUINTIC, t_max, snapshot_every=every):
-                assert traj.times.tolist() == self._every(0.0, dt, n, every)
-                assert len(traj.states) == len(traj.times)
+            traj = dyn.simulate(states, cfg, gr.zeros_vector(g), D, QUINTIC, t_max,
+                                snapshot_every=every)
+            assert traj.times.tolist() == self._every(dt, n, every)
+            assert traj.u.shape[:2] == traj.p.shape[:2] == (len(traj.times), 2)
 
     def test_splits_store_every(self):
         g = Grid(2, 4)
@@ -839,13 +875,12 @@ class TestSnapshotPolicy:
             gf = VectorField(g, 0.5 * rng.normal((2,) + g.shape))
             for run in (dyn.run_split, dyn.run_bootstrap_split):
                 split = run(p0, gf, cfg, D, QUINTIC, t_max, snapshot_every=every)
-                assert split.times.tolist() == self._every(0.0, dt, int(round(t_max / dt)),
-                                                           every)
-                assert (len(split.ps) == len(split.us) == len(split.qv)
-                        == len(split.rw) == len(split.times))
+                assert split.times.tolist() == self._every(dt, int(round(t_max / dt)), every)
+                assert all(len(a) == len(split.times) for a in (
+                    split.p, split.u, split.q, split.v, split.r, split.w))
             # the difference splitting stores as simulate does, at least one step
             pair = [make_initial_state(g, "smooth", a, seed=722) for a in (1.0, 1.1)]
             es = dyn.run_exp_split(pair, gf, cfg, D, QUINTIC, t_max, snapshot_every=every)
             n = max(1, int(round(t_max / dt)))
-            assert es.times.tolist() == self._every(0.0, dt, n, every)
-            assert len(es.hat) == len(es.tilde) == len(es.times)
+            assert es.times.tolist() == self._every(dt, n, every)
+            assert es.V.shape[:2] == es.Q.shape[:2] == (len(es.times), 2)

@@ -8,7 +8,7 @@ from bfflow import grid as gr
 from bfflow import reference as ref
 from bfflow.cli import make_initial_state
 from bfflow.grid import Grid, ScalarField
-from bfflow.physics import Forcing, MediumMatrix, NonlinearityParams
+from bfflow.physics import MediumMatrix, NonlinearityParams
 from bfflow.rng import SplitMix64
 
 LINEAR = NonlinearityParams(0.0, 0.0)
@@ -70,7 +70,7 @@ class TestPropagator:
             traj = dyn.simulate(state, dyn.SolverConfig(dt=dt),
                                 gr.zeros_vector(g), prop.D, LINEAR, horizon,
                                 snapshot_every=10 ** 9)
-            u, p = traj.states[-1]
+            u, p = traj.u[-1], traj.p[-1]
             errs.append(np.sqrt(np.sum((u - ue.values) ** 2)
                                 + np.sum((p - pe.values) ** 2)))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -146,15 +146,13 @@ class TestPeriodicStepper:
         """Reference: a plain RK4 step loop on the periodic stencils."""
         h = 1.0 / n
 
-        def rhs(t, y):
+        def rhs(y):
             u, p = y
             return ref._plap(u, h, dim) - ref._pgrad(p, h, dim), -ref._pdiv(u, h, dim)
 
         u, p = u0.copy(), p0.copy()
-        t = 0.0
         for _ in range(int(round(t_max / dt))):
-            u, p = dyn.rk4_step_generic((u, p), t, dt, rhs)
-            t += dt
+            u, p = dyn.rk4_step_generic((u, p), dt, rhs)
         return u, p
 
     @pytest.mark.parametrize("t_max", [0.0, 0.01])
@@ -184,8 +182,8 @@ class TestResidualCheck:
         g = Grid(2, 8)
         D = MediumMatrix.identity(2)
         u, p = np.zeros((2,) + g.shape), np.zeros(g.shape)
-        sys = dyn._FullSystem(g, D, QUINTIC, Forcing.zero(g), False)
-        assert self._norm(g, *sys.rhs(0.0, u, p)) == 0.0
+        sys = dyn._FullSystem(g, D, QUINTIC, np.zeros_like(u), False)
+        assert self._norm(g, *sys.rhs(u, p)) == 0.0
         for params in (QUINTIC, LINEAR):
             assert self._norm(g, dyn._elliptic_residual(u, p, u, params, g)) == 0.0
 

@@ -1,0 +1,118 @@
+"""Check that this checkout and another one give the same CLI outputs.
+
+    python tools/same_outputs.py <other-checkout>
+
+Runs one fixed list of CLI invocations with the sources of each checkout:
+every subcommand on configs/quintic16.cfg (`split` with both split kinds),
+`attractor` on configs/attractor8.cfg, the four benchmark workload configs at
+seed 1 (`quasistatic` also with split_kind = bootstrap), and `attractor` on
+the `ensemble` workload config at seeds 2-12. Each checkout runs the whole
+list in one process, calling `bfflow.cli.main` once per run, as the benchmark
+does. The configs are read from this checkout (perfbench/workloads.py is
+imported, not changed).
+
+Prints one line per run, comparing exit codes and every output file byte for
+byte, and exits 0 only when every run is identical.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# run in a fresh interpreter per checkout: argv = src dir, runs file, out dir
+_RUNNER = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from bfflow import cli
+out = Path(sys.argv[3])
+codes = {}
+for label, subcommand, text in json.loads(Path(sys.argv[2]).read_text()):
+    config = out / (label + ".cfg")
+    config.write_text(text)
+    try:
+        codes[label] = cli.main([subcommand, "--config", str(config),
+                                 "--out", str(out / label)])
+    except Exception as err:
+        codes[label] = "raised " + type(err).__name__
+(out / "codes.json").write_text(json.dumps(codes))
+"""
+
+
+def _runs() -> list[tuple[str, str, str]]:
+    """(label, subcommand, config text) of every run in the list."""
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, config_text
+
+    quintic = (ROOT / "configs" / "quintic16.cfg").read_text()
+    bootstrap = "\n[scenario]\nsplit_kind = bootstrap\n"
+    runs = [(f"quintic16-{sub}", sub, quintic) for sub in (
+        "simulate", "spectrum", "lipschitz", "split", "expsplit", "smoothing",
+        "attractor", "audit", "oracle")]
+    runs.append(("quintic16-split-bootstrap", "split", quintic + bootstrap))
+    runs.append(("attractor8-attractor", "attractor",
+                 (ROOT / "configs" / "attractor8.cfg").read_text()))
+    for name, w in WORKLOADS.items():
+        runs.append((f"{name}-seed1", w.subcommand, config_text(name, 1)))
+    runs.append(("quasistatic-seed1-bootstrap", "split",
+                 config_text("quasistatic", 1) + bootstrap))
+    runs += [(f"ensemble-seed{s}", "attractor", config_text("ensemble", s))
+             for s in range(2, 13)]
+    return runs
+
+
+def _outputs(directory: Path) -> dict[str, bytes]:
+    if not directory.is_dir():
+        return {}
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    other = Path(argv[0]).resolve()
+    if not (other / "src" / "bfflow" / "__init__.py").is_file():
+        print(f"{other}: no src/bfflow in that checkout", file=sys.stderr)
+        return 2
+    runs = _runs()
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        spec = Path(tmp) / "runs.json"
+        spec.write_text(json.dumps(runs))
+        outs = {"this": Path(tmp) / "this", "other": Path(tmp) / "other"}
+        procs = []
+        for key, checkout in (("this", ROOT), ("other", other)):
+            outs[key].mkdir()
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", _RUNNER, str(checkout / "src"), str(spec),
+                 str(outs[key])], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                text=True))
+        for key, proc in zip(outs, procs):
+            _, err = proc.communicate()
+            if proc.returncode:
+                print(f"the {key} checkout's runner failed:\n{err[-2000:]}", file=sys.stderr)
+                return 1
+        codes = {k: json.loads((d / "codes.json").read_text()) for k, d in outs.items()}
+        same = 0
+        for label, _, _ in runs:
+            a, b = codes["this"][label], codes["other"][label]
+            fa, fb = _outputs(outs["this"] / label), _outputs(outs["other"] / label)
+            differ = sorted(k for k in fa.keys() | fb.keys() if fa.get(k) != fb.get(k))
+            if a == b and not differ:
+                same += 1
+                print(f"same  {label}: exit {a}, {len(fa)} files")
+            else:
+                print(f"DIFF  {label}: exit {a} here, {b} there; files differ: {differ}")
+    print(f"{same} of {len(runs)} runs identical")
+    return 0 if same == len(runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
