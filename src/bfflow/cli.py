@@ -69,6 +69,18 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
 }
 
+# (section, key) -> (test, domain): each key whose admissible values are one
+# range, checked once, when a ScenarioConfig is made, with the key named
+_DOMAINS: dict[tuple[str, str], tuple[object, str]] = {
+    ("initial", "u_share"): (lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]"),
+    ("solver", "dt"): (lambda x: x >= 0.0, "be positive, or 0 for the CFL step"),
+    ("solver", "newton_tol"): (lambda x: x > 0.0, "be positive"),
+    ("solver", "newton_max"): (lambda x: x >= 1, "be at least 1"),
+    ("solver", "cg_tol"): (lambda x: x > 0.0, "be positive"),
+    ("run", "t_max"): (lambda x: x > 0.0, "be positive"),
+    ("run", "snapshot_stride"): (lambda x: x > 0.0, "be positive"),
+}
+
 DEFAULT_CONFIG = "\n".join(
     ["# bfflow scenario defaults"] +
     [line for s, keys in _SCHEMA.items()
@@ -104,6 +116,12 @@ def _parse_value(tag: str, raw: str, lineno: int, key: str):
 @dataclass
 class ScenarioConfig:
     values: dict[str, dict[str, object]]
+
+    def __post_init__(self):
+        for (section, key), (test, domain) in _DOMAINS.items():
+            if not test(self[section, key]):
+                raise ConfigError(f"[{section}] {key} must {domain}, "
+                                  f"got {self[section, key]!r}")
 
     def __getitem__(self, pair: tuple[str, str]):
         return self.values[pair[0]][pair[1]]
@@ -154,7 +172,7 @@ class ScenarioConfig:
         try:
             probe = dyn.SolverConfig(dt=1.0, scheme=self["solver", "scheme"],
                                      cfl_safety=safety)
-            if dt <= 0.0:
+            if dt == 0.0:
                 dt = safety * probe.cfl_limit(grid, D)
             cfg = dyn.SolverConfig(dt=dt, scheme=self["solver", "scheme"],
                                    newton_tol=self["solver", "newton_tol"],

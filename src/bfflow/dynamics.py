@@ -3,8 +3,8 @@
 The system is autonomous (g is one fixed field): a run starts at t = 0, step
 k ends at k dt, and no right-hand side takes a time argument. Every run steps
 through one loop, `integrate`, on a tuple-of-arrays state. The caller
-supplies `advance(y)` (an RK4 step of `rk4_step_generic`, or a semi-implicit
-step), the components to re-project to mean zero, and the steps to store,
+supplies `advance(y)` (the run's `rk4_stepper`, or a semi-implicit step),
+the components to re-project to mean zero, and the steps to store,
 which `snapshot_steps` derives before the loop: every m steps plus the last,
 or the nearest step end to each target time. The loop checks finiteness
 after every step and at the start (`BlowUpError` names the step and, in a
@@ -48,7 +48,7 @@ __all__ = [
     "SimState", "SolverConfig", "Trajectory", "SplitTrajectory",
     "ExpSplitTrajectory", "BlowUpError", "NewtonError", "RecombinationError",
     "simulate", "run_split", "run_exp_split", "run_bootstrap_split",
-    "rk4_step_generic", "snapshot_steps", "integrate",
+    "rk4_stepper", "snapshot_steps", "integrate",
 ]
 
 RK4_NODES = (0.0, 0.5, 0.5, 1.0)
@@ -130,21 +130,41 @@ class SolverConfig:
 # the one time-stepping loop
 # ---------------------------------------------------------------------------
 
-def rk4_step_generic(y: tuple, dt: float, rhs) -> tuple:
-    """One classical RK4 step of y' = rhs(y) on a tuple-of-arrays state."""
-    acc = None
-    ys = y
-    for i in range(4):
-        k = rhs(ys)
-        if acc is None:
-            acc = [b.copy() for b in k]
-        else:
-            for a, b in zip(acc, k):
-                a += b if i == 3 else 2.0 * b
-        if i < 3:
-            c = RK4_NODES[i + 1] * dt
-            ys = tuple(a + c * b for a, b in zip(y, k))
-    return tuple(a + (dt / 6.0) * s for a, s in zip(y, acc))
+def rk4_stepper(rhs, dt: float):
+    """advance(y): one classical RK4 step of y' = rhs(y) on a tuple-of-arrays
+    state, for one run.
+
+    Per component, the stage sum k1 + 2 k2 + 2 k3 + k4, the stage state
+    y + c k and one temporary are allocated at the first step (per state
+    shape) and reused by every later one. Each stage's k is used up before
+    the next call of `rhs`, so `rhs` may return arrays that its next call
+    overwrites. y is left unchanged, and y_{n+1} is returned in fresh
+    arrays, so a caller may keep each step's state.
+    """
+    work = {}  # state shapes -> per component (stage sum, stage state, temporary)
+
+    def advance(y):
+        shapes = tuple(a.shape for a in y)
+        if shapes not in work:
+            work[shapes] = [tuple(np.empty_like(a, dtype=float) for _ in range(3))
+                            for a in y]
+        bufs = work[shapes]
+        ys = y
+        for i in range(4):
+            k = rhs(ys)
+            for a, b, (acc, stage, tmp) in zip(y, k, bufs):
+                if i == 0:
+                    np.copyto(acc, b)
+                elif i == 3:
+                    acc += b
+                else:
+                    acc += np.multiply(b, 2.0, out=tmp)
+                if i < 3:
+                    np.add(a, np.multiply(b, RK4_NODES[i + 1] * dt, out=tmp), out=stage)
+            ys = tuple(stage for _, stage, _ in bufs)
+        return tuple(a + np.multiply(acc, dt / 6.0, out=tmp)
+                     for a, (acc, _, tmp) in zip(y, bufs))
+    return advance
 
 
 def _check_finite(arrays, step_count: int, t: float, members: bool = False):
@@ -223,8 +243,27 @@ def _pressure_rate(u: np.ndarray, D: MediumMatrix, grid: Grid) -> np.ndarray:
         gr.div_array(D.apply_array(u), grid.h, grid.dim), grid.dim)
 
 
+class _Buffers:
+    """The arrays one state shape of a `_FullSystem` writes into: padded u,
+    p and D u with zero ghosts, and one array per result."""
+
+    def __init__(self, shape: tuple[int, ...], dim: int, drag: bool, convective: bool):
+        p_shape = shape[:-dim - 1] + shape[-dim:]
+        self.u_pad, self.p_pad, self.Du_pad = (gr._padded(np.zeros(s), dim)
+                                               for s in (shape, p_shape, shape))
+        self.lap, self.Du, self.du = np.empty(shape), np.empty(shape), np.empty(shape)
+        self.fu = np.empty(shape) if drag else None
+        self.bu = np.empty(shape) if convective else None
+        self.dp = np.empty(p_shape)
+
+
 class _FullSystem:
-    """Array-level right-hand side bundle; batch-safe over leading axes."""
+    """Array-level right-hand side bundle; batch-safe over leading axes.
+
+    `parts` and `rhs` write into arrays the system allocates once per state
+    shape and return those arrays, so each call overwrites what the previous
+    call returned: a caller uses (or copies) a result before it calls again.
+    """
 
     def __init__(self, grid: Grid, D: MediumMatrix, params: NonlinearityParams,
                  forcing: np.ndarray, convective_on: bool, work_rows: int = 0):
@@ -235,16 +274,24 @@ class _FullSystem:
         self.convective_on = convective_on
         self.work = np.empty((work_rows, 5)) if work_rows else None
         self._row = 0
+        self._buffers: dict[tuple[int, ...], _Buffers] = {}
+
+    def _buffers_for(self, shape: tuple[int, ...]) -> _Buffers:
+        if shape not in self._buffers:
+            self._buffers[shape] = _Buffers(shape, self.grid.dim,
+                                            not self.params.is_zero(), self.convective_on)
+        return self._buffers[shape]
 
     def parts(self, u: np.ndarray):
         """lap u, f(u), B(u,u) (f and B None where they vanish), g, D u;
         with `work` rows, the next row gets (dissipation, drag work, forcing
         work, convective work, (D u, u)) at this single state."""
-        g = self.grid
-        lap = gr.lap_array(u, g.h, g.dim)
-        fu = None if self.params.is_zero() else ph.f_apply_array(u, self.params, g.dim)
-        bu = ph.convective_array(u, u, g.h, g.dim) if self.convective_on else None
-        gt, Du = self.forcing, self.D.apply_array(u)
+        g, b = self.grid, self._buffers_for(u.shape)
+        b.u_pad[gr._window(g.dim, 0, 0)] = u
+        lap = gr._lap_into(b.u_pad, u, g.h, g.dim, b.lap)
+        fu = None if b.fu is None else ph.f_apply_array(u, self.params, g.dim, out=b.fu)
+        bu = None if b.bu is None else ph.convective_array(u, u, g.h, g.dim, out=b.bu)
+        gt, Du = self.forcing, self.D.apply_array(u, out=b.Du)
         if self.work is not None:
             w = g.cell_volume
             terms = [0.0 if a is None else s * float(np.vdot(a, Du))
@@ -254,16 +301,19 @@ class _FullSystem:
         return lap, fu, bu, gt, Du
 
     def rhs(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = self.grid
+        g, b = self.grid, self._buffers_for(u.shape)
         lap, fu, bu, gt, Du = self.parts(u)
-        du = lap - gr.grad_array(p, g.h, g.dim)
+        b.p_pad[gr._window(g.dim, 0, 0)] = p
+        du = np.subtract(lap, gr._grad_into(b.p_pad, g.h, g.dim, b.du), out=b.du)
         if fu is not None:
             du -= fu
         if bu is not None:
             du -= bu
         du += gt
         # _pressure_rate on the D u already computed
-        return du, -gr.mean_project_array(gr.div_array(Du, g.h, g.dim), g.dim)
+        b.Du_pad[gr._window(g.dim, 0, 0)] = Du
+        dp = gr.mean_project_array(gr._div_into(b.Du_pad, g.h, g.dim, b.dp), g.dim, out=b.dp)
+        return du, np.negative(dp, out=dp)
 
 
 def _as_forcing(g, grid: Grid) -> np.ndarray:
@@ -275,10 +325,10 @@ def _as_forcing(g, grid: Grid) -> np.ndarray:
     return g.values
 
 
-def _rk4_full(sys: _FullSystem, y: tuple, dt: float) -> tuple:
-    # One full-system RK4 step under its own name: the benchmark's span
-    # tracer (perfbench/tracing.BOUNDARIES) wraps this name.
-    return rk4_step_generic(y, dt, lambda ys: sys.rhs(*ys))
+def _rk4_full(sys: _FullSystem, dt: float):
+    """advance(y) of one full-system RK4 run: `rk4_stepper` on the system's
+    in-place right-hand side."""
+    return rk4_stepper(lambda y: sys.rhs(*y), dt)
 
 
 def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
@@ -321,7 +371,7 @@ def _full_advance(sys: _FullSystem, cfg: SolverConfig):
     run's last four step-end velocities (fewer at the start), which it keeps
     by reference, so successive calls must be successive steps."""
     if cfg.scheme == "rk4":
-        return lambda y: _rk4_full(sys, y, cfg.dt)
+        return _rk4_full(sys, cfg.dt)
     history = []  # u_n, u_{n-1}, u_{n-2}, u_{n-3}, newest first
 
     def advance(y):
@@ -574,8 +624,7 @@ def _split(p0: ScalarField, forcing: np.ndarray, cfg: SolverConfig, D: MediumMat
     p0 = gr.mean_project_array(p0.values, grid.dim)
     times, stored = integrate(
         (p0, p0, np.zeros_like(p0)), dt, n_steps,
-        lambda y: rk4_step_generic(y, dt, rhs),
-        grid.dim, project=(0, 1, 2),
+        rk4_stepper(rhs, dt), grid.dim, project=(0, 1, 2),
         snapshots=snapshot_steps(n_steps, dt, every=snapshot_every), record=record)
     p, u, q, v, r, w = stored
     # after the initial state: |q + r - p| over the largest |p| of the run,
@@ -702,8 +751,7 @@ def run_exp_split(pair, forcing, cfg: SolverConfig, D: MediumMatrix,
     scale = max(float(np.abs(y0[2][0]).max()), float(np.abs(y0[3][0]).max()), 1e-30)
     n_steps = max(1, int(round(t_max / cfg.dt)))
     times, (U, P, V, Q) = integrate(
-        y0, cfg.dt, n_steps, lambda y: rk4_step_generic(y, cfg.dt, rhs),
-        grid.dim, project=(1, 3),
+        y0, cfg.dt, n_steps, rk4_stepper(rhs, cfg.dt), grid.dim, project=(1, 3),
         snapshots=snapshot_steps(n_steps, cfg.dt, every=snapshot_every))
     defect = max(float(np.abs(V[:, 0] + V[:, 1] - (U[:, 0] - U[:, 1])).max()),
                  float(np.abs(Q[:, 0] + Q[:, 1] - (P[:, 0] - P[:, 1])).max()))

@@ -164,10 +164,11 @@ def _shifted(a: np.ndarray, dim: int, axis: int, offset: int) -> np.ndarray:
     return _padded(a, dim)[_window(dim, axis, -offset)].copy()
 
 
-def grad_array(p: np.ndarray, h: float, dim: int) -> np.ndarray:
-    """Central gradient; output gains a component axis before the grid axes."""
-    b = _padded(p, dim)
-    out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
+# Each stencil's arithmetic is one kernel: it reads a padded input `b` with
+# zero ghosts (`_padded`, or a buffer the caller owns and refills) and writes
+# into `out`, which it returns.
+
+def _grad_into(b: np.ndarray, h: float, dim: int, out: np.ndarray) -> np.ndarray:
     for a in range(dim):
         np.subtract(b[_window(dim, a, 1)], b[_window(dim, a, -1)],
                     out=out[_component(dim, a)])
@@ -175,25 +176,40 @@ def grad_array(p: np.ndarray, h: float, dim: int) -> np.ndarray:
     return out
 
 
-def div_array(U: np.ndarray, h: float, dim: int) -> np.ndarray:
-    """Central divergence; consumes the component axis preceding the grid axes."""
-    b = _padded(U, dim)
-    out = b[_window(dim, 0, 1, 0)] - b[_window(dim, 0, -1, 0)]
+def _div_into(b: np.ndarray, h: float, dim: int, out: np.ndarray) -> np.ndarray:
+    np.subtract(b[_window(dim, 0, 1, 0)], b[_window(dim, 0, -1, 0)], out=out)
     for a in range(1, dim):
         out += b[_window(dim, a, 1, a)] - b[_window(dim, a, -1, a)]
     out *= 1.0 / (2.0 * h)
     return out
 
 
-def lap_array(x: np.ndarray, h: float, dim: int) -> np.ndarray:
-    """Compact Dirichlet Laplacian, applied over the trailing grid axes."""
-    b = _padded(x, dim)
-    out = -2.0 * dim * x
+def _lap_into(b: np.ndarray, x: np.ndarray, h: float, dim: int,
+              out: np.ndarray) -> np.ndarray:
+    """`x` is the interior of `b`."""
+    np.multiply(x, -2.0 * dim, out=out)
     for a in range(dim):
         out += b[_window(dim, a, 1)]
         out += b[_window(dim, a, -1)]
     out *= 1.0 / (h * h)
     return out
+
+
+def grad_array(p: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """Central gradient; output gains a component axis before the grid axes."""
+    out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
+    return _grad_into(_padded(p, dim), h, dim, out)
+
+
+def div_array(U: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """Central divergence; consumes the component axis preceding the grid axes."""
+    out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
+    return _div_into(_padded(U, dim), h, dim, out)
+
+
+def lap_array(x: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """Compact Dirichlet Laplacian, applied over the trailing grid axes."""
+    return _lap_into(_padded(x, dim), x, h, dim, np.empty_like(x))
 
 
 def grad(p: ScalarField) -> VectorField:
@@ -240,12 +256,13 @@ def project_mean_zero(p: ScalarField) -> ScalarField:
     return ScalarField(p.grid, p.values - p.values.mean())
 
 
-def mean_project_array(p: np.ndarray, dim: int) -> np.ndarray:
-    """Subtract the grid mean over the trailing `dim` axes (batch-safe)."""
+def mean_project_array(p: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Subtract the grid mean over the trailing `dim` axes (batch-safe),
+    into `out` if given (which may be p)."""
     # the sum-then-divide of ndarray.mean, without its Python wrapper
     axes = (-3, -2, -1)[-dim:]
     count = math.prod(p.shape[-dim:])
-    return p - np.add.reduce(p, axis=axes, keepdims=True) / count
+    return np.subtract(p, np.add.reduce(p, axis=axes, keepdims=True) / count, out=out)
 
 
 # ---------------------------------------------------------------------------

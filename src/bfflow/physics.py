@@ -87,11 +87,16 @@ class MediumMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def apply_array(self, u: np.ndarray) -> np.ndarray:
+    def apply_array(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Matrix-vector product over the component axis preceding the grid
-        axes (batch axes may precede it)."""
+        axes (batch axes may precede it); into `out`, a C-contiguous array
+        shaped like u, if given."""
         lead = u.shape[:u.ndim - self.dim - 1]
-        return (self.entries @ u.reshape(lead + (self.dim, -1))).reshape(u.shape)
+        if out is None:
+            return (self.entries @ u.reshape(lead + (self.dim, -1))).reshape(u.shape)
+        np.matmul(self.entries, u.reshape(lead + (self.dim, -1)),
+                  out=out.reshape(lead + (self.dim, -1)))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -99,21 +104,29 @@ class MediumMatrix:
 # ---------------------------------------------------------------------------
 
 def _phi_array(z: np.ndarray, p: NonlinearityParams) -> np.ndarray:
-    out = np.full_like(z, p.alpha)
     if p.beta:
-        out = out + p.beta * z ** p.l
+        # beta z^l + alpha: the same rounded sum as alpha + beta z^l
+        out = z ** p.l
+        out *= p.beta
+        out += p.alpha
+    else:
+        out = np.full_like(z, p.alpha)
     if p.gamma:
-        out = out + p.gamma * np.sqrt(z)
+        out += p.gamma * np.sqrt(z)
     return out
 
 
-def f_apply_array(u: np.ndarray, params: NonlinearityParams, dim: int) -> np.ndarray:
-    """phi(|u|^2) u, batch-safe over leading axes."""
+def f_apply_array(u: np.ndarray, params: NonlinearityParams, dim: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """phi(|u|^2) u, batch-safe over leading axes; into `out` (not u) if
+    given."""
+    out = np.empty_like(u) if out is None else out
     if params.is_zero():
-        return np.zeros_like(u)
+        out.fill(0.0)
+        return out
     comp_ax = u.ndim - dim - 1
-    z = np.sum(u * u, axis=comp_ax, keepdims=True)
-    return _phi_array(z, params) * u
+    z = np.add.reduce(np.multiply(u, u, out=out), axis=comp_ax, keepdims=True)
+    return np.multiply(_phi_array(z, params), u, out=out)
 
 
 def fprime_apply_array(u: np.ndarray, v: np.ndarray,
@@ -126,7 +139,7 @@ def fprime_apply_array(u: np.ndarray, v: np.ndarray,
     if params.is_zero():
         return np.zeros_like(v)
     comp_ax = u.ndim - dim - 1
-    z = np.sum(u * u, axis=comp_ax, keepdims=True)
+    z = np.add.reduce(u * u, axis=comp_ax, keepdims=True)
     out = _phi_array(z, params) * v
     if params.beta == 0.0 and params.gamma == 0.0:
         return out
@@ -137,7 +150,7 @@ def fprime_apply_array(u: np.ndarray, v: np.ndarray,
     if params.gamma:
         dphi += params.gamma / (2.0 * np.sqrt(zsafe))
     dphi = np.where(z > 0.0, dphi, 0.0)
-    s = np.sum(u * v, axis=comp_ax, keepdims=True)
+    s = np.add.reduce(u * v, axis=comp_ax, keepdims=True)
     return out + 2.0 * dphi * s * u
 
 
@@ -224,12 +237,14 @@ def certify_eps(grid: Grid, D: MediumMatrix, n_samples: int = 50,
 # convective term
 # ---------------------------------------------------------------------------
 
-def convective_array(u: np.ndarray, v: np.ndarray, h: float, dim: int) -> np.ndarray:
+def convective_array(u: np.ndarray, v: np.ndarray, h: float, dim: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """B(u, v) = (u.grad) v + (1/2) div(u) v in the split central form
     (1/2)[(u.grad) v + grad.(u x v)], whose discrete pairing with v vanishes
-    identically because the central difference matrix is antisymmetric."""
+    identically because the central difference matrix is antisymmetric;
+    into `out` (neither u nor v) if given."""
     comp_ax = u.ndim - dim - 1
-    out = np.zeros_like(v)
+    out = np.empty_like(v) if out is None else out
     for a in range(dim):
         va = np.take(v, a, axis=comp_ax)
         acc = np.zeros_like(va)

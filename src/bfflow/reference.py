@@ -303,7 +303,6 @@ def periodic_linear_run(u0: np.ndarray, p0: np.ndarray, n: int, dt: float,
 
     steps = int(round(t_max / dt))
     _, (u, p) = dyn.integrate(
-        (u0, p0), dt, steps, lambda y: dyn.rk4_step_generic(y, dt, rhs),
-        dim, snapshots={steps})
+        (u0, p0), dt, steps, dyn.rk4_stepper(rhs, dt), dim, snapshots={steps})
     return u[0], p[0]
 

@@ -178,18 +178,28 @@ t_max = 0.5
         assert cli.main(["simulate"]) == 3  # missing --config
         capsys.readouterr()
 
-    @pytest.mark.parametrize("subcommand,text", [
-        ("simulate", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.1\nsnapshot_stride = 0.02\n"),
-        ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nsplit_kind = trunc\n"),
-        ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nsplit_kind = bootstrap\n"),
-        ("expsplit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.5\nsnapshot_stride = 0.05\n"),
-        ("attractor", _ATTRACTOR8),
+    @pytest.mark.parametrize("subcommand,text,check", [
+        ("simulate", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.1\nsnapshot_stride = 0.02\n",
+         None),
+        ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nsplit_kind = trunc\n", None),
+        ("split", _QUINTIC8 + _WHITE_P + "[scenario]\nsplit_kind = bootstrap\n", None),
+        ("expsplit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.5\nsnapshot_stride = 0.05\n",
+         None),
+        ("attractor", _ATTRACTOR8, None),
         # the only semi-implicit row: its CG warm start keeps per-run history
         ("lipschitz", _QUINTIC8 + _SMOOTH + "[solver]\nscheme = semi_implicit\ndt = 0.01\n"
-                      "[run]\nt_max = 0.5\nsnapshot_stride = 0.05\n"),
+                      "[run]\nt_max = 0.5\nsnapshot_stride = 0.05\n", None),
+        # the audit's residual drops by at least ratio_min per dt halving
+        ("audit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n",
+         lambda s: s["pass_order"] == "PASS" and float(s["ratio"]) >= 8.0),
+        # smoothing's horizon is fixed at t = 1; its four weighted sups are
+        # finite and positive
+        ("smoothing", _QUINTIC8 + _WHITE_P,
+         lambda s: [0.0 < float(v) < np.inf for k, v in s.items()
+                    if k.startswith("sup_")] == [True] * 4),
     ], ids=["simulate", "split_trunc", "split_bootstrap", "expsplit", "attractor",
-            "lipschitz_semi_implicit"])
-    def test_bit_identical_reruns(self, tmp_path, subcommand, text):
+            "lipschitz_semi_implicit", "audit", "smoothing"])
+    def test_bit_identical_reruns(self, tmp_path, subcommand, text, check):
         sc = parse_config(text)
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.run_scenario(sc, subcommand, a) == 0
@@ -199,6 +209,9 @@ t_max = 0.5
         assert names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        if check is not None:
+            lines = (a / "summary.txt").read_text().splitlines()
+            assert check(dict(line.split(" = ", 1) for line in lines))
 
     def test_seed_overrides_the_run_seed(self, tmp_path):
         sc = parse_config(_ATTRACTOR8)
@@ -338,6 +351,25 @@ _BAD_INPUTS = {
     "rounded_perturbation_expsplit": ("expsplit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n"
                                       "snapshot_stride = 0.01\n[scenario]\n"
                                       "perturbation = 1e-300\n", "perturbation = 1e-300 leaves"),
+    # keys outside their domain: each used to run (exit 0), end in a
+    # Newton failure (exit 2) or raise a ValueError out of cli.main
+    "u_share_above_1": ("simulate", _QUINTIC8 + _SMOOTH + "[initial]\nu_share = 2\n",
+                        "[initial] u_share must lie in [0, 1], got 2.0"),
+    "negative_dt": ("simulate", _QUINTIC8 + _SMOOTH + "[solver]\ndt = -5\n",
+                    "[solver] dt must be positive, or 0 for the CFL step, got -5.0"),
+    "negative_cg_tol": ("lipschitz", _QUINTIC8 + _SMOOTH + "[solver]\nscheme = semi_implicit\n"
+                        "dt = 0.01\ncg_tol = -1e-12\n[run]\nt_max = 0.05\n"
+                        "snapshot_stride = 0.01\n",
+                        "[solver] cg_tol must be positive, got -1e-12"),
+    "negative_newton_tol": ("split", _QUINTIC8 + _WHITE_P + "[solver]\nnewton_tol = -1\n",
+                            "[solver] newton_tol must be positive, got -1.0"),
+    "zero_newton_max": ("split", _QUINTIC8 + _WHITE_P + "[solver]\nnewton_max = 0\n",
+                        "[solver] newton_max must be at least 1, got 0"),
+    "negative_t_max": ("simulate", _QUINTIC8 + _SMOOTH + "[run]\nt_max = -1\n",
+                       "[run] t_max must be positive, got -1.0"),
+    "negative_snapshot_stride": ("simulate", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n"
+                                 "snapshot_stride = -1\n",
+                                 "[run] snapshot_stride must be positive, got -1.0"),
 }
 
 

@@ -94,6 +94,138 @@ class TestRhsFull:
             assert abs(dp.mean()) <= 1e-13
 
 
+def _allocating_rhs(sys, u, p):
+    """The full right-hand side as a composition of the public, allocating
+    array functions."""
+    g = sys.grid
+    du = gr.lap_array(u, g.h, g.dim) - gr.grad_array(p, g.h, g.dim)
+    du -= ph.f_apply_array(u, sys.params, g.dim)
+    if sys.convective_on:
+        du -= ph.convective_array(u, u, g.h, g.dim)
+    du += sys.forcing
+    return du, -gr.mean_project_array(gr.div_array(sys.D.apply_array(u), g.h, g.dim),
+                                      g.dim)
+
+
+def _rk4_written_out(y, dt, rhs):
+    """One classical RK4 step in the arithmetic order of the stepper: the
+    stage sum is k1 + 2 k2 + 2 k3 + k4 added left to right."""
+    k1 = rhs(y)
+    k2 = rhs(tuple(a + (0.5 * dt) * k for a, k in zip(y, k1)))
+    k3 = rhs(tuple(a + (0.5 * dt) * k for a, k in zip(y, k2)))
+    k4 = rhs(tuple(a + dt * k for a, k in zip(y, k3)))
+    return tuple(a + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                 for a, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
+
+
+class TestInPlaceRhs:
+    """The full system's right-hand side writes into buffers it owns, and the
+    RK4 stepper keeps its stage arrays across steps; both give the bits of
+    the allocating formulas, and neither touches y or hands out its own
+    buffers as a step's result."""
+
+    MEDIA = {2: ((2.0, 0.5), (0.5, 1.0)),
+             3: ((1.5, 0.2, 0.0), (0.2, 1.0, 0.1), (0.0, 0.1, 2.0))}
+
+    def _system(self, dim, conv, work, seed):
+        rng = SplitMix64(seed)
+        g = Grid(dim, 8 if dim == 2 else 4)
+        params = NonlinearityParams(1.0, 0.3, 0.7, l=1.5)
+        sys = dyn._FullSystem(g, MediumMatrix(np.array(self.MEDIA[dim])), params,
+                              rng.normal((dim,) + g.shape), conv,
+                              work_rows=8 if work else 0)
+        return sys, rng
+
+    @staticmethod
+    def _state(sys, rng, members):
+        g = sys.grid
+        lead = () if members is None else (members,)
+        return (rng.normal(lead + (g.dim,) + g.shape),
+                gr.mean_project_array(rng.normal(lead + g.shape), g.dim))
+
+    @staticmethod
+    def _buffers(sys):
+        return [a for b in sys._buffers.values() for a in vars(b).values()
+                if a is not None]
+
+    # work rows belong to a single run (`simulate` refuses them on a batch)
+    @pytest.mark.parametrize("members,work", [(None, False), (None, True), (3, False)],
+                             ids=["single", "single_work_rows", "batch3"])
+    @pytest.mark.parametrize("conv", [False, True], ids=["no_conv", "conv"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rhs_equals_allocating_composition(self, dim, conv, members, work):
+        sys, rng = self._system(dim, conv, work, seed=900 + dim)
+        g = sys.grid
+        for row in range(2):  # the second call refills the same buffers
+            u, p = self._state(sys, rng, members)
+            want = _allocating_rhs(sys, u, p)
+            got = sys.rhs(u, p)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            if work:
+                w, Du = g.cell_volume, sys.D.apply_array(u)
+                terms = [-w * float(np.vdot(gr.lap_array(u, g.h, g.dim), Du)),
+                         w * float(np.vdot(ph.f_apply_array(u, sys.params, g.dim), Du)),
+                         w * float(np.vdot(sys.forcing, Du)),
+                         w * float(np.vdot(ph.convective_array(u, u, g.h, g.dim), Du))
+                         if conv else 0.0, np.vdot(Du, u)]
+                assert np.array_equal(sys.work[row], terms)
+
+    @pytest.mark.parametrize("conv", [False, True], ids=["no_conv", "conv"])
+    @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stepper_equals_written_out_rk4(self, dim, members, conv):
+        sys, rng = self._system(dim, conv, False, seed=910 + dim)
+        y = self._state(sys, rng, members)
+        step, dt = dyn._rk4_full(sys, 1e-3), 1e-3
+        results = []
+        for _ in range(2):  # the second step reuses the first one's stage arrays
+            before = tuple(a.copy() for a in y)
+            want = _rk4_written_out(
+                y, dt, lambda ys: tuple(a.copy() for a in sys.rhs(*ys)))
+            got = step(y)
+            for a, b in zip(y, before):
+                assert np.array_equal(a, b)                    # y unchanged
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            for a in got:
+                assert not any(np.shares_memory(a, b) for b in y)
+                assert not any(np.shares_memory(a, b) for b in self._buffers(sys))
+                assert not any(np.shares_memory(a, b) for r in results for b in r)
+            results.append(got)
+            y = got
+
+    def test_two_batch_shapes_in_turn(self):
+        sys, rng = self._system(2, True, False, seed=920)
+        step = dyn._rk4_full(sys, 1e-3)
+        for members in (None, 3, None, 2, 3):
+            y = self._state(sys, rng, members)
+            for a, b in zip(sys.rhs(*y), _allocating_rhs(sys, *y)):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            want = _rk4_written_out(y, 1e-3, lambda ys: tuple(a.copy() for a in sys.rhs(*ys)))
+            for a, b in zip(step(y), want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("params", [NonlinearityParams(1.0, 0.3, 0.7, l=1.5),
+                                        NonlinearityParams(0.5, 0.0, 2.0),
+                                        NonlinearityParams(0.0, 1.0, 0.0, l=2.0),
+                                        NonlinearityParams(0.0, 0.0)])
+    def test_drag_into_out_equals_written_out_formula(self, params):
+        # phi(z) = alpha + beta z^l + gamma sqrt(z), summed left to right
+        u = SplitMix64(930).normal((3, 2, 8, 8))
+        z = (u * u).sum(axis=1, keepdims=True)
+        phi = np.full_like(z, params.alpha)
+        if params.beta:
+            phi = phi + params.beta * z ** params.l
+        if params.gamma:
+            phi = phi + params.gamma * np.sqrt(z)
+        want = phi * u if not params.is_zero() else np.zeros_like(u)
+        out = np.full_like(u, np.nan)
+        assert np.array_equal(ph.f_apply_array(u, params, 2), want)
+        assert ph.f_apply_array(u, params, 2, out=out) is out
+        assert np.array_equal(out, want)
+
+
 class TestStep:
     def test_zero_fixed_point(self):
         g, D = small_setup()
@@ -375,7 +507,7 @@ class TestWorkIntegrals:
                 work[-1] += next(weights) * np.array(self._terms(sys, ys[0]))
                 return sys.rhs(*ys)
 
-            u, p = dyn.rk4_step_generic(y, cfg.dt, rhs)
+            u, p = dyn.rk4_stepper(rhs, cfg.dt)(y)
             y = (u, p - np.add.reduce(p, axis=axes, keepdims=True) / g.num_nodes)
 
         assert np.array_equal(traj.u[-1], y[0])
