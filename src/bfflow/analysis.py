@@ -15,7 +15,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import grid as gr
 from . import physics as ph
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid
 # unused here since assembly solves directly; the benchmark tracer rebinds it
 from .krylov import conjugate_gradient
 from .physics import MediumMatrix, NonlinearityParams
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _SIZE_GUARD = 4096
+Q_FLOOR = 1e-28  # split_study fits the decay of |q|^2 where it exceeds this
 _BISECT_BLOCK = 1 << 15  # coefficients per block of the ensemble's bisection
 
 
@@ -38,9 +39,9 @@ _BISECT_BLOCK = 1 << 15  # coefficients per block of the ensemble's bisection
 # norms on the phase space and distance to the higher-energy ball
 # ---------------------------------------------------------------------------
 
-def energy_norm(u: VectorField, p: ScalarField) -> float:
+def energy_norm(u: np.ndarray, p: np.ndarray, grid: Grid) -> float:
     """Phase-space norm: H1 seminorm of u plus L2 norm of p, in quadrature."""
-    return float(np.sqrt(gr.vector_spectral_norm(u, 1.0) ** 2 + gr.norm_l2(p) ** 2))
+    return float(np.sqrt(gr.spectral_norm(u, grid, 1.0) ** 2 + gr.norm_l2(p, grid) ** 2))
 
 
 def _spectral_weights(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -123,9 +124,6 @@ class AssembledOperator:
         return self.eigenvectors @ (np.exp(-self.spectrum * t)
                                     * (self.eigenvectors.T @ c0))
 
-    def to_field(self, c: np.ndarray) -> ScalarField:
-        return ScalarField(self.grid, (self.basis @ c).reshape(self.grid.shape))
-
 
 def _mean_zero_basis(N: int) -> np.ndarray:
     """Orthonormal basis of the mean-zero subspace via a Householder map."""
@@ -201,9 +199,8 @@ def semigroup_decay(op: AssembledOperator, delta: float, t_max: float = 4.0,
     for _ in range(n_init):
         p0 = rng.normal(op.grid.shape)
         c0 = op.basis.T @ p0.ravel()
-        norms = [gr.spectral_norm(op.to_field(op.propagate_coeffs(c0, t)), delta)
-                 for t in ts]
-        fit = fit_decay(ts, norms)
+        ps = [(op.basis @ op.propagate_coeffs(c0, t)).reshape(op.grid.shape) for t in ts]
+        fit = fit_decay(ts, [gr.spectral_norm(p, op.grid, delta) for p in ps])
         if worst is None or fit.rate > worst.rate:
             worst = fit
     return worst
@@ -247,11 +244,11 @@ def energy_audit(traj: dyn.Trajectory, eps: float = 0.0) -> AuditReport:
     residual_stage = 0.5 * np.diff(E) + (W[:, 0] + W[:, 1] + W[:, 3] - W[:, 2])
 
     # decay surrogate on snapshots, with the minus-coupled functional
+    grid = traj.grid
     e_plain, e_eps, e_dec = [], [], []
     for u, p in zip(traj.u, traj.p):
-        u, p = VectorField(traj.grid, u), ScalarField(traj.grid, p)
-        e_plain.append(gr.weighted_inner(traj.D, u, u) + gr.inner(p, p))
-        coupling = (2.0 * eps * gr.vector_inner(u, ph.bogovski(p))
+        e_plain.append(gr.weighted_inner(traj.D, u, u, grid) + gr.inner(p, p, grid))
+        coupling = (2.0 * eps * gr.inner(u, ph.bogovski(p, grid), grid)
                     if eps > 0 else 0.0)
         e_eps.append(e_plain[-1] + coupling)
         e_dec.append(e_plain[-1] - coupling)
@@ -391,12 +388,13 @@ def ensemble_report_from_snaps(grid: Grid, snap_times, U: np.ndarray,
                            box_counts=boxes)
 
 
-def ensemble_study(initial_states: list[dyn.SimState], cfg: dyn.SolverConfig,
-                   g, D: MediumMatrix, params: NonlinearityParams,
-                   t_max: float, snapshot_every: int = 50,
+def ensemble_study(states: tuple[np.ndarray, np.ndarray], grid: Grid,
+                   cfg: dyn.SolverConfig, g: np.ndarray, D: MediumMatrix,
+                   params: NonlinearityParams, t_max: float, snapshot_every: int = 50,
                    convective_on: bool = False) -> AttractorReport:
-    """Evolve the ensemble and reduce the attractor diagnostics."""
-    tr = dyn.simulate(initial_states, cfg, g, D, params, t_max,
+    """Evolve the ensemble `states`, a batch of (u, p), and reduce the
+    attractor diagnostics."""
+    tr = dyn.simulate(states, grid, cfg, g, D, params, t_max,
                       snapshot_every=snapshot_every, convective_on=convective_on)
     return ensemble_report_from_snaps(tr.grid, tr.times, tr.u, tr.p)
 
@@ -427,16 +425,17 @@ ExpSplitStudy = namedtuple("ExpSplitStudy", "split hat hat_fit tilde_h1 C K")
 SplitStudy = namedtuple("SplitStudy", "rows q_fit r_at r_sup")
 
 
-def lipschitz_study(pair, cfg: dyn.SolverConfig, g, D: MediumMatrix,
+def lipschitz_study(pair: tuple[np.ndarray, np.ndarray], grid: Grid,
+                    cfg: dyn.SolverConfig, g: np.ndarray, D: MediumMatrix,
                     params: NonlinearityParams, t_max: float, snapshot_every: int,
                     convective_on: bool = False) -> LipschitzStudy:
-    """Phase-space distance of the runs from the two states of `pair`,
-    stepped as one batch: its `ratios` to the initial distance at `times`,
-    their `envelope` C e^{K t}, and the largest ratio / envelope."""
-    tr = dyn.simulate(list(pair), cfg, g, D, params, t_max,
+    """Phase-space distance of the runs from `pair`, a batch of two states:
+    its `ratios` to the initial distance at `times`, their `envelope`
+    C e^{K t}, and the largest ratio / envelope."""
+    tr = dyn.simulate(pair, grid, cfg, g, D, params, t_max,
                       snapshot_every=snapshot_every, convective_on=convective_on)
-    grid, times = tr.grid, tr.times
-    dists = np.array([energy_norm(VectorField(grid, u[0] - u[1]), ScalarField(grid, p[0] - p[1]))
+    times = tr.times
+    dists = np.array([energy_norm(u[0] - u[1], p[0] - p[1], grid)
                       for u, p in zip(tr.u, tr.p)])
     ratios = dists / dists[0]
     C, K = fit_envelope(times, ratios)
@@ -444,18 +443,17 @@ def lipschitz_study(pair, cfg: dyn.SolverConfig, g, D: MediumMatrix,
     return LipschitzStudy(times, ratios, envelope, C, K, float(np.max(ratios / envelope)))
 
 
-def exp_split_study(pair, cfg: dyn.SolverConfig, g, D: MediumMatrix,
+def exp_split_study(pair: tuple[np.ndarray, np.ndarray], grid: Grid,
+                    cfg: dyn.SolverConfig, g: np.ndarray, D: MediumMatrix,
                     params: NonlinearityParams, t_max: float,
                     snapshot_every: int) -> ExpSplitStudy:
     """`dyn.run_exp_split` from `pair`; the phase-space norm of its hat part
     (`hat[0]` is the initial distance d0) with the decay fit of hat^2; the H1
     norm of its tilde pressure with the envelope C e^{K t} of tilde_h1 / d0
     after the start."""
-    es = dyn.run_exp_split(pair, g, cfg, D, params, t_max, snapshot_every)
-    grid = pair[0].grid
-    hat = np.array([energy_norm(VectorField(grid, v), ScalarField(grid, q))
-                    for v, q in zip(es.V[:, 0], es.Q[:, 0])])
-    tilde = np.array([gr.spectral_norm(gr.project_mean_zero(ScalarField(grid, q)), 1.0)
+    es = dyn.run_exp_split(pair, grid, g, cfg, D, params, t_max, snapshot_every)
+    hat = np.array([energy_norm(v, q, grid) for v, q in zip(es.V[:, 0], es.Q[:, 0])])
+    tilde = np.array([gr.spectral_norm(gr.mean_project_array(q, grid.dim), grid, 1.0)
                       for q in es.Q[:, 1]])
     C, K = fit_envelope(es.times[1:], np.maximum(tilde[1:] / hat[0], 1e-300))
     return ExpSplitStudy(es, hat, fit_decay(es.times, np.maximum(hat ** 2, 1e-300)),
@@ -465,15 +463,14 @@ def exp_split_study(pair, cfg: dyn.SolverConfig, g, D: MediumMatrix,
 def split_study(split: dyn.SplitTrajectory, delta: float, t_max: float) -> SplitStudy:
     """Rows of t, |q|, |v|_H1, |r|_H^delta and |w|_H^(1+delta) per stored
     time of a truncated-system splitting; the decay fit of |q|^2 where it
-    exceeds 1e-28; |r|_H^delta at the first time >= t_max/5 and its sup from
+    exceeds Q_FLOOR; |r|_H^delta at the first time >= t_max/5 and its sup from
     there on."""
     grid = split.grid
-    rows = np.array([(t, gr.norm_l2(ScalarField(grid, q)),
-                      gr.vector_spectral_norm(VectorField(grid, v), 1.0),
-                      gr.spectral_norm(gr.project_mean_zero(ScalarField(grid, r)), delta),
-                      gr.vector_spectral_norm(VectorField(grid, w), 1.0 + delta))
+    rows = np.array([(t, gr.norm_l2(q, grid), gr.spectral_norm(v, grid, 1.0),
+                      gr.spectral_norm(gr.mean_project_array(r, grid.dim), grid, delta),
+                      gr.spectral_norm(w, grid, 1.0 + delta))
                      for t, q, v, r, w in zip(split.times, split.q, split.v, split.r, split.w)])
     qsq = rows[:, 1] ** 2
     late = rows[:, 0] >= t_max / 5.0
-    return SplitStudy(rows, fit_decay(rows[qsq > 1e-28, 0], qsq[qsq > 1e-28]),
+    return SplitStudy(rows, fit_decay(rows[qsq > Q_FLOOR, 0], qsq[qsq > Q_FLOOR]),
                       float(rows[np.argmax(late), 3]), float(rows[late, 3].max()))

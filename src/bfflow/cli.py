@@ -18,7 +18,7 @@ from . import analysis as an
 from . import dynamics as dyn
 from . import grid as gr
 from . import reference as ref
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid
 from .physics import MediumMatrix, NonlinearityParams
 from .rng import SplitMix64
 
@@ -115,7 +115,7 @@ def _parse_value(tag: str, raw: str, lineno: int, key: str):
 
 @dataclass
 class ScenarioConfig:
-    values: dict[str, dict[str, object]]
+    sections: dict[str, dict[str, object]]
 
     def __post_init__(self):
         for (section, key), (test, domain) in _DOMAINS.items():
@@ -124,7 +124,7 @@ class ScenarioConfig:
                                   f"got {self[section, key]!r}")
 
     def __getitem__(self, pair: tuple[str, str]):
-        return self.values[pair[0]][pair[1]]
+        return self.sections[pair[0]][pair[1]]
 
     def grid(self) -> Grid:
         try:
@@ -184,20 +184,20 @@ class ScenarioConfig:
             raise ConfigError(f"solver: {e}")
         return cfg
 
-    def forcing(self, grid: Grid) -> VectorField:
+    def forcing(self, grid: Grid) -> np.ndarray:
         return make_forcing(grid, self["forcing", "kind"],
                             self["forcing", "seed"],
                             self["forcing", "amplitude"],
                             self["forcing", "path"])
 
     def system(self) -> tuple[Grid, MediumMatrix, NonlinearityParams,
-                              dyn.SolverConfig, VectorField]:
+                              dyn.SolverConfig, np.ndarray]:
         """Grid, medium, nonlinearity, solver config and forcing, built in
         that order."""
         grid, D = self.grid(), self.medium()
         return grid, D, self.nonlinearity(), self.solver(grid, D), self.forcing(grid)
 
-    def initial(self, grid: Grid) -> dyn.SimState:
+    def initial(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         return make_initial_state(grid, self["initial", "kind"],
                                   self["initial", "amplitude"],
                                   self["initial", "seed"],
@@ -251,41 +251,37 @@ def _spectral_noise_scalar(grid: Grid, rng: SplitMix64, decay: float) -> np.ndar
 
 
 def make_initial_state(grid: Grid, kind: str, amplitude: float, seed: int,
-                       u_share: float = 0.5) -> dyn.SimState:
-    """Deterministic initial data with phase-space norm `amplitude`.
+                       u_share: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic initial data (u, p) with phase-space norm `amplitude`.
 
     kinds: zero; smooth (decaying random spectrum, safe under the explicit
     CFL bound); white_pressure (u = 0, white-noise mean-zero p, the rough
     datum of the smoothing scenarios); mode (lowest sine profiles).
     """
     rng = SplitMix64(seed)
+    zero_u = np.zeros((grid.dim,) + grid.shape)
     if kind == "zero":
-        return dyn.SimState.zero(grid)
+        return zero_u, np.zeros(grid.shape)
     if kind == "white_pressure":
-        p = gr.project_mean_zero(ScalarField(grid, rng.normal(grid.shape)))
-        scale = gr.norm_l2(p)
-        p = ScalarField(grid, p.values * (amplitude / scale))
-        return dyn.SimState(gr.zeros_vector(grid), p)
+        p = gr.mean_project_array(rng.normal(grid.shape), grid.dim)
+        return zero_u, p * (amplitude / gr.norm_l2(p, grid))
     if kind == "smooth":
         u = np.stack([_spectral_noise_scalar(grid, rng, 1.5)
                       for _ in range(grid.dim)])
         p = _spectral_noise_scalar(grid, rng, 1.5)
     elif kind == "mode":
-        base = gr.sine_mode(grid, (1,) * grid.dim).values
-        second = gr.sine_mode(grid, (2,) + (1,) * (grid.dim - 1)).values
+        base = gr.sine_mode(grid, (1,) * grid.dim)
+        second = gr.sine_mode(grid, (2,) + (1,) * (grid.dim - 1))
         u = np.stack([base] + [second] * (grid.dim - 1))
-        p = second.copy()
+        p = second
     else:
         raise ConfigError(f"unknown initial kind {kind!r}")
-    uf = VectorField(grid, u)
-    pf = gr.project_mean_zero(ScalarField(grid, p))
-    nu = gr.vector_spectral_norm(uf, 1.0)
-    npn = gr.norm_l2(pf)
+    p = gr.mean_project_array(p, grid.dim)
+    nu = gr.spectral_norm(u, grid, 1.0)
+    npn = gr.norm_l2(p, grid)
     u_amp = amplitude * np.sqrt(u_share)
     p_amp = amplitude * np.sqrt(1.0 - u_share)
-    uf = VectorField(grid, uf.values * (u_amp / nu if nu else 0.0))
-    pf = ScalarField(grid, pf.values * (p_amp / npn if npn else 0.0))
-    return dyn.SimState(uf, pf)
+    return u * (u_amp / nu if nu else 0.0), p * (p_amp / npn if npn else 0.0)
 
 
 def _band_limited_scalar(grid: Grid, rng: SplitMix64, kmax: int = 6) -> np.ndarray:
@@ -299,9 +295,12 @@ def _band_limited_scalar(grid: Grid, rng: SplitMix64, kmax: int = 6) -> np.ndarr
 
 
 def make_forcing(grid: Grid, kind: str, seed: int, amplitude: float,
-                 path: str = "") -> VectorField:
+                 path: str = "") -> np.ndarray:
+    """The forcing g, one velocity-shaped array; a file's array is checked
+    for shape and finiteness here, where it enters."""
+    shape = (grid.dim,) + grid.shape
     if kind == "zero":
-        return gr.zeros_vector(grid)
+        return np.zeros(shape)
     if kind in ("fixed_random", "band_random"):
         rng = SplitMix64(seed)
         if kind == "band_random":
@@ -309,14 +308,18 @@ def make_forcing(grid: Grid, kind: str, seed: int, amplitude: float,
         else:
             comps = [_spectral_noise_scalar(grid, rng, 1.0)
                      for _ in range(grid.dim)]
-        g = VectorField(grid, np.stack(comps))
-        scale = gr.norm_l2(g)
-        return VectorField(grid, g.values * (amplitude / scale))
+        g = np.stack(comps)
+        return g * (amplitude / gr.norm_l2(g, grid))
     if kind == "file":
         try:
-            return VectorField(grid, np.asarray(np.load(path), dtype=float))
+            g = np.asarray(np.load(path), dtype=float)
         except (OSError, ValueError) as e:
             raise ConfigError(f"forcing file {path!r}: {e}")
+        if g.shape != shape:
+            raise ConfigError(f"forcing file {path!r}: shape {g.shape} != expected {shape}")
+        if not np.isfinite(g).all():
+            raise ConfigError(f"forcing file {path!r}: contains non-finite entries")
+        return g
     raise ConfigError(f"unknown forcing kind {kind!r}")
 
 
@@ -356,7 +359,7 @@ def write_svg(path: Path, title: str, xs, series: dict[str, np.ndarray],
             ys = np.where(ys > 0, ys, np.nan)
             ys = np.log10(ys)
         finite_series[name] = ys
-    allv = np.concatenate([v[np.isfinite(v)] for v in finite_series.values()
+    allv = np.concatenate([v[np.isfinite(v)] for _, v in finite_series.items()
                            if np.any(np.isfinite(v))] or [np.zeros(1)])
     ymin, ymax = (float(allv.min()), float(allv.max())) if allv.size else (0, 1)
     if ymax == ymin:
@@ -418,27 +421,27 @@ def _fitted_snapshot_every(sc: ScenarioConfig, cfg: dyn.SolverConfig) -> int:
     return every
 
 
-def perturbed_pair(base: dyn.SimState, seed: int, size: float) -> list[dyn.SimState]:
-    """`base`, and `base` moved by `size` in the phase-space norm along a
-    smooth direction drawn from `seed`; a size that leaves them at zero
-    distance (0, or one that rounds away) has no growth ratio."""
-    grid = base.grid
-    pert = make_initial_state(grid, "smooth", 1.0, seed)
-    scale = size / an.energy_norm(pert.u, pert.p)
-    moved = dyn.SimState(VectorField(grid, base.u.values + scale * pert.u.values),
-                         ScalarField(grid, base.p.values + scale * pert.p.values))
-    if an.energy_norm(VectorField(grid, base.u.values - moved.u.values),
-                      ScalarField(grid, base.p.values - moved.p.values)) == 0.0:
+def perturbed_pair(base: tuple[np.ndarray, np.ndarray], grid: Grid, seed: int,
+                   size: float) -> tuple[np.ndarray, np.ndarray]:
+    """The batch of two states: `base` = (u, p), and `base` moved by `size`
+    in the phase-space norm along a smooth direction drawn from `seed`; a
+    size that leaves them at zero distance (0, or one that rounds away) has
+    no growth ratio."""
+    (u, p), (du, dp) = base, make_initial_state(grid, "smooth", 1.0, seed)
+    scale = size / an.energy_norm(du, dp, grid)
+    U, P = np.stack((u, u + scale * du)), np.stack((p, p + scale * dp))
+    if an.energy_norm(U[0] - U[1], P[0] - P[1], grid) == 0.0:
         raise ConfigError(f"scenario: perturbation must be nonzero; perturbation = {size:g} "
                           f"leaves the pair at zero initial distance, which has no growth ratio")
-    return [base, moved]
+    return U, P
 
 
-def ensemble_states(grid: Grid, size: int, seed: int) -> list[dyn.SimState]:
-    """`size` smooth states with amplitudes spread geometrically over
-    [0.1, 10]; member i is drawn from seed + 1000 + i."""
-    return [make_initial_state(grid, "smooth", a, seed + 1000 + i)
-            for i, a in enumerate(np.geomspace(0.1, 10.0, size))]
+def ensemble_states(grid: Grid, size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The batch of `size` smooth states with amplitudes spread geometrically
+    over [0.1, 10]; member i is drawn from seed + 1000 + i."""
+    states = [make_initial_state(grid, "smooth", a, seed + 1000 + i)
+              for i, a in enumerate(np.geomspace(0.1, 10.0, size))]
+    return tuple(map(np.stack, zip(*states)))
 
 
 def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
@@ -448,7 +451,7 @@ def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     grid, D, params, cfg, forcing = sc.system()
     state0 = sc.initial(grid)
     conv = sc["scenario", "convective"]
-    traj = dyn.simulate(state0, cfg, forcing, D, params, sc["run", "t_max"],
+    traj = dyn.simulate(state0, grid, cfg, forcing, D, params, sc["run", "t_max"],
                         snapshot_every=_snapshot_every(cfg, sc["run", "snapshot_stride"]),
                         convective_on=conv, collect_work=True)
     audit = an.energy_audit(traj, eps=eps)
@@ -459,8 +462,7 @@ def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         res_col.append(float(np.abs(audit.residual_stage[j:j2]).sum()))
         j = j2
     rows = [(t, audit.e_plain_series[i], audit.e_eps_series[i],
-             gr.vector_spectral_norm(VectorField(grid, u), 1.0),
-             gr.norm_l2(ScalarField(grid, p)), res_col[i])
+             gr.spectral_norm(u, grid, 1.0), gr.norm_l2(p, grid), res_col[i])
             for i, (t, u, p) in enumerate(zip(traj.times, traj.u, traj.p))]
     write_csv(out / "energies.csv",
               ["t [time]", "e_plain [energy]", "e_eps [energy]",
@@ -484,6 +486,8 @@ def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 def _cmd_spectrum(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     deltas = sc["scenario", "deltas"]
+    if not deltas:
+        raise ConfigError("scenario: deltas must list at least one delta, got none")
     if not all(0.0 <= d <= 1.0 for d in deltas):
         raise ConfigError(f"scenario: deltas must lie in [0, 1], got {deltas}")
     grid = sc.grid()
@@ -521,9 +525,9 @@ def _cmd_spectrum(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 def _cmd_lipschitz(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     grid, D, params, cfg, forcing = sc.system()
-    pair = perturbed_pair(sc.initial(grid), sc["initial", "seed"] + 77,
+    pair = perturbed_pair(sc.initial(grid), grid, sc["initial", "seed"] + 77,
                           sc["scenario", "perturbation"])
-    st = an.lipschitz_study(pair, cfg, forcing, D, params, sc["run", "t_max"],
+    st = an.lipschitz_study(pair, grid, cfg, forcing, D, params, sc["run", "t_max"],
                             _snapshot_every(cfg, sc["run", "snapshot_stride"]),
                             convective_on=sc["scenario", "convective"])
     write_csv(out / "pairs.csv", ["t [time]", "ratio [-]", "envelope [-]"],
@@ -546,15 +550,20 @@ def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         raise ConfigError("split: the truncated system and its parts carry no convective "
                           "term, so they cannot honour convective = on")
     grid, D, params, cfg, forcing = sc.system()
-    p0 = gr.project_mean_zero(sc.initial(grid).p)
+    p0 = gr.mean_project_array(sc.initial(grid)[1], grid.dim)
     t_max = sc["run", "t_max"]
     every = _fitted_snapshot_every(sc, cfg)
-    if not np.any(p0.values):
+    if not np.any(p0):
         raise ConfigError(
             f"split needs a nonzero mean-zero initial pressure to fit the "
             f"decay of q; initial.kind = {sc['initial', 'kind']!r} gives p = 0")
     run = dyn.run_bootstrap_split if kind == "bootstrap" else dyn.run_split
-    split = run(p0, forcing, cfg, D, params, t_max, snapshot_every=every)
+    split = run(p0, grid, forcing, cfg, D, params, t_max, snapshot_every=every)
+    fitted = sum(gr.norm_l2(q, grid) ** 2 > an.Q_FLOOR for q in split.q)
+    if fitted < 5:
+        raise ConfigError(
+            f"[initial] amplitude = {sc['initial', 'amplitude']:g} leaves {fitted} stored "
+            f"values of |q|^2 above the decay fit's floor {an.Q_FLOOR:g}; the fit needs 5")
     st = an.split_study(split, sc["scenario", "delta_exponent"], t_max)
     write_csv(out / "split.csv",
               ["t [time]", "norm_q [field]", "norm_v [field]",
@@ -577,9 +586,9 @@ def _cmd_expsplit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         raise ConfigError("expsplit: the hat and tilde parts carry no convective "
                           "term, so they cannot recombine with convective = on")
     grid, D, params, cfg, forcing = sc.system()
-    pair = perturbed_pair(sc.initial(grid), sc["initial", "seed"] + 101,
+    pair = perturbed_pair(sc.initial(grid), grid, sc["initial", "seed"] + 101,
                           sc["scenario", "perturbation"])
-    st = an.exp_split_study(pair, cfg, forcing, D, params, sc["run", "t_max"],
+    st = an.exp_split_study(pair, grid, cfg, forcing, D, params, sc["run", "t_max"],
                             _fitted_snapshot_every(sc, cfg))
     times = st.split.times
     write_csv(out / "expsplit.csv", ["t [time]", "hat_norm [field]", "tilde_h1 [field]"],
@@ -602,7 +611,7 @@ def _cmd_smoothing(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     state0 = sc.initial(grid)
     conv = sc["scenario", "convective"]
     targets = [2.0 ** -k for k in range(10, -1, -1)]
-    traj = dyn.simulate(state0, cfg, forcing, D, params, 1.0,
+    traj = dyn.simulate(state0, grid, cfg, forcing, D, params, 1.0,
                         snapshot_times=targets, convective_on=conv)
     rep = an.smoothing_report(traj)
     rows = list(zip(rep.times, rep.series["t|grad_u|^2"],
@@ -618,7 +627,7 @@ def _cmd_smoothing(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     entries = {f"sup_{k}": v for k, v in rep.weighted_sups.items()}
     entries["grid_tag"] = rep.grid_tag
     entries["pass_finite_sups"] = all(np.isfinite(v)
-                                      for v in rep.weighted_sups.values())
+                                      for _, v in rep.weighted_sups.items())
     return entries
 
 
@@ -628,8 +637,8 @@ def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         raise ConfigError(f"scenario: ensemble_size must be at least 1, got {size}")
     grid, D, params, cfg, forcing = sc.system()
     every = _snapshot_every(cfg, sc["run", "snapshot_stride"])
-    report = an.ensemble_study(ensemble_states(grid, size, sc["run", "seed"]), cfg, forcing,
-                               D, params, sc["run", "t_max"], snapshot_every=every,
+    report = an.ensemble_study(ensemble_states(grid, size, sc["run", "seed"]), grid, cfg,
+                               forcing, D, params, sc["run", "t_max"], snapshot_every=every,
                                convective_on=sc["scenario", "convective"])
     write_csv(out / "attractor.csv",
               ["t [time]", "diameter [field]", "dist_to_ball [field]"],
@@ -675,7 +684,7 @@ def _cmd_audit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     totals = []
     for level, dt in enumerate([cfg.dt, cfg.dt / 2.0]):
         c = replace(cfg, dt=dt)
-        traj = dyn.simulate(state0, c, forcing, D, params, t_max,
+        traj = dyn.simulate(state0, grid, c, forcing, D, params, t_max,
                             snapshot_every=max(1, int(round(t_max / dt / 8))),
                             convective_on=conv, collect_work=True)
         audit = an.energy_audit(traj)
@@ -707,7 +716,7 @@ def _cmd_oracle(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     dim = sc["grid", "dim"]
     grid = Grid(dim, min(sc["grid", "n"], ref._SIZE_GUARD_PER_AXIS[dim]))
     state0 = make_initial_state(grid, "smooth", 1.0, sc["initial", "seed"])
-    errors = ref.convergence_errors(state0, sc.medium(), horizon, dts)
+    errors = ref.convergence_errors(state0, grid, sc.medium(), horizon, dts)
     write_csv(out / "oracle.csv", ["dt [time]", "error [-]"], list(zip(dts, errors)))
     if svg:
         write_svg(out / "oracle.svg", "convergence to dense propagator", dts,
@@ -744,7 +753,8 @@ def run_scenario(config: ScenarioConfig, subcommand: str, out_dir: str | Path = 
         raise ConfigError(f"{subcommand} {_RK4_ONLY[subcommand]}, "
                           f"got scheme = semi_implicit")
     if seed is not None:
-        config = ScenarioConfig({**config.values, "run": {**config.values["run"], "seed": seed}})
+        config = ScenarioConfig({**config.sections,
+                                 "run": {**config.sections["run"], "seed": seed}})
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -757,8 +767,7 @@ def run_scenario(config: ScenarioConfig, subcommand: str, out_dir: str | Path = 
         write_summary(out / "summary.txt",
                       {"status": "RUNTIME_ERROR", "error": err})
         return 2
-    flags = {k: v for k, v in entries.items() if k.startswith("pass_")}
-    ok = all(flags.values())
+    ok = all(v for k, v in entries.items() if k.startswith("pass_"))
     summary = {"subcommand": subcommand, "status": "PASS" if ok else "FAIL"}
     for k, v in entries.items():
         summary[k] = ("PASS" if v else "FAIL") if k.startswith("pass_") else v

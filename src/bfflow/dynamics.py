@@ -9,8 +9,9 @@ which `snapshot_steps` derives before the loop: every m steps plus the last,
 or the nearest step end to each target time. The loop checks finiteness
 after every step and at the start (`BlowUpError` names the step and, in a
 batch, the member) and stores each recorded component as one array stacked
-over the stored steps. The drivers (`simulate`, whose list of states is one
-batch along a member axis, and the splittings) supply only a right-hand side
+over the stored steps. A state is the array pair (u, p) on a `Grid` passed
+beside it, and a batch of runs is the same pair with a leading member axis.
+The drivers (`simulate` and the splittings) supply only a right-hand side
 and what to store. A splitting is one run: the truncated run from p0 steps
 jointly with its parts, which are checked to recombine to it at every stored
 time.
@@ -40,12 +41,12 @@ import numpy as np
 
 from . import grid as gr
 from . import physics as ph
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid
 from .krylov import conjugate_gradient
 from .physics import MediumMatrix, NonlinearityParams
 
 __all__ = [
-    "SimState", "SolverConfig", "Trajectory", "SplitTrajectory",
+    "SolverConfig", "Trajectory", "SplitTrajectory",
     "ExpSplitTrajectory", "BlowUpError", "NewtonError", "RecombinationError",
     "simulate", "run_split", "run_exp_split", "run_bootstrap_split",
     "rk4_stepper", "snapshot_steps", "integrate",
@@ -76,24 +77,6 @@ class NewtonError(RuntimeError):
 
 class RecombinationError(RuntimeError):
     """The parts of a splitting do not add up to the run they split."""
-
-
-@dataclass
-class SimState:
-    u: VectorField
-    p: ScalarField
-
-    def __post_init__(self):
-        if self.u.grid != self.p.grid:
-            raise ValueError("u and p live on different grids")
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "SimState":
-        return cls(gr.zeros_vector(grid), gr.zeros_scalar(grid))
 
 
 @dataclass
@@ -316,13 +299,12 @@ class _FullSystem:
         return du, np.negative(dp, out=dp)
 
 
-def _as_forcing(g, grid: Grid) -> np.ndarray:
-    """The array of the forcing field g, a VectorField on `grid`."""
-    if not isinstance(g, VectorField):
-        raise TypeError(f"forcing must be a VectorField, got {type(g).__name__}")
-    if g.grid != grid:
-        raise ValueError("forcing lives on a different grid")
-    return g.values
+def _as_forcing(g: np.ndarray, grid: Grid) -> np.ndarray:
+    """The forcing g, checked to be one velocity-shaped array on `grid`."""
+    shape = (grid.dim,) + grid.shape
+    if np.shape(g) != shape:
+        raise ValueError(f"forcing shape {np.shape(g)} != expected {shape}")
+    return g
 
 
 def _rk4_full(sys: _FullSystem, dt: float):
@@ -404,8 +386,9 @@ class Trajectory:
     work_increments: np.ndarray | None = None      # (N, 4) stage-quadrature integrals
 
 
-def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
-             D: MediumMatrix, params: NonlinearityParams, t_max: float,
+def simulate(state0: tuple[np.ndarray, np.ndarray], grid: Grid, cfg: SolverConfig,
+             forcing: np.ndarray, D: MediumMatrix, params: NonlinearityParams,
+             t_max: float,
              snapshot_every: int = 1, snapshot_times=None,
              convective_on: bool = False,
              collect_work: bool = False) -> Trajectory:
@@ -415,16 +398,14 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
     `snapshot_times` overrides `snapshot_every` with explicit targets; each
     target is matched to the closest step endpoint.
 
-    A list of states (one grid) steps as one batch along a member axis,
-    axis 1 of the stored snapshots; each member's numbers are those of its
-    run alone. A blow-up or pressure drift names the member, and
-    `collect_work` needs a single state and the RK4 scheme.
+    A state (u, p) whose p has a leading axis beyond the grid axes is a
+    batch: its members step together and are axis 1 of the stored
+    snapshots, and each member's numbers are those of its run alone. A
+    blow-up or pressure drift names the member, and `collect_work` needs a
+    single state and the RK4 scheme.
     """
-    batch = isinstance(state0, (list, tuple))
-    states = list(state0) if batch else [state0]
-    if not states or any(s.grid != states[0].grid for s in states):
-        raise ValueError("simulate needs one or more states on one grid")
-    grid = states[0].grid
+    u0, p0 = state0
+    batch = p0.ndim > grid.dim
     if collect_work and (batch or cfg.scheme != "rk4"):
         raise ValueError("collect_work needs a single state and scheme = rk4")
     forcing = _as_forcing(forcing, grid)
@@ -433,8 +414,7 @@ def simulate(state0: SimState | list[SimState], cfg: SolverConfig, forcing,
     # work rows: the four stages of each step in turn, then the last step end
     sys = _FullSystem(grid, D, params, forcing, convective_on,
                       work_rows=4 * n_steps + 1 if collect_work else 0)
-    y0 = [(s.u.values, gr.mean_project_array(s.p.values, grid.dim)) for s in states]
-    y0 = tuple(map(np.stack, zip(*y0))) if batch else y0[0]
+    y0 = (u0, gr.mean_project_array(p0, grid.dim))
     axes, count = tuple(range(-grid.dim, 0)), grid.num_nodes
 
     p_squares = []  # (p, p) at each step end; (D u, u) is in its work row
@@ -598,7 +578,8 @@ def _linear_velocity(p: np.ndarray, load: np.ndarray | float, grid: Grid) -> np.
     return gr.poisson_solve_array(load - gr.grad_array(p, grid.h, grid.dim), grid)
 
 
-def _split(p0: ScalarField, forcing: np.ndarray, cfg: SolverConfig, D: MediumMatrix,
+def _split(p0: np.ndarray, grid: Grid, forcing: np.ndarray, cfg: SolverConfig,
+           D: MediumMatrix,
            params: NonlinearityParams, t_max: float, snapshot_every: int,
            parts) -> SplitTrajectory:
     """RK4 on (p, q, r) from (p0, p0, 0), p0 projected to mean zero, where p
@@ -606,7 +587,7 @@ def _split(p0: ScalarField, forcing: np.ndarray, cfg: SolverConfig, D: MediumMat
     velocities at the state y and the run's u = u(p). At every
     `snapshot_every`-th step and the last it stores p, u, q, v, r and w; after
     the initial state, q + r is checked against p and v + w against u."""
-    grid, dt = p0.grid, cfg.dt
+    dt = cfg.dt
     sys_p = _TruncatedSystem(grid, params, forcing, cfg)
 
     def velocities(y):
@@ -621,7 +602,7 @@ def _split(p0: ScalarField, forcing: np.ndarray, cfg: SolverConfig, D: MediumMat
         return p, u, q, v, r, w
 
     n_steps = int(round(t_max / dt))
-    p0 = gr.mean_project_array(p0.values, grid.dim)
+    p0 = gr.mean_project_array(p0, grid.dim)
     times, stored = integrate(
         (p0, p0, np.zeros_like(p0)), dt, n_steps,
         rk4_stepper(rhs, dt), grid.dim, project=(0, 1, 2),
@@ -637,8 +618,8 @@ def _split(p0: ScalarField, forcing: np.ndarray, cfg: SolverConfig, D: MediumMat
     return SplitTrajectory(grid, times, p, u, q, v, r, w, defect_p, defect_u)
 
 
-def run_split(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
-              params: NonlinearityParams, t_max: float,
+def run_split(p0: np.ndarray, grid: Grid, forcing: np.ndarray, cfg: SolverConfig,
+              D: MediumMatrix, params: NonlinearityParams, t_max: float,
               snapshot_every: int = 1) -> SplitTrajectory:
     """Contracting/compact splitting of the truncated run from p0.
 
@@ -648,7 +629,6 @@ def run_split(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
     that every RK stage sees consistent data; q + r = p is checked at the
     stored times, never enforced.
     """
-    grid = p0.grid
     forcing = _as_forcing(forcing, grid)
     sys_v = _TruncatedSystem(grid, params, np.zeros_like(forcing), cfg)
 
@@ -659,10 +639,11 @@ def run_split(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
                                    - ph.f_apply_array(u, params, grid.dim)
                                    + ph.f_apply_array(v, params, grid.dim), grid)
 
-    return _split(p0, forcing, cfg, D, params, t_max, snapshot_every, parts)
+    return _split(p0, grid, forcing, cfg, D, params, t_max, snapshot_every, parts)
 
 
-def run_bootstrap_split(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMatrix,
+def run_bootstrap_split(p0: np.ndarray, grid: Grid, forcing: np.ndarray,
+                        cfg: SolverConfig, D: MediumMatrix,
                         params: NonlinearityParams, t_max: float,
                         snapshot_every: int = 1) -> SplitTrajectory:
     """Linear decaying part plus forced smooth part of the truncated run
@@ -672,7 +653,6 @@ def run_bootstrap_split(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMa
     g - f(u(t)) with zero initial data. Both velocities are direct linear
     solves; recombination with the run is checked.
     """
-    grid = p0.grid
     forcing = _as_forcing(forcing, grid)
 
     def parts(y, u):
@@ -680,7 +660,7 @@ def run_bootstrap_split(p0: ScalarField, forcing, cfg: SolverConfig, D: MediumMa
         return (_linear_velocity(p1, 0.0, grid), _linear_velocity(
             p2, forcing - ph.f_apply_array(u, params, grid.dim), grid))
 
-    return _split(p0, forcing, cfg, D, params, t_max, snapshot_every, parts)
+    return _split(p0, grid, forcing, cfg, D, params, t_max, snapshot_every, parts)
 
 
 @dataclass
@@ -717,23 +697,20 @@ def averaged_jacobian_apply(u1: np.ndarray, u2: np.ndarray, v: np.ndarray,
     return out
 
 
-def run_exp_split(pair, forcing, cfg: SolverConfig, D: MediumMatrix,
+def run_exp_split(pair: tuple[np.ndarray, np.ndarray], grid: Grid,
+                  forcing: np.ndarray, cfg: SolverConfig, D: MediumMatrix,
                   params: NonlinearityParams, t_max: float,
                   snapshot_every: int = 1) -> ExpSplitTrajectory:
     """Difference splitting behind the exponential-attractor construction.
 
     The hat part solves the homogeneous linear system from the initial
     difference; the tilde part absorbs the averaged-Jacobian load -l(t) ubar
-    with zero initial data. They step jointly with the runs from the two
-    states of `pair`, without convection, as two two-member batches, the
+    with zero initial data. They step jointly with the runs from `pair`, a
+    batch of two states, without convection, as two two-member batches, the
     runs (u1, u2) and the parts (hat, tilde), stored as `simulate` would;
     the parts are checked to recombine to the difference u1 - u2 after the
     run.
     """
-    s1, s2 = pair
-    if s1.grid != s2.grid:
-        raise ValueError("run_exp_split needs two states on one grid")
-    grid = s1.grid
     cfg.validate(grid, D)
     sys = _FullSystem(grid, D, params, _as_forcing(forcing, grid), False)
 
@@ -744,8 +721,8 @@ def run_exp_split(pair, forcing, cfg: SolverConfig, D: MediumMatrix,
         dV[1] -= averaged_jacobian_apply(U[0], U[1], U[0] - U[1], params, grid.dim)
         return dU, dP, dV, _pressure_rate(V, D, grid)
 
-    U = np.stack((s1.u.values, s2.u.values))
-    P = gr.mean_project_array(np.stack((s1.p.values, s2.p.values)), grid.dim)
+    U, P = pair
+    P = gr.mean_project_array(P, grid.dim)
     y0 = (U, P, np.stack((U[0] - U[1], np.zeros_like(U[0]))),
           np.stack((P[0] - P[1], np.zeros_like(P[0]))))
     scale = max(float(np.abs(y0[2][0]).max()), float(np.abs(y0[3][0]).max()), 1e-30)

@@ -26,12 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Grid", "ScalarField", "VectorField",
-    "grad", "div", "weighted_inner",
-    "project_mean_zero", "inner", "vector_inner", "norm_l2",
-    "sine_coefficients", "spectral_norm",
-    "vector_spectral_norm", "laplacian_eigenvalues", "poisson_solve_array",
-    "zeros_scalar", "zeros_vector", "sine_mode", "coordinates",
+    "Grid", "grad_array", "div_array", "lap_array", "weighted_inner",
+    "mean_project_array", "inner", "norm_l2", "sine_coefficients_array",
+    "sine_synthesis_array", "spectral_norm", "laplacian_eigenvalues",
+    "poisson_solve_array", "sine_mode", "coordinates",
 ]
 
 
@@ -77,54 +75,6 @@ def coordinates(grid: Grid) -> tuple[np.ndarray, ...]:
     """Mesh arrays of the interior node coordinates, shape grid.shape each."""
     axis = (np.arange(1, grid.n + 1) * grid.h)
     return tuple(np.meshgrid(*([axis] * grid.dim), indexing="ij"))
-
-
-def _check_values(grid: Grid, values: np.ndarray, expected_shape: tuple[int, ...]):
-    if values.shape != expected_shape:
-        raise ValueError(f"field shape {values.shape} != expected {expected_shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field contains non-finite entries")
-
-
-@dataclass
-class ScalarField:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        _check_values(self.grid, self.values, self.grid.shape)
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
-
-@dataclass
-class VectorField:
-    """dim-component field; component axis first, zero outside interior nodes."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        _check_values(self.grid, self.values, (self.grid.dim,) + self.grid.shape)
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.values.copy())
-
-
-def zeros_scalar(grid: Grid) -> ScalarField:
-    return ScalarField(grid, np.zeros(grid.shape))
-
-
-def zeros_vector(grid: Grid) -> VectorField:
-    return VectorField(grid, np.zeros((grid.dim,) + grid.shape))
-
-
-def _same_grid(a, b):
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
 
 
 # ---------------------------------------------------------------------------
@@ -212,48 +162,30 @@ def lap_array(x: np.ndarray, h: float, dim: int) -> np.ndarray:
     return _lap_into(_padded(x, dim), x, h, dim, np.empty_like(x))
 
 
-def grad(p: ScalarField) -> VectorField:
-    return VectorField(p.grid, grad_array(p.values, p.grid.h, p.grid.dim))
-
-
-def div(U: VectorField) -> ScalarField:
-    return ScalarField(U.grid, div_array(U.values, U.grid.h, U.grid.dim))
-
-
 # ---------------------------------------------------------------------------
 # inner products and means
 # ---------------------------------------------------------------------------
 
-def inner(f: ScalarField, g: ScalarField) -> float:
-    _same_grid(f, g)
-    return float(f.grid.cell_volume * np.vdot(f.values, g.values))
-
-def vector_inner(U: VectorField, V: VectorField) -> float:
-    _same_grid(U, V)
-    return float(U.grid.cell_volume * np.vdot(U.values, V.values))
+def inner(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
+    """h^d-weighted inner product of two arrays of one shape."""
+    return float(grid.cell_volume * np.vdot(a, b))
 
 
-def norm_l2(f: ScalarField | VectorField) -> float:
-    w = f.grid.cell_volume
-    return float(np.sqrt(w * np.vdot(f.values, f.values)))
+def norm_l2(a: np.ndarray, grid: Grid) -> float:
+    return float(np.sqrt(grid.cell_volume * np.vdot(a, a)))
 
 
-def weighted_inner(D, U: VectorField, V: VectorField) -> float:
+def weighted_inner(D, U: np.ndarray, V: np.ndarray, grid: Grid) -> float:
     """h^d * sum over nodes of (D u) . v for a constant symmetric matrix D.
 
     Accepts a physics.MediumMatrix or a bare (dim, dim) array.
     """
-    _same_grid(U, V)
     mat = np.asarray(getattr(D, "entries", D), dtype=float)
-    d = U.grid.dim
+    d = grid.dim
     if mat.shape != (d, d):
         raise ValueError(f"D must be {d}x{d}, got {mat.shape}")
-    DU = np.einsum("ab,b...->a...", mat, U.values)
-    return float(U.grid.cell_volume * np.vdot(DU, V.values))
-
-
-def project_mean_zero(p: ScalarField) -> ScalarField:
-    return ScalarField(p.grid, p.values - p.values.mean())
+    DU = np.einsum("ab,b...->a...", mat, U)
+    return float(grid.cell_volume * np.vdot(DU, V))
 
 
 def mean_project_array(p: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -290,11 +222,6 @@ def _dst_all_axes(a: np.ndarray, dim: int) -> np.ndarray:
     return (S @ a) @ S
 
 
-def sine_coefficients(f: ScalarField) -> np.ndarray:
-    """Coefficients in the h-orthonormal basis prod_a sqrt(2) sin(k_a pi x_a)."""
-    return sine_coefficients_array(f.values, f.grid)
-
-
 def sine_coefficients_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     scale = (grid.h / np.sqrt(2.0)) ** grid.dim
     return scale * _dst_all_axes(values, grid.dim)
@@ -328,35 +255,29 @@ def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0) -> np.nda
     return sine_synthesis_array(c / (laplacian_eigenvalues(grid) + shift), grid)
 
 
-def spectral_norm(f: ScalarField, exponent: float) -> float:
-    """sqrt(sum_k lambda_k^exponent c_k^2); exponent 0 is the plain L2 norm.
+def spectral_norm(a: np.ndarray, grid: Grid, exponent: float) -> float:
+    """sqrt(sum_k lambda_k^exponent c_k^2) over the components of `a` (one
+    scalar array, or a component axis before the grid axes); exponent 0 is
+    the plain L2 norm.
 
     Any real exponent is accepted: the fractional H^delta norms, delta in
     [0, 1], and the H^{1+delta} diagnostics alike.
     """
-    c = sine_coefficients(f)
-    lam = laplacian_eigenvalues(f.grid)
-    return float(np.sqrt(np.sum(lam ** exponent * c * c)))
-
-
-def vector_spectral_norm(U: VectorField, exponent: float) -> float:
-    """Componentwise spectral norm: sqrt(sum_a |U_a|_{H^exponent}^2)."""
-    lam = laplacian_eigenvalues(U.grid)
+    lam = laplacian_eigenvalues(grid)
     total = 0.0
-    for a in range(U.grid.dim):
-        c = sine_coefficients_array(U.values[a], U.grid)
+    for comp in a.reshape((-1,) + grid.shape):
+        c = sine_coefficients_array(comp, grid)
         total += float(np.sum(lam ** exponent * c * c))
     return float(np.sqrt(total))
 
 
-def sine_mode(grid: Grid, k: tuple[int, ...], normalized: bool = True) -> ScalarField:
-    """Sampled sine mode prod_a sin(k_a pi x_a); unit discrete L2 norm if normalized."""
+def sine_mode(grid: Grid, k: tuple[int, ...]) -> np.ndarray:
+    """Sampled sine mode prod_a sqrt(2) sin(k_a pi x_a), of unit discrete L2
+    norm."""
     if len(k) != grid.dim:
         raise ValueError("wave vector length must equal grid.dim")
     xs = coordinates(grid)
     vals = np.ones(grid.shape)
     for a, ka in enumerate(k):
         vals = vals * np.sin(ka * np.pi * xs[a])
-    if normalized:
-        vals = vals * (np.sqrt(2.0) ** grid.dim)
-    return ScalarField(grid, vals)
+    return vals * (np.sqrt(2.0) ** grid.dim)

@@ -4,7 +4,9 @@ Nonlinear drag f(u) = phi(|u|^2) u with phi(z) = alpha + beta z^l + gamma sqrt(z
 and its Jacobian, the constant symmetric positive definite medium matrix D, the
 divergence right-inverse (minimum-seminorm realization) with the sampled
 certificate of the perturbed energy functional, and the energy-preserving
-convective term. The forcing g is one fixed VectorField.
+convective term. Every field is a plain array on a `Grid` (a velocity has
+its component axis before the grid axes, and leading batch axes pass
+through); the forcing g is one fixed velocity-shaped array.
 
 For every admissible parameter set phi is nonnegative and nondecreasing, so f
 is monotone; the elliptic solves rely on this and add no shift.
@@ -18,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gr
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid
 from .krylov import conjugate_gradient
 
 __all__ = [
-    "NonlinearityParams", "MediumMatrix", "bogovski", "convective",
+    "NonlinearityParams", "MediumMatrix", "bogovski", "convective_array",
     "certify_eps",
 ]
 
@@ -182,7 +184,7 @@ def _a0_symbol_preconditioner(grid: Grid):
     return apply
 
 
-def bogovski(p: ScalarField, rtol: float = 1e-10) -> VectorField:
+def bogovski(p: np.ndarray, grid: Grid, rtol: float = 1e-10) -> np.ndarray:
     """Minimum-H1-seminorm right inverse of the divergence on mean-zero fields.
 
     Solves (G^T M G) s = -p with M the inverse Dirichlet vector Laplacian
@@ -191,15 +193,13 @@ def bogovski(p: ScalarField, rtol: float = 1e-10) -> VectorField:
     extension by construction. The CG is symbol-preconditioned; its residual
     is still measured against the true operator.
     """
-    grid = p.grid
-    pv = p.values
-    p0 = pv - pv.mean()
+    p0 = p - p.mean()
     scale = float(np.abs(p0).max())
-    if scale > 0 and abs(pv.mean()) > 1e-12 * scale:
+    if scale > 0 and abs(p.mean()) > 1e-12 * scale:
         warnings.warn("bogovski input had nonzero mean; projected internally",
                       stacklevel=2)
     if scale == 0.0:
-        return gr.zeros_vector(grid)
+        return np.zeros((grid.dim,) + grid.shape)
 
     def apply_a0(s: np.ndarray) -> np.ndarray:
         w = gr.poisson_solve_array(gr.grad_array(s, grid.h, grid.dim), grid)
@@ -207,8 +207,7 @@ def bogovski(p: ScalarField, rtol: float = 1e-10) -> VectorField:
 
     s = conjugate_gradient(apply_a0, -p0, rtol=rtol,
                            precondition=_a0_symbol_preconditioner(grid))
-    w = gr.poisson_solve_array(gr.grad_array(s, grid.h, grid.dim), grid)
-    return VectorField(grid, w)
+    return gr.poisson_solve_array(gr.grad_array(s, grid.h, grid.dim), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +222,10 @@ def certify_eps(grid: Grid, D: MediumMatrix, n_samples: int = 50,
     rng = SplitMix64(seed)
     best = np.inf
     for _ in range(n_samples):
-        u = VectorField(grid, rng.normal((grid.dim,) + grid.shape))
-        p = ScalarField(grid, rng.normal(grid.shape))
-        p = gr.project_mean_zero(p)
-        e_plain = gr.weighted_inner(D, u, u) + gr.inner(p, p)
-        coupling = gr.vector_inner(u, bogovski(p))
+        u = rng.normal((grid.dim,) + grid.shape)
+        p = gr.mean_project_array(rng.normal(grid.shape), grid.dim)
+        e_plain = gr.weighted_inner(D, u, u, grid) + gr.inner(p, p, grid)
+        coupling = gr.inner(u, bogovski(p, grid), grid)
         if coupling != 0.0:
             best = min(best, e_plain / (4.0 * abs(coupling)))
     return float(best)
@@ -259,8 +257,3 @@ def convective_array(u: np.ndarray, v: np.ndarray, h: float, dim: int,
         out[tuple(idx)] = acc
     return out
 
-
-def convective(u: VectorField, v: VectorField) -> VectorField:
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-    return VectorField(u.grid, convective_array(u.values, v.values, u.grid.h, u.grid.dim))

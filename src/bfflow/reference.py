@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn
-from . import grid as gr
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid
 from .physics import MediumMatrix, NonlinearityParams
 
 __all__ = [
@@ -109,17 +108,11 @@ class DensePropagator:
             return (core @ self._eigvecs_inv).real
         return _expm_dense(self.generator * t)
 
-    def _pack(self, u: VectorField, p: ScalarField) -> np.ndarray:
-        return np.concatenate([u.values.ravel(), self.basis.T @ p.values.ravel()])
-
-    def _unpack(self, z: np.ndarray) -> tuple[VectorField, ScalarField]:
-        d, shape, N = self.grid.dim, self.grid.shape, self.grid.num_nodes
-        u = z[:d * N].reshape((d,) + shape)
-        p = (self.basis @ z[d * N:]).reshape(shape)
-        return VectorField(self.grid, u), ScalarField(self.grid, p)
-
-    def apply(self, u0: VectorField, p0: ScalarField, t: float) -> tuple[VectorField, ScalarField]:
-        return self._unpack(self.matrix_exp(t) @ self._pack(u0, p0))
+    def apply(self, u0: np.ndarray, p0: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(u, p) at time t from (u0, p0); p0's mean is dropped."""
+        z = self.matrix_exp(t) @ np.concatenate([u0.ravel(), self.basis.T @ p0.ravel()])
+        k = u0.size
+        return z[:k].reshape(u0.shape), (self.basis @ z[k:]).reshape(p0.shape)
 
 
 def build_propagator(grid: Grid, D: MediumMatrix,
@@ -153,20 +146,21 @@ def build_propagator(grid: Grid, D: MediumMatrix,
                            _eigvecs_inv=vecs_inv, used_fallback=used_fallback)
 
 
-def convergence_errors(state: dyn.SimState, D: MediumMatrix, horizon: float,
-                       dts) -> list[float]:
+def convergence_errors(state: tuple[np.ndarray, np.ndarray], grid: Grid, D: MediumMatrix,
+                       horizon: float, dts) -> list[float]:
     """Relative phase-space error at `horizon` of the unforced linear RK4 run
-    from `state`, one per step size in `dts`, against the dense propagator."""
-    grid = state.grid
-    u_ref, p_ref = build_propagator(grid, D).apply(state.u, state.p, horizon)
-    den = np.sqrt(np.sum(u_ref.values ** 2) + np.sum(p_ref.values ** 2))
+    from `state` = (u, p), one per step size in `dts`, against the dense
+    propagator."""
+    u_ref, p_ref = build_propagator(grid, D).apply(*state, horizon)
+    den = np.sqrt(np.sum(u_ref ** 2) + np.sum(p_ref ** 2))
     errors = []
     for dt in dts:
-        traj = dyn.simulate(state, dyn.SolverConfig(dt=dt), gr.zeros_vector(grid), D,
+        traj = dyn.simulate(state, grid, dyn.SolverConfig(dt=dt),
+                            np.zeros((grid.dim,) + grid.shape), D,
                             NonlinearityParams(0.0, 0.0), horizon,
                             snapshot_every=int(round(horizon / dt)))
         u, p = traj.u[-1], traj.p[-1]
-        num = np.sqrt(np.sum((u - u_ref.values) ** 2) + np.sum((p - p_ref.values) ** 2))
+        num = np.sqrt(np.sum((u - u_ref) ** 2) + np.sum((p - p_ref) ** 2))
         errors.append(float(num / den))
     return errors
 

@@ -8,12 +8,21 @@ from bfflow import dynamics as dyn
 from bfflow import grid as gr
 from bfflow import reference as ref
 from bfflow.cli import make_forcing, make_initial_state
-from bfflow.grid import Grid, ScalarField, VectorField
+from bfflow.grid import Grid
 from bfflow.physics import MediumMatrix, NonlinearityParams
 from bfflow.rng import SplitMix64
 
 LINEAR = NonlinearityParams(0.0, 0.0)
 QUINTIC = NonlinearityParams(1.0, 1.0, 0.0, l=2.0)
+
+
+def _batch(states):
+    """One batch (U, P) of (u, p) states, stacked on a leading member axis."""
+    return tuple(map(np.stack, zip(*states)))
+
+
+def _zero_state(g):
+    return np.zeros((g.dim,) + g.shape), np.zeros(g.shape)
 
 
 class TestAssembleOperator:
@@ -66,11 +75,12 @@ class TestSemigroupDecay:
         assert fit.rate < 0.0
 
     def test_slowest_eigenvector_rate_exact(self, op):
+        g = op.grid
         c0 = op.eigenvectors[:, 0]
         ts = np.linspace(0.0, 2.0 / op.eigmin, 20)
         for delta in (0.0, 0.25, 0.5, 0.75, 1.0):
-            norms = [gr.spectral_norm(op.to_field(op.propagate_coeffs(c0, t)), delta)
-                     for t in ts]
+            norms = [gr.spectral_norm((op.basis @ op.propagate_coeffs(c0, t)).reshape(g.shape),
+                                      g, delta) for t in ts]
             fit = an.fit_decay(ts, norms)
             assert fit.rate == pytest.approx(-op.eigmin, rel=1e-6)
 
@@ -121,9 +131,9 @@ class TestEnergyAudit:
         D = D or MediumMatrix.diagonal([1.0, 2.0])
         state = make_initial_state(g, "smooth", 1.0, seed=seed)
         rng = SplitMix64(seed + 1)
-        gf = VectorField(g, 0.3 * rng.normal((2,) + g.shape))
+        gf = 0.3 * rng.normal((2,) + g.shape)
         cfg = dyn.SolverConfig(dt=dt)
-        traj = dyn.simulate(state, cfg, gf, D, QUINTIC, t_max,
+        traj = dyn.simulate(state, g, cfg, gf, D, QUINTIC, t_max,
                             snapshot_every=max(1, int(round(t_max / dt / 8))),
                             convective_on=conv, collect_work=True)
         return dyn, an.energy_audit(traj, eps=0.0), traj
@@ -131,8 +141,8 @@ class TestEnergyAudit:
     def test_zero_trajectory_zero_residuals(self):
         g = Grid(2, 8)
         D = MediumMatrix.identity(2)
-        traj = dyn.simulate(dyn.SimState.zero(g), dyn.SolverConfig(dt=1e-3),
-                            gr.zeros_vector(g), D, QUINTIC, 0.05,
+        traj = dyn.simulate(_zero_state(g), g, dyn.SolverConfig(dt=1e-3),
+                            np.zeros((2,) + g.shape), D, QUINTIC, 0.05,
                             collect_work=True)
         audit = an.energy_audit(traj)
         assert np.all(audit.residual_trap == 0.0)
@@ -167,7 +177,7 @@ class TestEnergyAudit:
                     dt = 0.125 * dyn.SolverConfig(dt=1.0).cfl_limit(g, D)
                     tots = []
                     for d in (dt, dt / 2.0):
-                        traj = dyn.simulate(state, dyn.SolverConfig(dt=d), forcing, D,
+                        traj = dyn.simulate(state, g, dyn.SolverConfig(dt=d), forcing, D,
                                             QUINTIC, 32 * dt, snapshot_every=10 ** 9,
                                             convective_on=conv, collect_work=True)
                         tots.append(np.abs(an.energy_audit(traj).residual_stage).sum() * d)
@@ -188,7 +198,7 @@ class TestEnergyAudit:
         D = MediumMatrix.diagonal([1.0, 2.0])
         state = make_initial_state(g, "smooth", 1.0, seed=307)
         cfg = dyn.SolverConfig(dt=1e-3)
-        traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, 1.0,
+        traj = dyn.simulate(state, g, cfg, np.zeros((2,) + g.shape), D, QUINTIC, 1.0,
                             snapshot_every=5, collect_work=True)
         audit = an.energy_audit(traj, eps=0.05)
         scale = audit.e_eps_series[0]
@@ -196,8 +206,8 @@ class TestEnergyAudit:
 
     def test_requires_collected_series(self):
         g = Grid(2, 8)
-        traj = dyn.simulate(dyn.SimState.zero(g), dyn.SolverConfig(dt=1e-3),
-                            gr.zeros_vector(g), MediumMatrix.identity(2),
+        traj = dyn.simulate(_zero_state(g), g, dyn.SolverConfig(dt=1e-3),
+                            np.zeros((2,) + g.shape), MediumMatrix.identity(2),
                             QUINTIC, 0.01)
         with pytest.raises(ValueError):
             an.energy_audit(traj)
@@ -214,7 +224,7 @@ class TestSmoothing:
         gf = make_forcing(g, "band_random", seed=11, amplitude=5.0)
         cfg = dyn.SolverConfig(dt=0.5 * dyn.SolverConfig(dt=1.0).cfl_limit(g, D))
         targets = [2.0 ** -k for k in range(9, -1, -1)]
-        traj = dyn.simulate(state, cfg, gf, D, QUINTIC, 1.0,
+        traj = dyn.simulate(state, g, cfg, gf, D, QUINTIC, 1.0,
                             snapshot_times=targets, convective_on=conv)
         return an.smoothing_report(traj)
 
@@ -224,11 +234,11 @@ class TestSmoothing:
         state = make_initial_state(g, "smooth", 1.0, seed=403)
         cfg = dyn.SolverConfig(dt=1e-3)
         targets = [2.0 ** -k for k in range(9, -1, -1)]
-        traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, 1.0,
+        traj = dyn.simulate(state, g, cfg, np.zeros((2,) + g.shape), D, QUINTIC, 1.0,
                             snapshot_times=targets)
         rep = an.smoothing_report(traj)
         sys = dyn._FullSystem(g, D, QUINTIC, np.zeros((2,) + g.shape), False)
-        du0, _ = sys.rhs(state.u.values, state.p.values)
+        du0, _ = sys.rhs(*state)
         unweighted = g.cell_volume * np.vdot(du0, du0)
         assert rep.weighted_sups["t^2|du_dt|^2"] <= 2.0 * unweighted
 
@@ -252,19 +262,20 @@ class TestDistToBall:
     def test_inside_ball_zero(self):
         g = Grid(2, 8)
         state = make_initial_state(g, "smooth", 0.1, seed=501)
-        assert _dist_to_ball(state.u.values, state.p.values, g, 1e6) == 0.0
+        assert _dist_to_ball(*state, g, 1e6) == 0.0
 
     def test_single_mode_exact_distance(self):
         # one sine coefficient: the nearest ball point is radial clipping
         g = Grid(2, 8)
-        mode = gr.sine_mode(g, (1, 1))
-        u = np.stack([mode.values, np.zeros(g.shape)])
+        u = np.stack([gr.sine_mode(g, (1, 1)), np.zeros(g.shape)])
         p = np.zeros(g.shape)
         lam = 2.0 * (4.0 / g.h ** 2) * np.sin(np.pi * g.h / 2.0) ** 2
-        radius = 0.25 * lam  # quarter of the mode's higher-energy norm
-        got = _dist_to_ball(u, p, g, radius)
-        exact = np.sqrt(lam) * (1.0 - 0.25)
-        assert got == pytest.approx(exact, rel=1e-8)
+        # a fraction of the mode's higher-energy norm; at 0.01 the bisection
+        # must first grow its bracket
+        for fraction in (0.25, 0.01):
+            got = _dist_to_ball(u, p, g, fraction * lam)
+            exact = np.sqrt(lam) * (1.0 - fraction)
+            assert got == pytest.approx(exact, rel=1e-8)
 
 
 def _seeded_snaps(g, B, S, seed, scales):
@@ -287,8 +298,8 @@ class TestEnsembleReport:
         B = Us.shape[1]
         q0 = len(Us) - max(1, len(Us) // 4)
         # the higher-energy norm, spectral H2 of u and H1 of p, field by field
-        r_ball = 2.0 * max(np.sqrt(gr.vector_spectral_norm(VectorField(g, U[0]), 2.0) ** 2
-                                   + gr.spectral_norm(ScalarField(g, P[0]), 1.0) ** 2)
+        r_ball = 2.0 * max(np.sqrt(gr.spectral_norm(U[0], g, 2.0) ** 2
+                                   + gr.spectral_norm(P[0], g, 1.0) ** 2)
                            for U, P in zip(Us[q0:], Ps[q0:]))
         assert rep.r_ball == pytest.approx(r_ball, rel=1e-12)
         assert np.array_equal(rep.dist_to_ball_series[:, 0], snap_times)
@@ -304,8 +315,7 @@ class TestEnsembleReport:
             dists = [_dist_to_ball(U[m], P[m], g, rep.r_ball) for m in range(B)]
             assert rep.dist_to_ball_series[k, 1] == pytest.approx(max(dists),
                                                                   rel=1e-12)
-            pairs = [an.energy_norm(VectorField(g, U[i] - U[j]),
-                                    ScalarField(g, P[i] - P[j]))
+            pairs = [an.energy_norm(U[i] - U[j], P[i] - P[j], g)
                      for i in range(B) for j in range(i + 1, B)]
             assert rep.diam_series[k, 1] == pytest.approx(max(pairs, default=0.0),
                                                           rel=1e-12)
@@ -346,8 +356,8 @@ class TestEnsemble:
         g = Grid(2, 8)
         D = MediumMatrix.identity(2)
         s = make_initial_state(g, "smooth", 1.0, seed=601)
-        rep = an.ensemble_study([s, s, s], dyn.SolverConfig(dt=2e-3),
-                                gr.zeros_vector(g), D, LINEAR, t_max=0.2,
+        rep = an.ensemble_study(_batch([s, s, s]), g, dyn.SolverConfig(dt=2e-3),
+                                np.zeros((2,) + g.shape), D, LINEAR, t_max=0.2,
                                 snapshot_every=25)
         assert np.all(rep.diam_series[:, 1] <= 1e-13)
 
@@ -356,8 +366,8 @@ class TestEnsemble:
         D = MediumMatrix.diagonal([1.0, 2.0])
         states = [make_initial_state(g, "smooth", a, seed=610 + i)
                   for i, a in enumerate((0.5, 1.0, 2.0, 4.0))]
-        rep = an.ensemble_study(states, dyn.SolverConfig(dt=2e-3),
-                                gr.zeros_vector(g), D, LINEAR, t_max=4.0,
+        rep = an.ensemble_study(_batch(states), g, dyn.SolverConfig(dt=2e-3),
+                                np.zeros((2,) + g.shape), D, LINEAR, t_max=4.0,
                                 snapshot_every=100)
         diam = rep.diam_series
         fit = an.fit_decay(diam[:, 0], diam[:, 1])
@@ -383,11 +393,11 @@ class TestEnsemble:
         g = Grid(2, 8)
         D = MediumMatrix.identity(2)
         ok = make_initial_state(g, "smooth", 1.0, seed=621)
-        hot = dyn.SimState(VectorField(g, 80.0 * ok.u.values), ok.p)
+        hot = (80.0 * ok[0], ok[1])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(dyn.BlowUpError) as err:
-                an.ensemble_study([ok, hot], dyn.SolverConfig(dt=2e-3),
-                                  gr.zeros_vector(g), D, QUINTIC, t_max=1.0,
+                an.ensemble_study(_batch([ok, hot]), g, dyn.SolverConfig(dt=2e-3),
+                                  np.zeros((2,) + g.shape), D, QUINTIC, t_max=1.0,
                                   snapshot_every=50)
         assert "member 1" in str(err.value)
         assert err.value.member == 1
@@ -396,13 +406,13 @@ class TestEnsemble:
     def test_reproducible_bitwise(self):
         g = Grid(2, 8)
         D = MediumMatrix.identity(2)
-        states = [make_initial_state(g, "smooth", 1.0, seed=631 + i)
-                  for i in range(3)]
-        r1 = an.ensemble_study(states, dyn.SolverConfig(dt=2e-3),
-                               gr.zeros_vector(g), D, QUINTIC, t_max=0.2,
+        states = _batch([make_initial_state(g, "smooth", 1.0, seed=631 + i)
+                         for i in range(3)])
+        r1 = an.ensemble_study(states, g, dyn.SolverConfig(dt=2e-3),
+                               np.zeros((2,) + g.shape), D, QUINTIC, t_max=0.2,
                                snapshot_every=25)
-        r2 = an.ensemble_study(states, dyn.SolverConfig(dt=2e-3),
-                               gr.zeros_vector(g), D, QUINTIC, t_max=0.2,
+        r2 = an.ensemble_study(states, g, dyn.SolverConfig(dt=2e-3),
+                               np.zeros((2,) + g.shape), D, QUINTIC, t_max=0.2,
                                snapshot_every=25)
         assert np.array_equal(r1.diam_series, r2.diam_series)
         assert np.array_equal(r1.dist_to_ball_series, r2.dist_to_ball_series)

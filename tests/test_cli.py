@@ -264,7 +264,7 @@ convective = on
         path = tmp_path / "g.npy"
         np.save(path, arr)
         f = make_forcing(g, "file", seed=0, amplitude=1.0, path=str(path))
-        assert np.array_equal(f.values, arr)
+        assert np.array_equal(f, arr)
 
     def test_svg_never_affects_exit(self, tmp_path):
         sc = parse_config("[grid]\nn = 8\n[run]\nt_max = 0.05\n")
@@ -315,6 +315,13 @@ _BAD_INPUTS = {
                            "split_kind must be trunc or bootstrap, got 'bogus'"),
     "spectrum_delta_above_1": ("spectrum", _QUINTIC8 + "[scenario]\ndeltas = 0.5, 2\n",
                                "deltas must lie in [0, 1]"),
+    # used to pass with no decay measured (exit 0)
+    "spectrum_empty_deltas": ("spectrum", _QUINTIC8 + "[scenario]\ndeltas =\n",
+                              "deltas must list at least one delta"),
+    # |q|^2 never clears the decay fit's floor: used to raise a ValueError
+    # out of cli.main
+    "split_tiny_amplitude": ("split", _QUINTIC8 + _WHITE_P + "[initial]\namplitude = 1e-20\n",
+                             "[initial] amplitude = 1e-20 leaves 0 stored values"),
     "attractor_empty_ensemble": ("attractor", _QUINTIC8 + "[scenario]\nensemble_size = 0\n",
                                  "ensemble_size must be at least 1, got 0"),
     "oracle_zero_horizon": ("oracle", _QUINTIC8 + "[scenario]\nhorizon = 0\n",
@@ -385,6 +392,23 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("config error:") and "Traceback" not in err
         assert phrase in err
+
+    @pytest.mark.parametrize("case", ["wrong_shape", "nan_entry"])
+    def test_bad_forcing_file_exits_3(self, tmp_path, capsys, case):
+        # the file's array is checked where it enters, before any run
+        if case == "wrong_shape":
+            arr = np.ones((2, 6, 6))
+        else:
+            arr = np.ones((2, 8, 8))
+            arr[1, 3, 4] = np.nan
+        np.save(tmp_path / "g.npy", arr)
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"[grid]\nn = 8\n[forcing]\nkind = file\npath = {tmp_path}/g.npy\n")
+        code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert "forcing file" in err
 
     def test_attractor_semi_implicit_honours_the_scheme(self, tmp_path):
         # the ensemble steps semi-implicitly, above the RK4 CFL bound, cleanly

@@ -9,7 +9,7 @@ from bfflow import grid as gr
 from bfflow import physics as ph
 from bfflow import reference as ref
 from bfflow.cli import make_forcing, make_initial_state, perturbed_pair
-from bfflow.grid import Grid, ScalarField, VectorField
+from bfflow.grid import Grid
 from bfflow.krylov import CGError, conjugate_gradient
 from bfflow.physics import MediumMatrix, NonlinearityParams
 from bfflow.rng import SplitMix64
@@ -21,6 +21,19 @@ QUINTIC = NonlinearityParams(1.0, 1.0, 0.0, l=2.0)
 def small_setup(n=8, diag=(1.0, 2.0)):
     g = Grid(2, n)
     return g, MediumMatrix.diagonal(diag)
+
+
+def _batch(states):
+    """One batch (U, P) of (u, p) states, stacked on a leading member axis."""
+    return tuple(map(np.stack, zip(*states)))
+
+
+def _zero_forcing(g):
+    return np.zeros((g.dim,) + g.shape)
+
+
+def _random_pressure(g, rng):
+    return gr.mean_project_array(rng.normal(g.shape), g.dim)
 
 
 class TestSolverConfig:
@@ -39,8 +52,8 @@ class TestSolverConfig:
             dyn.SolverConfig(dt=0.1, scheme="leapfrog")
 
 
-def _full_system(g, D, params, g_field):
-    return dyn._FullSystem(g, D, params, g_field.values, False)
+def _full_system(g, D, params, forcing):
+    return dyn._FullSystem(g, D, params, forcing, False)
 
 
 def _seeded_system(seed, dim):
@@ -60,9 +73,9 @@ def _mean_defect(p, dim):
     return float((np.abs(p.mean(axis=axes)) / (1.0 + np.abs(p).max(axis=axes))).max())
 
 
-def _one_step(state, cfg, g_field, D, params):
+def _one_step(state, g, cfg, forcing, D, params):
     """(u, p) after one step of `simulate`, which ends at t = dt."""
-    traj = dyn.simulate(state, cfg, g_field, D, params, cfg.dt)
+    traj = dyn.simulate(state, g, cfg, forcing, D, params, cfg.dt)
     assert traj.times.tolist() == [0.0, cfg.dt]
     return traj.u[-1], traj.p[-1]
 
@@ -71,26 +84,25 @@ class TestRhsFull:
     def test_zero_state_zero_forcing(self):
         g, D = small_setup()
         zero = np.zeros((2,) + g.shape)
-        du, dp = _full_system(g, D, QUINTIC, gr.zeros_vector(g)).rhs(zero, zero[0])
+        du, dp = _full_system(g, D, QUINTIC, _zero_forcing(g)).rhs(zero, zero[0])
         assert np.all(du == 0.0) and np.all(dp == 0.0)
 
     def test_definition_unrolls_for_pressure_mode(self):
         g, D = small_setup()
-        p = gr.project_mean_zero(gr.sine_mode(g, (1, 1)))
+        p = gr.mean_project_array(gr.sine_mode(g, (1, 1)), g.dim)
         rng = SplitMix64(3)
-        gf = VectorField(g, rng.normal((2,) + g.shape))
-        du, _ = _full_system(g, D, QUINTIC, gf).rhs(np.zeros((2,) + g.shape), p.values)
-        expected = -gr.grad(p).values + gf.values
+        gf = rng.normal((2,) + g.shape)
+        du, _ = _full_system(g, D, QUINTIC, gf).rhs(np.zeros((2,) + g.shape), p)
+        expected = -gr.grad_array(p, g.h, g.dim) + gf
         assert np.abs(du - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_pressure_rate_is_mean_zero(self):
         g, D = small_setup()
-        sys = _full_system(g, D, QUINTIC, gr.zeros_vector(g))
+        sys = _full_system(g, D, QUINTIC, _zero_forcing(g))
         rng = SplitMix64(5)
         for _ in range(20):
             u = rng.normal((2,) + g.shape)
-            p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-            _, dp = sys.rhs(u, p.values)
+            _, dp = sys.rhs(u, _random_pressure(g, rng))
             assert abs(dp.mean()) <= 1e-13
 
 
@@ -230,7 +242,8 @@ class TestStep:
     def test_zero_fixed_point(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=1e-3)
-        u, p = _one_step(dyn.SimState.zero(g), cfg, gr.zeros_vector(g), D, QUINTIC)
+        zero = (np.zeros((2,) + g.shape), np.zeros(g.shape))
+        u, p = _one_step(zero, g, cfg, _zero_forcing(g), D, QUINTIC)
         assert np.all(u == 0.0) and np.all(p == 0.0)
 
     def test_local_order_against_dense_exponential(self):
@@ -241,10 +254,9 @@ class TestStep:
         errs = []
         for dt in (4e-4, 2e-4):
             cfg = dyn.SolverConfig(dt=dt)
-            u, p = _one_step(state, cfg, gr.zeros_vector(g), D, LINEAR)
-            ue, pe = prop.apply(state.u, state.p, dt)
-            errs.append(np.sqrt(np.sum((u - ue.values) ** 2)
-                                + np.sum((p - pe.values) ** 2)))
+            u, p = _one_step(state, g, cfg, _zero_forcing(g), D, LINEAR)
+            ue, pe = prop.apply(*state, dt)
+            errs.append(np.sqrt(np.sum((u - ue) ** 2) + np.sum((p - pe) ** 2)))
         order = np.log2(errs[0] / errs[1])
         assert order >= 4.5
 
@@ -253,11 +265,11 @@ class TestStep:
         g, D = small_setup()
         state = make_initial_state(g, "smooth", 1.0, seed=13)
         rng = SplitMix64(17)
-        gf = VectorField(g, 0.3 * rng.normal((2,) + g.shape))
+        gf = 0.3 * rng.normal((2,) + g.shape)
         cs = []
         for dt in (4e-4, 2e-4, 1e-4):
             cfg = dyn.SolverConfig(dt=dt)
-            traj = dyn.simulate(state, cfg, gf, D, QUINTIC, t_max=dt,
+            traj = dyn.simulate(state, g, cfg, gf, D, QUINTIC, t_max=dt,
                                 collect_work=True)
             audit = an.energy_audit(traj)
             cs.append(abs(float(audit.residual_trap[0])) / dt ** 3)
@@ -269,19 +281,19 @@ class TestStep:
         s = make_initial_state(g, "smooth", 1.0, seed=14)
         cfg = dyn.SolverConfig(dt=1e-2, scheme="semi_implicit")
         with pytest.raises(ValueError, match="scheme = rk4"):
-            dyn.simulate(s, cfg, gr.zeros_vector(g), D, QUINTIC, 0.05,
+            dyn.simulate(s, g, cfg, _zero_forcing(g), D, QUINTIC, 0.05,
                          collect_work=True)
 
     def test_semi_implicit_consistent_with_rk4(self):
         g, D = small_setup()
         state = make_initial_state(g, "smooth", 1.0, seed=19)
-        fine = dyn.simulate(state, dyn.SolverConfig(dt=1e-4), gr.zeros_vector(g),
+        fine = dyn.simulate(state, g, dyn.SolverConfig(dt=1e-4), _zero_forcing(g),
                             D, QUINTIC, t_max=0.05, snapshot_every=500)
         u_ref, p_ref = fine.u[-1], fine.p[-1]
         errs = []
         for dt in (5e-3, 2.5e-3):
             cfg = dyn.SolverConfig(dt=dt, scheme="semi_implicit", cg_tol=1e-12)
-            traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC,
+            traj = dyn.simulate(state, g, cfg, _zero_forcing(g), D, QUINTIC,
                                 t_max=0.05, snapshot_every=int(0.05 / dt))
             u, p = traj.u[-1], traj.p[-1]
             errs.append(np.sqrt(np.sum((u - u_ref) ** 2) + np.sum((p - p_ref) ** 2)))
@@ -291,14 +303,14 @@ class TestStep:
         g, D = small_setup()
         state = make_initial_state(g, "smooth", 1.0, seed=23)
         # drag-stiff configuration: linear CFL holds, explicit drag does not
-        hot = dyn.SimState(VectorField(g, 60.0 * state.u.values), state.p)
+        hot = (60.0 * state[0], state[1])
         cfg = dyn.SolverConfig(dt=2e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             # the first step is still finite (|u| ~ 4e192); the second overflows
-            u, _ = _one_step(hot, cfg, gr.zeros_vector(g), D, QUINTIC)
+            u, _ = _one_step(hot, g, cfg, _zero_forcing(g), D, QUINTIC)
             assert np.isfinite(u).all()
             with pytest.raises(dyn.BlowUpError) as err:
-                dyn.simulate(hot, cfg, gr.zeros_vector(g), D, QUINTIC, t_max=1.0)
+                dyn.simulate(hot, g, cfg, _zero_forcing(g), D, QUINTIC, t_max=1.0)
         assert err.value.step_count == 2
         assert "step 2 " in str(err.value)
 
@@ -314,8 +326,8 @@ class TestStep:
                                      seed=int(rng.integers(1, 1 << 30)))
                   for kind in ("white_pressure", "smooth")[:2 if batched else 1]]
         cfg = dyn.SolverConfig(dt=1e-3 if scheme == "rk4" else 1e-2, scheme=scheme)
-        traj = dyn.simulate(states if batched else states[0], cfg, forcing, D, QUINTIC,
-                            40 * cfg.dt, snapshot_every=int(rng.integers(1, 8)))
+        traj = dyn.simulate(_batch(states) if batched else states[0], g, cfg, forcing, D,
+                            QUINTIC, 40 * cfg.dt, snapshot_every=int(rng.integers(1, 8)))
         assert traj.p.shape == (len(traj.times),) + (2,) * batched + g.shape
         assert _mean_defect(traj.p, dim) <= 1e-12
 
@@ -330,19 +342,20 @@ class TestStep:
                                    seed=int(rng.integers(1, 1 << 30)))
         every = int(rng.integers(1, 8))
         for run in (dyn.run_split, dyn.run_bootstrap_split):
-            split = run(state.p, forcing, cfg, D, QUINTIC, 20 * cfg.dt, snapshot_every=every)
+            split = run(state[1], g, forcing, cfg, D, QUINTIC, 20 * cfg.dt,
+                        snapshot_every=every)
             for part in (split.p, split.q, split.r):
                 assert _mean_defect(part, dim) <= 1e-12
-        pair = perturbed_pair(state, int(rng.integers(1, 1 << 30)), 0.1)
-        es = dyn.run_exp_split(pair, forcing, cfg, D, QUINTIC, 20 * cfg.dt, every)
+        pair = perturbed_pair(state, g, int(rng.integers(1, 1 << 30)), 0.1)
+        es = dyn.run_exp_split(pair, g, forcing, cfg, D, QUINTIC, 20 * cfg.dt, every)
         assert _mean_defect(es.Q, dim) <= 1e-12
 
 
 class TestLipschitz:
     def test_difference_admits_exponential_envelope(self):
         g, D = small_setup()
-        pair = perturbed_pair(make_initial_state(g, "smooth", 1.0, seed=31), 32, 1e-3)
-        st = an.lipschitz_study(pair, dyn.SolverConfig(dt=1e-3), gr.zeros_vector(g),
+        pair = perturbed_pair(make_initial_state(g, "smooth", 1.0, seed=31), g, 32, 1e-3)
+        st = an.lipschitz_study(pair, g, dyn.SolverConfig(dt=1e-3), _zero_forcing(g),
                                 D, QUINTIC, 2.0, 100)
         assert np.isfinite(st.K)
         assert st.excess <= 1.05
@@ -487,12 +500,12 @@ class TestWorkIntegrals:
         forcing = make_forcing(g, "fixed_random", seed=301, amplitude=1.0)
         state = make_initial_state(g, "smooth", 1.0, seed=303)
         cfg, n_steps = dyn.SolverConfig(dt=1e-3), 25
-        traj = dyn.simulate(state, cfg, forcing, D, params, n_steps * cfg.dt,
+        traj = dyn.simulate(state, g, cfg, forcing, D, params, n_steps * cfg.dt,
                             convective_on=conv, collect_work=True)
 
-        sys = dyn._FullSystem(g, D, params, forcing.values, conv)
+        sys = dyn._FullSystem(g, D, params, forcing, conv)
         axes = tuple(range(-dim, 0))
-        y = (state.u.values, gr.mean_project_array(state.p.values, dim))
+        y = (state[0], gr.mean_project_array(state[1], dim))
         energy, endpoint, work = [], [], []
         for k in range(n_steps + 1):
             energy.append(g.cell_volume * float(np.vdot(D.apply_array(y[0]), y[0])
@@ -530,10 +543,10 @@ class TestBatchedSimulate:
                   for i, amp in enumerate((0.3, 1.0, 4.0))]
         cfg = dyn.SolverConfig(dt=1e-3 if scheme == "rk4" else 1e-2, scheme=scheme)
         kw = dict(snapshot_every=3, convective_on=dim == 3)
-        batch = dyn.simulate(states, cfg, forcing, D, QUINTIC, 0.06, **kw)
+        batch = dyn.simulate(_batch(states), g, cfg, forcing, D, QUINTIC, 0.06, **kw)
         assert batch.u.shape[:2] == batch.p.shape[:2] == (len(batch.times), len(states))
         for m, s in enumerate(states):
-            one = dyn.simulate(s, cfg, forcing, D, QUINTIC, 0.06, **kw)
+            one = dyn.simulate(s, g, cfg, forcing, D, QUINTIC, 0.06, **kw)
             assert np.array_equal(batch.times, one.times) and len(one.times) > 2
             assert np.array_equal(batch.u[:, m], one.u)
             assert np.array_equal(batch.p[:, m], one.p)
@@ -545,11 +558,11 @@ class TestBatchedSimulate:
         # semi-implicit step hands that member's CG a NaN load
         g, D = small_setup()
         ok = make_initial_state(g, "smooth", 1.0, seed=95)
-        hot = dyn.SimState(VectorField(g, 80.0 * ok.u.values), ok.p)
+        hot = (80.0 * ok[0], ok[1])
         cfg = dyn.SolverConfig(dt=2e-3 if scheme == "rk4" else 0.05, scheme=scheme)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(error) as err:
-                dyn.simulate([ok, ok, hot], cfg, gr.zeros_vector(g), D, QUINTIC, 1.0)
+                dyn.simulate(_batch([ok, ok, hot]), g, cfg, _zero_forcing(g), D, QUINTIC, 1.0)
         assert err.value.member == 2 and "member 2:" in str(err.value)
 
     @pytest.mark.parametrize("batch", [False, True])
@@ -572,21 +585,16 @@ class TestBatchedSimulate:
         s = make_initial_state(g, "smooth", 1.0, seed=97)
         who = "ensemble member 1: " if batch else ""
         with pytest.raises(RuntimeError, match=f"^{who}pressure mean drifted to 1.000e-09 at step 1$"):
-            dyn.simulate([s, s, s] if batch else s, dyn.SolverConfig(dt=1e-3),
-                         gr.zeros_vector(g), D, QUINTIC, 0.01)
+            dyn.simulate(_batch([s, s, s]) if batch else s, g, dyn.SolverConfig(dt=1e-3),
+                         _zero_forcing(g), D, QUINTIC, 0.01)
 
-    def test_member_list_rejects_work_integrals_and_mixed_grids(self):
+    def test_batch_rejects_work_integrals(self):
         g, D = small_setup()
         s = make_initial_state(g, "smooth", 1.0, seed=96)
         cfg = dyn.SolverConfig(dt=1e-3)
         with pytest.raises(ValueError, match="collect_work"):
-            dyn.simulate([s, s], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01,
+            dyn.simulate(_batch([s, s]), g, cfg, _zero_forcing(g), D, QUINTIC, 0.01,
                          collect_work=True)
-        other = dyn.SimState.zero(Grid(2, 6))
-        with pytest.raises(ValueError, match="one grid"):
-            dyn.simulate([s, other], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01)
-        with pytest.raises(ValueError, match="one or more"):
-            dyn.simulate([], cfg, gr.zeros_vector(g), D, QUINTIC, 0.01)
 
 
 def _count_cg_iterations(monkeypatch) -> list[int]:
@@ -616,11 +624,10 @@ class TestWarmStart:
     iterations."""
 
     @staticmethod
-    def _cold_run(state, cfg, forcing, D, n_steps):
+    def _cold_run(state, g, cfg, forcing, D, n_steps):
         """(u, p) at each step end of cold semi-implicit steps from `state`."""
-        g = state.grid
-        sys = dyn._FullSystem(g, D, QUINTIC, forcing.values, False)
-        run = [(state.u.values, gr.mean_project_array(state.p.values, g.dim))]
+        sys = dyn._FullSystem(g, D, QUINTIC, forcing, False)
+        run = [(state[0], gr.mean_project_array(state[1], g.dim))]
         for _ in range(n_steps):
             u, p = dyn._semi_implicit_full(sys, *run[-1], cfg.dt, cfg.cg_tol)
             run.append((u, gr.mean_project_array(p, g.dim)))
@@ -641,13 +648,14 @@ class TestWarmStart:
                     forcing = make_forcing(g, "fixed_random", seed=seed, amplitude=1.0)
                     states = [make_initial_state(g, kind, amp, seed=seed + 1 + i)
                               for i, amp in enumerate((1.0, 3.0) if batched else (2.0,))]
-                    warm = dyn.simulate(states if batched else states[0], cfg, forcing, D,
-                                        QUINTIC, n_steps * cfg.dt, snapshot_every=every)
+                    warm = dyn.simulate(_batch(states) if batched else states[0], g, cfg,
+                                        forcing, D, QUINTIC, n_steps * cfg.dt,
+                                        snapshot_every=every)
                     assert len(warm.times) > 2
                     for m, s in enumerate(states):
-                        cold = self._cold_run(s, cfg, forcing, D, n_steps)
+                        cold = self._cold_run(s, g, cfg, forcing, D, n_steps)
                         # step 1 has no history: it is the cold step, bit for bit
-                        first = dyn.simulate(s, cfg, forcing, D, QUINTIC, cfg.dt)
+                        first = dyn.simulate(s, g, cfg, forcing, D, QUINTIC, cfg.dt)
                         assert np.array_equal(first.u[1], cold[1][0])
                         us, ps = (warm.u[:, m], warm.p[:, m]) if batched else (warm.u, warm.p)
                         for t, u, p in zip(warm.times, us, ps):
@@ -667,16 +675,15 @@ class TestWarmStart:
         D = MediumMatrix.diagonal((1.0, 2.0))
         forcing = make_forcing(g, "fixed_random", seed=71, amplitude=1.0)
         if kind == "white_u":
-            state = dyn.SimState(VectorField(g, SplitMix64(73).normal((2,) + g.shape)),
-                                 gr.zeros_scalar(g))
+            state = (SplitMix64(73).normal((2,) + g.shape), np.zeros(g.shape))
         else:
             state = make_initial_state(g, kind, 1.0, seed=72)
         cfg = dyn.SolverConfig(dt=0.01, scheme="semi_implicit")
         iters = _count_cg_iterations(monkeypatch)
-        dyn.simulate(state, cfg, forcing, D, QUINTIC, 60 * cfg.dt, snapshot_every=60)
+        dyn.simulate(state, g, cfg, forcing, D, QUINTIC, 60 * cfg.dt, snapshot_every=60)
         warm = iters.copy()
         iters.clear()
-        self._cold_run(state, cfg, forcing, D, 60)
+        self._cold_run(state, g, cfg, forcing, D, 60)
         cold = iters
         assert len(warm) == len(cold) == 60
         # the cubic extrapolation's count, pinned: a lower-order start meets
@@ -698,10 +705,10 @@ class TestEllipticSolver:
     def test_linear_matches_direct_cg(self):
         g, _ = small_setup()
         rng = SplitMix64(37)
-        p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-        gt = VectorField(g, rng.normal((2,) + g.shape))
-        u, _ = dyn.solve_elliptic_arrays(p.values, gt.values, LINEAR, g, newton_tol=1e-12)
-        rhs = gt.values - gr.grad(p).values
+        p = _random_pressure(g, rng)
+        gt = rng.normal((2,) + g.shape)
+        u, _ = dyn.solve_elliptic_arrays(p, gt, LINEAR, g, newton_tol=1e-12)
+        rhs = gt - gr.grad_array(p, g.h, g.dim)
         direct = conjugate_gradient(
             lambda x: -gr.lap_array(x, g.h, g.dim), rhs, rtol=1e-13)
         assert np.abs(u - direct).max() <= 1e-10
@@ -710,10 +717,10 @@ class TestEllipticSolver:
     def test_quintic_converges_with_quadratic_tail(self, amp):
         g, _ = small_setup(n=16)
         rng = SplitMix64(41)
-        p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-        gt = VectorField(g, rng.normal((2,) + g.shape))
-        gt = VectorField(g, gt.values * (amp / gr.norm_l2(gt)))
-        u, hist = dyn.solve_elliptic_arrays(p.values, gt.values, QUINTIC, g,
+        p = _random_pressure(g, rng)
+        gt = rng.normal((2,) + g.shape)
+        gt = gt * (amp / gr.norm_l2(gt, g))
+        u, hist = dyn.solve_elliptic_arrays(p, gt, QUINTIC, g,
                                             newton_tol=1e-10, newton_max=20)
         assert hist[-1] <= 1e-10
         assert len(hist) <= 20
@@ -728,7 +735,7 @@ class TestEllipticSolver:
         # and reaches the tolerance
         g = Grid(2, 16)
         p = np.zeros(g.shape)
-        gt = make_forcing(g, "fixed_random", seed=5, amplitude=100.0).values
+        gt = make_forcing(g, "fixed_random", seed=5, amplitude=100.0)
 
         def rnorm(u):
             r = dyn._elliptic_residual(u, p, gt, QUINTIC, g)
@@ -743,10 +750,10 @@ class TestEllipticSolver:
     def test_nonconvergence_reports_history(self):
         g, _ = small_setup()
         rng = SplitMix64(47)
-        p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-        gt = VectorField(g, 10.0 * rng.normal((2,) + g.shape))
+        p = _random_pressure(g, rng)
+        gt = 10.0 * rng.normal((2,) + g.shape)
         with pytest.raises(dyn.NewtonError) as err:
-            dyn.solve_elliptic_arrays(p.values, gt.values, QUINTIC, g,
+            dyn.solve_elliptic_arrays(p, gt, QUINTIC, g,
                                       newton_tol=1e-14, newton_max=1)
         assert len(err.value.history) >= 1
 
@@ -757,7 +764,7 @@ class TestTruncated:
     def test_zero_fixed_point(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=0.05)
-        traj = dyn.run_bootstrap_split(gr.zeros_scalar(g), gr.zeros_vector(g), cfg, D,
+        traj = dyn.run_bootstrap_split(np.zeros(g.shape), g, _zero_forcing(g), cfg, D,
                                        QUINTIC, cfg.dt)
         assert len(traj.p) == 2 and not traj.p[-1].any() and not traj.u[-1].any()
 
@@ -766,18 +773,18 @@ class TestTruncated:
         g, D = small_setup()
         op = an.assemble_operator(g, D)
         rng = SplitMix64(53)
-        p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-        gf = VectorField(g, 0.5 * rng.normal((2,) + g.shape))
+        p0 = _random_pressure(g, rng)
+        gf = 0.5 * rng.normal((2,) + g.shape)
         cfg = dyn.SolverConfig(dt=0.01, newton_tol=1e-12, cg_tol=1e-13)
-        traj = dyn.run_bootstrap_split(p0, gf, cfg, D, LINEAR, t_max=0.5,
+        traj = dyn.run_bootstrap_split(p0, g, gf, cfg, D, LINEAR, t_max=0.5,
                                        snapshot_every=50)
         # constant source in reduced coordinates
         minv_g = conjugate_gradient(lambda x: -gr.lap_array(x, g.h, g.dim),
-                                    gf.values, rtol=1e-13)
+                                    gf, rtol=1e-13)
         r = -gr.mean_project_array(
             gr.div_array(D.apply_array(minv_g), g.h, g.dim), g.dim)
         c_r = op.basis.T @ r.ravel()
-        c0 = op.basis.T @ p0.values.ravel()
+        c0 = op.basis.T @ p0.ravel()
         V, s = op.eigenvectors, op.spectrum
         t = 0.5
         decay = np.exp(-s * t)
@@ -789,9 +796,9 @@ class TestTruncated:
     def test_unforced_linear_norm_decays(self):
         g, D = small_setup()
         rng = SplitMix64(59)
-        p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
+        p0 = _random_pressure(g, rng)
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
-        traj = dyn.run_bootstrap_split(p0, gr.zeros_vector(g), cfg, D, LINEAR, t_max=1.0)
+        traj = dyn.run_bootstrap_split(p0, g, _zero_forcing(g), cfg, D, LINEAR, t_max=1.0)
         norms = [np.linalg.norm(p) for p in traj.p]
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -800,15 +807,15 @@ class TestSplits:
     @staticmethod
     def _run(split, g, D, params, seed=61, t_max=2.0):
         rng = SplitMix64(seed)
-        p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-        gf = VectorField(g, 0.5 * rng.normal((2,) + g.shape))
+        p0 = _random_pressure(g, rng)
+        gf = 0.5 * rng.normal((2,) + g.shape)
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12, cg_tol=1e-13)
-        return split(p0, gf, cfg, D, params, t_max, snapshot_every=4)
+        return split(p0, g, gf, cfg, D, params, t_max, snapshot_every=4)
 
     def test_zero_reference_gives_zero_parts(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
-        split = dyn.run_split(gr.zeros_scalar(g), gr.zeros_vector(g), cfg, D, QUINTIC,
+        split = dyn.run_split(np.zeros(g.shape), g, _zero_forcing(g), cfg, D, QUINTIC,
                               t_max=0.5)
         assert np.abs(split.q).max() <= 1e-12
         assert np.abs(split.r).max() <= 1e-12
@@ -834,13 +841,13 @@ class TestSplits:
         g, D = small_setup(n=8)
         split = self._run(dyn.run_bootstrap_split, g, D, QUINTIC, seed=67)
         v, w, u0 = split.v[0], split.w[0], split.u[0]
-        assert gr.vector_spectral_norm(VectorField(g, w), 1.0) > 0.0
+        assert gr.spectral_norm(w, g, 1.0) > 0.0
         assert np.abs(v + w - u0).max() <= 1e-8 * np.abs(u0).max()
 
     def test_bootstrap_zero_reference(self):
         g, D = small_setup()
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
-        split = dyn.run_bootstrap_split(gr.zeros_scalar(g), gr.zeros_vector(g), cfg, D,
+        split = dyn.run_bootstrap_split(np.zeros(g.shape), g, _zero_forcing(g), cfg, D,
                                         QUINTIC, t_max=0.5)
         assert np.abs(split.q).max() <= 1e-12
         assert np.abs(split.r).max() <= 1e-12
@@ -895,7 +902,7 @@ class TestExpSplit:
         g, D = small_setup()
         state = make_initial_state(g, "smooth", 1.0, seed=71)
         cfg = dyn.SolverConfig(dt=1e-3)
-        es = dyn.run_exp_split((state, state), gr.zeros_vector(g), cfg, D, QUINTIC,
+        es = dyn.run_exp_split(_batch([state, state]), g, _zero_forcing(g), cfg, D, QUINTIC,
                                0.2, snapshot_every=50)
         assert np.abs(es.V).max() <= 1e-13  # hat and tilde
 
@@ -904,12 +911,11 @@ class TestExpSplit:
         # state turns NaN within the first step
         g, D = small_setup()
         state = make_initial_state(g, "smooth", 1.0, seed=75)
-        u_bad = state.u.values.copy()
+        u_bad = state[0].copy()
         u_bad[0, 3, 3] = 1e100
-        other = dyn.SimState(VectorField(g, u_bad), state.p)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(dyn.BlowUpError) as err:
-                dyn.run_exp_split((state, other), gr.zeros_vector(g),
+                dyn.run_exp_split(_batch([state, (u_bad, state[1])]), g, _zero_forcing(g),
                                   dyn.SolverConfig(dt=1e-3), D, QUINTIC, 0.02,
                                   snapshot_every=5)
         assert err.value.step_count == 1
@@ -918,10 +924,10 @@ class TestExpSplit:
     def test_nonfinite_initial_state_raises_blowup_at_step_0(self):
         g, D = small_setup()
         state = make_initial_state(g, "smooth", 1.0, seed=76)
-        other = dyn.SimState(state.u.copy(), state.p)
-        other.u.values[1, 2, 5] = np.nan  # after the field's own finiteness check
+        u_bad = state[0].copy()
+        u_bad[1, 2, 5] = np.nan
         with pytest.raises(dyn.BlowUpError) as err:
-            dyn.run_exp_split((state, other), gr.zeros_vector(g),
+            dyn.run_exp_split(_batch([state, (u_bad, state[1])]), g, _zero_forcing(g),
                               dyn.SolverConfig(dt=1e-3), D, QUINTIC, 0.02,
                               snapshot_every=5)
         assert err.value.step_count == 0
@@ -929,8 +935,8 @@ class TestExpSplit:
 
     def test_hat_decays_tilde_smooth(self):
         g, D = small_setup()
-        pair = perturbed_pair(make_initial_state(g, "smooth", 1.0, seed=73), 74, 1e-3)
-        st = an.exp_split_study(pair, dyn.SolverConfig(dt=1e-3), gr.zeros_vector(g),
+        pair = perturbed_pair(make_initial_state(g, "smooth", 1.0, seed=73), g, 74, 1e-3)
+        st = an.exp_split_study(pair, g, dyn.SolverConfig(dt=1e-3), _zero_forcing(g),
                                 D, QUINTIC, 2.0, 100)
         assert st.split.recombination <= 1e-8
         assert st.hat_fit.rate < 0.0
@@ -971,12 +977,12 @@ class TestSnapshotPolicy:
         for dt, t_max, every, rng in self._draws(701):
             cfg = dyn.SolverConfig(dt=dt)
             n = max(1, int(round(t_max / dt)))
-            traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, t_max,
+            traj = dyn.simulate(state, g, cfg, _zero_forcing(g), D, QUINTIC, t_max,
                                 snapshot_every=every)
             assert traj.times.tolist() == self._every(dt, n, every)
             targets = -0.01 + (t_max + 0.03) * rng.uniform(6)
             targets = np.append(targets, targets[0] + 0.2 * dt)  # shares a step
-            traj = dyn.simulate(state, cfg, gr.zeros_vector(g), D, QUINTIC, t_max,
+            traj = dyn.simulate(state, g, cfg, _zero_forcing(g), D, QUINTIC, t_max,
                                 snapshot_times=targets)
             assert traj.times.tolist() == self._nearest(dt, n, targets)
             assert len(traj.u) == len(traj.p) == len(traj.times)
@@ -987,13 +993,13 @@ class TestSnapshotPolicy:
         for dt, t_max, every, rng in self._draws(711):
             cfg = dyn.SolverConfig(dt=dt)
             n = int(round(t_max / dt))
-            p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-            tr = dyn.run_bootstrap_split(p0, gr.zeros_vector(g), cfg, D, LINEAR, t_max,
+            p0 = _random_pressure(g, rng)
+            tr = dyn.run_bootstrap_split(p0, g, _zero_forcing(g), cfg, D, LINEAR, t_max,
                                          snapshot_every=every)
             assert tr.times.tolist() == self._every(dt, n, every)
             assert len(tr.p) == len(tr.u) == len(tr.times)
-            states = [make_initial_state(g, "smooth", a, seed=712) for a in (0.5, 1.0)]
-            traj = dyn.simulate(states, cfg, gr.zeros_vector(g), D, QUINTIC, t_max,
+            states = _batch([make_initial_state(g, "smooth", a, seed=712) for a in (0.5, 1.0)])
+            traj = dyn.simulate(states, g, cfg, _zero_forcing(g), D, QUINTIC, t_max,
                                 snapshot_every=every)
             assert traj.times.tolist() == self._every(dt, n, every)
             assert traj.u.shape[:2] == traj.p.shape[:2] == (len(traj.times), 2)
@@ -1003,16 +1009,16 @@ class TestSnapshotPolicy:
         D = MediumMatrix.diagonal((1.0, 2.0))
         for dt, t_max, every, rng in self._draws(721, count=3):
             cfg = dyn.SolverConfig(dt=dt)
-            p0 = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape)))
-            gf = VectorField(g, 0.5 * rng.normal((2,) + g.shape))
+            p0 = _random_pressure(g, rng)
+            gf = 0.5 * rng.normal((2,) + g.shape)
             for run in (dyn.run_split, dyn.run_bootstrap_split):
-                split = run(p0, gf, cfg, D, QUINTIC, t_max, snapshot_every=every)
+                split = run(p0, g, gf, cfg, D, QUINTIC, t_max, snapshot_every=every)
                 assert split.times.tolist() == self._every(dt, int(round(t_max / dt)), every)
                 assert all(len(a) == len(split.times) for a in (
                     split.p, split.u, split.q, split.v, split.r, split.w))
             # the difference splitting stores as simulate does, at least one step
-            pair = [make_initial_state(g, "smooth", a, seed=722) for a in (1.0, 1.1)]
-            es = dyn.run_exp_split(pair, gf, cfg, D, QUINTIC, t_max, snapshot_every=every)
+            pair = _batch([make_initial_state(g, "smooth", a, seed=722) for a in (1.0, 1.1)])
+            es = dyn.run_exp_split(pair, g, gf, cfg, D, QUINTIC, t_max, snapshot_every=every)
             n = max(1, int(round(t_max / dt)))
             assert es.times.tolist() == self._every(dt, n, every)
             assert es.V.shape[:2] == es.Q.shape[:2] == (len(es.times), 2)

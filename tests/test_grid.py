@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 
 from bfflow import grid as gr
-from bfflow.grid import Grid, ScalarField, VectorField
+from bfflow.grid import Grid
 from bfflow.rng import SplitMix64
 
 
 def random_scalar(grid, rng):
-    return ScalarField(grid, rng.normal(grid.shape))
+    return rng.normal(grid.shape)
 
 
 def random_vector(grid, rng):
-    return VectorField(grid, rng.normal((grid.dim,) + grid.shape))
+    return rng.normal((grid.dim,) + grid.shape)
+
+
+def grad(p, g):
+    return gr.grad_array(p, g.h, g.dim)
+
+
+def div(U, g):
+    return gr.div_array(U, g.h, g.dim)
 
 
 class TestGridType:
@@ -31,28 +39,21 @@ class TestGridType:
         g = Grid(3, 4)
         assert g.num_nodes == 64
 
-    def test_nonfinite_field_rejected(self):
-        g = Grid(2, 8)
-        vals = np.zeros(g.shape)
-        vals[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            ScalarField(g, vals)
-
 
 class TestGrad:
     def test_zero(self):
         g = Grid(2, 8)
-        out = gr.grad(gr.zeros_scalar(g))
-        assert np.all(out.values == 0.0)
+        out = grad(np.zeros(g.shape), g)
+        assert out.shape == (2,) + g.shape and np.all(out == 0.0)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_matches_analytic_gradient(self, n):
         # oracle: hand-differentiated sin(pi x) sin(pi y)
         g = Grid(2, n)
         x, y = gr.coordinates(g)
-        p = ScalarField(g, np.sin(np.pi * x) * np.sin(np.pi * y))
+        p = np.sin(np.pi * x) * np.sin(np.pi * y)
         exact = np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
-        err = np.abs(gr.grad(p).values[0] - exact).max()
+        err = np.abs(grad(p, g)[0] - exact).max()
         # central-difference truncation bound (pi^3/6) h^2, with margin
         assert err <= 1.2 * (np.pi ** 3 / 6.0) * g.h ** 2
 
@@ -61,9 +62,9 @@ class TestGrad:
         for n in (16, 32):
             g = Grid(2, n)
             x, y = gr.coordinates(g)
-            p = ScalarField(g, np.sin(np.pi * x) * np.sin(np.pi * y))
+            p = np.sin(np.pi * x) * np.sin(np.pi * y)
             exact = np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
-            errs.append(np.abs(gr.grad(p).values[0] - exact).max())
+            errs.append(np.abs(grad(p, g)[0] - exact).max())
         order = np.log2(errs[0] / errs[1]) / np.log2(33.0 / 17.0)
         assert order == pytest.approx(2.0, abs=0.3)
 
@@ -73,15 +74,15 @@ class TestGrad:
         for _ in range(10):
             p = random_scalar(g, rng)
             U = random_vector(g, rng)
-            lhs = gr.vector_inner(gr.grad(p), U)
-            rhs = -gr.inner(p, gr.div(U))
+            lhs = gr.inner(grad(p, g), U, g)
+            rhs = -gr.inner(p, div(U, g), g)
             assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs), 1.0)
 
 
 class TestDiv:
     def test_zero(self):
         g = Grid(2, 8)
-        assert np.all(gr.div(gr.zeros_vector(g)).values == 0.0)
+        assert np.all(div(np.zeros((2,) + g.shape), g) == 0.0)
 
     def test_matches_analytic_laplacian_in_interior(self):
         # div(grad s) equals the analytic Laplacian away from the
@@ -90,17 +91,17 @@ class TestDiv:
         for n in (16, 32):
             g = Grid(2, n)
             x, y = gr.coordinates(g)
-            s = ScalarField(g, np.sin(np.pi * x) * np.sin(np.pi * y))
-            got = gr.div(gr.grad(s)).values
-            exact = -2.0 * np.pi ** 2 * s.values
+            s = np.sin(np.pi * x) * np.sin(np.pi * y)
+            got = div(grad(s, g), g)
+            exact = -2.0 * np.pi ** 2 * s
             interior = (slice(2, -2), slice(2, -2))
             errs.append(np.abs(got[interior] - exact[interior]).max())
         assert errs[1] <= errs[0] / 2.5  # about 4x per halving of h
 
     def test_constant_field_boundary_layer_only(self):
         g = Grid(2, 8)
-        U = VectorField(g, np.stack([np.ones(g.shape), np.zeros(g.shape)]))
-        d = gr.div(U).values
+        U = np.stack([np.ones(g.shape), np.zeros(g.shape)])
+        d = div(U, g)
         assert np.all(d[2:-2, 2:-2] == 0.0)
         assert np.any(d[0, :] != 0.0) and np.any(d[-1, :] != 0.0)
 
@@ -113,11 +114,11 @@ class TestLaplacian:
     @pytest.mark.parametrize("k", [(1, 1), (2, 3), (5, 1)])
     def test_sine_modes_are_exact_eigenvectors(self, k):
         g = Grid(2, 8)
-        mode = gr.sine_mode(g, k).values
-        U = VectorField(g, np.stack([mode, np.zeros(g.shape)]))
+        mode = gr.sine_mode(g, k)
+        U = np.stack([mode, np.zeros(g.shape)])
         lam = -(4.0 / g.h ** 2) * (np.sin(k[0] * np.pi * g.h / 2) ** 2
                                    + np.sin(k[1] * np.pi * g.h / 2) ** 2)
-        got = gr.lap_array(U.values, g.h, g.dim)[0]
+        got = gr.lap_array(U, g.h, g.dim)[0]
         assert np.abs(got - lam * mode).max() <= 1e-11 * abs(lam)
 
     def test_negative_definite(self):
@@ -125,7 +126,7 @@ class TestLaplacian:
         rng = SplitMix64(11)
         for _ in range(10):
             U = random_vector(g, rng)
-            assert np.vdot(gr.lap_array(U.values, g.h, g.dim), U.values) < 0.0
+            assert np.vdot(gr.lap_array(U, g.h, g.dim), U) < 0.0
 
     def test_symmetric_and_matches_forward_difference_energy(self):
         # the compact stencil pairs exactly with the forward-difference
@@ -135,17 +136,17 @@ class TestLaplacian:
         U = random_vector(g, rng)
         V = random_vector(g, rng)
         w = g.cell_volume
-        a = w * np.vdot(gr.lap_array(U.values, g.h, g.dim), V.values)
-        b = w * np.vdot(U.values, gr.lap_array(V.values, g.h, g.dim))
+        a = w * np.vdot(gr.lap_array(U, g.h, g.dim), V)
+        b = w * np.vdot(U, gr.lap_array(V, g.h, g.dim))
         assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
         energy = 0.0
         for comp in range(g.dim):
             for ax in range(g.dim):
                 padded = np.zeros((g.n + 2, g.n + 2))
-                padded[1:-1, 1:-1] = U.values[comp]
+                padded[1:-1, 1:-1] = U[comp]
                 dif = np.diff(padded, axis=ax)
                 energy += g.cell_volume / g.h ** 2 * np.sum(dif * dif)
-        quad = -w * np.vdot(gr.lap_array(U.values, g.h, g.dim), U.values)
+        quad = -w * np.vdot(gr.lap_array(U, g.h, g.dim), U)
         assert quad == pytest.approx(energy, rel=1e-12)
 
 
@@ -154,13 +155,13 @@ class TestWeightedInner:
         g = Grid(2, 8)
         rng = SplitMix64(17)
         U = random_vector(g, rng)
-        assert gr.weighted_inner(np.eye(2), U, U) == pytest.approx(
-            gr.norm_l2(U) ** 2, rel=1e-14)
+        assert gr.weighted_inner(np.eye(2), U, U, g) == pytest.approx(
+            gr.norm_l2(U, g) ** 2, rel=1e-14)
 
     def test_hand_summation(self):
         g = Grid(2, 8)
-        U = VectorField(g, np.stack([np.ones(g.shape), np.zeros(g.shape)]))
-        val = gr.weighted_inner(np.diag([2.0, 3.0]), U, U)
+        U = np.stack([np.ones(g.shape), np.zeros(g.shape)])
+        val = gr.weighted_inner(np.diag([2.0, 3.0]), U, U, g)
         assert val == pytest.approx(2.0 * g.h ** 2 * 64, rel=1e-15)
 
     def test_symmetry(self):
@@ -168,8 +169,8 @@ class TestWeightedInner:
         rng = SplitMix64(19)
         D = np.array([[2.0, 0.5], [0.5, 1.0]])
         U, V = random_vector(g, rng), random_vector(g, rng)
-        a = gr.weighted_inner(D, U, V)
-        b = gr.weighted_inner(D, V, U)
+        a = gr.weighted_inner(D, U, V, g)
+        b = gr.weighted_inner(D, V, U, g)
         assert abs(a - b) <= 1e-15 * max(abs(a), 1.0)
 
 
@@ -178,27 +179,27 @@ class TestSpectral:
         g = Grid(2, 16)
         rng = SplitMix64(23)
         f = random_scalar(g, rng)
-        c = gr.sine_coefficients(f)
-        assert np.sum(c * c) == pytest.approx(gr.norm_l2(f) ** 2, rel=1e-12)
+        c = gr.sine_coefficients_array(f, g)
+        assert np.sum(c * c) == pytest.approx(gr.norm_l2(f, g) ** 2, rel=1e-12)
         back = gr.sine_synthesis_array(c, g)
-        assert np.abs(back - f.values).max() <= 1e-12
+        assert np.abs(back - f).max() <= 1e-12
 
     def test_sobolev_zero_field(self):
         g = Grid(2, 8)
-        assert gr.spectral_norm(gr.zeros_scalar(g), 0.7) == 0.0
+        assert gr.spectral_norm(np.zeros(g.shape), g, 0.7) == 0.0
 
     def test_sobolev_delta0_is_l2(self):
         g = Grid(2, 16)
         rng = SplitMix64(29)
         f = random_scalar(g, rng)
-        assert gr.spectral_norm(f, 0.0) == pytest.approx(gr.norm_l2(f), rel=1e-12)
+        assert gr.spectral_norm(f, g, 0.0) == pytest.approx(gr.norm_l2(f, g), rel=1e-12)
 
     def test_sobolev_lowest_mode_delta1(self):
         g = Grid(2, 8)
         f = gr.sine_mode(g, (1, 1))
         lam1 = (8.0 / g.h ** 2) * np.sin(np.pi * g.h / 2.0) ** 2
         assert lam1 == pytest.approx(19.539590865365682, rel=1e-14)  # frozen
-        assert gr.spectral_norm(f, 1.0) == pytest.approx(np.sqrt(lam1), rel=1e-12)
+        assert gr.spectral_norm(f, g, 1.0) == pytest.approx(np.sqrt(lam1), rel=1e-12)
 
     def test_sobolev_monotone_in_delta(self):
         g = Grid(2, 16)
@@ -206,31 +207,31 @@ class TestSpectral:
         assert lam.min() >= 1.0  # precondition for monotonicity
         rng = SplitMix64(31)
         f = random_scalar(g, rng)
-        norms = [gr.spectral_norm(f, d) for d in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        norms = [gr.spectral_norm(f, g, d) for d in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert all(a <= b * (1 + 1e-13) for a, b in zip(norms, norms[1:]))
 
 
 class TestMeanProjection:
     def test_constant_to_zero(self):
         g = Grid(2, 8)
-        out = gr.project_mean_zero(ScalarField(g, np.full(g.shape, 3.7)))
-        assert np.abs(out.values).max() <= 1e-14
+        out = gr.mean_project_array(np.full(g.shape, 3.7), g.dim)
+        assert np.abs(out).max() <= 1e-14
 
     def test_idempotent(self):
         g = Grid(2, 8)
         rng = SplitMix64(37)
-        p0 = gr.project_mean_zero(random_scalar(g, rng))
-        p1 = gr.project_mean_zero(p0)
-        assert np.abs(p1.values - p0.values).max() <= 1e-15
+        p0 = gr.mean_project_array(random_scalar(g, rng), g.dim)
+        p1 = gr.mean_project_array(p0, g.dim)
+        assert np.abs(p1 - p0).max() <= 1e-15
 
     def test_mean_removed_and_reconstructible(self):
         g = Grid(2, 8)
         rng = SplitMix64(41)
         p = random_scalar(g, rng)
-        m = p.values.mean()
-        out = gr.project_mean_zero(p)
-        assert abs(out.values.mean()) <= 1e-14
-        assert np.abs(out.values + m - p.values).max() <= 1e-14
+        m = p.mean()
+        out = gr.mean_project_array(p, g.dim)
+        assert abs(out.mean()) <= 1e-14
+        assert np.abs(out + m - p).max() <= 1e-14
 
 
 class TestStencilProperties:
@@ -241,8 +242,8 @@ class TestStencilProperties:
         for _ in range(100):
             p = random_scalar(g, rng)
             U = random_vector(g, rng)
-            lhs = gr.vector_inner(gr.grad(p), U)
-            rhs = -gr.inner(p, gr.div(U))
+            lhs = gr.inner(grad(p, g), U, g)
+            rhs = -gr.inner(p, div(U, g), g)
             assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs), 1.0)
 
     def test_linearity(self):
@@ -250,13 +251,13 @@ class TestStencilProperties:
         rng = SplitMix64(47)
         a, b = 1.7, -2.3
         F, G = random_scalar(g, rng), random_scalar(g, rng)
-        lin = gr.grad(ScalarField(g, a * F.values + b * G.values)).values
-        sep = a * gr.grad(F).values + b * gr.grad(G).values
+        lin = grad(a * F + b * G, g)
+        sep = a * grad(F, g) + b * grad(G, g)
         assert np.abs(lin - sep).max() <= 1e-13 * np.abs(sep).max()
         U, V = random_vector(g, rng), random_vector(g, rng)
         for op in (gr.div_array, gr.lap_array):
-            lin = op(a * U.values + b * V.values, g.h, g.dim)
-            sep = a * op(U.values, g.h, g.dim) + b * op(V.values, g.h, g.dim)
+            lin = op(a * U + b * V, g.h, g.dim)
+            sep = a * op(U, g.h, g.dim) + b * op(V, g.h, g.dim)
             assert np.abs(lin - sep).max() <= 1e-13 * np.abs(sep).max()
 
     def test_3d_adjointness_and_eigenvalue(self):
@@ -264,14 +265,14 @@ class TestStencilProperties:
         rng = SplitMix64(53)
         p = random_scalar(g, rng)
         U = random_vector(g, rng)
-        lhs = gr.vector_inner(gr.grad(p), U)
-        rhs = -gr.inner(p, gr.div(U))
+        lhs = gr.inner(grad(p, g), U, g)
+        rhs = -gr.inner(p, div(U, g), g)
         assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
-        mode = gr.sine_mode(g, (1, 2, 1)).values
-        W = VectorField(g, np.stack([mode] + [np.zeros(g.shape)] * 2))
+        mode = gr.sine_mode(g, (1, 2, 1))
+        W = np.stack([mode] + [np.zeros(g.shape)] * 2)
         lam = -(4.0 / g.h ** 2) * sum(np.sin(k * np.pi * g.h / 2) ** 2
                                       for k in (1, 2, 1))
-        got = gr.lap_array(W.values, g.h, g.dim)[0]
+        got = gr.lap_array(W, g.h, g.dim)[0]
         assert np.abs(got - lam * mode).max() <= 1e-11 * abs(lam)
 
 

@@ -7,7 +7,7 @@ from bfflow import dynamics as dyn
 from bfflow import grid as gr
 from bfflow import reference as ref
 from bfflow.cli import make_initial_state
-from bfflow.grid import Grid, ScalarField
+from bfflow.grid import Grid
 from bfflow.physics import MediumMatrix, NonlinearityParams
 from bfflow.rng import SplitMix64
 
@@ -64,15 +64,14 @@ class TestPropagator:
         g = prop.grid
         state = make_initial_state(g, "smooth", 1.0, seed=705)
         horizon = 0.02
-        ue, pe = prop.apply(state.u, state.p, horizon)
+        ue, pe = prop.apply(*state, horizon)
         errs = []
         for dt in (4e-4, 2e-4, 1e-4):
-            traj = dyn.simulate(state, dyn.SolverConfig(dt=dt),
-                                gr.zeros_vector(g), prop.D, LINEAR, horizon,
+            traj = dyn.simulate(state, g, dyn.SolverConfig(dt=dt),
+                                np.zeros((2,) + g.shape), prop.D, LINEAR, horizon,
                                 snapshot_every=10 ** 9)
             u, p = traj.u[-1], traj.p[-1]
-            errs.append(np.sqrt(np.sum((u - ue.values) ** 2)
-                                + np.sum((p - pe.values) ** 2)))
+            errs.append(np.sqrt(np.sum((u - ue) ** 2) + np.sum((p - pe) ** 2)))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         for o in orders:
             assert abs(o - 4.0) <= 0.3
@@ -195,7 +194,7 @@ class TestResidualCheck:
     def test_elliptic_solution_closes(self):
         g = Grid(2, 8)
         rng = SplitMix64(709)
-        p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape))).values
+        p = gr.mean_project_array(rng.normal(g.shape), g.dim)
         gt = rng.normal((2,) + g.shape)
         u, _ = dyn.solve_elliptic_arrays(p, gt, QUINTIC, g, newton_tol=1e-11)
         assert self._norm(g, dyn._elliptic_residual(u, p, gt, QUINTIC, g)) <= 1e-11
@@ -204,6 +203,6 @@ class TestResidualCheck:
         g = Grid(2, 8)
         rng = SplitMix64(711)
         u = rng.normal((2,) + g.shape)
-        p = gr.project_mean_zero(ScalarField(g, rng.normal(g.shape))).values
+        p = gr.mean_project_array(rng.normal(g.shape), g.dim)
         r = dyn._elliptic_residual(u, p, np.zeros_like(u), QUINTIC, g)
         assert self._norm(g, r) > 1e-3

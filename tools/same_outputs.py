@@ -2,11 +2,13 @@
 
     python tools/same_outputs.py <other-checkout>
 
-Runs one fixed list of CLI invocations with the sources of each checkout:
-every subcommand on configs/quintic16.cfg (`split` with both split kinds),
-`attractor` on configs/attractor8.cfg, the four benchmark workload configs at
-seed 1 (`quasistatic` also with split_kind = bootstrap), and `attractor` on
-the `ensemble` workload config at seeds 2-12. Each checkout runs the whole
+Runs one fixed list of 30 CLI invocations with the sources of each
+checkout: every subcommand on configs/quintic16.cfg (`split` with both split
+kinds, `simulate` also with initial.kind = mode), `attractor` on
+configs/attractor8.cfg, the four benchmark workload configs at seed 1
+(`quasistatic` also with split_kind = bootstrap), `attractor` on the
+`ensemble` workload config at seeds 2-12, and `simulate` and `lipschitz` on
+a short 3D run at 6^3. Each checkout runs the whole
 list in one process, calling `bfflow.cli.main` once per run, as the benchmark
 does. The configs are read from this checkout (perfbench/workloads.py is
 imported, not changed).
@@ -24,6 +26,27 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# quintic drag on 6^3 with an anisotropic medium, a few CFL steps
+_CUBE6 = """[grid]
+dim = 3
+n = 6
+[medium]
+diag = 1, 2, 1.5
+[nonlinearity]
+alpha = 1
+beta = 1
+l = 2
+[forcing]
+kind = fixed_random
+seed = 42
+[initial]
+kind = smooth
+seed = 7
+[run]
+t_max = 0.05
+snapshot_stride = 0.01
+"""
 
 # run in a fresh interpreter per checkout: argv = src dir, runs file, out dir
 _RUNNER = """
@@ -57,6 +80,8 @@ def _runs() -> list[tuple[str, str, str]]:
         "simulate", "spectrum", "lipschitz", "split", "expsplit", "smoothing",
         "attractor", "audit", "oracle")]
     runs.append(("quintic16-split-bootstrap", "split", quintic + bootstrap))
+    runs.append(("quintic16-simulate-mode", "simulate",
+                 quintic + "\n[initial]\nkind = mode\n"))
     runs.append(("attractor8-attractor", "attractor",
                  (ROOT / "configs" / "attractor8.cfg").read_text()))
     for name, w in WORKLOADS.items():
@@ -65,6 +90,7 @@ def _runs() -> list[tuple[str, str, str]]:
                  config_text("quasistatic", 1) + bootstrap))
     runs += [(f"ensemble-seed{s}", "attractor", config_text("ensemble", s))
              for s in range(2, 13)]
+    runs += [(f"cube6-{sub}", sub, _CUBE6) for sub in ("simulate", "lipschitz")]
     return runs
 
 
