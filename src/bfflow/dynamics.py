@@ -227,13 +227,11 @@ def _pressure_rate(u: np.ndarray, D: MediumMatrix, grid: Grid) -> np.ndarray:
 
 
 class _Buffers:
-    """The arrays one state shape of a `_FullSystem` writes into: padded u,
-    p and D u with zero ghosts, and one array per result."""
+    """The arrays one state shape of a `_FullSystem` writes into, one per
+    result."""
 
     def __init__(self, shape: tuple[int, ...], dim: int, drag: bool, convective: bool):
         p_shape = shape[:-dim - 1] + shape[-dim:]
-        self.u_pad, self.p_pad, self.Du_pad = (gr._padded(np.zeros(s), dim)
-                                               for s in (shape, p_shape, shape))
         self.lap, self.Du, self.du = np.empty(shape), np.empty(shape), np.empty(shape)
         self.fu = np.empty(shape) if drag else None
         self.bu = np.empty(shape) if convective else None
@@ -270,8 +268,7 @@ class _FullSystem:
         with `work` rows, the next row gets (dissipation, drag work, forcing
         work, convective work, (D u, u)) at this single state."""
         g, b = self.grid, self._buffers_for(u.shape)
-        b.u_pad[gr._window(g.dim, 0, 0)] = u
-        lap = gr._lap_into(b.u_pad, u, g.h, g.dim, b.lap)
+        lap = gr.lap_array(u, g.h, g.dim, out=b.lap)
         fu = None if b.fu is None else ph.f_apply_array(u, self.params, g.dim, out=b.fu)
         bu = None if b.bu is None else ph.convective_array(u, u, g.h, g.dim, out=b.bu)
         gt, Du = self.forcing, self.D.apply_array(u, out=b.Du)
@@ -286,16 +283,14 @@ class _FullSystem:
     def rhs(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g, b = self.grid, self._buffers_for(u.shape)
         lap, fu, bu, gt, Du = self.parts(u)
-        b.p_pad[gr._window(g.dim, 0, 0)] = p
-        du = np.subtract(lap, gr._grad_into(b.p_pad, g.h, g.dim, b.du), out=b.du)
+        du = np.subtract(lap, gr.grad_array(p, g.h, g.dim, out=b.du), out=b.du)
         if fu is not None:
             du -= fu
         if bu is not None:
             du -= bu
         du += gt
         # _pressure_rate on the D u already computed
-        b.Du_pad[gr._window(g.dim, 0, 0)] = Du
-        dp = gr.mean_project_array(gr._div_into(b.Du_pad, g.h, g.dim, b.dp), g.dim, out=b.dp)
+        dp = gr.mean_project_array(gr.div_array(Du, g.h, g.dim, out=b.dp), g.dim, out=b.dp)
         return du, np.negative(dp, out=dp)
 
 

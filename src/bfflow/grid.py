@@ -9,6 +9,18 @@ Conventions:
   * the Laplacian is the compact 5-point (2D) / 7-point (3D) stencil, whose
     eigenvectors are exactly the sampled sine modes; all fractional norms
     are defined spectrally through that sine eigenbasis.
+  * each stencil is a Kronecker sum of 1D matrices along the grid axes: with
+    S the neighbour sum (1 on both first off-diagonals) and C the central
+    difference (+1 above the diagonal, -1 below), taken along axis a as S_a
+    and C_a,
+        lap x  = ((-2d x + S_0 x) + S_1 x [+ S_2 x]) / h^2,
+        grad_a = C_a p / (2h),
+        div U  = (C_0 U_0 + C_1 U_1 [+ C_2 U_2]) / (2h).
+    Every entry of S_a x or C_a x adds exactly two nonzero terms with weight
+    +-1, so a matrix product gives it exactly, in any summation order, and
+    equal to the same two terms read off a zero-padded copy. Small grids
+    take the products, larger ones the padded windows; the two give the
+    same bytes, and a batch gives each member what it gets alone.
   * n must be even: for odd n the central-difference gradient has a
     checkerboard kernel mode, which would break the pressure operator's
     positivity and the divergence right-inverse.
@@ -114,14 +126,67 @@ def _shifted(a: np.ndarray, dim: int, axis: int, offset: int) -> np.ndarray:
     return _padded(a, dim)[_window(dim, axis, -offset)].copy()
 
 
-# Each stencil's arithmetic is one kernel: it reads a padded input `b` with
-# zero ghosts (`_padded`, or a buffer the caller owns and refills) and writes
-# into `out`, which it returns.
+# Up to this many nodes per axis the stencils are matrix products, which
+# measured faster there; above it they are window ufuncs on a zero-padded
+# copy, since larger products go to threaded BLAS and measured slower.
+_PRODUCTS_MAX_N = {2: 32, 3: 16}
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only 1D neighbour sum S and central difference C, and a copy of
+    C's transpose, which multiplies the last grid axis from the right."""
+    S = np.eye(n, k=1) + np.eye(n, k=-1)
+    C = np.eye(n, k=1) - np.eye(n, k=-1)
+    mats = (S, C, C.T.copy())
+    for M in mats:
+        M.flags.writeable = False
+    return mats
+
+
+def _along_axis(M: np.ndarray, a: np.ndarray, dim: int, axis: int,
+                MT: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """M applied along grid axis `axis` of `a`, out_i = sum_k M[i, k] a_k, by
+    one stacked matrix product with no axis moved: M @ a on the second-to-last
+    axis, a @ MT on the last (MT is M's transpose, M itself when omitted, for
+    a symmetric M), and in 3D the first grid axis as the rows of an
+    (n, n*n) view. Each leading index gets its own products."""
+    if axis == dim - 1:
+        return np.matmul(a, M if MT is None else MT, out=out)
+    if axis == dim - 2:
+        return np.matmul(M, a, out=out)
+    res = (M @ a.reshape(a.shape[:-3] + (len(M), -1))).reshape(a.shape)
+    if out is None:
+        return res
+    np.copyto(out, res)
+    return out
+
+
+# Each stencil has two kernels that write into `out` and return it: one of
+# matrix products, and one that reads a padded input `b` with zero ghosts
+# (`_padded`). Both add the same terms in the same order.
+
+def _grad_products(p: np.ndarray, h: float, dim: int, out: np.ndarray) -> np.ndarray:
+    _, C, CT = _stencil_matrices(p.shape[-1])
+    for a in range(dim):
+        _along_axis(C, p, dim, a, CT, out=out[_component(dim, a)])
+    out *= 1.0 / (2.0 * h)
+    return out
+
 
 def _grad_into(b: np.ndarray, h: float, dim: int, out: np.ndarray) -> np.ndarray:
     for a in range(dim):
         np.subtract(b[_window(dim, a, 1)], b[_window(dim, a, -1)],
                     out=out[_component(dim, a)])
+    out *= 1.0 / (2.0 * h)
+    return out
+
+
+def _div_products(U: np.ndarray, h: float, dim: int, out: np.ndarray) -> np.ndarray:
+    _, C, CT = _stencil_matrices(U.shape[-1])
+    _along_axis(C, U[_component(dim, 0)], dim, 0, CT, out=out)
+    for a in range(1, dim):
+        out += _along_axis(C, U[_component(dim, a)], dim, a, CT)
     out *= 1.0 / (2.0 * h)
     return out
 
@@ -134,32 +199,57 @@ def _div_into(b: np.ndarray, h: float, dim: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lap_products(x: np.ndarray, h: float, dim: int, out: np.ndarray) -> np.ndarray:
+    S = _stencil_matrices(x.shape[-1])[0]
+    np.multiply(x, -2.0 * dim, out=out)
+    for a in range(dim):
+        out += _along_axis(S, x, dim, a)
+    out *= 1.0 / (h * h)
+    return out
+
+
 def _lap_into(b: np.ndarray, x: np.ndarray, h: float, dim: int,
               out: np.ndarray) -> np.ndarray:
     """`x` is the interior of `b`."""
     np.multiply(x, -2.0 * dim, out=out)
     for a in range(dim):
-        out += b[_window(dim, a, 1)]
-        out += b[_window(dim, a, -1)]
+        out += b[_window(dim, a, 1)] + b[_window(dim, a, -1)]
     out *= 1.0 / (h * h)
     return out
 
 
-def grad_array(p: np.ndarray, h: float, dim: int) -> np.ndarray:
-    """Central gradient; output gains a component axis before the grid axes."""
-    out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
+def _by_products(a: np.ndarray, dim: int) -> bool:
+    return a.shape[-1] <= _PRODUCTS_MAX_N[dim]
+
+
+def grad_array(p: np.ndarray, h: float, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Central gradient; output gains a component axis before the grid axes.
+    Written into `out` if given, which must not overlap `p`."""
+    if out is None:
+        out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
+    if _by_products(p, dim):
+        return _grad_products(p, h, dim, out)
     return _grad_into(_padded(p, dim), h, dim, out)
 
 
-def div_array(U: np.ndarray, h: float, dim: int) -> np.ndarray:
-    """Central divergence; consumes the component axis preceding the grid axes."""
-    out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
+def div_array(U: np.ndarray, h: float, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Central divergence; consumes the component axis preceding the grid
+    axes. Written into `out` if given, which must not overlap `U`."""
+    if out is None:
+        out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
+    if _by_products(U, dim):
+        return _div_products(U, h, dim, out)
     return _div_into(_padded(U, dim), h, dim, out)
 
 
-def lap_array(x: np.ndarray, h: float, dim: int) -> np.ndarray:
-    """Compact Dirichlet Laplacian, applied over the trailing grid axes."""
-    return _lap_into(_padded(x, dim), x, h, dim, np.empty_like(x))
+def lap_array(x: np.ndarray, h: float, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Compact Dirichlet Laplacian, applied over the trailing grid axes.
+    Written into `out` if given, which must not overlap `x`."""
+    if out is None:
+        out = np.empty_like(x)
+    if _by_products(x, dim):
+        return _lap_products(x, h, dim, out)
+    return _lap_into(_padded(x, dim), x, h, dim, out)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +302,11 @@ def _dst1_matrix(n: int) -> np.ndarray:
 
 
 def _dst_all_axes(a: np.ndarray, dim: int) -> np.ndarray:
-    """DST-I over the trailing `dim` axes by stacked matrix products, with no
-    axis moved: S @ a transforms the second-to-last axis, a @ S the last (S
-    is symmetric), and in 3D the first grid axis goes first, as the rows of
-    an (n, n*n) view. Each leading index gets its own products."""
+    """DST-I over the trailing `dim` axes, one grid axis after the other."""
     S = _dst1_matrix(a.shape[-1])
-    if dim == 3:
-        a = (S @ a.reshape(a.shape[:-3] + (len(S), -1))).reshape(a.shape)
-    return (S @ a) @ S
+    for axis in range(dim):
+        a = _along_axis(S, a, dim, axis)
+    return a
 
 
 def sine_coefficients_array(values: np.ndarray, grid: Grid) -> np.ndarray:

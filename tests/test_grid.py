@@ -290,8 +290,12 @@ def _window_reference(b, dim, axis, offset):
     return b[tuple(idx)]
 
 
-_STENCIL_CASES = [(dim, lead, n) for dim in (2, 3) for lead in ((), (3,), (2, 3))
-                  for n in (4, 6, 8, 16)]
+# n = 32 and the 2D n = 64 come last so the earlier cases keep their ids;
+# 3D n = 32 and 2D n = 64 are above the matrix-product switch
+_STENCIL_CASES = ([(dim, lead, n) for dim in (2, 3) for lead in ((), (3,), (2, 3))
+                   for n in (4, 6, 8, 16)]
+                  + [(dim, lead, 32) for dim in (2, 3) for lead in ((), (3,), (2, 3))]
+                  + [(2, lead, 64) for lead in ((), (3,), (2, 3))])
 
 
 class TestStencilsAgainstPaddedReference:
@@ -307,7 +311,7 @@ class TestStencilsAgainstPaddedReference:
         b = _pad_reference(x, dim)
         lap = -2.0 * dim * x
         for a in range(dim):
-            lap = lap + _window_reference(b, dim, a, 1) + _window_reference(b, dim, a, -1)
+            lap = lap + (_window_reference(b, dim, a, 1) + _window_reference(b, dim, a, -1))
         assert np.array_equal(gr.lap_array(x, h, dim), lap * (1.0 / (h * h)))
         grad = np.stack([(1.0 / (2.0 * h)) * (_window_reference(b, dim, a, 1)
                                               - _window_reference(b, dim, a, -1))
@@ -341,6 +345,39 @@ class TestStencilsAgainstPaddedReference:
         lhs = np.vdot(gr.grad_array(p, h, dim), U)
         rhs = -np.vdot(p, gr.div_array(U, h, dim))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_product_and_window_kernels_bit_equal(dim, n, scale):
+    """Both stencil paths add the same exact terms in the same order, so
+    forcing either one gives the same bytes at any magnitude."""
+    h = 1.0 / (n + 1)
+    rng = SplitMix64(8000 + 100 * dim + n)
+    x = scale * rng.normal((2,) + (n,) * dim)
+    U = scale * rng.normal((2, dim) + (n,) * dim)
+    pairs = [(gr._lap_products(x, h, dim, np.empty_like(x)),
+              gr._lap_into(gr._padded(x, dim), x, h, dim, np.empty_like(x))),
+             (gr._grad_products(x, h, dim, np.empty_like(U)),
+              gr._grad_into(gr._padded(x, dim), h, dim, np.empty_like(U))),
+             (gr._div_products(U, h, dim, np.empty_like(x)),
+              gr._div_into(gr._padded(U, dim), h, dim, np.empty_like(x)))]
+    for by_products, by_windows in pairs:
+        assert by_products.tobytes() == by_windows.tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_stencils_of_a_batch_equal_each_member_alone(dim, n):
+    h = 1.0 / (n + 1)
+    rng = SplitMix64(9000 + 100 * dim + n)
+    x = rng.normal((16,) + (n,) * dim)
+    U = rng.normal((16, dim) + (n,) * dim)
+    lap, grad_x, div_U = (gr.lap_array(x, h, dim), gr.grad_array(x, h, dim),
+                          gr.div_array(U, h, dim))
+    for m in range(16):
+        assert lap[m].tobytes() == gr.lap_array(x[m], h, dim).tobytes()
+        assert grad_x[m].tobytes() == gr.grad_array(x[m], h, dim).tobytes()
+        assert div_U[m].tobytes() == gr.div_array(U[m], h, dim).tobytes()
 
 
 class TestPoissonSolve:

@@ -14,12 +14,17 @@ does. The configs are read from this checkout (perfbench/workloads.py is
 imported, not changed).
 
 Prints one line per run, comparing exit codes and every output file byte for
-byte, and exits 0 only when every run is identical.
+byte, and exits 0 only when every run is identical. For files that differ it
+also prints the largest relative difference over numeric cells (the cells of
+a CSV row, the value of a `key = value` line) and names each other cell that
+differs, such as a verdict or a status.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -100,6 +105,34 @@ def _outputs(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def _cells(data: bytes) -> list[list[str]]:
+    return [re.split(r",| = ", line) for line in data.decode(errors="replace").splitlines()]
+
+
+def _compare(name: str, a: bytes, b: bytes) -> tuple[tuple[float, str], list[str]]:
+    """(largest relative difference over the numeric cells of two versions
+    of output file `name`, where it is), and a note for each other cell that
+    differs."""
+    rows_a, rows_b = _cells(a), _cells(b)
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return (0.0, ""), [f"{name}: rows or cells differ in number"]
+    worst, notes = (0.0, ""), []
+    for line, (row_a, row_b) in enumerate(zip(rows_a, rows_b), 1):
+        for col, (x, y) in enumerate(zip(row_a, row_b)):
+            if x == y:
+                continue
+            where = f"{name} line {line} cell {col} ({row_a[0]})"
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                fx = fy = math.nan
+            if math.isfinite(fx) and math.isfinite(fy):
+                worst = max(worst, (abs(fx - fy) / max(abs(fx), abs(fy)), f"{where}: {x} vs {y}"))
+            else:
+                notes.append(f"{where}: {x} here, {y} there")
+    return worst, notes
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -126,7 +159,7 @@ def main(argv: list[str]) -> int:
                 print(f"the {key} checkout's runner failed:\n{err[-2000:]}", file=sys.stderr)
                 return 1
         codes = {k: json.loads((d / "codes.json").read_text()) for k, d in outs.items()}
-        same = 0
+        same, overall = 0, 0.0
         for label, _, _ in runs:
             a, b = codes["this"][label], codes["other"][label]
             fa, fb = _outputs(outs["this"] / label), _outputs(outs["other"] / label)
@@ -134,9 +167,24 @@ def main(argv: list[str]) -> int:
             if a == b and not differ:
                 same += 1
                 print(f"same  {label}: exit {a}, {len(fa)} files")
-            else:
-                print(f"DIFF  {label}: exit {a} here, {b} there; files differ: {differ}")
-    print(f"{same} of {len(runs)} runs identical")
+                continue
+            worst, notes = (0.0, ""), []
+            for name in differ:
+                if name in fa and name in fb:
+                    w, n = _compare(name, fa[name], fb[name])
+                    worst, notes = max(worst, w), notes + n
+                else:
+                    notes.append(f"{name}: {'only here' if name in fa else 'only there'}")
+            overall = max(overall, worst[0])
+            exits = f"EXIT {a} here, {b} there" if a != b else f"exit {a}"
+            print(f"DIFF  {label}: {exits}; files differ: {differ}; "
+                  f"largest relative difference {worst[0]:.2g}")
+            if worst[1]:
+                print(f"        at {worst[1]}")
+            for note in notes:
+                print(f"        {note}")
+    print(f"{same} of {len(runs)} runs identical; largest relative difference "
+          f"over numeric cells {overall:.2g}")
     return 0 if same == len(runs) else 1
 
 
