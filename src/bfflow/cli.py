@@ -169,11 +169,9 @@ class ScenarioConfig:
     def solver(self, grid: Grid, D: MediumMatrix) -> dyn.SolverConfig:
         dt = self["solver", "dt"]
         safety = self["solver", "cfl_safety"]
+        if dt == 0.0:
+            dt = safety * dyn.cfl_limit(grid, D)
         try:
-            probe = dyn.SolverConfig(dt=1.0, scheme=self["solver", "scheme"],
-                                     cfl_safety=safety)
-            if dt == 0.0:
-                dt = safety * probe.cfl_limit(grid, D)
             cfg = dyn.SolverConfig(dt=dt, scheme=self["solver", "scheme"],
                                    newton_tol=self["solver", "newton_tol"],
                                    newton_max=self["solver", "newton_max"],

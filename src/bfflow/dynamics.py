@@ -46,7 +46,7 @@ from .krylov import conjugate_gradient
 from .physics import MediumMatrix, NonlinearityParams
 
 __all__ = [
-    "SolverConfig", "Trajectory", "SplitTrajectory",
+    "cfl_limit", "SolverConfig", "Trajectory", "SplitTrajectory",
     "ExpSplitTrajectory", "BlowUpError", "NewtonError", "RecombinationError",
     "simulate", "run_split", "run_exp_split", "run_bootstrap_split",
     "rk4_stepper", "snapshot_steps", "integrate",
@@ -79,6 +79,12 @@ class RecombinationError(RuntimeError):
     """The parts of a splitting do not add up to the run they split."""
 
 
+def cfl_limit(grid: Grid, D: MediumMatrix) -> float:
+    """The explicit RK4 step bound before the safety factor."""
+    h = grid.h
+    return min(h * h / (2.0 * grid.dim), h / np.sqrt(D.eigmax))
+
+
 @dataclass
 class SolverConfig:
     dt: float
@@ -89,20 +95,17 @@ class SolverConfig:
     cfl_safety: float = 0.9
 
     def __post_init__(self):
+        # cfl_safety first: a CFL step of 0 or less comes from a bad safety
+        if not 0.0 < self.cfl_safety <= 1.0:
+            raise ValueError("cfl_safety must lie in (0, 1]")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.scheme not in ("rk4", "semi_implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
-
-    def cfl_limit(self, grid: Grid, D: MediumMatrix) -> float:
-        h = grid.h
-        return min(h * h / (2.0 * grid.dim), h / np.sqrt(D.eigmax))
 
     def validate(self, grid: Grid, D: MediumMatrix):
         if self.scheme == "rk4":
-            limit = self.cfl_safety * self.cfl_limit(grid, D)
+            limit = self.cfl_safety * cfl_limit(grid, D)
             if self.dt > limit * (1.0 + 1e-12):
                 raise ValueError(
                     f"dt = {self.dt:.3e} violates the rk4 CFL bound "

@@ -213,8 +213,7 @@ def test_c09_partial_smoothing():
         # measured sup is grid-convergent (the unforced white-noise sup is
         # transient-dominated and shrinks with h by itself)
         forcing = make_forcing(g, "band_random", seed=11, amplitude=5.0)
-        cfg = dyn.SolverConfig(
-            dt=0.5 * dyn.SolverConfig(dt=1.0).cfl_limit(g, D))
+        cfg = dyn.SolverConfig(dt=0.5 * dyn.cfl_limit(g, D))
         targets = [2.0 ** -k for k in range(10, -1, -1)]
         traj = dyn.simulate(state, g, cfg, forcing, D, QUINTIC, 1.0,
                             snapshot_times=targets)
@@ -224,7 +223,7 @@ def test_c09_partial_smoothing():
     g = Grid(2, 16)
     state = make_initial_state(g, "white_pressure", 1.0, seed=402)
     forcing = make_forcing(g, "band_random", seed=11, amplitude=5.0)
-    cfg = dyn.SolverConfig(dt=0.5 * dyn.SolverConfig(dt=1.0).cfl_limit(g, D))
+    cfg = dyn.SolverConfig(dt=0.5 * dyn.cfl_limit(g, D))
     targets = [2.0 ** -k for k in range(10, -1, -1)]
     traj = dyn.simulate(state, g, cfg, forcing, D, QUINTIC, 1.0,
                         snapshot_times=targets, convective_on=True)

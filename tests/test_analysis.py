@@ -174,7 +174,7 @@ class TestEnergyAudit:
                     D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
                     forcing = make_forcing(g, "fixed_random", seed=seed, amplitude=1.0)
                     state = make_initial_state(g, "smooth", 1.0, seed=seed + 1)
-                    dt = 0.125 * dyn.SolverConfig(dt=1.0).cfl_limit(g, D)
+                    dt = 0.125 * dyn.cfl_limit(g, D)
                     tots = []
                     for d in (dt, dt / 2.0):
                         traj = dyn.simulate(state, g, dyn.SolverConfig(dt=d), forcing, D,
@@ -222,7 +222,7 @@ class TestSmoothing:
         D = MediumMatrix.identity(2)
         state = make_initial_state(g, "white_pressure", 1.0, seed=seed)
         gf = make_forcing(g, "band_random", seed=11, amplitude=5.0)
-        cfg = dyn.SolverConfig(dt=0.5 * dyn.SolverConfig(dt=1.0).cfl_limit(g, D))
+        cfg = dyn.SolverConfig(dt=0.5 * dyn.cfl_limit(g, D))
         targets = [2.0 ** -k for k in range(9, -1, -1)]
         traj = dyn.simulate(state, g, cfg, gf, D, QUINTIC, 1.0,
                             snapshot_times=targets, convective_on=conv)

@@ -31,6 +31,24 @@ _ATTRACTOR8 = (_QUINTIC8 + "[medium]\ndiag = 4, 4\n[forcing]\nkind = fixed_rando
                "[run]\nt_max = 3\nsnapshot_stride = 0.1\nseed = 3\n")
 
 
+# subcommand -> (small config, the SVG files that --svg adds)
+_SVG_RUNS = {
+    "simulate": (_QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\nsnapshot_stride = 0.01\n",
+                 ["energies.svg"]),
+    "spectrum": ("[grid]\nn = 8\n[medium]\ndiag = 1, 2\n[scenario]\ndeltas = 0, 0.5, 1\n",
+                 ["decay.svg", "spectrum.svg"]),
+    "lipschitz": (_QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\nsnapshot_stride = 0.01\n",
+                  ["pairs.svg"]),
+    "split": (_QUINTIC8 + _WHITE_P, ["split.svg"]),
+    "expsplit": (_QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.5\nsnapshot_stride = 0.05\n",
+                 ["expsplit.svg"]),
+    "smoothing": (_QUINTIC8 + _WHITE_P, ["smoothing.svg"]),
+    "attractor": (_ATTRACTOR8, ["attractor.svg", "boxcount.svg"]),
+    "audit": (_QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n", ["audit.svg"]),
+    "oracle": ("[grid]\nn = 8\n[medium]\ndiag = 1, 2\n", ["oracle.svg"]),
+}
+
+
 def _outputs(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
@@ -266,12 +284,20 @@ convective = on
         f = make_forcing(g, "file", seed=0, amplitude=1.0, path=str(path))
         assert np.array_equal(f, arr)
 
-    def test_svg_never_affects_exit(self, tmp_path):
-        sc = parse_config("[grid]\nn = 8\n[run]\nt_max = 0.05\n")
-        c1 = cli.run_scenario(sc, "simulate", tmp_path / "x", svg=False)
-        c2 = cli.run_scenario(sc, "simulate", tmp_path / "y", svg=True)
-        assert c1 == c2
-        assert (tmp_path / "y" / "energies.svg").exists()
+    @pytest.mark.parametrize("subcommand", sorted(_SVG_RUNS))
+    def test_svg_never_affects_exit(self, tmp_path, subcommand):
+        text, svgs = _SVG_RUNS[subcommand]
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        plain, drawn = tmp_path / "plain", tmp_path / "drawn"
+        codes = [cli.main([subcommand, "--config", str(config), "--out", str(out), *flag])
+                 for out, flag in ((plain, []), (drawn, ["--svg"]))]
+        assert codes[0] == codes[1]
+        files, with_svgs = _outputs(plain), _outputs(drawn)
+        assert "summary.txt" in files and not any(n.endswith(".svg") for n in files)
+        assert sorted(with_svgs) == sorted(list(files) + svgs)
+        for name, data in files.items():
+            assert with_svgs[name] == data, name
 
     def test_unknown_subcommand(self, tmp_path):
         sc = parse_config(MINIMAL)
@@ -377,6 +403,11 @@ _BAD_INPUTS = {
     "negative_snapshot_stride": ("simulate", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n"
                                  "snapshot_stride = -1\n",
                                  "[run] snapshot_stride must be positive, got -1.0"),
+    # a zero safety gives a CFL step of 0, which must not be reported as a bad dt
+    "zero_cfl_safety": ("simulate", _QUINTIC8 + _SMOOTH + "[solver]\ncfl_safety = 0\n",
+                        "solver: cfl_safety must lie in (0, 1]"),
+    "cfl_safety_above_1": ("simulate", _QUINTIC8 + _SMOOTH + "[solver]\ncfl_safety = 2\n",
+                           "solver: cfl_safety must lie in (0, 1]"),
 }
 
 

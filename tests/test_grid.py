@@ -290,8 +290,7 @@ def _window_reference(b, dim, axis, offset):
     return b[tuple(idx)]
 
 
-# n = 32 and the 2D n = 64 come last so the earlier cases keep their ids;
-# 3D n = 32 and 2D n = 64 are above the matrix-product switch
+# n = 32 and the 2D n = 64 come last so the earlier cases keep their ids
 _STENCIL_CASES = ([(dim, lead, n) for dim in (2, 3) for lead in ((), (3,), (2, 3))
                    for n in (4, 6, 8, 16)]
                   + [(dim, lead, 32) for dim in (2, 3) for lead in ((), (3,), (2, 3))]
@@ -326,8 +325,9 @@ class TestStencilsAgainstPaddedReference:
         assert np.array_equal(gr.div_array(U, h, dim), div * (1.0 / (2.0 * h)))
         for a in range(dim):
             for offset in (-1, 1):
-                assert np.array_equal(gr._shifted(x, dim, a, offset),
-                                      _window_reference(b, dim, a, -offset))
+                # bytes, so that the zeros shifted in keep a + sign
+                assert (gr._shifted(x, dim, a, offset).tobytes()
+                        == _window_reference(b, dim, a, -offset).tobytes())
 
     @pytest.mark.parametrize("dim,lead,n", _STENCIL_CASES)
     def test_mean_projection_exact(self, dim, lead, n):
@@ -347,26 +347,7 @@ class TestStencilsAgainstPaddedReference:
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
-@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-def test_product_and_window_kernels_bit_equal(dim, n, scale):
-    """Both stencil paths add the same exact terms in the same order, so
-    forcing either one gives the same bytes at any magnitude."""
-    h = 1.0 / (n + 1)
-    rng = SplitMix64(8000 + 100 * dim + n)
-    x = scale * rng.normal((2,) + (n,) * dim)
-    U = scale * rng.normal((2, dim) + (n,) * dim)
-    pairs = [(gr._lap_products(x, h, dim, np.empty_like(x)),
-              gr._lap_into(gr._padded(x, dim), x, h, dim, np.empty_like(x))),
-             (gr._grad_products(x, h, dim, np.empty_like(U)),
-              gr._grad_into(gr._padded(x, dim), h, dim, np.empty_like(U))),
-             (gr._div_products(U, h, dim, np.empty_like(x)),
-              gr._div_into(gr._padded(U, dim), h, dim, np.empty_like(x)))]
-    for by_products, by_windows in pairs:
-        assert by_products.tobytes() == by_windows.tobytes()
-
-
-@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8), (2, 64), (3, 32)])
 def test_stencils_of_a_batch_equal_each_member_alone(dim, n):
     h = 1.0 / (n + 1)
     rng = SplitMix64(9000 + 100 * dim + n)

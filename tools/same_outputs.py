@@ -2,14 +2,15 @@
 
     python tools/same_outputs.py <other-checkout>
 
-Runs one fixed list of 30 CLI invocations with the sources of each
+Runs one fixed list of 32 CLI invocations with the sources of each
 checkout: every subcommand on configs/quintic16.cfg (`split` with both split
 kinds, `simulate` also with initial.kind = mode), `attractor` on
 configs/attractor8.cfg, the four benchmark workload configs at seed 1
 (`quasistatic` also with split_kind = bootstrap), `attractor` on the
-`ensemble` workload config at seeds 2-12, and `simulate` and `lipschitz` on
-a short 3D run at 6^3. Each checkout runs the whole
-list in one process, calling `bfflow.cli.main` once per run, as the benchmark
+`ensemble` workload config at seeds 2-12, `simulate` and `lipschitz` on a
+short 3D run at 6^3, and two short `simulate` runs on larger grids: 20^3,
+and 40^2 with the convective term on. Each checkout runs the whole list in
+one process, calling `bfflow.cli.main` once per run, as the benchmark
 does. The configs are read from this checkout (perfbench/workloads.py is
 imported, not changed).
 
@@ -32,12 +33,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# quintic drag on 6^3 with an anisotropic medium, a few CFL steps
-_CUBE6 = """[grid]
-dim = 3
-n = 6
+# quintic drag with an anisotropic medium, a few CFL steps
+_QUINTIC = """[grid]
+dim = {dim}
+n = {n}
 [medium]
-diag = 1, 2, 1.5
+diag = {diag}
 [nonlinearity]
 alpha = 1
 beta = 1
@@ -49,9 +50,10 @@ seed = 42
 kind = smooth
 seed = 7
 [run]
-t_max = 0.05
-snapshot_stride = 0.01
+t_max = {t_max}
+snapshot_stride = {stride}
 """
+_CUBE6 = _QUINTIC.format(dim=3, n=6, diag="1, 2, 1.5", t_max=0.05, stride=0.01)
 
 # run in a fresh interpreter per checkout: argv = src dir, runs file, out dir
 _RUNNER = """
@@ -96,6 +98,11 @@ def _runs() -> list[tuple[str, str, str]]:
     runs += [(f"ensemble-seed{s}", "attractor", config_text("ensemble", s))
              for s in range(2, 13)]
     runs += [(f"cube6-{sub}", sub, _CUBE6) for sub in ("simulate", "lipschitz")]
+    runs.append(("cube20-simulate", "simulate",
+                 _QUINTIC.format(dim=3, n=20, diag="1, 2, 1.5", t_max=0.01, stride=0.002)))
+    runs.append(("square40-simulate-convective", "simulate",
+                 _QUINTIC.format(dim=2, n=40, diag="1, 2", t_max=0.01, stride=0.002)
+                 + "[scenario]\nconvective = on\n"))
     return runs
 
 
