@@ -81,6 +81,11 @@ _DOMAINS: dict[tuple[str, str], tuple[object, str]] = {
     ("run", "snapshot_stride"): (lambda x: x > 0.0, "be positive"),
 }
 
+# the most steps one run may take at the configured dt, checked before any
+# run starts (`audit` adds a run at dt/2, of twice as many): 100 times the
+# 10^5 of c12, the longest run of any test, config or benchmark workload
+MAX_STEPS = 10 ** 7
+
 DEFAULT_CONFIG = "\n".join(
     ["# bfflow scenario defaults"] +
     [line for s, keys in _SCHEMA.items()
@@ -151,7 +156,9 @@ class ScenarioConfig:
         else:
             mat = np.eye(dim)
         if mat.shape != (dim, dim):
-            raise ConfigError(f"medium matrix shape {mat.shape} != ({dim}, {dim})")
+            key = "rows" if rows is not None else "diag"
+            raise ConfigError(f"[medium] {key} gives a matrix of shape {mat.shape}; "
+                              f"[grid] dim = {dim} needs ({dim}, {dim})")
         try:
             return MediumMatrix(mat)
         except ValueError as e:
@@ -166,7 +173,10 @@ class ScenarioConfig:
         except ValueError as e:
             raise ConfigError(f"nonlinearity: {e}")
 
-    def solver(self, grid: Grid, D: MediumMatrix) -> dyn.SolverConfig:
+    def solver(self, grid: Grid, D: MediumMatrix,
+               horizon: float | None = None) -> dyn.SolverConfig:
+        """The solver config, checked to reach `horizon` (by default
+        [run] t_max) in at most MAX_STEPS steps."""
         dt = self["solver", "dt"]
         safety = self["solver", "cfl_safety"]
         if dt == 0.0:
@@ -180,6 +190,15 @@ class ScenarioConfig:
             cfg.validate(grid, D)
         except ValueError as e:
             raise ConfigError(f"solver: {e}")
+        t_max = self["run", "t_max"]
+        horizon = t_max if horizon is None else horizon
+        steps = horizon / cfg.dt
+        if steps > MAX_STEPS:
+            raise ConfigError(
+                f"solver: a run to t = {horizon:g} in steps of {cfg.dt:.3g} takes "
+                f"{steps:.3g} steps, more than the {MAX_STEPS:.0e} "
+                f"a run may take ([run] t_max = {t_max:g}, [solver] dt = "
+                f"{self['solver', 'dt']:g}, cfl_safety = {safety:g})")
         return cfg
 
     def forcing(self, grid: Grid) -> np.ndarray:
@@ -188,12 +207,13 @@ class ScenarioConfig:
                             self["forcing", "amplitude"],
                             self["forcing", "path"])
 
-    def system(self) -> tuple[Grid, MediumMatrix, NonlinearityParams,
-                              dyn.SolverConfig, np.ndarray]:
-        """Grid, medium, nonlinearity, solver config and forcing, built in
-        that order."""
+    def system(self, horizon: float | None = None) -> tuple[
+            Grid, MediumMatrix, NonlinearityParams, dyn.SolverConfig, np.ndarray]:
+        """Grid, medium, nonlinearity, solver config (for a run to
+        `horizon`, by default [run] t_max) and forcing, built in that order."""
         grid, D = self.grid(), self.medium()
-        return grid, D, self.nonlinearity(), self.solver(grid, D), self.forcing(grid)
+        return (grid, D, self.nonlinearity(), self.solver(grid, D, horizon),
+                self.forcing(grid))
 
     def initial(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         return make_initial_state(grid, self["initial", "kind"],
@@ -273,7 +293,8 @@ def make_initial_state(grid: Grid, kind: str, amplitude: float, seed: int,
         u = np.stack([base] + [second] * (grid.dim - 1))
         p = second
     else:
-        raise ConfigError(f"unknown initial kind {kind!r}")
+        raise ConfigError(f"[initial] kind must be zero, smooth, white_pressure or mode, "
+                          f"got {kind!r}")
     p = gr.mean_project_array(p, grid.dim)
     nu = gr.spectral_norm(u, grid, 1.0)
     npn = gr.norm_l2(p, grid)
@@ -318,7 +339,8 @@ def make_forcing(grid: Grid, kind: str, seed: int, amplitude: float,
         if not np.isfinite(g).all():
             raise ConfigError(f"forcing file {path!r}: contains non-finite entries")
         return g
-    raise ConfigError(f"unknown forcing kind {kind!r}")
+    raise ConfigError(f"[forcing] kind must be zero, fixed_random, band_random or file, "
+                      f"got {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +627,7 @@ def _cmd_expsplit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 
 def _cmd_smoothing(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
-    grid, D, params, cfg, forcing = sc.system()
+    grid, D, params, cfg, forcing = sc.system(horizon=1.0)
     state0 = sc.initial(grid)
     conv = sc["scenario", "convective"]
     targets = [2.0 ** -k for k in range(10, -1, -1)]

@@ -229,24 +229,49 @@ def _pressure_rate(u: np.ndarray, D: MediumMatrix, grid: Grid) -> np.ndarray:
         gr.div_array(D.apply_array(u), grid.h, grid.dim), grid.dim)
 
 
-class _Buffers:
-    """The arrays one state shape of a `_FullSystem` writes into, one per
-    result."""
+class _Kernel:
+    """What the right-hand side of one state shape needs, built once: the
+    arrays it writes into and their views, the cached 1D stencil matrices
+    and the constants. As in `gr._along_axis`, a product along the last
+    grid axis is x @ M^T, along the one before it M @ x, and in 3D along
+    the first M times the rows of x's (n, n*n) view, of shape `rows_u` for a
+    velocity and `rows_p` for a pressure (None in 2D)."""
 
-    def __init__(self, shape: tuple[int, ...], dim: int, drag: bool, convective: bool):
-        p_shape = shape[:-dim - 1] + shape[-dim:]
-        self.lap, self.Du, self.du = np.empty(shape), np.empty(shape), np.empty(shape)
+    def __init__(self, shape: tuple[int, ...], grid: Grid, drag: bool, convective: bool):
+        dim, n, h = grid.dim, grid.n, grid.h
+        lead = shape[:-dim - 1]
+        self.lap, self.Du, self.du, self.tu = (np.empty(shape) for _ in range(4))
         self.fu = np.empty(shape) if drag else None
         self.bu = np.empty(shape) if convective else None
-        self.dp = np.empty(p_shape)
+        self.dp, self.tp = np.empty(lead + grid.shape), np.empty(lead + grid.shape)
+        self.mean = np.empty(lead + (1,) * dim)
+        self.S, self.C, self.CT = gr._stencil_matrices(n)
+        self.diag, self.inv_h2, self.inv_2h = -2.0 * dim, 1.0 / (h * h), 1.0 / (2.0 * h)
+        self.axes, self.count = tuple(range(-dim, 0)), grid.num_nodes
+        # D u as one product over the component axis of (..., dim, n^dim)
+        self.nodes = lead + (dim, n ** dim)
+        self.Du_nodes = self.Du.reshape(self.nodes)
+        self.du_c = [self.du[gr._component(dim, a)] for a in range(dim)]
+        self.Du_c = [self.Du[gr._component(dim, a)] for a in range(dim)]
+        self.rows_u = self.rows_p = None
+        if dim == 3:
+            self.rows_u, self.rows_p = lead + (dim, n, n * n), lead + (n, n * n)
+            self.tu_rows, self.dp_rows = self.tu.reshape(self.rows_u), self.dp.reshape(self.rows_p)
+            self.du_rows0 = self.du.reshape(self.rows_u)[..., 0, :, :]
+            self.Du_rows0 = self.Du.reshape(self.rows_u)[..., 0, :, :]
 
 
 class _FullSystem:
     """Array-level right-hand side bundle; batch-safe over leading axes.
 
-    `parts` and `rhs` write into arrays the system allocates once per state
-    shape and return those arrays, so each call overwrites what the previous
-    call returned: a caller uses (or copies) a result before it calls again.
+    The system builds one `_Kernel` per state shape it meets, and `rhs` and
+    `parts` then make only numpy calls with `out=`: each 1D stencil product
+    is one `np.matmul` into an array of the kernel. The arithmetic is that
+    of `gr.lap_array`, `gr.grad_array`, `gr.div_array`,
+    `gr.mean_project_array` and `MediumMatrix.apply_array`, operation for
+    operation, so each result has their bytes. A call returns the kernel's
+    arrays, so it overwrites what the previous call returned: a caller uses
+    (or copies) a result before it calls again.
     """
 
     def __init__(self, grid: Grid, D: MediumMatrix, params: NonlinearityParams,
@@ -258,23 +283,37 @@ class _FullSystem:
         self.convective_on = convective_on
         self.work = np.empty((work_rows, 5)) if work_rows else None
         self._row = 0
-        self._buffers: dict[tuple[int, ...], _Buffers] = {}
+        self._kernels: dict[tuple[int, ...], _Kernel] = {}
 
-    def _buffers_for(self, shape: tuple[int, ...]) -> _Buffers:
-        if shape not in self._buffers:
-            self._buffers[shape] = _Buffers(shape, self.grid.dim,
-                                            not self.params.is_zero(), self.convective_on)
-        return self._buffers[shape]
+    def _kernel(self, shape: tuple[int, ...]) -> _Kernel:
+        k = self._kernels.get(shape)
+        if k is None:
+            k = self._kernels[shape] = _Kernel(shape, self.grid, not self.params.is_zero(),
+                                               self.convective_on)
+        return k
 
     def parts(self, u: np.ndarray):
         """lap u, f(u), B(u,u) (f and B None where they vanish), g, D u;
         with `work` rows, the next row gets (dissipation, drag work, forcing
         work, convective work, (D u, u)) at this single state."""
-        g, b = self.grid, self._buffers_for(u.shape)
-        lap = gr.lap_array(u, g.h, g.dim, out=b.lap)
-        fu = None if b.fu is None else ph.f_apply_array(u, self.params, g.dim, out=b.fu)
-        bu = None if b.bu is None else ph.convective_array(u, u, g.h, g.dim, out=b.bu)
-        gt, Du = self.forcing, self.D.apply_array(u, out=b.Du)
+        return self._parts(self._kernel(u.shape), u)
+
+    def _parts(self, k: _Kernel, u: np.ndarray):
+        g, S, lap, tu = self.grid, k.S, k.lap, k.tu
+        # lap u = ((-2d u + S_0 u) + S_1 u [+ S_2 u]) / h^2
+        np.multiply(u, k.diag, out=lap)
+        if k.rows_u:
+            np.matmul(S, u.reshape(k.rows_u), out=k.tu_rows)
+            lap += tu
+        np.matmul(S, u, out=tu)
+        lap += tu
+        np.matmul(u, S, out=tu)
+        lap += tu
+        lap *= k.inv_h2
+        fu = None if k.fu is None else ph.f_apply_array(u, self.params, g.dim, out=k.fu)
+        bu = None if k.bu is None else ph.convective_array(u, u, g.h, g.dim, out=k.bu)
+        gt, Du = self.forcing, k.Du
+        np.matmul(self.D.entries, u.reshape(k.nodes), out=k.Du_nodes)
         if self.work is not None:
             w = g.cell_volume
             terms = [0.0 if a is None else s * float(np.vdot(a, Du))
@@ -284,16 +323,34 @@ class _FullSystem:
         return lap, fu, bu, gt, Du
 
     def rhs(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g, b = self.grid, self._buffers_for(u.shape)
-        lap, fu, bu, gt, Du = self.parts(u)
-        du = np.subtract(lap, gr.grad_array(p, g.h, g.dim, out=b.du), out=b.du)
+        k = self._kernel(u.shape)
+        lap, fu, bu, gt, _ = self._parts(k, u)
+        C, CT, du, dp, tp, Du_c = k.C, k.CT, k.du, k.dp, k.tp, k.Du_c
+        # grad p: component a is C_a p / (2h)
+        if k.rows_p:
+            np.matmul(C, p.reshape(k.rows_p), out=k.du_rows0)
+        np.matmul(C, p, out=k.du_c[-2])
+        np.matmul(p, CT, out=k.du_c[-1])
+        du *= k.inv_2h
+        np.subtract(lap, du, out=du)
         if fu is not None:
             du -= fu
         if bu is not None:
             du -= bu
         du += gt
-        # _pressure_rate on the D u already computed
-        dp = gr.mean_project_array(gr.div_array(Du, g.h, g.dim, out=b.dp), g.dim, out=b.dp)
+        # dp/dt = -P0 div(D u), div = (C_0 U_0 + C_1 U_1 [+ C_2 U_2]) / (2h)
+        if k.rows_p:
+            np.matmul(C, k.Du_rows0, out=k.dp_rows)
+            np.matmul(C, Du_c[1], out=tp)
+            dp += tp
+        else:
+            np.matmul(C, Du_c[0], out=dp)
+        np.matmul(Du_c[-1], CT, out=tp)
+        dp += tp
+        dp *= k.inv_2h
+        np.add.reduce(dp, axis=k.axes, keepdims=True, out=k.mean)
+        k.mean /= k.count
+        np.subtract(dp, k.mean, out=dp)
         return du, np.negative(dp, out=dp)
 
 

@@ -154,11 +154,9 @@ def _shifted(a: np.ndarray, dim: int, axis: int, offset: int) -> np.ndarray:
     return _along_axis(T, a, dim, axis, TT)
 
 
-def grad_array(p: np.ndarray, h: float, dim: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Central gradient; output gains a component axis before the grid axes.
-    Written into `out` if given, which must not overlap `p`."""
-    if out is None:
-        out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
+def grad_array(p: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """Central gradient; output gains a component axis before the grid axes."""
+    out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
     _, C, CT = _stencil_matrices(p.shape[-1])
     for a in range(dim):
         _along_axis(C, p, dim, a, CT, out=out[_component(dim, a)])
@@ -166,11 +164,10 @@ def grad_array(p: np.ndarray, h: float, dim: int, out: np.ndarray | None = None)
     return out
 
 
-def div_array(U: np.ndarray, h: float, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+def div_array(U: np.ndarray, h: float, dim: int) -> np.ndarray:
     """Central divergence; consumes the component axis preceding the grid
-    axes. Written into `out` if given, which must not overlap `U`."""
-    if out is None:
-        out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
+    axes."""
+    out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
     _, C, CT = _stencil_matrices(U.shape[-1])
     _along_axis(C, U[_component(dim, 0)], dim, 0, CT, out=out)
     for a in range(1, dim):
@@ -179,11 +176,9 @@ def div_array(U: np.ndarray, h: float, dim: int, out: np.ndarray | None = None) 
     return out
 
 
-def lap_array(x: np.ndarray, h: float, dim: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Compact Dirichlet Laplacian, applied over the trailing grid axes.
-    Written into `out` if given, which must not overlap `x`."""
-    if out is None:
-        out = np.empty_like(x)
+def lap_array(x: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """Compact Dirichlet Laplacian, applied over the trailing grid axes."""
+    out = np.empty_like(x)
     S = _stencil_matrices(x.shape[-1])[0]
     np.multiply(x, -2.0 * dim, out=out)
     for a in range(dim):
@@ -218,13 +213,12 @@ def weighted_inner(D, U: np.ndarray, V: np.ndarray, grid: Grid) -> float:
     return float(grid.cell_volume * np.vdot(DU, V))
 
 
-def mean_project_array(p: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Subtract the grid mean over the trailing `dim` axes (batch-safe),
-    into `out` if given (which may be p)."""
+def mean_project_array(p: np.ndarray, dim: int) -> np.ndarray:
+    """Subtract the grid mean over the trailing `dim` axes (batch-safe)."""
     # the sum-then-divide of ndarray.mean, without its Python wrapper
     axes = (-3, -2, -1)[-dim:]
     count = math.prod(p.shape[-dim:])
-    return np.subtract(p, np.add.reduce(p, axis=axes, keepdims=True) / count, out=out)
+    return p - np.add.reduce(p, axis=axes, keepdims=True) / count
 
 
 # ---------------------------------------------------------------------------

@@ -89,16 +89,11 @@ class MediumMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def apply_array(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply_array(self, u: np.ndarray) -> np.ndarray:
         """Matrix-vector product over the component axis preceding the grid
-        axes (batch axes may precede it); into `out`, a C-contiguous array
-        shaped like u, if given."""
+        axes (batch axes may precede it)."""
         lead = u.shape[:u.ndim - self.dim - 1]
-        if out is None:
-            return (self.entries @ u.reshape(lead + (self.dim, -1))).reshape(u.shape)
-        np.matmul(self.entries, u.reshape(lead + (self.dim, -1)),
-                  out=out.reshape(lead + (self.dim, -1)))
-        return out
+        return (self.entries @ u.reshape(lead + (self.dim, -1))).reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------

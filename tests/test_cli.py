@@ -11,6 +11,7 @@ import pytest
 
 from bfflow import cli
 from bfflow import dynamics as dyn
+from bfflow import grid as gr
 from bfflow.cli import ConfigError, parse_config
 from bfflow.grid import Grid
 
@@ -99,6 +100,25 @@ class TestParser:
 
     def test_default_config_text_parses(self):
         parse_config(cli.DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize("dim,u_share", [(2, 0.5), (3, 0.25)])
+    def test_mode_initial_state(self, dim, u_share):
+        # u = (s_11, s_21[, s_21]) and p = s_21, scaled to the amplitude and
+        # its u_share; no draw, so every seed gives the same state
+        g = Grid(dim, 8 if dim == 2 else 4)
+        u, p = cli.make_initial_state(g, "mode", 2.0, seed=1, u_share=u_share)
+        base, second = (gr.sine_mode(g, (k,) + (1,) * (dim - 1)) for k in (1, 2))
+        assert u.shape == (dim,) + g.shape and p.shape == g.shape
+        cu = np.vdot(u[0], base) / np.vdot(base, base)
+        cp = np.vdot(p, second) / np.vdot(second, second)
+        assert cu > 0 and cp > 0
+        assert np.allclose(u, cu * np.stack([base] + [second] * (dim - 1)), rtol=0, atol=1e-13)
+        assert np.allclose(p, cp * second, rtol=0, atol=1e-13)
+        assert abs(p.mean()) <= 1e-15
+        assert np.isclose(gr.spectral_norm(u, g, 1.0), 2.0 * np.sqrt(u_share), rtol=1e-12)
+        assert np.isclose(gr.norm_l2(p, g), 2.0 * np.sqrt(1.0 - u_share), rtol=1e-12)
+        again = cli.make_initial_state(g, "mode", 2.0, seed=2, u_share=u_share)
+        assert all(np.array_equal(a, b) for a, b in zip((u, p), again))
 
 
 class TestRunScenario:
@@ -408,6 +428,32 @@ _BAD_INPUTS = {
                         "solver: cfl_safety must lie in (0, 1]"),
     "cfl_safety_above_1": ("simulate", _QUINTIC8 + _SMOOTH + "[solver]\ncfl_safety = 2\n",
                            "solver: cfl_safety must lie in (0, 1]"),
+    # about 1e302 steps each: both used to raise "ValueError: Maximum allowed
+    # dimension exceeded" out of cli.main
+    "tiny_cfl_safety": ("simulate", _QUINTIC8 + _SMOOTH + "[solver]\ncfl_safety = 1e-300\n",
+                        "a run may take ([run] t_max = 1, [solver] dt = 0, "
+                        "cfl_safety = 1e-300)"),
+    "huge_t_max": ("attractor", _ATTRACTOR8 + "[run]\nt_max = 1e300\n",
+                   "a run may take ([run] t_max = 1e+300, [solver] dt = 0, "
+                   "cfl_safety = 0.9)"),
+    # config parsing and field synthesis: each raise names its key
+    "unknown_initial_kind": ("simulate", "[grid]\nn = 8\n[initial]\nkind = vortex\n",
+                             "[initial] kind must be zero, smooth, white_pressure or mode, "
+                             "got 'vortex'"),
+    "unknown_forcing_kind": ("simulate", "[grid]\nn = 8\n[forcing]\nkind = gusty\n",
+                             "[forcing] kind must be zero, fixed_random, band_random or "
+                             "file, got 'gusty'"),
+    "malformed_header": ("simulate", "[grid\nn = 8\n",
+                         "line 1: malformed section header '[grid'"),
+    "diag_with_rows": ("simulate", "[grid]\nn = 8\n[medium]\ndiag = 1, 2\nrows = 1 0; 0 1\n",
+                       "medium: give either diag or rows, not both"),
+    "medium_wrong_shape": ("simulate", "[grid]\nn = 8\n[medium]\ndiag = 1, 2, 3\n",
+                           "[medium] diag gives a matrix of shape (3, 3); [grid] dim = 2 "
+                           "needs (2, 2)"),
+    "unparsable_value": ("simulate", "[grid]\nn = eight\n",
+                         "line 2: cannot parse 'n' value 'eight' as int"),
+    "unparsable_bool": ("simulate", "[grid]\nn = 8\n[scenario]\nconvective = maybe\n",
+                        "line 4: cannot parse 'convective' value 'maybe' as bool"),
 }
 
 

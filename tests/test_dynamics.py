@@ -157,7 +157,8 @@ class TestInPlaceRhs:
 
     @staticmethod
     def _buffers(sys):
-        return [a for b in sys._buffers.values() for a in vars(b).values()
+        return [a for k in sys._kernels.values()
+                for a in (k.lap, k.Du, k.du, k.tu, k.fu, k.bu, k.dp, k.tp, k.mean)
                 if a is not None]
 
     # work rows belong to a single run (`simulate` refuses them on a batch)
@@ -182,6 +183,43 @@ class TestInPlaceRhs:
                          w * float(np.vdot(ph.convective_array(u, u, g.h, g.dim), Du))
                          if conv else 0.0, np.vdot(Du, u)]
                 assert np.array_equal(sys.work[row], terms)
+
+    # the run shapes: the ensemble workload (6 at 8^2), c12 (16 at 16^2) and
+    # a 3D batch, whose first-axis products go straight into the kernel's
+    # arrays; drag-free, the kernel has no drag array and f(u) is None
+    @pytest.mark.parametrize("params", [NonlinearityParams(1.0, 1.0, 0.0, l=2.0),
+                                        NonlinearityParams(0.0, 0.0)],
+                             ids=["quintic", "drag_free"])
+    @pytest.mark.parametrize("dim,n,members", [(2, 8, 6), (2, 16, 16), (3, 8, 6)],
+                             ids=["2d_n8_x6", "2d_n16_x16", "3d_n8_x6"])
+    def test_rhs_at_run_shapes_equals_allocating_composition(self, dim, n, members, params):
+        rng = SplitMix64(940 + n + dim)
+        g = Grid(dim, n)
+        sys = dyn._FullSystem(g, MediumMatrix(np.array(self.MEDIA[dim])), params,
+                              rng.normal((dim,) + g.shape), False)
+        for _ in range(2):
+            u, p = self._state(sys, rng, members)
+            lap, fu, bu, _, _ = sys.parts(u)
+            assert (fu is None) == params.is_zero() and bu is None
+            for a, b in zip(sys.rhs(u, p), _allocating_rhs(sys, u, p)):
+                assert np.array_equal(a, b)
+
+    def test_two_systems_in_turn_keep_their_bytes(self):
+        # kernels belong to their system: interleaved calls on two grids and
+        # media, one of them drag-free, each give their own reference
+        rng = SplitMix64(950)
+        systems = [dyn._FullSystem(Grid(2, 8), MediumMatrix(np.array(self.MEDIA[2])),
+                                   NonlinearityParams(1.0, 0.3, 0.7, l=1.5),
+                                   rng.normal((2, 8, 8)), True),
+                   dyn._FullSystem(Grid(3, 6), MediumMatrix(np.array(self.MEDIA[3])),
+                                   NonlinearityParams(0.0, 0.0), rng.normal((3, 6, 6, 6)),
+                                   False)]
+        for members in (None, 4, None, 4):
+            for sys in systems:
+                u, p = self._state(sys, rng, members)
+                want = _allocating_rhs(sys, u, p)
+                for a, b in zip(sys.rhs(u, p), want):
+                    assert a.shape == b.shape and np.array_equal(a, b)
 
     @pytest.mark.parametrize("conv", [False, True], ids=["no_conv", "conv"])
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])

@@ -1,0 +1,91 @@
+"""Per-call cost of the blocks of the full-system RK4 step.
+
+    python tools/blocks.py [checkout]
+
+Imports bfflow from <checkout>/src (by default this checkout's) and prints
+one table row per state shape: the median microseconds per call of
+`grid.lap_array`, `grid.grad_array`, `grid.div_array`,
+`physics.f_apply_array`, `dynamics._FullSystem.rhs` and one
+`dynamics._rk4_full` step, at 2D n = 8, 16, 32, 64 and 3D n = 8, 16, with 1
+member (a single state, no member axis), 6 and 16 members. The system is
+quintic drag (alpha = beta = 1, l = 2), D = diag(1, 2[, 1.5]), a random
+forcing and no convective term; the step is dt = 1e-5. Each number is the
+median over 7 repeats, each repeat timing enough calls to take about 20 ms.
+Run two checkouts one after the other on an idle host to compare them.
+
+At 2D n = 64 and 3D n = 16 a block's temporaries can pass the C allocator's
+mmap threshold, and then each call maps and faults them in afresh, so a
+block's time there also depends on what the process allocated before it.
+Setting MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ (glibc) to 1 GiB in
+the environment holds the allocator steady.
+"""
+
+from __future__ import annotations
+
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SHAPES = [(2, 8), (2, 16), (2, 32), (2, 64), (3, 8), (3, 16)]
+MEMBERS = (1, 6, 16)
+REPEATS = 7
+REPEAT_SECONDS = 0.02
+
+
+def _us_per_call(fn) -> float:
+    """Median over REPEATS of the mean microseconds per call of `fn`."""
+    fn()
+    t0 = time.perf_counter()
+    fn()
+    number = max(1, int(REPEAT_SECONDS / max(time.perf_counter() - t0, 1e-7)))
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        times.append((time.perf_counter() - t0) / number)
+    return 1e6 * statistics.median(times)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    checkout = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(checkout.resolve() / "src"))
+    import numpy as np
+    from bfflow import dynamics as dyn
+    from bfflow import grid as gr
+    from bfflow import physics as ph
+    from bfflow.grid import Grid
+    from bfflow.physics import MediumMatrix, NonlinearityParams
+    from bfflow.rng import SplitMix64
+
+    params = NonlinearityParams(1.0, 1.0, 0.0, l=2.0)
+    names = ("lap", "grad", "div", "f_apply", "rhs", "rk4_step")
+    print(f"bfflow from {checkout.resolve()}; numpy {np.__version__}; median us per call")
+    print(f"{'dim':>3} {'n':>3} {'members':>7} " + " ".join(f"{s:>9}" for s in names))
+    for dim, n in SHAPES:
+        g = Grid(dim, n)
+        D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
+        for members in MEMBERS:
+            rng = SplitMix64(1000 * dim + n + members)
+            lead = () if members == 1 else (members,)
+            u = rng.normal(lead + (dim,) + g.shape)
+            p = gr.mean_project_array(rng.normal(lead + g.shape), dim)
+            sys_ = dyn._FullSystem(g, D, params, rng.normal((dim,) + g.shape), False)
+            step = dyn._rk4_full(sys_, 1e-5)
+            blocks = (lambda: gr.lap_array(u, g.h, dim),
+                      lambda: gr.grad_array(p, g.h, dim),
+                      lambda: gr.div_array(u, g.h, dim),
+                      lambda: ph.f_apply_array(u, params, dim),
+                      lambda: sys_.rhs(u, p),
+                      lambda: step((u, p)))
+            cells = " ".join(f"{_us_per_call(fn):9.1f}" for fn in blocks)
+            print(f"{dim:>3} {n:>3} {members:>7} {cells}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

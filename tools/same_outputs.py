@@ -2,11 +2,12 @@
 
     python tools/same_outputs.py <other-checkout>
 
-Runs one fixed list of 32 CLI invocations with the sources of each
+Runs one fixed list of 34 CLI invocations with the sources of each
 checkout: every subcommand on configs/quintic16.cfg (`split` with both split
-kinds, `simulate` also with initial.kind = mode), `attractor` on
-configs/attractor8.cfg, the four benchmark workload configs at seed 1
-(`quasistatic` also with split_kind = bootstrap), `attractor` on the
+kinds, `simulate` also with initial.kind = mode and drag-free with
+alpha = beta = 0), `attractor` on configs/attractor8.cfg, the four benchmark
+workload configs at seed 1 (`quasistatic` also with split_kind = bootstrap,
+`ensemble` also with a full `rows` medium), `attractor` on the
 `ensemble` workload config at seeds 2-12, `simulate` and `lipschitz` on a
 short 3D run at 6^3, and two short `simulate` runs on larger grids: 20^3,
 and 40^2 with the convective term on. Each checkout runs the whole list in
@@ -89,12 +90,16 @@ def _runs() -> list[tuple[str, str, str]]:
     runs.append(("quintic16-split-bootstrap", "split", quintic + bootstrap))
     runs.append(("quintic16-simulate-mode", "simulate",
                  quintic + "\n[initial]\nkind = mode\n"))
+    runs.append(("quintic16-simulate-drag-free", "simulate",
+                 quintic + "\n[nonlinearity]\nalpha = 0\nbeta = 0\n"))
     runs.append(("attractor8-attractor", "attractor",
                  (ROOT / "configs" / "attractor8.cfg").read_text()))
     for name, w in WORKLOADS.items():
         runs.append((f"{name}-seed1", w.subcommand, config_text(name, 1)))
     runs.append(("quasistatic-seed1-bootstrap", "split",
                  config_text("quasistatic", 1) + bootstrap))
+    runs.append(("ensemble-seed1-rows", "attractor",
+                 config_text("ensemble", 1).replace("diag = 4, 4", "rows = 6 1; 1 5")))
     runs += [(f"ensemble-seed{s}", "attractor", config_text("ensemble", s))
              for s in range(2, 13)]
     runs += [(f"cube6-{sub}", sub, _CUBE6) for sub in ("simulate", "lipschitz")]
