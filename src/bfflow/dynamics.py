@@ -230,23 +230,39 @@ def _pressure_rate(u: np.ndarray, D: MediumMatrix, grid: Grid) -> np.ndarray:
 
 
 class _Kernel:
-    """What the right-hand side of one state shape needs, built once: the
-    arrays it writes into and their views, the cached 1D stencil matrices
-    and the constants. As in `gr._along_axis`, a product along the last
-    grid axis is x @ M^T, along the one before it M @ x, and in 3D along
-    the first M times the rows of x's (n, n*n) view, of shape `rows_u` for a
-    velocity and `rows_p` for a pressure (None in 2D)."""
+    """What the full system needs at one state shape, built once: the arrays
+    it writes into and their views, the cached 1D stencil and DST-I matrices
+    and the constants. As in `gr._along_axis`, a product along the last grid
+    axis is x @ M^T, along the one before it M @ x, and in 3D along the first
+    M times the rows of x's (n, n*n) view, of shape `rows_u` for a velocity
+    and `rows_p` for a pressure (None in 2D).
 
-    def __init__(self, shape: tuple[int, ...], grid: Grid, drag: bool, convective: bool):
+    Its methods are the stencil sequence of the semi-implicit step: each
+    writes into one array of the kernel and returns it, so it overwrites what
+    its previous call returned. `_FullSystem.rhs` writes the same sequence
+    out, because at the ensemble's 6 x 8^2 the four method calls would cost
+    about 1% of a right-hand side."""
+
+    def __init__(self, shape: tuple[int, ...], grid: Grid, D: MediumMatrix, drag: bool,
+                 convective: bool):
         dim, n, h = grid.dim, grid.n, grid.h
         lead = shape[:-dim - 1]
         self.lap, self.Du, self.du, self.tu = (np.empty(shape) for _ in range(4))
         self.fu = np.empty(shape) if drag else None
+        # |u|^2, then phi(|u|^2), of the drag
+        self.phi = np.empty(lead + (1,) + grid.shape) if drag else None
         self.bu = np.empty(shape) if convective else None
         self.dp, self.tp = np.empty(lead + grid.shape), np.empty(lead + grid.shape)
         self.mean = np.empty(lead + (1,) * dim)
+        # the semi-implicit step's CG load, operator value and preconditioned
+        # residual
+        self.load, self.Ax, self.z = (np.empty(shape) for _ in range(3))
         self.S, self.C, self.CT = gr._stencil_matrices(n)
+        self.sine = gr._dst1_matrix(n)
+        self.D = D.entries
         self.diag, self.inv_h2, self.inv_2h = -2.0 * dim, 1.0 / (h * h), 1.0 / (2.0 * h)
+        # the factors of gr.sine_coefficients_array and gr.sine_synthesis_array
+        self.analysis, self.synthesis = (h / np.sqrt(2.0)) ** dim, (1.0 / np.sqrt(2.0)) ** dim
         self.axes, self.count = tuple(range(-dim, 0)), grid.num_nodes
         # D u as one product over the component axis of (..., dim, n^dim)
         self.nodes = lead + (dim, n ** dim)
@@ -259,6 +275,65 @@ class _Kernel:
             self.tu_rows, self.dp_rows = self.tu.reshape(self.rows_u), self.dp.reshape(self.rows_p)
             self.du_rows0 = self.du.reshape(self.rows_u)[..., 0, :, :]
             self.Du_rows0 = self.Du.reshape(self.rows_u)[..., 0, :, :]
+
+    def laplacian(self, u: np.ndarray) -> np.ndarray:
+        """lap u = ((-2d u + S_0 u) + S_1 u [+ S_2 u]) / h^2 into `lap`
+        (`tu` is scratch)."""
+        S, lap, tu = self.S, self.lap, self.tu
+        np.multiply(u, self.diag, out=lap)
+        if self.rows_u:
+            np.matmul(S, u.reshape(self.rows_u), out=self.tu_rows)
+            lap += tu
+        np.matmul(S, u, out=tu)
+        lap += tu
+        np.matmul(u, S, out=tu)
+        lap += tu
+        lap *= self.inv_h2
+        return lap
+
+    def medium(self, u: np.ndarray) -> np.ndarray:
+        """D u into `Du`."""
+        np.matmul(self.D, u.reshape(self.nodes), out=self.Du_nodes)
+        return self.Du
+
+    def pressure_rate(self, u: np.ndarray) -> np.ndarray:
+        """-P0 div(D u) into `dp`, through D u in `Du`:
+        div = (C_0 U_0 + C_1 U_1 [+ C_2 U_2]) / (2h)."""
+        self.medium(u)
+        C, dp, tp, Du_c = self.C, self.dp, self.tp, self.Du_c
+        if self.rows_p:
+            np.matmul(C, self.Du_rows0, out=self.dp_rows)
+            np.matmul(C, Du_c[1], out=tp)
+            dp += tp
+        else:
+            np.matmul(C, Du_c[0], out=dp)
+        np.matmul(Du_c[-1], self.CT, out=tp)
+        dp += tp
+        dp *= self.inv_2h
+        np.add.reduce(dp, axis=self.axes, keepdims=True, out=self.mean)
+        self.mean /= self.count
+        np.subtract(dp, self.mean, out=dp)
+        return np.negative(dp, out=dp)
+
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        """grad p into `du`: component a is C_a p / (2h)."""
+        if self.rows_p:
+            np.matmul(self.C, p.reshape(self.rows_p), out=self.du_rows0)
+        np.matmul(self.C, p, out=self.du_c[-2])
+        np.matmul(p, self.CT, out=self.du_c[-1])
+        self.du *= self.inv_2h
+        return self.du
+
+    def sine_products(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The DST-I products of `gr._dst_all_axes` over the grid axes of
+        the velocity-shaped `a`, one axis after the other, into `out` (`tu`
+        is scratch; a is neither)."""
+        S, tu = self.sine, self.tu
+        if self.rows_u:
+            np.matmul(S, a.reshape(self.rows_u), out=out.reshape(self.rows_u))
+            a = out
+        np.matmul(S, a, out=tu)
+        return np.matmul(tu, S, out=out)
 
 
 class _FullSystem:
@@ -288,7 +363,7 @@ class _FullSystem:
     def _kernel(self, shape: tuple[int, ...]) -> _Kernel:
         k = self._kernels.get(shape)
         if k is None:
-            k = self._kernels[shape] = _Kernel(shape, self.grid, not self.params.is_zero(),
+            k = self._kernels[shape] = _Kernel(shape, self.grid, self.D, not self.params.is_zero(),
                                                self.convective_on)
         return k
 
@@ -310,10 +385,11 @@ class _FullSystem:
         np.matmul(u, S, out=tu)
         lap += tu
         lap *= k.inv_h2
-        fu = None if k.fu is None else ph.f_apply_array(u, self.params, g.dim, out=k.fu)
+        fu = None if k.fu is None else ph.f_apply_array(u, self.params, g.dim, out=k.fu,
+                                                         work=k.phi)
         bu = None if k.bu is None else ph.convective_array(u, u, g.h, g.dim, out=k.bu)
         gt, Du = self.forcing, k.Du
-        np.matmul(self.D.entries, u.reshape(k.nodes), out=k.Du_nodes)
+        np.matmul(k.D, u.reshape(k.nodes), out=k.Du_nodes)
         if self.work is not None:
             w = g.cell_volume
             terms = [0.0 if a is None else s * float(np.vdot(a, Du))
@@ -368,33 +444,72 @@ def _rk4_full(sys: _FullSystem, dt: float):
     return rk4_stepper(lambda y: sys.rhs(*y), dt)
 
 
+def _member_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of the members (the leading axis) of a and b, one
+    per member, as one stacked matrix product: the bytes of a per-member
+    `np.vdot`."""
+    m = len(a)
+    return np.matmul(a.reshape(m, 1, -1), b.reshape(m, -1, 1)).reshape(m)
+
+
 def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
                         dt: float, cg_tol: float, x0: np.ndarray | None = None):
     """Implicit Euler on the linear part (CG in the D-weighted metric, from
     x0, by default u), explicit drag and convection. The CG is preconditioned
     by the inverse of the heat part, (1 - dt lap)^-1 = (-lap + 1/dt)^-1 / dt,
     one sine transform pair (SPD in the weighted metric as well, since it
-    acts componentwise)."""
-    g = sys.grid
-    expl = sys.forcing - ph.f_apply_array(u, sys.params, g.dim)
-    if sys.convective_on:
-        expl -= ph.convective_array(u, u, g.h, g.dim)
-    rhs = u + dt * expl - dt * gr.grad_array(p, g.h, g.dim)
+    acts componentwise).
+
+    The step runs on the system's kernel for u's shape: the load, the
+    operator, D b of the inner product and the preconditioner write into the
+    kernel's arrays through its stencil and DST-I methods, in the arithmetic
+    of `gr.lap_array`, `gr.grad_array`, `_pressure_rate`,
+    `MediumMatrix.apply_array` and `gr.poisson_solve_array`, so every result
+    keeps their bytes. A batch's per-member inner products are one stacked
+    product, which gives the bytes of a per-member `np.vdot`."""
+    g, k = sys.grid, sys._kernel(u.shape)
+    # the load u + dt (g - f(u) [- B(u,u)]) - dt grad p
+    load = k.load
+    if k.fu is None:
+        np.copyto(load, sys.forcing)
+    else:
+        np.subtract(sys.forcing, ph.f_apply_array(u, sys.params, g.dim, out=k.fu, work=k.phi),
+                    out=load)
+    if k.bu is not None:
+        load -= ph.convective_array(u, u, g.h, g.dim, out=k.bu)
+    load *= dt
+    np.add(u, load, out=load)
+    load -= np.multiply(k.gradient(p), dt, out=k.du)
 
     def apply_op(x):
-        return (x - dt * gr.lap_array(x, g.h, g.dim)
-                - dt * dt * gr.grad_array(_pressure_rate(x, sys.D, g), g.h, g.dim))
+        Ax = np.subtract(x, np.multiply(k.laplacian(x), dt, out=k.lap), out=k.Ax)
+        # implicit Euler adds dt^2 grad(rate x) (ROADMAP item 1); the sign
+        # stays until the benchmark references are regenerated with it
+        return np.subtract(Ax, np.multiply(k.gradient(k.pressure_rate(x)), dt * dt, out=k.du),
+                           out=Ax)
+
+    batch = u.ndim > g.dim + 1
 
     def d_inner(a, b):
-        Db = sys.D.apply_array(b)
-        if a.ndim > g.dim + 1:  # members: each its own product, so its own CG
-            return np.array([np.vdot(am, bm) for am, bm in zip(a, Db)])
+        Db = k.medium(b)
+        if batch:  # members: each its own product, so its own CG
+            return _member_dots(a, Db)
         return float(np.vdot(a, Db))
 
-    u_new = conjugate_gradient(
-        apply_op, rhs, x0=u if x0 is None else x0, rtol=cg_tol, inner=d_inner,
-        precondition=lambda r: gr.poisson_solve_array(r, g, 1.0 / dt) / dt)
-    return u_new, p + dt * _pressure_rate(u_new, sys.D, g)
+    shifted = gr.laplacian_eigenvalues(g) + 1.0 / dt
+
+    def precondition(r):
+        c = k.sine_products(r, out=k.lap)
+        c *= k.analysis
+        c /= shifted
+        z = k.sine_products(c, out=k.z)
+        z *= k.synthesis
+        z /= dt
+        return z
+
+    u_new = conjugate_gradient(apply_op, load, x0=u if x0 is None else x0, rtol=cg_tol,
+                               inner=d_inner, precondition=precondition)
+    return u_new, p + np.multiply(k.pressure_rate(u_new), dt, out=k.dp)
 
 
 # x0 = sum_j c_j u_{n-j}: the polynomial through the last 1-4 step-end

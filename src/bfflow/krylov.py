@@ -55,7 +55,8 @@ def conjugate_gradient(
     # per-member scalars in numpy for a batch (col: one per member, as a
     # column), in plain Python for one system, whose loop costs what it did
     per = (-1,) + (1,) * (b.ndim - 1)
-    some, every, not_, col = ((np.any, np.all, np.logical_not, lambda s: s.reshape(per))
+    some, every, not_, col = ((np.ndarray.any, np.ndarray.all, np.logical_not,
+                               lambda s: s.reshape(per))
                               if batched else (bool, bool, operator.not_, lambda s: s))
     x[bnorm == 0.0] = 0.0  # b = 0 solves to zero, whatever x0 is
     tol2 = (rtol * bnorm) ** 2
@@ -67,6 +68,7 @@ def conjugate_gradient(
     z = precondition(r) if precondition is not None else r
     p = z.copy()
     rz = dot(r, z)
+    scratch = np.empty_like(b)  # alpha p and alpha Ap, in turn
     for it in range(max_iter):
         Ap = apply_op(p)
         pAp = dot(p, Ap)
@@ -75,8 +77,8 @@ def conjugate_gradient(
             raise _failure(bad, rs, bnorm, it, pAp)
         if every(live):
             alpha = col(rz / pAp)
-            x += alpha * p
-            r -= alpha * Ap
+            x += np.multiply(p, alpha, out=scratch)
+            r -= np.multiply(Ap, alpha, out=scratch)
         else:
             i = live.nonzero()[0]
             alpha = col(rz[i] / pAp[i])
@@ -89,7 +91,9 @@ def conjugate_gradient(
         z = precondition(r) if precondition is not None else r
         rz_new = dot(r, z)
         if every(live):
-            p = z + col(rz_new / rz) * p
+            # beta p + z: the bytes of z + beta p, since addition commutes
+            p *= col(rz_new / rz)
+            p += z
         else:
             i = live.nonzero()[0]
             p[i] = z[i] + col(rz_new[i] / rz[i]) * p[i]

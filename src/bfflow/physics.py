@@ -100,30 +100,37 @@ class MediumMatrix:
 # nonlinearity
 # ---------------------------------------------------------------------------
 
-def _phi_array(z: np.ndarray, p: NonlinearityParams) -> np.ndarray:
+def _phi_array(z: np.ndarray, p: NonlinearityParams, in_place: bool = False) -> np.ndarray:
+    """phi(z), into z's own array with `in_place`."""
+    root = p.gamma * np.sqrt(z) if p.gamma else None  # read before z is overwritten
     if p.beta:
-        # beta z^l + alpha: the same rounded sum as alpha + beta z^l
-        out = z ** p.l
+        # beta z^l + alpha: the same rounded sum as alpha + beta z^l; raised in
+        # place, z takes the loop of z ** l (np.square for l = 2)
+        if in_place:
+            z **= p.l
+        out = z if in_place else z ** p.l
         out *= p.beta
         out += p.alpha
     else:
-        out = np.full_like(z, p.alpha)
-    if p.gamma:
-        out += p.gamma * np.sqrt(z)
+        out = z if in_place else np.empty_like(z)
+        out.fill(p.alpha)
+    if root is not None:
+        out += root
     return out
 
 
 def f_apply_array(u: np.ndarray, params: NonlinearityParams, dim: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """phi(|u|^2) u, batch-safe over leading axes; into `out` (not u) if
-    given."""
+    given, and with `work`, an array of u's shape but a component axis of
+    length 1, |u|^2 and then phi(|u|^2) go into it."""
     out = np.empty_like(u) if out is None else out
     if params.is_zero():
         out.fill(0.0)
         return out
     comp_ax = u.ndim - dim - 1
-    z = np.add.reduce(np.multiply(u, u, out=out), axis=comp_ax, keepdims=True)
-    return np.multiply(_phi_array(z, params), u, out=out)
+    z = np.add.reduce(np.multiply(u, u, out=out), axis=comp_ax, keepdims=True, out=work)
+    return np.multiply(_phi_array(z, params, in_place=work is not None), u, out=out)
 
 
 def fprime_apply_array(u: np.ndarray, v: np.ndarray,

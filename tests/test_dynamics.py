@@ -157,9 +157,13 @@ class TestInPlaceRhs:
 
     @staticmethod
     def _buffers(sys):
-        return [a for k in sys._kernels.values()
-                for a in (k.lap, k.Du, k.du, k.tu, k.fu, k.bu, k.dp, k.tp, k.mean)
-                if a is not None]
+        """Every array the kernels of `sys` write into."""
+        found = []
+        for k in sys._kernels.values():
+            for v in vars(k).values():
+                found += [a for a in (v if isinstance(v, (tuple, list)) else (v,))
+                          if isinstance(a, np.ndarray) and a.flags.writeable]
+        return found
 
     # work rows belong to a single run (`simulate` refuses them on a batch)
     @pytest.mark.parametrize("members,work", [(None, False), (None, True), (3, False)],
@@ -274,6 +278,12 @@ class TestInPlaceRhs:
         assert np.array_equal(ph.f_apply_array(u, params, 2), want)
         assert ph.f_apply_array(u, params, 2, out=out) is out
         assert np.array_equal(out, want)
+        # |u|^2, then phi, in an array of the caller (the kernel's)
+        work, out = np.full_like(z, np.nan), np.full_like(u, np.nan)
+        assert ph.f_apply_array(u, params, 2, out=out, work=work) is out
+        assert np.array_equal(out, want)
+        if not params.is_zero():
+            assert np.array_equal(work, phi)
 
 
 class TestStep:
@@ -731,6 +741,149 @@ class TestWarmStart:
         assert sum(warm[40:]) <= 0.7 * sum(cold[40:]), (warm, cold)
         if kind == "white_pressure":
             assert sum(warm) <= 0.7 * sum(cold), (sum(warm), sum(cold))
+
+
+def _allocating_semi_implicit(sys, u, p, dt, cg_tol, x0=None):
+    """The semi-implicit step as a composition of the public, allocating
+    array functions: lap_array, grad_array, _pressure_rate, D.apply_array,
+    per-member np.vdot and poisson_solve_array."""
+    g = sys.grid
+    expl = sys.forcing - ph.f_apply_array(u, sys.params, g.dim)
+    if sys.convective_on:
+        expl -= ph.convective_array(u, u, g.h, g.dim)
+    load = u + dt * expl - dt * gr.grad_array(p, g.h, g.dim)
+
+    def apply_op(x):
+        return (x - dt * gr.lap_array(x, g.h, g.dim)
+                - dt * dt * gr.grad_array(dyn._pressure_rate(x, sys.D, g), g.h, g.dim))
+
+    def d_inner(a, b):
+        Db = sys.D.apply_array(b)
+        if a.ndim > g.dim + 1:
+            return _member_dots(a, Db)
+        return float(np.vdot(a, Db))
+
+    u_new = conjugate_gradient(
+        apply_op, load, x0=u if x0 is None else x0, rtol=cg_tol, inner=d_inner,
+        precondition=lambda r: gr.poisson_solve_array(r, g, 1.0 / dt) / dt)
+    return u_new, p + dt * dyn._pressure_rate(u_new, sys.D, g)
+
+
+def _written_out_pcg(apply_op, b, x0, rtol, inner, precondition):
+    """Preconditioned CG for one system, each update a fresh array, in the
+    arithmetic order of `conjugate_gradient`."""
+    x = x0.copy()
+    r = b - apply_op(x)
+    tol2 = (rtol * np.sqrt(inner(b, b))) ** 2
+    if inner(r, r) <= tol2:
+        return x
+    z = precondition(r)
+    p, rz = z.copy(), inner(r, z)
+    while True:
+        Ap = apply_op(p)
+        alpha = rz / inner(p, Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        if inner(r, r) <= tol2:
+            return x
+        z = precondition(r)
+        rz_new = inner(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+
+
+class TestKernelSemiImplicit:
+    """The semi-implicit step runs on its system's kernel and gives, bit for
+    bit, the step composed of the allocating array functions."""
+
+    @staticmethod
+    def _system(dim, n, params, conv, seed):
+        rng = SplitMix64(seed)
+        g = Grid(dim, n)
+        sys = dyn._FullSystem(g, MediumMatrix(np.array(TestInPlaceRhs.MEDIA[dim])),
+                              params, rng.normal((dim,) + g.shape), conv)
+        return sys, rng
+
+    @staticmethod
+    def _assert_steps_equal(sys, u, p, dt, x0=None):
+        want = _allocating_semi_implicit(sys, u, p, dt, 1e-12, x0)
+        got = dyn._semi_implicit_full(sys, u, p, dt, 1e-12, x0)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        for a in got:  # fresh arrays: the next step cannot overwrite them
+            assert not any(np.shares_memory(a, b)
+                           for b in TestInPlaceRhs._buffers(sys) + [u, p])
+        return got
+
+    @pytest.mark.parametrize("params", [QUINTIC, LINEAR], ids=["quintic", "drag_free"])
+    @pytest.mark.parametrize("conv", [False, True], ids=["no_conv", "conv"])
+    @pytest.mark.parametrize("members", [None, 2, 6], ids=["single", "x2", "x6"])
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 32), (3, 6)], ids=["2d_n8", "2d_n32", "3d_n6"])
+    def test_step_equals_allocating_composition(self, dim, n, members, conv, params):
+        sys, rng = self._system(dim, n, params, conv, seed=960 + 10 * dim + n)
+        u, p = TestInPlaceRhs._state(sys, rng, members)
+        # a cold step, then a warm one from an extrapolated start, which
+        # refills the arrays of the first
+        u1, p1 = self._assert_steps_equal(sys, u, p, 0.01)
+        self._assert_steps_equal(sys, u1, p1, 0.01, x0=2.0 * u1 - u)
+
+    def test_systems_and_steps_in_turn_keep_their_bytes(self):
+        # kernels belong to their system and a step to its dt: interleaved
+        # steps of two systems (2D with convection, 3D drag-free), single and
+        # batched, at two dt each, each give their own reference
+        systems = [self._system(2, 8, NonlinearityParams(1.0, 0.3, 0.7, l=1.5), True, 970),
+                   self._system(3, 6, LINEAR, False, 971)]
+        for members in (None, 3, None, 3):
+            for dt in (0.01, 0.002):
+                for sys, rng in systems:
+                    self._assert_steps_equal(sys, *TestInPlaceRhs._state(sys, rng, members), dt)
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 6)])
+    def test_cg_equals_written_out_pcg(self, monkeypatch, dim, n):
+        # the in-place CG updates (products into a scratch array, then
+        # p *= beta; p += z) give the bytes of fresh-array updates; a batch's
+        # members are checked against their single runs in TestBatchedCG
+        sys, rng = self._system(dim, n, QUINTIC, False, seed=980 + n)
+        u, p = TestInPlaceRhs._state(sys, rng, None)
+        got = dyn._semi_implicit_full(sys, u, p, 0.01, 1e-12)
+        monkeypatch.setattr(dyn, "conjugate_gradient", _written_out_pcg)
+        want = dyn._semi_implicit_full(sys, u, p, 0.01, 1e-12)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 32, 32), (6, 2, 8, 8), (16, 2, 16, 16),
+                                       (2, 3, 8, 8, 8), (3, 2, 64, 64)])
+    def test_stacked_dots_equal_per_member_vdot(self, shape):
+        rng = SplitMix64(990 + sum(shape))
+        for _ in range(50):
+            a, b = rng.normal(shape), rng.normal(shape)
+            assert np.array_equal(dyn._member_dots(a, b), _member_dots(a, b))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the operator subtracts dt^2 grad(rate) where implicit "
+        "Euler adds it, so the step does not solve its own equations (and "
+        "dt = 1 ends in CGError); the change that flips the sign removes this mark"))
+    @pytest.mark.parametrize("members", [None, 2], ids=["single", "x2"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
+    def test_step_solves_its_own_equations(self, dt, dim, members):
+        # u_new = u + dt (lap u_new - grad p_new - f(u) + g),
+        # p_new = p + dt rate(u_new), in the max norm to 1e-10 of the larger
+        # of the old and the new state
+        g = Grid(dim, 16 if dim == 2 else 6)
+        D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
+        forcing = make_forcing(g, "fixed_random", seed=41, amplitude=1.0)
+        states = [make_initial_state(g, "smooth", amp, seed=42 + i)
+                  for i, amp in enumerate((1.0, 2.0)[:members or 1])]
+        u, p = _batch(states) if members else states[0]
+        p = gr.mean_project_array(p, dim)
+        sys = dyn._FullSystem(g, D, QUINTIC, forcing, False)
+        u_new, p_new = dyn._semi_implicit_full(sys, u, p, dt, 1e-12)
+        res_u = u_new - u - dt * (gr.lap_array(u_new, g.h, dim) - gr.grad_array(p_new, g.h, dim)
+                                  - ph.f_apply_array(u, QUINTIC, dim) + forcing)
+        res_p = p_new - p - dt * dyn._pressure_rate(u_new, D, g)
+        for res, old, new in ((res_u, u, u_new), (res_p, p, p_new)):
+            assert np.abs(res).max() <= 1e-10 * max(np.abs(old).max(), np.abs(new).max())
 
 
 class TestEllipticSolver:

@@ -1,4 +1,4 @@
-"""Per-call cost of the blocks of the full-system RK4 step.
+"""Per-call cost of the blocks of the full-system RK4 and semi-implicit steps.
 
     python tools/blocks.py [checkout]
 
@@ -9,9 +9,14 @@ one table row per state shape: the median microseconds per call of
 `dynamics._rk4_full` step, at 2D n = 8, 16, 32, 64 and 3D n = 8, 16, with 1
 member (a single state, no member axis), 6 and 16 members. The system is
 quintic drag (alpha = beta = 1, l = 2), D = diag(1, 2[, 1.5]), a random
-forcing and no convective term; the step is dt = 1e-5. Each number is the
-median over 7 repeats, each repeat timing enough calls to take about 20 ms.
-Run two checkouts one after the other on an idle host to compare them.
+forcing and no convective term; the step is dt = 1e-5. A second table gives
+one `dynamics._semi_implicit_full` step of the same system (dt = 0.01,
+cg_tol = 1e-12, CG from u, as a run's first step) at 2D n = 16, 32 and 3D
+n = 8 with 1 and 2 members, and beside it the step's CG iterations: its
+operator applications, less the one that forms the initial residual. Each
+number is the median over 7 repeats, each repeat timing enough calls to
+take about 20 ms. Run two checkouts one after the other on an idle host to
+compare them.
 
 At 2D n = 64 and 3D n = 16 a block's temporaries can pass the C allocator's
 mmap threshold, and then each call maps and faults them in afresh, so a
@@ -29,6 +34,8 @@ from pathlib import Path
 
 SHAPES = [(2, 8), (2, 16), (2, 32), (2, 64), (3, 8), (3, 16)]
 MEMBERS = (1, 6, 16)
+SEMI_IMPLICIT_SHAPES = [(2, 16), (2, 32), (3, 8)]
+SEMI_IMPLICIT_MEMBERS = (1, 2)
 REPEATS = 7
 REPEAT_SECONDS = 0.02
 
@@ -46,6 +53,33 @@ def _us_per_call(fn) -> float:
             fn()
         times.append((time.perf_counter() - t0) / number)
     return 1e6 * statistics.median(times)
+
+
+def _cg_iterations(dyn, step) -> int:
+    """The CG iterations of one call of `step`: the applications of the
+    operator handed to `dyn.conjugate_gradient`, less the one that forms the
+    initial residual from x0."""
+    real, calls = dyn.conjugate_gradient, []
+
+    def counted(apply_op, b, *args, **kwargs):
+        def op(x):
+            calls.append(1)
+            return apply_op(x)
+        return real(op, b, *args, **kwargs)
+
+    dyn.conjugate_gradient = counted
+    try:
+        step()
+    finally:
+        dyn.conjugate_gradient = real
+    return len(calls) - 1
+
+
+def _state(gr, rng, g, members):
+    """A random (u, p) of `members` members, or a single state for 1."""
+    lead = () if members == 1 else (members,)
+    return (rng.normal(lead + (g.dim,) + g.shape),
+            gr.mean_project_array(rng.normal(lead + g.shape), g.dim))
 
 
 def main(argv: list[str]) -> int:
@@ -71,9 +105,7 @@ def main(argv: list[str]) -> int:
         D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
         for members in MEMBERS:
             rng = SplitMix64(1000 * dim + n + members)
-            lead = () if members == 1 else (members,)
-            u = rng.normal(lead + (dim,) + g.shape)
-            p = gr.mean_project_array(rng.normal(lead + g.shape), dim)
+            u, p = _state(gr, rng, g, members)
             sys_ = dyn._FullSystem(g, D, params, rng.normal((dim,) + g.shape), False)
             step = dyn._rk4_full(sys_, 1e-5)
             blocks = (lambda: gr.lap_array(u, g.h, dim),
@@ -84,6 +116,20 @@ def main(argv: list[str]) -> int:
                       lambda: step((u, p)))
             cells = " ".join(f"{_us_per_call(fn):9.1f}" for fn in blocks)
             print(f"{dim:>3} {n:>3} {members:>7} {cells}", flush=True)
+    print()
+    print(f"{'dim':>3} {'n':>3} {'members':>7} {'semi_step':>9} {'cg_iters':>9}")
+    for dim, n in SEMI_IMPLICIT_SHAPES:
+        g = Grid(dim, n)
+        D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
+        for members in SEMI_IMPLICIT_MEMBERS:
+            rng = SplitMix64(1000 * dim + n + members)
+            u, p = _state(gr, rng, g, members)
+            sys_ = dyn._FullSystem(g, D, params, rng.normal((dim,) + g.shape), False)
+
+            def step():
+                return dyn._semi_implicit_full(sys_, u, p, 0.01, 1e-12)
+            print(f"{dim:>3} {n:>3} {members:>7} {_us_per_call(step):9.1f} "
+                  f"{_cg_iterations(dyn, step):9d}", flush=True)
     return 0
 
 

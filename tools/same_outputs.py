@@ -2,15 +2,17 @@
 
     python tools/same_outputs.py <other-checkout>
 
-Runs one fixed list of 34 CLI invocations with the sources of each
+Runs one fixed list of 38 CLI invocations with the sources of each
 checkout: every subcommand on configs/quintic16.cfg (`split` with both split
 kinds, `simulate` also with initial.kind = mode and drag-free with
-alpha = beta = 0), `attractor` on configs/attractor8.cfg, the four benchmark
-workload configs at seed 1 (`quasistatic` also with split_kind = bootstrap,
-`ensemble` also with a full `rows` medium), `attractor` on the
-`ensemble` workload config at seeds 2-12, `simulate` and `lipschitz` on a
-short 3D run at 6^3, and two short `simulate` runs on larger grids: 20^3,
-and 40^2 with the convective term on. Each checkout runs the whole list in
+alpha = beta = 0; `attractor`, `smoothing` and `lipschitz` also with
+scheme = semi_implicit at dt = 0.01, `lipschitz` with the convective term
+on), `attractor` on configs/attractor8.cfg, the four benchmark workload
+configs at seed 1 (`quasistatic` also with split_kind = bootstrap,
+`ensemble` also with a full `rows` medium), `attractor` on the `ensemble`
+workload config at seeds 2-12, `simulate` and `lipschitz` on a short 3D run
+at 6^3 (`lipschitz` also semi-implicit), and two short `simulate` runs on
+larger grids: 20^3, and 40^2 with the convective term on. Each checkout runs the whole list in
 one process, calling `bfflow.cli.main` once per run, as the benchmark
 does. The configs are read from this checkout (perfbench/workloads.py is
 imported, not changed).
@@ -55,6 +57,7 @@ t_max = {t_max}
 snapshot_stride = {stride}
 """
 _CUBE6 = _QUINTIC.format(dim=3, n=6, diag="1, 2, 1.5", t_max=0.05, stride=0.01)
+_SEMI_IMPLICIT = "\n[solver]\nscheme = semi_implicit\ndt = 0.01\n"
 
 # run in a fresh interpreter per checkout: argv = src dir, runs file, out dir
 _RUNNER = """
@@ -92,6 +95,10 @@ def _runs() -> list[tuple[str, str, str]]:
                  quintic + "\n[initial]\nkind = mode\n"))
     runs.append(("quintic16-simulate-drag-free", "simulate",
                  quintic + "\n[nonlinearity]\nalpha = 0\nbeta = 0\n"))
+    runs += [(f"quintic16-{sub}-semi-implicit", sub, quintic + _SEMI_IMPLICIT)
+             for sub in ("attractor", "smoothing")]
+    runs.append(("quintic16-lipschitz-semi-implicit-convective", "lipschitz",
+                 quintic + _SEMI_IMPLICIT + "[scenario]\nconvective = on\n"))
     runs.append(("attractor8-attractor", "attractor",
                  (ROOT / "configs" / "attractor8.cfg").read_text()))
     for name, w in WORKLOADS.items():
@@ -103,6 +110,7 @@ def _runs() -> list[tuple[str, str, str]]:
     runs += [(f"ensemble-seed{s}", "attractor", config_text("ensemble", s))
              for s in range(2, 13)]
     runs += [(f"cube6-{sub}", sub, _CUBE6) for sub in ("simulate", "lipschitz")]
+    runs.append(("cube6-lipschitz-semi-implicit", "lipschitz", _CUBE6 + _SEMI_IMPLICIT))
     runs.append(("cube20-simulate", "simulate",
                  _QUINTIC.format(dim=3, n=20, diag="1, 2, 1.5", t_max=0.01, stride=0.002)))
     runs.append(("square40-simulate-convective", "simulate",
