@@ -3,12 +3,15 @@
 Everything here is diagnostic: dense assembly and spectrum of the pressure
 operator, decay-rate fits, energy-identity audits, weighted smoothing
 diagnostics, and ensemble studies of the attraction to the higher-energy ball.
+Each PASS/FAIL threshold of a criterion is one constant here, next to its
+measurement, and the command line and the acceptance gate both read it; a
+fitted decay rate passes below 0.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +29,8 @@ __all__ = [
     "AuditReport", "assemble_operator", "semigroup_decay", "fit_decay",
     "energy_audit", "smoothing_report", "ensemble_study", "energy_norm",
     "fit_envelope", "box_counts",
-    "LipschitzStudy", "ExpSplitStudy", "SplitStudy", "lipschitz_study",
+    "SpectrumStudy", "AuditStudy", "LipschitzStudy", "ExpSplitStudy", "SplitStudy",
+    "spectrum_study", "audit_study", "smoothing_study", "lipschitz_study",
     "exp_split_study", "split_study",
 ]
 
@@ -104,6 +108,9 @@ def _ball_distances(c: np.ndarray, w: np.ndarray, v: np.ndarray,
 # pressure operator: assembly and semigroup decay
 # ---------------------------------------------------------------------------
 
+SYMMETRY_MAX = 1e-12  # the largest symmetry defect of a passing operator
+
+
 @dataclass
 class AssembledOperator:
     """Dense form of the pressure operator on the mean-zero subspace."""
@@ -159,6 +166,9 @@ def assemble_operator(grid: Grid, D: MediumMatrix) -> AssembledOperator:
                              eigenvectors=vecs)
 
 
+DECAY_R2_MIN = 0.9  # the least r^2 of a passing decay fit
+
+
 @dataclass
 class DecayFit:
     c: float
@@ -209,6 +219,10 @@ def semigroup_decay(op: AssembledOperator, delta: float, t_max: float = 4.0,
 # ---------------------------------------------------------------------------
 # energy-identity audit
 # ---------------------------------------------------------------------------
+
+RESIDUAL_TOL = 1e-4    # simulate's sanity gate: the largest total residual per unit energy
+AUDIT_RATIO_MIN = 8.0  # the order gate: the least drop of the integrated residual per dt halving
+
 
 @dataclass
 class AuditReport:
@@ -311,6 +325,10 @@ def smoothing_report(traj: dyn.Trajectory) -> SmoothingReport:
 # ---------------------------------------------------------------------------
 # ensemble / attractor diagnostics
 # ---------------------------------------------------------------------------
+
+DIST_DROP = 1e-3    # the largest final distance to the ball, per unit of an early one
+DIST_R2_MIN = 0.8   # the least r^2 of a passing distance fit
+
 
 @dataclass
 class AttractorReport:
@@ -417,12 +435,49 @@ def fit_envelope(times, ratios) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # criterion measurements, shared by the command line and the acceptance gate;
-# each caller applies its own gates to them
+# both gate them with the thresholds above and below
 # ---------------------------------------------------------------------------
 
+SpectrumStudy = namedtuple("SpectrumStudy", "op fits")
+AuditStudy = namedtuple("AuditStudy", "audits totals ratios")
 LipschitzStudy = namedtuple("LipschitzStudy", "times ratios envelope C K excess")
 ExpSplitStudy = namedtuple("ExpSplitStudy", "split hat hat_fit tilde_h1 C K")
 SplitStudy = namedtuple("SplitStudy", "rows q_fit r_at r_sup")
+
+ENVELOPE_SLACK = 1.05       # the largest ratio / envelope of a passing Lipschitz study
+SPLIT_BOUND_FACTOR = 10.0   # the largest late sup of |r|, per unit of its window-start value
+
+
+def spectrum_study(grid: Grid, D: MediumMatrix, deltas) -> SpectrumStudy:
+    """The assembled pressure operator and, per delta of `deltas`, the
+    `semigroup_decay` fit over t in [0, 4 / eigmin]."""
+    op = assemble_operator(grid, D)
+    return SpectrumStudy(op, [semigroup_decay(op, d, t_max=4.0 / op.eigmin) for d in deltas])
+
+
+def audit_study(state0: tuple[np.ndarray, np.ndarray], grid: Grid, cfg: dyn.SolverConfig,
+                g: np.ndarray, D: MediumMatrix, params: NonlinearityParams, t_max: float,
+                dts, convective_on: bool = False) -> AuditStudy:
+    """The energy audit of the run from `state0` at each step of `dts`, its
+    integrated residual sum |residual_stage| dt, and the ratio of each total
+    to the next (inf after a zero). The totals come from every step, so the
+    runs store only their first and last state."""
+    audits = [energy_audit(dyn.simulate(state0, grid, replace(cfg, dt=dt), g, D, params, t_max,
+                                        snapshot_every=10 ** 9, convective_on=convective_on,
+                                        collect_work=True)) for dt in dts]
+    totals = [float(np.abs(a.residual_stage).sum() * dt) for a, dt in zip(audits, dts)]
+    ratios = [a / b if b > 0 else np.inf for a, b in zip(totals, totals[1:])]
+    return AuditStudy(audits, totals, ratios)
+
+
+def smoothing_study(state0: tuple[np.ndarray, np.ndarray], grid: Grid, cfg: dyn.SolverConfig,
+                    g: np.ndarray, D: MediumMatrix, params: NonlinearityParams,
+                    convective_on: bool = False) -> SmoothingReport:
+    """`smoothing_report` of the run from `state0` to t = 1, stored at the
+    step ends nearest to t = 2^-10, 2^-9, ..., 1."""
+    return smoothing_report(dyn.simulate(
+        state0, grid, cfg, g, D, params, 1.0,
+        snapshot_times=[2.0 ** -k for k in range(10, -1, -1)], convective_on=convective_on))
 
 
 def lipschitz_study(pair: tuple[np.ndarray, np.ndarray], grid: Grid,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +58,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "split_kind": ("str", "trunc"),
         "delta_exponent": ("float", 0.25),
         "perturbation": ("float", 1e-3),
-        "rate_max": ("float", 0.0),     # fitted decay rates must be below this
-        "r2_min": ("float", 0.9),
-        "ratio_min": ("float", 8.0),    # audit residual drop per dt halving
-        "dist_drop": ("float", 1e-3),
-        "residual_tol": ("float", 1e-4),   # sanity gate; `audit` owns the order check
-        "bound_factor": ("float", 10.0),
-        "envelope_slack": ("float", 1.05),
         "horizon": ("float", 0.02),     # oracle order-measurement horizon
     },
 }
@@ -500,7 +493,7 @@ def _cmd_simulate(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         "residual_total": total_res,
         "pass_finite": True,
         "pass_mean_zero": mean_defect <= 1e-12 * max(1.0, sc["run", "t_max"]),
-        "pass_residual": total_res <= sc["scenario", "residual_tol"] * scale,
+        "pass_residual": total_res <= an.RESIDUAL_TOL * scale,
     }
 
 
@@ -514,12 +507,10 @@ def _cmd_spectrum(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     if grid.num_nodes > an._SIZE_GUARD:
         raise ConfigError(f"spectrum: dense assembly is guarded to {an._SIZE_GUARD} "
                           f"nodes, got {grid.num_nodes} ({grid.n}^{grid.dim})")
-    D = sc.medium()
-    op = an.assemble_operator(grid, D)
+    st = an.spectrum_study(grid, sc.medium(), deltas)
+    op, fits = st.op, list(zip(deltas, st.fits))
     write_csv(out / "spectrum.csv", ["index [-]", "eigenvalue [1/time]"],
               list(enumerate(op.spectrum)))
-    t_max = 4.0 / op.eigmin
-    fits = [(d, an.semigroup_decay(op, d, t_max=t_max)) for d in deltas]
     write_csv(out / "decay.csv", ["delta [-]", "fitted_rate [1/time]"],
               [(d, f.rate) for d, f in fits])
     if svg:
@@ -530,9 +521,9 @@ def _cmd_spectrum(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     entries = {
         "symmetry_defect": op.symmetry_defect,
         "eigmin": op.eigmin,
-        "pass_symmetry": op.symmetry_defect <= 1e-12,
+        "pass_symmetry": op.symmetry_defect <= an.SYMMETRY_MAX,
         "pass_positive": op.eigmin > 0,
-        "pass_decay": all(f.rate < sc["scenario", "rate_max"] for _, f in fits),
+        "pass_decay": all(f.rate < 0 for _, f in fits),
     }
     for d, f in fits:
         entries[f"rate_delta_{d:g}"] = f.rate
@@ -558,7 +549,7 @@ def _cmd_lipschitz(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     return {
         "envelope_C": st.C, "envelope_K": st.K, "max_excess": st.excess,
         "pass_envelope": bool(np.isfinite(st.K)
-                              and st.excess <= sc["scenario", "envelope_slack"]),
+                              and st.excess <= an.ENVELOPE_SLACK),
     }
 
 
@@ -596,8 +587,8 @@ def _cmd_split(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         "recombination_u": split.recombination_u,
         "q_rate": st.q_fit.rate, "q_r2": st.q_fit.r_squared,
         "r_sup_late": st.r_sup, "r_at_window_start": st.r_at,
-        "pass_contracting": st.q_fit.rate < sc["scenario", "rate_max"],
-        "pass_bounded": st.r_sup <= sc["scenario", "bound_factor"] * max(st.r_at, 1e-30),
+        "pass_contracting": st.q_fit.rate < 0,
+        "pass_bounded": st.r_sup <= an.SPLIT_BOUND_FACTOR * max(st.r_at, 1e-30),
     }
 
 
@@ -620,20 +611,15 @@ def _cmd_expsplit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         "recombination": st.split.recombination,
         "hat_rate": st.hat_fit.rate, "hat_r2": st.hat_fit.r_squared,
         "tilde_envelope_C": st.C, "tilde_envelope_K": st.K,
-        "pass_hat_decay": st.hat_fit.rate < sc["scenario", "rate_max"]
-                          and st.hat_fit.r_squared >= sc["scenario", "r2_min"],
+        "pass_hat_decay": st.hat_fit.rate < 0 and st.hat_fit.r_squared >= an.DECAY_R2_MIN,
         "pass_tilde_bounded": bool(np.isfinite(st.tilde_h1).all() and np.isfinite(st.K)),
     }
 
 
 def _cmd_smoothing(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
-    grid, D, params, cfg, forcing = sc.system(horizon=1.0)
-    state0 = sc.initial(grid)
-    conv = sc["scenario", "convective"]
-    targets = [2.0 ** -k for k in range(10, -1, -1)]
-    traj = dyn.simulate(state0, grid, cfg, forcing, D, params, 1.0,
-                        snapshot_times=targets, convective_on=conv)
-    rep = an.smoothing_report(traj)
+    grid, D, params, cfg, forcing = sc.system(horizon=1.0)  # smoothing_study's horizon
+    rep = an.smoothing_study(sc.initial(grid), grid, cfg, forcing, D, params,
+                             sc["scenario", "convective"])
     rows = list(zip(rep.times, rep.series["t|grad_u|^2"],
                     rep.series["t^2|du_dt|^2"], rep.series["t|dp_dt|^2"],
                     rep.series["t^(8/3)|du_dt|^2"]))
@@ -678,12 +664,12 @@ def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     dist = report.dist_to_ball_series
     pos = dist[:, 1] > 0  # members outside the ball: something to drop and fit
     final = dist[-1, 1]
-    drop_ok = not pos.any() or final <= sc["scenario", "dist_drop"] * dist[pos][0, 1]
+    drop_ok = not pos.any() or final <= an.DIST_DROP * dist[pos][0, 1]
     rate_ok, fit_rate, fit_r2 = True, 0.0, 1.0
     if pos.sum() >= 5:
         fit = an.fit_decay(dist[pos, 0], dist[pos, 1])
         fit_rate, fit_r2 = fit.rate, fit.r_squared
-        rate_ok = fit.rate < 0 and fit.r_squared >= 0.8
+        rate_ok = fit.rate < 0 and fit.r_squared >= an.DIST_R2_MIN
     by_scale = sorted(report.box_counts)  # counts must not grow with scale
     return {
         "r_ball": report.r_ball, "dist_final": final,
@@ -697,21 +683,12 @@ def _cmd_attractor(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 def _cmd_audit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
     grid, D, params, cfg, forcing = sc.system()
-    state0 = sc.initial(grid)
-    conv = sc["scenario", "convective"]
-    t_max = sc["run", "t_max"]
-    rows = []
-    totals = []
-    for level, dt in enumerate([cfg.dt, cfg.dt / 2.0]):
-        c = replace(cfg, dt=dt)
-        traj = dyn.simulate(state0, grid, c, forcing, D, params, t_max,
-                            snapshot_every=max(1, int(round(t_max / dt / 8))),
-                            convective_on=conv, collect_work=True)
-        audit = an.energy_audit(traj)
-        totals.append(float(np.abs(audit.residual_stage).sum() * dt))
-        for t, rs, rt in zip(audit.step_times[1:], audit.residual_stage,
-                             audit.residual_trap):
-            rows.append((dt, t, rs, rt))
+    dts = (cfg.dt, cfg.dt / 2.0)
+    st = an.audit_study(sc.initial(grid), grid, cfg, forcing, D, params, sc["run", "t_max"],
+                        dts, sc["scenario", "convective"])
+    rows = [(dt, t, rs, rt) for dt, audit in zip(dts, st.audits)
+            for t, rs, rt in zip(audit.step_times[1:], audit.residual_stage,
+                                 audit.residual_trap)]
     write_csv(out / "audit.csv",
               ["dt [time]", "t [time]", "residual_stage [energy]",
                "residual_trap [energy]"], rows)
@@ -719,11 +696,11 @@ def _cmd_audit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
         arr = np.array([(t, abs(rs)) for d, t, rs, _ in rows if d == cfg.dt])
         write_svg(out / "audit.svg", "audit residual", arr[:, 0],
                   {"|residual|": arr[:, 1]}, logy=True)
-    ratio = totals[0] / totals[1] if totals[1] > 0 else np.inf
+    [ratio] = st.ratios
     return {
-        "residual_total_dt": totals[0], "residual_total_half": totals[1],
+        "residual_total_dt": st.totals[0], "residual_total_half": st.totals[1],
         "ratio": ratio,
-        "pass_order": ratio >= sc["scenario", "ratio_min"],
+        "pass_order": ratio >= an.AUDIT_RATIO_MIN,
     }
 
 

@@ -237,11 +237,9 @@ class _Kernel:
     M times the rows of x's (n, n*n) view, of shape `rows_u` for a velocity
     and `rows_p` for a pressure (None in 2D).
 
-    Its methods are the stencil sequence of the semi-implicit step: each
-    writes into one array of the kernel and returns it, so it overwrites what
-    its previous call returned. `_FullSystem.rhs` writes the same sequence
-    out, because at the ensemble's 6 x 8^2 the four method calls would cost
-    about 1% of a right-hand side."""
+    Its methods are the stencil sequence of the right-hand side and the
+    semi-implicit step: each writes into one array of the kernel and returns
+    it, so it overwrites what its previous call returned."""
 
     def __init__(self, shape: tuple[int, ...], grid: Grid, D: MediumMatrix, drag: bool,
                  convective: bool):
@@ -296,10 +294,9 @@ class _Kernel:
         np.matmul(self.D, u.reshape(self.nodes), out=self.Du_nodes)
         return self.Du
 
-    def pressure_rate(self, u: np.ndarray) -> np.ndarray:
-        """-P0 div(D u) into `dp`, through D u in `Du`:
+    def pressure_rate(self) -> np.ndarray:
+        """-P0 div(D u) into `dp`, from the D u that `medium` wrote last:
         div = (C_0 U_0 + C_1 U_1 [+ C_2 U_2]) / (2h)."""
-        self.medium(u)
         C, dp, tp, Du_c = self.C, self.dp, self.tp, self.Du_c
         if self.rows_p:
             np.matmul(C, self.Du_rows0, out=self.dp_rows)
@@ -340,8 +337,9 @@ class _FullSystem:
     """Array-level right-hand side bundle; batch-safe over leading axes.
 
     The system builds one `_Kernel` per state shape it meets, and `rhs` and
-    `parts` then make only numpy calls with `out=`: each 1D stencil product
-    is one `np.matmul` into an array of the kernel. The arithmetic is that
+    `parts` then make only numpy calls with `out=`, through the kernel's
+    methods: each 1D stencil product is one `np.matmul` into an array of the
+    kernel. The arithmetic is that
     of `gr.lap_array`, `gr.grad_array`, `gr.div_array`,
     `gr.mean_project_array` and `MediumMatrix.apply_array`, operation for
     operation, so each result has their bytes. A call returns the kernel's
@@ -374,22 +372,11 @@ class _FullSystem:
         return self._parts(self._kernel(u.shape), u)
 
     def _parts(self, k: _Kernel, u: np.ndarray):
-        g, S, lap, tu = self.grid, k.S, k.lap, k.tu
-        # lap u = ((-2d u + S_0 u) + S_1 u [+ S_2 u]) / h^2
-        np.multiply(u, k.diag, out=lap)
-        if k.rows_u:
-            np.matmul(S, u.reshape(k.rows_u), out=k.tu_rows)
-            lap += tu
-        np.matmul(S, u, out=tu)
-        lap += tu
-        np.matmul(u, S, out=tu)
-        lap += tu
-        lap *= k.inv_h2
+        g, lap = self.grid, k.laplacian(u)
         fu = None if k.fu is None else ph.f_apply_array(u, self.params, g.dim, out=k.fu,
                                                          work=k.phi)
         bu = None if k.bu is None else ph.convective_array(u, u, g.h, g.dim, out=k.bu)
-        gt, Du = self.forcing, k.Du
-        np.matmul(k.D, u.reshape(k.nodes), out=k.Du_nodes)
+        gt, Du = self.forcing, k.medium(u)
         if self.work is not None:
             w = g.cell_volume
             terms = [0.0 if a is None else s * float(np.vdot(a, Du))
@@ -401,33 +388,13 @@ class _FullSystem:
     def rhs(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = self._kernel(u.shape)
         lap, fu, bu, gt, _ = self._parts(k, u)
-        C, CT, du, dp, tp, Du_c = k.C, k.CT, k.du, k.dp, k.tp, k.Du_c
-        # grad p: component a is C_a p / (2h)
-        if k.rows_p:
-            np.matmul(C, p.reshape(k.rows_p), out=k.du_rows0)
-        np.matmul(C, p, out=k.du_c[-2])
-        np.matmul(p, CT, out=k.du_c[-1])
-        du *= k.inv_2h
-        np.subtract(lap, du, out=du)
+        du = np.subtract(lap, k.gradient(p), out=k.du)
         if fu is not None:
             du -= fu
         if bu is not None:
             du -= bu
         du += gt
-        # dp/dt = -P0 div(D u), div = (C_0 U_0 + C_1 U_1 [+ C_2 U_2]) / (2h)
-        if k.rows_p:
-            np.matmul(C, k.Du_rows0, out=k.dp_rows)
-            np.matmul(C, Du_c[1], out=tp)
-            dp += tp
-        else:
-            np.matmul(C, Du_c[0], out=dp)
-        np.matmul(Du_c[-1], CT, out=tp)
-        dp += tp
-        dp *= k.inv_2h
-        np.add.reduce(dp, axis=k.axes, keepdims=True, out=k.mean)
-        k.mean /= k.count
-        np.subtract(dp, k.mean, out=dp)
-        return du, np.negative(dp, out=dp)
+        return du, k.pressure_rate()
 
 
 def _as_forcing(g: np.ndarray, grid: Grid) -> np.ndarray:
@@ -485,7 +452,8 @@ def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
         Ax = np.subtract(x, np.multiply(k.laplacian(x), dt, out=k.lap), out=k.Ax)
         # implicit Euler adds dt^2 grad(rate x) (ROADMAP item 1); the sign
         # stays until the benchmark references are regenerated with it
-        return np.subtract(Ax, np.multiply(k.gradient(k.pressure_rate(x)), dt * dt, out=k.du),
+        k.medium(x)
+        return np.subtract(Ax, np.multiply(k.gradient(k.pressure_rate()), dt * dt, out=k.du),
                            out=Ax)
 
     batch = u.ndim > g.dim + 1
@@ -509,7 +477,8 @@ def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
 
     u_new = conjugate_gradient(apply_op, load, x0=u if x0 is None else x0, rtol=cg_tol,
                                inner=d_inner, precondition=precondition)
-    return u_new, p + np.multiply(k.pressure_rate(u_new), dt, out=k.dp)
+    k.medium(u_new)
+    return u_new, p + np.multiply(k.pressure_rate(), dt, out=k.dp)
 
 
 # x0 = sum_j c_j u_{n-j}: the polynomial through the last 1-4 step-end

@@ -175,13 +175,9 @@ class TestEnergyAudit:
                     forcing = make_forcing(g, "fixed_random", seed=seed, amplitude=1.0)
                     state = make_initial_state(g, "smooth", 1.0, seed=seed + 1)
                     dt = 0.125 * dyn.cfl_limit(g, D)
-                    tots = []
-                    for d in (dt, dt / 2.0):
-                        traj = dyn.simulate(state, g, dyn.SolverConfig(dt=d), forcing, D,
-                                            QUINTIC, 32 * dt, snapshot_every=10 ** 9,
-                                            convective_on=conv, collect_work=True)
-                        tots.append(np.abs(an.energy_audit(traj).residual_stage).sum() * d)
-                    assert tots[0] / tots[1] >= 8.0, (dim, conv, g.n, seed, tots)
+                    st = an.audit_study(state, g, dyn.SolverConfig(dt=dt), forcing, D, QUINTIC,
+                                        32 * dt, (dt, dt / 2.0), conv)
+                    assert st.ratios[0] >= 8.0, (dim, conv, g.n, seed, st.totals)
 
     def test_convective_work_negligible_with_identity_medium(self):
         _, audit, traj = self._run(4e-4, conv=True, D=MediumMatrix.identity(2))

@@ -9,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bfflow import analysis as an
 from bfflow import cli
 from bfflow import dynamics as dyn
 from bfflow import grid as gr
 from bfflow.cli import ConfigError, parse_config
 from bfflow.grid import Grid
 
+CONFIGS = Path(__file__).parents[1] / "configs"
 MINIMAL = """
 [grid]
 n = 16
@@ -164,27 +166,12 @@ deltas = 0, 0.5, 1
         assert "note_delta_0.5" in (tmp_path / "summary.txt").read_text()
 
     def test_criterion_failure_exit_code(self, tmp_path):
-        # an unreachable residual threshold flips the criterion to FAIL
-        sc = parse_config("""
-[grid]
-n = 8
-[nonlinearity]
-alpha = 1
-beta = 1
-l = 2
-[forcing]
-kind = fixed_random
-seed = 9
-[initial]
-kind = smooth
-[run]
-t_max = 0.1
-[scenario]
-residual_tol = 1e-30
-""")
-        code = cli.run_scenario(sc, "simulate", tmp_path)
+        # at t_max = 1 the quintic16 ensemble has not yet entered the ball
+        sc = parse_config((CONFIGS / "quintic16.cfg").read_text())
+        code = cli.run_scenario(sc, "attractor", tmp_path)
         assert code == 1
-        assert "pass_residual = FAIL" in (tmp_path / "summary.txt").read_text()
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "status = FAIL" in summary and "pass_attraction = FAIL" in summary
 
     def test_runtime_error_exit_code(self, tmp_path):
         sc = parse_config("""
@@ -227,9 +214,9 @@ t_max = 0.5
         # the only semi-implicit row: its CG warm start keeps per-run history
         ("lipschitz", _QUINTIC8 + _SMOOTH + "[solver]\nscheme = semi_implicit\ndt = 0.01\n"
                       "[run]\nt_max = 0.5\nsnapshot_stride = 0.05\n", None),
-        # the audit's residual drops by at least ratio_min per dt halving
+        # the audit's residual drops by at least its gate's ratio per dt halving
         ("audit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n",
-         lambda s: s["pass_order"] == "PASS" and float(s["ratio"]) >= 8.0),
+         lambda s: s["pass_order"] == "PASS" and float(s["ratio"]) >= an.AUDIT_RATIO_MIN),
         # smoothing's horizon is fixed at t = 1; its four weighted sups are
         # finite and positive
         ("smoothing", _QUINTIC8 + _WHITE_P,
@@ -376,6 +363,11 @@ _BAD_INPUTS = {
                           "unknown key 'shift_u_max'"),
     "removed_amplitudes_key": ("attractor", _ATTRACTOR8 + "[scenario]\namplitudes = 0.1, 1\n",
                                "unknown key 'amplitudes'"),
+    # the gates' thresholds are constants of bfflow.analysis, which no config sets
+    **{f"removed_{key}_key": ("simulate", f"[grid]\nn = 8\n[scenario]\n{key} = 1\n",
+                              f"line 4: unknown key '{key}' in [scenario]")
+       for key in ("rate_max", "r2_min", "ratio_min", "dist_drop", "residual_tol",
+                   "bound_factor", "envelope_slack")},
     "expsplit_convective": ("expsplit", _QUINTIC8 + _SMOOTH + "[run]\nt_max = 0.05\n"
                             "snapshot_stride = 0.01\n[scenario]\nconvective = on\n",
                             "cannot recombine with convective = on"),
@@ -489,7 +481,7 @@ class TestExitCodes:
 
     def test_attractor_semi_implicit_honours_the_scheme(self, tmp_path):
         # the ensemble steps semi-implicitly, above the RK4 CFL bound, cleanly
-        text = (Path(__file__).parents[1] / "configs" / "attractor8.cfg").read_text()
+        text = (CONFIGS / "attractor8.cfg").read_text()
         config = tmp_path / "semi.cfg"
         config.write_text(text.replace("t_max = 30", "t_max = 2")
                           + "\n[solver]\nscheme = semi_implicit\ndt = 0.01\n")

@@ -1,9 +1,12 @@
-"""3D coverage: the whole pipeline at 4^3/6^3 desk scale."""
+"""3D coverage: the whole pipeline at 4^3-8^3 desk scale, every subcommand included."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bfflow import analysis as an
+from bfflow import cli
 from bfflow import dynamics as dyn
 from bfflow import grid as gr
 from bfflow import physics as ph
@@ -14,6 +17,9 @@ from bfflow.physics import MediumMatrix, NonlinearityParams
 from bfflow.rng import SplitMix64
 
 QUINTIC = NonlinearityParams(1.0, 1.0, 0.0, l=2.0)
+CONFIGS = Path(__file__).parents[1] / "configs"
+# split needs a nonzero initial pressure, and 5 snapshots in a short run
+_SPLIT = "\n[initial]\nkind = white_pressure\n[run]\nt_max = 0.05\nsnapshot_stride = 0.01\n"
 
 
 def _div_residual(p, g):
@@ -127,3 +133,10 @@ def test_bogovski_div_residual_direct_solves():
     rng = SplitMix64(817)
     p = gr.mean_project_array(rng.normal(g.shape), g.dim)
     assert _div_residual(p, g) <= 1e-10
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_every_subcommand_passes_on_the_3d_configs(tmp_path, subcommand):
+    name = "cube8_attractor.cfg" if subcommand == "attractor" else "cube8.cfg"
+    text = (CONFIGS / name).read_text() + (_SPLIT if subcommand == "split" else "")
+    assert cli.run_scenario(cli.parse_config(text), subcommand, tmp_path) == 0

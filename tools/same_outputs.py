@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py <other-checkout>
 
-Runs one fixed list of 38 CLI invocations with the sources of each
+Runs one fixed list of 47 CLI invocations with the sources of each
 checkout: every subcommand on configs/quintic16.cfg (`split` with both split
 kinds, `simulate` also with initial.kind = mode and drag-free with
 alpha = beta = 0; `attractor`, `smoothing` and `lipschitz` also with
@@ -11,11 +11,13 @@ on), `attractor` on configs/attractor8.cfg, the four benchmark workload
 configs at seed 1 (`quasistatic` also with split_kind = bootstrap,
 `ensemble` also with a full `rows` medium), `attractor` on the `ensemble`
 workload config at seeds 2-12, `simulate` and `lipschitz` on a short 3D run
-at 6^3 (`lipschitz` also semi-implicit), and two short `simulate` runs on
-larger grids: 20^3, and 40^2 with the convective term on. Each checkout runs the whole list in
-one process, calling `bfflow.cli.main` once per run, as the benchmark
-does. The configs are read from this checkout (perfbench/workloads.py is
-imported, not changed).
+at 6^3 (`lipschitz` also semi-implicit), every subcommand on the 3D configs
+configs/cube8.cfg (`split` from a white-noise pressure at t_max = 0.05) and
+configs/cube8_attractor.cfg (`attractor`), and two short `simulate` runs on
+larger grids: 20^3, and 40^2 with the convective term on. Each checkout runs
+the whole list in one process, calling `bfflow.cli.main` once per run, as
+the benchmark does. The configs are read from this checkout
+(perfbench/workloads.py is imported, not changed).
 
 Prints one line per run, comparing exit codes and every output file byte for
 byte, and exits 0 only when every run is identical. For files that differ it
@@ -111,6 +113,13 @@ def _runs() -> list[tuple[str, str, str]]:
              for s in range(2, 13)]
     runs += [(f"cube6-{sub}", sub, _CUBE6) for sub in ("simulate", "lipschitz")]
     runs.append(("cube6-lipschitz-semi-implicit", "lipschitz", _CUBE6 + _SEMI_IMPLICIT))
+    cube8 = (ROOT / "configs" / "cube8.cfg").read_text()
+    runs += [(f"cube8-{sub}", sub, cube8) for sub in (
+        "simulate", "spectrum", "lipschitz", "expsplit", "smoothing", "audit", "oracle")]
+    runs.append(("cube8-split", "split", cube8 + "\n[initial]\nkind = white_pressure\n"
+                 "[run]\nt_max = 0.05\nsnapshot_stride = 0.01\n"))
+    runs.append(("cube8_attractor-attractor", "attractor",
+                 (ROOT / "configs" / "cube8_attractor.cfg").read_text()))
     runs.append(("cube20-simulate", "simulate",
                  _QUINTIC.format(dim=3, n=20, diag="1, 2, 1.5", t_max=0.01, stride=0.002)))
     runs.append(("square40-simulate-convective", "simulate",
