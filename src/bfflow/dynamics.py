@@ -230,19 +230,21 @@ def _pressure_rate(u: np.ndarray, D: MediumMatrix, grid: Grid) -> np.ndarray:
 
 
 class _Kernel:
-    """What the full system needs at one state shape, built once: the arrays
-    it writes into and their views, the cached 1D stencil and DST-I matrices
-    and the constants. As in `gr._along_axis`, a product along the last grid
+    """What the full system, or the Newton solve of the truncated one, needs
+    at one state shape, built once per run: the arrays it writes into and
+    their views, the cached 1D stencil and DST-I matrices and the constants
+    (D only for the full system). As in `gr._along_axis`, a product along the last grid
     axis is x @ M^T, along the one before it M @ x, and in 3D along the first
     M times the rows of x's (n, n*n) view, of shape `rows_u` for a velocity
     and `rows_p` for a pressure (None in 2D).
 
-    Its methods are the stencil sequence of the right-hand side and the
-    semi-implicit step: each writes into one array of the kernel and returns
-    it, so it overwrites what its previous call returned."""
+    Its methods are the stencil sequence of the right-hand side, the
+    semi-implicit step and the Newton solve: each writes into one array of
+    the kernel and returns it, so it overwrites what its previous call
+    returned."""
 
-    def __init__(self, shape: tuple[int, ...], grid: Grid, D: MediumMatrix, drag: bool,
-                 convective: bool):
+    def __init__(self, shape: tuple[int, ...], grid: Grid, D: MediumMatrix | None = None,
+                 drag: bool = True, convective: bool = False):
         dim, n, h = grid.dim, grid.n, grid.h
         lead = shape[:-dim - 1]
         self.lap, self.Du, self.du, self.tu = (np.empty(shape) for _ in range(4))
@@ -252,12 +254,15 @@ class _Kernel:
         self.bu = np.empty(shape) if convective else None
         self.dp, self.tp = np.empty(lead + grid.shape), np.empty(lead + grid.shape)
         self.mean = np.empty(lead + (1,) * dim)
-        # the semi-implicit step's CG load, operator value and preconditioned
-        # residual
+        # a CG's load, operator value and preconditioned residual
         self.load, self.Ax, self.z = (np.empty(shape) for _ in range(3))
+        # the Newton solve's iterate and residual, each with its line-search
+        # trial, and the u.v of its Jacobian action
+        self.iterates, self.residuals = ((np.empty(shape), np.empty(shape)) for _ in range(2))
+        self.uv = np.empty(lead + (1,) + grid.shape)
         self.S, self.C, self.CT = gr._stencil_matrices(n)
         self.sine = gr._dst1_matrix(n)
-        self.D = D.entries
+        self.D = None if D is None else D.entries
         self.diag, self.inv_h2, self.inv_2h = -2.0 * dim, 1.0 / (h * h), 1.0 / (2.0 * h)
         # the factors of gr.sine_coefficients_array and gr.sine_synthesis_array
         self.analysis, self.synthesis = (h / np.sqrt(2.0)) ** dim, (1.0 / np.sqrt(2.0)) ** dim
@@ -331,6 +336,17 @@ class _Kernel:
             a = out
         np.matmul(S, a, out=tu)
         return np.matmul(tu, S, out=out)
+
+    def poisson_solve(self, r: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+        """(-lap + shift)^-1 r into `z`, given `shifted` = the eigenvalues
+        of -lap plus the shift: `gr.poisson_solve_array`'s scale, products,
+        divide, products, scale (`lap` and `tu` are scratch)."""
+        c = self.sine_products(r, out=self.lap)
+        c *= self.analysis
+        c /= shifted
+        z = self.sine_products(c, out=self.z)
+        z *= self.synthesis
+        return z
 
 
 class _FullSystem:
@@ -467,13 +483,7 @@ def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
     shifted = gr.laplacian_eigenvalues(g) + 1.0 / dt
 
     def precondition(r):
-        c = k.sine_products(r, out=k.lap)
-        c *= k.analysis
-        c /= shifted
-        z = k.sine_products(c, out=k.z)
-        z *= k.synthesis
-        z /= dt
-        return z
+        return np.divide(k.poisson_solve(r, shifted), dt, out=k.z)
 
     u_new = conjugate_gradient(apply_op, load, x0=u if x0 is None else x0, rtol=cg_tol,
                                inner=d_inner, precondition=precondition)
@@ -490,18 +500,23 @@ def _full_advance(sys: _FullSystem, cfg: SolverConfig):
     """advance((u, p)) of the configured scheme, for one run: the
     semi-implicit step starts its CG from the cubic extrapolation of the
     run's last four step-end velocities (fewer at the start), which it keeps
-    by reference, so successive calls must be successive steps."""
+    by reference, so successive calls must be successive steps. The start
+    and one term of it are built in two arrays that the advance keeps."""
     if cfg.scheme == "rk4":
         return _rk4_full(sys, cfg.dt)
     history = []  # u_n, u_{n-1}, u_{n-2}, u_{n-3}, newest first
+    work = []  # x0 and one term c_j u_{n-j} of it
 
     def advance(y):
         history.insert(0, y[0])
         del history[4:]
         c0, *cs = _EXTRAPOLATION[len(history) - 1]
-        x0 = c0 * history[0]
+        if not work:
+            work.extend(np.empty_like(y[0]) for _ in range(2))
+        x0, term = work
+        np.multiply(history[0], c0, out=x0)
         for c, v in zip(cs, history[1:]):
-            x0 += c * v
+            x0 += np.multiply(v, c, out=term)
         return _semi_implicit_full(sys, *y, cfg.dt, cfg.cg_tol, x0)
     return advance
 
@@ -607,63 +622,84 @@ def simulate(state0: tuple[np.ndarray, np.ndarray], grid: Grid, cfg: SolverConfi
 # ---------------------------------------------------------------------------
 
 def _elliptic_residual(u: np.ndarray, p: np.ndarray, g_t: np.ndarray,
-                       params: NonlinearityParams, grid: Grid) -> np.ndarray:
-    return (-gr.lap_array(u, grid.h, grid.dim)
-            + ph.f_apply_array(u, params, grid.dim)
-            + gr.grad_array(p, grid.h, grid.dim) - g_t)
+                       params: NonlinearityParams, grid: Grid, kernel: _Kernel | None = None,
+                       grad_p: np.ndarray | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """((-lap u + f(u)) + grad p) - g_t, on `kernel` (one for u's shape is
+    built if none is given), into `out` (a fresh array by default), with
+    grad p taken from `grad_p` when the caller has it."""
+    k = _Kernel(u.shape, grid) if kernel is None else kernel
+    r = np.negative(k.laplacian(u), out=out)
+    r += ph.f_apply_array(u, params, grid.dim, out=k.fu, work=k.phi)
+    r += k.gradient(p) if grad_p is None else grad_p
+    r -= g_t
+    return r
 
 
 def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
                           params: NonlinearityParams, grid: Grid,
                           newton_tol: float = 1e-10, newton_max: int = 30,
-                          cg_floor: float = 1e-13,
-                          u0: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
+                          cg_floor: float = 1e-13, u0: np.ndarray | None = None,
+                          kernel: _Kernel | None = None) -> tuple[np.ndarray, list[float]]:
     """Newton with exact Jacobian (CG inner solves) and halving line search.
 
     Solves -lap u + f(u) + grad p = g_t; f is monotone, so the Jacobian is
     positive definite with no shift. The CG is preconditioned by
     (-lap + alpha)^-1, the Jacobian at u = 0, applied in the sine basis;
     with beta = gamma = 0 it is the exact inverse.
+
+    The solve runs on `kernel`, a `_Kernel` for g_t's shape (one is built if
+    none is given): its iterates, residuals, Jacobian actions and
+    preconditioned residuals are arrays of the kernel, grad p is formed once
+    and f'(u)'s coefficients once per Newton step, in the arithmetic of
+    `gr.lap_array`, `gr.grad_array`, `ph.fprime_apply_array` and
+    `gr.poisson_solve_array`, so u and the residual history keep their
+    bytes. u is returned in a fresh array.
     """
-    w = grid.cell_volume
-    u = np.zeros_like(g_t) if u0 is None else u0.copy()
+    k = _Kernel(g_t.shape, grid) if kernel is None else kernel
+    w, dim = grid.cell_volume, grid.dim
+    (u, u_try), (r, r_try) = k.iterates, k.residuals
+    np.copyto(u, 0.0 if u0 is None else u0)
+    grad_p = k.gradient(p)
+    shifted = gr.laplacian_eigenvalues(grid) + params.alpha
 
     def rnorm(r):
         return float(np.sqrt(w * np.vdot(r, r)))
 
-    r = _elliptic_residual(u, p, g_t, params, grid)
-    res = rnorm(r)
+    res = rnorm(_elliptic_residual(u, p, g_t, params, grid, k, grad_p, out=r))
     history = [res]
     for _ in range(newton_max):
         if res <= newton_tol:
-            return u, history
+            return u.copy(), history
+        coefficients = ph._fprime_coefficients(u, params, dim)
 
         def apply_jac(v, u_lin=u):
-            return (-gr.lap_array(v, grid.h, grid.dim)
-                    + ph.fprime_apply_array(u_lin, v, params, grid.dim))
+            neg = np.negative(k.laplacian(v), out=k.lap)
+            jv = ph._fprime_apply(coefficients, u_lin, v, dim, out=k.Ax, work=(k.tu, k.uv))
+            return np.add(neg, jv, out=jv)
 
         rtol = min(1e-2, max(res, cg_floor))
         delta = conjugate_gradient(
-            apply_jac, -r, rtol=max(rtol, cg_floor),
-            precondition=lambda x: gr.poisson_solve_array(x, grid, params.alpha))
+            apply_jac, np.negative(r, out=k.load), rtol=max(rtol, cg_floor),
+            precondition=lambda x: k.poisson_solve(x, shifted))
         lam = 1.0
         while lam > 1e-8:
-            u_try = u + lam * delta
-            r_try = _elliptic_residual(u_try, p, g_t, params, grid)
-            res_try = rnorm(r_try)
+            np.add(u, np.multiply(delta, lam, out=k.tu), out=u_try)
+            res_try = rnorm(_elliptic_residual(u_try, p, g_t, params, grid, k, grad_p,
+                                               out=r_try))
             if res_try < res * (1.0 - 1e-4 * lam) or res_try <= newton_tol:
                 break
             lam *= 0.5
-        u, r, res = u_try, r_try, res_try
+        (u, u_try), (r, r_try), res = (u_try, u), (r_try, r), res_try
         history.append(res)
     if res <= newton_tol:
-        return u, history
+        return u.copy(), history
     raise NewtonError(history)
 
 
 class _TruncatedSystem:
     """The velocity u(p) of the truncated system dp/dt = -P0 div(D u(p)),
-    re-solved at every evaluation."""
+    re-solved at every evaluation on one kernel, kept for the run."""
 
     def __init__(self, grid: Grid, params: NonlinearityParams, forcing: np.ndarray,
                  cfg: SolverConfig):
@@ -671,6 +707,7 @@ class _TruncatedSystem:
         self.params = params
         self.forcing = forcing
         self.cfg = cfg
+        self._kernel = _Kernel(forcing.shape, grid)
         self._warm: np.ndarray | None = None
 
     def solve_u(self, p: np.ndarray) -> np.ndarray:
@@ -678,8 +715,8 @@ class _TruncatedSystem:
         u, _ = solve_elliptic_arrays(
             p, self.forcing, self.params, self.grid,
             newton_tol=self.cfg.newton_tol, newton_max=self.cfg.newton_max,
-            cg_floor=self.cfg.cg_tol, u0=self._warm)
-        self._warm = u.copy()
+            cg_floor=self.cfg.cg_tol, u0=self._warm, kernel=self._kernel)
+        self._warm = u  # a fresh array, which the next solve only reads
         return u
 
 
@@ -734,7 +771,8 @@ def _split(p0: np.ndarray, grid: Grid, forcing: np.ndarray, cfg: SolverConfig,
         return (u, *parts(y, u))
 
     def rhs(y):
-        return tuple(_pressure_rate(x, D, grid) for x in velocities(y))
+        # the three rates as one batch, each member with the bytes it gets alone
+        return tuple(_pressure_rate(np.stack(velocities(y)), D, grid))
 
     def record(y):
         (p, q, r), (u, v, w) = y, velocities(y)

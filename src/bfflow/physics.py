@@ -133,29 +133,53 @@ def f_apply_array(u: np.ndarray, params: NonlinearityParams, dim: int,
     return np.multiply(_phi_array(z, params, in_place=work is not None), u, out=out)
 
 
-def fprime_apply_array(u: np.ndarray, v: np.ndarray,
-                       params: NonlinearityParams, dim: int) -> np.ndarray:
-    """Exact Jacobian action f'(u) v = phi(z) v + 2 phi'(z) (u.v) u, z = |u|^2.
+def _fprime_coefficients(u: np.ndarray, params: NonlinearityParams, dim: int):
+    """The coefficients (phi(z), c) of f'(u), z = |u|^2, c = 2 phi'(z); c is
+    None where phi is constant, and both are None for a vanishing drag.
 
     The phi' branch is masked at z = 0, where the rank-one term vanishes in
     the limit for every admissible exponent.
     """
     if params.is_zero():
-        return np.zeros_like(v)
-    comp_ax = u.ndim - dim - 1
-    z = np.add.reduce(u * u, axis=comp_ax, keepdims=True)
-    out = _phi_array(z, params) * v
+        return None, None
+    z = np.add.reduce(u * u, axis=u.ndim - dim - 1, keepdims=True)
+    phi = _phi_array(z, params)
     if params.beta == 0.0 and params.gamma == 0.0:
-        return out
+        return phi, None
     zsafe = np.where(z > 0.0, z, 1.0)
     dphi = np.zeros_like(z)
     if params.beta:
         dphi += params.beta * params.l * zsafe ** (params.l - 1.0)
     if params.gamma:
         dphi += params.gamma / (2.0 * np.sqrt(zsafe))
-    dphi = np.where(z > 0.0, dphi, 0.0)
-    s = np.add.reduce(u * v, axis=comp_ax, keepdims=True)
-    return out + 2.0 * dphi * s * u
+    return phi, 2.0 * np.where(z > 0.0, dphi, 0.0)
+
+
+def _fprime_apply(coefficients, u: np.ndarray, v: np.ndarray, dim: int,
+                  out: np.ndarray | None = None, work=None) -> np.ndarray:
+    """f'(u) v = phi v + (c (u.v)) u from `_fprime_coefficients(u, ...)`;
+    into `out` (not u or v) if given, and with `work`, a u-shaped array and
+    one with a component axis of length 1, u.v and the rank-one term go into
+    them."""
+    out = np.empty_like(v) if out is None else out
+    phi, c = coefficients
+    if phi is None:
+        out.fill(0.0)
+        return out
+    np.multiply(phi, v, out=out)
+    if c is None:
+        return out
+    tmp, s = (None, None) if work is None else work
+    s = np.add.reduce(np.multiply(u, v, out=tmp), axis=u.ndim - dim - 1, keepdims=True, out=s)
+    s *= c
+    out += np.multiply(s, u, out=tmp)
+    return out
+
+
+def fprime_apply_array(u: np.ndarray, v: np.ndarray,
+                       params: NonlinearityParams, dim: int) -> np.ndarray:
+    """Exact Jacobian action f'(u) v = phi(z) v + 2 phi'(z) (u.v) u, z = |u|^2."""
+    return _fprime_apply(_fprime_coefficients(u, params, dim), u, v, dim)
 
 
 # ---------------------------------------------------------------------------

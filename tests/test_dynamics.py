@@ -130,6 +130,15 @@ def _rk4_written_out(y, dt, rhs):
                  for a, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
 
 
+def _kernel_arrays(k):
+    """Every array a `dyn._Kernel` writes into."""
+    found = []
+    for v in vars(k).values():
+        found += [a for a in (v if isinstance(v, (tuple, list)) else (v,))
+                  if isinstance(a, np.ndarray) and a.flags.writeable]
+    return found
+
+
 class TestInPlaceRhs:
     """The full system's right-hand side writes into buffers it owns, and the
     RK4 stepper keeps its stage arrays across steps; both give the bits of
@@ -158,12 +167,7 @@ class TestInPlaceRhs:
     @staticmethod
     def _buffers(sys):
         """Every array the kernels of `sys` write into."""
-        found = []
-        for k in sys._kernels.values():
-            for v in vars(k).values():
-                found += [a for a in (v if isinstance(v, (tuple, list)) else (v,))
-                          if isinstance(a, np.ndarray) and a.flags.writeable]
-        return found
+        return [a for k in sys._kernels.values() for a in _kernel_arrays(k)]
 
     # work rows belong to a single run (`simulate` refuses them on a batch)
     @pytest.mark.parametrize("members,work", [(None, False), (None, True), (3, False)],
@@ -885,6 +889,203 @@ class TestKernelSemiImplicit:
         for res, old, new in ((res_u, u, u_new), (res_p, p, p_new)):
             assert np.abs(res).max() <= 1e-10 * max(np.abs(old).max(), np.abs(new).max())
 
+    @pytest.mark.parametrize("members", [None, 2], ids=["single", "x2"])
+    def test_extrapolated_start_equals_fresh_array_start(self, members):
+        # the advance builds its CG start in arrays it keeps; steps from a
+        # start built in fresh arrays, c0 u_n + c1 u_{n-1} + ..., keep its bytes
+        sys, rng = self._system(2, 16, QUINTIC, False, seed=1000)
+        cfg = dyn.SolverConfig(dt=0.01, scheme="semi_implicit")
+        advance, history = dyn._full_advance(sys, cfg), []
+        y = TestInPlaceRhs._state(sys, rng, members)
+        for _ in range(6):
+            history = [y[0]] + history[:3]
+            c0, *cs = dyn._EXTRAPOLATION[len(history) - 1]
+            x0 = c0 * history[0]
+            for c, v in zip(cs, history[1:]):
+                x0 += c * v
+            want = dyn._semi_implicit_full(sys, *y, cfg.dt, cfg.cg_tol, x0)
+            for a, b in zip(advance(y), want):
+                assert np.array_equal(a, b)
+            y = want
+
+
+def _allocating_fprime(u, v, params, dim):
+    """f'(u) v as one allocating formula: phi(z) v + 2 phi'(z) (u.v) u,
+    z = |u|^2, phi' masked at z = 0."""
+    if params.is_zero():
+        return np.zeros_like(v)
+    comp_ax = u.ndim - dim - 1
+    z = np.add.reduce(u * u, axis=comp_ax, keepdims=True)
+    out = ph._phi_array(z, params) * v
+    if params.beta == 0.0 and params.gamma == 0.0:
+        return out
+    zsafe = np.where(z > 0.0, z, 1.0)
+    dphi = np.zeros_like(z)
+    if params.beta:
+        dphi += params.beta * params.l * zsafe ** (params.l - 1.0)
+    if params.gamma:
+        dphi += params.gamma / (2.0 * np.sqrt(zsafe))
+    dphi = np.where(z > 0.0, dphi, 0.0)
+    s = np.add.reduce(u * v, axis=comp_ax, keepdims=True)
+    return out + 2.0 * dphi * s * u
+
+
+def _allocating_residual(u, p, g_t, params, g):
+    return (-gr.lap_array(u, g.h, g.dim) + ph.f_apply_array(u, params, g.dim)
+            + gr.grad_array(p, g.h, g.dim) - g_t)
+
+
+def _allocating_newton(p, g_t, params, g, newton_tol=1e-10, newton_max=30,
+                       cg_floor=1e-13, u0=None):
+    """The Newton elliptic solve composed of the allocating array functions
+    (lap_array, grad_array, f_apply_array, the formula of f'(u) v above and
+    poisson_solve_array), each iterate and residual a fresh array."""
+    w = g.cell_volume
+    u = np.zeros_like(g_t) if u0 is None else u0.copy()
+
+    def rnorm(r):
+        return float(np.sqrt(w * np.vdot(r, r)))
+
+    r = _allocating_residual(u, p, g_t, params, g)
+    res = rnorm(r)
+    history = [res]
+    for _ in range(newton_max):
+        if res <= newton_tol:
+            return u, history
+
+        def apply_jac(v, u_lin=u):
+            return -gr.lap_array(v, g.h, g.dim) + _allocating_fprime(u_lin, v, params, g.dim)
+
+        rtol = min(1e-2, max(res, cg_floor))
+        delta = conjugate_gradient(
+            apply_jac, -r, rtol=max(rtol, cg_floor),
+            precondition=lambda x: gr.poisson_solve_array(x, g, params.alpha))
+        lam = 1.0
+        while lam > 1e-8:
+            u_try = u + lam * delta
+            r_try = _allocating_residual(u_try, p, g_t, params, g)
+            res_try = rnorm(r_try)
+            if res_try < res * (1.0 - 1e-4 * lam) or res_try <= newton_tol:
+                break
+            lam *= 0.5
+        u, r, res = u_try, r_try, res_try
+        history.append(res)
+    if res <= newton_tol:
+        return u, history
+    raise dyn.NewtonError(history)
+
+
+DRAGS = {"quintic": QUINTIC, "linear": NonlinearityParams(1.0, 0.0),
+         "sqrt": NonlinearityParams(1.0, 0.0, 0.5),
+         "mixed": NonlinearityParams(1.0, 0.3, 0.7, l=1.5), "zero": LINEAR}
+
+
+class TestKernelNewton:
+    """The Newton elliptic solve runs on a kernel and gives, bit for bit, the
+    solve composed of the allocating array functions: the same u and the
+    same residual history."""
+
+    @staticmethod
+    def _problem(dim, n, seed, amplitude):
+        rng = SplitMix64(seed)
+        g = Grid(dim, n)
+        return g, _random_pressure(g, rng), amplitude * rng.normal((dim,) + g.shape), rng
+
+    @staticmethod
+    def _assert_solves_equal(p, gt, params, g, kernel, u0=None):
+        want = _allocating_newton(p, gt, params, g, u0=u0)
+        got = dyn.solve_elliptic_arrays(p, gt, params, g, u0=u0, kernel=kernel)
+        assert got[1] == want[1]
+        assert got[0].shape == want[0].shape and np.array_equal(got[0], want[0])
+        # a fresh u: the next solve on the kernel cannot overwrite it
+        assert not any(np.shares_memory(got[0], a) for a in _kernel_arrays(kernel))
+        return got
+
+    @pytest.mark.parametrize("drag", sorted(DRAGS))
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 16), (3, 6)], ids=["2d_n8", "2d_n16", "3d_n6"])
+    @pytest.mark.parametrize("amplitude", [1.0, 30.0])
+    def test_solve_equals_allocating_solve(self, dim, n, drag, amplitude):
+        g, p, gt, rng = self._problem(dim, n, 1100 + 10 * dim + n, amplitude)
+        params = DRAGS[drag]
+        kernel = dyn._Kernel(gt.shape, g)
+        # a cold start (every node at z = 0, the masked phi' branch), then
+        # a warm one for a nearby p on the same kernel
+        u, hist = self._assert_solves_equal(p, gt, params, g, kernel)
+        assert len(hist) >= 2
+        p_near = p + 0.05 * _random_pressure(g, rng)
+        self._assert_solves_equal(p_near, gt, params, g, kernel, u0=u)
+
+    def test_line_search_and_nonconvergence_keep_their_bytes(self):
+        # a cold quintic solve at 16^2 with forcing amplitude 100 halves its
+        # first step; and a solve cut at one Newton step raises with the
+        # history of the allocating solve
+        g = Grid(2, 16)
+        p = np.zeros(g.shape)
+        gt = make_forcing(g, "fixed_random", seed=5, amplitude=100.0)
+        kernel = dyn._Kernel(gt.shape, g)
+        self._assert_solves_equal(p, gt, QUINTIC, g, kernel)
+        with pytest.raises(dyn.NewtonError) as want:
+            _allocating_newton(p, gt, QUINTIC, g, newton_max=1)
+        with pytest.raises(dyn.NewtonError) as got:
+            dyn.solve_elliptic_arrays(p, gt, QUINTIC, g, newton_max=1, kernel=kernel)
+        assert got.value.history == want.value.history
+
+    @pytest.mark.parametrize("drag", sorted(DRAGS))
+    def test_residual_equals_allocating_residual(self, drag):
+        for dim, n in ((2, 8), (3, 6)):
+            g, p, gt, rng = self._problem(dim, n, 1200 + dim, 1.0)
+            u = rng.normal(gt.shape)
+            u[..., 0, :] = 0.0  # z = 0 on one face
+            want = _allocating_residual(u, p, gt, DRAGS[drag], g)
+            assert np.array_equal(dyn._elliptic_residual(u, p, gt, DRAGS[drag], g), want)
+
+    @pytest.mark.parametrize("drag", sorted(DRAGS))
+    def test_fprime_apply_keeps_its_bytes(self, drag):
+        # seeded random (u, v), with z = 0 at some nodes, single and as the
+        # three stacked Gauss nodes of averaged_jacobian_apply (v broadcast)
+        params = DRAGS[drag]
+        for dim, n in ((2, 8), (2, 16), (3, 6)):
+            rng = SplitMix64(1300 + 10 * dim + n)
+            for _ in range(5):
+                u, v = rng.normal((dim,) + (n,) * dim), rng.normal((dim,) + (n,) * dim)
+                u[:, 1] = 0.0
+                got = ph.fprime_apply_array(u, v, params, dim)
+                assert np.array_equal(got, _allocating_fprime(u, v, params, dim))
+                mids = np.stack([u, 0.5 * u, rng.normal(u.shape)])
+                vb = np.broadcast_to(v, mids.shape)
+                assert np.array_equal(ph.fprime_apply_array(mids, vb, params, dim),
+                                      _allocating_fprime(mids, vb, params, dim))
+
+    def test_fprime_masks_the_rank_one_term_where_z_underflows(self):
+        # u = 1e-170 is nonzero but |u|^2 rounds to 0: with phi(0) = 0 the
+        # masked action is exactly 0, where the unmasked one would give
+        # 4 (u.v) u = 1.6e-39 at v = 1e300
+        params = NonlinearityParams(0.0, 1.0, 0.0, l=2.0)
+        u, v = np.full((2, 4, 4), 1e-170), np.full((2, 4, 4), 1e300)
+        got = ph.fprime_apply_array(u, v, params, 2)
+        assert np.array_equal(got, _allocating_fprime(u, v, params, 2)) and not got.any()
+
+    def test_truncated_system_keeps_one_kernel_per_run(self, monkeypatch):
+        # each system solves on the one kernel it built, and two systems (a
+        # trunc split's u(p) and v(q)) never share one
+        g, D = small_setup(n=8)
+        solve, kernels = dyn.solve_elliptic_arrays, []
+
+        def spy(*args, kernel=None, **kwargs):
+            kernels.append(kernel)
+            return solve(*args, kernel=kernel, **kwargs)
+
+        monkeypatch.setattr(dyn, "solve_elliptic_arrays", spy)
+        rng = SplitMix64(1400)
+        cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
+        dyn.run_split(_random_pressure(g, rng), g, 0.5 * rng.normal((2,) + g.shape), cfg, D,
+                      QUINTIC, 0.2)
+        assert len(kernels) == 2 * (4 * 4 + 5)
+        assert all(isinstance(k, dyn._Kernel) for k in kernels)
+        assert kernels[0::2] == [kernels[0]] * len(kernels[0::2])
+        assert kernels[1::2] == [kernels[1]] * len(kernels[1::2])
+        assert kernels[0] is not kernels[1]
+
 
 class TestEllipticSolver:
     def test_zero_data(self):
@@ -1064,6 +1265,19 @@ class TestSplits:
             assert len(split.times) == 4
             assert len(seen) == per_stage * (4 * n_steps + len(split.times))
             assert all(params == QUINTIC for params in seen)
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 6)])
+    def test_stacked_pressure_rates_equal_single_ones(self, dim, n):
+        # a split takes the rates of (u, v, w) as one three-member batch
+        g = Grid(dim, n)
+        rng = SplitMix64(1500 + dim)
+        for D in (MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim]),
+                  MediumMatrix(np.array(TestInPlaceRhs.MEDIA[dim]))):
+            for _ in range(5):
+                us = [rng.normal((dim,) + g.shape) for _ in range(3)]
+                rates = dyn._pressure_rate(np.stack(us), D, g)
+                for u, rate in zip(us, rates):
+                    assert np.array_equal(rate, dyn._pressure_rate(u, D, g))
 
     def test_a_wrong_part_fails_to_recombine(self, monkeypatch):
         # one part's velocity off by 1e-3 relative (w of the trunc split, both

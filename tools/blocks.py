@@ -1,4 +1,5 @@
-"""Per-call cost of the blocks of the full-system RK4 and semi-implicit steps.
+"""Per-call cost of the blocks of the full-system RK4 and semi-implicit steps
+and of the Newton elliptic solve.
 
     python tools/blocks.py [checkout]
 
@@ -13,10 +14,15 @@ forcing and no convective term; the step is dt = 1e-5. A second table gives
 one `dynamics._semi_implicit_full` step of the same system (dt = 0.01,
 cg_tol = 1e-12, CG from u, as a run's first step) at 2D n = 16, 32 and 3D
 n = 8 with 1 and 2 members, and beside it the step's CG iterations: its
-operator applications, less the one that forms the initial residual. Each
-number is the median over 7 repeats, each repeat timing enough calls to
-take about 20 ms. Run two checkouts one after the other on an idle host to
-compare them.
+operator applications, less the one that forms the initial residual. A
+third table gives one Newton elliptic solve of the truncated system as a
+run makes it (`dynamics._TruncatedSystem.solve_u`: quintic drag, a random
+forcing and pressure, newton_tol 1e-10, cg_tol 1e-12) at 2D n = 16, 32 and
+3D n = 8, from a cold start (u = 0) and warm-started from the solution for
+a nearby pressure (p plus 1e-4 times another random pressure), with the
+solve's Newton steps and CG iterations beside it. Each number is the median
+over 7 repeats, each repeat timing enough calls to take about 20 ms. Run
+two checkouts one after the other on an idle host to compare them.
 
 At 2D n = 64 and 3D n = 16 a block's temporaries can pass the C allocator's
 mmap threshold, and then each call maps and faults them in afresh, so a
@@ -36,6 +42,7 @@ SHAPES = [(2, 8), (2, 16), (2, 32), (2, 64), (3, 8), (3, 16)]
 MEMBERS = (1, 6, 16)
 SEMI_IMPLICIT_SHAPES = [(2, 16), (2, 32), (3, 8)]
 SEMI_IMPLICIT_MEMBERS = (1, 2)
+NEWTON_SHAPES = [(2, 16), (2, 32), (3, 8)]
 REPEATS = 7
 REPEAT_SECONDS = 0.02
 
@@ -57,14 +64,16 @@ def _us_per_call(fn) -> float:
 
 def _cg_iterations(dyn, step) -> int:
     """The CG iterations of one call of `step`: the applications of the
-    operator handed to `dyn.conjugate_gradient`, less the one that forms the
-    initial residual from x0."""
+    operators handed to `dyn.conjugate_gradient`, less one for each solve
+    given an x0 (the application that forms its initial residual)."""
     real, calls = dyn.conjugate_gradient, []
 
     def counted(apply_op, b, *args, **kwargs):
         def op(x):
             calls.append(1)
             return apply_op(x)
+        if (args[0] if args else kwargs.get("x0")) is not None:
+            calls.append(-1)
         return real(op, b, *args, **kwargs)
 
     dyn.conjugate_gradient = counted
@@ -72,7 +81,25 @@ def _cg_iterations(dyn, step) -> int:
         step()
     finally:
         dyn.conjugate_gradient = real
-    return len(calls) - 1
+    return sum(calls)
+
+
+def _newton_steps(dyn, step) -> int:
+    """The Newton steps of the one `dyn.solve_elliptic_arrays` call that
+    `step` makes: the length of its residual history, less one."""
+    real, steps = dyn.solve_elliptic_arrays, []
+
+    def counted(*args, **kwargs):
+        u, history = real(*args, **kwargs)
+        steps.append(len(history) - 1)
+        return u, history
+
+    dyn.solve_elliptic_arrays = counted
+    try:
+        step()
+    finally:
+        dyn.solve_elliptic_arrays = real
+    return steps[0]
 
 
 def _state(gr, rng, g, members):
@@ -130,6 +157,21 @@ def main(argv: list[str]) -> int:
                 return dyn._semi_implicit_full(sys_, u, p, 0.01, 1e-12)
             print(f"{dim:>3} {n:>3} {members:>7} {_us_per_call(step):9.1f} "
                   f"{_cg_iterations(dyn, step):9d}", flush=True)
+    print()
+    print(f"{'dim':>3} {'n':>3} {'start':>7} {'newton':>9} {'steps':>9} {'cg_iters':>9}")
+    for dim, n in NEWTON_SHAPES:
+        g = Grid(dim, n)
+        rng = SplitMix64(2000 * dim + n)
+        forcing, p = _state(gr, rng, g, 1)
+        p_near = p + 1e-4 * _state(gr, rng, g, 1)[1]
+        truncated = dyn._TruncatedSystem(g, params, forcing, dyn.SolverConfig(dt=1e-3))
+        for start, u0 in (("cold", None), ("warm", truncated.solve_u(p_near))):
+            def solve():
+                truncated._warm = u0
+                return truncated.solve_u(p)
+            print(f"{dim:>3} {n:>3} {start:>7} {_us_per_call(solve):9.1f} "
+                  f"{_newton_steps(dyn, solve):9d} {_cg_iterations(dyn, solve):9d}",
+                  flush=True)
     return 0
 
 

@@ -2,17 +2,19 @@
 
     python tools/same_outputs.py <other-checkout>
 
-Runs one fixed list of 47 CLI invocations with the sources of each
+Runs one fixed list of 50 CLI invocations with the sources of each
 checkout: every subcommand on configs/quintic16.cfg (`split` with both split
-kinds, `simulate` also with initial.kind = mode and drag-free with
-alpha = beta = 0; `attractor`, `smoothing` and `lipschitz` also with
-scheme = semi_implicit at dt = 0.01, `lipschitz` with the convective term
-on), `attractor` on configs/attractor8.cfg, the four benchmark workload
-configs at seed 1 (`quasistatic` also with split_kind = bootstrap,
-`ensemble` also with a full `rows` medium), `attractor` on the `ensemble`
-workload config at seeds 2-12, `simulate` and `lipschitz` on a short 3D run
-at 6^3 (`lipschitz` also semi-implicit), every subcommand on the 3D configs
-configs/cube8.cfg (`split` from a white-noise pressure at t_max = 0.05) and
+kinds, both also with a square-root drag, beta = 0 and gamma = 0.5, and the
+trunc kind also with a linear drag, beta = 0; `simulate` also with
+initial.kind = mode and drag-free with alpha = beta = 0; `attractor`,
+`smoothing` and `lipschitz` also with scheme = semi_implicit at dt = 0.01,
+`lipschitz` with the convective term on), `attractor` on
+configs/attractor8.cfg, the four benchmark workload configs at seed 1
+(`quasistatic` also with split_kind = bootstrap, `ensemble` also with a
+full `rows` medium), `attractor` on the `ensemble` workload config at seeds
+2-12, `simulate` and `lipschitz` on a short 3D run at 6^3 (`lipschitz` also
+semi-implicit), every subcommand on the 3D configs configs/cube8.cfg
+(`split` from a white-noise pressure at t_max = 0.05) and
 configs/cube8_attractor.cfg (`attractor`), and two short `simulate` runs on
 larger grids: 20^3, and 40^2 with the convective term on. Each checkout runs
 the whole list in one process, calling `bfflow.cli.main` once per run, as
@@ -97,6 +99,12 @@ def _runs() -> list[tuple[str, str, str]]:
                  quintic + "\n[initial]\nkind = mode\n"))
     runs.append(("quintic16-simulate-drag-free", "simulate",
                  quintic + "\n[nonlinearity]\nalpha = 0\nbeta = 0\n"))
+    # the Newton Jacobian's square-root and linear branches
+    sqrt_drag = quintic + "\n[nonlinearity]\nbeta = 0\ngamma = 0.5\n"
+    runs.append(("quintic16-split-sqrt-drag", "split", sqrt_drag))
+    runs.append(("quintic16-split-bootstrap-sqrt-drag", "split", sqrt_drag + bootstrap))
+    runs.append(("quintic16-split-linear-drag", "split",
+                 quintic + "\n[nonlinearity]\nbeta = 0\n"))
     runs += [(f"quintic16-{sub}-semi-implicit", sub, quintic + _SEMI_IMPLICIT)
              for sub in ("attractor", "smoothing")]
     runs.append(("quintic16-lipschitz-semi-implicit-convective", "lipschitz",
