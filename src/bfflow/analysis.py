@@ -73,9 +73,11 @@ def _ball_distances(c: np.ndarray, w: np.ndarray, v: np.ndarray,
     Both norms are diagonal, so the nearest ball point of a row outside
     solves a scalar Lagrange condition in its multiplier mu. One vectorised
     bisection runs over all outside rows: hi grows by 4 until the constraint
-    is met (or passes 1e18), then 200 halvings. Rows do not interact, so a
-    row's distance does not depend on the rows beside it; its temporaries
-    are a few copies of c.
+    is met (or passes 1e18), then up to 200 halvings. It stops early at the
+    first halving that leaves every lo and hi as they were: the next one
+    would see the same mid and do the same, so the rest change nothing. Rows
+    do not interact, so a row's distance does not depend on the rows beside
+    it; its temporaries are a few copies of c.
     """
     r2 = radius * radius
     out = np.zeros(len(c))
@@ -96,8 +98,10 @@ def _ball_distances(c: np.ndarray, w: np.ndarray, v: np.ndarray,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         above = constraint(mid) > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+        lo_next, hi_next = np.where(above, mid, lo), np.where(above, hi, mid)
+        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+            break
+        lo, hi = lo_next, hi_next
     mu = (0.5 * (lo + hi))[:, None]
     gap = c * (mu * v) / (w + mu * v)
     out[far] = np.sqrt(np.sum(w * gap * gap, axis=-1))

@@ -52,7 +52,6 @@ __all__ = [
     "rk4_stepper", "snapshot_steps", "integrate",
 ]
 
-RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 
 
@@ -117,46 +116,47 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 def rk4_stepper(rhs, dt: float):
-    """advance(y): one classical RK4 step of y' = rhs(y) on a tuple-of-arrays
+    """advance(y): one classical RK4 step of y' = rhs(*y) on a tuple-of-arrays
     state, for one run.
 
-    Per component, the stage sum k1 + 2 k2 + 2 k3 + k4, the stage state
-    y + c k and one temporary are allocated at the first step (per state
-    shape) and reused by every later one. Each stage's k is used up before
-    the next call of `rhs`, so `rhs` may return arrays that its next call
-    overwrites. y is left unchanged, and y_{n+1} is returned in fresh
-    arrays, so a caller may keep each step's state.
+    Per component, the stage sum k1 + 2 k2 + 2 k3 + k4 (added left to
+    right), the stage state y + c k and one temporary are allocated at the
+    first step (per state shape) and reused by every later one; they are
+    kept as three flat tuples, so `rhs` gets the stage states as they are.
+    Each stage's k is used up before the next call of `rhs`, so `rhs` may
+    return arrays that its next call overwrites. y is left unchanged, and
+    y_{n+1} is returned in fresh arrays, so a caller may keep each step's
+    state.
     """
-    work = {}  # state shapes -> per component (stage sum, stage state, temporary)
+    work = {}  # state shapes -> (stage sums, stage states, temporaries)
+    half, sixth = 0.5 * dt, dt / 6.0
 
     def advance(y):
         shapes = tuple(a.shape for a in y)
-        if shapes not in work:
-            work[shapes] = [tuple(np.empty_like(a, dtype=float) for _ in range(3))
-                            for a in y]
-        bufs = work[shapes]
-        ys = y
-        for i in range(4):
-            k = rhs(ys)
-            for a, b, (acc, stage, tmp) in zip(y, k, bufs):
-                if i == 0:
-                    np.copyto(acc, b)
-                elif i == 3:
-                    acc += b
-                else:
-                    acc += np.multiply(b, 2.0, out=tmp)
-                if i < 3:
-                    np.add(a, np.multiply(b, RK4_NODES[i + 1] * dt, out=tmp), out=stage)
-            ys = tuple(stage for _, stage, _ in bufs)
-        return tuple(a + np.multiply(acc, dt / 6.0, out=tmp)
-                     for a, (acc, _, tmp) in zip(y, bufs))
+        bufs = work.get(shapes)
+        if bufs is None:
+            bufs = work[shapes] = tuple(tuple(np.empty_like(a, dtype=float) for a in y)
+                                        for _ in range(3))
+        sums, stages, tmps = bufs
+        for a, b, s, x, t in zip(y, rhs(*y), sums, stages, tmps):
+            np.copyto(s, b)
+            np.add(a, np.multiply(b, half, out=t), out=x)
+        for c in (half, dt):
+            for a, b, s, x, t in zip(y, rhs(*stages), sums, stages, tmps):
+                s += np.multiply(b, 2.0, out=t)
+                np.add(a, np.multiply(b, c, out=t), out=x)
+        return tuple(a + np.multiply(np.add(s, b, out=s), sixth, out=t)
+                     for a, b, s, t in zip(y, rhs(*stages), sums, tmps))
     return advance
 
 
 def _check_finite(arrays, step_count: int, t: float, members: bool = False):
     """Raise BlowUpError naming the step (and, when the leading axis indexes
     ensemble members, the first member) if any of `arrays` is not finite."""
-    if all(np.isfinite(a).all() for a in arrays):
+    for a in arrays:
+        if not np.isfinite(a).all():
+            break
+    else:
         return
     member = None
     if members:
@@ -204,8 +204,9 @@ def integrate(y0: tuple, dt: float, n_steps: int, advance, dim: int,
     for k in range(n_steps + 1):
         if k:
             y = advance(y)
-            y = tuple(gr.mean_project_array(a, dim) if i in project else a
-                      for i, a in enumerate(y))
+            if project:
+                y = tuple(gr.mean_project_array(a, dim) if i in project else a
+                          for i, a in enumerate(y))
         _check_finite(y, k, k * dt, members)
         if on_step is not None:
             on_step(k, y)
@@ -233,20 +234,25 @@ class _Kernel:
     """What the full system, or the Newton solve of the truncated one, needs
     at one state shape, built once per run: the arrays it writes into and
     their views, the cached 1D stencil and DST-I matrices and the constants
-    (D only for the full system). As in `gr._along_axis`, a product along the last grid
+    (D, the drag and the forcing only for the full system; the Newton solve
+    passes its drag per call, so a kernel without `params` keeps the drag
+    arrays). As in `gr._along_axis`, a product along the last grid
     axis is x @ M^T, along the one before it M @ x, and in 3D along the first
     M times the rows of x's (n, n*n) view, of shape `rows_u` for a velocity
     and `rows_p` for a pressure (None in 2D).
 
-    Its methods are the stencil sequence of the right-hand side, the
-    semi-implicit step and the Newton solve: each writes into one array of
-    the kernel and returns it, so it overwrites what its previous call
-    returned."""
+    `rate` is the full system's right-hand side. The other methods are the
+    stencil sequence of the semi-implicit step and the Newton solve. Each
+    writes into arrays of the kernel and returns them, so it overwrites what
+    its previous call returned."""
 
     def __init__(self, shape: tuple[int, ...], grid: Grid, D: MediumMatrix | None = None,
-                 drag: bool = True, convective: bool = False):
+                 params: NonlinearityParams | None = None, forcing: np.ndarray | None = None,
+                 convective: bool = False):
         dim, n, h = grid.dim, grid.n, grid.h
         lead = shape[:-dim - 1]
+        drag = params is None or not params.is_zero()
+        self.params, self.forcing, self.h, self.dim = params, forcing, h, dim
         self.lap, self.Du, self.du, self.tu = (np.empty(shape) for _ in range(4))
         self.fu = np.empty(shape) if drag else None
         # |u|^2, then phi(|u|^2), of the drag
@@ -278,6 +284,25 @@ class _Kernel:
             self.tu_rows, self.dp_rows = self.tu.reshape(self.rows_u), self.dp.reshape(self.rows_p)
             self.du_rows0 = self.du.reshape(self.rows_u)[..., 0, :, :]
             self.Du_rows0 = self.Du.reshape(self.rows_u)[..., 0, :, :]
+
+    def rate(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The full system's (du/dt, dp/dt) at (u, p) into `du` and `dp`,
+        leaving lap u, f(u), B(u, u) and D u in `lap`, `fu`, `bu` and `Du`:
+        du = (((lap u - grad p) [- f(u)]) [- B(u, u)]) + g, dp = -P0 div(D u)."""
+        fu, bu = self.fu, self.bu
+        lap = self.laplacian(u)
+        if fu is not None:
+            ph.f_apply_array(u, self.params, self.dim, out=fu, work=self.phi)
+        if bu is not None:
+            ph.convective_array(u, u, self.h, self.dim, out=bu)
+        self.medium(u)
+        du = np.subtract(lap, self.gradient(p), out=self.du)
+        if fu is not None:
+            du -= fu
+        if bu is not None:
+            du -= bu
+        du += self.forcing
+        return du, self.pressure_rate()
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
         """lap u = ((-2d u + S_0 u) + S_1 u [+ S_2 u]) / h^2 into `lap`
@@ -350,17 +375,22 @@ class _Kernel:
 
 
 class _FullSystem:
-    """Array-level right-hand side bundle; batch-safe over leading axes.
+    """The full system's right-hand side; batch-safe over leading axes.
 
-    The system builds one `_Kernel` per state shape it meets, and `rhs` and
-    `parts` then make only numpy calls with `out=`, through the kernel's
-    methods: each 1D stencil product is one `np.matmul` into an array of the
-    kernel. The arithmetic is that
-    of `gr.lap_array`, `gr.grad_array`, `gr.div_array`,
-    `gr.mean_project_array` and `MediumMatrix.apply_array`, operation for
-    operation, so each result has their bytes. A call returns the kernel's
-    arrays, so it overwrites what the previous call returned: a caller uses
-    (or copies) a result before it calls again.
+    The system builds one `_Kernel` per state shape it meets, and `rhs` is
+    that kernel's `rate`: numpy calls with `out=` only, each 1D stencil
+    product one `np.matmul` into an array of the kernel. The arithmetic is
+    that of `gr.lap_array`, `gr.grad_array`, `gr.div_array`,
+    `gr.mean_project_array`, `ph.f_apply_array`, `ph.convective_array` and
+    `MediumMatrix.apply_array`, operation for operation, so each result has
+    their bytes. A call returns the kernel's arrays, so it overwrites what
+    the previous call returned: a caller uses (or copies) a result before it
+    calls again.
+
+    With `work_rows`, each call of `rhs`, which must be at a single state,
+    also fills the next row of `work` with (dissipation, drag work, forcing
+    work, convective work, (D u, u)), read from the kernel's lap u, f(u),
+    B(u, u) and D u.
     """
 
     def __init__(self, grid: Grid, D: MediumMatrix, params: NonlinearityParams,
@@ -377,40 +407,20 @@ class _FullSystem:
     def _kernel(self, shape: tuple[int, ...]) -> _Kernel:
         k = self._kernels.get(shape)
         if k is None:
-            k = self._kernels[shape] = _Kernel(shape, self.grid, self.D, not self.params.is_zero(),
-                                               self.convective_on)
+            k = self._kernels[shape] = _Kernel(shape, self.grid, self.D, self.params,
+                                               self.forcing, self.convective_on)
         return k
-
-    def parts(self, u: np.ndarray):
-        """lap u, f(u), B(u,u) (f and B None where they vanish), g, D u;
-        with `work` rows, the next row gets (dissipation, drag work, forcing
-        work, convective work, (D u, u)) at this single state."""
-        return self._parts(self._kernel(u.shape), u)
-
-    def _parts(self, k: _Kernel, u: np.ndarray):
-        g, lap = self.grid, k.laplacian(u)
-        fu = None if k.fu is None else ph.f_apply_array(u, self.params, g.dim, out=k.fu,
-                                                         work=k.phi)
-        bu = None if k.bu is None else ph.convective_array(u, u, g.h, g.dim, out=k.bu)
-        gt, Du = self.forcing, k.medium(u)
-        if self.work is not None:
-            w = g.cell_volume
-            terms = [0.0 if a is None else s * float(np.vdot(a, Du))
-                     for s, a in ((-w, lap), (w, fu), (w, gt), (w, bu))]
-            self.work[self._row] = terms + [np.vdot(Du, u)]
-            self._row += 1
-        return lap, fu, bu, gt, Du
 
     def rhs(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = self._kernel(u.shape)
-        lap, fu, bu, gt, _ = self._parts(k, u)
-        du = np.subtract(lap, k.gradient(p), out=k.du)
-        if fu is not None:
-            du -= fu
-        if bu is not None:
-            du -= bu
-        du += gt
-        return du, k.pressure_rate()
+        rates = k.rate(u, p)
+        if self.work is not None:
+            w, Du = self.grid.cell_volume, k.Du
+            terms = [0.0 if a is None else s * float(np.vdot(a, Du))
+                     for s, a in ((-w, k.lap), (w, k.fu), (w, self.forcing), (w, k.bu))]
+            self.work[self._row] = terms + [np.vdot(Du, u)]
+            self._row += 1
+        return rates
 
 
 def _as_forcing(g: np.ndarray, grid: Grid) -> np.ndarray:
@@ -424,7 +434,7 @@ def _as_forcing(g: np.ndarray, grid: Grid) -> np.ndarray:
 def _rk4_full(sys: _FullSystem, dt: float):
     """advance(y) of one full-system RK4 run: `rk4_stepper` on the system's
     in-place right-hand side."""
-    return rk4_stepper(lambda y: sys.rhs(*y), dt)
+    return rk4_stepper(sys.rhs, dt)
 
 
 def _member_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -578,11 +588,14 @@ def simulate(state0: tuple[np.ndarray, np.ndarray], grid: Grid, cfg: SolverConfi
     def advance(y):
         # p's re-projection to mean zero (gr.mean_project_array's arithmetic)
         # is done here rather than by integrate, so the mean it removes is
-        # computed once and is also the drift the guard reads
+        # computed once and is also the drift the guard reads; the step's p
+        # is a fresh array, so it is projected in place
         u, p = scheme(y)
-        mean = np.add.reduce(p, axis=axes, keepdims=True) / count
-        drift[0] = np.abs(mean)
-        return u, p - mean
+        mean = np.add.reduce(p, axis=axes, keepdims=True)
+        mean /= count
+        p -= mean
+        drift[0] = np.abs(mean, out=mean)
+        return u, p
 
     def on_step(k, y):
         # a drift within 1e-12 is within the bound, whatever max |p| is
@@ -596,7 +609,7 @@ def simulate(state0: tuple[np.ndarray, np.ndarray], grid: Grid, cfg: SolverConfi
         if collect_work:
             p_squares.append(np.vdot(y[1], y[1]))
             if k == n_steps:  # the one step end no later stage records
-                sys.parts(y[0])
+                sys.rhs(*y)
 
     times, (u, p) = integrate(
         y0, cfg.dt, n_steps, advance, grid.dim,
@@ -762,20 +775,27 @@ def _split(p0: np.ndarray, grid: Grid, forcing: np.ndarray, cfg: SolverConfig,
     is the truncated run and `parts(y, u) -> (v, w)` gives the parts'
     velocities at the state y and the run's u = u(p). At every
     `snapshot_every`-th step and the last it stores p, u, q, v, r and w; after
-    the initial state, q + r is checked against p and v + w against u."""
+    the initial state, q + r is checked against p and v + w against u. The
+    next step's first stage takes the stored state's velocities as they are:
+    solved again, warm-started from them, they would come back unchanged
+    (in 0 Newton steps)."""
     dt = cfg.dt
     sys_p = _TruncatedSystem(grid, params, forcing, cfg)
+    kept = [(None,) * 3, None]  # the state record() stored last, its velocities
 
     def velocities(y):
+        if all(a is b for a, b in zip(y, kept[0])):
+            return kept[1]
         u = sys_p.solve_u(y[0])
         return (u, *parts(y, u))
 
-    def rhs(y):
+    def rhs(*y):
         # the three rates as one batch, each member with the bytes it gets alone
         return tuple(_pressure_rate(np.stack(velocities(y)), D, grid))
 
     def record(y):
-        (p, q, r), (u, v, w) = y, velocities(y)
+        kept[:] = y, velocities(y)
+        (p, q, r), (u, v, w) = kept
         return p, u, q, v, r, w
 
     n_steps = int(round(t_max / dt))
@@ -891,8 +911,7 @@ def run_exp_split(pair: tuple[np.ndarray, np.ndarray], grid: Grid,
     cfg.validate(grid, D)
     sys = _FullSystem(grid, D, params, _as_forcing(forcing, grid), False)
 
-    def rhs(y):
-        U, P, V, Q = y  # runs (u1, u2) and parts (hat, tilde), member-stacked
+    def rhs(U, P, V, Q):  # runs (u1, u2) and parts (hat, tilde), member-stacked
         dU, dP = sys.rhs(U, P)
         dV = gr.lap_array(V, grid.h, grid.dim) - gr.grad_array(Q, grid.h, grid.dim)
         dV[1] -= averaged_jacobian_apply(U[0], U[1], U[0] - U[1], params, grid.dim)

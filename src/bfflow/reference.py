@@ -289,8 +289,7 @@ def periodic_linear_run(u0: np.ndarray, p0: np.ndarray, n: int, dt: float,
     driven by periodic stencils; exists only for oracle comparisons."""
     h = 1.0 / n
 
-    def rhs(y):
-        u, p = y
+    def rhs(u, p):
         du = _plap(u, h, dim) - _pgrad(p, h, dim)
         dp = -_pdiv(u, h, dim)
         return du, dp

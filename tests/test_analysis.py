@@ -346,6 +346,47 @@ class TestEnsembleReport:
         assert rep.ensemble_size == 1
         assert np.all(rep.diam_series[:, 1] == 0.0)
 
+    @staticmethod
+    def _distances_after_200_halvings(c, w, v, radius):
+        """The bisection of `an._ball_distances` without its early stop."""
+        r2 = radius * radius
+        out = np.zeros(len(c))
+        far = np.sum(v * c * c, axis=-1) > r2
+        c = c[far]
+
+        def constraint(mu):
+            y = c * w / (w + mu[:, None] * v)
+            return np.sum(v * y * y, axis=-1) - r2
+
+        lo, hi = np.zeros(len(c)), np.ones(len(c))
+        grow = constraint(hi) > 0.0
+        while grow.any():
+            hi[grow] *= 4.0
+            grow &= (hi <= 1e18) & (constraint(hi) > 0.0)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            above = constraint(mid) > 0.0
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        mu = (0.5 * (lo + hi))[:, None]
+        gap = c * (mu * v) / (w + mu * v)
+        out[far] = np.sqrt(np.sum(w * gap * gap, axis=-1))
+        return out
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_early_stop_equals_200_halvings(self, dim):
+        # rows inside and outside the ball, and rows scaled up to 1e20,
+        # whose hi grows towards (and past) 1e18 before the halvings
+        g = Grid(dim, 4)
+        rng = SplitMix64(807 + dim)
+        w_e, w_e1 = an._spectral_weights(g)
+        scales = 10.0 ** np.concatenate([5.0 * rng.uniform(40) - 2.0,
+                                         np.arange(4.0, 21.0)])
+        c = rng.normal((len(scales), w_e.size)) * scales[:, None]
+        radius = float(np.sqrt(np.sum(w_e1 * c[0] * c[0])))
+        got = an._ball_distances(c, w_e, w_e1, radius)
+        assert np.array_equal(got, self._distances_after_200_halvings(c, w_e, w_e1, radius))
+        assert 0 < np.count_nonzero(got) < len(c)
+
 
 class TestEnsemble:
     def test_identical_members_zero_diameter(self):

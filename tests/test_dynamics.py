@@ -130,6 +130,21 @@ def _rk4_written_out(y, dt, rhs):
                  for a, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
 
 
+def _coupled_rhs(shapes):
+    """rhs(*y) of a nonlinear system coupling every component, returning
+    arrays that its next call overwrites: component i's rate is
+    y_i (1 - y_i) plus the sum of the components' first entries."""
+    out = [np.empty(shape) for shape in shapes]
+
+    def rhs(*y):
+        s = sum(float(a.flat[0]) for a in y)
+        for o, a in zip(out, y):
+            np.multiply(a, 1.0 - a, out=o)
+            o += s
+        return tuple(out)
+    return rhs
+
+
 def _kernel_arrays(k):
     """Every array a `dyn._Kernel` writes into."""
     found = []
@@ -207,10 +222,10 @@ class TestInPlaceRhs:
                               rng.normal((dim,) + g.shape), False)
         for _ in range(2):
             u, p = self._state(sys, rng, members)
-            lap, fu, bu, _, _ = sys.parts(u)
-            assert (fu is None) == params.is_zero() and bu is None
             for a, b in zip(sys.rhs(u, p), _allocating_rhs(sys, u, p)):
                 assert np.array_equal(a, b)
+            k = sys._kernel(u.shape)
+            assert (k.fu is None) == params.is_zero() and k.bu is None
 
     def test_two_systems_in_turn_keep_their_bytes(self):
         # kernels belong to their system: interleaved calls on two grids and
@@ -249,6 +264,66 @@ class TestInPlaceRhs:
             for a in got:
                 assert not any(np.shares_memory(a, b) for b in y)
                 assert not any(np.shares_memory(a, b) for b in self._buffers(sys))
+                assert not any(np.shares_memory(a, b) for r in results for b in r)
+            results.append(got)
+            y = got
+
+    # work rows belong to a single run; a batch of 1 keeps its member axis
+    @pytest.mark.parametrize("members,work", [(None, False), (None, True), (1, False),
+                                              (6, False), (16, False)],
+                             ids=["single", "single_work_rows", "batch1", "batch6", "batch16"])
+    @pytest.mark.parametrize("params", [NonlinearityParams(1.0, 1.0, 0.0, l=2.0),
+                                        NonlinearityParams(0.0, 0.0, 3.0),
+                                        NonlinearityParams(0.0, 0.0)],
+                             ids=["quintic", "sqrt", "zero"])
+    @pytest.mark.parametrize("conv", [False, True], ids=["no_conv", "conv"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rate_equals_allocating_composition(self, dim, conv, params, members, work):
+        rng = SplitMix64(960 + dim)
+        g = Grid(dim, 8 if dim == 2 else 4)
+        sys = dyn._FullSystem(g, MediumMatrix(np.array(self.MEDIA[dim])), params,
+                              rng.normal((dim,) + g.shape), conv, work_rows=2 if work else 0)
+        for row in range(2):  # the second call refills the same arrays
+            u, p = self._state(sys, rng, members)
+            k = sys._kernel(u.shape)
+            want = _allocating_rhs(sys, u, p)
+            for got in (sys.rhs(u, p), k.rate(u, p)):
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+            # what the work rows read: lap u, f(u), B(u, u) and D u
+            assert np.array_equal(k.lap, gr.lap_array(u, g.h, g.dim))
+            assert np.array_equal(k.Du, sys.D.apply_array(u))
+            assert (k.fu is None) == params.is_zero() and (k.bu is None) != conv
+            if k.fu is not None:
+                assert np.array_equal(k.fu, ph.f_apply_array(u, params, g.dim))
+            if conv:
+                assert np.array_equal(k.bu, ph.convective_array(u, u, g.h, g.dim))
+            if work:
+                terms = [*TestWorkIntegrals._terms(sys, u), np.vdot(sys.D.apply_array(u), u)]
+                assert np.array_equal(sys.work[row], terms)
+
+    # the state shapes of the full system (u, p), a split (p, q, r) and an
+    # exponential split (U, P, V, Q), whose U and V hold two members
+    @pytest.mark.parametrize("shapes", [((2, 8, 8), (8, 8)),
+                                        ((8, 8),) * 3,
+                                        ((2, 2, 8, 8), (2, 8, 8)) * 2,
+                                        ((3, 4, 4, 4), (4, 4, 4))],
+                             ids=["full", "split", "exp_split", "full_3d"])
+    def test_flat_stepper_equals_written_out_rk4(self, shapes):
+        rng = SplitMix64(970 + len(shapes))
+        rhs, dt = _coupled_rhs(shapes), 0.05
+        step = dyn.rk4_stepper(rhs, dt)
+        y, results = tuple(0.5 * rng.normal(shape) for shape in shapes), []
+        for _ in range(4):  # later steps reuse the first one's stage arrays
+            before = tuple(a.copy() for a in y)
+            want = _rk4_written_out(y, dt, lambda ys: tuple(a.copy() for a in rhs(*ys)))
+            got = step(y)
+            for a, b in zip(y, before):
+                assert np.array_equal(a, b)                    # y unchanged
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            for a in got:
+                assert not any(np.shares_memory(a, b) for b in y)
                 assert not any(np.shares_memory(a, b) for r in results for b in r)
             results.append(got)
             y = got
@@ -568,9 +643,9 @@ class TestWorkIntegrals:
             work.append(np.zeros(4))
             weights = iter(dyn.RK4_WEIGHTS)
 
-            def rhs(ys):
-                work[-1] += next(weights) * np.array(self._terms(sys, ys[0]))
-                return sys.rhs(*ys)
+            def rhs(u, p):
+                work[-1] += next(weights) * np.array(self._terms(sys, u))
+                return sys.rhs(u, p)
 
             u, p = dyn.rk4_stepper(rhs, cfg.dt)(y)
             y = (u, p - np.add.reduce(p, axis=axes, keepdims=True) / g.num_nodes)
@@ -1067,7 +1142,8 @@ class TestKernelNewton:
 
     def test_truncated_system_keeps_one_kernel_per_run(self, monkeypatch):
         # each system solves on the one kernel it built, and two systems (a
-        # trunc split's u(p) and v(q)) never share one
+        # trunc split's u(p) and v(q)) never share one; 4 steps, each stage
+        # and the last stored time solving both
         g, D = small_setup(n=8)
         solve, kernels = dyn.solve_elliptic_arrays, []
 
@@ -1080,7 +1156,7 @@ class TestKernelNewton:
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12)
         dyn.run_split(_random_pressure(g, rng), g, 0.5 * rng.normal((2,) + g.shape), cfg, D,
                       QUINTIC, 0.2)
-        assert len(kernels) == 2 * (4 * 4 + 5)
+        assert len(kernels) == 2 * (4 * 4 + 1)
         assert all(isinstance(k, dyn._Kernel) for k in kernels)
         assert kernels[0::2] == [kernels[0]] * len(kernels[0::2])
         assert kernels[1::2] == [kernels[1]] * len(kernels[1::2])
@@ -1197,12 +1273,12 @@ class TestTruncated:
 
 class TestSplits:
     @staticmethod
-    def _run(split, g, D, params, seed=61, t_max=2.0):
+    def _run(split, g, D, params, seed=61, t_max=2.0, every=4):
         rng = SplitMix64(seed)
         p0 = _random_pressure(g, rng)
         gf = 0.5 * rng.normal((2,) + g.shape)
         cfg = dyn.SolverConfig(dt=0.05, newton_tol=1e-12, cg_tol=1e-13)
-        return split(p0, g, gf, cfg, D, params, t_max, snapshot_every=4)
+        return split(p0, g, gf, cfg, D, params, t_max, snapshot_every=every)
 
     def test_zero_reference_gives_zero_parts(self):
         g, D = small_setup()
@@ -1247,9 +1323,9 @@ class TestSplits:
     def test_newton_solves_only_the_reference_drag(self, monkeypatch):
         # the linear velocities (w; u1 and u2) are direct sine-basis solves,
         # so every Newton solve a split makes carries the run's drag. Per RK
-        # stage and per stored time, each split solves u(p) once and the
-        # trunc split also v(q): 8N + 2S and 4N + S solves over N steps and S
-        # stored times
+        # stage and at the last stored time, each split solves u(p) once and
+        # the trunc split also v(q): 8N + 2 and 4N + 1 solves over N steps (a
+        # stored step's first stage takes the velocities it stored)
         g, D = small_setup(n=8)
         solve, seen = dyn.solve_elliptic_arrays, []
 
@@ -1263,8 +1339,34 @@ class TestSplits:
             seen.clear()
             split = self._run(run, g, D, QUINTIC, t_max=0.5)
             assert len(split.times) == 4
-            assert len(seen) == per_stage * (4 * n_steps + len(split.times))
+            assert len(seen) == per_stage * (4 * n_steps + 1)
             assert all(params == QUINTIC for params in seen)
+
+    @pytest.mark.parametrize("run", [dyn.run_split, dyn.run_bootstrap_split],
+                             ids=["trunc", "bootstrap"])
+    def test_stored_velocities_start_the_next_step(self, monkeypatch, run):
+        # storing every step takes each step's first-stage velocities from
+        # the stored ones; storing only the ends solves them as the run goes
+        # at every step but the first. Both runs make the same solves, none
+        # of them a 0-step re-solve of a stored state, and end in the same
+        # bytes
+        g, D = small_setup(n=8)
+        solve, steps = dyn.solve_elliptic_arrays, []
+
+        def spy(*args, **kwargs):
+            u, history = solve(*args, **kwargs)
+            steps.append(len(history) - 1)
+            return u, history
+
+        monkeypatch.setattr(dyn, "solve_elliptic_arrays", spy)
+        runs, per_stage = [], 2 if run is dyn.run_split else 1
+        for every in (1, 10):  # 10 steps: stored at each, or at 0 and 10
+            steps.clear()
+            runs.append(self._run(run, g, D, QUINTIC, t_max=0.5, every=every))
+            assert len(steps) == per_stage * (4 * 10 + 1) and 0 not in steps
+        for name in "puqvrw":
+            a, b = getattr(runs[0], name), getattr(runs[1], name)
+            assert np.array_equal(a[[0, -1]], b)
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 6)])
     def test_stacked_pressure_rates_equal_single_ones(self, dim, n):

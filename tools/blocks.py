@@ -6,11 +6,17 @@ and of the Newton elliptic solve.
 Imports bfflow from <checkout>/src (by default this checkout's) and prints
 one table row per state shape: the median microseconds per call of
 `grid.lap_array`, `grid.grad_array`, `grid.div_array`,
-`physics.f_apply_array`, `dynamics._FullSystem.rhs` and one
-`dynamics._rk4_full` step, at 2D n = 8, 16, 32, 64 and 3D n = 8, 16, with 1
-member (a single state, no member axis), 6 and 16 members. The system is
-quintic drag (alpha = beta = 1, l = 2), D = diag(1, 2[, 1.5]), a random
-forcing and no convective term; the step is dt = 1e-5. A second table gives
+`physics.f_apply_array`, `dynamics._FullSystem.rhs`, one
+`dynamics._rk4_full` step and one step of `dynamics.simulate`'s loop (the
+advance, p's re-projection, the finiteness check and the drift guard), at 2D
+n = 8, 16, 32, 64 and 3D n = 8, 16, with 1 member (a single state, no member
+axis), 6 and 16 members. The system is quintic drag (alpha = beta = 1,
+l = 2), D = diag(1, 2[, 1.5]), a random forcing and no convective term; the
+step is dt = 1e-5. The loop step is the difference of two `simulate` runs
+that store only their ends, of 40 and 10 steps, over 30, so that the set-up
+both make cancels; 2D n = 16 with 16 members is the shape of acceptance
+criterion c12's runs, whose wall time is this column times its 100 000
+steps. A second table gives
 one `dynamics._semi_implicit_full` step of the same system (dt = 0.01,
 cg_tol = 1e-12, CG from u, as a run's first step) at 2D n = 16, 32 and 3D
 n = 8 with 1 and 2 members, and beside it the step's CG iterations: its
@@ -43,6 +49,7 @@ MEMBERS = (1, 6, 16)
 SEMI_IMPLICIT_SHAPES = [(2, 16), (2, 32), (3, 8)]
 SEMI_IMPLICIT_MEMBERS = (1, 2)
 NEWTON_SHAPES = [(2, 16), (2, 32), (3, 8)]
+LOOP_STEPS = (10, 40)  # the two simulate runs of the loop-step column
 REPEATS = 7
 REPEAT_SECONDS = 0.02
 
@@ -124,7 +131,8 @@ def main(argv: list[str]) -> int:
     from bfflow.rng import SplitMix64
 
     params = NonlinearityParams(1.0, 1.0, 0.0, l=2.0)
-    names = ("lap", "grad", "div", "f_apply", "rhs", "rk4_step")
+    cfg = dyn.SolverConfig(dt=1e-5)
+    names = ("lap", "grad", "div", "f_apply", "rhs", "rk4_step", "loop_step")
     print(f"bfflow from {checkout.resolve()}; numpy {np.__version__}; median us per call")
     print(f"{'dim':>3} {'n':>3} {'members':>7} " + " ".join(f"{s:>9}" for s in names))
     for dim, n in SHAPES:
@@ -141,7 +149,12 @@ def main(argv: list[str]) -> int:
                       lambda: ph.f_apply_array(u, params, dim),
                       lambda: sys_.rhs(u, p),
                       lambda: step((u, p)))
-            cells = " ".join(f"{_us_per_call(fn):9.1f}" for fn in blocks)
+            cells = [_us_per_call(fn) for fn in blocks]
+            runs = [_us_per_call(lambda: dyn.simulate(
+                        (u, p), g, cfg, sys_.forcing, D, params, steps * cfg.dt,
+                        snapshot_every=steps)) for steps in LOOP_STEPS]
+            cells.append((runs[1] - runs[0]) / (LOOP_STEPS[1] - LOOP_STEPS[0]))
+            cells = " ".join(f"{cell:9.1f}" for cell in cells)
             print(f"{dim:>3} {n:>3} {members:>7} {cells}", flush=True)
     print()
     print(f"{'dim':>3} {'n':>3} {'members':>7} {'semi_step':>9} {'cg_iters':>9}")
