@@ -35,6 +35,7 @@ the energy audit; a step end's terms are those of the next step's stage 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
+_NO_DRAG = NonlinearityParams(0.0, 0.0)  # for kernels of a linear system, with no drag arrays
 
 
 class BlowUpError(RuntimeError):
@@ -132,21 +134,21 @@ def rk4_stepper(rhs, dt: float):
     half, sixth = 0.5 * dt, dt / 6.0
 
     def advance(y):
-        shapes = tuple(a.shape for a in y)
+        shapes = tuple([a.shape for a in y])
         bufs = work.get(shapes)
         if bufs is None:
             bufs = work[shapes] = tuple(tuple(np.empty_like(a, dtype=float) for a in y)
                                         for _ in range(3))
         sums, stages, tmps = bufs
         for a, b, s, x, t in zip(y, rhs(*y), sums, stages, tmps):
-            np.copyto(s, b)
+            s[...] = b
             np.add(a, np.multiply(b, half, out=t), out=x)
         for c in (half, dt):
             for a, b, s, x, t in zip(y, rhs(*stages), sums, stages, tmps):
                 s += np.multiply(b, 2.0, out=t)
                 np.add(a, np.multiply(b, c, out=t), out=x)
-        return tuple(a + np.multiply(np.add(s, b, out=s), sixth, out=t)
-                     for a, b, s, t in zip(y, rhs(*stages), sums, tmps))
+        return tuple([a + np.multiply(np.add(s, b, out=s), sixth, out=t)
+                      for a, b, s, t in zip(y, rhs(*stages), sums, tmps)])
     return advance
 
 
@@ -154,7 +156,10 @@ def _check_finite(arrays, step_count: int, t: float, members: bool = False):
     """Raise BlowUpError naming the step (and, when the leading axis indexes
     ensemble members, the first member) if any of `arrays` is not finite."""
     for a in arrays:
-        if not np.isfinite(a).all():
+        # a . a is finite when every entry is; when it is not, an entry is
+        # NaN or infinite, or the sum overflowed, which the entrywise test
+        # tells apart
+        if not math.isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
             break
     else:
         return
@@ -224,35 +229,26 @@ def integrate(y0: tuple, dt: float, n_steps: int, advance, dim: int,
 # full system
 # ---------------------------------------------------------------------------
 
-def _pressure_rate(u: np.ndarray, D: MediumMatrix, grid: Grid) -> np.ndarray:
-    """dp/dt = -P0 div(D u)."""
-    return -gr.mean_project_array(
-        gr.div_array(D.apply_array(u), grid.h, grid.dim), grid.dim)
-
-
 class _Kernel:
-    """What the full system, or the Newton solve of the truncated one, needs
-    at one state shape, built once per run: the arrays it writes into and
-    their views, the cached 1D stencil and DST-I matrices and the constants
-    (D, the drag and the forcing only for the full system; the Newton solve
-    passes its drag per call, so a kernel without `params` keeps the drag
-    arrays). As in `gr._along_axis`, a product along the last grid
-    axis is x @ M^T, along the one before it M @ x, and in 3D along the first
-    M times the rows of x's (n, n*n) view, of shape `rows_u` for a velocity
-    and `rows_p` for a pressure (None in 2D).
+    """The arrays that the full system, or the Newton solve of the truncated
+    one, writes into at one state shape, built once per run, and its
+    constants (D, the drag and the forcing only for the full system; the
+    Newton solve passes its drag per call, so a kernel without `params` keeps
+    the drag arrays, and one without `forcing` adds none). Every operator is
+    the `grid` or `physics` function itself, called with `out=` into these
+    arrays.
 
-    `rate` is the full system's right-hand side. The other methods are the
-    stencil sequence of the semi-implicit step and the Newton solve. Each
-    writes into arrays of the kernel and returns them, so it overwrites what
-    its previous call returned."""
+    `rate` is the full system's right-hand side and `pressure_rate` its
+    pressure equation. Each writes into arrays of the kernel and returns
+    them, so it overwrites what its previous call returned."""
 
     def __init__(self, shape: tuple[int, ...], grid: Grid, D: MediumMatrix | None = None,
                  params: NonlinearityParams | None = None, forcing: np.ndarray | None = None,
                  convective: bool = False):
-        dim, n, h = grid.dim, grid.n, grid.h
+        dim = grid.dim
         lead = shape[:-dim - 1]
         drag = params is None or not params.is_zero()
-        self.params, self.forcing, self.h, self.dim = params, forcing, h, dim
+        self.D, self.params, self.forcing, self.h, self.dim = D, params, forcing, grid.h, dim
         self.lap, self.Du, self.du, self.tu = (np.empty(shape) for _ in range(4))
         self.fu = np.empty(shape) if drag else None
         # |u|^2, then phi(|u|^2), of the drag
@@ -266,126 +262,40 @@ class _Kernel:
         # trial, and the u.v of its Jacobian action
         self.iterates, self.residuals = ((np.empty(shape), np.empty(shape)) for _ in range(2))
         self.uv = np.empty(lead + (1,) + grid.shape)
-        self.S, self.C, self.CT = gr._stencil_matrices(n)
-        self.sine = gr._dst1_matrix(n)
-        self.D = None if D is None else D.entries
-        self.diag, self.inv_h2, self.inv_2h = -2.0 * dim, 1.0 / (h * h), 1.0 / (2.0 * h)
-        # the factors of gr.sine_coefficients_array and gr.sine_synthesis_array
-        self.analysis, self.synthesis = (h / np.sqrt(2.0)) ** dim, (1.0 / np.sqrt(2.0)) ** dim
-        self.axes, self.count = tuple(range(-dim, 0)), grid.num_nodes
-        # D u as one product over the component axis of (..., dim, n^dim)
-        self.nodes = lead + (dim, n ** dim)
-        self.Du_nodes = self.Du.reshape(self.nodes)
-        self.du_c = [self.du[gr._component(dim, a)] for a in range(dim)]
-        self.Du_c = [self.Du[gr._component(dim, a)] for a in range(dim)]
-        self.rows_u = self.rows_p = None
-        if dim == 3:
-            self.rows_u, self.rows_p = lead + (dim, n, n * n), lead + (n, n * n)
-            self.tu_rows, self.dp_rows = self.tu.reshape(self.rows_u), self.dp.reshape(self.rows_p)
-            self.du_rows0 = self.du.reshape(self.rows_u)[..., 0, :, :]
-            self.Du_rows0 = self.Du.reshape(self.rows_u)[..., 0, :, :]
 
     def rate(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The full system's (du/dt, dp/dt) at (u, p) into `du` and `dp`,
         leaving lap u, f(u), B(u, u) and D u in `lap`, `fu`, `bu` and `Du`:
-        du = (((lap u - grad p) [- f(u)]) [- B(u, u)]) + g, dp = -P0 div(D u)."""
-        fu, bu = self.fu, self.bu
-        lap = self.laplacian(u)
+        du = (((lap u - grad p) [- f(u)]) [- B(u, u)]) [+ g]."""
+        fu, bu, h, dim = self.fu, self.bu, self.h, self.dim
+        lap = gr.lap_array(u, h, dim, out=self.lap, scratch=self.tu)
         if fu is not None:
-            ph.f_apply_array(u, self.params, self.dim, out=fu, work=self.phi)
+            ph.f_apply_array(u, self.params, dim, out=fu, work=self.phi)
         if bu is not None:
-            ph.convective_array(u, u, self.h, self.dim, out=bu)
-        self.medium(u)
-        du = np.subtract(lap, self.gradient(p), out=self.du)
+            ph.convective_array(u, u, h, dim, out=bu)
+        du = np.subtract(lap, gr.grad_array(p, h, dim, out=self.du), out=self.du)
         if fu is not None:
             du -= fu
         if bu is not None:
             du -= bu
-        du += self.forcing
-        return du, self.pressure_rate()
+        if self.forcing is not None:
+            du += self.forcing
+        return du, self.pressure_rate(u)
 
-    def laplacian(self, u: np.ndarray) -> np.ndarray:
-        """lap u = ((-2d u + S_0 u) + S_1 u [+ S_2 u]) / h^2 into `lap`
-        (`tu` is scratch)."""
-        S, lap, tu = self.S, self.lap, self.tu
-        np.multiply(u, self.diag, out=lap)
-        if self.rows_u:
-            np.matmul(S, u.reshape(self.rows_u), out=self.tu_rows)
-            lap += tu
-        np.matmul(S, u, out=tu)
-        lap += tu
-        np.matmul(u, S, out=tu)
-        lap += tu
-        lap *= self.inv_h2
-        return lap
-
-    def medium(self, u: np.ndarray) -> np.ndarray:
-        """D u into `Du`."""
-        np.matmul(self.D, u.reshape(self.nodes), out=self.Du_nodes)
-        return self.Du
-
-    def pressure_rate(self) -> np.ndarray:
-        """-P0 div(D u) into `dp`, from the D u that `medium` wrote last:
-        div = (C_0 U_0 + C_1 U_1 [+ C_2 U_2]) / (2h)."""
-        C, dp, tp, Du_c = self.C, self.dp, self.tp, self.Du_c
-        if self.rows_p:
-            np.matmul(C, self.Du_rows0, out=self.dp_rows)
-            np.matmul(C, Du_c[1], out=tp)
-            dp += tp
-        else:
-            np.matmul(C, Du_c[0], out=dp)
-        np.matmul(Du_c[-1], self.CT, out=tp)
-        dp += tp
-        dp *= self.inv_2h
-        np.add.reduce(dp, axis=self.axes, keepdims=True, out=self.mean)
-        self.mean /= self.count
-        np.subtract(dp, self.mean, out=dp)
-        return np.negative(dp, out=dp)
-
-    def gradient(self, p: np.ndarray) -> np.ndarray:
-        """grad p into `du`: component a is C_a p / (2h)."""
-        if self.rows_p:
-            np.matmul(self.C, p.reshape(self.rows_p), out=self.du_rows0)
-        np.matmul(self.C, p, out=self.du_c[-2])
-        np.matmul(p, self.CT, out=self.du_c[-1])
-        self.du *= self.inv_2h
-        return self.du
-
-    def sine_products(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The DST-I products of `gr._dst_all_axes` over the grid axes of
-        the velocity-shaped `a`, one axis after the other, into `out` (`tu`
-        is scratch; a is neither)."""
-        S, tu = self.sine, self.tu
-        if self.rows_u:
-            np.matmul(S, a.reshape(self.rows_u), out=out.reshape(self.rows_u))
-            a = out
-        np.matmul(S, a, out=tu)
-        return np.matmul(tu, S, out=out)
-
-    def poisson_solve(self, r: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-        """(-lap + shift)^-1 r into `z`, given `shifted` = the eigenvalues
-        of -lap plus the shift: `gr.poisson_solve_array`'s scale, products,
-        divide, products, scale (`lap` and `tu` are scratch)."""
-        c = self.sine_products(r, out=self.lap)
-        c *= self.analysis
-        c /= shifted
-        z = self.sine_products(c, out=self.z)
-        z *= self.synthesis
-        return z
+    def pressure_rate(self, u: np.ndarray) -> np.ndarray:
+        """dp/dt = -P0 div(D u) into `dp`, leaving D u in `Du`."""
+        dp = gr.div_array(self.D.apply_array(u, out=self.Du), self.h, self.dim,
+                          out=self.dp, scratch=self.tp)
+        return np.negative(gr.mean_project_array(dp, self.dim, out=dp, mean=self.mean), out=dp)
 
 
 class _FullSystem:
     """The full system's right-hand side; batch-safe over leading axes.
 
     The system builds one `_Kernel` per state shape it meets, and `rhs` is
-    that kernel's `rate`: numpy calls with `out=` only, each 1D stencil
-    product one `np.matmul` into an array of the kernel. The arithmetic is
-    that of `gr.lap_array`, `gr.grad_array`, `gr.div_array`,
-    `gr.mean_project_array`, `ph.f_apply_array`, `ph.convective_array` and
-    `MediumMatrix.apply_array`, operation for operation, so each result has
-    their bytes. A call returns the kernel's arrays, so it overwrites what
-    the previous call returned: a caller uses (or copies) a result before it
-    calls again.
+    that kernel's `rate`, whose operators write into the kernel's arrays. A
+    call returns those arrays, so it overwrites what the previous call
+    returned: a caller uses (or copies) a result before it calls again.
 
     With `work_rows`, each call of `rhs`, which must be at a single state,
     also fills the next row of `work` with (dissipation, drag work, forcing
@@ -455,50 +365,47 @@ def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
 
     The step runs on the system's kernel for u's shape: the load, the
     operator, D b of the inner product and the preconditioner write into the
-    kernel's arrays through its stencil and DST-I methods, in the arithmetic
-    of `gr.lap_array`, `gr.grad_array`, `_pressure_rate`,
-    `MediumMatrix.apply_array` and `gr.poisson_solve_array`, so every result
-    keeps their bytes. A batch's per-member inner products are one stacked
+    kernel's arrays. A batch's per-member inner products are one stacked
     product, which gives the bytes of a per-member `np.vdot`."""
     g, k = sys.grid, sys._kernel(u.shape)
+    h, dim = g.h, g.dim
     # the load u + dt (g - f(u) [- B(u,u)]) - dt grad p
     load = k.load
     if k.fu is None:
         np.copyto(load, sys.forcing)
     else:
-        np.subtract(sys.forcing, ph.f_apply_array(u, sys.params, g.dim, out=k.fu, work=k.phi),
+        np.subtract(sys.forcing, ph.f_apply_array(u, sys.params, dim, out=k.fu, work=k.phi),
                     out=load)
     if k.bu is not None:
-        load -= ph.convective_array(u, u, g.h, g.dim, out=k.bu)
+        load -= ph.convective_array(u, u, h, dim, out=k.bu)
     load *= dt
     np.add(u, load, out=load)
-    load -= np.multiply(k.gradient(p), dt, out=k.du)
+    grad = gr.grad_array(p, h, dim, out=k.du)
+    load -= np.multiply(grad, dt, out=grad)
 
     def apply_op(x):
-        Ax = np.subtract(x, np.multiply(k.laplacian(x), dt, out=k.lap), out=k.Ax)
+        lap = gr.lap_array(x, h, dim, out=k.lap, scratch=k.tu)
+        Ax = np.subtract(x, np.multiply(lap, dt, out=lap), out=k.Ax)
         # implicit Euler adds dt^2 grad(rate x) (ROADMAP item 1); the sign
         # stays until the benchmark references are regenerated with it
-        k.medium(x)
-        return np.subtract(Ax, np.multiply(k.gradient(k.pressure_rate()), dt * dt, out=k.du),
-                           out=Ax)
+        grad = gr.grad_array(k.pressure_rate(x), h, dim, out=k.du)
+        return np.subtract(Ax, np.multiply(grad, dt * dt, out=grad), out=Ax)
 
-    batch = u.ndim > g.dim + 1
+    batch = u.ndim > dim + 1
 
     def d_inner(a, b):
-        Db = k.medium(b)
+        Db = sys.D.apply_array(b, out=k.Du)
         if batch:  # members: each its own product, so its own CG
             return _member_dots(a, Db)
         return float(np.vdot(a, Db))
 
-    shifted = gr.laplacian_eigenvalues(g) + 1.0 / dt
-
     def precondition(r):
-        return np.divide(k.poisson_solve(r, shifted), dt, out=k.z)
+        z = gr.poisson_solve_array(r, g, 1.0 / dt, out=k.z, scratch=k.tu)
+        return np.divide(z, dt, out=z)
 
     u_new = conjugate_gradient(apply_op, load, x0=u if x0 is None else x0, rtol=cg_tol,
                                inner=d_inner, precondition=precondition)
-    k.medium(u_new)
-    return u_new, p + np.multiply(k.pressure_rate(), dt, out=k.dp)
+    return u_new, p + np.multiply(k.pressure_rate(u_new), dt, out=k.dp)
 
 
 # x0 = sum_j c_j u_{n-j}: the polynomial through the last 1-4 step-end
@@ -579,33 +486,30 @@ def simulate(state0: tuple[np.ndarray, np.ndarray], grid: Grid, cfg: SolverConfi
     sys = _FullSystem(grid, D, params, forcing, convective_on,
                       work_rows=4 * n_steps + 1 if collect_work else 0)
     y0 = (u0, gr.mean_project_array(p0, grid.dim))
-    axes, count = tuple(range(-grid.dim, 0)), grid.num_nodes
+    axes = tuple(range(-grid.dim, 0))
 
     p_squares = []  # (p, p) at each step end; (D u, u) is in its work row
-    drift = [np.float64(0.0)]  # |mean p| after the step, one per member
+    drift = np.zeros(p0.shape[:-grid.dim] + (1,) * grid.dim)  # |mean p|, one per member
     scheme = _full_advance(sys, cfg)
 
     def advance(y):
-        # p's re-projection to mean zero (gr.mean_project_array's arithmetic)
-        # is done here rather than by integrate, so the mean it removes is
-        # computed once and is also the drift the guard reads; the step's p
-        # is a fresh array, so it is projected in place
+        # p's re-projection to mean zero is done here rather than by
+        # integrate, so the mean it removes is also the drift the guard
+        # reads; the step's p is a fresh array, so it is projected in place
         u, p = scheme(y)
-        mean = np.add.reduce(p, axis=axes, keepdims=True)
-        mean /= count
-        p -= mean
-        drift[0] = np.abs(mean, out=mean)
+        gr.mean_project_array(p, grid.dim, out=p, mean=drift)
+        np.abs(drift, out=drift)
         return u, p
 
     def on_step(k, y):
         # a drift within 1e-12 is within the bound, whatever max |p| is
-        if drift[0].max() > 1e-12:
+        if drift.max() > 1e-12:
             bound = 1e-12 * (1.0 + np.abs(y[1]).max(axis=axes, keepdims=True))
-            over = np.flatnonzero(drift[0] > bound)
+            over = np.flatnonzero(drift > bound)
             if over.size:
                 who = f"ensemble member {over[0]}: " if batch else ""
                 raise RuntimeError(f"{who}pressure mean drifted to "
-                                   f"{np.ravel(drift[0])[over[0]]:.3e} at step {k}")
+                                   f"{np.ravel(drift)[over[0]]:.3e} at step {k}")
         if collect_work:
             p_squares.append(np.vdot(y[1], y[1]))
             if k == n_steps:  # the one step end no later stage records
@@ -642,9 +546,10 @@ def _elliptic_residual(u: np.ndarray, p: np.ndarray, g_t: np.ndarray,
     built if none is given), into `out` (a fresh array by default), with
     grad p taken from `grad_p` when the caller has it."""
     k = _Kernel(u.shape, grid) if kernel is None else kernel
-    r = np.negative(k.laplacian(u), out=out)
-    r += ph.f_apply_array(u, params, grid.dim, out=k.fu, work=k.phi)
-    r += k.gradient(p) if grad_p is None else grad_p
+    h, dim = grid.h, grid.dim
+    r = np.negative(gr.lap_array(u, h, dim, out=k.lap, scratch=k.tu), out=out)
+    r += ph.f_apply_array(u, params, dim, out=k.fu, work=k.phi)
+    r += gr.grad_array(p, h, dim, out=k.du) if grad_p is None else grad_p
     r -= g_t
     return r
 
@@ -664,17 +569,14 @@ def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
     The solve runs on `kernel`, a `_Kernel` for g_t's shape (one is built if
     none is given): its iterates, residuals, Jacobian actions and
     preconditioned residuals are arrays of the kernel, grad p is formed once
-    and f'(u)'s coefficients once per Newton step, in the arithmetic of
-    `gr.lap_array`, `gr.grad_array`, `ph.fprime_apply_array` and
-    `gr.poisson_solve_array`, so u and the residual history keep their
-    bytes. u is returned in a fresh array.
+    and f'(u)'s coefficients once per Newton step. u is returned in a fresh
+    array.
     """
     k = _Kernel(g_t.shape, grid) if kernel is None else kernel
-    w, dim = grid.cell_volume, grid.dim
+    w, h, dim = grid.cell_volume, grid.h, grid.dim
     (u, u_try), (r, r_try) = k.iterates, k.residuals
     np.copyto(u, 0.0 if u0 is None else u0)
-    grad_p = k.gradient(p)
-    shifted = gr.laplacian_eigenvalues(grid) + params.alpha
+    grad_p = gr.grad_array(p, h, dim, out=k.du)
 
     def rnorm(r):
         return float(np.sqrt(w * np.vdot(r, r)))
@@ -687,14 +589,15 @@ def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
         coefficients = ph._fprime_coefficients(u, params, dim)
 
         def apply_jac(v, u_lin=u):
-            neg = np.negative(k.laplacian(v), out=k.lap)
+            neg = np.negative(gr.lap_array(v, h, dim, out=k.lap, scratch=k.tu), out=k.lap)
             jv = ph._fprime_apply(coefficients, u_lin, v, dim, out=k.Ax, work=(k.tu, k.uv))
             return np.add(neg, jv, out=jv)
 
         rtol = min(1e-2, max(res, cg_floor))
         delta = conjugate_gradient(
             apply_jac, np.negative(r, out=k.load), rtol=max(rtol, cg_floor),
-            precondition=lambda x: k.poisson_solve(x, shifted))
+            precondition=lambda x: gr.poisson_solve_array(x, grid, params.alpha,
+                                                          out=k.z, scratch=k.tu))
         lam = 1.0
         while lam > 1e-8:
             np.add(u, np.multiply(delta, lam, out=k.tu), out=u_try)
@@ -781,6 +684,7 @@ def _split(p0: np.ndarray, grid: Grid, forcing: np.ndarray, cfg: SolverConfig,
     (in 0 Newton steps)."""
     dt = cfg.dt
     sys_p = _TruncatedSystem(grid, params, forcing, cfg)
+    rates = _Kernel((3, grid.dim) + grid.shape, grid, D, _NO_DRAG)
     kept = [(None,) * 3, None]  # the state record() stored last, its velocities
 
     def velocities(y):
@@ -791,7 +695,7 @@ def _split(p0: np.ndarray, grid: Grid, forcing: np.ndarray, cfg: SolverConfig,
 
     def rhs(*y):
         # the three rates as one batch, each member with the bytes it gets alone
-        return tuple(_pressure_rate(np.stack(velocities(y)), D, grid))
+        return tuple(rates.pressure_rate(np.stack(velocities(y))))
 
     def record(y):
         kept[:] = y, velocities(y)
@@ -910,12 +814,14 @@ def run_exp_split(pair: tuple[np.ndarray, np.ndarray], grid: Grid,
     """
     cfg.validate(grid, D)
     sys = _FullSystem(grid, D, params, _as_forcing(forcing, grid), False)
+    # the parts' linear system: the full one with no drag and no forcing
+    linear = _Kernel((2, grid.dim) + grid.shape, grid, D, _NO_DRAG)
 
     def rhs(U, P, V, Q):  # runs (u1, u2) and parts (hat, tilde), member-stacked
         dU, dP = sys.rhs(U, P)
-        dV = gr.lap_array(V, grid.h, grid.dim) - gr.grad_array(Q, grid.h, grid.dim)
+        dV, dQ = linear.rate(V, Q)
         dV[1] -= averaged_jacobian_apply(U[0], U[1], U[0] - U[1], params, grid.dim)
-        return dU, dP, dV, _pressure_rate(V, D, grid)
+        return dU, dP, dV, dQ
 
     U, P = pair
     P = gr.mean_project_array(P, grid.dim)

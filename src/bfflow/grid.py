@@ -17,21 +17,23 @@ Conventions:
         grad_a = C_a p / (2h),
         div U  = (C_0 U_0 + C_1 U_1 [+ C_2 U_2]) / (2h).
     Every entry of S_a x or C_a x adds exactly two nonzero terms with weight
-    +-1, and every entry of the shift T_a x that the convective form uses
-    takes one unit term, so a matrix product gives each exactly, in any
-    summation order, and equal to the same terms read off a zero-padded
-    copy. `_along_axis` applies every such 1D matrix, cached and read-only,
-    as one stacked product, and a batch gives each member what it gets
-    alone. A product costs O(n) per node where a padded window costs O(1):
-    one RK4 step measured within 4% of the windows or faster up to 2D
-    n = 64 and 3D n = 32, and 1.3-1.6 times slower at 2D n = 128, a size
-    no config runs.
+    +-1, so a matrix product gives each exactly, in any summation order, and
+    equal to the same terms read off a zero-padded copy. `_along_axis`
+    applies every such 1D matrix, cached and read-only, as one stacked
+    product, and a batch gives each member what it gets alone. A product
+    costs O(n) per node where a padded window costs O(1): one RK4 step
+    measured within 4% of the windows or faster up to 2D n = 64 and 3D
+    n = 32, and 1.3-1.6 times slower at 2D n = 128, a size no config runs.
   * n must be even: for odd n the central-difference gradient has a
     checkerboard kernel mode, which would break the pressure operator's
     positivity and the divergence right-inverse.
 
 All stencil helpers act on the trailing `dim` axes, so arrays with extra
 leading axes (field components, ensemble members) go through unchanged.
+Each operator's product sequence is written once, here: called with `out=`
+(and a scratch array where the sequence needs one) it writes into arrays the
+caller keeps, as the time steppers' kernels do, and called without it, it
+allocates them; either way the result has the same bytes.
 """
 
 from __future__ import annotations
@@ -98,10 +100,10 @@ def coordinates(grid: Grid) -> tuple[np.ndarray, ...]:
 # stencils (array level, trailing-axes convention)
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _component(dim: int, a: int) -> tuple:
-    """Ellipsis-led index of component `a` of the axis before the grid axes."""
-    return (Ellipsis, a) + (slice(None),) * dim
+# per dim: the Ellipsis-led index of each component (the axis before the
+# grid axes), and the grid axes themselves
+_COMPONENTS = {d: tuple((Ellipsis, a) + (slice(None),) * d for a in range(d)) for d in (2, 3)}
+_GRID_AXES = {2: (-2, -1), 3: (-3, -2, -1)}
 
 
 def _read_only(*mats: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -127,62 +129,98 @@ def _shift_matrices(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(T, T.T.copy())
 
 
+def _view(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """a reshaped to `shape` without a copy, so that what is written into the
+    result lands in a; a ValueError where the reshape would have to copy (a
+    view's base is a or a's own base, a copy's is the copy)."""
+    view = a.reshape(shape)
+    if view.base is not a and view.base is not a.base:
+        raise ValueError(f"an array of shape {a.shape} and strides {a.strides} "
+                         f"has no view of shape {shape}")
+    return view
+
+
 def _along_axis(M: np.ndarray, a: np.ndarray, dim: int, axis: int,
                 MT: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """M applied along grid axis `axis` of `a`, out_i = sum_k M[i, k] a_k, by
     one stacked matrix product with no axis moved: M @ a on the second-to-last
     axis, a @ MT on the last (MT is M's transpose, M itself when omitted, for
     a symmetric M), and in 3D the first grid axis as the rows of an
-    (n, n*n) view. Each leading index gets its own products."""
+    (n, n*n) view. Each leading index gets its own products. Into `out` if
+    given (not a); in 3D its grid axes must allow the row view, or a
+    ValueError is raised, so the product is never written into a copy."""
     if axis == dim - 1:
         return np.matmul(a, M if MT is None else MT, out=out)
     if axis == dim - 2:
         return np.matmul(M, a, out=out)
-    res = (M @ a.reshape(a.shape[:-3] + (len(M), -1))).reshape(a.shape)
+    rows = a.shape[:-3] + (len(M), -1)
     if out is None:
-        return res
-    np.copyto(out, res)
+        return (M @ a.reshape(rows)).reshape(a.shape)
+    np.matmul(M, a.reshape(rows), out=_view(out, rows))
     return out
 
 
 def _shifted(a: np.ndarray, dim: int, axis: int, offset: int) -> np.ndarray:
     """a shifted by `offset` nodes along grid axis `axis`, zero-filled.
 
-    out[..., i, ...] = a[..., i - offset, ...] with zero extension.
+    out[..., i, ...] = a[..., i - offset, ...] with zero extension. The
+    package no longer calls it (a central difference is one product with C);
+    it stays while the benchmark's tracer names it as a layer boundary.
     """
     T, TT = _shift_matrices(a.shape[-1], offset)
     return _along_axis(T, a, dim, axis, TT)
 
 
-def grad_array(p: np.ndarray, h: float, dim: int) -> np.ndarray:
-    """Central gradient; output gains a component axis before the grid axes."""
-    out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
+# The stencils below take their products along the last two grid axes as
+# the plain matmuls `_along_axis` would make, a call less per product on the
+# right-hand side's path, and along the first of three through `_along_axis`.
+
+def grad_array(p: np.ndarray, h: float, dim: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Central gradient; output gains a component axis before the grid axes.
+    Into `out` if given (not p)."""
+    if out is None:
+        out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
     _, C, CT = _stencil_matrices(p.shape[-1])
-    for a in range(dim):
-        _along_axis(C, p, dim, a, CT, out=out[_component(dim, a)])
+    component = _COMPONENTS[dim]
+    if dim == 3:
+        _along_axis(C, p, dim, 0, CT, out[component[0]])
+    np.matmul(C, p, out=out[component[-2]])
+    np.matmul(p, CT, out=out[component[-1]])
     out *= 1.0 / (2.0 * h)
     return out
 
 
-def div_array(U: np.ndarray, h: float, dim: int) -> np.ndarray:
+def div_array(U: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """Central divergence; consumes the component axis preceding the grid
-    axes."""
-    out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
+    axes. Into `out` if given, with the products after the first in
+    `scratch` if given (both of the output's shape, neither in U)."""
+    if out is None:
+        out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
     _, C, CT = _stencil_matrices(U.shape[-1])
-    _along_axis(C, U[_component(dim, 0)], dim, 0, CT, out=out)
-    for a in range(1, dim):
-        out += _along_axis(C, U[_component(dim, a)], dim, a, CT)
+    component = _COMPONENTS[dim]
+    if dim == 3:
+        _along_axis(C, U[component[0]], dim, 0, CT, out)
+        out += np.matmul(C, U[component[1]], out=scratch)
+    else:
+        np.matmul(C, U[component[0]], out=out)
+    out += np.matmul(U[component[-1]], CT, out=scratch)
     out *= 1.0 / (2.0 * h)
     return out
 
 
-def lap_array(x: np.ndarray, h: float, dim: int) -> np.ndarray:
-    """Compact Dirichlet Laplacian, applied over the trailing grid axes."""
-    out = np.empty_like(x)
+def lap_array(x: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """Compact Dirichlet Laplacian, applied over the trailing grid axes. Into
+    `out` if given, with each product in `scratch` if given (both of x's
+    shape, neither x)."""
     S = _stencil_matrices(x.shape[-1])[0]
-    np.multiply(x, -2.0 * dim, out=out)
-    for a in range(dim):
-        out += _along_axis(S, x, dim, a)
+    out = np.multiply(x, -2.0 * dim, out=out)
+    if dim == 3:
+        out += _along_axis(S, x, dim, 0, S, scratch)
+    out += np.matmul(S, x, out=scratch)
+    out += np.matmul(x, S, out=scratch)
     out *= 1.0 / (h * h)
     return out
 
@@ -213,12 +251,15 @@ def weighted_inner(D, U: np.ndarray, V: np.ndarray, grid: Grid) -> float:
     return float(grid.cell_volume * np.vdot(DU, V))
 
 
-def mean_project_array(p: np.ndarray, dim: int) -> np.ndarray:
-    """Subtract the grid mean over the trailing `dim` axes (batch-safe)."""
+def mean_project_array(p: np.ndarray, dim: int, out: np.ndarray | None = None,
+                       mean: np.ndarray | None = None) -> np.ndarray:
+    """Subtract the grid mean over the trailing `dim` axes (batch-safe). Into
+    `out` if given (p itself allowed), and the mean into `mean` if given, of
+    p's shape with each grid axis of length 1."""
     # the sum-then-divide of ndarray.mean, without its Python wrapper
-    axes = (-3, -2, -1)[-dim:]
-    count = math.prod(p.shape[-dim:])
-    return p - np.add.reduce(p, axis=axes, keepdims=True) / count
+    mean = np.add.reduce(p, axis=_GRID_AXES[dim], keepdims=True, out=mean, dtype=float)
+    mean /= p.size / mean.size  # the nodes per field, as a float
+    return np.subtract(p, mean, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +276,36 @@ def _dst1_matrix(n: int) -> np.ndarray:
     return S
 
 
-def _dst_all_axes(a: np.ndarray, dim: int) -> np.ndarray:
-    """DST-I over the trailing `dim` axes, one grid axis after the other."""
+def _dst_all_axes(a: np.ndarray, dim: int, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+    """DST-I over the trailing `dim` axes, one grid axis after the other, into
+    `out` (both float arrays of a's shape, allocated when not given): in 3D
+    the first axis's product goes into `out`, then the next into `scratch`
+    and the last into `out`. So a may be `out` in 2D and `scratch` in 3D."""
     S = _dst1_matrix(a.shape[-1])
-    for axis in range(dim):
-        a = _along_axis(S, a, dim, axis)
-    return a
+    out = np.empty(a.shape) if out is None else out
+    scratch = np.empty(a.shape) if scratch is None else scratch
+    if dim == 3:
+        a = _along_axis(S, a, dim, 0, S, out)
+    np.matmul(S, a, out=scratch)
+    return np.matmul(scratch, S, out=out)
 
 
-def sine_coefficients_array(values: np.ndarray, grid: Grid) -> np.ndarray:
-    scale = (grid.h / np.sqrt(2.0)) ** grid.dim
-    return scale * _dst_all_axes(values, grid.dim)
+def sine_coefficients_array(values: np.ndarray, grid: Grid, out: np.ndarray | None = None,
+                            scratch: np.ndarray | None = None) -> np.ndarray:
+    """The sine coefficients of `values`, into `out` as `_dst_all_axes`."""
+    c = _dst_all_axes(values, grid.dim, out, scratch)
+    c *= (grid.h / math.sqrt(2.0)) ** grid.dim
+    return c
 
 
-def sine_synthesis_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    scale = (1.0 / np.sqrt(2.0)) ** grid.dim
-    return scale * _dst_all_axes(coeffs, grid.dim)
+def sine_synthesis_array(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None,
+                         scratch: np.ndarray | None = None) -> np.ndarray:
+    """The field of the sine coefficients `coeffs`, into `out` as
+    `_dst_all_axes`."""
+    x = _dst_all_axes(coeffs, grid.dim, out, scratch)
+    x *= (1.0 / math.sqrt(2.0)) ** grid.dim
+    return x
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,15 +320,33 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
     return lam
 
 
-def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0) -> np.ndarray:
+def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0,
+                        out: np.ndarray | None = None,
+                        scratch: np.ndarray | None = None) -> np.ndarray:
     """Solve (-lap + shift) x = b over the trailing grid axes.
 
     The compact Dirichlet Laplacian is diagonal in the sine basis, so its
     shifted inverse is one transform pair (the fast Poisson solver); leading
-    component and batch axes pass through. Needs shift > -lambda_min.
+    component and batch axes pass through. Needs shift > -lambda_min. Into
+    `out` if given, with `scratch` if given (both float arrays of b's shape,
+    neither b).
     """
-    c = sine_coefficients_array(b, grid)
-    return sine_synthesis_array(c / (laplacian_eigenvalues(grid) + shift), grid)
+    out = np.empty(b.shape) if out is None else out
+    scratch = np.empty(b.shape) if scratch is None else scratch
+    # the coefficients go where the synthesis can start from
+    c = sine_coefficients_array(b, grid, *((out, scratch) if grid.dim == 2 else (scratch, out)))
+    c /= _shifted_eigenvalues(grid.dim, grid.n, shift)
+    return sine_synthesis_array(c, grid, out, scratch)
+
+
+@functools.lru_cache(maxsize=16)
+def _shifted_eigenvalues(dim: int, n: int, shift: float) -> np.ndarray:
+    """laplacian_eigenvalues + shift on the grid (dim, n), cached
+    (read-only): a run's preconditioner divides by the same array at every
+    call."""
+    lam = laplacian_eigenvalues(Grid(dim, n)) + shift
+    lam.flags.writeable = False
+    return lam
 
 
 def spectral_norm(a: np.ndarray, grid: Grid, exponent: float) -> float:

@@ -53,10 +53,11 @@ def conjugate_gradient(
     if max_iter is None:
         max_iter = 40 * int(np.sqrt(b[0].size if batched else b.size)) + 200
     # per-member scalars in numpy for a batch (col: one per member, as a
-    # column), in plain Python for one system, whose loop costs what it did
+    # column), in plain Python for one system, whose loop costs what it did;
+    # a batch's flags are tested by Python's any/all, which over a few
+    # members cost a tenth of a numpy reduction's call
     per = (-1,) + (1,) * (b.ndim - 1)
-    some, every, not_, col = ((np.ndarray.any, np.ndarray.all, np.logical_not,
-                               lambda s: s.reshape(per))
+    some, every, not_, col = ((any, all, np.logical_not, lambda s: s.reshape(per))
                               if batched else (bool, bool, operator.not_, lambda s: s))
     x[bnorm == 0.0] = 0.0  # b = 0 solves to zero, whatever x0 is
     tol2 = (rtol * bnorm) ** 2

@@ -89,11 +89,17 @@ class MediumMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def apply_array(self, u: np.ndarray) -> np.ndarray:
+    def apply_array(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Matrix-vector product over the component axis preceding the grid
-        axes (batch axes may precede it)."""
-        lead = u.shape[:u.ndim - self.dim - 1]
-        return (self.entries @ u.reshape(lead + (self.dim, -1))).reshape(u.shape)
+        axes (batch axes may precede it), as one product over the nodes of a
+        (..., dim, nodes) view; into `out` if given (not u), which must allow
+        that view, or a ValueError is raised."""
+        dim = len(self.entries)
+        nodes = u.shape[:u.ndim - dim - 1] + (dim, -1)
+        if out is None:
+            return (self.entries @ u.reshape(nodes)).reshape(u.shape)
+        np.matmul(self.entries, u.reshape(nodes), out=gr._view(out, nodes))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +115,8 @@ def _phi_array(z: np.ndarray, p: NonlinearityParams, in_place: bool = False) -> 
         if in_place:
             z **= p.l
         out = z if in_place else z ** p.l
-        out *= p.beta
+        if p.beta != 1.0:  # times 1 leaves every entry as it is
+            out *= p.beta
         out += p.alpha
     else:
         out = z if in_place else np.empty_like(z)
@@ -269,14 +276,16 @@ def convective_array(u: np.ndarray, v: np.ndarray, h: float, dim: int,
     into `out` (neither u nor v) if given."""
     comp_ax = u.ndim - dim - 1
     out = np.empty_like(v) if out is None else out
+    _, C, CT = gr._stencil_matrices(u.shape[-1])
     for a in range(dim):
         va = np.take(v, a, axis=comp_ax)
         acc = np.zeros_like(va)
         for b in range(dim):
             ub = np.take(u, b, axis=comp_ax)
-            dva = (gr._shifted(va, dim, b, -1) - gr._shifted(va, dim, b, 1)) / (2.0 * h)
+            # each central difference x_{i+1} - x_{i-1} is one product with C
+            dva = gr._along_axis(C, va, dim, b, CT) / (2.0 * h)
             prod = ub * va
-            dprod = (gr._shifted(prod, dim, b, -1) - gr._shifted(prod, dim, b, 1)) / (2.0 * h)
+            dprod = gr._along_axis(C, prod, dim, b, CT) / (2.0 * h)
             acc += 0.5 * (ub * dva + dprod)
         idx = [slice(None)] * out.ndim
         idx[comp_ax] = a

@@ -106,6 +106,12 @@ class TestRhsFull:
             assert abs(dp.mean()) <= 1e-13
 
 
+def _allocating_pressure_rate(u, D, g):
+    """dp/dt = -P0 div(D u) as a composition of the public, allocating array
+    functions."""
+    return -gr.mean_project_array(gr.div_array(D.apply_array(u), g.h, g.dim), g.dim)
+
+
 def _allocating_rhs(sys, u, p):
     """The full right-hand side as a composition of the public, allocating
     array functions."""
@@ -115,8 +121,7 @@ def _allocating_rhs(sys, u, p):
     if sys.convective_on:
         du -= ph.convective_array(u, u, g.h, g.dim)
     du += sys.forcing
-    return du, -gr.mean_project_array(gr.div_array(sys.D.apply_array(u), g.h, g.dim),
-                                      g.dim)
+    return du, _allocating_pressure_rate(u, sys.D, g)
 
 
 def _rk4_written_out(y, dt, rhs):
@@ -226,6 +231,23 @@ class TestInPlaceRhs:
                 assert np.array_equal(a, b)
             k = sys._kernel(u.shape)
             assert (k.fu is None) == params.is_zero() and k.bu is None
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_linear_parts_rate_equals_allocating_composition(self, dim):
+        # the exponential split's parts (hat, tilde) step the linear system
+        # on a kernel with no drag and no forcing: lap V - grad Q and the
+        # pressure rate of V
+        rng = SplitMix64(945 + dim)
+        g = Grid(dim, 8 if dim == 2 else 6)
+        D = MediumMatrix(np.array(self.MEDIA[dim]))
+        k = dyn._Kernel((2, dim) + g.shape, g, D, NonlinearityParams(0.0, 0.0))
+        for _ in range(2):  # the second call refills the same arrays
+            V = rng.normal((2, dim) + g.shape)
+            Q = gr.mean_project_array(rng.normal((2,) + g.shape), dim)
+            dV, dQ = k.rate(V, Q)
+            want = gr.lap_array(V, g.h, dim) - gr.grad_array(Q, g.h, dim)
+            assert dV.tobytes() == want.tobytes()
+            assert dQ.tobytes() == _allocating_pressure_rate(V, D, g).tobytes()
 
     def test_two_systems_in_turn_keep_their_bytes(self):
         # kernels belong to their system: interleaved calls on two grids and
@@ -824,8 +846,8 @@ class TestWarmStart:
 
 def _allocating_semi_implicit(sys, u, p, dt, cg_tol, x0=None):
     """The semi-implicit step as a composition of the public, allocating
-    array functions: lap_array, grad_array, _pressure_rate, D.apply_array,
-    per-member np.vdot and poisson_solve_array."""
+    array functions: lap_array, grad_array, the pressure rate above,
+    D.apply_array, per-member np.vdot and poisson_solve_array."""
     g = sys.grid
     expl = sys.forcing - ph.f_apply_array(u, sys.params, g.dim)
     if sys.convective_on:
@@ -834,7 +856,7 @@ def _allocating_semi_implicit(sys, u, p, dt, cg_tol, x0=None):
 
     def apply_op(x):
         return (x - dt * gr.lap_array(x, g.h, g.dim)
-                - dt * dt * gr.grad_array(dyn._pressure_rate(x, sys.D, g), g.h, g.dim))
+                - dt * dt * gr.grad_array(_allocating_pressure_rate(x, sys.D, g), g.h, g.dim))
 
     def d_inner(a, b):
         Db = sys.D.apply_array(b)
@@ -845,7 +867,7 @@ def _allocating_semi_implicit(sys, u, p, dt, cg_tol, x0=None):
     u_new = conjugate_gradient(
         apply_op, load, x0=u if x0 is None else x0, rtol=cg_tol, inner=d_inner,
         precondition=lambda r: gr.poisson_solve_array(r, g, 1.0 / dt) / dt)
-    return u_new, p + dt * dyn._pressure_rate(u_new, sys.D, g)
+    return u_new, p + dt * _allocating_pressure_rate(u_new, sys.D, g)
 
 
 def _written_out_pcg(apply_op, b, x0, rtol, inner, precondition):
@@ -960,7 +982,7 @@ class TestKernelSemiImplicit:
         u_new, p_new = dyn._semi_implicit_full(sys, u, p, dt, 1e-12)
         res_u = u_new - u - dt * (gr.lap_array(u_new, g.h, dim) - gr.grad_array(p_new, g.h, dim)
                                   - ph.f_apply_array(u, QUINTIC, dim) + forcing)
-        res_p = p_new - p - dt * dyn._pressure_rate(u_new, D, g)
+        res_p = p_new - p - dt * _allocating_pressure_rate(u_new, D, g)
         for res, old, new in ((res_u, u, u_new), (res_p, p, p_new)):
             assert np.abs(res).max() <= 1e-10 * max(np.abs(old).max(), np.abs(new).max())
 
@@ -1370,16 +1392,18 @@ class TestSplits:
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 6)])
     def test_stacked_pressure_rates_equal_single_ones(self, dim, n):
-        # a split takes the rates of (u, v, w) as one three-member batch
+        # a split takes the rates of (u, v, w) as one three-member batch on
+        # a kernel, whose rows each equal the allocating rate of one member
         g = Grid(dim, n)
         rng = SplitMix64(1500 + dim)
         for D in (MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim]),
                   MediumMatrix(np.array(TestInPlaceRhs.MEDIA[dim]))):
-            for _ in range(5):
+            kernel = dyn._Kernel((3, dim) + g.shape, g, D, LINEAR)
+            for _ in range(5):  # later calls refill the same arrays
                 us = [rng.normal((dim,) + g.shape) for _ in range(3)]
-                rates = dyn._pressure_rate(np.stack(us), D, g)
+                rates = kernel.pressure_rate(np.stack(us))
                 for u, rate in zip(us, rates):
-                    assert np.array_equal(rate, dyn._pressure_rate(u, D, g))
+                    assert np.array_equal(rate, _allocating_pressure_rate(u, D, g))
 
     def test_a_wrong_part_fails_to_recombine(self, monkeypatch):
         # one part's velocity off by 1e-3 relative (w of the trunc split, both

@@ -449,3 +449,129 @@ class TestSineTransform:
         assert gr.laplacian_eigenvalues(Grid(2, 8)) is lam
         with pytest.raises(ValueError):
             lam[0, 0] = 0.0
+
+
+def _scalar_out(shape, dim, rng):
+    """A component view of a velocity stacked like a field of `shape` (its
+    grid axes contiguous, its member axis, if any, strided), holding noise."""
+    lead = shape[:len(shape) - dim]
+    return rng.normal(lead + (dim,) + shape[len(lead):])[(Ellipsis, dim - 1) + (slice(None),) * dim]
+
+
+def _velocity_out(shape, dim, rng):
+    """The first `dim` components of a velocity with one more component: an
+    array of `shape` whose leading axes are strided, holding noise."""
+    lead, comps = shape[:len(shape) - dim - 1], shape[len(shape) - dim - 1]
+    full = rng.normal(lead + (comps + 1,) + shape[len(shape) - dim:])
+    return full[(Ellipsis, slice(0, comps)) + (slice(None),) * dim]
+
+
+_OUT_CASES = [(dim, n, lead) for dim, ns in ((2, (8, 16)), (3, (6, 8)))
+              for n in ns for lead in ((), (3,))]
+
+
+class TestOutForms:
+    """Each function that takes `out=` writes the bytes of its allocating call
+    into a fresh array and into a view of the kind the time steppers' kernels
+    pass, with and without its scratch array, and returns `out`."""
+
+    @staticmethod
+    def _outs(shape, dim, rng, velocity):
+        view = _velocity_out if velocity else _scalar_out
+        return [rng.normal(shape), view(shape, dim, rng)]
+
+    @pytest.mark.parametrize("dim,n,lead", _OUT_CASES)
+    def test_stencils(self, dim, n, lead):
+        rng = SplitMix64(12000 + 100 * dim + 10 * n + len(lead))
+        h, grid = 1.0 / (n + 1), (n,) * dim
+        x, U = rng.normal(lead + grid), rng.normal(lead + (dim,) + grid)
+        calls = [  # (allocating call, call into out, shape of out, velocity-shaped)
+            (lambda: gr.lap_array(x, h, dim),
+             lambda out, s: gr.lap_array(x, h, dim, out=out, scratch=s), x.shape, False),
+            (lambda: gr.lap_array(U, h, dim),
+             lambda out, s: gr.lap_array(U, h, dim, out=out, scratch=s), U.shape, True),
+            (lambda: gr.grad_array(x, h, dim),
+             lambda out, s: gr.grad_array(x, h, dim, out=out), U.shape, True),
+            (lambda: gr.div_array(U, h, dim),
+             lambda out, s: gr.div_array(U, h, dim, out=out, scratch=s), x.shape, False),
+        ]
+        for allocating, into, shape, velocity in calls:
+            want = allocating()
+            for out in self._outs(shape, dim, rng, velocity):
+                for scratch in (None, rng.normal(shape)):
+                    assert into(out, scratch) is out
+                    assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim,n,lead", _OUT_CASES)
+    def test_mean_projection(self, dim, n, lead):
+        rng = SplitMix64(13000 + 100 * dim + 10 * n + len(lead))
+        p = rng.normal(lead + (n,) * dim)
+        want = gr.mean_project_array(p, dim)
+        want_mean = np.add.reduce(p, axis=tuple(range(-dim, 0)), keepdims=True) / n ** dim
+        for out in self._outs(p.shape, dim, rng, False):
+            mean = rng.normal(lead + (1,) * dim)
+            assert gr.mean_project_array(p, dim, out=out, mean=mean) is out
+            assert out.tobytes() == want.tobytes()
+            assert mean.tobytes() == want_mean.tobytes()
+        # in place, as `simulate` projects a step's p
+        q = p.copy()
+        assert gr.mean_project_array(q, dim, out=q) is q
+        assert q.tobytes() == want.tobytes()
+        # an integer field projects as its float copy does
+        ints = np.arange(p.size).reshape(p.shape) % 7
+        assert np.array_equal(gr.mean_project_array(ints, dim),
+                              gr.mean_project_array(ints.astype(float), dim))
+
+    @pytest.mark.parametrize("dim,n,lead", _OUT_CASES)
+    def test_sine_transforms_and_poisson_solve(self, dim, n, lead):
+        g = Grid(dim, n)
+        rng = SplitMix64(14000 + 100 * dim + 10 * n + len(lead))
+        b = rng.normal(lead + (dim,) + g.shape)
+        calls = [
+            (lambda: gr._dst_all_axes(b, dim),
+             lambda out, s: gr._dst_all_axes(b, dim, out, s)),
+            (lambda: gr.sine_coefficients_array(b, g),
+             lambda out, s: gr.sine_coefficients_array(b, g, out, s)),
+            (lambda: gr.sine_synthesis_array(b, g),
+             lambda out, s: gr.sine_synthesis_array(b, g, out, s)),
+            (lambda: gr.poisson_solve_array(b, g, 1.5),
+             lambda out, s: gr.poisson_solve_array(b, g, 1.5, out=out, scratch=s)),
+        ]
+        for allocating, into in calls:
+            want = allocating()
+            for out in self._outs(b.shape, dim, rng, True):
+                for scratch in (None, _velocity_out(b.shape, dim, rng)):
+                    assert into(out, scratch) is out
+                    assert out.tobytes() == want.tobytes()
+
+    def test_poisson_solve_keeps_the_bytes_of_its_transform_pair(self):
+        # the one-array form equals the two transforms and the divide
+        # written out with fresh arrays
+        for dim, n in ((2, 16), (3, 8)):
+            g = Grid(dim, n)
+            b = SplitMix64(15000 + dim).normal((3, dim) + g.shape)
+            c = gr.sine_coefficients_array(b, g) / (gr.laplacian_eigenvalues(g) + 0.5)
+            want = gr.sine_synthesis_array(c, g)
+            assert gr.poisson_solve_array(b, g, 0.5).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_3d_out_without_a_row_view_raises(self, lead):
+        # grid axes that cannot be viewed as (n, n*n) rows: a product into
+        # them would land in a copy, so the call raises instead
+        n, h = 6, 1.0 / 7
+        rng = SplitMix64(16000 + len(lead))
+        x, U = rng.normal(lead + (n,) * 3), rng.normal(lead + (3,) + (n,) * 3)
+
+        def rowless(shape):  # the middle grid axis taken with step 2
+            big = np.zeros(shape[:-2] + (2 * n, n))
+            return big[..., ::2, :]
+
+        g = Grid(3, n)
+        calls = [lambda: gr.grad_array(x, h, 3, out=rowless(U.shape)),
+                 lambda: gr.div_array(U, h, 3, out=rowless(x.shape)),
+                 lambda: gr.lap_array(x, h, 3, out=np.empty(x.shape), scratch=rowless(x.shape)),
+                 lambda: gr._dst_all_axes(x, 3, rowless(x.shape)),
+                 lambda: gr.poisson_solve_array(U, g, out=rowless(U.shape))]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()

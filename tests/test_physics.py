@@ -84,6 +84,24 @@ class TestMedium:
         assert got.shape == u.shape
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 16), (3, 6), (3, 8)])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_apply_array_out_keeps_the_bytes(self, dim, n, lead):
+        # into a fresh array and into the first `dim` components of a wider
+        # velocity, as into the arrays of a kernel; grid axes that cannot be
+        # viewed as one node axis raise rather than take the product in a copy
+        D = MediumMatrix(np.array([[2.0, 0.5, -0.3], [0.5, 1.5, 0.2],
+                                   [-0.3, 0.2, 1.0]])[:dim, :dim])
+        rng = SplitMix64(61 + 10 * dim + n + len(lead))
+        u = rng.normal(lead + (dim,) + (n,) * dim)
+        want = D.apply_array(u)
+        wide = rng.normal(lead + (dim + 1,) + (n,) * dim)
+        for out in (rng.normal(u.shape), wide[(Ellipsis, slice(0, dim)) + (slice(None),) * dim]):
+            assert D.apply_array(u, out=out) is out
+            assert out.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            D.apply_array(u, out=np.empty(u.shape).swapaxes(-1, -2))
+
 
 class TestPhi:
     def test_boundary_value(self):
@@ -305,7 +323,37 @@ class TestEnergyReport:
         assert sys.work[0, 0] == pytest.approx(energy, rel=1e-12)
 
 
+def _shifted_convective(u, v, h, dim):
+    """B(u, v) with each central difference taken as the difference of two
+    zero-filled shifts, `gr._shifted(x, dim, b, -1) - gr._shifted(x, dim, b, 1)`."""
+    out = np.empty_like(v)
+    for a in range(dim):
+        acc = np.zeros_like(v[a])
+        for b in range(dim):
+            dva = (gr._shifted(v[a], dim, b, -1) - gr._shifted(v[a], dim, b, 1)) / (2.0 * h)
+            prod = u[b] * v[a]
+            dprod = (gr._shifted(prod, dim, b, -1) - gr._shifted(prod, dim, b, 1)) / (2.0 * h)
+            acc += 0.5 * (u[b] * dva + dprod)
+        out[a] = acc
+    return out
+
+
 class TestConvective:
+    @pytest.mark.parametrize("dim,n,members", [(2, 8, 1), (2, 64, 3), (3, 6, 1), (3, 8, 4),
+                                               (3, 16, 2)])
+    def test_products_with_c_keep_the_bytes_of_the_shifts(self, dim, n, members):
+        # each member's entries spread over 10 decades
+        g = Grid(dim, n)
+        rng = SplitMix64(137 + 10 * dim + n)
+        shape = (members, dim) + g.shape
+        u = rng.normal(shape) * 10.0 ** (10.0 * rng.uniform(shape) - 5.0)
+        v = rng.normal(shape) * 10.0 ** (10.0 * rng.uniform(shape) - 5.0)
+        got = ph.convective_array(u, v, g.h, dim)
+        for m in range(members):
+            want = _shifted_convective(u[m], v[m], g.h, dim)
+            assert got[m].tobytes() == want.tobytes()
+            assert ph.convective_array(u[m], v[m], g.h, dim).tobytes() == want.tobytes()
+
     def test_zero(self):
         g = Grid(2, 8)
         rng = SplitMix64(127)

@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py <other-checkout>
 
-Runs one fixed list of 50 CLI invocations with the sources of each
+Runs one fixed list of 51 CLI invocations with the sources of each
 checkout: every subcommand on configs/quintic16.cfg (`split` with both split
 kinds, both also with a square-root drag, beta = 0 and gamma = 0.5, and the
 trunc kind also with a linear drag, beta = 0; `simulate` also with
@@ -13,8 +13,9 @@ configs/attractor8.cfg, the four benchmark workload configs at seed 1
 (`quasistatic` also with split_kind = bootstrap, `ensemble` also with a
 full `rows` medium), `attractor` on the `ensemble` workload config at seeds
 2-12, `simulate` and `lipschitz` on a short 3D run at 6^3 (`lipschitz` also
-semi-implicit), every subcommand on the 3D configs configs/cube8.cfg
-(`split` from a white-noise pressure at t_max = 0.05) and
+semi-implicit, `simulate` also with the convective term on), every
+subcommand on the 3D configs configs/cube8.cfg (`split` from a white-noise
+pressure at t_max = 0.05) and
 configs/cube8_attractor.cfg (`attractor`), and two short `simulate` runs on
 larger grids: 20^3, and 40^2 with the convective term on. Each checkout runs
 the whole list in one process, calling `bfflow.cli.main` once per run, as
@@ -121,6 +122,8 @@ def _runs() -> list[tuple[str, str, str]]:
              for s in range(2, 13)]
     runs += [(f"cube6-{sub}", sub, _CUBE6) for sub in ("simulate", "lipschitz")]
     runs.append(("cube6-lipschitz-semi-implicit", "lipschitz", _CUBE6 + _SEMI_IMPLICIT))
+    runs.append(("cube6-simulate-convective", "simulate",
+                 _CUBE6 + "[scenario]\nconvective = on\n"))
     cube8 = (ROOT / "configs" / "cube8.cfg").read_text()
     runs += [(f"cube8-{sub}", sub, cube8) for sub in (
         "simulate", "spectrum", "lipschitz", "expsplit", "smoothing", "audit", "oracle")]
