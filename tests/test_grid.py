@@ -545,8 +545,8 @@ class TestOutForms:
                     assert out.tobytes() == want.tobytes()
 
     def test_poisson_solve_keeps_the_bytes_of_its_transform_pair(self):
-        # the one-array form equals the two transforms and the divide
-        # written out with fresh arrays
+        # the solve, which works in its two arrays, equals the transforms and
+        # the divide written out with fresh arrays
         for dim, n in ((2, 16), (3, 8)):
             g = Grid(dim, n)
             b = SplitMix64(15000 + dim).normal((3, dim) + g.shape)
