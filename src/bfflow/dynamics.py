@@ -134,21 +134,21 @@ def rk4_stepper(rhs, dt: float):
     half, sixth = 0.5 * dt, dt / 6.0
 
     def advance(y):
-        shapes = tuple([a.shape for a in y])
+        shapes = tuple(a.shape for a in y)
         bufs = work.get(shapes)
         if bufs is None:
             bufs = work[shapes] = tuple(tuple(np.empty_like(a, dtype=float) for a in y)
                                         for _ in range(3))
         sums, stages, tmps = bufs
         for a, b, s, x, t in zip(y, rhs(*y), sums, stages, tmps):
-            s[...] = b
+            np.copyto(s, b)
             np.add(a, np.multiply(b, half, out=t), out=x)
         for c in (half, dt):
             for a, b, s, x, t in zip(y, rhs(*stages), sums, stages, tmps):
                 s += np.multiply(b, 2.0, out=t)
                 np.add(a, np.multiply(b, c, out=t), out=x)
-        return tuple([a + np.multiply(np.add(s, b, out=s), sixth, out=t)
-                      for a, b, s, t in zip(y, rhs(*stages), sums, tmps)])
+        return tuple(a + np.multiply(np.add(s, b, out=s), sixth, out=t)
+                     for a, b, s, t in zip(y, rhs(*stages), sums, tmps))
     return advance
 
 

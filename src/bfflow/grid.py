@@ -146,16 +146,16 @@ def _along_axis(M: np.ndarray, a: np.ndarray, dim: int, axis: int,
     one stacked matrix product with no axis moved: M @ a on the second-to-last
     axis, a @ MT on the last (MT is M's transpose, M itself when omitted, for
     a symmetric M), and in 3D the first grid axis as the rows of an
-    (n, n*n) view. Each leading index gets its own products. Into `out` if
-    given (not a); in 3D its grid axes must allow the row view, or a
-    ValueError is raised, so the product is never written into a copy."""
+    (n, n*n) view. Each leading index gets its own products. Into `out`
+    (not a), allocated when not given; in 3D its grid axes must allow the row
+    view, or a ValueError is raised, so the product is never written into a
+    copy."""
     if axis == dim - 1:
         return np.matmul(a, M if MT is None else MT, out=out)
     if axis == dim - 2:
         return np.matmul(M, a, out=out)
+    out = np.empty(a.shape) if out is None else out
     rows = a.shape[:-3] + (len(M), -1)
-    if out is None:
-        return (M @ a.reshape(rows)).reshape(a.shape)
     np.matmul(M, a.reshape(rows), out=_view(out, rows))
     return out
 
@@ -171,10 +171,6 @@ def _shifted(a: np.ndarray, dim: int, axis: int, offset: int) -> np.ndarray:
     return _along_axis(T, a, dim, axis, TT)
 
 
-# The stencils below take their products along the last two grid axes as
-# the plain matmuls `_along_axis` would make, a call less per product on the
-# right-hand side's path, and along the first of three through `_along_axis`.
-
 def grad_array(p: np.ndarray, h: float, dim: int,
                out: np.ndarray | None = None) -> np.ndarray:
     """Central gradient; output gains a component axis before the grid axes.
@@ -182,11 +178,8 @@ def grad_array(p: np.ndarray, h: float, dim: int,
     if out is None:
         out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
     _, C, CT = _stencil_matrices(p.shape[-1])
-    component = _COMPONENTS[dim]
-    if dim == 3:
-        _along_axis(C, p, dim, 0, CT, out[component[0]])
-    np.matmul(C, p, out=out[component[-2]])
-    np.matmul(p, CT, out=out[component[-1]])
+    for a, component in enumerate(_COMPONENTS[dim]):
+        _along_axis(C, p, dim, a, CT, out[component])
     out *= 1.0 / (2.0 * h)
     return out
 
@@ -200,12 +193,9 @@ def div_array(U: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
         out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
     _, C, CT = _stencil_matrices(U.shape[-1])
     component = _COMPONENTS[dim]
-    if dim == 3:
-        _along_axis(C, U[component[0]], dim, 0, CT, out)
-        out += np.matmul(C, U[component[1]], out=scratch)
-    else:
-        np.matmul(C, U[component[0]], out=out)
-    out += np.matmul(U[component[-1]], CT, out=scratch)
+    _along_axis(C, U[component[0]], dim, 0, CT, out)
+    for a in range(1, dim):
+        out += _along_axis(C, U[component[a]], dim, a, CT, scratch)
     out *= 1.0 / (2.0 * h)
     return out
 
@@ -217,10 +207,8 @@ def lap_array(x: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
     shape, neither x)."""
     S = _stencil_matrices(x.shape[-1])[0]
     out = np.multiply(x, -2.0 * dim, out=out)
-    if dim == 3:
-        out += _along_axis(S, x, dim, 0, S, scratch)
-    out += np.matmul(S, x, out=scratch)
-    out += np.matmul(x, S, out=scratch)
+    for a in range(dim):
+        out += _along_axis(S, x, dim, a, out=scratch)
     out *= 1.0 / (h * h)
     return out
 
@@ -285,10 +273,9 @@ def _dst_all_axes(a: np.ndarray, dim: int, out: np.ndarray | None = None,
     S = _dst1_matrix(a.shape[-1])
     out = np.empty(a.shape) if out is None else out
     scratch = np.empty(a.shape) if scratch is None else scratch
-    if dim == 3:
-        a = _along_axis(S, a, dim, 0, S, out)
-    np.matmul(S, a, out=scratch)
-    return np.matmul(scratch, S, out=out)
+    for axis, target in enumerate((out, scratch, out)[-dim:]):
+        a = _along_axis(S, a, dim, axis, out=target)
+    return a
 
 
 def sine_coefficients_array(values: np.ndarray, grid: Grid, out: np.ndarray | None = None,
@@ -335,16 +322,15 @@ def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0,
     scratch = np.empty(b.shape) if scratch is None else scratch
     # the coefficients go where the synthesis can start from
     c = sine_coefficients_array(b, grid, *((out, scratch) if grid.dim == 2 else (scratch, out)))
-    c /= _shifted_eigenvalues(grid.dim, grid.n, shift)
+    c /= _shifted_eigenvalues(grid, shift)
     return sine_synthesis_array(c, grid, out, scratch)
 
 
 @functools.lru_cache(maxsize=16)
-def _shifted_eigenvalues(dim: int, n: int, shift: float) -> np.ndarray:
-    """laplacian_eigenvalues + shift on the grid (dim, n), cached
-    (read-only): a run's preconditioner divides by the same array at every
-    call."""
-    lam = laplacian_eigenvalues(Grid(dim, n)) + shift
+def _shifted_eigenvalues(grid: Grid, shift: float) -> np.ndarray:
+    """laplacian_eigenvalues(grid) + shift, cached (read-only): a run's
+    preconditioner divides by the same array at every call."""
+    lam = laplacian_eigenvalues(grid) + shift
     lam.flags.writeable = False
     return lam
 

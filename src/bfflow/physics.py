@@ -92,12 +92,11 @@ class MediumMatrix:
     def apply_array(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Matrix-vector product over the component axis preceding the grid
         axes (batch axes may precede it), as one product over the nodes of a
-        (..., dim, nodes) view; into `out` if given (not u), which must allow
-        that view, or a ValueError is raised."""
+        (..., dim, nodes) view; into `out` (not u), allocated when not given,
+        which must allow that view, or a ValueError is raised."""
         dim = len(self.entries)
         nodes = u.shape[:u.ndim - dim - 1] + (dim, -1)
-        if out is None:
-            return (self.entries @ u.reshape(nodes)).reshape(u.shape)
+        out = np.empty(u.shape) if out is None else out
         np.matmul(self.entries, u.reshape(nodes), out=gr._view(out, nodes))
         return out
 
