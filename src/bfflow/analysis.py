@@ -121,8 +121,7 @@ class AssembledOperator:
 
     grid: Grid
     D: MediumMatrix
-    matrix: np.ndarray        # (m, m), m = n^dim - 1
-    basis: np.ndarray         # (N, m) orthonormal mean-zero reduction map
+    basis: np.ndarray         # (N, m) orthonormal mean-zero reduction map, m = N - 1
     spectrum: np.ndarray      # ascending eigenvalues of the symmetric part
     symmetry_defect: float    # |A - A^T|_F / |A|_F
     eigenvectors: np.ndarray  # columns, in the reduced coordinates
@@ -165,7 +164,7 @@ def assemble_operator(grid: Grid, D: MediumMatrix) -> AssembledOperator:
     defect = float(np.linalg.norm(A - A.T)) / normA if normA else 0.0
     sym = 0.5 * (A + A.T)
     vals, vecs = np.linalg.eigh(sym)
-    return AssembledOperator(grid=grid, D=D, matrix=A, basis=Q,
+    return AssembledOperator(grid=grid, D=D, basis=Q,
                              spectrum=vals, symmetry_defect=defect,
                              eigenvectors=vecs)
 

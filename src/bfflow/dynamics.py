@@ -4,17 +4,18 @@ The system is autonomous (g is one fixed field): a run starts at t = 0, step
 k ends at k dt, and no right-hand side takes a time argument. Every run steps
 through one loop, `integrate`, on a tuple-of-arrays state. The caller
 supplies `advance(y)` (the run's `rk4_stepper`, or a semi-implicit step),
-the components to re-project to mean zero, and the steps to store,
+the pressure components to re-project to mean zero, and the steps to store,
 which `snapshot_steps` derives before the loop: every m steps plus the last,
-or the nearest step end to each target time. The loop checks finiteness
-after every step and at the start (`BlowUpError` names the step and, in a
-batch, the member) and stores each recorded component as one array stacked
-over the stored steps. A state is the array pair (u, p) on a `Grid` passed
-beside it, and a batch of runs is the same pair with a leading member axis.
-The drivers (`simulate` and the splittings) supply only a right-hand side
-and what to store. A splitting is one run: the truncated run from p0 steps
-jointly with its parts, which are checked to recombine to it at every stored
-time.
+or the nearest step end to each target time. After every step the loop
+re-projects those components in place, and it checks finiteness (at the
+start too) and then the drift, the mean each projection removed; either
+error names the step and, in a batch, the member. It stores each recorded
+component as one array stacked over the stored steps. A state is the array
+pair (u, p) on a `Grid` passed beside it, and a batch of runs is the same
+pair with a leading member axis. The drivers (`simulate` and the
+splittings) supply only a right-hand side and what to store. A splitting is
+one run: the truncated run from p0 steps jointly with its parts, which are
+checked to recombine to it at every stored time.
 
 The full system evolves (u, p) by
 
@@ -190,29 +191,42 @@ def snapshot_steps(n_steps: int, dt: float, every: int = 1,
 def integrate(y0: tuple, dt: float, n_steps: int, advance, dim: int,
               project: tuple[int, ...] = (), snapshots=frozenset(), record=None,
               on_step=None, members: bool = False) -> tuple[np.ndarray, tuple]:
-    """Take `n_steps` steps y <- advance(y) from y0.
+    """Take `n_steps` steps y <- advance(y) from y0; `advance` returns each
+    step's state in fresh arrays.
 
-    After each step, the components whose indices are in `project` are
-    re-projected to mean zero over the trailing `dim` axes. At every step
-    end k, the initial state k = 0 included, the state is checked for
-    finiteness and `on_step(k, y)` runs. At the steps in `snapshots` the
-    loop stores `record(y)`, by default y itself. It returns the stored
-    times k dt and one array per recorded component, of shape
-    (stored steps,) + component shape, allocated at the first stored step
-    and filled in place. With `members`, the leading axis of every component
-    indexes ensemble members, and a blow-up names the first member that lost
-    finiteness.
+    After each step, the components whose indices are in `project` (the
+    pressures) are re-projected to mean zero over the trailing `dim` axes
+    in place. At every step end k, the initial state k = 0 included, the
+    state is checked for finiteness, a projection that removed a mean above
+    1e-12 (1 + max |p|) raises "pressure mean drifted", and `on_step(k, y)`
+    runs. At the steps in `snapshots` the loop stores `record(y)`, by
+    default y itself. It returns the stored times k dt and one array per
+    recorded component, of shape (stored steps,) + component shape,
+    allocated at the first stored step and filled in place. With `members`,
+    the leading axis of every component indexes ensemble members, and a
+    blow-up or a drift names the first member it found.
     """
     n_stored = sum(1 for k in snapshots if 0 <= k <= n_steps)
     times, stored = [], ()
     y = tuple(y0)
+    axes = tuple(range(-dim, 0))
+    # per projected component, the |mean| its last projection removed
+    drifts = {i: np.zeros(y[i].shape[:-dim] + (1,) * dim) for i in project}
     for k in range(n_steps + 1):
         if k:
             y = advance(y)
-            if project:
-                y = tuple(gr.mean_project_array(a, dim) if i in project else a
-                          for i, a in enumerate(y))
+            for i, drift in drifts.items():
+                gr.mean_project_array(y[i], dim, out=y[i], mean=drift)
         _check_finite(y, k, k * dt, members)
+        for i, drift in drifts.items():
+            # a drift within 1e-12 is within the bound, whatever max |p| is
+            if np.abs(drift, out=drift).max() > 1e-12:
+                bound = 1e-12 * (1.0 + np.abs(y[i]).max(axis=axes, keepdims=True))
+                over = np.flatnonzero(drift > bound)
+                if over.size:
+                    who = f"ensemble member {over[0]}: " if members else ""
+                    raise RuntimeError(f"{who}pressure mean drifted to "
+                                       f"{np.ravel(drift)[over[0]]:.3e} at step {k}")
         if on_step is not None:
             on_step(k, y)
         if k in snapshots:
@@ -485,41 +499,19 @@ def simulate(state0: tuple[np.ndarray, np.ndarray], grid: Grid, cfg: SolverConfi
     # work rows: the four stages of each step in turn, then the last step end
     sys = _FullSystem(grid, D, params, forcing, convective_on,
                       work_rows=4 * n_steps + 1 if collect_work else 0)
-    y0 = (u0, gr.mean_project_array(p0, grid.dim))
-    axes = tuple(range(-grid.dim, 0))
-
     p_squares = []  # (p, p) at each step end; (D u, u) is in its work row
-    drift = np.zeros(p0.shape[:-grid.dim] + (1,) * grid.dim)  # |mean p|, one per member
-    scheme = _full_advance(sys, cfg)
-
-    def advance(y):
-        # p's re-projection to mean zero is done here rather than by
-        # integrate, so the mean it removes is also the drift the guard
-        # reads; the step's p is a fresh array, so it is projected in place
-        u, p = scheme(y)
-        gr.mean_project_array(p, grid.dim, out=p, mean=drift)
-        np.abs(drift, out=drift)
-        return u, p
 
     def on_step(k, y):
-        # a drift within 1e-12 is within the bound, whatever max |p| is
-        if drift.max() > 1e-12:
-            bound = 1e-12 * (1.0 + np.abs(y[1]).max(axis=axes, keepdims=True))
-            over = np.flatnonzero(drift > bound)
-            if over.size:
-                who = f"ensemble member {over[0]}: " if batch else ""
-                raise RuntimeError(f"{who}pressure mean drifted to "
-                                   f"{np.ravel(drift)[over[0]]:.3e} at step {k}")
-        if collect_work:
-            p_squares.append(np.vdot(y[1], y[1]))
-            if k == n_steps:  # the one step end no later stage records
-                sys.rhs(*y)
+        p_squares.append(np.vdot(y[1], y[1]))
+        if k == n_steps:  # the one step end no later stage records
+            sys.rhs(*y)
 
     times, (u, p) = integrate(
-        y0, cfg.dt, n_steps, advance, grid.dim,
+        (u0, gr.mean_project_array(p0, grid.dim)), cfg.dt, n_steps,
+        _full_advance(sys, cfg), grid.dim, project=(1,),
         snapshots=snapshot_steps(n_steps, cfg.dt, every=snapshot_every,
                                  targets=snapshot_times),
-        on_step=on_step, members=batch)
+        on_step=on_step if collect_work else None, members=batch)
     series = {}
     if collect_work:
         stages = sys.work[:-1, :4].reshape(n_steps, 4, 4)  # step, stage, term

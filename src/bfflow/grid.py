@@ -227,12 +227,8 @@ def norm_l2(a: np.ndarray, grid: Grid) -> float:
 
 
 def weighted_inner(D, U: np.ndarray, V: np.ndarray, grid: Grid) -> float:
-    """h^d * sum over nodes of (D u) . v for a constant symmetric matrix D.
-
-    Accepts a physics.MediumMatrix or a bare (dim, dim) array.
-    """
-    mat = np.asarray(getattr(D, "entries", D), dtype=float)
-    d = grid.dim
+    """h^d * sum over nodes of (D u) . v for a physics.MediumMatrix D."""
+    mat, d = D.entries, grid.dim
     if mat.shape != (d, d):
         raise ValueError(f"D must be {d}x{d}, got {mat.shape}")
     DU = np.einsum("ab,b...->a...", mat, U)

@@ -105,24 +105,22 @@ class MediumMatrix:
 # nonlinearity
 # ---------------------------------------------------------------------------
 
-def _phi_array(z: np.ndarray, p: NonlinearityParams, in_place: bool = False) -> np.ndarray:
-    """phi(z), into z's own array with `in_place`."""
+def _phi_array(z: np.ndarray, p: NonlinearityParams) -> np.ndarray:
+    """phi(z), into z's own array (a caller that reads z later passes a
+    copy)."""
     root = p.gamma * np.sqrt(z) if p.gamma else None  # read before z is overwritten
     if p.beta:
         # beta z^l + alpha: the same rounded sum as alpha + beta z^l; raised in
-        # place, z takes the loop of z ** l (np.square for l = 2)
-        if in_place:
-            z **= p.l
-        out = z if in_place else z ** p.l
+        # place, z takes np.power's loop, which for l = 2 gives np.square's bytes
+        z **= p.l
         if p.beta != 1.0:  # times 1 leaves every entry as it is
-            out *= p.beta
-        out += p.alpha
+            z *= p.beta
+        z += p.alpha
     else:
-        out = z if in_place else np.empty_like(z)
-        out.fill(p.alpha)
+        z.fill(p.alpha)
     if root is not None:
-        out += root
-    return out
+        z += root
+    return z
 
 
 def f_apply_array(u: np.ndarray, params: NonlinearityParams, dim: int,
@@ -136,7 +134,7 @@ def f_apply_array(u: np.ndarray, params: NonlinearityParams, dim: int,
         return out
     comp_ax = u.ndim - dim - 1
     z = np.add.reduce(np.multiply(u, u, out=out), axis=comp_ax, keepdims=True, out=work)
-    return np.multiply(_phi_array(z, params, in_place=work is not None), u, out=out)
+    return np.multiply(_phi_array(z, params), u, out=out)
 
 
 def _fprime_coefficients(u: np.ndarray, params: NonlinearityParams, dim: int):
@@ -149,7 +147,7 @@ def _fprime_coefficients(u: np.ndarray, params: NonlinearityParams, dim: int):
     if params.is_zero():
         return None, None
     z = np.add.reduce(u * u, axis=u.ndim - dim - 1, keepdims=True)
-    phi = _phi_array(z, params)
+    phi = _phi_array(z.copy(), params)
     if params.beta == 0.0 and params.gamma == 0.0:
         return phi, None
     zsafe = np.where(z > 0.0, z, 1.0)

@@ -201,12 +201,6 @@ class ModeSolution:
         lam, b = self.symbols
         return np.array([[lam, 1.0], [-b, 0.0]])
 
-    def energy(self) -> float:
-        """b |a|^2 + |p|^2, nonincreasing along the mode flow."""
-        lam, b = self.symbols
-        a, p = self.potential_pair
-        return float(b * a * a + p * p)
-
 
 def _exp2x2(M: np.ndarray, t: float) -> np.ndarray:
     """Analytic exponential of a 2x2 matrix via its traceless split."""

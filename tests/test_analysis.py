@@ -31,7 +31,7 @@ class TestAssembleOperator:
         op = an.assemble_operator(g, MediumMatrix.identity(2))
         assert op.symmetry_defect <= 1e-12
         assert op.eigmin > 0.0
-        assert op.matrix.shape == (15, 15)
+        assert op.eigenvectors.shape == (15, 15)
 
     def test_scaling_in_medium(self):
         g = Grid(2, 4)

@@ -1013,7 +1013,7 @@ def _allocating_fprime(u, v, params, dim):
         return np.zeros_like(v)
     comp_ax = u.ndim - dim - 1
     z = np.add.reduce(u * u, axis=comp_ax, keepdims=True)
-    out = ph._phi_array(z, params) * v
+    out = ph._phi_array(z.copy(), params) * v
     if params.beta == 0.0 and params.gamma == 0.0:
         return out
     zsafe = np.where(z > 0.0, z, 1.0)
@@ -1293,6 +1293,22 @@ class TestTruncated:
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
+def _drift_component(monkeypatch, index):
+    """Make every RK4 step add 1e-9 to the state component `index`."""
+    real = dyn.rk4_stepper
+
+    def drifting(rhs, dt):
+        step = real(rhs, dt)
+
+        def advance(y):
+            y = step(y)
+            y[index][...] += 1e-9  # rk4_stepper returns fresh arrays
+            return y
+        return advance
+
+    monkeypatch.setattr(dyn, "rk4_stepper", drifting)
+
+
 class TestSplits:
     @staticmethod
     def _run(split, g, D, params, seed=61, t_max=2.0, every=4):
@@ -1316,6 +1332,13 @@ class TestSplits:
         assert split.recombination_p <= 1e-8
         assert split.recombination_u <= 1e-8
         assert an.split_study(split, 0.25, 2.0).q_fit.rate < 0.0
+
+    def test_part_pressure_drift_raises(self, monkeypatch):
+        # a step that moves q's mean trips the drift guard
+        _drift_component(monkeypatch, 1)
+        g, D = small_setup(n=8)
+        with pytest.raises(RuntimeError, match="^pressure mean drifted to 1.000e-09 at step 1$"):
+            self._run(dyn.run_split, g, D, QUINTIC, t_max=0.1)
 
     def test_bootstrap_parts(self):
         g, D = small_setup(n=8)
@@ -1436,6 +1459,15 @@ class TestExpSplit:
         es = dyn.run_exp_split(_batch([state, state]), g, _zero_forcing(g), cfg, D, QUINTIC,
                                0.2, snapshot_every=50)
         assert np.abs(es.V).max() <= 1e-13  # hat and tilde
+
+    def test_part_pressure_drift_raises(self, monkeypatch):
+        # a step that moves the parts' pressure means (Q) trips the drift guard
+        _drift_component(monkeypatch, 3)
+        g, D = small_setup()
+        pair = perturbed_pair(make_initial_state(g, "smooth", 1.0, seed=77), g, 78, 1e-3)
+        with pytest.raises(RuntimeError, match="^pressure mean drifted to 1.000e-09 at step 1$"):
+            dyn.run_exp_split(pair, g, _zero_forcing(g), dyn.SolverConfig(dt=1e-3), D,
+                              QUINTIC, 0.01)
 
     def test_overflowing_initial_difference_raises_blowup_at_step_1(self):
         # a finite initial difference whose quintic drag overflows, so the

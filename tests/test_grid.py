@@ -5,6 +5,7 @@ import pytest
 
 from bfflow import grid as gr
 from bfflow.grid import Grid
+from bfflow.physics import MediumMatrix
 from bfflow.rng import SplitMix64
 
 
@@ -155,19 +156,19 @@ class TestWeightedInner:
         g = Grid(2, 8)
         rng = SplitMix64(17)
         U = random_vector(g, rng)
-        assert gr.weighted_inner(np.eye(2), U, U, g) == pytest.approx(
+        assert gr.weighted_inner(MediumMatrix.identity(2), U, U, g) == pytest.approx(
             gr.norm_l2(U, g) ** 2, rel=1e-14)
 
     def test_hand_summation(self):
         g = Grid(2, 8)
         U = np.stack([np.ones(g.shape), np.zeros(g.shape)])
-        val = gr.weighted_inner(np.diag([2.0, 3.0]), U, U, g)
+        val = gr.weighted_inner(MediumMatrix.diagonal([2.0, 3.0]), U, U, g)
         assert val == pytest.approx(2.0 * g.h ** 2 * 64, rel=1e-15)
 
     def test_symmetry(self):
         g = Grid(2, 8)
         rng = SplitMix64(19)
-        D = np.array([[2.0, 0.5], [0.5, 1.0]])
+        D = MediumMatrix([[2.0, 0.5], [0.5, 1.0]])
         U, V = random_vector(g, rng), random_vector(g, rng)
         a = gr.weighted_inner(D, U, V, g)
         b = gr.weighted_inner(D, V, U, g)

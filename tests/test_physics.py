@@ -130,7 +130,7 @@ class TestF:
         v = rng.normal((10000, 3)) * 3.0
         z = np.sum(v * v, axis=1)
         for params in (QUINTIC, SQRT, CUBIC):
-            fv = ph._phi_array(z, params)[:, None] * v
+            fv = ph._phi_array(z.copy(), params)[:, None] * v
             assert np.min(np.sum(fv * v, axis=1)) >= 0.0
 
 

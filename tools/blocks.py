@@ -4,7 +4,7 @@ and of the Newton elliptic solve.
     python tools/blocks.py [checkout]
 
 Imports bfflow from <checkout>/src (by default this checkout's) and prints
-one table row per state shape: the median microseconds per call of
+one table row per state shape: the thread-CPU microseconds per call of
 `grid.lap_array`, `grid.grad_array`, `grid.div_array`,
 `physics.f_apply_array`, `dynamics._FullSystem.rhs`, one
 `dynamics._rk4_full` step and one step of `dynamics.simulate`'s loop (the
@@ -13,10 +13,10 @@ n = 8, 16, 32, 64 and 3D n = 8, 16, with 1 member (a single state, no member
 axis), 6 and 16 members. The system is quintic drag (alpha = beta = 1,
 l = 2), D = diag(1, 2[, 1.5]), a random forcing and no convective term; the
 step is dt = 1e-5. The loop step is the difference of two `simulate` runs
-that store only their ends, of 40 and 10 steps, over 30, so that the set-up
-both make cancels; 2D n = 16 with 16 members is the shape of acceptance
-criterion c12's runs, whose wall time is this column times its 100 000
-steps. A second table gives
+that store only their ends, of 300 and 10 steps, over 290, so that the
+set-up both make cancels, each run's time the least of 5; 2D n = 16 with 16
+members is the shape of acceptance criterion c12's runs, whose time is
+this column times its 100 000 steps. A second table gives
 one `dynamics._semi_implicit_full` step of the same system (dt = 0.01,
 cg_tol = 1e-12, CG from u, as a run's first step) at 2D n = 16, 32 and 3D
 n = 8 with 1 and 2 members, and beside it the step's CG iterations: its
@@ -26,9 +26,16 @@ run makes it (`dynamics._TruncatedSystem.solve_u`: quintic drag, a random
 forcing and pressure, newton_tol 1e-10, cg_tol 1e-12) at 2D n = 16, 32 and
 3D n = 8, from a cold start (u = 0) and warm-started from the solution for
 a nearby pressure (p plus 1e-4 times another random pressure), with the
-solve's Newton steps and CG iterations beside it. Each number is the median
-over 7 repeats, each repeat timing enough calls to take about 20 ms. Run
-two checkouts one after the other on an idle host to compare them.
+solve's Newton steps and CG iterations beside it. Each other number is the
+least over 7 repeats, each repeat timing enough calls to take about 20 ms.
+
+Every time is CPU time of the calling thread (`time.thread_time`): unlike
+wall time, it leaves out the time the thread waits while other processes
+run. Each is the least of its repeats. A run can still read high when
+another process shares the core and its caches, so compare two checkouts
+by the medians of several alternating runs: on a shared 2-core host, ten
+runs of each gave the c12-shape loop step to a few percent (one
+checkout's quartiles 4% apart).
 
 At 2D n = 64 and 3D n = 16 a block's temporaries can pass the C allocator's
 mmap threshold, and then each call maps and faults them in afresh, so a
@@ -39,7 +46,6 @@ the environment holds the allocator steady.
 
 from __future__ import annotations
 
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -49,24 +55,26 @@ MEMBERS = (1, 6, 16)
 SEMI_IMPLICIT_SHAPES = [(2, 16), (2, 32), (3, 8)]
 SEMI_IMPLICIT_MEMBERS = (1, 2)
 NEWTON_SHAPES = [(2, 16), (2, 32), (3, 8)]
-LOOP_STEPS = (10, 40)  # the two simulate runs of the loop-step column
+LOOP_STEPS = (10, 300)  # the two simulate runs of the loop-step column
+LOOP_REPEATS = 5
 REPEATS = 7
 REPEAT_SECONDS = 0.02
 
 
+def _cpu_seconds(fn, number: int = 1) -> float:
+    """The thread-CPU seconds of `number` calls of `fn`."""
+    t0 = time.thread_time()
+    for _ in range(number):
+        fn()
+    return time.thread_time() - t0
+
+
 def _us_per_call(fn) -> float:
-    """Median over REPEATS of the mean microseconds per call of `fn`."""
+    """Least over REPEATS of the mean thread-CPU microseconds per call of
+    `fn`."""
     fn()
-    t0 = time.perf_counter()
-    fn()
-    number = max(1, int(REPEAT_SECONDS / max(time.perf_counter() - t0, 1e-7)))
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        times.append((time.perf_counter() - t0) / number)
-    return 1e6 * statistics.median(times)
+    number = max(1, int(REPEAT_SECONDS / max(_cpu_seconds(fn), 1e-7)))
+    return 1e6 * min(_cpu_seconds(fn, number) for _ in range(REPEATS)) / number
 
 
 def _cg_iterations(dyn, step) -> int:
@@ -133,7 +141,8 @@ def main(argv: list[str]) -> int:
     params = NonlinearityParams(1.0, 1.0, 0.0, l=2.0)
     cfg = dyn.SolverConfig(dt=1e-5)
     names = ("lap", "grad", "div", "f_apply", "rhs", "rk4_step", "loop_step")
-    print(f"bfflow from {checkout.resolve()}; numpy {np.__version__}; median us per call")
+    print(f"bfflow from {checkout.resolve()}; numpy {np.__version__}; "
+          "least thread-CPU us per call")
     print(f"{'dim':>3} {'n':>3} {'members':>7} " + " ".join(f"{s:>9}" for s in names))
     for dim, n in SHAPES:
         g = Grid(dim, n)
@@ -150,10 +159,11 @@ def main(argv: list[str]) -> int:
                       lambda: sys_.rhs(u, p),
                       lambda: step((u, p)))
             cells = [_us_per_call(fn) for fn in blocks]
-            runs = [_us_per_call(lambda: dyn.simulate(
+            runs = [min(_cpu_seconds(lambda: dyn.simulate(
                         (u, p), g, cfg, sys_.forcing, D, params, steps * cfg.dt,
-                        snapshot_every=steps)) for steps in LOOP_STEPS]
-            cells.append((runs[1] - runs[0]) / (LOOP_STEPS[1] - LOOP_STEPS[0]))
+                        snapshot_every=steps)) for _ in range(LOOP_REPEATS))
+                    for steps in LOOP_STEPS]
+            cells.append(1e6 * (runs[1] - runs[0]) / (LOOP_STEPS[1] - LOOP_STEPS[0]))
             cells = " ".join(f"{cell:9.1f}" for cell in cells)
             print(f"{dim:>3} {n:>3} {members:>7} {cells}", flush=True)
     print()
