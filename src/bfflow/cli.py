@@ -17,7 +17,6 @@ import numpy as np
 from . import analysis as an
 from . import dynamics as dyn
 from . import grid as gr
-from . import reference as ref
 from .grid import Grid
 from .physics import MediumMatrix, NonlinearityParams
 from .rng import SplitMix64
@@ -705,6 +704,7 @@ def _cmd_audit(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
 
 
 def _cmd_oracle(sc: ScenarioConfig, out: Path, svg: bool) -> dict:
+    from . import reference as ref  # only this subcommand compiles the oracle
     dts = (4e-4, 2e-4, 1e-4)
     horizon = sc["scenario", "horizon"]
     coarse_steps = horizon / dts[0]

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -244,50 +245,78 @@ def integrate(y0: tuple, dt: float, n_steps: int, advance, dim: int,
 # ---------------------------------------------------------------------------
 
 class _Kernel:
-    """The arrays that the full system, or the Newton solve of the truncated
-    one, writes into at one state shape, built once per run, and its
-    constants (D, the drag and the forcing only for the full system; the
-    Newton solve passes its drag per call, so a kernel without `params` keeps
-    the drag arrays, and one without `forcing` adds none). Every operator is
-    the `grid` or `physics` function itself, called with `out=` into these
-    arrays.
+    """The arrays that one use of a system writes into at one state shape,
+    built once per run, with the `grid` and `physics` sequences bound to them
+    (`functools.partial` over each operator's lookup, made here once) and the
+    system's constants (D, the drag and the forcing; a kernel without
+    `forcing` adds none).
 
-    `rate` is the full system's right-hand side and `pressure_rate` its
-    pressure equation. Each writes into arrays of the kernel and returns
-    them, so it overwrites what its previous call returned."""
+    `use` is one of:
+      * "rate": the full system's right-hand side `rate` and its pressure
+        equation `pressure_rate` (the default with D);
+      * "pressure_rate": that equation alone;
+      * "semi_implicit": the rate's arrays, and a CG's load, operator value
+        and preconditioned residual;
+      * "newton": the Newton solve of the truncated system (the default
+        without D): no medium, the CG's arrays, and the iterates, residuals
+        and u.v of the solve.
+    Drag arrays exist where the drag does not vanish; a kernel without
+    `params` keeps them, and its caller passes the drag to each call.
+
+    `rate` and `pressure_rate` write into arrays of the kernel and return
+    them, so each overwrites what its previous call returned."""
 
     def __init__(self, shape: tuple[int, ...], grid: Grid, D: MediumMatrix | None = None,
                  params: NonlinearityParams | None = None, forcing: np.ndarray | None = None,
-                 convective: bool = False):
-        dim = grid.dim
+                 convective: bool = False, use: str | None = None):
+        use = ("newton" if D is None else "rate") if use is None else use
+        dim, n, h = grid.dim, grid.n, grid.h
         lead = shape[:-dim - 1]
-        drag = params is None or not params.is_zero()
-        self.D, self.params, self.forcing, self.h, self.dim = D, params, forcing, grid.h, dim
-        self.lap, self.Du, self.du, self.tu = (np.empty(shape) for _ in range(4))
-        self.fu = np.empty(shape) if drag else None
-        # |u|^2, then phi(|u|^2), of the drag
-        self.phi = np.empty(lead + (1,) + grid.shape) if drag else None
-        self.bu = np.empty(shape) if convective else None
-        self.dp, self.tp = np.empty(lead + grid.shape), np.empty(lead + grid.shape)
-        self.mean = np.empty(lead + (1,) * dim)
-        # a CG's load, operator value and preconditioned residual
+        field, axis = lead + grid.shape, len(lead)  # axis: the component axis
+        self.D, self.params, self.forcing, self.h, self.dim = D, params, forcing, h, dim
+        self.fu = self.phi = self.bu = None
+        if use != "newton":  # D u, and its divergence and mean
+            self.Du, self.dp, self.tp = np.empty(shape), np.empty(field), np.empty(field)
+            self.mean = np.empty(lead + (1,) * dim)
+            self.medium = partial(ph._medium, *ph._medium_constants(D, shape, self.Du))
+            self.divergence = partial(gr._div, *gr._div_constants(n, h, dim, self.dp, self.tp),
+                                      gr._components(self.Du, dim))
+            self.project = partial(gr._mean_project,
+                                   *gr._mean_constants(field, dim, self.dp, self.mean))
+        if use == "pressure_rate":
+            return
+        self.lap, self.du, self.tu = (np.empty(shape) for _ in range(3))
+        self.laplacian = partial(gr._lap, *gr._lap_constants(n, h, dim, self.lap, self.tu))
+        self.gradient = partial(gr._grad, *gr._grad_constants(n, h, dim, self.du))
+        if params is None or not params.is_zero():
+            # f(u), and |u|^2, then phi(|u|^2); drag(params, u)
+            self.fu, self.phi = np.empty(shape), np.empty(lead + (1,) + grid.shape)
+            self.drag = partial(ph._f_apply, self.fu, self.phi, axis)
+        if convective:
+            self.bu = np.empty(shape)
+        if use == "rate":
+            return
         self.load, self.Ax, self.z = (np.empty(shape) for _ in range(3))
-        # the Newton solve's iterate and residual, each with its line-search
-        # trial, and the u.v of its Jacobian action
-        self.iterates, self.residuals = ((np.empty(shape), np.empty(shape)) for _ in range(2))
-        self.uv = np.empty(lead + (1,) + grid.shape)
+        # poisson(eigenvalues, b) into z, scratch tu
+        self.poisson = partial(gr._poisson, *gr._poisson_constants(grid, self.z, self.tu))
+        if use == "newton":
+            # the iterate and residual, each with its line-search trial
+            self.iterates, self.residuals = ((np.empty(shape), np.empty(shape)) for _ in range(2))
+            self.uv = np.empty(lead + (1,) + grid.shape)
+            # fprime(coefficients, u, v) into Ax, u.v into uv, scratch tu
+            self.fprime = partial(ph._fprime_apply, self.Ax, (self.tu, self.uv), axis)
 
     def rate(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The full system's (du/dt, dp/dt) at (u, p) into `du` and `dp`,
         leaving lap u, f(u), B(u, u) and D u in `lap`, `fu`, `bu` and `Du`:
         du = (((lap u - grad p) [- f(u)]) [- B(u, u)]) [+ g]."""
-        fu, bu, h, dim = self.fu, self.bu, self.h, self.dim
-        lap = gr.lap_array(u, h, dim, out=self.lap, scratch=self.tu)
+        fu, bu = self.fu, self.bu
+        lap = self.laplacian(u)
         if fu is not None:
-            ph.f_apply_array(u, self.params, dim, out=fu, work=self.phi)
+            self.drag(self.params, u)
         if bu is not None:
-            ph.convective_array(u, u, h, dim, out=bu)
-        du = np.subtract(lap, gr.grad_array(p, h, dim, out=self.du), out=self.du)
+            ph.convective_array(u, u, self.h, self.dim, out=bu)
+        du = np.subtract(lap, self.gradient(p), out=self.du)
         if fu is not None:
             du -= fu
         if bu is not None:
@@ -298,18 +327,19 @@ class _Kernel:
 
     def pressure_rate(self, u: np.ndarray) -> np.ndarray:
         """dp/dt = -P0 div(D u) into `dp`, leaving D u in `Du`."""
-        dp = gr.div_array(self.D.apply_array(u, out=self.Du), self.h, self.dim,
-                          out=self.dp, scratch=self.tp)
-        return np.negative(gr.mean_project_array(dp, self.dim, out=dp, mean=self.mean), out=dp)
+        self.medium(u)
+        dp = self.project(self.divergence())
+        return np.negative(dp, out=dp)
 
 
 class _FullSystem:
     """The full system's right-hand side; batch-safe over leading axes.
 
-    The system builds one `_Kernel` per state shape it meets, and `rhs` is
-    that kernel's `rate`, whose operators write into the kernel's arrays. A
-    call returns those arrays, so it overwrites what the previous call
-    returned: a caller uses (or copies) a result before it calls again.
+    The system builds one `_Kernel` per state shape and use it meets, and
+    `rhs` is the "rate" kernel's `rate`, whose operators write into the
+    kernel's arrays. A call returns those arrays, so it overwrites what the
+    previous call returned: a caller uses (or copies) a result before it
+    calls again.
 
     With `work_rows`, each call of `rhs`, which must be at a single state,
     also fills the next row of `work` with (dissipation, drag work, forcing
@@ -326,13 +356,13 @@ class _FullSystem:
         self.convective_on = convective_on
         self.work = np.empty((work_rows, 5)) if work_rows else None
         self._row = 0
-        self._kernels: dict[tuple[int, ...], _Kernel] = {}
+        self._kernels: dict[tuple, _Kernel] = {}  # by state shape and use
 
-    def _kernel(self, shape: tuple[int, ...]) -> _Kernel:
-        k = self._kernels.get(shape)
+    def _kernel(self, shape: tuple[int, ...], use: str = "rate") -> _Kernel:
+        k = self._kernels.get((shape, use))
         if k is None:
-            k = self._kernels[shape] = _Kernel(shape, self.grid, self.D, self.params,
-                                               self.forcing, self.convective_on)
+            k = self._kernels[shape, use] = _Kernel(shape, self.grid, self.D, self.params,
+                                                    self.forcing, self.convective_on, use)
         return k
 
     def rhs(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,44 +407,44 @@ def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
     one sine transform pair (SPD in the weighted metric as well, since it
     acts componentwise).
 
-    The step runs on the system's kernel for u's shape: the load, the
-    operator, D b of the inner product and the preconditioner write into the
-    kernel's arrays. A batch's per-member inner products are one stacked
-    product, which gives the bytes of a per-member `np.vdot`."""
-    g, k = sys.grid, sys._kernel(u.shape)
-    h, dim = g.h, g.dim
+    The step runs on the system's "semi_implicit" kernel for u's shape: the
+    load, the operator, D b of the inner product and the preconditioner
+    write into the kernel's arrays. A batch's per-member inner products are
+    one stacked product, which gives the bytes of a per-member `np.vdot`."""
+    k = sys._kernel(u.shape, "semi_implicit")
     # the load u + dt (g - f(u) [- B(u,u)]) - dt grad p
     load = k.load
     if k.fu is None:
         np.copyto(load, sys.forcing)
     else:
-        np.subtract(sys.forcing, ph.f_apply_array(u, sys.params, dim, out=k.fu, work=k.phi),
-                    out=load)
+        np.subtract(sys.forcing, k.drag(sys.params, u), out=load)
     if k.bu is not None:
-        load -= ph.convective_array(u, u, h, dim, out=k.bu)
+        load -= ph.convective_array(u, u, k.h, k.dim, out=k.bu)
     load *= dt
     np.add(u, load, out=load)
-    grad = gr.grad_array(p, h, dim, out=k.du)
+    grad = k.gradient(p)
     load -= np.multiply(grad, dt, out=grad)
 
     def apply_op(x):
-        lap = gr.lap_array(x, h, dim, out=k.lap, scratch=k.tu)
+        lap = k.laplacian(x)
         Ax = np.subtract(x, np.multiply(lap, dt, out=lap), out=k.Ax)
         # implicit Euler adds dt^2 grad(rate x) (ROADMAP item 1); the sign
         # stays until the benchmark references are regenerated with it
-        grad = gr.grad_array(k.pressure_rate(x), h, dim, out=k.du)
+        grad = k.gradient(k.pressure_rate(x))
         return np.subtract(Ax, np.multiply(grad, dt * dt, out=grad), out=Ax)
 
-    batch = u.ndim > dim + 1
+    batch = u.ndim > k.dim + 1
 
     def d_inner(a, b):
-        Db = sys.D.apply_array(b, out=k.Du)
+        Db = k.medium(b)
         if batch:  # members: each its own product, so its own CG
             return _member_dots(a, Db)
         return float(np.vdot(a, Db))
 
+    eigenvalues = gr._shifted_eigenvalues(sys.grid, 1.0 / dt)
+
     def precondition(r):
-        z = gr.poisson_solve_array(r, g, 1.0 / dt, out=k.z, scratch=k.tu)
+        z = k.poisson(eigenvalues, r)
         return np.divide(z, dt, out=z)
 
     u_new = conjugate_gradient(apply_op, load, x0=u if x0 is None else x0, rtol=cg_tol,
@@ -538,10 +568,9 @@ def _elliptic_residual(u: np.ndarray, p: np.ndarray, g_t: np.ndarray,
     built if none is given), into `out` (a fresh array by default), with
     grad p taken from `grad_p` when the caller has it."""
     k = _Kernel(u.shape, grid) if kernel is None else kernel
-    h, dim = grid.h, grid.dim
-    r = np.negative(gr.lap_array(u, h, dim, out=k.lap, scratch=k.tu), out=out)
-    r += ph.f_apply_array(u, params, dim, out=k.fu, work=k.phi)
-    r += gr.grad_array(p, h, dim, out=k.du) if grad_p is None else grad_p
+    r = np.negative(k.laplacian(u), out=out)
+    r += k.drag(params, u)
+    r += k.gradient(p) if grad_p is None else grad_p
     r -= g_t
     return r
 
@@ -565,10 +594,11 @@ def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
     array.
     """
     k = _Kernel(g_t.shape, grid) if kernel is None else kernel
-    w, h, dim = grid.cell_volume, grid.h, grid.dim
+    w = grid.cell_volume
     (u, u_try), (r, r_try) = k.iterates, k.residuals
     np.copyto(u, 0.0 if u0 is None else u0)
-    grad_p = gr.grad_array(p, h, dim, out=k.du)
+    grad_p = k.gradient(p)
+    eigenvalues = gr._shifted_eigenvalues(grid, params.alpha)
 
     def rnorm(r):
         return float(np.sqrt(w * np.vdot(r, r)))
@@ -578,18 +608,16 @@ def solve_elliptic_arrays(p: np.ndarray, g_t: np.ndarray,
     for _ in range(newton_max):
         if res <= newton_tol:
             return u.copy(), history
-        coefficients = ph._fprime_coefficients(u, params, dim)
+        coefficients = ph._fprime_coefficients(u, params, grid.dim)
 
         def apply_jac(v, u_lin=u):
-            neg = np.negative(gr.lap_array(v, h, dim, out=k.lap, scratch=k.tu), out=k.lap)
-            jv = ph._fprime_apply(coefficients, u_lin, v, dim, out=k.Ax, work=(k.tu, k.uv))
-            return np.add(neg, jv, out=jv)
+            neg = np.negative(k.laplacian(v), out=k.lap)
+            return np.add(neg, k.fprime(coefficients, u_lin, v), out=k.Ax)
 
         rtol = min(1e-2, max(res, cg_floor))
         delta = conjugate_gradient(
             apply_jac, np.negative(r, out=k.load), rtol=max(rtol, cg_floor),
-            precondition=lambda x: gr.poisson_solve_array(x, grid, params.alpha,
-                                                          out=k.z, scratch=k.tu))
+            precondition=partial(k.poisson, eigenvalues))
         lam = 1.0
         while lam > 1e-8:
             np.add(u, np.multiply(delta, lam, out=k.tu), out=u_try)
@@ -676,7 +704,7 @@ def _split(p0: np.ndarray, grid: Grid, forcing: np.ndarray, cfg: SolverConfig,
     (in 0 Newton steps)."""
     dt = cfg.dt
     sys_p = _TruncatedSystem(grid, params, forcing, cfg)
-    rates = _Kernel((3, grid.dim) + grid.shape, grid, D, _NO_DRAG)
+    rates = _Kernel((3, grid.dim) + grid.shape, grid, D, use="pressure_rate")
     kept = [(None,) * 3, None]  # the state record() stored last, its velocities
 
     def velocities(y):

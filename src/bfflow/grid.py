@@ -18,10 +18,10 @@ Conventions:
         div U  = (C_0 U_0 + C_1 U_1 [+ C_2 U_2]) / (2h).
     Every entry of S_a x or C_a x adds exactly two nonzero terms with weight
     +-1, so a matrix product gives each exactly, in any summation order, and
-    equal to the same terms read off a zero-padded copy. `_along_axis`
+    equal to the same terms read off a zero-padded copy. `_axis_products`
     applies every such 1D matrix, cached and read-only, as one stacked
-    product, and a batch gives each member what it gets alone. A product
-    costs O(n) per node where a padded window costs O(1): one RK4 step
+    product per axis, and a batch gives each member what it gets alone. A
+    product costs O(n) per node where a padded window costs O(1): one RK4 step
     measured within 4% of the windows or faster up to 2D n = 64 and 3D
     n = 32, and 1.3-1.6 times slower at 2D n = 128, a size no config runs.
   * n must be even: for odd n the central-difference gradient has a
@@ -30,10 +30,14 @@ Conventions:
 
 All stencil helpers act on the trailing `dim` axes, so arrays with extra
 leading axes (field components, ensemble members) go through unchanged.
-Each operator's product sequence is written once, here: called with `out=`
-(and a scratch array where the sequence needs one) it writes into arrays the
-caller keeps, as the time steppers' kernels do, and called without it, it
-allocates them; either way the result has the same bytes.
+Each operator's product sequence is written once, here, as a private
+function that runs the products and ufuncs into the arrays it is given, with
+the lookup of its constants (matrices, per-axis products, component views,
+scale factors) beside it. A public function looks them up and runs the
+sequence at every call: with `out=` (and a scratch array where the sequence
+needs one) into arrays the caller keeps, and without it into fresh ones. A
+time stepper's kernel looks them up once and binds the sequence to its own
+arrays. Every way gives the same bytes.
 """
 
 from __future__ import annotations
@@ -140,24 +144,40 @@ def _view(a: np.ndarray, shape: tuple) -> np.ndarray:
     return view
 
 
-def _along_axis(M: np.ndarray, a: np.ndarray, dim: int, axis: int,
-                MT: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """M applied along grid axis `axis` of `a`, out_i = sum_k M[i, k] a_k, by
-    one stacked matrix product with no axis moved: M @ a on the second-to-last
-    axis, a @ MT on the last (MT is M's transpose, M itself when omitted, for
-    a symmetric M), and in 3D the first grid axis as the rows of an
-    (n, n*n) view. Each leading index gets its own products. Into `out`
-    (not a), allocated when not given; in 3D its grid axes must allow the row
-    view, or a ValueError is raised, so the product is never written into a
-    copy."""
-    if axis == dim - 1:
-        return np.matmul(a, M if MT is None else MT, out=out)
-    if axis == dim - 2:
-        return np.matmul(M, a, out=out)
-    out = np.empty(a.shape) if out is None else out
-    rows = a.shape[:-3] + (len(M), -1)
-    np.matmul(M, a.reshape(rows), out=_view(out, rows))
-    return out
+def _axis_products(M: np.ndarray, MT: np.ndarray, dim: int) -> tuple:
+    """Per grid axis, in order, the product of M along it: product(a, out)
+    returns out, out_i = sum_k M[i, k] a_k, by one stacked matrix product
+    with no axis moved: M @ a on the second-to-last axis, a @ MT on the last
+    (MT is M's transpose), and in 3D the first grid axis as the rows of an
+    (n, n*n) view. Each leading index gets its own products. Into `out` (not
+    a), allocated when None; in 3D its grid axes must allow the row view, or
+    a ValueError is raised, so the product is never written into a copy."""
+    def last(a, out):
+        return np.matmul(a, MT, out)
+
+    products = (functools.partial(np.matmul, M), last)
+    if dim == 2:
+        return products
+    n = len(M)
+
+    def first(a, out):
+        out = np.empty(a.shape) if out is None else out
+        rows = a.shape[:-3] + (n, -1)
+        np.matmul(M, a.reshape(rows), _view(out, rows))
+        return out
+    return (first,) + products
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_products(n: int, dim: int) -> tuple[tuple, tuple]:
+    """The per-axis products of S and of C (`_axis_products`)."""
+    S, C, CT = _stencil_matrices(n)
+    return _axis_products(S, S, dim), _axis_products(C, CT, dim)
+
+
+def _components(a: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """The views of a's components, the axis before the `dim` grid axes."""
+    return tuple(a[component] for component in _COMPONENTS[dim])
 
 
 def _shifted(a: np.ndarray, dim: int, axis: int, offset: int) -> np.ndarray:
@@ -168,7 +188,55 @@ def _shifted(a: np.ndarray, dim: int, axis: int, offset: int) -> np.ndarray:
     it stays while the benchmark's tracer names it as a layer boundary.
     """
     T, TT = _shift_matrices(a.shape[-1], offset)
-    return _along_axis(T, a, dim, axis, TT)
+    return _axis_products(T, TT, dim)[axis](a, None)
+
+
+# Each operator is its sequence (`_lap`, ...) and the lookup of the
+# sequence's constants (`_lap_constants`, ...). A sequence takes the
+# constants first and its input last, so that a kernel binds them once,
+# `functools.partial(_lap, *_lap_constants(...))`, and passes the input.
+
+def _lap(out, scratch, products, diagonal, scale, x):
+    """((diagonal x + S_0 x) + S_1 x [+ S_2 x]) scale into `out`, each product
+    into `scratch` (each allocated when None)."""
+    out = np.multiply(x, diagonal, out=out)
+    for product in products:
+        out += product(x, scratch)
+    out *= scale
+    return out
+
+
+def _lap_constants(n: int, h: float, dim: int, out=None, scratch=None) -> tuple:
+    return out, scratch, _stencil_products(n, dim)[0], -2.0 * dim, 1.0 / (h * h)
+
+
+def _grad(out, parts, products, scale, p):
+    """C_a p into each component view `parts[a]` of `out`, then out scale."""
+    for product, part in zip(products, parts):
+        product(p, part)
+    out *= scale
+    return out
+
+
+def _grad_constants(n: int, h: float, dim: int, out: np.ndarray) -> tuple:
+    return out, _components(out, dim), _stencil_products(n, dim)[1], 1.0 / (2.0 * h)
+
+
+def _div(out, scratch, products, scale, parts):
+    """(C_0 U_0 + C_1 U_1 [+ C_2 U_2]) scale into `out` (allocated when
+    None), from the component views `parts` of U, the products after the
+    first into `scratch`."""
+    pairs = zip(products, parts)
+    product, part = next(pairs)
+    out = product(part, out)
+    for product, part in pairs:
+        out += product(part, scratch)
+    out *= scale
+    return out
+
+
+def _div_constants(n: int, h: float, dim: int, out=None, scratch=None) -> tuple:
+    return out, scratch, _stencil_products(n, dim)[1], 1.0 / (2.0 * h)
 
 
 def grad_array(p: np.ndarray, h: float, dim: int,
@@ -177,11 +245,7 @@ def grad_array(p: np.ndarray, h: float, dim: int,
     Into `out` if given (not p)."""
     if out is None:
         out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
-    _, C, CT = _stencil_matrices(p.shape[-1])
-    for a, component in enumerate(_COMPONENTS[dim]):
-        _along_axis(C, p, dim, a, CT, out[component])
-    out *= 1.0 / (2.0 * h)
-    return out
+    return _grad(*_grad_constants(p.shape[-1], h, dim, out), p)
 
 
 def div_array(U: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
@@ -191,13 +255,7 @@ def div_array(U: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
     `scratch` if given (both of the output's shape, neither in U)."""
     if out is None:
         out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
-    _, C, CT = _stencil_matrices(U.shape[-1])
-    component = _COMPONENTS[dim]
-    _along_axis(C, U[component[0]], dim, 0, CT, out)
-    for a in range(1, dim):
-        out += _along_axis(C, U[component[a]], dim, a, CT, scratch)
-    out *= 1.0 / (2.0 * h)
-    return out
+    return _div(*_div_constants(U.shape[-1], h, dim, out, scratch), _components(U, dim))
 
 
 def lap_array(x: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
@@ -205,12 +263,7 @@ def lap_array(x: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
     """Compact Dirichlet Laplacian, applied over the trailing grid axes. Into
     `out` if given, with each product in `scratch` if given (both of x's
     shape, neither x)."""
-    S = _stencil_matrices(x.shape[-1])[0]
-    out = np.multiply(x, -2.0 * dim, out=out)
-    for a in range(dim):
-        out += _along_axis(S, x, dim, a, out=scratch)
-    out *= 1.0 / (h * h)
-    return out
+    return _lap(*_lap_constants(x.shape[-1], h, dim, out, scratch), x)
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +288,26 @@ def weighted_inner(D, U: np.ndarray, V: np.ndarray, grid: Grid) -> float:
     return float(grid.cell_volume * np.vdot(DU, V))
 
 
+def _mean_project(out, mean, axes, nodes, p):
+    """p less its mean over the grid `axes`, into `out` (p itself allowed),
+    the mean into `mean` (each allocated when None); `nodes` is the number
+    of nodes per field, as a float."""
+    # the sum-then-divide of ndarray.mean, without its Python wrapper
+    mean = np.add.reduce(p, axis=axes, keepdims=True, out=mean, dtype=float)
+    mean /= nodes
+    return np.subtract(p, mean, out=out)
+
+
+def _mean_constants(shape: tuple[int, ...], dim: int, out=None, mean=None) -> tuple:
+    return out, mean, _GRID_AXES[dim], float(math.prod(shape[len(shape) - dim:]))
+
+
 def mean_project_array(p: np.ndarray, dim: int, out: np.ndarray | None = None,
                        mean: np.ndarray | None = None) -> np.ndarray:
     """Subtract the grid mean over the trailing `dim` axes (batch-safe). Into
     `out` if given (p itself allowed), and the mean into `mean` if given, of
     p's shape with each grid axis of length 1."""
-    # the sum-then-divide of ndarray.mean, without its Python wrapper
-    mean = np.add.reduce(p, axis=_GRID_AXES[dim], keepdims=True, out=mean, dtype=float)
-    mean /= p.size / mean.size  # the nodes per field, as a float
-    return np.subtract(p, mean, out=out)
+    return _mean_project(*_mean_constants(p.shape, dim, out, mean), p)
 
 
 # ---------------------------------------------------------------------------
@@ -260,25 +324,43 @@ def _dst1_matrix(n: int) -> np.ndarray:
     return S
 
 
+@functools.lru_cache(maxsize=None)
+def _dst_products(n: int, dim: int) -> tuple:
+    """The per-axis products (`_axis_products`) of the DST-I matrix."""
+    S = _dst1_matrix(n)
+    return _axis_products(S, S, dim)
+
+
+def _dst(targets, products, a):
+    """DST-I over the grid axes, one axis after the other, each product into
+    the next of `targets`."""
+    for product, target in zip(products, targets):
+        a = product(a, target)
+    return a
+
+
 def _dst_all_axes(a: np.ndarray, dim: int, out: np.ndarray | None = None,
                   scratch: np.ndarray | None = None) -> np.ndarray:
     """DST-I over the trailing `dim` axes, one grid axis after the other, into
     `out` (both float arrays of a's shape, allocated when not given): in 3D
     the first axis's product goes into `out`, then the next into `scratch`
     and the last into `out`. So a may be `out` in 2D and `scratch` in 3D."""
-    S = _dst1_matrix(a.shape[-1])
     out = np.empty(a.shape) if out is None else out
     scratch = np.empty(a.shape) if scratch is None else scratch
-    for axis, target in enumerate((out, scratch, out)[-dim:]):
-        a = _along_axis(S, a, dim, axis, out=target)
-    return a
+    return _dst((out, scratch, out)[-dim:], _dst_products(a.shape[-1], dim), a)
+
+
+def _sine_scales(grid: Grid) -> tuple[float, float]:
+    """The factors that make the DST-I the sine coefficients and the sine
+    synthesis."""
+    return (grid.h / math.sqrt(2.0)) ** grid.dim, (1.0 / math.sqrt(2.0)) ** grid.dim
 
 
 def sine_coefficients_array(values: np.ndarray, grid: Grid, out: np.ndarray | None = None,
                             scratch: np.ndarray | None = None) -> np.ndarray:
     """The sine coefficients of `values`, into `out` as `_dst_all_axes`."""
     c = _dst_all_axes(values, grid.dim, out, scratch)
-    c *= (grid.h / math.sqrt(2.0)) ** grid.dim
+    c *= _sine_scales(grid)[0]
     return c
 
 
@@ -287,7 +369,7 @@ def sine_synthesis_array(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None 
     """The field of the sine coefficients `coeffs`, into `out` as
     `_dst_all_axes`."""
     x = _dst_all_axes(coeffs, grid.dim, out, scratch)
-    x *= (1.0 / math.sqrt(2.0)) ** grid.dim
+    x *= _sine_scales(grid)[1]
     return x
 
 
@@ -303,6 +385,26 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
     return lam
 
 
+def _poisson(coefficient_targets, synthesis_targets, products, scales, eigenvalues, b):
+    """The sine coefficients of b divided by `eigenvalues`, synthesized: each
+    transform's products go into its targets, and the synthesis starts
+    where the coefficients end."""
+    c = _dst(coefficient_targets, products, b)
+    c *= scales[0]
+    c /= eigenvalues
+    x = _dst(synthesis_targets, products, c)
+    x *= scales[1]
+    return x
+
+
+def _poisson_constants(grid: Grid, out: np.ndarray, scratch: np.ndarray) -> tuple:
+    # the coefficients end in `out` in 2D and in `scratch` in 3D, where the
+    # synthesis, ending in `out`, can start from them
+    dim = grid.dim
+    return ((scratch, out, scratch)[:dim], (out, scratch, out)[-dim:],
+            _dst_products(grid.n, dim), _sine_scales(grid))
+
+
 def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0,
                         out: np.ndarray | None = None,
                         scratch: np.ndarray | None = None) -> np.ndarray:
@@ -316,10 +418,7 @@ def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0,
     """
     out = np.empty(b.shape) if out is None else out
     scratch = np.empty(b.shape) if scratch is None else scratch
-    # the coefficients go where the synthesis can start from
-    c = sine_coefficients_array(b, grid, *((out, scratch) if grid.dim == 2 else (scratch, out)))
-    c /= _shifted_eigenvalues(grid, shift)
-    return sine_synthesis_array(c, grid, out, scratch)
+    return _poisson(*_poisson_constants(grid, out, scratch), _shifted_eigenvalues(grid, shift), b)
 
 
 @functools.lru_cache(maxsize=16)

@@ -94,11 +94,23 @@ class MediumMatrix:
         axes (batch axes may precede it), as one product over the nodes of a
         (..., dim, nodes) view; into `out` (not u), allocated when not given,
         which must allow that view, or a ValueError is raised."""
-        dim = len(self.entries)
-        nodes = u.shape[:u.ndim - dim - 1] + (dim, -1)
         out = np.empty(u.shape) if out is None else out
-        np.matmul(self.entries, u.reshape(nodes), out=gr._view(out, nodes))
-        return out
+        return _medium(*_medium_constants(self, u.shape, out), u)
+
+
+# Each operator is a sequence and the lookup of its constants, as in `grid`:
+# the constants come first and the input last, so a kernel binds them once.
+
+def _medium(entries, nodes, out_nodes, out, u):
+    """D u into `out`, through its (..., dim, nodes) view `out_nodes`."""
+    np.matmul(entries, u.reshape(nodes), out=out_nodes)
+    return out
+
+
+def _medium_constants(D: MediumMatrix, shape: tuple[int, ...], out: np.ndarray) -> tuple:
+    dim = len(D.entries)
+    nodes = shape[:len(shape) - dim - 1] + (dim, -1)
+    return D.entries, nodes, gr._view(out, nodes), out
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +123,12 @@ def _phi_array(z: np.ndarray, p: NonlinearityParams) -> np.ndarray:
     root = p.gamma * np.sqrt(z) if p.gamma else None  # read before z is overwritten
     if p.beta:
         # beta z^l + alpha: the same rounded sum as alpha + beta z^l; raised in
-        # place, z takes np.power's loop, which for l = 2 gives np.square's bytes
-        z **= p.l
+        # place, z takes np.power's general loop, so l = 2 squares instead,
+        # with the same bytes
+        if p.l == 2.0:
+            np.square(z, out=z)
+        else:
+            z **= p.l
         if p.beta != 1.0:  # times 1 leaves every entry as it is
             z *= p.beta
         z += p.alpha
@@ -123,18 +139,23 @@ def _phi_array(z: np.ndarray, p: NonlinearityParams) -> np.ndarray:
     return z
 
 
+def _f_apply(out, work, axis, params, u):
+    """phi(|u|^2) u into `out`, |u|^2 and then phi(|u|^2) into `work` (each
+    allocated when None); `axis` is u's component axis."""
+    if params.is_zero():
+        out.fill(0.0)
+        return out
+    z = np.add.reduce(np.multiply(u, u, out=out), axis=axis, keepdims=True, out=work)
+    return np.multiply(_phi_array(z, params), u, out=out)
+
+
 def f_apply_array(u: np.ndarray, params: NonlinearityParams, dim: int,
                   out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """phi(|u|^2) u, batch-safe over leading axes; into `out` (not u) if
     given, and with `work`, an array of u's shape but a component axis of
     length 1, |u|^2 and then phi(|u|^2) go into it."""
     out = np.empty_like(u) if out is None else out
-    if params.is_zero():
-        out.fill(0.0)
-        return out
-    comp_ax = u.ndim - dim - 1
-    z = np.add.reduce(np.multiply(u, u, out=out), axis=comp_ax, keepdims=True, out=work)
-    return np.multiply(_phi_array(z, params), u, out=out)
+    return _f_apply(out, work, u.ndim - dim - 1, params, u)
 
 
 def _fprime_coefficients(u: np.ndarray, params: NonlinearityParams, dim: int):
@@ -159,12 +180,11 @@ def _fprime_coefficients(u: np.ndarray, params: NonlinearityParams, dim: int):
     return phi, 2.0 * np.where(z > 0.0, dphi, 0.0)
 
 
-def _fprime_apply(coefficients, u: np.ndarray, v: np.ndarray, dim: int,
-                  out: np.ndarray | None = None, work=None) -> np.ndarray:
+def _fprime_apply(out, work, axis, coefficients, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """f'(u) v = phi v + (c (u.v)) u from `_fprime_coefficients(u, ...)`;
-    into `out` (not u or v) if given, and with `work`, a u-shaped array and
-    one with a component axis of length 1, u.v and the rank-one term go into
-    them."""
+    into `out` (not u or v; allocated when None), and with `work`, a
+    u-shaped array and one with a component axis of length 1 (or None), u.v
+    and the rank-one term go into them; `axis` is u's component axis."""
     out = np.empty_like(v) if out is None else out
     phi, c = coefficients
     if phi is None:
@@ -174,7 +194,7 @@ def _fprime_apply(coefficients, u: np.ndarray, v: np.ndarray, dim: int,
     if c is None:
         return out
     tmp, s = (None, None) if work is None else work
-    s = np.add.reduce(np.multiply(u, v, out=tmp), axis=u.ndim - dim - 1, keepdims=True, out=s)
+    s = np.add.reduce(np.multiply(u, v, out=tmp), axis=axis, keepdims=True, out=s)
     s *= c
     out += np.multiply(s, u, out=tmp)
     return out
@@ -183,7 +203,8 @@ def _fprime_apply(coefficients, u: np.ndarray, v: np.ndarray, dim: int,
 def fprime_apply_array(u: np.ndarray, v: np.ndarray,
                        params: NonlinearityParams, dim: int) -> np.ndarray:
     """Exact Jacobian action f'(u) v = phi(z) v + 2 phi'(z) (u.v) u, z = |u|^2."""
-    return _fprime_apply(_fprime_coefficients(u, params, dim), u, v, dim)
+    return _fprime_apply(None, None, u.ndim - dim - 1,
+                         _fprime_coefficients(u, params, dim), u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +294,18 @@ def convective_array(u: np.ndarray, v: np.ndarray, h: float, dim: int,
     into `out` (neither u nor v) if given."""
     comp_ax = u.ndim - dim - 1
     out = np.empty_like(v) if out is None else out
-    _, C, CT = gr._stencil_matrices(u.shape[-1])
+    C = gr._stencil_products(u.shape[-1], dim)[1]
     for a in range(dim):
         va = np.take(v, a, axis=comp_ax)
         acc = np.zeros_like(va)
         for b in range(dim):
             ub = np.take(u, b, axis=comp_ax)
             # each central difference x_{i+1} - x_{i-1} is one product with C
-            dva = gr._along_axis(C, va, dim, b, CT) / (2.0 * h)
+            dva = C[b](va, None) / (2.0 * h)
             prod = ub * va
-            dprod = gr._along_axis(C, prod, dim, b, CT) / (2.0 * h)
+            dprod = C[b](prod, None) / (2.0 * h)
             acc += 0.5 * (ub * dva + dprod)
         idx = [slice(None)] * out.ndim
         idx[comp_ax] = a
         out[tuple(idx)] = acc
     return out
-

@@ -264,6 +264,23 @@ t_max = 0.5
                               "bfflow.cli", "--help"], env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
 
+    def test_reference_loads_only_for_the_oracle(self, tmp_path):
+        # importing the CLI leaves the dense oracle unloaded, and the oracle
+        # subcommand loads it and exits 0
+        config = tmp_path / "oracle.cfg"
+        config.write_text("[grid]\nn = 8\n[medium]\ndiag = 1, 2\n")
+        script = ("import sys\n"
+                  "import bfflow.cli as cli\n"
+                  "assert 'bfflow.reference' not in sys.modules\n"
+                  "code = cli.main(['oracle', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                  "assert 'bfflow.reference' in sys.modules\n"
+                  "sys.exit(code)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
     def test_simulate_with_convection(self, tmp_path):
         sc = parse_config("""
 [grid]

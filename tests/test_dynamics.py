@@ -1185,6 +1185,127 @@ class TestKernelNewton:
         assert kernels[0] is not kernels[1]
 
 
+# the arrays of each kernel use, besides the drag's (fu, phi) and the
+# convective term's (bu)
+_USE_ARRAYS = {
+    "pressure_rate": {"Du", "dp", "tp", "mean"},
+    "rate": {"Du", "dp", "tp", "mean", "lap", "du", "tu"},
+    "semi_implicit": {"Du", "dp", "tp", "mean", "lap", "du", "tu", "load", "Ax", "z"},
+    "newton": {"lap", "du", "tu", "load", "Ax", "z", "iterates", "residuals", "uv"},
+}
+
+
+def _allocated(k):
+    """The names of the arrays, and pairs of arrays, that a kernel holds,
+    the forcing it was given left out."""
+    return {name for name, v in vars(k).items() if name != "forcing"
+            and all(isinstance(a, np.ndarray) for a in (v if isinstance(v, tuple) else (v,)))}
+
+
+class TestKernelUses:
+    """A kernel allocates the arrays of its use and no others, each run
+    builds the kernels of its use, and each sequence a kernel binds gives,
+    called on inputs in turn, the bytes of the allocating call."""
+
+    MEDIA = {2: MediumMatrix.diagonal((1.0, 2.0)), 3: MediumMatrix(np.array(TestInPlaceRhs.MEDIA[3]))}
+
+    @staticmethod
+    def _expected(use, params, conv):
+        drag = use == "newton" or (use != "pressure_rate" and not params.is_zero())
+        return (_USE_ARRAYS[use] | ({"fu", "phi"} if drag else set())
+                | ({"bu"} if conv and use in ("rate", "semi_implicit") else set()))
+
+    @pytest.mark.parametrize("use", sorted(_USE_ARRAYS))
+    @pytest.mark.parametrize("params,conv", [(QUINTIC, False), (LINEAR, True)],
+                             ids=["quintic", "drag_free_conv"])
+    @pytest.mark.parametrize("dim,lead", [(2, ()), (2, (3,)), (3, (3,))],
+                             ids=["2d_single", "2d_x3", "3d_x3"])
+    def test_arrays_of_each_use(self, use, params, conv, dim, lead):
+        g = Grid(dim, 8 if dim == 2 else 6)
+        shape = lead + (dim,) + g.shape
+        newton = use == "newton"
+        k = dyn._Kernel(shape, g, None if newton else self.MEDIA[dim],
+                        None if newton else params, None, conv and not newton, use)
+        assert _allocated(k) == self._expected(use, params, conv)
+        for name in _allocated(k):
+            for a in getattr(k, name) if name in ("iterates", "residuals") else (getattr(k, name),):
+                want = {"dp": lead + g.shape, "tp": lead + g.shape, "mean": lead + (1,) * dim,
+                        "phi": lead + (1,) + g.shape, "uv": lead + (1,) + g.shape}
+                assert a.shape == want.get(name, shape)
+        # the default use: "newton" without a medium, "rate" with one
+        assert _allocated(dyn._Kernel(shape, g)) == self._expected("newton", params, False)
+        assert (_allocated(dyn._Kernel(shape, g, self.MEDIA[dim], params, None, conv))
+                == self._expected("rate", params, conv))
+
+    def test_runs_build_the_kernels_of_their_use(self, monkeypatch):
+        made = []
+
+        class Recorded(dyn._Kernel):
+            def __init__(self, shape, *args, **kwargs):
+                super().__init__(shape, *args, **kwargs)
+                made.append((shape, frozenset(_allocated(self))))
+
+        monkeypatch.setattr(dyn, "_Kernel", Recorded)
+        g, D = small_setup()
+        rng = SplitMix64(1450)
+        forcing = rng.normal((2,) + g.shape)
+        states = [(rng.normal((2,) + g.shape), _random_pressure(g, rng)) for _ in range(3)]
+        vel = (2,) + g.shape
+        uses = {name: frozenset(self._expected(name, QUINTIC, False)) for name in _USE_ARRAYS}
+        runs = [
+            (lambda: dyn.simulate(_batch(states), g, dyn.SolverConfig(dt=1e-3), forcing, D,
+                                  QUINTIC, 0.003),
+             [((3,) + vel, uses["rate"])]),
+            (lambda: dyn.simulate(states[0], g, dyn.SolverConfig(dt=0.01, scheme="semi_implicit"),
+                                  forcing, D, QUINTIC, 0.03),
+             [(vel, uses["semi_implicit"])]),
+            (lambda: dyn.run_split(states[0][1], g, forcing, dyn.SolverConfig(dt=0.01), D,
+                                   QUINTIC, 0.02),
+             [(vel, uses["newton"]), (vel, uses["newton"]),
+              ((3,) + vel, frozenset(self._expected("pressure_rate", LINEAR, False)))]),
+            (lambda: dyn.run_exp_split(_batch(states[:2]), g, forcing, dyn.SolverConfig(dt=1e-3),
+                                       D, QUINTIC, 0.002),
+             [((2,) + vel, uses["rate"]), ((2,) + vel, frozenset(self._expected("rate", LINEAR,
+                                                                                False)))]),
+        ]
+        for run, kernels in runs:
+            made.clear()
+            run()
+            assert sorted(made, key=repr) == sorted(kernels, key=repr)
+
+    @pytest.mark.parametrize("dim,lead", [(2, ()), (2, (3,)), (3, ()), (3, (3,))],
+                             ids=["2d_single", "2d_x3", "3d_single", "3d_x3"])
+    def test_bound_calls_equal_allocating_calls(self, dim, lead):
+        g = Grid(dim, 8 if dim == 2 else 6)
+        rng = SplitMix64(1460 + 10 * dim + len(lead))
+        shape, D = lead + (dim,) + g.shape, self.MEDIA[dim]
+        h = g.h
+        semi = dyn._Kernel(shape, g, D, QUINTIC, None, False, "semi_implicit")
+        newton = dyn._Kernel(shape, g)
+        eigenvalues = gr._shifted_eigenvalues(g, 2.0)
+        for _ in range(2):
+            for k in (semi, newton):  # the two kernels in turn, as two runs
+                u, v = rng.normal(shape), rng.normal(shape)
+                p = rng.normal(lead + g.shape)
+                calls = [(lambda: k.laplacian(u), k.lap, gr.lap_array(u, h, dim)),
+                         (lambda: k.gradient(p), k.du, gr.grad_array(p, h, dim)),
+                         (lambda: k.drag(QUINTIC, u), k.fu, ph.f_apply_array(u, QUINTIC, dim)),
+                         (lambda: k.poisson(eigenvalues, v), k.z,
+                          gr.poisson_solve_array(v, g, 2.0))]
+                if k is newton:
+                    coefficients = ph._fprime_coefficients(u, QUINTIC, dim)
+                    calls.append((lambda: k.fprime(coefficients, u, v), k.Ax,
+                                  ph.fprime_apply_array(u, v, QUINTIC, dim)))
+                else:  # the pressure rate's three, the divergence of D u
+                    Du = D.apply_array(u)
+                    div = gr.div_array(Du, h, dim)
+                    calls += [(lambda: k.medium(u), k.Du, Du), (k.divergence, k.dp, div),
+                              (lambda: k.project(k.dp), k.dp, gr.mean_project_array(div, dim))]
+                for call, array, want in calls:
+                    got = call()
+                    assert got is array and got.tobytes() == want.tobytes()
+
+
 class TestEllipticSolver:
     def test_zero_data(self):
         g, _ = small_setup()

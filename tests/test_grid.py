@@ -1,5 +1,7 @@
 """Discrete calculus: stencil contracts, adjointness, spectral norms."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -544,6 +546,52 @@ class TestOutForms:
                 for scratch in (None, _velocity_out(b.shape, dim, rng)):
                     assert into(out, scratch) is out
                     assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim,n,lead", _OUT_CASES)
+    def test_bound_sequences(self, dim, n, lead):
+        # each sequence bound once to its lookup's constants and to arrays
+        # that are component views of member-stacked arrays, as a kernel
+        # binds it, then called on two inputs in turn, as RK4's stages call
+        # it: every call returns its bound array, with the bytes of the
+        # allocating call
+        g = Grid(dim, n)
+        rng = SplitMix64(17000 + 100 * dim + 10 * n + len(lead))
+        vel, field = lead + (dim,) + g.shape, lead + g.shape
+        U = _velocity_out(vel, dim, rng)  # the divergence reads its bound U
+        lap_out, grad_out, poisson_out = (_velocity_out(vel, dim, rng) for _ in range(3))
+        mean_out, div_out = _scalar_out(field, dim, rng), _scalar_out(field, dim, rng)
+        mean = rng.normal(lead + (1,) * dim)
+        eigenvalues = gr._shifted_eigenvalues(g, 1.5)
+        bound = [  # (sequence, input shape, its call, the allocating call, out)
+            (partial(gr._lap, *gr._lap_constants(n, g.h, dim, lap_out,
+                                                 _velocity_out(vel, dim, rng))),
+             vel, lambda f, x: f(x), lambda x: gr.lap_array(x, g.h, dim), lap_out),
+            (partial(gr._grad, *gr._grad_constants(n, g.h, dim, grad_out)),
+             field, lambda f, x: f(x), lambda x: gr.grad_array(x, g.h, dim), grad_out),
+            (partial(gr._div, *gr._div_constants(n, g.h, dim, div_out,
+                                                 _scalar_out(field, dim, rng)),
+                     gr._components(U, dim)),
+             vel, lambda f, x: (np.copyto(U, x), f())[1], lambda x: gr.div_array(x, g.h, dim),
+             div_out),
+            (partial(gr._mean_project, *gr._mean_constants(field, dim, mean_out, mean)),
+             field, lambda f, x: f(x), lambda x: gr.mean_project_array(x, dim), mean_out),
+            (partial(gr._poisson, *gr._poisson_constants(g, poisson_out,
+                                                         _velocity_out(vel, dim, rng))),
+             vel, lambda f, x: f(eigenvalues, x), lambda x: gr.poisson_solve_array(x, g, 1.5),
+             poisson_out),
+        ]
+        for sequence, shape, call, allocating, out in bound:
+            inputs = [rng.normal(shape), rng.normal(shape)]
+            for x in inputs + inputs:
+                assert call(sequence, x) is out
+                assert out.tobytes() == allocating(x).tobytes()
+        # the kernels' pressure projection: the divergence's output in place
+        project = partial(gr._mean_project, *gr._mean_constants(field, dim, div_out, mean))
+        for x in [rng.normal(vel), rng.normal(vel)] * 2:
+            np.copyto(U, x)
+            want = gr.mean_project_array(gr.div_array(x, g.h, dim), dim)
+            assert project(bound[2][0]()) is div_out
+            assert div_out.tobytes() == want.tobytes()
 
     def test_poisson_solve_keeps_the_bytes_of_its_transform_pair(self):
         # the solve, which works in its two arrays, equals the transforms and

@@ -1,5 +1,6 @@
 """Nonlinearity, medium matrix, divergence right-inverse, energy functionals."""
 
+from functools import partial
 
 import numpy as np
 import pytest
@@ -111,6 +112,24 @@ class TestPhi:
         assert ph._phi_array(np.array([2.0]), QUINTIC)[0] == pytest.approx(5.0, rel=1e-15)
         assert ph._phi_array(np.array([4.0]), SQRT)[0] == pytest.approx(6.0, rel=1e-15)
 
+    def test_square_keeps_the_bytes_of_the_power(self):
+        # l = 2 squares z in place; the bytes are those of z ** 2.0 and of z
+        # raised in place (`z **= 2.0`, np.power's loop for a scalar
+        # exponent, as phi was formed before), on seeded draws with zeros,
+        # subnormals, magnitudes up to 1e150 and inf
+        rng = SplitMix64(71)
+        for _ in range(5):
+            z = rng.uniform(100_000) * 10.0 ** rng.integers(-325, 151, 100_000)
+            z[::97] = 0.0
+            z[::89] = np.inf
+            z[::83] = 5e-324 * rng.integers(1, 1 << 40, z[::83].size)
+            assert np.count_nonzero((z > 0) & (z < np.finfo(float).tiny)) > 1000
+            want, raised = z ** 2.0, z.copy()
+            raised **= 2.0
+            assert raised.tobytes() == want.tobytes()
+            got = ph._phi_array(z.copy(), NonlinearityParams(0.0, 1.0, 0.0, l=2.0))
+            assert got.tobytes() == want.tobytes()
+
 
 class TestF:
     def test_zero(self):
@@ -158,6 +177,49 @@ class TestPotential:
         fd = (_potential((1 + s) * u, params, g) - _potential((1 - s) * u, params, g)) / (2 * s)
         exact = _dot(g, ph.f_apply_array(u, params, g.dim), u)
         assert fd == pytest.approx(exact, rel=1e-6)
+
+
+def _first_components(shape, dim, rng, count=None):
+    """The first `count` (by default all) components of an array with one
+    more, of `shape` but for that: its leading axes are strided."""
+    lead, comps = shape[:len(shape) - dim - 1], shape[len(shape) - dim - 1]
+    wide = rng.normal(lead + (comps + 1,) + shape[len(shape) - dim:])
+    return wide[(Ellipsis, slice(0, comps if count is None else count)) + (slice(None),) * dim]
+
+
+class TestBoundSequences:
+    """D u, f(u) and f'(u) v, each bound once to its lookup's constants and
+    to arrays that are component views of member-stacked arrays, as a kernel
+    binds them, then called on two inputs in turn, as RK4's stages call
+    them: every call returns its bound array, with the bytes of the
+    allocating call."""
+
+    DRAGS = [QUINTIC, CUBIC, SQRT, NonlinearityParams(1.0, 0.3, 0.7, l=1.5),
+             NonlinearityParams(0.0, 0.0)]
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 16), (3, 6), (3, 8)])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_bound_calls_keep_the_bytes(self, dim, n, lead):
+        rng = SplitMix64(80 + 10 * dim + n + len(lead))
+        shape, axis = lead + (dim,) + (n,) * dim, len(lead)
+        D = MediumMatrix(np.array([[2.0, 0.5, -0.3], [0.5, 1.5, 0.2],
+                                   [-0.3, 0.2, 1.0]])[:dim, :dim])
+        out, work = _first_components(shape, dim, rng), _first_components(shape, dim, rng, 1)
+        medium = partial(ph._medium, *ph._medium_constants(D, shape, out))
+        drag = partial(ph._f_apply, out, work, axis)
+        fprime = partial(ph._fprime_apply, out, (_first_components(shape, dim, rng), work), axis)
+        inputs = [rng.normal(shape) for _ in range(2)]
+        for u in inputs + inputs:
+            assert medium(u) is out
+            assert out.tobytes() == D.apply_array(u).tobytes()
+            for params in self.DRAGS:
+                assert drag(params, u) is out
+                assert out.tobytes() == ph.f_apply_array(u, params, dim).tobytes()
+                v = rng.normal(shape)
+                u[..., 0, :] = 0.0  # z = 0 on one face, the masked phi' branch
+                coefficients = ph._fprime_coefficients(u, params, dim)
+                assert fprime(coefficients, u, v) is out
+                assert out.tobytes() == ph.fprime_apply_array(u, v, params, dim).tobytes()
 
 
 class TestFPrime:

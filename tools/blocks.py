@@ -5,8 +5,12 @@ and of the Newton elliptic solve.
 
 Imports bfflow from <checkout>/src (by default this checkout's) and prints
 one table row per state shape: the thread-CPU microseconds per call of
-`grid.lap_array`, `grid.grad_array`, `grid.div_array`,
-`physics.f_apply_array`, `dynamics._FullSystem.rhs`, one
+`grid.lap_array`, `grid.grad_array`, `grid.div_array` and
+`physics.f_apply_array`, each beside the same operator as the right-hand
+side's kernel calls it (the `_k` columns: the sequence the kernel bound to
+its arrays, `laplacian`, `gradient`, `divergence` of D u and `drag`, or, in
+a checkout whose kernels call the module functions with `out=`, that call
+into the kernel's arrays), then of `dynamics._FullSystem.rhs`, one
 `dynamics._rk4_full` step and one step of `dynamics.simulate`'s loop (the
 advance, p's re-projection, the finiteness check and the drift guard), at 2D
 n = 8, 16, 32, 64 and 3D n = 8, 16, with 1 member (a single state, no member
@@ -117,6 +121,18 @@ def _newton_steps(dyn, step) -> int:
     return steps[0]
 
 
+def _kernel_calls(gr, ph, k, u, p, params, dim):
+    """The kernel's own lap u, grad p, div(D u) and f(u): its bound sequences,
+    or, where a kernel has none, the module functions into its arrays."""
+    if hasattr(k, "laplacian"):
+        return (lambda: k.laplacian(u), lambda: k.gradient(p), k.divergence,
+                lambda: k.drag(params, u))
+    return (lambda: gr.lap_array(u, k.h, dim, out=k.lap, scratch=k.tu),
+            lambda: gr.grad_array(p, k.h, dim, out=k.du),
+            lambda: gr.div_array(k.Du, k.h, dim, out=k.dp, scratch=k.tp),
+            lambda: ph.f_apply_array(u, params, dim, out=k.fu, work=k.phi))
+
+
 def _state(gr, rng, g, members):
     """A random (u, p) of `members` members, or a single state for 1."""
     lead = () if members == 1 else (members,)
@@ -140,7 +156,8 @@ def main(argv: list[str]) -> int:
 
     params = NonlinearityParams(1.0, 1.0, 0.0, l=2.0)
     cfg = dyn.SolverConfig(dt=1e-5)
-    names = ("lap", "grad", "div", "f_apply", "rhs", "rk4_step", "loop_step")
+    names = ("lap", "lap_k", "grad", "grad_k", "div", "div_k", "f_apply", "f_k",
+             "rhs", "rk4_step", "loop_step")
     print(f"bfflow from {checkout.resolve()}; numpy {np.__version__}; "
           "least thread-CPU us per call")
     print(f"{'dim':>3} {'n':>3} {'members':>7} " + " ".join(f"{s:>9}" for s in names))
@@ -152,10 +169,13 @@ def main(argv: list[str]) -> int:
             u, p = _state(gr, rng, g, members)
             sys_ = dyn._FullSystem(g, D, params, rng.normal((dim,) + g.shape), False)
             step = dyn._rk4_full(sys_, 1e-5)
-            blocks = (lambda: gr.lap_array(u, g.h, dim),
-                      lambda: gr.grad_array(p, g.h, dim),
-                      lambda: gr.div_array(u, g.h, dim),
-                      lambda: ph.f_apply_array(u, params, dim),
+            sys_.rhs(u, p)  # builds the kernel, and leaves D u in it
+            lap_k, grad_k, div_k, f_k = _kernel_calls(gr, ph, sys_._kernel(u.shape), u, p,
+                                                      params, dim)
+            blocks = (lambda: gr.lap_array(u, g.h, dim), lap_k,
+                      lambda: gr.grad_array(p, g.h, dim), grad_k,
+                      lambda: gr.div_array(u, g.h, dim), div_k,
+                      lambda: ph.f_apply_array(u, params, dim), f_k,
                       lambda: sys_.rhs(u, p),
                       lambda: step((u, p)))
             cells = [_us_per_call(fn) for fn in blocks]
