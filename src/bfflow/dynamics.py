@@ -279,15 +279,16 @@ class _Kernel:
             self.Du, self.dp, self.tp = np.empty(shape), np.empty(field), np.empty(field)
             self.mean = np.empty(lead + (1,) * dim)
             self.medium = partial(ph._medium, *ph._medium_constants(D, shape, self.Du))
-            self.divergence = partial(gr._div, *gr._div_constants(n, h, dim, self.dp, self.tp),
-                                      gr._components(self.Du, dim))
-            self.project = partial(gr._mean_project,
-                                   *gr._mean_constants(field, dim, self.dp, self.mean))
+            self.divergence = partial(gr._div, self.dp, self.tp,
+                                      *gr._difference_constants(n, h, dim),
+                                      gr._COMPONENTS[dim](self.Du))
+            self.project = partial(gr._mean_project, self.dp, self.mean, gr._GRID_AXES[dim])
         if use == "pressure_rate":
             return
         self.lap, self.du, self.tu = (np.empty(shape) for _ in range(3))
-        self.laplacian = partial(gr._lap, *gr._lap_constants(n, h, dim, self.lap, self.tu))
-        self.gradient = partial(gr._grad, *gr._grad_constants(n, h, dim, self.du))
+        self.laplacian = partial(gr._lap, self.lap, self.tu, *gr._lap_constants(n, h, dim))
+        self.gradient = partial(gr._grad, self.du, gr._COMPONENTS[dim](self.du),
+                                *gr._difference_constants(n, h, dim))
         if params is None or not params.is_zero():
             # f(u), and |u|^2, then phi(|u|^2); drag(params, u)
             self.fu, self.phi = np.empty(shape), np.empty(lead + (1,) + grid.shape)

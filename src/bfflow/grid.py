@@ -32,18 +32,19 @@ All stencil helpers act on the trailing `dim` axes, so arrays with extra
 leading axes (field components, ensemble members) go through unchanged.
 Each operator's product sequence is written once, here, as a private
 function that runs the products and ufuncs into the arrays it is given, with
-the lookup of its constants (matrices, per-axis products, component views,
-scale factors) beside it. A public function looks them up and runs the
-sequence at every call: with `out=` (and a scratch array where the sequence
-needs one) into arrays the caller keeps, and without it into fresh ones. A
-time stepper's kernel looks them up once and binds the sequence to its own
-arrays. Every way gives the same bytes.
+the lookup of its constants (per-axis products and scale factors, cached per
+grid; component views) beside it. A public function looks them up and
+runs the sequence at every call: with `out=` (and a scratch array where the
+sequence needs one) into arrays the caller keeps, and without it into fresh
+ones. A time stepper's kernel looks them up once and binds the sequence to
+its own arrays. Every way gives the same bytes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +105,10 @@ def coordinates(grid: Grid) -> tuple[np.ndarray, ...]:
 # stencils (array level, trailing-axes convention)
 # ---------------------------------------------------------------------------
 
-# per dim: the Ellipsis-led index of each component (the axis before the
+# per dim: the getter of an array's component views (the axis before the
 # grid axes), and the grid axes themselves
-_COMPONENTS = {d: tuple((Ellipsis, a) + (slice(None),) * d for a in range(d)) for d in (2, 3)}
+_COMPONENTS = {d: operator.itemgetter(*((Ellipsis, a) + (slice(None),) * d for a in range(d)))
+               for d in (2, 3)}
 _GRID_AXES = {2: (-2, -1), 3: (-3, -2, -1)}
 
 
@@ -175,11 +177,6 @@ def _stencil_products(n: int, dim: int) -> tuple[tuple, tuple]:
     return _axis_products(S, S, dim), _axis_products(C, CT, dim)
 
 
-def _components(a: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
-    """The views of a's components, the axis before the `dim` grid axes."""
-    return tuple(a[component] for component in _COMPONENTS[dim])
-
-
 def _shifted(a: np.ndarray, dim: int, axis: int, offset: int) -> np.ndarray:
     """a shifted by `offset` nodes along grid axis `axis`, zero-filled.
 
@@ -192,9 +189,10 @@ def _shifted(a: np.ndarray, dim: int, axis: int, offset: int) -> np.ndarray:
 
 
 # Each operator is its sequence (`_lap`, ...) and the lookup of the
-# sequence's constants (`_lap_constants`, ...). A sequence takes the
-# constants first and its input last, so that a kernel binds them once,
-# `functools.partial(_lap, *_lap_constants(...))`, and passes the input.
+# sequence's constants (`_lap_constants`, ...), cached per grid. A sequence
+# takes the arrays it writes into first, then the constants, and its input
+# last, so that a kernel binds all but the input once,
+# `functools.partial(_lap, out, scratch, *_lap_constants(n, h, dim))`.
 
 def _lap(out, scratch, products, diagonal, scale, x):
     """((diagonal x + S_0 x) + S_1 x [+ S_2 x]) scale into `out`, each product
@@ -206,8 +204,9 @@ def _lap(out, scratch, products, diagonal, scale, x):
     return out
 
 
-def _lap_constants(n: int, h: float, dim: int, out=None, scratch=None) -> tuple:
-    return out, scratch, _stencil_products(n, dim)[0], -2.0 * dim, 1.0 / (h * h)
+@functools.lru_cache(maxsize=None)
+def _lap_constants(n: int, h: float, dim: int) -> tuple:
+    return _stencil_products(n, dim)[0], -2.0 * dim, 1.0 / (h * h)
 
 
 def _grad(out, parts, products, scale, p):
@@ -216,10 +215,6 @@ def _grad(out, parts, products, scale, p):
         product(p, part)
     out *= scale
     return out
-
-
-def _grad_constants(n: int, h: float, dim: int, out: np.ndarray) -> tuple:
-    return out, _components(out, dim), _stencil_products(n, dim)[1], 1.0 / (2.0 * h)
 
 
 def _div(out, scratch, products, scale, parts):
@@ -235,8 +230,10 @@ def _div(out, scratch, products, scale, parts):
     return out
 
 
-def _div_constants(n: int, h: float, dim: int, out=None, scratch=None) -> tuple:
-    return out, scratch, _stencil_products(n, dim)[1], 1.0 / (2.0 * h)
+@functools.lru_cache(maxsize=None)
+def _difference_constants(n: int, h: float, dim: int) -> tuple:
+    """The constants of `_grad` and `_div` after the component views."""
+    return _stencil_products(n, dim)[1], 1.0 / (2.0 * h)
 
 
 def grad_array(p: np.ndarray, h: float, dim: int,
@@ -245,7 +242,7 @@ def grad_array(p: np.ndarray, h: float, dim: int,
     Into `out` if given (not p)."""
     if out is None:
         out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
-    return _grad(*_grad_constants(p.shape[-1], h, dim, out), p)
+    return _grad(out, _COMPONENTS[dim](out), *_difference_constants(p.shape[-1], h, dim), p)
 
 
 def div_array(U: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
@@ -255,7 +252,8 @@ def div_array(U: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
     `scratch` if given (both of the output's shape, neither in U)."""
     if out is None:
         out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
-    return _div(*_div_constants(U.shape[-1], h, dim, out, scratch), _components(U, dim))
+    return _div(out, scratch, *_difference_constants(U.shape[-1], h, dim),
+                _COMPONENTS[dim](U))
 
 
 def lap_array(x: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
@@ -263,7 +261,7 @@ def lap_array(x: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
     """Compact Dirichlet Laplacian, applied over the trailing grid axes. Into
     `out` if given, with each product in `scratch` if given (both of x's
     shape, neither x)."""
-    return _lap(*_lap_constants(x.shape[-1], h, dim, out, scratch), x)
+    return _lap(out, scratch, *_lap_constants(x.shape[-1], h, dim), x)
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +286,13 @@ def weighted_inner(D, U: np.ndarray, V: np.ndarray, grid: Grid) -> float:
     return float(grid.cell_volume * np.vdot(DU, V))
 
 
-def _mean_project(out, mean, axes, nodes, p):
-    """p less its mean over the grid `axes`, into `out` (p itself allowed),
-    the mean into `mean` (each allocated when None); `nodes` is the number
-    of nodes per field, as a float."""
+def _mean_project(out, mean, axes, p):
+    """p less its mean over the grid `axes` (`_GRID_AXES[dim]`), into `out`
+    (p itself allowed), the mean into `mean` (each allocated when None)."""
     # the sum-then-divide of ndarray.mean, without its Python wrapper
     mean = np.add.reduce(p, axis=axes, keepdims=True, out=mean, dtype=float)
-    mean /= nodes
+    mean /= p.size / mean.size  # the nodes per field, as a float
     return np.subtract(p, mean, out=out)
-
-
-def _mean_constants(shape: tuple[int, ...], dim: int, out=None, mean=None) -> tuple:
-    return out, mean, _GRID_AXES[dim], float(math.prod(shape[len(shape) - dim:]))
 
 
 def mean_project_array(p: np.ndarray, dim: int, out: np.ndarray | None = None,
@@ -307,7 +300,7 @@ def mean_project_array(p: np.ndarray, dim: int, out: np.ndarray | None = None,
     """Subtract the grid mean over the trailing `dim` axes (batch-safe). Into
     `out` if given (p itself allowed), and the mean into `mean` if given, of
     p's shape with each grid axis of length 1."""
-    return _mean_project(*_mean_constants(p.shape, dim, out, mean), p)
+    return _mean_project(out, mean, _GRID_AXES[dim], p)
 
 
 # ---------------------------------------------------------------------------

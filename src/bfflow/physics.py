@@ -99,7 +99,8 @@ class MediumMatrix:
 
 
 # Each operator is a sequence and the lookup of its constants, as in `grid`:
-# the constants come first and the input last, so a kernel binds them once.
+# the arrays and constants come first and the input last, so a kernel binds
+# them once.
 
 def _medium(entries, nodes, out_nodes, out, u):
     """D u into `out`, through its (..., dim, nodes) view `out_nodes`."""

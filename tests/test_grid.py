@@ -563,17 +563,17 @@ class TestOutForms:
         mean = rng.normal(lead + (1,) * dim)
         eigenvalues = gr._shifted_eigenvalues(g, 1.5)
         bound = [  # (sequence, input shape, its call, the allocating call, out)
-            (partial(gr._lap, *gr._lap_constants(n, g.h, dim, lap_out,
-                                                 _velocity_out(vel, dim, rng))),
+            (partial(gr._lap, lap_out, _velocity_out(vel, dim, rng),
+                     *gr._lap_constants(n, g.h, dim)),
              vel, lambda f, x: f(x), lambda x: gr.lap_array(x, g.h, dim), lap_out),
-            (partial(gr._grad, *gr._grad_constants(n, g.h, dim, grad_out)),
+            (partial(gr._grad, grad_out, gr._COMPONENTS[dim](grad_out),
+                     *gr._difference_constants(n, g.h, dim)),
              field, lambda f, x: f(x), lambda x: gr.grad_array(x, g.h, dim), grad_out),
-            (partial(gr._div, *gr._div_constants(n, g.h, dim, div_out,
-                                                 _scalar_out(field, dim, rng)),
-                     gr._components(U, dim)),
+            (partial(gr._div, div_out, _scalar_out(field, dim, rng),
+                     *gr._difference_constants(n, g.h, dim), gr._COMPONENTS[dim](U)),
              vel, lambda f, x: (np.copyto(U, x), f())[1], lambda x: gr.div_array(x, g.h, dim),
              div_out),
-            (partial(gr._mean_project, *gr._mean_constants(field, dim, mean_out, mean)),
+            (partial(gr._mean_project, mean_out, mean, gr._GRID_AXES[dim]),
              field, lambda f, x: f(x), lambda x: gr.mean_project_array(x, dim), mean_out),
             (partial(gr._poisson, *gr._poisson_constants(g, poisson_out,
                                                          _velocity_out(vel, dim, rng))),
@@ -586,7 +586,7 @@ class TestOutForms:
                 assert call(sequence, x) is out
                 assert out.tobytes() == allocating(x).tobytes()
         # the kernels' pressure projection: the divergence's output in place
-        project = partial(gr._mean_project, *gr._mean_constants(field, dim, div_out, mean))
+        project = partial(gr._mean_project, div_out, mean, gr._GRID_AXES[dim])
         for x in [rng.normal(vel), rng.normal(vel)] * 2:
             np.copyto(U, x)
             want = gr.mean_project_array(gr.div_array(x, g.h, dim), dim)
