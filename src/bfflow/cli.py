@@ -759,10 +759,11 @@ def run_scenario(config: ScenarioConfig, subcommand: str, out_dir: str | Path = 
         raise ConfigError(f"cannot create the output directory {str(out)!r}: {err}")
     try:
         entries = _COMMANDS[subcommand](config, out, svg)
-    except RuntimeError as err:
-        # blow-up, Newton/CG non-convergence, invariant drift
-        write_summary(out / "summary.txt",
-                      {"status": "RUNTIME_ERROR", "error": err})
+    except (RuntimeError, MemoryError) as err:
+        # blow-up, Newton/CG non-convergence, invariant drift; an array the
+        # host cannot allocate
+        error = err if isinstance(err, RuntimeError) else f"{type(err).__name__}: {err}"
+        write_summary(out / "summary.txt", {"status": "RUNTIME_ERROR", "error": error})
         return 2
     ok = all(v for k, v in entries.items() if k.startswith("pass_"))
     summary = {"subcommand": subcommand, "status": "PASS" if ok else "FAIL"}

@@ -2,20 +2,22 @@
 
 The system is autonomous (g is one fixed field): a run starts at t = 0, step
 k ends at k dt, and no right-hand side takes a time argument. Every run steps
-through one loop, `integrate`, on a tuple-of-arrays state. The caller
-supplies `advance(y)` (the run's `rk4_stepper`, or a semi-implicit step),
-the pressure components to re-project to mean zero, and the steps to store,
-which `snapshot_steps` derives before the loop: every m steps plus the last,
-or the nearest step end to each target time. After every step the loop
-re-projects those components in place, and it checks finiteness (at the
-start too) and then the drift, the mean each projection removed; either
-error names the step and, in a batch, the member. It stores each recorded
-component as one array stacked over the stored steps. A state is the array
-pair (u, p) on a `Grid` passed beside it, and a batch of runs is the same
-pair with a leading member axis. The drivers (`simulate` and the
-splittings) supply only a right-hand side and what to store. A splitting is
-one run: the truncated run from p0 steps jointly with its parts, which are
-checked to recombine to it at every stored time.
+through one loop, `integrate`, on one flat state: a float64 array in which
+each component is a contiguous block (a batch's components carry a leading
+member axis). The caller supplies `advance(y)` (the run's `rk4_stepper`, or
+a semi-implicit step), the blocks' shapes, the consecutive blocks to
+re-project to mean zero (the pressures) and the steps to store, which
+`snapshot_steps` derives before the loop: every m steps plus the last, or
+the nearest step end to each target time. After every step the loop
+re-projects those blocks in place, and it checks finiteness (at the start
+too) and then the drift, the mean each projection removed; either error
+names the step and, in a batch, the member. It stores each recorded
+component as one array stacked over the stored steps. A state of the full
+system is the u-block, then the p-block, on a `Grid` passed beside it. The
+drivers (`simulate` and the splittings) supply only a rate of the flat state
+and what to store. A splitting is one run: the truncated run from p0 steps
+jointly with its parts, which are checked to recombine to it at every stored
+time.
 
 The full system evolves (u, p) by
 
@@ -119,56 +121,61 @@ class SolverConfig:
 # the one time-stepping loop
 # ---------------------------------------------------------------------------
 
-def rk4_stepper(rhs, dt: float):
-    """advance(y): one classical RK4 step of y' = rhs(*y) on a tuple-of-arrays
-    state, for one run.
+def rk4_stepper(rate, dt: float):
+    """advance(y): one classical RK4 step of y' = rate(y) on a flat state,
+    for one run.
 
-    Per component, the stage sum k1 + 2 k2 + 2 k3 + k4 (added left to
-    right), the stage state y + c k and one temporary are allocated at the
-    first step (per state shape) and reused by every later one; they are
-    kept as three flat tuples, so `rhs` gets the stage states as they are.
-    Each stage's k is used up before the next call of `rhs`, so `rhs` may
-    return arrays that its next call overwrites. y is left unchanged, and
-    y_{n+1} is returned in fresh arrays, so a caller may keep each step's
-    state.
+    The stage sum k1 + 2 k2 + 2 k3 + k4 (added left to right), the stage
+    state y + c k and one temporary are each one array of y's shape,
+    allocated at the first step and reused by every later one, so a step is
+    14 ufunc calls whatever the number of components, and `rate` gets the
+    stage state as it is. Each stage's k is used up before the next call of
+    `rate`, so `rate` may return an array that its next call overwrites. y
+    is left unchanged, and y_{n+1} is returned in a fresh array, so a caller
+    may keep each step's state.
     """
-    work = {}  # state shapes -> (stage sums, stage states, temporaries)
+    work = []  # stage sum, stage state, temporary
     half, sixth = 0.5 * dt, dt / 6.0
 
     def advance(y):
-        shapes = tuple(a.shape for a in y)
-        bufs = work.get(shapes)
-        if bufs is None:
-            bufs = work[shapes] = tuple(tuple(np.empty_like(a, dtype=float) for a in y)
-                                        for _ in range(3))
-        sums, stages, tmps = bufs
-        for a, b, s, x, t in zip(y, rhs(*y), sums, stages, tmps):
-            np.copyto(s, b)
-            np.add(a, np.multiply(b, half, out=t), out=x)
+        if not work:
+            work.extend(np.empty_like(y, dtype=float) for _ in range(3))
+        s, x, t = work
+        b = rate(y)
+        np.copyto(s, b)
+        np.add(y, np.multiply(b, half, out=t), out=x)
         for c in (half, dt):
-            for a, b, s, x, t in zip(y, rhs(*stages), sums, stages, tmps):
-                s += np.multiply(b, 2.0, out=t)
-                np.add(a, np.multiply(b, c, out=t), out=x)
-        return tuple(a + np.multiply(np.add(s, b, out=s), sixth, out=t)
-                     for a, b, s, t in zip(y, rhs(*stages), sums, tmps))
+            b = rate(x)
+            s += np.multiply(b, 2.0, out=t)
+            np.add(y, np.multiply(b, c, out=t), out=x)
+        return y + np.multiply(np.add(s, rate(x), out=s), sixth, out=t)
     return advance
 
 
-def _check_finite(arrays, step_count: int, t: float, members: bool = False):
-    """Raise BlowUpError naming the step (and, when the leading axis indexes
-    ensemble members, the first member) if any of `arrays` is not finite."""
-    for a in arrays:
-        # a . a is finite when every entry is; when it is not, an entry is
-        # NaN or infinite, or the sum overflowed, which the entrywise test
-        # tells apart
-        if not math.isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
-            break
-    else:
+def _state_views(y: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
+    """The components of the flat state y: views of its consecutive blocks,
+    one per shape."""
+    flat, views, start = y.reshape(-1), [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return tuple(views)
+
+
+def _check_finite(y: np.ndarray, step_count: int, t: float, shapes=None):
+    """Raise BlowUpError naming the step if the flat state y is not finite,
+    and, given the `shapes` of its components, whose leading axes index
+    ensemble members, the first member that is not."""
+    # y . y is finite when every entry is; when it is not, an entry is NaN
+    # or infinite, or the sum overflowed, which the entrywise test tells apart
+    if math.isfinite(np.vdot(y, y)) or np.isfinite(y).all():
         return
     member = None
-    if members:
-        member = next(m for m in range(len(arrays[0]))
-                      if not all(np.isfinite(a[m]).all() for a in arrays))
+    if shapes is not None:
+        views = _state_views(y, shapes)
+        member = next(m for m in range(len(views[0]))
+                      if not all(np.isfinite(a[m]).all() for a in views))
     raise BlowUpError(step_count, t, member)
 
 
@@ -189,49 +196,58 @@ def snapshot_steps(n_steps: int, dt: float, every: int = 1,
     return frozenset(steps | {0, n_steps})
 
 
-def integrate(y0: tuple, dt: float, n_steps: int, advance, dim: int,
-              project: tuple[int, ...] = (), snapshots=frozenset(), record=None,
-              on_step=None, members: bool = False) -> tuple[np.ndarray, tuple]:
-    """Take `n_steps` steps y <- advance(y) from y0; `advance` returns each
-    step's state in fresh arrays.
+def integrate(y0: np.ndarray, shapes: tuple, dt: float, n_steps: int, advance,
+              dim: int, project: tuple[int, ...] = (), snapshots=frozenset(),
+              record=None, on_step=None, members: bool = False) -> tuple[np.ndarray, tuple]:
+    """Take `n_steps` steps y <- advance(y) from the flat state y0, whose
+    components, of `shapes`, are the consecutive blocks of its ravel;
+    `advance` returns each step's state in a fresh array.
 
     After each step, the components whose indices are in `project` (the
-    pressures) are re-projected to mean zero over the trailing `dim` axes
-    in place. At every step end k, the initial state k = 0 included, the
-    state is checked for finiteness, a projection that removed a mean above
-    1e-12 (1 + max |p|) raises "pressure mean drifted", and `on_step(k, y)`
-    runs. At the steps in `snapshots` the loop stores `record(y)`, by
-    default y itself. It returns the stored times k dt and one array per
-    recorded component, of shape (stored steps,) + component shape,
+    pressures, consecutive blocks) are re-projected to mean zero over the
+    trailing `dim` axes in place, as one view of shape (fields,) + grid. At
+    every step end k, the initial state k = 0 included, the state is checked
+    for finiteness, a projection that removed a mean above 1e-12 (1 + max
+    |p|) from a field raises "pressure mean drifted", and `on_step(k, y)`
+    runs. At the steps in `snapshots` the loop stores `record(y)`, by default
+    y's components (views). It returns the stored times k dt and one array
+    per recorded component, of shape (stored steps,) + component shape,
     allocated at the first stored step and filled in place. With `members`,
-    the leading axis of every component indexes ensemble members, and a
-    blow-up or a drift names the first member it found.
+    the leading axis of every component indexes ensemble members (the fields
+    of `project` too), and a blow-up or a drift names the first member it
+    found.
     """
     n_stored = sum(1 for k in snapshots if 0 <= k <= n_steps)
     times, stored = [], ()
-    y = tuple(y0)
-    axes = tuple(range(-dim, 0))
-    # per projected component, the |mean| its last projection removed
-    drifts = {i: np.zeros(y[i].shape[:-dim] + (1,) * dim) for i in project}
+    y = y0
+    if project:  # the projected blocks, as one view of shape (fields,) + grid
+        sizes = [math.prod(shape) for shape in shapes]
+        lo, hi = sum(sizes[:project[0]]), sum(sizes[:project[-1] + 1])
+        grid_shape = shapes[project[0]][-dim:]
+        fields = ((hi - lo) // math.prod(grid_shape),) + grid_shape
+        axes = tuple(range(-dim, 0))
+        # per projected field, the |mean| its last projection removed
+        drift = np.zeros(fields[:1] + (1,) * dim)
     for k in range(n_steps + 1):
         if k:
             y = advance(y)
-            for i, drift in drifts.items():
-                gr.mean_project_array(y[i], dim, out=y[i], mean=drift)
-        _check_finite(y, k, k * dt, members)
-        for i, drift in drifts.items():
-            # a drift within 1e-12 is within the bound, whatever max |p| is
-            if np.abs(drift, out=drift).max() > 1e-12:
-                bound = 1e-12 * (1.0 + np.abs(y[i]).max(axis=axes, keepdims=True))
-                over = np.flatnonzero(drift > bound)
-                if over.size:
-                    who = f"ensemble member {over[0]}: " if members else ""
-                    raise RuntimeError(f"{who}pressure mean drifted to "
-                                       f"{np.ravel(drift)[over[0]]:.3e} at step {k}")
+        if project:
+            p = y.reshape(-1)[lo:hi].reshape(fields)
+            if k:
+                gr.mean_project_array(p, dim, out=p, mean=drift)
+        _check_finite(y, k, k * dt, shapes if members else None)
+        # a drift within 1e-12 is within the bound, whatever max |p| is
+        if project and np.abs(drift, out=drift).max() > 1e-12:
+            bound = 1e-12 * (1.0 + np.abs(p).max(axis=axes, keepdims=True))
+            over = np.flatnonzero(drift > bound)
+            if over.size:
+                who = f"ensemble member {over[0]}: " if members else ""
+                raise RuntimeError(f"{who}pressure mean drifted to "
+                                   f"{np.ravel(drift)[over[0]]:.3e} at step {k}")
         if on_step is not None:
             on_step(k, y)
         if k in snapshots:
-            rec = y if record is None else record(y)
+            rec = _state_views(y, shapes) if record is None else record(y)
             if not stored:
                 stored = tuple(np.empty((n_stored,) + a.shape, a.dtype) for a in rec)
             for buf, a in zip(stored, rec):
@@ -263,8 +279,10 @@ class _Kernel:
     Drag arrays exist where the drag does not vanish; a kernel without
     `params` keeps them, and its caller passes the drag to each call.
 
-    `rate` and `pressure_rate` write into arrays of the kernel and return
-    them, so each overwrites what its previous call returned."""
+    The uses "rate" and "semi_implicit" write du/dt and dp/dt into `du` and
+    `dp`, the blocks of one flat rate `rates`. `rate`, `flat_rate` and
+    `pressure_rate` write into arrays of the kernel and return them, so each
+    overwrites what its previous call returned."""
 
     def __init__(self, shape: tuple[int, ...], grid: Grid, D: MediumMatrix | None = None,
                  params: NonlinearityParams | None = None, forcing: np.ndarray | None = None,
@@ -275,8 +293,17 @@ class _Kernel:
         field, axis = lead + grid.shape, len(lead)  # axis: the component axis
         self.D, self.params, self.forcing, self.h, self.dim = D, params, forcing, h, dim
         self.fu = self.phi = self.bu = None
+        if use in ("rate", "semi_implicit"):
+            self.shapes = (shape, field)  # of the blocks of a flat state
+            self.rates = np.empty(math.prod(shape) + math.prod(field))
+            self.du, self.dp = _state_views(self.rates, self.shapes)
+            self._rated = None  # the last state that `flat_rate` rated
+        elif use == "newton":
+            self.du = np.empty(shape)
+        else:
+            self.dp = np.empty(field)
         if use != "newton":  # D u, and its divergence and mean
-            self.Du, self.dp, self.tp = np.empty(shape), np.empty(field), np.empty(field)
+            self.Du, self.tp = np.empty(shape), np.empty(field)
             self.mean = np.empty(lead + (1,) * dim)
             self.medium = partial(ph._medium, *ph._medium_constants(D, shape, self.Du))
             self.divergence = partial(gr._div, self.dp, self.tp,
@@ -285,7 +312,7 @@ class _Kernel:
             self.project = partial(gr._mean_project, self.dp, self.mean, gr._GRID_AXES[dim])
         if use == "pressure_rate":
             return
-        self.lap, self.du, self.tu = (np.empty(shape) for _ in range(3))
+        self.lap, self.tu = np.empty(shape), np.empty(shape)
         self.laplacian = partial(gr._lap, self.lap, self.tu, *gr._lap_constants(n, h, dim))
         self.gradient = partial(gr._grad, self.du, gr._COMPONENTS[dim](self.du),
                                 *gr._difference_constants(n, h, dim))
@@ -326,6 +353,14 @@ class _Kernel:
             du += self.forcing
         return du, self.pressure_rate(u)
 
+    def flat_rate(self, y: np.ndarray) -> np.ndarray:
+        """`rate` at the flat state y, into `rates`; it keeps the blocks of
+        the last y, as an RK4 step rates its stage state three times."""
+        if y is not self._rated:
+            self._rated, self._blocks = y, _state_views(y, self.shapes)
+        self.rate(*self._blocks)
+        return self.rates
+
     def pressure_rate(self, u: np.ndarray) -> np.ndarray:
         """dp/dt = -P0 div(D u) into `dp`, leaving D u in `Du`."""
         self.medium(u)
@@ -338,9 +373,9 @@ class _FullSystem:
 
     The system builds one `_Kernel` per state shape and use it meets, and
     `rhs` is the "rate" kernel's `rate`, whose operators write into the
-    kernel's arrays. A call returns those arrays, so it overwrites what the
-    previous call returned: a caller uses (or copies) a result before it
-    calls again.
+    kernel's arrays. A call returns those arrays (the blocks of the kernel's
+    flat `rates`), so it overwrites what the previous call returned: a caller
+    uses (or copies) a result before it calls again.
 
     With `work_rows`, each call of `rhs`, which must be at a single state,
     also fills the next row of `work` with (dissipation, drag work, forcing
@@ -386,10 +421,16 @@ def _as_forcing(g: np.ndarray, grid: Grid) -> np.ndarray:
     return g
 
 
-def _rk4_full(sys: _FullSystem, dt: float):
-    """advance(y) of one full-system RK4 run: `rk4_stepper` on the system's
-    in-place right-hand side."""
-    return rk4_stepper(sys.rhs, dt)
+def _rk4_full(sys: _FullSystem, dt: float, shape: tuple[int, ...]):
+    """advance(y) of one full-system RK4 run on flat states whose u has
+    `shape`: `rk4_stepper` on the "rate" kernel's `flat_rate`, bound once,
+    or, with work rows, on `sys.rhs` at y's blocks."""
+    k = sys._kernel(shape)
+
+    def recorded(y):
+        sys.rhs(*_state_views(y, k.shapes))
+        return k.rates
+    return rk4_stepper(k.flat_rate if sys.work is None else recorded, dt)
 
 
 def _member_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -411,7 +452,9 @@ def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
     The step runs on the system's "semi_implicit" kernel for u's shape: the
     load, the operator, D b of the inner product and the preconditioner
     write into the kernel's arrays. A batch's per-member inner products are
-    one stacked product, which gives the bytes of a per-member `np.vdot`."""
+    one stacked product, which gives the bytes of a per-member `np.vdot`.
+    It returns the new state as a fresh flat array: CG's u_new in its
+    u-block, p + dt rate(u_new) written straight into its p-block."""
     k = sys._kernel(u.shape, "semi_implicit")
     # the load u + dt (g - f(u) [- B(u,u)]) - dt grad p
     load = k.load
@@ -450,7 +493,11 @@ def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
 
     u_new = conjugate_gradient(apply_op, load, x0=u if x0 is None else x0, rtol=cg_tol,
                                inner=d_inner, precondition=precondition)
-    return u_new, p + np.multiply(k.pressure_rate(u_new), dt, out=k.dp)
+    y = np.empty_like(k.rates)
+    u_out, p_out = _state_views(y, k.shapes)
+    np.copyto(u_out, u_new)
+    np.add(p, np.multiply(k.pressure_rate(u_new), dt, out=k.dp), out=p_out)
+    return y
 
 
 # x0 = sum_j c_j u_{n-j}: the polynomial through the last 1-4 step-end
@@ -458,28 +505,28 @@ def _semi_implicit_full(sys: _FullSystem, u: np.ndarray, p: np.ndarray,
 _EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
-def _full_advance(sys: _FullSystem, cfg: SolverConfig):
-    """advance((u, p)) of the configured scheme, for one run: the
-    semi-implicit step starts its CG from the cubic extrapolation of the
-    run's last four step-end velocities (fewer at the start), which it keeps
-    by reference, so successive calls must be successive steps. The start
-    and one term of it are built in two arrays that the advance keeps."""
+def _full_advance(sys: _FullSystem, cfg: SolverConfig, shape: tuple[int, ...]):
+    """advance(y) of the configured scheme, for one run on flat states whose
+    u has `shape`: the semi-implicit step starts its CG from the cubic
+    extrapolation of the run's last four step-end velocities (fewer at the
+    start), which it keeps by reference, so successive calls must be
+    successive steps. The start and one term of it are built in two arrays
+    that the advance keeps."""
     if cfg.scheme == "rk4":
-        return _rk4_full(sys, cfg.dt)
+        return _rk4_full(sys, cfg.dt, shape)
+    k = sys._kernel(shape, "semi_implicit")
     history = []  # u_n, u_{n-1}, u_{n-2}, u_{n-3}, newest first
-    work = []  # x0 and one term c_j u_{n-j} of it
+    x0, term = np.empty(shape), np.empty(shape)  # x0 and one term c_j u_{n-j} of it
 
     def advance(y):
-        history.insert(0, y[0])
+        u, p = _state_views(y, k.shapes)
+        history.insert(0, u)
         del history[4:]
         c0, *cs = _EXTRAPOLATION[len(history) - 1]
-        if not work:
-            work.extend(np.empty_like(y[0]) for _ in range(2))
-        x0, term = work
         np.multiply(history[0], c0, out=x0)
         for c, v in zip(cs, history[1:]):
-            x0 += np.multiply(v, c, out=term)
-        return _semi_implicit_full(sys, *y, cfg.dt, cfg.cg_tol, x0)
+            np.add(x0, np.multiply(v, c, out=term), out=x0)
+        return _semi_implicit_full(sys, u, p, cfg.dt, cfg.cg_tol, x0)
     return advance
 
 
@@ -531,15 +578,17 @@ def simulate(state0: tuple[np.ndarray, np.ndarray], grid: Grid, cfg: SolverConfi
     sys = _FullSystem(grid, D, params, forcing, convective_on,
                       work_rows=4 * n_steps + 1 if collect_work else 0)
     p_squares = []  # (p, p) at each step end; (D u, u) is in its work row
+    shapes = (u0.shape, p0.shape)
 
     def on_step(k, y):
-        p_squares.append(np.vdot(y[1], y[1]))
+        u, p = _state_views(y, shapes)
+        p_squares.append(np.vdot(p, p))
         if k == n_steps:  # the one step end no later stage records
-            sys.rhs(*y)
+            sys.rhs(u, p)
 
+    y0 = np.concatenate((u0, gr.mean_project_array(p0, grid.dim)), axis=None, dtype=float)
     times, (u, p) = integrate(
-        (u0, gr.mean_project_array(p0, grid.dim)), cfg.dt, n_steps,
-        _full_advance(sys, cfg), grid.dim, project=(1,),
+        y0, shapes, cfg.dt, n_steps, _full_advance(sys, cfg, u0.shape), grid.dim, project=(1,),
         snapshots=snapshot_steps(n_steps, cfg.dt, every=snapshot_every,
                                  targets=snapshot_times),
         on_step=on_step if collect_work else None, members=batch)
@@ -695,28 +744,28 @@ def _split(p0: np.ndarray, grid: Grid, forcing: np.ndarray, cfg: SolverConfig,
            D: MediumMatrix,
            params: NonlinearityParams, t_max: float, snapshot_every: int,
            parts) -> SplitTrajectory:
-    """RK4 on (p, q, r) from (p0, p0, 0), p0 projected to mean zero, where p
-    is the truncated run and `parts(y, u) -> (v, w)` gives the parts'
-    velocities at the state y and the run's u = u(p). At every
-    `snapshot_every`-th step and the last it stores p, u, q, v, r and w; after
-    the initial state, q + r is checked against p and v + w against u. The
-    next step's first stage takes the stored state's velocities as they are:
-    solved again, warm-started from them, they would come back unchanged
-    (in 0 Newton steps)."""
+    """RK4 on the flat state (p, q, r), one (3,) + grid stack, from
+    (p0, p0, 0), p0 projected to mean zero, where p is the truncated run and
+    `parts(y, u) -> (v, w)` gives the parts' velocities at the state y and
+    the run's u = u(p). At every `snapshot_every`-th step and the last it
+    stores p, u, q, v, r and w; after the initial state, q + r is checked
+    against p and v + w against u. The next step's first stage takes the
+    stored state's velocities as they are: solved again, warm-started from
+    them, they would come back unchanged (in 0 Newton steps)."""
     dt = cfg.dt
     sys_p = _TruncatedSystem(grid, params, forcing, cfg)
     rates = _Kernel((3, grid.dim) + grid.shape, grid, D, use="pressure_rate")
-    kept = [(None,) * 3, None]  # the state record() stored last, its velocities
+    kept = [None, None]  # the state record() stored last, its velocities
 
     def velocities(y):
-        if all(a is b for a, b in zip(y, kept[0])):
+        if y is kept[0]:
             return kept[1]
         u = sys_p.solve_u(y[0])
         return (u, *parts(y, u))
 
-    def rhs(*y):
+    def rate(y):
         # the three rates as one batch, each member with the bytes it gets alone
-        return tuple(rates.pressure_rate(np.stack(velocities(y))))
+        return rates.pressure_rate(np.stack(velocities(y)))
 
     def record(y):
         kept[:] = y, velocities(y)
@@ -726,8 +775,8 @@ def _split(p0: np.ndarray, grid: Grid, forcing: np.ndarray, cfg: SolverConfig,
     n_steps = int(round(t_max / dt))
     p0 = gr.mean_project_array(p0, grid.dim)
     times, stored = integrate(
-        (p0, p0, np.zeros_like(p0)), dt, n_steps,
-        rk4_stepper(rhs, dt), grid.dim, project=(0, 1, 2),
+        np.stack((p0, p0, np.zeros_like(p0))), (p0.shape,) * 3, dt, n_steps,
+        rk4_stepper(rate, dt), grid.dim, project=(0, 1, 2),
         snapshots=snapshot_steps(n_steps, dt, every=snapshot_every), record=record)
     p, u, q, v, r, w = stored
     # after the initial state: |q + r - p| over the largest |p| of the run,
@@ -829,29 +878,34 @@ def run_exp_split(pair: tuple[np.ndarray, np.ndarray], grid: Grid,
     difference; the tilde part absorbs the averaged-Jacobian load -l(t) ubar
     with zero initial data. They step jointly with the runs from `pair`, a
     batch of two states, without convection, as two two-member batches, the
-    runs (u1, u2) and the parts (hat, tilde), stored as `simulate` would;
-    the parts are checked to recombine to the difference u1 - u2 after the
-    run.
+    runs (u1, u2) and the parts (hat, tilde), in one flat state of the blocks
+    U, V, P, Q, so that the pressures P and Q are one block; it is stored as
+    `simulate` would store it, and the parts are checked to recombine to the
+    difference u1 - u2 after the run.
     """
     cfg.validate(grid, D)
-    sys = _FullSystem(grid, D, params, _as_forcing(forcing, grid), False)
+    U, P = pair
+    shapes = (U.shape, U.shape, P.shape, P.shape)
+    runs = _Kernel(U.shape, grid, D, params, _as_forcing(forcing, grid))
     # the parts' linear system: the full one with no drag and no forcing
-    linear = _Kernel((2, grid.dim) + grid.shape, grid, D, _NO_DRAG)
+    linear = _Kernel(U.shape, grid, D, _NO_DRAG)
+    rates = np.empty(2 * (U.size + P.size))  # dU, dV, dP, dQ
 
-    def rhs(U, P, V, Q):  # runs (u1, u2) and parts (hat, tilde), member-stacked
-        dU, dP = sys.rhs(U, P)
+    def rate(y):  # runs (u1, u2) and parts (hat, tilde), member-stacked
+        U, V, P, Q = _state_views(y, shapes)
+        dU, dP = runs.rate(U, P)
         dV, dQ = linear.rate(V, Q)
         dV[1] -= averaged_jacobian_apply(U[0], U[1], U[0] - U[1], params, grid.dim)
-        return dU, dP, dV, dQ
+        return np.concatenate((dU, dV, dP, dQ), axis=None, out=rates)
 
-    U, P = pair
     P = gr.mean_project_array(P, grid.dim)
-    y0 = (U, P, np.stack((U[0] - U[1], np.zeros_like(U[0]))),
-          np.stack((P[0] - P[1], np.zeros_like(P[0]))))
-    scale = max(float(np.abs(y0[2][0]).max()), float(np.abs(y0[3][0]).max()), 1e-30)
+    V, Q = U[0] - U[1], P[0] - P[1]
+    scale = max(float(np.abs(V).max()), float(np.abs(Q).max()), 1e-30)
+    y0 = np.concatenate((U, V, np.zeros_like(V), P, Q, np.zeros_like(Q)), axis=None,
+                        dtype=float)
     n_steps = max(1, int(round(t_max / cfg.dt)))
-    times, (U, P, V, Q) = integrate(
-        y0, cfg.dt, n_steps, rk4_stepper(rhs, cfg.dt), grid.dim, project=(1, 3),
+    times, (U, V, P, Q) = integrate(
+        y0, shapes, cfg.dt, n_steps, rk4_stepper(rate, cfg.dt), grid.dim, project=(2, 3),
         snapshots=snapshot_steps(n_steps, cfg.dt, every=snapshot_every))
     defect = max(float(np.abs(V[:, 0] + V[:, 1] - (U[:, 0] - U[:, 1])).max()),
                  float(np.abs(Q[:, 0] + Q[:, 1] - (P[:, 0] - P[:, 1])).max()))

@@ -282,14 +282,16 @@ def periodic_linear_run(u0: np.ndarray, p0: np.ndarray, n: int, dt: float,
     """RK4 on the periodic linear system (D = I): the production integrator
     driven by periodic stencils; exists only for oracle comparisons."""
     h = 1.0 / n
+    shapes, nu = (u0.shape, p0.shape), u0.size
 
-    def rhs(u, p):
-        du = _plap(u, h, dim) - _pgrad(p, h, dim)
-        dp = -_pdiv(u, h, dim)
-        return du, dp
+    def rate(y):  # y: the flat state, u-block then p-block
+        u, p = y[:nu].reshape(shapes[0]), y[nu:].reshape(shapes[1])
+        return np.concatenate((_plap(u, h, dim) - _pgrad(p, h, dim), -_pdiv(u, h, dim)),
+                              axis=None)
 
     steps = int(round(t_max / dt))
     _, (u, p) = dyn.integrate(
-        (u0, p0), dt, steps, dyn.rk4_stepper(rhs, dt), dim, snapshots={steps})
+        np.concatenate((u0, p0), axis=None, dtype=float), shapes, dt, steps,
+        dyn.rk4_stepper(rate, dt), dim, snapshots={steps})
     return u[0], p[0]
 

@@ -192,6 +192,23 @@ t_max = 0.5
         assert code == 2
         assert "RUNTIME_ERROR" in (tmp_path / "summary.txt").read_text()
 
+    def test_memory_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        # an allocation the host refuses, raised by the subcommand itself so
+        # that nothing is allocated: a RUNTIME_ERROR summary naming it, and no
+        # traceback
+        def refused(config, out, svg):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", refused)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 8\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (out / "summary.txt").read_text() == (
+            "status = RUNTIME_ERROR\n"
+            "error = MemoryError: Unable to allocate 74.5 GiB for an array\n")
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_main_config_error_exit_3(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[solver]\ndtt = 1\n")

@@ -135,6 +135,16 @@ def _rk4_written_out(y, dt, rhs):
                  for a, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
 
 
+def _flat(state):
+    """The flat state of the component arrays `state`: their blocks in turn."""
+    return np.concatenate(state, axis=None)
+
+
+def _components(y, like):
+    """The components of the flat state y, shaped as the arrays `like`."""
+    return dyn._state_views(y, [a.shape for a in like])
+
+
 def _coupled_rhs(shapes):
     """rhs(*y) of a nonlinear system coupling every component, returning
     arrays that its next call overwrites: component i's rate is
@@ -270,23 +280,22 @@ class TestInPlaceRhs:
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch3"])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stepper_equals_written_out_rk4(self, dim, members, conv):
+        # the flat stepper against the written-out step on (u, p) tuples
         sys, rng = self._system(dim, conv, False, seed=910 + dim)
-        y = self._state(sys, rng, members)
-        step, dt = dyn._rk4_full(sys, 1e-3), 1e-3
-        results = []
+        state = self._state(sys, rng, members)
+        step, dt = dyn._rk4_full(sys, 1e-3, state[0].shape), 1e-3
+        y, results = _flat(state), []
         for _ in range(2):  # the second step reuses the first one's stage arrays
-            before = tuple(a.copy() for a in y)
+            before = y.copy()
             want = _rk4_written_out(
-                y, dt, lambda ys: tuple(a.copy() for a in sys.rhs(*ys)))
+                _components(y, state), dt, lambda ys: tuple(a.copy() for a in sys.rhs(*ys)))
             got = step(y)
-            for a, b in zip(y, before):
-                assert np.array_equal(a, b)                    # y unchanged
-            for a, b in zip(got, want):
+            assert np.array_equal(y, before)                   # y unchanged
+            for a, b in zip(_components(got, state), want):
                 assert np.array_equal(a, b)
-            for a in got:
-                assert not any(np.shares_memory(a, b) for b in y)
-                assert not any(np.shares_memory(a, b) for b in self._buffers(sys))
-                assert not any(np.shares_memory(a, b) for r in results for b in r)
+            assert not np.shares_memory(got, y)
+            assert not any(np.shares_memory(got, b) for b in self._buffers(sys))
+            assert not any(np.shares_memory(got, r) for r in results)
             results.append(got)
             y = got
 
@@ -332,34 +341,53 @@ class TestInPlaceRhs:
                                         ((3, 4, 4, 4), (4, 4, 4))],
                              ids=["full", "split", "exp_split", "full_3d"])
     def test_flat_stepper_equals_written_out_rk4(self, shapes):
+        # the rate of a flat state writes the coupled rates into one array
+        # that its next call overwrites
         rng = SplitMix64(970 + len(shapes))
         rhs, dt = _coupled_rhs(shapes), 0.05
-        step = dyn.rk4_stepper(rhs, dt)
-        y, results = tuple(0.5 * rng.normal(shape) for shape in shapes), []
+        rates = np.empty(sum(np.prod(shape, dtype=int) for shape in shapes))
+
+        def rate(y):
+            return np.concatenate(rhs(*dyn._state_views(y, shapes)), axis=None, out=rates)
+
+        step = dyn.rk4_stepper(rate, dt)
+        state = tuple(0.5 * rng.normal(shape) for shape in shapes)
+        y, results = _flat(state), []
         for _ in range(4):  # later steps reuse the first one's stage arrays
-            before = tuple(a.copy() for a in y)
-            want = _rk4_written_out(y, dt, lambda ys: tuple(a.copy() for a in rhs(*ys)))
+            before = y.copy()
+            want = _rk4_written_out(_components(y, state), dt,
+                                    lambda ys: tuple(a.copy() for a in rhs(*ys)))
             got = step(y)
-            for a, b in zip(y, before):
-                assert np.array_equal(a, b)                    # y unchanged
-            for a, b in zip(got, want):
+            assert np.array_equal(y, before)                   # y unchanged
+            for a, b in zip(_components(got, state), want):
                 assert a.shape == b.shape and np.array_equal(a, b)
-            for a in got:
-                assert not any(np.shares_memory(a, b) for b in y)
-                assert not any(np.shares_memory(a, b) for r in results for b in r)
+            assert not np.shares_memory(got, y) and not np.shares_memory(got, rates)
+            assert not any(np.shares_memory(got, r) for r in results)
             results.append(got)
             y = got
 
     def test_two_batch_shapes_in_turn(self):
+        # one system, one run (stepper) per batch shape, stepped in turn:
+        # each run's kernel keeps its own arrays
         sys, rng = self._system(2, True, False, seed=920)
-        step = dyn._rk4_full(sys, 1e-3)
+        steps, results = {}, []
         for members in (None, 3, None, 2, 3):
-            y = self._state(sys, rng, members)
-            for a, b in zip(sys.rhs(*y), _allocating_rhs(sys, *y)):
+            state = self._state(sys, rng, members)
+            for a, b in zip(sys.rhs(*state), _allocating_rhs(sys, *state)):
                 assert a.shape == b.shape and np.array_equal(a, b)
-            want = _rk4_written_out(y, 1e-3, lambda ys: tuple(a.copy() for a in sys.rhs(*ys)))
-            for a, b in zip(step(y), want):
+            shape = state[0].shape
+            if shape not in steps:
+                steps[shape] = dyn._rk4_full(sys, 1e-3, shape)
+            step, y = steps[shape], _flat(state)
+            want = _rk4_written_out(state, 1e-3,
+                                    lambda ys: tuple(a.copy() for a in sys.rhs(*ys)))
+            got = step(y)
+            assert np.array_equal(y, _flat(state))            # y unchanged
+            for a, b in zip(_components(got, state), want):
                 assert a.shape == b.shape and np.array_equal(a, b)
+            assert not np.shares_memory(got, y)
+            assert not any(np.shares_memory(got, r) for r in results)
+            results.append(got)
 
     @pytest.mark.parametrize("params", [NonlinearityParams(1.0, 0.3, 0.7, l=1.5),
                                         NonlinearityParams(0.5, 0.0, 2.0),
@@ -665,11 +693,12 @@ class TestWorkIntegrals:
             work.append(np.zeros(4))
             weights = iter(dyn.RK4_WEIGHTS)
 
-            def rhs(u, p):
+            def rate(ys):
+                u, p = _components(ys, y)
                 work[-1] += next(weights) * np.array(self._terms(sys, u))
-                return sys.rhs(u, p)
+                return _flat(sys.rhs(u, p))
 
-            u, p = dyn.rk4_stepper(rhs, cfg.dt)(y)
+            u, p = _components(dyn.rk4_stepper(rate, cfg.dt)(_flat(y)), y)
             y = (u, p - np.add.reduce(p, axis=axes, keepdims=True) / g.num_nodes)
 
         assert np.array_equal(traj.u[-1], y[0])
@@ -719,14 +748,14 @@ class TestBatchedSimulate:
         # a step that moves member 1's pressure mean trips the drift guard
         real = dyn._full_advance
 
-        def drifting(sys, cfg):
-            step = real(sys, cfg)
+        def drifting(sys, cfg, shape):
+            step = real(sys, cfg, shape)
 
             def advance(y):
-                u, p = step(y)
-                p = p.copy()
+                y = step(y)  # a fresh array
+                _, p = dyn._state_views(y, sys._kernel(shape).shapes)
                 p[1 if batch else ...] += 1e-9
-                return u, p
+                return y
             return advance
 
         monkeypatch.setattr(dyn, "_full_advance", drifting)
@@ -736,6 +765,29 @@ class TestBatchedSimulate:
         with pytest.raises(RuntimeError, match=f"^{who}pressure mean drifted to 1.000e-09 at step 1$"):
             dyn.simulate(_batch([s, s, s]) if batch else s, g, dyn.SolverConfig(dt=1e-3),
                          _zero_forcing(g), D, QUINTIC, 0.01)
+
+    @pytest.mark.parametrize("member", [0, 2])
+    def test_nan_in_a_member_pressure_named(self, member):
+        # a NaN planted at step 3 in member m's pressure block: the loop's
+        # one dot product over the flat state sees it, and the error names
+        # the member and the step
+        g = Grid(2, 4)
+        shapes = ((3, 2) + g.shape, (3,) + g.shape)
+        calls = []
+
+        def advance(y):
+            y = y.copy()
+            calls.append(y)
+            if len(calls) == 3:
+                dyn._state_views(y, shapes)[1][member, 1, 2] = np.nan
+            return y
+
+        y0 = np.zeros(sum(np.prod(shape, dtype=int) for shape in shapes))
+        with pytest.raises(dyn.BlowUpError,
+                           match=f"^ensemble member {member}: solution lost finiteness "
+                                 r"at step 3 \(t = 0.3\)$") as err:
+            dyn.integrate(y0, shapes, 0.1, 5, advance, g.dim, project=(1,), members=True)
+        assert err.value.member == member and err.value.step_count == 3
 
     def test_batch_rejects_work_integrals(self):
         g, D = small_setup()
@@ -778,7 +830,7 @@ class TestWarmStart:
         sys = dyn._FullSystem(g, D, QUINTIC, forcing, False)
         run = [(state[0], gr.mean_project_array(state[1], g.dim))]
         for _ in range(n_steps):
-            u, p = dyn._semi_implicit_full(sys, *run[-1], cfg.dt, cfg.cg_tol)
+            u, p = _semi_implicit_step(sys, *run[-1], cfg.dt, cfg.cg_tol)
             run.append((u, gr.mean_project_array(p, g.dim)))
         return run
 
@@ -842,6 +894,14 @@ class TestWarmStart:
         assert sum(warm[40:]) <= 0.7 * sum(cold[40:]), (warm, cold)
         if kind == "white_pressure":
             assert sum(warm) <= 0.7 * sum(cold), (sum(warm), sum(cold))
+
+
+def _semi_implicit_step(sys, u, p, dt, cg_tol, x0=None):
+    """(u, p) of one semi-implicit step: the blocks of the flat state that
+    `dyn._semi_implicit_full` returns."""
+    y = dyn._semi_implicit_full(sys, u, p, dt, cg_tol, x0)
+    assert y.shape == (u.size + p.size,)
+    return _components(y, (u, p))
 
 
 def _allocating_semi_implicit(sys, u, p, dt, cg_tol, x0=None):
@@ -908,7 +968,7 @@ class TestKernelSemiImplicit:
     @staticmethod
     def _assert_steps_equal(sys, u, p, dt, x0=None):
         want = _allocating_semi_implicit(sys, u, p, dt, 1e-12, x0)
-        got = dyn._semi_implicit_full(sys, u, p, dt, 1e-12, x0)
+        got = _semi_implicit_step(sys, u, p, dt, 1e-12, x0)
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b)
         for a in got:  # fresh arrays: the next step cannot overwrite them
@@ -948,9 +1008,7 @@ class TestKernelSemiImplicit:
         u, p = TestInPlaceRhs._state(sys, rng, None)
         got = dyn._semi_implicit_full(sys, u, p, 0.01, 1e-12)
         monkeypatch.setattr(dyn, "conjugate_gradient", _written_out_pcg)
-        want = dyn._semi_implicit_full(sys, u, p, 0.01, 1e-12)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        assert np.array_equal(got, dyn._semi_implicit_full(sys, u, p, 0.01, 1e-12))
 
     @pytest.mark.parametrize("shape", [(2, 2, 32, 32), (6, 2, 8, 8), (16, 2, 16, 16),
                                        (2, 3, 8, 8, 8), (3, 2, 64, 64)])
@@ -979,7 +1037,7 @@ class TestKernelSemiImplicit:
         u, p = _batch(states) if members else states[0]
         p = gr.mean_project_array(p, dim)
         sys = dyn._FullSystem(g, D, QUINTIC, forcing, False)
-        u_new, p_new = dyn._semi_implicit_full(sys, u, p, dt, 1e-12)
+        u_new, p_new = _semi_implicit_step(sys, u, p, dt, 1e-12)
         res_u = u_new - u - dt * (gr.lap_array(u_new, g.h, dim) - gr.grad_array(p_new, g.h, dim)
                                   - ph.f_apply_array(u, QUINTIC, dim) + forcing)
         res_p = p_new - p - dt * _allocating_pressure_rate(u_new, D, g)
@@ -992,17 +1050,18 @@ class TestKernelSemiImplicit:
         # start built in fresh arrays, c0 u_n + c1 u_{n-1} + ..., keep its bytes
         sys, rng = self._system(2, 16, QUINTIC, False, seed=1000)
         cfg = dyn.SolverConfig(dt=0.01, scheme="semi_implicit")
-        advance, history = dyn._full_advance(sys, cfg), []
-        y = TestInPlaceRhs._state(sys, rng, members)
+        state, history = TestInPlaceRhs._state(sys, rng, members), []
+        advance = dyn._full_advance(sys, cfg, state[0].shape)
+        y = _flat(state)
         for _ in range(6):
-            history = [y[0]] + history[:3]
+            u, p = _components(y, state)
+            history = [u] + history[:3]
             c0, *cs = dyn._EXTRAPOLATION[len(history) - 1]
             x0 = c0 * history[0]
             for c, v in zip(cs, history[1:]):
                 x0 += c * v
-            want = dyn._semi_implicit_full(sys, *y, cfg.dt, cfg.cg_tol, x0)
-            for a, b in zip(advance(y), want):
-                assert np.array_equal(a, b)
+            want = dyn._semi_implicit_full(sys, u, p, cfg.dt, cfg.cg_tol, x0)
+            assert np.array_equal(advance(y), want)
             y = want
 
 
@@ -1189,8 +1248,8 @@ class TestKernelNewton:
 # convective term's (bu)
 _USE_ARRAYS = {
     "pressure_rate": {"Du", "dp", "tp", "mean"},
-    "rate": {"Du", "dp", "tp", "mean", "lap", "du", "tu"},
-    "semi_implicit": {"Du", "dp", "tp", "mean", "lap", "du", "tu", "load", "Ax", "z"},
+    "rate": {"rates", "Du", "dp", "tp", "mean", "lap", "du", "tu"},
+    "semi_implicit": {"rates", "Du", "dp", "tp", "mean", "lap", "du", "tu", "load", "Ax", "z"},
     "newton": {"lap", "du", "tu", "load", "Ax", "z", "iterates", "residuals", "uv"},
 }
 
@@ -1230,8 +1289,13 @@ class TestKernelUses:
         for name in _allocated(k):
             for a in getattr(k, name) if name in ("iterates", "residuals") else (getattr(k, name),):
                 want = {"dp": lead + g.shape, "tp": lead + g.shape, "mean": lead + (1,) * dim,
-                        "phi": lead + (1,) + g.shape, "uv": lead + (1,) + g.shape}
+                        "phi": lead + (1,) + g.shape, "uv": lead + (1,) + g.shape,
+                        "rates": (np.prod(shape) + np.prod(lead + g.shape),)}
                 assert a.shape == want.get(name, shape)
+        if use in ("rate", "semi_implicit"):  # du, then dp: the blocks of one flat array
+            k.rates[...] = np.arange(k.rates.size)
+            assert np.array_equal(k.du.ravel(), k.rates[:k.du.size])
+            assert np.array_equal(k.dp.ravel(), k.rates[k.du.size:])
         # the default use: "newton" without a medium, "rate" with one
         assert _allocated(dyn._Kernel(shape, g)) == self._expected("newton", params, False)
         assert (_allocated(dyn._Kernel(shape, g, self.MEDIA[dim], params, None, conv))
@@ -1414,16 +1478,17 @@ class TestTruncated:
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
-def _drift_component(monkeypatch, index):
-    """Make every RK4 step add 1e-9 to the state component `index`."""
+def _drift_component(monkeypatch, shapes, index):
+    """Make every RK4 step add 1e-9 to component `index` of the flat state,
+    whose components have `shapes`."""
     real = dyn.rk4_stepper
 
-    def drifting(rhs, dt):
-        step = real(rhs, dt)
+    def drifting(rate, dt):
+        step = real(rate, dt)
 
         def advance(y):
             y = step(y)
-            y[index][...] += 1e-9  # rk4_stepper returns fresh arrays
+            dyn._state_views(y, shapes)[index][...] += 1e-9  # a fresh array
             return y
         return advance
 
@@ -1456,8 +1521,8 @@ class TestSplits:
 
     def test_part_pressure_drift_raises(self, monkeypatch):
         # a step that moves q's mean trips the drift guard
-        _drift_component(monkeypatch, 1)
         g, D = small_setup(n=8)
+        _drift_component(monkeypatch, (g.shape,) * 3, 1)  # p, q, r
         with pytest.raises(RuntimeError, match="^pressure mean drifted to 1.000e-09 at step 1$"):
             self._run(dyn.run_split, g, D, QUINTIC, t_max=0.1)
 
@@ -1583,8 +1648,9 @@ class TestExpSplit:
 
     def test_part_pressure_drift_raises(self, monkeypatch):
         # a step that moves the parts' pressure means (Q) trips the drift guard
-        _drift_component(monkeypatch, 3)
         g, D = small_setup()
+        vel = (2, 2) + g.shape
+        _drift_component(monkeypatch, (vel, vel, vel[:1] + g.shape, vel[:1] + g.shape), 3)
         pair = perturbed_pair(make_initial_state(g, "smooth", 1.0, seed=77), g, 78, 1e-3)
         with pytest.raises(RuntimeError, match="^pressure mean drifted to 1.000e-09 at step 1$"):
             dyn.run_exp_split(pair, g, _zero_forcing(g), dyn.SolverConfig(dt=1e-3), D,

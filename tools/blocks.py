@@ -4,23 +4,25 @@ and of the Newton elliptic solve.
     python tools/blocks.py [checkout]
 
 Imports bfflow from <checkout>/src (by default this checkout's) and prints
-one table row per state shape: the thread-CPU microseconds per call of
+two table rows per state shape, the median and the least over the rounds
+(below) of the thread-CPU microseconds per call of
 `grid.lap_array`, `grid.grad_array`, `grid.div_array` and
 `physics.f_apply_array`, each beside the same operator as the right-hand
 side's kernel calls it (the `_k` columns: the sequence the kernel bound to
 its arrays, `laplacian`, `gradient`, `divergence` of D u and `drag`, or, in
 a checkout whose kernels call the module functions with `out=`, that call
 into the kernel's arrays), then of `dynamics._FullSystem.rhs`, one
-`dynamics._rk4_full` step and one step of `dynamics.simulate`'s loop (the
+`dynamics._rk4_full` step (on the flat state, or on the (u, p) tuple in a
+checkout that steps one) and one step of `dynamics.simulate`'s loop (the
 advance, p's re-projection, the finiteness check and the drift guard), at 2D
 n = 8, 16, 32, 64 and 3D n = 8, 16, with 1 member (a single state, no member
 axis), 6 and 16 members. The system is quintic drag (alpha = beta = 1,
 l = 2), D = diag(1, 2[, 1.5]), a random forcing and no convective term; the
 step is dt = 1e-5. The loop step is the difference of two `simulate` runs
 that store only their ends, of 300 and 10 steps, over 290, so that the
-set-up both make cancels, each run's time the least of 5; 2D n = 16 with 16
-members is the shape of acceptance criterion c12's runs, whose time is
-this column times its 100 000 steps. A second table gives
+set-up both make cancels; 2D n = 16 with 16 members is the shape of
+acceptance criterion c12's runs, whose time is this column times its
+100 000 steps. A second table gives
 one `dynamics._semi_implicit_full` step of the same system (dt = 0.01,
 cg_tol = 1e-12, CG from u, as a run's first step) at 2D n = 16, 32 and 3D
 n = 8 with 1 and 2 members, and beside it the step's CG iterations: its
@@ -30,16 +32,18 @@ run makes it (`dynamics._TruncatedSystem.solve_u`: quintic drag, a random
 forcing and pressure, newton_tol 1e-10, cg_tol 1e-12) at 2D n = 16, 32 and
 3D n = 8, from a cold start (u = 0) and warm-started from the solution for
 a nearby pressure (p plus 1e-4 times another random pressure), with the
-solve's Newton steps and CG iterations beside it. Each other number is the
-least over 7 repeats, each repeat timing enough calls to take about 20 ms.
+solve's Newton steps and CG iterations beside it; the second and third
+tables give the median and the least time per cell.
 
-Every time is CPU time of the calling thread (`time.thread_time`): unlike
-wall time, it leaves out the time the thread waits while other processes
-run. Each is the least of its repeats. A run can still read high when
-another process shares the core and its caches, so compare two checkouts
-by the medians of several alternating runs: on a shared 2-core host, ten
-runs of each gave the c12-shape loop step to a few percent (one
-checkout's quartiles 4% apart).
+The cells of one row of the first table, and all cells of the second and of
+the third, are timed in turn, one batch of calls per cell, over 7 rounds; a
+batch is as many calls as take about 20 ms (one pair of runs for the loop
+step). So host load that comes and goes lands on every cell of a round
+alike, not on the one cell that happens to be timed then. Every time is CPU
+time of the calling thread (`time.thread_time`): unlike wall time, it leaves
+out the time the thread waits while other processes run. A run can still
+read high when another process shares the core and its caches, so compare
+two checkouts by several alternating runs.
 
 At 2D n = 64 and 3D n = 16 a block's temporaries can pass the C allocator's
 mmap threshold, and then each call maps and faults them in afresh, so a
@@ -50,6 +54,7 @@ the environment holds the allocator steady.
 
 from __future__ import annotations
 
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -60,8 +65,7 @@ SEMI_IMPLICIT_SHAPES = [(2, 16), (2, 32), (3, 8)]
 SEMI_IMPLICIT_MEMBERS = (1, 2)
 NEWTON_SHAPES = [(2, 16), (2, 32), (3, 8)]
 LOOP_STEPS = (10, 300)  # the two simulate runs of the loop-step column
-LOOP_REPEATS = 5
-REPEATS = 7
+ROUNDS = 7
 REPEAT_SECONDS = 0.02
 
 
@@ -73,12 +77,22 @@ def _cpu_seconds(fn, number: int = 1) -> float:
     return time.thread_time() - t0
 
 
-def _us_per_call(fn) -> float:
-    """Least over REPEATS of the mean thread-CPU microseconds per call of
-    `fn`."""
+def _batch(fn):
+    """A cell of `fn`: a function that times one batch of as many calls of
+    `fn` as take about REPEAT_SECONDS and returns the seconds per call."""
     fn()
     number = max(1, int(REPEAT_SECONDS / max(_cpu_seconds(fn), 1e-7)))
-    return 1e6 * min(_cpu_seconds(fn, number) for _ in range(REPEATS)) / number
+    return lambda: _cpu_seconds(fn, number) / number
+
+
+def _rounds(cells) -> list[tuple[float, float]]:
+    """The median and the least microseconds per call of each cell, the
+    cells timed in turn within each of ROUNDS rounds."""
+    times = [[] for _ in cells]
+    for _ in range(ROUNDS):
+        for cell, seconds in zip(cells, times):
+            seconds.append(cell())
+    return [(1e6 * statistics.median(t), 1e6 * min(t)) for t in times]
 
 
 def _cg_iterations(dyn, step) -> int:
@@ -133,6 +147,16 @@ def _kernel_calls(gr, ph, k, u, p, params, dim):
             lambda: ph.f_apply_array(u, params, dim, out=k.fu, work=k.phi))
 
 
+def _rk4_step(np, dyn, sys_, u, p):
+    """One `dyn._rk4_full` step from (u, p): on the flat state (u-block, then
+    p-block) where the checkout steps one, else on the (u, p) tuple."""
+    if hasattr(dyn, "_state_views"):
+        step, y = dyn._rk4_full(sys_, 1e-5, u.shape), np.concatenate((u, p), axis=None)
+    else:
+        step, y = dyn._rk4_full(sys_, 1e-5), (u, p)
+    return lambda: step(y)
+
+
 def _state(gr, rng, g, members):
     """A random (u, p) of `members` members, or a single state for 1."""
     lead = () if members == 1 else (members,)
@@ -159,8 +183,9 @@ def main(argv: list[str]) -> int:
     names = ("lap", "lap_k", "grad", "grad_k", "div", "div_k", "f_apply", "f_k",
              "rhs", "rk4_step", "loop_step")
     print(f"bfflow from {checkout.resolve()}; numpy {np.__version__}; "
-          "least thread-CPU us per call")
-    print(f"{'dim':>3} {'n':>3} {'members':>7} " + " ".join(f"{s:>9}" for s in names))
+          f"thread-CPU us per call, median and least over {ROUNDS} rounds")
+    print(f"{'dim':>3} {'n':>3} {'members':>7} {'stat':>6} "
+          + " ".join(f"{s:>9}" for s in names))
     for dim, n in SHAPES:
         g = Grid(dim, n)
         D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
@@ -168,7 +193,6 @@ def main(argv: list[str]) -> int:
             rng = SplitMix64(1000 * dim + n + members)
             u, p = _state(gr, rng, g, members)
             sys_ = dyn._FullSystem(g, D, params, rng.normal((dim,) + g.shape), False)
-            step = dyn._rk4_full(sys_, 1e-5)
             sys_.rhs(u, p)  # builds the kernel, and leaves D u in it
             lap_k, grad_k, div_k, f_k = _kernel_calls(gr, ph, sys_._kernel(u.shape), u, p,
                                                       params, dim)
@@ -177,17 +201,20 @@ def main(argv: list[str]) -> int:
                       lambda: gr.div_array(u, g.h, dim), div_k,
                       lambda: ph.f_apply_array(u, params, dim), f_k,
                       lambda: sys_.rhs(u, p),
-                      lambda: step((u, p)))
-            cells = [_us_per_call(fn) for fn in blocks]
-            runs = [min(_cpu_seconds(lambda: dyn.simulate(
+                      _rk4_step(np, dyn, sys_, u, p))
+            runs = [lambda steps=steps: dyn.simulate(
                         (u, p), g, cfg, sys_.forcing, D, params, steps * cfg.dt,
-                        snapshot_every=steps)) for _ in range(LOOP_REPEATS))
-                    for steps in LOOP_STEPS]
-            cells.append(1e6 * (runs[1] - runs[0]) / (LOOP_STEPS[1] - LOOP_STEPS[0]))
-            cells = " ".join(f"{cell:9.1f}" for cell in cells)
-            print(f"{dim:>3} {n:>3} {members:>7} {cells}", flush=True)
+                        snapshot_every=steps) for steps in LOOP_STEPS]
+
+            def loop_step():
+                return ((_cpu_seconds(runs[1]) - _cpu_seconds(runs[0]))
+                        / (LOOP_STEPS[1] - LOOP_STEPS[0]))
+            cells = _rounds([_batch(fn) for fn in blocks] + [loop_step])
+            for stat, pick in (("median", 0), ("least", 1)):
+                row = " ".join(f"{cell[pick]:9.1f}" for cell in cells)
+                print(f"{dim:>3} {n:>3} {members:>7} {stat:>6} {row}", flush=True)
     print()
-    print(f"{'dim':>3} {'n':>3} {'members':>7} {'semi_step':>9} {'cg_iters':>9}")
+    rows, cells = [], []
     for dim, n in SEMI_IMPLICIT_SHAPES:
         g = Grid(dim, n)
         D = MediumMatrix.diagonal((1.0, 2.0, 1.5)[:dim])
@@ -196,12 +223,15 @@ def main(argv: list[str]) -> int:
             u, p = _state(gr, rng, g, members)
             sys_ = dyn._FullSystem(g, D, params, rng.normal((dim,) + g.shape), False)
 
-            def step():
+            def step(sys_=sys_, u=u, p=p):
                 return dyn._semi_implicit_full(sys_, u, p, 0.01, 1e-12)
-            print(f"{dim:>3} {n:>3} {members:>7} {_us_per_call(step):9.1f} "
-                  f"{_cg_iterations(dyn, step):9d}", flush=True)
+            rows.append(f"{dim:>3} {n:>3} {members:>7}")
+            cells.append((_batch(step), f"{_cg_iterations(dyn, step):9d}"))
+    print(f"{'dim':>3} {'n':>3} {'members':>7} {'semi_step':>9} {'least':>9} {'cg_iters':>9}")
+    for row, (median, least), (_, iters) in zip(rows, _rounds([c for c, _ in cells]), cells):
+        print(f"{row} {median:9.1f} {least:9.1f} {iters}")
     print()
-    print(f"{'dim':>3} {'n':>3} {'start':>7} {'newton':>9} {'steps':>9} {'cg_iters':>9}")
+    rows, cells = [], []
     for dim, n in NEWTON_SHAPES:
         g = Grid(dim, n)
         rng = SplitMix64(2000 * dim + n)
@@ -209,12 +239,16 @@ def main(argv: list[str]) -> int:
         p_near = p + 1e-4 * _state(gr, rng, g, 1)[1]
         truncated = dyn._TruncatedSystem(g, params, forcing, dyn.SolverConfig(dt=1e-3))
         for start, u0 in (("cold", None), ("warm", truncated.solve_u(p_near))):
-            def solve():
+            def solve(truncated=truncated, u0=u0, p=p):
                 truncated._warm = u0
                 return truncated.solve_u(p)
-            print(f"{dim:>3} {n:>3} {start:>7} {_us_per_call(solve):9.1f} "
-                  f"{_newton_steps(dyn, solve):9d} {_cg_iterations(dyn, solve):9d}",
-                  flush=True)
+            rows.append(f"{dim:>3} {n:>3} {start:>7}")
+            cells.append((_batch(solve), f"{_newton_steps(dyn, solve):9d} "
+                                         f"{_cg_iterations(dyn, solve):9d}"))
+    print(f"{'dim':>3} {'n':>3} {'start':>7} {'newton':>9} {'least':>9} {'steps':>9} "
+          f"{'cg_iters':>9}")
+    for row, (median, least), (_, counts) in zip(rows, _rounds([c for c, _ in cells]), cells):
+        print(f"{row} {median:9.1f} {least:9.1f} {counts}")
     return 0
 
 
