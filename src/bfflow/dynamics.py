@@ -167,9 +167,10 @@ def _check_finite(y: np.ndarray, step_count: int, t: float, shapes=None):
     """Raise BlowUpError naming the step if the flat state y is not finite,
     and, given the `shapes` of its components, whose leading axes index
     ensemble members, the first member that is not."""
-    # y . y is finite when every entry is; when it is not, an entry is NaN
-    # or infinite, or the sum overflowed, which the entrywise test tells apart
-    if math.isfinite(np.vdot(y, y)) or np.isfinite(y).all():
+    # the sum of y is finite when every entry is; when it is not, an entry is
+    # NaN or infinite, or the sum overflowed, which the entrywise test tells
+    # apart (a ufunc sum: a BLAS dot wakes OpenBLAS's threads past 10^4 entries)
+    if math.isfinite(np.add.reduce(y, axis=None)) or np.isfinite(y).all():
         return
     member = None
     if shapes is not None:

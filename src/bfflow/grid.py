@@ -33,11 +33,11 @@ leading axes (field components, ensemble members) go through unchanged.
 Each operator's product sequence is written once, here, as a private
 function that runs the products and ufuncs into the arrays it is given, with
 the lookup of its constants (per-axis products and scale factors, cached per
-grid; component views) beside it. A public function looks them up and
-runs the sequence at every call: with `out=` (and a scratch array where the
-sequence needs one) into arrays the caller keeps, and without it into fresh
-ones. A time stepper's kernel looks them up once and binds the sequence to
-its own arrays. Every way gives the same bytes.
+grid; component views) beside it. So each operator has two forms. The public
+function looks the constants up at every call and always returns a fresh
+array. A caller that works in place, such as a time stepper's kernel, looks
+them up once and binds the sequence to its own arrays. Both give the same
+bytes.
 """
 
 from __future__ import annotations
@@ -218,9 +218,9 @@ def _grad(out, parts, products, scale, p):
 
 
 def _div(out, scratch, products, scale, parts):
-    """(C_0 U_0 + C_1 U_1 [+ C_2 U_2]) scale into `out` (allocated when
-    None), from the component views `parts` of U, the products after the
-    first into `scratch`."""
+    """(C_0 U_0 + C_1 U_1 [+ C_2 U_2]) scale into `out`, from the component
+    views `parts` of U, the products after the first into `scratch`
+    (allocated when None)."""
     pairs = zip(products, parts)
     product, part = next(pairs)
     out = product(part, out)
@@ -236,32 +236,22 @@ def _difference_constants(n: int, h: float, dim: int) -> tuple:
     return _stencil_products(n, dim)[1], 1.0 / (2.0 * h)
 
 
-def grad_array(p: np.ndarray, h: float, dim: int,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Central gradient; output gains a component axis before the grid axes.
-    Into `out` if given (not p)."""
-    if out is None:
-        out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
+def grad_array(p: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """Central gradient; output gains a component axis before the grid axes."""
+    out = np.empty(p.shape[:-dim] + (dim,) + p.shape[-dim:], dtype=p.dtype)
     return _grad(out, _COMPONENTS[dim](out), *_difference_constants(p.shape[-1], h, dim), p)
 
 
-def div_array(U: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
+def div_array(U: np.ndarray, h: float, dim: int) -> np.ndarray:
     """Central divergence; consumes the component axis preceding the grid
-    axes. Into `out` if given, with the products after the first in
-    `scratch` if given (both of the output's shape, neither in U)."""
-    if out is None:
-        out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
-    return _div(out, scratch, *_difference_constants(U.shape[-1], h, dim),
-                _COMPONENTS[dim](U))
+    axes."""
+    out = np.empty(U.shape[:-dim - 1] + U.shape[-dim:], dtype=U.dtype)
+    return _div(out, None, *_difference_constants(U.shape[-1], h, dim), _COMPONENTS[dim](U))
 
 
-def lap_array(x: np.ndarray, h: float, dim: int, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """Compact Dirichlet Laplacian, applied over the trailing grid axes. Into
-    `out` if given, with each product in `scratch` if given (both of x's
-    shape, neither x)."""
-    return _lap(out, scratch, *_lap_constants(x.shape[-1], h, dim), x)
+def lap_array(x: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """Compact Dirichlet Laplacian, applied over the trailing grid axes."""
+    return _lap(None, None, *_lap_constants(x.shape[-1], h, dim), x)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +322,10 @@ def _dst(targets, products, a):
     return a
 
 
-def _dst_all_axes(a: np.ndarray, dim: int, out: np.ndarray | None = None,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
+def _dst_all_axes(a: np.ndarray, dim: int) -> np.ndarray:
     """DST-I over the trailing `dim` axes, one grid axis after the other, into
-    `out` (both float arrays of a's shape, allocated when not given): in 3D
-    the first axis's product goes into `out`, then the next into `scratch`
-    and the last into `out`. So a may be `out` in 2D and `scratch` in 3D."""
-    out = np.empty(a.shape) if out is None else out
-    scratch = np.empty(a.shape) if scratch is None else scratch
+    a fresh array (in 3D the middle axis's product into a second one)."""
+    out, scratch = np.empty(a.shape), np.empty(a.shape)
     return _dst((out, scratch, out)[-dim:], _dst_products(a.shape[-1], dim), a)
 
 
@@ -349,19 +335,16 @@ def _sine_scales(grid: Grid) -> tuple[float, float]:
     return (grid.h / math.sqrt(2.0)) ** grid.dim, (1.0 / math.sqrt(2.0)) ** grid.dim
 
 
-def sine_coefficients_array(values: np.ndarray, grid: Grid, out: np.ndarray | None = None,
-                            scratch: np.ndarray | None = None) -> np.ndarray:
-    """The sine coefficients of `values`, into `out` as `_dst_all_axes`."""
-    c = _dst_all_axes(values, grid.dim, out, scratch)
+def sine_coefficients_array(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """The sine coefficients of `values`."""
+    c = _dst_all_axes(values, grid.dim)
     c *= _sine_scales(grid)[0]
     return c
 
 
-def sine_synthesis_array(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None,
-                         scratch: np.ndarray | None = None) -> np.ndarray:
-    """The field of the sine coefficients `coeffs`, into `out` as
-    `_dst_all_axes`."""
-    x = _dst_all_axes(coeffs, grid.dim, out, scratch)
+def sine_synthesis_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """The field of the sine coefficients `coeffs`."""
+    x = _dst_all_axes(coeffs, grid.dim)
     x *= _sine_scales(grid)[1]
     return x
 
@@ -398,19 +381,14 @@ def _poisson_constants(grid: Grid, out: np.ndarray, scratch: np.ndarray) -> tupl
             _dst_products(grid.n, dim), _sine_scales(grid))
 
 
-def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0,
-                        out: np.ndarray | None = None,
-                        scratch: np.ndarray | None = None) -> np.ndarray:
+def poisson_solve_array(b: np.ndarray, grid: Grid, shift: float = 0.0) -> np.ndarray:
     """Solve (-lap + shift) x = b over the trailing grid axes.
 
     The compact Dirichlet Laplacian is diagonal in the sine basis, so its
     shifted inverse is one transform pair (the fast Poisson solver); leading
-    component and batch axes pass through. Needs shift > -lambda_min. Into
-    `out` if given, with `scratch` if given (both float arrays of b's shape,
-    neither b).
+    component and batch axes pass through. Needs shift > -lambda_min.
     """
-    out = np.empty(b.shape) if out is None else out
-    scratch = np.empty(b.shape) if scratch is None else scratch
+    out, scratch = np.empty(b.shape), np.empty(b.shape)
     return _poisson(*_poisson_constants(grid, out, scratch), _shifted_eigenvalues(grid, shift), b)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -89,13 +90,11 @@ class MediumMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def apply_array(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply_array(self, u: np.ndarray) -> np.ndarray:
         """Matrix-vector product over the component axis preceding the grid
         axes (batch axes may precede it), as one product over the nodes of a
-        (..., dim, nodes) view; into `out` (not u), allocated when not given,
-        which must allow that view, or a ValueError is raised."""
-        out = np.empty(u.shape) if out is None else out
-        return _medium(*_medium_constants(self, u.shape, out), u)
+        (..., dim, nodes) view."""
+        return _medium(*_medium_constants(self, u.shape, np.empty(u.shape)), u)
 
 
 # Each operator is a sequence and the lookup of its constants, as in `grid`:
@@ -109,6 +108,8 @@ def _medium(entries, nodes, out_nodes, out, u):
 
 
 def _medium_constants(D: MediumMatrix, shape: tuple[int, ...], out: np.ndarray) -> tuple:
+    """The constants of `_medium` into `out` (not u), which must allow the
+    (..., dim, nodes) view, or a ValueError is raised."""
     dim = len(D.entries)
     nodes = shape[:len(shape) - dim - 1] + (dim, -1)
     return D.entries, nodes, gr._view(out, nodes), out
@@ -141,8 +142,9 @@ def _phi_array(z: np.ndarray, p: NonlinearityParams) -> np.ndarray:
 
 
 def _f_apply(out, work, axis, params, u):
-    """phi(|u|^2) u into `out`, |u|^2 and then phi(|u|^2) into `work` (each
-    allocated when None); `axis` is u's component axis."""
+    """phi(|u|^2) u into `out` (not u), |u|^2 and then phi(|u|^2) into
+    `work`, an array of u's shape but a component axis of length 1
+    (allocated when None); `axis` is u's component axis."""
     if params.is_zero():
         out.fill(0.0)
         return out
@@ -150,13 +152,9 @@ def _f_apply(out, work, axis, params, u):
     return np.multiply(_phi_array(z, params), u, out=out)
 
 
-def f_apply_array(u: np.ndarray, params: NonlinearityParams, dim: int,
-                  out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
-    """phi(|u|^2) u, batch-safe over leading axes; into `out` (not u) if
-    given, and with `work`, an array of u's shape but a component axis of
-    length 1, |u|^2 and then phi(|u|^2) go into it."""
-    out = np.empty_like(u) if out is None else out
-    return _f_apply(out, work, u.ndim - dim - 1, params, u)
+def f_apply_array(u: np.ndarray, params: NonlinearityParams, dim: int) -> np.ndarray:
+    """phi(|u|^2) u, batch-safe over leading axes."""
+    return _f_apply(np.empty_like(u), None, u.ndim - dim - 1, params, u)
 
 
 def _fprime_coefficients(u: np.ndarray, params: NonlinearityParams, dim: int):
@@ -228,12 +226,10 @@ def _a0_symbol_preconditioner(grid: Grid):
         shape[a] = grid.n
         wide = wide + wide1.reshape(shape)
     symbol = wide / gr.laplacian_eigenvalues(grid)
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        c = gr.sine_coefficients_array(r, grid)
-        return gr.sine_synthesis_array(c / symbol, grid)
-
-    return apply
+    # the Poisson solve's sequence with the symbol for its eigenvalues, into
+    # two arrays of this preconditioner: each call overwrites the last result
+    out, scratch = np.empty(grid.shape), np.empty(grid.shape)
+    return partial(gr._poisson, *gr._poisson_constants(grid, out, scratch), symbol)
 
 
 def bogovski(p: np.ndarray, grid: Grid, rtol: float = 1e-10) -> np.ndarray:

@@ -136,6 +136,10 @@ def build_propagator(grid: Grid, D: MediumMatrix,
     vals, vecs = np.linalg.eig(A)
     used_fallback = False
     vecs_inv = None
+    # 1e8 is enough: just below it (condition 4.6e7, D = diag(1, 1332.77...)
+    # at 2D n = 4) the eigen path's exp(0.05 A) is 2.1e-10 relative from the
+    # Taylor series', inside every tolerance the propagator is compared at
+    # (RK4 errors of 1e-8 and up)
     if np.linalg.cond(vecs) <= cond_limit:
         vecs_inv = np.linalg.inv(vecs)
     else:

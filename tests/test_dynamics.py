@@ -405,11 +405,12 @@ class TestInPlaceRhs:
         want = phi * u if not params.is_zero() else np.zeros_like(u)
         out = np.full_like(u, np.nan)
         assert np.array_equal(ph.f_apply_array(u, params, 2), want)
-        assert ph.f_apply_array(u, params, 2, out=out) is out
+        # the drag's sequence into the caller's out (component axis 1)
+        assert ph._f_apply(out, None, 1, params, u) is out
         assert np.array_equal(out, want)
         # |u|^2, then phi, in an array of the caller (the kernel's)
         work, out = np.full_like(z, np.nan), np.full_like(u, np.nan)
-        assert ph.f_apply_array(u, params, 2, out=out, work=work) is out
+        assert ph._f_apply(out, work, 1, params, u) is out
         assert np.array_equal(out, want)
         if not params.is_zero():
             assert np.array_equal(work, phi)
@@ -769,8 +770,8 @@ class TestBatchedSimulate:
     @pytest.mark.parametrize("member", [0, 2])
     def test_nan_in_a_member_pressure_named(self, member):
         # a NaN planted at step 3 in member m's pressure block: the loop's
-        # one dot product over the flat state sees it, and the error names
-        # the member and the step
+        # one sum over the flat state sees it, and the error names the
+        # member and the step
         g = Grid(2, 4)
         shapes = ((3, 2) + g.shape, (3,) + g.shape)
         calls = []
@@ -788,6 +789,34 @@ class TestBatchedSimulate:
                                  r"at step 3 \(t = 0.3\)$") as err:
             dyn.integrate(y0, shapes, 0.1, 5, advance, g.dim, project=(1,), members=True)
         assert err.value.member == member and err.value.step_count == 3
+
+    def test_check_finite_on_large_and_infinite_entries(self):
+        # `_check_finite` directly: entries whose squares overflow, and two
+        # whose sum overflows (the entrywise test decides), pass; an inf in
+        # member m's pressure block names m and the step
+        g = Grid(2, 4)
+        shapes = ((3, 2) + g.shape, (3,) + g.shape)
+        size = sum(np.prod(shape, dtype=int) for shape in shapes)
+        squares = np.full(size, 1e200)
+        squares[::2] = -1e200
+        assert not np.isfinite(np.vdot(squares, squares))
+        overflows = np.zeros(size)
+        overflows[[0, -1]] = 1e308
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.add.reduce(overflows))
+            for y in (squares, overflows):
+                dyn._check_finite(y, 4, 0.4, shapes)
+                dyn._check_finite(y, 4, 0.4)
+        for member in range(3):
+            y = np.zeros(size)
+            dyn._state_views(y, shapes)[1][member, 2, 1] = np.inf
+            with pytest.raises(dyn.BlowUpError,
+                               match=f"^ensemble member {member}: solution lost finiteness "
+                                     r"at step 4 \(t = 0.4\)$") as err:
+                dyn._check_finite(y, 4, 0.4, shapes)
+            assert err.value.member == member and err.value.step_count == 4
+        with pytest.raises(dyn.BlowUpError, match=r"^solution lost finiteness at step 4"):
+            dyn._check_finite(y, 4, 0.4)
 
     def test_batch_rejects_work_integrals(self):
         g, D = small_setup()

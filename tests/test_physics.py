@@ -88,9 +88,10 @@ class TestMedium:
     @pytest.mark.parametrize("dim,n", [(2, 8), (2, 16), (3, 6), (3, 8)])
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_apply_array_out_keeps_the_bytes(self, dim, n, lead):
-        # into a fresh array and into the first `dim` components of a wider
-        # velocity, as into the arrays of a kernel; grid axes that cannot be
-        # viewed as one node axis raise rather than take the product in a copy
+        # the medium's sequence into a fresh array and into the first `dim`
+        # components of a wider velocity, as into the arrays of a kernel;
+        # grid axes that cannot be viewed as one node axis raise rather than
+        # take the product in a copy
         D = MediumMatrix(np.array([[2.0, 0.5, -0.3], [0.5, 1.5, 0.2],
                                    [-0.3, 0.2, 1.0]])[:dim, :dim])
         rng = SplitMix64(61 + 10 * dim + n + len(lead))
@@ -98,10 +99,10 @@ class TestMedium:
         want = D.apply_array(u)
         wide = rng.normal(lead + (dim + 1,) + (n,) * dim)
         for out in (rng.normal(u.shape), wide[(Ellipsis, slice(0, dim)) + (slice(None),) * dim]):
-            assert D.apply_array(u, out=out) is out
+            assert ph._medium(*ph._medium_constants(D, u.shape, out), u) is out
             assert out.tobytes() == want.tobytes()
-        with pytest.raises(ValueError):
-            D.apply_array(u, out=np.empty(u.shape).swapaxes(-1, -2))
+        with pytest.raises(ValueError, match="has no view of shape"):
+            ph._medium_constants(D, u.shape, np.empty(u.shape).swapaxes(-1, -2))
 
 
 class TestPhi:

@@ -14,7 +14,8 @@ a checkout whose kernels call the module functions with `out=`, that call
 into the kernel's arrays), then of `dynamics._FullSystem.rhs`, one
 `dynamics._rk4_full` step (on the flat state, or on the (u, p) tuple in a
 checkout that steps one) and one step of `dynamics.simulate`'s loop (the
-advance, p's re-projection, the finiteness check and the drift guard), at 2D
+advance, p's re-projection, the finiteness check and the drift guard), in
+thread CPU and, in the `loop_proc` column, in process CPU, at 2D
 n = 8, 16, 32, 64 and 3D n = 8, 16, with 1 member (a single state, no member
 axis), 6 and 16 members. The system is quintic drag (alpha = beta = 1,
 l = 2), D = diag(1, 2[, 1.5]), a random forcing and no convective term; the
@@ -39,11 +40,15 @@ The cells of one row of the first table, and all cells of the second and of
 the third, are timed in turn, one batch of calls per cell, over 7 rounds; a
 batch is as many calls as take about 20 ms (one pair of runs for the loop
 step). So host load that comes and goes lands on every cell of a round
-alike, not on the one cell that happens to be timed then. Every time is CPU
-time of the calling thread (`time.thread_time`): unlike wall time, it leaves
-out the time the thread waits while other processes run. A run can still
-read high when another process shares the core and its caches, so compare
-two checkouts by several alternating runs.
+alike, not on the one cell that happens to be timed then. Every time but
+`loop_proc` is CPU time of the calling thread (`time.thread_time`): unlike
+wall time, it leaves out the time the thread waits while other processes
+run. It also leaves out the threads of numpy's BLAS, which a product or a
+dot over more than about 10^4 entries may wake; `loop_proc` times the same
+runs in CPU time of the whole process (`time.process_time`), so where it
+reads above `loop_step`, those threads ran. A run can still read high when
+another process shares the core and its caches, so compare two checkouts by
+several alternating runs.
 
 At 2D n = 64 and 3D n = 16 a block's temporaries can pass the C allocator's
 mmap threshold, and then each call maps and faults them in afresh, so a
@@ -79,20 +84,19 @@ def _cpu_seconds(fn, number: int = 1) -> float:
 
 def _batch(fn):
     """A cell of `fn`: a function that times one batch of as many calls of
-    `fn` as take about REPEAT_SECONDS and returns the seconds per call."""
+    `fn` as take about REPEAT_SECONDS and returns the seconds per call, as
+    a 1-tuple."""
     fn()
     number = max(1, int(REPEAT_SECONDS / max(_cpu_seconds(fn), 1e-7)))
-    return lambda: _cpu_seconds(fn, number) / number
+    return lambda: (_cpu_seconds(fn, number) / number,)
 
 
 def _rounds(cells) -> list[tuple[float, float]]:
-    """The median and the least microseconds per call of each cell, the
-    cells timed in turn within each of ROUNDS rounds."""
-    times = [[] for _ in cells]
-    for _ in range(ROUNDS):
-        for cell, seconds in zip(cells, times):
-            seconds.append(cell())
-    return [(1e6 * statistics.median(t), 1e6 * min(t)) for t in times]
+    """The median and the least microseconds per call of each column, the
+    cells timed in turn within each of ROUNDS rounds; a cell returns a tuple
+    of seconds, one per column."""
+    rounds = [sum((cell() for cell in cells), ()) for _ in range(ROUNDS)]
+    return [(1e6 * statistics.median(t), 1e6 * min(t)) for t in zip(*rounds)]
 
 
 def _cg_iterations(dyn, step) -> int:
@@ -181,9 +185,10 @@ def main(argv: list[str]) -> int:
     params = NonlinearityParams(1.0, 1.0, 0.0, l=2.0)
     cfg = dyn.SolverConfig(dt=1e-5)
     names = ("lap", "lap_k", "grad", "grad_k", "div", "div_k", "f_apply", "f_k",
-             "rhs", "rk4_step", "loop_step")
+             "rhs", "rk4_step", "loop_step", "loop_proc")
     print(f"bfflow from {checkout.resolve()}; numpy {np.__version__}; "
-          f"thread-CPU us per call, median and least over {ROUNDS} rounds")
+          f"thread-CPU (loop_proc: process-CPU) us per call, median and least "
+          f"over {ROUNDS} rounds")
     print(f"{'dim':>3} {'n':>3} {'members':>7} {'stat':>6} "
           + " ".join(f"{s:>9}" for s in names))
     for dim, n in SHAPES:
@@ -207,8 +212,14 @@ def main(argv: list[str]) -> int:
                         snapshot_every=steps) for steps in LOOP_STEPS]
 
             def loop_step():
-                return ((_cpu_seconds(runs[1]) - _cpu_seconds(runs[0]))
-                        / (LOOP_STEPS[1] - LOOP_STEPS[0]))
+                """The loop step in thread and in process CPU seconds."""
+                spans = []
+                for run in runs:
+                    t0, p0 = time.thread_time(), time.process_time()
+                    run()
+                    spans.append((time.thread_time() - t0, time.process_time() - p0))
+                return tuple((long - short) / (LOOP_STEPS[1] - LOOP_STEPS[0])
+                             for short, long in zip(*spans))
             cells = _rounds([_batch(fn) for fn in blocks] + [loop_step])
             for stat, pick in (("median", 0), ("least", 1)):
                 row = " ".join(f"{cell[pick]:9.1f}" for cell in cells)
