@@ -485,6 +485,58 @@ class TestOutForms:
         return [rng.normal(shape), view(shape, dim, rng)]
 
     @pytest.mark.parametrize("dim,n,lead", _OUT_CASES)
+    def test_stencils(self, dim, n, lead):
+        # each stencil sequence bound into a fresh array and into a component
+        # view, with and without its scratch array
+        rng = SplitMix64(12000 + 100 * dim + 10 * n + len(lead))
+        h, grid = 1.0 / (n + 1), (n,) * dim
+        x, U = rng.normal(lead + grid), rng.normal(lead + (dim,) + grid)
+        lap, differences = gr._lap_constants(n, h, dim), gr._difference_constants(n, h, dim)
+        calls = [  # (allocating call, sequence into out, shape of out, velocity-shaped)
+            (lambda: gr.lap_array(x, h, dim),
+             lambda out, s: gr._lap(out, s, *lap, x), x.shape, False),
+            (lambda: gr.lap_array(U, h, dim),
+             lambda out, s: gr._lap(out, s, *lap, U), U.shape, True),
+            (lambda: gr.grad_array(x, h, dim),
+             lambda out, s: gr._grad(out, gr._COMPONENTS[dim](out), *differences, x),
+             U.shape, True),
+            (lambda: gr.div_array(U, h, dim),
+             lambda out, s: gr._div(out, s, *differences, gr._COMPONENTS[dim](U)),
+             x.shape, False),
+        ]
+        for allocating, into, shape, velocity in calls:
+            want = allocating()
+            for out in self._outs(shape, dim, rng, velocity):
+                for scratch in (None, rng.normal(shape)):
+                    assert into(out, scratch) is out
+                    assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim,n,lead", _OUT_CASES)
+    def test_sine_transforms_and_poisson_solve(self, dim, n, lead):
+        # the transform sequence and the Poisson sequence bound into a fresh
+        # array and into a component view, with no scratch array and with a
+        # view for it: the bytes of `_dst_all_axes`, of the two scaled sine
+        # transforms and of `poisson_solve_array`
+        g = Grid(dim, n)
+        rng = SplitMix64(14000 + 100 * dim + 10 * n + len(lead))
+        b = rng.normal(lead + (dim,) + g.shape)
+        products, scales = gr._dst_products(n, dim), gr._sine_scales(g)
+        scaled = [(1.0, gr._dst_all_axes(b, dim)),
+                  (scales[0], gr.sine_coefficients_array(b, g)),
+                  (scales[1], gr.sine_synthesis_array(b, g))]
+        want_solve = gr.poisson_solve_array(b, g, 1.5)
+        for out in self._outs(b.shape, dim, rng, True):
+            for scratch in (None, _velocity_out(b.shape, dim, rng)):
+                for scale, want in scaled:
+                    assert gr._dst((out, scratch, out)[-dim:], products, b) is out
+                    out *= scale
+                    assert out.tobytes() == want.tobytes()
+                solve = partial(gr._poisson, *gr._poisson_constants(g, out, scratch),
+                                gr._shifted_eigenvalues(g, 1.5))
+                assert solve(b) is out
+                assert out.tobytes() == want_solve.tobytes()
+
+    @pytest.mark.parametrize("dim,n,lead", _OUT_CASES)
     def test_mean_projection(self, dim, n, lead):
         rng = SplitMix64(13000 + 100 * dim + 10 * n + len(lead))
         p = rng.normal(lead + (n,) * dim)
